@@ -3,9 +3,14 @@
 // Block → Fit → Evaluate) — the file-based workflow for experimenting with
 // fixed datasets, and the training half of the train/serve split:
 //
-//	go run ./cmd/hydra-gen  -persons 120 -dataset english -o world.json
-//	go run ./cmd/hydra-link -in world.json -pa twitter -pb facebook -save-model model.json
-//	go run ./cmd/hydra-serve -model model.json -world world.json
+//	go run ./cmd/hydra-gen   -persons 120 -dataset english -o world.json
+//	go run ./cmd/hydra-link  -in world.json -pa twitter -pb facebook -save-bundle bundle.bin
+//	go run ./cmd/hydra-serve -bundle bundle.bin
+//
+// -save-bundle writes what hydra-serve serves. -save-model writes the v1
+// model artifact instead — the small recipe file hydra-pack turns into a
+// bundle later, together with the world it was trained on; it is not a
+// serving input.
 package main
 
 import (
@@ -26,12 +31,12 @@ func main() {
 		seed       = flag.Int64("seed", 1, "model seed")
 		workers    = flag.Int("workers", 0, "worker-pool size for the pairwise hot paths; 0 = all cores, 1 = sequential — results are identical at any setting")
 		report     = flag.Bool("report", false, "print the feature-group weight report")
-		saveModel  = flag.String("save-model", "", "persist the trained model as an artifact at this path (serve it with hydra-serve -model, world file required)")
+		saveModel  = flag.String("save-model", "", "persist the trained model as a v1 artifact at this path — hydra-pack's input (with the world file) for packing a serving bundle later")
 		saveBundle = flag.String("save-bundle", "", "pack the trained model plus precomputed serving state into a self-contained bundle at this path (serve it with hydra-serve -bundle, no world file)")
 	)
 	flag.Parse()
 	if *in == "" {
-		fmt.Fprintln(os.Stderr, "usage: hydra-link -in world.json [-pa twitter -pb facebook] [-save-model model.json]")
+		fmt.Fprintln(os.Stderr, "usage: hydra-link -in world.json [-pa twitter -pb facebook] [-save-bundle bundle.bin] [-save-model model.json]")
 		os.Exit(2)
 	}
 	err := pipeline.RunLink(pipeline.LinkOpts{

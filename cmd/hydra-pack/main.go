@@ -1,17 +1,20 @@
-// Command hydra-pack converts an existing v1 model artifact plus the
-// world file it was trained on into a self-contained v3 serving bundle,
-// offline. Use it to migrate already-trained deployments to world-free
-// serving without retraining:
+// Command hydra-pack converts a v1 model artifact (hydra-link
+// -save-model) plus the world file it was trained on into a
+// self-contained v3 serving bundle, offline — the only way an artifact
+// reaches a server, and the repack path for deployments still holding a
+// retired v2 JSON bundle:
 //
-//	go run ./cmd/hydra-pack  -model model.json -world world.json -o bundle.json
-//	go run ./cmd/hydra-serve -bundle bundle.json
+//	go run ./cmd/hydra-pack  -model model.json -world world.json -o bundle.bin
+//	go run ./cmd/hydra-serve -bundle bundle.bin
 //
 // Packing rebuilds the feature system from the artifact's recipe once
-// (fingerprint-checked against the world, exactly like hydra-serve's
-// world-backed startup), snapshots every account view, top-friends slice
-// and candidate index the serving engine queries, and writes them as one
-// versioned bundle. After that the world file — raw posts, trajectories
-// and ground truth included — no longer ships anywhere.
+// (fingerprint-checked against the world), snapshots every account view,
+// top-friends slice and candidate index the serving engine queries, and
+// writes them as one versioned bundle. After that the world file — raw
+// posts, trajectories and ground truth included — no longer ships
+// anywhere. Every output file is written next to its target and renamed
+// over it, so packing over a bundle a server has mapped is safe; SIGHUP
+// the server afterwards.
 //
 // With -shards N the bundle is split into N self-contained sub-bundles
 // for a scatter-gather deployment: each holds the model and configs in
@@ -55,7 +58,7 @@ func main() {
 		os.Exit(2)
 	}
 	if *out == "" || (*inBundle == "" && (*model == "" || *world == "")) {
-		fmt.Fprintln(os.Stderr, "usage: hydra-pack -model model.json -world world.json -o bundle.json [-shards N]")
+		fmt.Fprintln(os.Stderr, "usage: hydra-pack -model model.json -world world.json -o bundle.bin [-shards N]")
 		fmt.Fprintln(os.Stderr, "       hydra-pack -bundle bundle.bin -shards N [-generation G] -o bundle.bin")
 		os.Exit(2)
 	}

@@ -1,33 +1,32 @@
 // Command hydra-serve is the query front-end of the train/serve split: it
 // answers score / link / top-k linkage queries without retraining — over
-// stdin by default, or over HTTP with -http. Two deployment modes:
+// stdin by default, or over HTTP with -http.
 //
-//   - Self-contained bundle (preferred): -bundle loads a v3 serving
-//     bundle written by hydra-link -save-bundle or hydra-pack. The bundle
-//     carries precomputed account views, friend slices and candidate
-//     indexes, so startup is a decode — no world file, no feature
-//     rebuild, and the raw behavior data never ships to the server.
-//     With -mmap the bundle file is memory-mapped instead of decoded:
-//     startup reads only the header, sections materialize on first
-//     touch, and resident memory tracks the working set — bundles
-//     larger than RAM serve fine. Answers are bit-identical either way.
-//   - Artifact + world: -model loads a v1 artifact plus the -world file
-//     the model was trained on, rebuilding the feature pipeline and the
-//     per-A-side candidate indexes from the raw dataset at startup.
-//
-// Both modes answer every query bit-identically:
+// It serves one thing: a self-contained v3 bundle (-bundle) written by
+// hydra-link -save-bundle or hydra-pack. The bundle carries precomputed
+// account views, friend slices and candidate indexes, so there is no
+// world file, no feature rebuild, and the raw behavior data never ships
+// to the server. The file is memory-mapped, not decoded: startup reads
+// only the header, sections materialize on first touch, and resident
+// memory tracks the working set — bundles larger than RAM serve fine.
+// (Where mmap is unavailable the same reader runs over a heap copy of
+// the file.) Every answer is bit-identical to the system the bundle was
+// packed from.
 //
 //	go run ./cmd/hydra-gen   -persons 120 -dataset english -o world.json
-//	go run ./cmd/hydra-link  -in world.json -save-bundle bundle.json
-//	echo "topk twitter 4 facebook 3" | go run ./cmd/hydra-serve -bundle bundle.json
-//	go run ./cmd/hydra-serve -bundle bundle.json -http :8080
+//	go run ./cmd/hydra-link  -in world.json -save-bundle bundle.bin
+//	echo "topk twitter 4 facebook 3" | go run ./cmd/hydra-serve -bundle bundle.bin
+//	go run ./cmd/hydra-serve -bundle bundle.bin -http :8080
 //
 // The HTTP server is built for long-lived serving:
 //
-//   - SIGHUP re-reads the -bundle file and hot-swaps it in atomically.
+//   - SIGHUP re-opens the -bundle file and hot-swaps it in atomically.
 //     In-flight queries finish on the generation they started on; the
 //     swap is refused if the new bundle's generation is not strictly
-//     newer or its shard topology differs (see serve.Swappable).
+//     newer or its shard topology differs (see serve.Swappable). Because
+//     the served file is mapped, replace it by rename (write the new
+//     bundle next to it and mv it over — hydra-pack and hydra-link do),
+//     never by rewriting it in place.
 //   - SIGINT/SIGTERM drain gracefully: the listener closes, in-flight
 //     requests get -drain-timeout to finish, then the process exits.
 //   - /metrics exposes per-endpoint Prometheus counters and latency
@@ -59,72 +58,22 @@ import (
 
 func main() {
 	var (
-		bundle       = flag.String("bundle", "", "self-contained serving bundle (from hydra-link -save-bundle or hydra-pack); replaces -model and -world")
-		mmapBundle   = flag.Bool("mmap", false, "memory-map the -bundle file instead of decoding it up front: O(header) startup, sections materialize on first touch (falls back to a heap copy where mmap is unavailable; answers are bit-identical)")
-		model        = flag.String("model", "", "model artifact JSON (from hydra-link -save-model); needs -world")
-		world        = flag.String("world", "", "world JSON the model was trained on (from hydra-gen)")
-		workers      = flag.Int("workers", 0, "worker-pool size for query batches and index building; 0 = all cores")
+		bundle       = flag.String("bundle", "", "self-contained v3 serving bundle (from hydra-link -save-bundle or hydra-pack), memory-mapped; replace it by rename, never in place")
+		workers      = flag.Int("workers", 0, "worker-pool size for query batches; 0 = all cores")
 		httpAddr     = flag.String("http", "", "serve HTTP on this address (e.g. :8080) instead of the stdin REPL")
 		logRequests  = flag.Bool("log-requests", false, "write one JSON log line per HTTP request to stderr")
-		prescreen    = flag.String("prescreen", "on", "two-tier approximate prescreen for top-k queries: on|off; off forces exact-only scoring (answers are bit-identical either way, off just skips the pruning)")
-		imputeTable  = flag.String("impute-table", "on", "pack-time Eqn-18 impute table: on|off; off routes missing-dimension candidates through the live friend walk (answers are bit-identical either way, off just skips the lookup)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long in-flight requests get to finish on SIGINT/SIGTERM")
 		maxInflight  = flag.Int("max-inflight", 0, "bounded admission: max concurrently served requests before shedding with 429 + Retry-After (0 = unbounded; /healthz and /metrics always pass)")
 		prewarmN     = flag.Int("prewarm", 1024, "pre-warm an incoming engine before a SIGHUP hot swap publishes it: top-k per A-side account populating the pair cache and prescreen fold memo, capped at this many accounts per pair (-1 = all, 0 = off)")
 	)
 	flag.Parse()
-	if *prescreen != "on" && *prescreen != "off" {
-		fmt.Fprintf(os.Stderr, "hydra-serve: -prescreen must be on or off, got %q\n", *prescreen)
+	if *bundle == "" {
+		fmt.Fprintln(os.Stderr, "usage: hydra-serve -bundle bundle.bin [-http :8080]")
 		os.Exit(2)
 	}
-	if *imputeTable != "on" && *imputeTable != "off" {
-		fmt.Fprintf(os.Stderr, "hydra-serve: -impute-table must be on or off, got %q\n", *imputeTable)
-		os.Exit(2)
-	}
-
-	var (
-		eng *serve.Engine
-		err error
-	)
-	switch {
-	case *bundle != "":
-		if *model != "" || *world != "" {
-			fmt.Fprintln(os.Stderr, "hydra-serve: -bundle is self-contained; do not combine it with -model/-world")
-			os.Exit(2)
-		}
-		eng, err = loadBundleEngine(*bundle, *workers, *mmapBundle)
-		if err != nil {
-			log.Fatal(err)
-		}
-	case *model != "" && *world != "":
-		if *mmapBundle {
-			fmt.Fprintln(os.Stderr, "hydra-serve: -mmap needs -bundle (the artifact+world path rebuilds features in RAM)")
-			os.Exit(2)
-		}
-		var art *pipeline.Artifact
-		if art, err = pipeline.LoadArtifact(*model); err != nil {
-			log.Fatal(err)
-		}
-		ds, err := pipeline.LoadWorldFile(*world)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if eng, err = serve.NewEngine(art, ds, *workers); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "model restored: %s kernel, %d candidate vectors; indexes for %d platform pairs\n",
-			art.Model.KernelKind, len(art.Model.Xs), len(eng.Pairs()))
-	default:
-		fmt.Fprintln(os.Stderr, "usage: hydra-serve -bundle bundle.json [-http :8080]")
-		fmt.Fprintln(os.Stderr, "       hydra-serve -model model.json -world world.json [-http :8080]")
-		os.Exit(2)
-	}
-
-	if *prescreen == "off" {
-		eng.SetPrescreenEnabled(false)
-	}
-	if *imputeTable == "off" {
-		eng.SetImputeTableEnabled(false)
+	eng, err := loadBundleEngine(*bundle, *workers)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	if *httpAddr == "" {
@@ -231,20 +180,10 @@ func main() {
 		case sig := <-sigs:
 			switch sig {
 			case syscall.SIGHUP:
-				if *bundle == "" {
-					fmt.Fprintln(os.Stderr, "SIGHUP ignored: hot swap needs -bundle (world-backed engines rebuild on restart)")
-					continue
-				}
-				next, err := loadBundleEngine(*bundle, *workers, *mmapBundle)
+				next, err := loadBundleEngine(*bundle, *workers)
 				if err != nil {
 					fmt.Fprintf(os.Stderr, "swap refused: %v — keeping current generation\n", err)
 					continue
-				}
-				if *prescreen == "off" {
-					next.SetPrescreenEnabled(false)
-				}
-				if *imputeTable == "off" {
-					next.SetImputeTableEnabled(false)
 				}
 				next.SetPrescreenObserver(metrics)
 				// Pre-warm before publishing: the old generation keeps
@@ -267,7 +206,7 @@ func main() {
 					continue
 				}
 				// The old mapping unmaps only after its last pinned
-				// request drains; a no-op for heap-decoded engines.
+				// request drains.
 				old.Retire()
 				_, gen := holder.Current()
 				fmt.Fprintf(os.Stderr, "swapped in generation %d from %s; in-flight queries finish on the old generation\n", gen, *bundle)
@@ -290,47 +229,30 @@ func main() {
 	}
 }
 
-// loadBundleEngine reads a bundle file and builds its engine — startup
-// and every SIGHUP swap go through the same path. With mapped set the
-// file is memory-mapped and sections stay lazy; otherwise the whole
-// bundle is decoded onto the heap.
-func loadBundleEngine(path string, workers int, mapped bool) (*serve.Engine, error) {
-	if mapped {
-		mb, err := pipeline.OpenBundleMapped(path, pipeline.MapOptions{})
-		if err != nil {
-			return nil, err
-		}
-		eng, err := serve.NewEngineFromMapped(mb, workers)
-		if err != nil {
-			mb.Close()
-			return nil, err
-		}
-		shard := ""
-		if d := mb.Shard(); d != nil {
-			shard = fmt.Sprintf(", shard %d/%d gen %d", d.Index, d.Count, d.Generation)
-		}
-		mode := "mapped"
-		if !mb.Mapped() {
-			mode = "heap copy (mmap unavailable)"
-		}
-		mp := mb.ModelParts()
-		fmt.Fprintf(os.Stderr, "bundle %s (%d bytes): %s kernel, %d candidate vectors, %d platforms; indexes for %d platform pairs%s\n",
-			mode, mb.Stats().Bytes, mp.KernelKind, len(mp.Xs), len(mb.Platforms()), len(eng.Pairs()), shard)
-		return eng, nil
-	}
-	b, err := pipeline.LoadBundle(path)
+// loadBundleEngine maps a bundle file and builds its engine — startup
+// and every SIGHUP swap go through the same path. Sections stay lazy;
+// where the platform cannot mmap, OpenBundleMapped serves the same
+// reader off a heap copy of the file.
+func loadBundleEngine(path string, workers int) (*serve.Engine, error) {
+	mb, err := pipeline.OpenBundleMapped(path, pipeline.MapOptions{})
 	if err != nil {
 		return nil, err
 	}
-	eng, err := serve.NewEngineFromBundle(b, workers)
+	eng, err := serve.NewEngineFromMapped(mb, workers)
 	if err != nil {
+		mb.Close()
 		return nil, err
 	}
 	shard := ""
-	if b.Shard != nil {
-		shard = fmt.Sprintf(", shard %d/%d gen %d", b.Shard.Index, b.Shard.Count, b.Shard.Generation)
+	if d := mb.Shard(); d != nil {
+		shard = fmt.Sprintf(", shard %d/%d gen %d", d.Index, d.Count, d.Generation)
 	}
-	fmt.Fprintf(os.Stderr, "bundle restored: %s kernel, %d candidate vectors, %d platforms; indexes for %d platform pairs%s\n",
-		b.Model.KernelKind, len(b.Model.Xs), len(b.Views), len(eng.Pairs()), shard)
+	mode := "mapped"
+	if !mb.Mapped() {
+		mode = "heap copy (mmap unavailable)"
+	}
+	mp := mb.ModelParts()
+	fmt.Fprintf(os.Stderr, "bundle %s (%d bytes): %s kernel, %d candidate vectors, %d platforms; indexes for %d platform pairs%s\n",
+		mode, mb.Stats().Bytes, mp.KernelKind, len(mp.Xs), len(mb.Platforms()), len(eng.Pairs()), shard)
 	return eng, nil
 }

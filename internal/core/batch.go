@@ -43,14 +43,14 @@ func (m *Model) prepareServing() {
 }
 
 // imputeTableCarrier is the optional Source upgrade prepareServing
-// probes for: a snapshot Store restored from a bundle with a pack-time
+// probes for: a LazyStore restored from a bundle with a pack-time
 // Eqn-18 table implements it; the training System does not.
 type imputeTableCarrier interface {
 	ImputeTable() *ImputeTable
 }
 
 // servingTable returns the impute table scoring should consult — nil
-// when none is attached or the escape hatch turned it off.
+// when none is attached or SetImputeTableEnabled turned it off.
 func (m *Model) servingTable() *ImputeTable {
 	if m.tbl == nil || m.tblOff.Load() {
 		return nil
@@ -58,9 +58,10 @@ func (m *Model) servingTable() *ImputeTable {
 	return m.tbl
 }
 
-// SetImputeTableEnabled toggles the pack-time impute table (the
-// `-impute-table=off` escape hatch). Output is bit-identical either
-// way; only the work per missing-dimension candidate changes.
+// SetImputeTableEnabled toggles the pack-time impute table — the hook
+// the differential tests and the benchmark oracle compare table-backed
+// against live imputation with. Output is bit-identical either way;
+// only the work per missing-dimension candidate changes.
 func (m *Model) SetImputeTableEnabled(on bool) { m.tblOff.Store(!on) }
 
 // HasImputeTable reports whether a pack-time impute table is attached

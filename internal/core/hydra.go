@@ -136,9 +136,9 @@ type Diagnostics struct {
 // over all candidate pairs.
 type Model struct {
 	// src answers the feature queries scoring needs; it is the training
-	// System when the model was just trained, or a snapshot Store when it
-	// was restored from a serving bundle — scores are bit-identical
-	// either way.
+	// System when the model was just trained, or a snapshot LazyStore
+	// when it was restored from a serving bundle — scores are
+	// bit-identical either way.
 	src   Source
 	cfg   Config
 	kern  kernel.Func
@@ -159,10 +159,10 @@ type Model struct {
 	scratch sync.Pool
 
 	// tbl is the optional pack-time Eqn-18 table (see imputetable.go),
-	// adopted from a snapshot Store that carries one; tblOff is the
-	// runtime escape hatch (`-impute-table=off`). Like the prescreen,
-	// the table never changes a served bit — a hit just skips the live
-	// friend walk.
+	// adopted from a snapshot LazyStore that carries one; tblOff turns
+	// it off for differential tests (SetImputeTableEnabled). Like the
+	// prescreen, the table never changes a served bit — a hit just skips
+	// the live friend walk.
 	tbl    *ImputeTable
 	tblOff atomic.Bool
 

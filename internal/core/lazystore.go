@@ -12,10 +12,12 @@ import (
 )
 
 // LazySnapshot is the storage contract behind LazyStore: per-account
-// views and friend slices materialized on demand, plus the counts and
-// header-level strings that never need a section touch. It is the
-// core-side face of pipeline.MappedBundle (core cannot import pipeline),
-// but any snapshot that answers account-at-a-time works.
+// views and friend slices handed out one account at a time, plus the
+// counts and header-level strings that never need a section touch. Core
+// cannot import pipeline, so this is the core-side face of both bundle
+// backings: pipeline.MappedBundle materializes entries from the file on
+// first touch, a decoded pipeline.Bundle restores every view up front
+// and indexes into the slices.
 //
 // View and Friends must return stable results: repeated calls for the
 // same account must be safe under concurrency (the mapped implementation
@@ -35,25 +37,43 @@ type LazySnapshot interface {
 	Username(id platform.ID, local int) (string, bool)
 }
 
-// LazyStore is the mapped-backed sibling of Store: the same Source
-// contract — same checks, same error text, bit-identical answers — but
-// account state is pulled from a LazySnapshot on first touch instead of
-// being decoded up front. Construction is O(platform count); nothing
-// proportional to the snapshot's size happens until queries ask for it.
+// LazyStore is the snapshot-backed half of the Source split: it answers
+// the same Views/RawPair/Impute/Faces contract as the dataset-backed
+// System, but from a bundle's precomputed state — account views,
+// top-friends adjacency slices and the face-matcher parameters — with no
+// dataset, no LDA and no raw behavior data at all. With views
+// snapshotted from the system a model was trained on, every answer is
+// bit-identical to the builder's. Account state is pulled from a
+// LazySnapshot one account at a time, so the store itself is O(platform
+// count) to build and adds nothing proportional to the snapshot's size:
+// over a mapped bundle, entries materialize only when queries ask.
 //
-// Like Store, it is immutable after construction apart from the
-// mutex-guarded pair cache and the lazily-filled full-platform view
-// slices (Views — a compatibility path; the hot paths are per-account).
+// It is immutable after construction apart from the mutex-guarded pair
+// cache and the lazily-filled full-platform view slices (Views — a
+// compatibility path; the hot paths are per-account), so it is safe for
+// concurrent queries.
 type LazyStore struct {
-	pipe     *features.Pipeline
-	snap     LazySnapshot
-	plats    []platform.ID
-	counts   map[platform.ID]int
+	pipe   *features.Pipeline
+	snap   LazySnapshot
+	plats  []platform.ID
+	counts map[platform.ID]int
+	// friendsK is the depth the snapshot's friend slices were cut at: the
+	// top-friendsK prefix of the live graph's TopFriends ranking, which is
+	// all HYDRA-M imputation (Eqn 18) ever reads at query time.
 	friendsK int
 	faces    *vision.Matcher
-	present  map[platform.ID][]bool
-	pairs    pairCache
-	tbl      *ImputeTable
+	// present marks, per restricted platform, which accounts' state this
+	// snapshot actually carries (nil map / missing platform = all of it).
+	// A sharded serving bundle restricts its B-side platforms to the
+	// shard's slice plus its friend closure; queries touching anything
+	// else fail here, loudly, instead of scoring a zeroed view.
+	present map[platform.ID][]bool
+	pairs   pairCache
+	// tbl is the optional pack-time Eqn-18 table attached at restore
+	// time (before any queries, so the field needs no locking); see
+	// imputetable.go. Impute consults it first and the Model adopts it
+	// through the imputeTableCarrier upgrade in prepareServing.
+	tbl *ImputeTable
 
 	// viewsMu guards the full-platform materializations built by Views.
 	// Per-account paths (RawPair, Friends, Username) never take it.
@@ -63,8 +83,9 @@ type LazyStore struct {
 
 var _ Source = (*LazyStore)(nil)
 
-// NewLazyStore assembles a lazy store over a snapshot, mirroring
-// NewStore's validation.
+// NewLazyStore assembles a store over a snapshot whose friend slices hold
+// each account's top friendsK most-interacting friends in rank order
+// (shorter when the account's degree is smaller).
 func NewLazyStore(pipe *features.Pipeline, snap LazySnapshot, friendsK int, faces *vision.Matcher) (*LazyStore, error) {
 	if pipe == nil {
 		return nil, fmt.Errorf("core: NewLazyStore needs a pipeline")
@@ -100,8 +121,11 @@ func NewLazyStore(pipe *features.Pipeline, snap LazySnapshot, friendsK int, face
 	}, nil
 }
 
-// Restrict marks the store as a partial snapshot (see Store.Restrict).
-// Called once at restore time, before any queries.
+// Restrict marks the store as a partial snapshot: for each listed
+// platform, only the accounts whose flag is true have real state; every
+// other account of that platform is a placeholder whose use is an error.
+// Platforms not listed stay fully available. Called once at restore time
+// (before any queries), so the field needs no locking.
 func (st *LazyStore) Restrict(present map[platform.ID][]bool) { st.present = present }
 
 // Platforms lists the snapshotted platform ids in sorted order.
@@ -109,20 +133,41 @@ func (st *LazyStore) Platforms() []platform.ID {
 	return append([]platform.ID(nil), st.plats...)
 }
 
-// FriendsK returns the per-account friend-slice depth of the snapshot.
+// FriendsK returns the per-account friend-slice depth the snapshot was
+// packed with (imputation can use any topFriends up to this).
 func (st *LazyStore) FriendsK() int { return st.friendsK }
 
 // Faces exposes the restored face matcher.
 func (st *LazyStore) Faces() *vision.Matcher { return st.faces }
 
-// numAccounts resolves a platform's account count with the same error a
-// heap Store reports for an unknown platform.
-func (st *LazyStore) numAccounts(id platform.ID) (int, error) {
+// NumAccounts returns a platform's account count, -1 if the snapshot
+// does not carry it — answered without materializing any view.
+func (st *LazyStore) NumAccounts(id platform.ID) int {
 	n, ok := st.counts[id]
 	if !ok {
+		return -1
+	}
+	return n
+}
+
+// numAccounts is NumAccounts with the unknown-platform error queries
+// report.
+func (st *LazyStore) numAccounts(id platform.ID) (int, error) {
+	n := st.NumAccounts(id)
+	if n < 0 {
 		return 0, fmt.Errorf("core: platform %s not in snapshot (have %v)", id, st.Platforms())
 	}
 	return n, nil
+}
+
+// checkPresent rejects a query touching an account this partial
+// snapshot does not carry (see Restrict).
+func (st *LazyStore) checkPresent(id platform.ID, local int) error {
+	p, ok := st.present[id]
+	if !ok || (local >= 0 && local < len(p) && p[local]) {
+		return nil
+	}
+	return fmt.Errorf("core: %s account %d is not packed in this shard — route it by the bundle's shard descriptor", id, local)
 }
 
 // Views materializes (and caches) a platform's full view slice. This is
@@ -162,8 +207,8 @@ func (st *LazyStore) Username(id platform.ID, local int) string {
 }
 
 // RawPair returns the (cached) unimputed pair vector, materializing
-// exactly the two views it needs. Check order and error text mirror
-// Store.RawPair.
+// exactly the two views it needs and computing it from them exactly as
+// the builder computes it from fresh ones.
 func (st *LazyStore) RawPair(pa platform.ID, a int, pb platform.ID, b int) (features.PairVector, error) {
 	key := pairKey{pa, pb, a, b}
 	if pv, ok := st.pairs.lookup(key); ok {
@@ -177,13 +222,13 @@ func (st *LazyStore) RawPair(pa platform.ID, a int, pb platform.ID, b int) (feat
 	if err != nil {
 		return features.PairVector{}, err
 	}
-	if err := checkPairRangeN(pa, a, pb, b, na, nb); err != nil {
+	if err := checkPairRange(pa, a, pb, b, na, nb); err != nil {
 		return features.PairVector{}, err
 	}
-	if err := checkPresentIn(st.present, pa, a); err != nil {
+	if err := st.checkPresent(pa, a); err != nil {
 		return features.PairVector{}, err
 	}
-	if err := checkPresentIn(st.present, pb, b); err != nil {
+	if err := st.checkPresent(pb, b); err != nil {
 		return features.PairVector{}, err
 	}
 	va, err := st.snap.View(pa, a)
@@ -199,21 +244,26 @@ func (st *LazyStore) RawPair(pa platform.ID, a int, pb platform.ID, b int) (feat
 	return pv, nil
 }
 
-// SetImputeTable attaches a pack-time Eqn-18 table (see
-// Store.SetImputeTable). Must be called before any queries.
+// SetImputeTable attaches a pack-time Eqn-18 table (the bundle restore
+// path). Must be called before any queries — the store is otherwise
+// immutable and the field is read without locking.
 func (st *LazyStore) SetImputeTable(t *ImputeTable) { st.tbl = t }
 
-// ImputeTable returns the attached table, nil without one.
+// ImputeTable returns the attached table, nil without one — the
+// imputeTableCarrier upgrade Model.prepareServing probes for.
 func (st *LazyStore) ImputeTable() *ImputeTable { return st.tbl }
 
-// Impute fills missing dimensions per the variant (see Store.Impute).
+// Impute returns the pair vector with missing dimensions filled according
+// to the variant, consulting the pack-time table first and otherwise
+// resolving friends from the snapshot's adjacency slices (see
+// imputePairInto for the shared Eqn-18 implementation).
 func (st *LazyStore) Impute(pa platform.ID, a int, pb platform.ID, b int, v Variant, topFriends int) (linalg.Vector, error) {
 	return imputePair(st, st.tbl, pa, a, pb, b, v, topFriends)
 }
 
 // Friends returns the top-k prefix of an account's persisted friend
-// slice, materializing it on first touch. Check order and error text
-// mirror Store.Friends.
+// slice. The slices are stored in the live graph's rank order, so any
+// prefix up to friendsK equals what TopFriends would have returned.
 func (st *LazyStore) Friends(id platform.ID, local, k int) ([]graph.Friend, error) {
 	n, err := st.numAccounts(id)
 	if err != nil {
@@ -222,7 +272,7 @@ func (st *LazyStore) Friends(id platform.ID, local, k int) ([]graph.Friend, erro
 	if local < 0 || local >= n {
 		return nil, fmt.Errorf("core: account %d out of range (%s snapshot has %d)", local, id, n)
 	}
-	if err := checkPresentIn(st.present, id, local); err != nil {
+	if err := st.checkPresent(id, local); err != nil {
 		return nil, err
 	}
 	if k > st.friendsK {
@@ -238,7 +288,8 @@ func (st *LazyStore) Friends(id platform.ID, local, k int) ([]graph.Friend, erro
 	return f, nil
 }
 
-// LimitPairCache bounds the pair-vector cache (n ≤ 0 = unbounded).
+// LimitPairCache bounds the pair-vector cache (n ≤ 0 = unbounded); see
+// System.LimitPairCache for the serving rationale.
 func (st *LazyStore) LimitPairCache(n int) { st.pairs.limit(n) }
 
 // CacheSize reports the number of cached pair vectors (diagnostics).

@@ -61,7 +61,7 @@ func (m *Model) Parts() (ModelParts, error) {
 
 // ModelFromParts rebuilds a servable Model over any Source — a freshly
 // systemized dataset (System) or a snapshot store restored from a bundle
-// (Store). src must present the same feature space the model was trained
+// (LazyStore). src must present the same feature space the model was trained
 // on (same dataset, lexicons and feature config) for scores to be
 // meaningful; with an identical source the restored model is bit-exact.
 func ModelFromParts(src Source, p ModelParts) (*Model, error) {

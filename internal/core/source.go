@@ -12,7 +12,7 @@ import (
 
 // Source is the query-time contract shared by the two halves of the old
 // monolithic System: the dataset-backed builder (System, which constructs
-// views lazily from raw platform data) and the snapshot-backed Store
+// views lazily from raw platform data) and the snapshot-backed LazyStore
 // (which answers the same questions from precomputed state with no
 // dataset at all). Everything Model scoring and the serving engine touch
 // goes through this interface, so a trained model serves identically over
@@ -21,6 +21,9 @@ type Source interface {
 	// Views returns the per-account feature views of a platform, indexed
 	// by local account id.
 	Views(id platform.ID) ([]*features.AccountView, error)
+	// NumAccounts returns a platform's account count without building or
+	// materializing any view, -1 when the source does not carry it.
+	NumAccounts(id platform.ID) int
 	// RawPair returns the (cached) unimputed pair vector between account
 	// a on platform pa and account b on platform pb.
 	RawPair(pa platform.ID, a int, pb platform.ID, b int) (features.PairVector, error)
@@ -170,40 +173,21 @@ func (sc *imputeScratch) imputePairInto(dst linalg.Vector, src Source, res imput
 }
 
 // imputePair is the one-shot, allocating form of imputePairInto — the
-// Impute implementation behind both Source halves (the Store passes its
-// attached table, the System nil).
+// Impute implementation behind both Source halves (the LazyStore passes
+// its attached table, the System nil).
 func imputePair(src Source, tbl *ImputeTable, pa platform.ID, a int, pb platform.ID, b int,
 	v Variant, topFriends int) (linalg.Vector, error) {
 	var sc imputeScratch
 	return sc.imputePairInto(nil, src, sourceResolver{src}, tbl, pa, a, pb, b, v, topFriends)
 }
 
-// checkPairRange validates a pair's local account ids against the view
-// slices, with the same error both Source halves report.
-func checkPairRange(pa platform.ID, a int, pb platform.ID, b int, va, vb []*features.AccountView) error {
-	return checkPairRangeN(pa, a, pb, b, len(va), len(vb))
-}
-
-// checkPairRangeN is the count-based form of checkPairRange — the lazy
-// store knows its account counts without materializing any views.
-func checkPairRangeN(pa platform.ID, a int, pb platform.ID, b int, na, nb int) error {
+// checkPairRange validates a pair's local account ids against the
+// platforms' account counts, with the same error both Source halves
+// report.
+func checkPairRange(pa platform.ID, a int, pb platform.ID, b int, na, nb int) error {
 	if a < 0 || a >= na || b < 0 || b >= nb {
 		return fmt.Errorf("core: pair (%d,%d) out of range (%s has %d, %s has %d)",
 			a, b, pa, na, pb, nb)
 	}
 	return nil
-}
-
-// checkPresentIn rejects a query touching an account a partial snapshot
-// does not carry — the shared restriction check of the snapshot-backed
-// stores (nil map / missing platform = everything present).
-func checkPresentIn(present map[platform.ID][]bool, id platform.ID, local int) error {
-	if present == nil {
-		return nil
-	}
-	p, ok := present[id]
-	if !ok || (local >= 0 && local < len(p) && p[local]) {
-		return nil
-	}
-	return fmt.Errorf("core: %s account %d is not packed in this shard — route it by the bundle's shard descriptor", id, local)
 }

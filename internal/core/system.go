@@ -41,8 +41,8 @@ func (v Variant) String() string {
 // System is the dataset-backed half of the Source split: the trained
 // feature pipeline over a raw dataset, building per-account views lazily
 // and imputing through the live interaction graph. It is what training
-// runs against; a Store answers the same Source contract from a snapshot
-// with no dataset. The view and pair caches are mutex-guarded, so a
+// runs against; a LazyStore answers the same Source contract from a
+// snapshot with no dataset. The view and pair caches are mutex-guarded, so a
 // System is safe for concurrent use — the parallel feature assembly,
 // evaluation and experiment sweeps all share one instance.
 type System struct {
@@ -103,6 +103,16 @@ func (s *System) viewsLocked(id platform.ID) ([]*features.AccountView, error) {
 	return views, nil
 }
 
+// NumAccounts returns a platform's account count straight from the
+// dataset (no views are built), -1 if the dataset lacks the platform.
+func (s *System) NumAccounts(id platform.ID) int {
+	p, err := s.DS.Platform(id)
+	if err != nil {
+		return -1
+	}
+	return p.NumAccounts()
+}
+
 // Embeddings returns the behavior embeddings x_i of all accounts on a
 // platform, indexed by local id.
 func (s *System) Embeddings(id platform.ID) ([]linalg.Vector, error) {
@@ -138,7 +148,7 @@ func (s *System) RawPair(pa platform.ID, a int, pb platform.ID, b int) (features
 		return features.PairVector{}, err
 	}
 	s.mu.Unlock()
-	if err := checkPairRange(pa, a, pb, b, va, vb); err != nil {
+	if err := checkPairRange(pa, a, pb, b, len(va), len(vb)); err != nil {
 		return features.PairVector{}, err
 	}
 	pv := s.Pipe.Pair(va[a], vb[b])

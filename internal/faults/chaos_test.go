@@ -517,6 +517,82 @@ func TestChaosHangingShardWithinBudget(t *testing.T) {
 	}
 }
 
+// chaosHTTPCluster puts the shard engines on the wire: every engine's
+// real Handler() on two httptest listeners, replica 0 of each behind
+// the fault Middleware as target "shard<i>-r0", fronted by a refreshed
+// router over router.HTTP backends — JSON both ways, per-attempt
+// timeouts and tied hedging, the path the router.Local fixtures skip.
+func chaosHTTPCluster(t *testing.T, engines []*serve.Engine, inj *Injector, opts router.Options) *router.Router {
+	t.Helper()
+	shards := make([][]router.Backend, len(engines))
+	for si, eng := range engines {
+		for ri := 0; ri < 2; ri++ {
+			h := eng.Handler()
+			if ri == 0 {
+				h = Middleware(h, inj, fmt.Sprintf("shard%d-r0", si))
+			}
+			srv := httptest.NewServer(h)
+			t.Cleanup(srv.Close)
+			shards[si] = append(shards[si], &router.HTTP{URL: srv.URL})
+		}
+	}
+	r, err := router.New(shards, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Refresh(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// TestChaosHTTPReplicaDownThenStragglerTail runs the two wire-level
+// fault scripts against live listeners, 2 shards × 2 replicas: shard 0's
+// preferred replica hard-down (503 on everything, /healthz included),
+// then a seeded straggler tail on every shard's preferred replica with
+// tied hedging on. Each shard keeps a healthy twin throughout, so no
+// answer may degrade and every one must match the single engine byte
+// for byte; the dead replica's traffic is bounded by its breaker,
+// measured by the injector's own call counter.
+func TestChaosHTTPReplicaDownThenStragglerTail(t *testing.T) {
+	e := getChaosEnv(t)
+	ctx := context.Background()
+	engines := chaosEngines(t, 2, 1)
+	desc := engines[0].ShardDesc()
+	sweep := func(r *router.Router, queries int) {
+		t.Helper()
+		for q := 0; q < queries; q++ {
+			a := q % e.nA
+			res, err := r.TopK(ctx, e.pair[0], a, e.pair[1], 5)
+			if err != nil {
+				t.Fatalf("query %d hard-failed: %v", q, err)
+			}
+			if res.Degraded {
+				t.Fatalf("query %d degraded (failed shards %v) although every shard has a healthy replica", q, res.FailedShards)
+			}
+			assertInvariant(t, desc, res, a, 5)
+		}
+	}
+
+	const queries = 100
+	dead := NewInjector(Script{Rules: []Rule{{Target: "shard0-r0", Error: true}}})
+	sweep(chaosHTTPCluster(t, engines, dead, router.Options{BreakerOpenFor: time.Hour}), queries)
+	if calls := dead.Calls("shard0-r0"); calls == 0 || calls > 6 {
+		t.Fatalf("dead replica saw %d calls over %d queries; want the startup probe plus at most a breaker threshold of strays", calls, queries)
+	}
+
+	strag := NewInjector(Script{Seed: 11, Rules: []Rule{
+		{Target: "shard0-r0", P: 0.3, Latency: 40 * time.Millisecond},
+		{Target: "shard1-r0", P: 0.3, Latency: 40 * time.Millisecond},
+	}})
+	r := chaosHTTPCluster(t, engines, strag, router.Options{HedgeAfter: 3 * time.Millisecond})
+	sweep(r, queries)
+	if st := r.RobustStats(); st.HedgeFired == 0 {
+		t.Fatalf("no hedge fired across a straggler run (%d / %d calls reached the straggling replicas)",
+			strag.Calls("shard0-r0"), strag.Calls("shard1-r0"))
+	}
+}
+
 // TestChaosMiddlewareAndRoundTripper covers the wire-level injectors:
 // the handler middleware answers 503 on scripted errors, and the
 // RoundTripper fails the client side without touching the server.

@@ -56,7 +56,7 @@ func (m *Metrics) renderImpute(w io.Writer) {
 		if s.Enabled {
 			enabled = 1
 		}
-		fmt.Fprintf(w, "# HELP hydra_impute_table_enabled Whether the pack-time Eqn-18 impute table is attached and enabled (0 = absent or -impute-table=off).\n")
+		fmt.Fprintf(w, "# HELP hydra_impute_table_enabled Whether the pack-time Eqn-18 impute table is attached and enabled (0 = absent or disabled).\n")
 		fmt.Fprintf(w, "# TYPE hydra_impute_table_enabled gauge\n")
 		fmt.Fprintf(w, "hydra_impute_table_enabled %d\n", enabled)
 		fmt.Fprintf(w, "# HELP hydra_impute_table_entries Precomputed candidate-pair entries in the impute table.\n")

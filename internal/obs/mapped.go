@@ -43,8 +43,8 @@ type PairFanout struct {
 }
 
 // SetMappedSource wires the mapped-bundle snapshot function Render calls
-// per scrape; src returns ok=false when the current engine is
-// heap-decoded (no mapped metrics are emitted then). Call before the
+// per scrape; src returns ok=false when the current engine serves an
+// in-memory bundle (no mapped metrics are emitted then). Call before the
 // process starts serving; the field is not synchronized.
 func (m *Metrics) SetMappedSource(src func() (MappedStats, bool)) {
 	m.mappedSource = src

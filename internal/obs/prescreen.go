@@ -11,7 +11,7 @@ import (
 // candidates survived the approximate prescreen into the exact rescore
 // (a histogram — the shape tells you whether ε is doing any pruning)
 // and how often the two-tier path stepped aside entirely (tiny shards,
-// -prescreen=off, prescreen-less bundles). Metrics satisfies
+// a disabled prescreen, prescreen-less bundles). Metrics satisfies
 // serve.PrescreenObserver structurally, so the serve package never
 // imports obs.
 //

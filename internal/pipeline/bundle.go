@@ -1,8 +1,6 @@
 package pipeline
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -17,24 +15,18 @@ import (
 	"hydra/internal/vision"
 )
 
-// BundleVersion is the current bundle wire version. It continues the
-// artifact's version line: the artifact is format v1; format v2 is the
-// all-JSON bundle (the artifact plus everything the v1 recipe recomputed
-// from the world file); format v3 keeps the v2 JSON payload for the
-// small structured state but moves the bulky numeric sections — account
-// views, top-friends slices, index shards, support vectors — into
-// length-prefixed binary sections (see bundlebin.go), cutting bundle
-// bytes and cold-start decode time. Writers emit the version stamped on
-// the bundle (v3 from the packers, v2 only for migration tooling);
-// ReadBundle accepts both and rejects everything else outright — the
-// bundle carries raw model coefficients and precomputed views, and a
-// silent cross-version reinterpretation would serve wrong scores.
+// BundleVersion is the one bundle wire version this build reads and
+// writes. It continues the artifact's version line: the artifact is
+// format v1; format v2 was an all-JSON bundle, retired — no packer has
+// written it since v3 landed, and a v2 file is refused with a pointer
+// to hydra-pack; format v3 keeps a JSON header for the small structured
+// state and carries the bulky numeric sections — account views,
+// top-friends slices, index shards, support vectors — as
+// length-prefixed binary sections (see bundlebin.go). Every other
+// version is rejected outright at both ends of the wire — the bundle
+// carries raw model coefficients and precomputed views, and a silent
+// cross-version reinterpretation would serve wrong scores.
 const BundleVersion = 3
-
-// BundleVersionJSON is the legacy all-JSON bundle format, still read
-// (and writable by stamping a bundle with this version) through one
-// deprecation window so already-packed deployments keep serving.
-const BundleVersionJSON = 2
 
 // Bundle is a self-contained serving unit: everything `hydra-serve`
 // needs to answer score/link/top-k/batch queries, with no world file and
@@ -52,63 +44,66 @@ const BundleVersionJSON = 2
 //   - the trained model parts (kernel, support vectors, duals, bias),
 //   - the per-A-side blocking.Index shards top-k queries score against.
 //
-// All floats survive the JSON round trip exactly (Go's float64 encoding
-// is shortest-unique), so a bundle-backed engine is bit-identical to the
-// world-backed one it was packed from over the bundle's serving surface:
-// every platform appearing in Pairs. Platforms the artifact never served
-// (possible when the training world had more than the serving pairs) are
-// deliberately not packed — the two engines agree on every in-surface
-// query and both reject out-of-surface platforms, though with different
-// error text (the snapshot says "not in snapshot", the builder reports a
-// dataset miss).
+// All floats are stored as raw IEEE-754 bits, so a bundle-backed engine
+// is bit-identical to the builder-backed system it was packed from over
+// the bundle's serving surface: every platform appearing in Pairs.
+// Platforms the artifact never served (possible when the training world
+// had more than the serving pairs) are deliberately not packed — bundle
+// and builder agree on every in-surface query and both reject
+// out-of-surface platforms, though with different error text (the
+// snapshot says "not in snapshot", the builder reports a dataset miss).
+//
+// Bundle is the decoded, in-memory form: what the packers assemble,
+// SplitBundle and TiledBundle rewrite, and ReadBundle returns. The wire
+// layout lives in bundlebin.go.
 type Bundle struct {
-	Version int `json:"version"`
+	Version int
 
 	// Query-time feature state.
-	Pipeline features.PipelineParts               `json:"pipeline"`
-	Views    map[platform.ID][]features.ViewParts `json:"views"`
-	Friends  map[platform.ID][][]graph.Friend     `json:"friends"`
+	Pipeline features.PipelineParts
+	Views    map[platform.ID][]features.ViewParts
+	Friends  map[platform.ID][][]graph.Friend
 	// FriendsK is the per-account depth the Friends slices were cut at
 	// (= the model's resolved TopFriends).
-	FriendsK int            `json:"friends_k"`
-	Faces    vision.Matcher `json:"faces"`
+	FriendsK int
+	Faces    vision.Matcher
 
 	// Trained model.
-	Model core.ModelParts `json:"model"`
+	Model core.ModelParts
 
 	// Prescreen is the optional certified approximate prescreen built
 	// at pack time (see core.BuildPrescreen), so servers never pay the
-	// build at cold start. nil — older bundles, non-RBF models, or the
-	// legacy v2 encoding, which drops it — means exact-only serving;
-	// either way the served bits are identical, only top-k work varies.
-	Prescreen *core.PrescreenParts `json:"prescreen,omitempty"`
+	// build at cold start. nil — older bundles, non-RBF models — means
+	// exact-only serving; either way the served bits are identical,
+	// only top-k work varies.
+	Prescreen *core.PrescreenParts
 
 	// ImputeTable is the optional pack-time Eqn-18 table (see
 	// core.BuildImputeTable): the precomputed friend-pair sums of every
 	// index-shard candidate with missing dimensions, keyed at the
 	// model's resolved TopFriends. nil — older bundles, HYDRA-Z models,
-	// the `-impute-table=off` pack flag, or the legacy v2 encoding,
-	// which drops it — means live imputation; the served bits are
-	// identical either way, only per-candidate work varies.
-	ImputeTable *core.ImputeTableParts `json:"impute_table,omitempty"`
+	// the `-impute-table=off` pack flag — means live imputation; the
+	// served bits are identical either way, only per-candidate work
+	// varies.
+	ImputeTable *core.ImputeTableParts
 
 	// Serving surface: the indexed platform pairs and the prebuilt
 	// candidate indexes (one per pair, in Pairs order, deduplicated).
 	// Each index carries the blocking rules it was filtered with, so
 	// there is no separate top-level rules field to drift from them.
-	Pairs   [][2]platform.ID      `json:"pairs"`
-	Indexes []blocking.IndexParts `json:"indexes"`
+	Pairs   [][2]platform.ID
+	Indexes []blocking.IndexParts
 
 	// Shard stamps a sub-bundle of a sharded split (see SplitBundle):
 	// which slice of the B-side candidate space it owns, under which hash
 	// seed, and which pack generation it belongs to. nil means unsharded —
 	// the bundle carries the whole candidate space.
-	Shard *ShardDesc `json:"shard,omitempty"`
+	Shard *ShardDesc
 
 	// Provenance: the training world's identity, carried over from the
 	// artifact for operability (a bundle never needs the world again).
-	WorldPersons     int    `json:"world_persons"`
-	WorldFingerprint string `json:"world_fingerprint"`
+	WorldPersons     int
+	WorldFingerprint string
 }
 
 // Bundle packs the fitted pipeline prefix into a self-contained serving
@@ -320,42 +315,103 @@ func bundlePlatforms(pairs [][2]platform.ID) []platform.ID {
 	return out
 }
 
+// heapSnapshot is the core.LazySnapshot of a decoded bundle: every view
+// restored once up front, friend slices shared with the bundle, each
+// accessor a map lookup and an index. The mapped counterpart is
+// MappedBundle, which materializes entries from the file on first touch.
+type heapSnapshot struct {
+	plats   []platform.ID
+	views   map[platform.ID][]*features.AccountView
+	friends map[platform.ID][][]graph.Friend
+}
+
+func (s *heapSnapshot) Platforms() []platform.ID { return s.plats }
+
+func (s *heapSnapshot) NumAccounts(id platform.ID) int {
+	vs, ok := s.views[id]
+	if !ok {
+		return -1
+	}
+	return len(vs)
+}
+
+func (s *heapSnapshot) View(id platform.ID, local int) (*features.AccountView, error) {
+	vs := s.views[id]
+	if local < 0 || local >= len(vs) {
+		return nil, fmt.Errorf("pipeline: account %d out of range (%s bundle has %d)", local, id, len(vs))
+	}
+	return vs[local], nil
+}
+
+func (s *heapSnapshot) Friends(id platform.ID, local int) ([]graph.Friend, error) {
+	fr := s.friends[id]
+	if local < 0 || local >= len(fr) {
+		return nil, fmt.Errorf("pipeline: account %d out of range (%s bundle has %d)", local, id, len(fr))
+	}
+	return fr[local], nil
+}
+
+func (s *heapSnapshot) Username(id platform.ID, local int) (string, bool) {
+	vs := s.views[id]
+	if local < 0 || local >= len(vs) {
+		return "", false
+	}
+	return vs[local].Acc.Profile.Username, true
+}
+
 // Store restores the bundle's query state into a snapshot-backed
-// core.Store — the world-free half of the Source split. It rejects a
-// bundle whose friend slices are shallower than the packed model's
+// core.LazyStore — the world-free half of the Source split — over an
+// in-memory snapshot of the bundle's views and friend slices. It rejects
+// a bundle whose friend slices are shallower than the packed model's
 // imputation depth (only reachable through a corrupted or hand-edited
 // bundle — packBundle cuts the slices at exactly that depth), so the
 // mismatch fails at load time instead of on the first HYDRA-M query
 // with missing dimensions.
-func (b *Bundle) Store() (*core.Store, error) {
-	if need := b.Model.Cfg.ResolvedTopFriends(); b.FriendsK < need {
-		return nil, fmt.Errorf("pipeline: bundle packs top-%d friends but its model imputes with top-%d — repack the bundle", b.FriendsK, need)
+func (b *Bundle) Store() (*core.LazyStore, error) {
+	snap := &heapSnapshot{
+		plats:   sortedPlatformIDs(b.Views),
+		views:   make(map[platform.ID][]*features.AccountView, len(b.Views)),
+		friends: b.Friends,
 	}
-	pipe, err := features.PipelineFromParts(b.Pipeline)
-	if err != nil {
-		return nil, err
-	}
-	views := make(map[platform.ID][]*features.AccountView, len(b.Views))
 	for id, parts := range b.Views {
+		if fr, ok := b.Friends[id]; !ok {
+			return nil, fmt.Errorf("pipeline: bundle has views but no friend slices for %s", id)
+		} else if len(fr) != len(parts) {
+			return nil, fmt.Errorf("pipeline: bundle has %d views but %d friend slices for %s", len(parts), len(fr), id)
+		}
 		vs := make([]*features.AccountView, len(parts))
 		for i := range parts {
 			vs[i] = features.RestoreView(parts[i], id, i)
 		}
-		views[id] = vs
+		snap.views[id] = vs
 	}
-	faces := b.Faces
-	st, err := core.NewStore(pipe, views, b.Friends, b.FriendsK, &faces)
+	return newSnapshotStore(snap, b.Pipeline, b.FriendsK, b.Model.Cfg.ResolvedTopFriends(), b.Faces, b.PresentViews(), b.ImputeTable)
+}
+
+// newSnapshotStore is the shared body of Bundle.Store and
+// MappedBundle.Store: the friend-depth gate, the query pipeline, the
+// lazy store over the snapshot, the shard restriction (present, nil for
+// an unsharded bundle) and the pack-time impute table.
+func newSnapshotStore(snap core.LazySnapshot, parts features.PipelineParts, friendsK, need int, faces vision.Matcher,
+	present map[platform.ID][]bool, table *core.ImputeTableParts) (*core.LazyStore, error) {
+
+	if friendsK < need {
+		return nil, fmt.Errorf("pipeline: bundle packs top-%d friends but its model imputes with top-%d — repack the bundle", friendsK, need)
+	}
+	pipe, err := features.PipelineFromParts(parts)
+	if err != nil {
+		return nil, err
+	}
+	st, err := core.NewLazyStore(pipe, snap, friendsK, &faces)
 	if err != nil {
 		return nil, err
 	}
 	// A sub-bundle of a sharded split carries only its slice of the
 	// B side (plus the friend closure); mark everything else absent so a
 	// mis-routed query fails loudly instead of scoring a zeroed view.
-	if present := b.PresentViews(); present != nil {
-		st.Restrict(present)
-	}
-	if b.ImputeTable != nil {
-		tbl, err := core.ImputeTableFromParts(b.ImputeTable)
+	st.Restrict(present)
+	if table != nil {
+		tbl, err := core.ImputeTableFromParts(table)
 		if err != nil {
 			return nil, err
 		}
@@ -364,68 +420,50 @@ func (b *Bundle) Store() (*core.Store, error) {
 	return st, nil
 }
 
-// WriteBundle encodes the bundle in the wire format its Version stamps:
-// v3 as the binary-section format, v2 as legacy all-JSON (for migration
-// tooling and the compatibility tests). Anything else is refused.
+// WriteBundle encodes the bundle in the v3 binary-section format. A
+// bundle stamped with any other version is refused.
 func WriteBundle(w io.Writer, b *Bundle) error {
 	if err := b.Shard.Validate(); err != nil {
 		return err
 	}
-	switch b.Version {
-	case BundleVersion:
-		return writeBundleV3(w, b)
-	case BundleVersionJSON:
-		if b.Prescreen != nil || b.ImputeTable != nil {
-			// The legacy JSON format predates the prescreen and the
-			// impute table; strip both (on a copy — the caller's bundle
-			// is not ours to edit) so v2 bytes stay exactly what v2-era
-			// readers were pinned on. A v2-restored engine serves
-			// exact-only with live imputation — same bits, more work.
-			c := *b
-			c.Prescreen = nil
-			c.ImputeTable = nil
-			b = &c
-		}
-		return json.NewEncoder(w).Encode(b)
-	default:
-		return fmt.Errorf("pipeline: refusing to write bundle version %d (current %d, legacy JSON %d)", b.Version, BundleVersion, BundleVersionJSON)
+	if b.Version != BundleVersion {
+		return fmt.Errorf("pipeline: refusing to write bundle version %d (this build writes version %d)", b.Version, BundleVersion)
 	}
+	return writeBundleV3(w, b)
 }
 
-// SaveBundle writes the bundle to a file.
+// SaveBundle writes the bundle to a file by writing a temp file next to
+// path and renaming it over the target, never by rewriting path in
+// place: a serving process may hold path memory-mapped (MAP_SHARED), and
+// an in-place rewrite would change the bytes under its old generation —
+// or SIGBUS it on a shorter file. After the rename the old mapping keeps
+// the old inode; the next open sees the new one. As before, one writer
+// per path at a time.
 func SaveBundle(path string, b *Bundle) error {
-	f, err := os.Create(path)
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if err := WriteBundle(f, b); err != nil {
-		f.Close()
-		return err
+	err = WriteBundle(f, b)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	return f.Close()
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
 }
 
-// ReadBundle decodes a bundle in either supported wire format — v3
-// binary (sniffed by its magic) or legacy v2 JSON — and rejects version
-// mismatches, including a v1 artifact fed to the bundle reader, which
-// fails here instead of serving from half-empty state.
+// ReadBundle decodes a v3 bundle and rejects everything else: version
+// mismatches, bytes past the last announced section, and JSON documents
+// — a retired v2 bundle, or a v1 artifact fed to the bundle reader —
+// which fail here instead of serving from half-empty state.
 func ReadBundle(r io.Reader) (*Bundle, error) {
-	br := bufio.NewReader(r)
-	head, err := br.Peek(len(bundleMagic))
-	if err == nil && string(head) == bundleMagic {
-		return readBundleV3(br)
-	}
-	var b Bundle
-	if err := json.NewDecoder(br).Decode(&b); err != nil {
-		return nil, fmt.Errorf("pipeline: decode bundle: %w", err)
-	}
-	if b.Version != BundleVersionJSON {
-		return nil, fmt.Errorf("pipeline: JSON bundle version %d, this build reads JSON version %d (or binary version %d)", b.Version, BundleVersionJSON, BundleVersion)
-	}
-	if err := b.Shard.Validate(); err != nil {
-		return nil, err
-	}
-	return &b, nil
+	return readBundleV3(r)
 }
 
 // LoadBundle reads a bundle from a file.

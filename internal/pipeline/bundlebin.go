@@ -1,14 +1,14 @@
 package pipeline
 
 // Bundle format v3: the binary-section encoding behind WriteBundle and
-// ReadBundle. The v2 bundle was one JSON document; at serving scale its
-// bulk is numeric — account views (temporal events, post times, topic /
-// genre / sentiment distributions, embeddings), top-friends slices,
-// index shards and the model's support vectors — and JSON spends ~20
-// text bytes plus parsing per float64 where 8 raw bytes round-trip the
-// exact bits for free. v3 therefore splits the file:
+// ReadBundle. At serving scale a bundle's bulk is numeric — account
+// views (temporal events, post times, topic / genre / sentiment
+// distributions, embeddings), top-friends slices, index shards and the
+// model's support vectors — and JSON spends ~20 text bytes plus parsing
+// per float64 where 8 raw bytes round-trip the exact bits for free. v3
+// therefore splits the file:
 //
-//	"HYB3"                         4-byte magic (ReadBundle sniffs it)
+//	"HYB3"                         4-byte magic (both readers check it)
 //	u64 header length              little-endian
 //	header JSON                    everything small or stringly: the
 //	                               pipeline parts, per-view profile
@@ -18,18 +18,17 @@ package pipeline
 //	4 × (u64 length | payload)     binary sections, fixed order: model
 //	                               (support vectors + duals), view
 //	                               numerics, friend slices, index shards
+//	0–2 × (u64 length | payload)   optional sections the header
+//	                               announces: prescreen, impute table
 //
-// Every section is length-prefixed so a future reader can skip what it
-// does not know. All integers are little-endian and fixed width; floats
-// are raw IEEE-754 bits (bit-exact by construction — stronger than the
-// shortest-unique decimal argument the JSON formats rely on). Slices are
-// written with a presence byte before the count so nil and empty — which
-// encoding/json also distinguishes — survive the round trip, keeping a
-// v3 decode deep-equal to the bundle that was written. Times are stored
-// as Unix nanoseconds and restored in UTC, which is exactly what the v2
-// JSON round trip produced for the UTC timestamps the pipeline works in,
-// so a v3-restored engine answers byte-identically to a v2-restored one.
-// The format is golden-pinned by TestBundleV3GoldenFormat.
+// The file ends with the last announced section; both readers refuse
+// trailing bytes. All integers are little-endian and fixed width; floats
+// are raw IEEE-754 bits (bit-exact by construction). Slices are written
+// with a presence byte before the count so nil and empty survive the
+// round trip, keeping a v3 decode deep-equal to the bundle that was
+// written. Times are stored as Unix nanoseconds and restored in UTC, the
+// zone the pipeline works in. The format is golden-pinned by
+// TestBundleV3GoldenFormat.
 
 import (
 	"bytes"
@@ -54,6 +53,20 @@ import (
 // bundleMagic identifies a v3 binary bundle; it is deliberately invalid
 // as the first bytes of a JSON document.
 const bundleMagic = "HYB3"
+
+// checkMagic refuses a file that does not open with the v3 magic — the
+// one gate both readers share. A JSON document gets its own message:
+// it is a retired v2 bundle (or a v1 artifact fed to the wrong reader),
+// and the way forward is a repack, not a hex dump.
+func checkMagic(head []byte) error {
+	if string(head) == bundleMagic {
+		return nil
+	}
+	if len(head) > 0 && head[0] == '{' {
+		return fmt.Errorf("pipeline: JSON document, not a v%d bundle — JSON bundles are no longer read; repack with hydra-pack from the model artifact and its world", BundleVersion)
+	}
+	return fmt.Errorf("pipeline: bad bundle magic %q", head)
+}
 
 // bundleHeaderV3 is the JSON header: the bundle minus its binary
 // sections, plus the per-view profile strings the view section omits.
@@ -274,11 +287,12 @@ func writeBundleV3(w io.Writer, b *Bundle) error {
 // readBundleV3 decodes magic + header + sections back into a Bundle.
 func readBundleV3(r io.Reader) (*Bundle, error) {
 	magic := make([]byte, len(bundleMagic))
-	if _, err := io.ReadFull(r, magic); err != nil {
+	n, err := io.ReadFull(r, magic)
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
 		return nil, fmt.Errorf("pipeline: read bundle magic: %w", err)
 	}
-	if string(magic) != bundleMagic {
-		return nil, fmt.Errorf("pipeline: bad bundle magic %q", magic)
+	if err := checkMagic(magic[:n]); err != nil { // a short file fails here
+		return nil, err
 	}
 	readBlock := func(what string) ([]byte, error) {
 		var lenBuf [8]byte
@@ -426,6 +440,13 @@ func readBundleV3(r io.Reader) (*Bundle, error) {
 		}
 		b.ImputeTable = t
 		secList = append(secList, table)
+	}
+	// The mapped reader refuses bytes past the last announced section;
+	// the two readers must agree on what a valid file is.
+	if extra, err := io.Copy(io.Discard, r); err != nil {
+		return nil, fmt.Errorf("pipeline: read v3 bundle tail: %w", err)
+	} else if extra != 0 {
+		return nil, fmt.Errorf("pipeline: v3 bundle has %d trailing bytes — corrupt bundle", extra)
 	}
 	for i, sec := range secList {
 		if sec.err != nil {

@@ -113,11 +113,11 @@ type mappedIndex struct {
 	cache  []atomic.Pointer[[]blocking.Candidate]
 }
 
-// OpenBundleMapped opens a v3 bundle lazily. Only the binary format
-// qualifies — a legacy v2 JSON bundle has no sections to map, so it is
-// rejected here (read it with LoadBundle instead). The returned bundle
-// holds an OS mapping until Close; nothing materialized from it may be
-// used afterwards.
+// OpenBundleMapped opens a v3 bundle lazily. The returned bundle holds an
+// OS mapping until Close; nothing materialized from it may be used
+// afterwards. The mapping is shared with the file, so a served bundle
+// must only ever be replaced by rename (as SaveBundle does), never
+// rewritten in place.
 func OpenBundleMapped(path string, opts MapOptions) (*MappedBundle, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -160,9 +160,8 @@ func OpenBundleMapped(path string, opts MapOptions) (*MappedBundle, error) {
 // the bulky ones (views, friends, indexes) into per-entry offset tables.
 func (mb *MappedBundle) open() error {
 	data := mb.data
-	if len(data) < len(bundleMagic) || string(data[:len(bundleMagic)]) != bundleMagic {
-		n := min(len(data), len(bundleMagic))
-		return fmt.Errorf("pipeline: bad bundle magic %q", data[:n])
+	if err := checkMagic(data[:min(len(data), len(bundleMagic))]); err != nil {
+		return err
 	}
 	off := len(bundleMagic)
 	block := func(what string) ([]byte, error) {
@@ -492,33 +491,11 @@ func (mb *MappedBundle) LazyIndexes() ([]*blocking.Index, error) {
 	return out, nil
 }
 
-// Store restores the mapped bundle into a lazy core.Store answering the
-// identical core.Source contract as Bundle.Store — same checks, same
-// error text, same restriction for sharded sub-bundles.
+// Store restores the mapped bundle into a core.LazyStore served straight
+// off the mapping — the same store, checks and shard restriction as
+// Bundle.Store, with entries materialized on first touch.
 func (mb *MappedBundle) Store() (*core.LazyStore, error) {
-	if need := mb.modelParts.Cfg.ResolvedTopFriends(); mb.header.FriendsK < need {
-		return nil, fmt.Errorf("pipeline: bundle packs top-%d friends but its model imputes with top-%d — repack the bundle", mb.header.FriendsK, need)
-	}
-	pipe, err := features.PipelineFromParts(mb.header.Pipeline)
-	if err != nil {
-		return nil, err
-	}
-	faces := mb.header.Faces
-	st, err := core.NewLazyStore(pipe, mb, mb.header.FriendsK, &faces)
-	if err != nil {
-		return nil, err
-	}
-	if present := mb.PresentViews(); present != nil {
-		st.Restrict(present)
-	}
-	if mb.tableParts != nil {
-		tbl, err := core.ImputeTableFromParts(mb.tableParts)
-		if err != nil {
-			return nil, err
-		}
-		st.SetImputeTable(tbl)
-	}
-	return st, nil
+	return newSnapshotStore(mb, mb.header.Pipeline, mb.header.FriendsK, mb.modelParts.Cfg.ResolvedTopFriends(), mb.header.Faces, mb.PresentViews(), mb.tableParts)
 }
 
 // PresentViews mirrors Bundle.PresentViews for a sharded sub-bundle: the

@@ -2,19 +2,32 @@ package pipeline
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"unsafe"
 
+	"hydra/internal/linalg"
 	"hydra/internal/platform"
 )
+
+// goldenBundles lists the checked-in v3 goldens: plain, sharded, and
+// with each optional trailing section.
+var goldenBundles = []string{
+	"bundle_v3.golden.bin",
+	"bundle_v3_shard0.golden.bin",
+	"bundle_v3_prescreen.golden.bin",
+	"bundle_v3_imputetable.golden.bin",
+}
 
 // fullFixtureBundle is the golden fixture plus both optional sections,
 // so mapped-open exercises every section kind.
 func fullFixtureBundle() *Bundle {
-	b := fixtureBundle(BundleVersion)
+	b := fixtureBundle()
 	b.Prescreen = fixturePrescreen()
 	b.ImputeTable = fixtureImputeTable()
 	return b
@@ -198,6 +211,130 @@ func TestOpenBundleMappedTruncationGates(t *testing.T) {
 	if mb, err := OpenBundleMapped(path, MapOptions{}); err == nil {
 		mb.Close()
 		t.Fatal("trailing bytes opened successfully")
+	}
+}
+
+// TestBundleReadersAgree feeds the streaming decoder and the mapped
+// reader the same files — each golden intact and mutated, plus a v2 JSON
+// document — and asserts they return the same verdict. The two parse
+// the format independently (the benchmark's oracle depends on that), so
+// what counts as a valid file is pinned here rather than by sharing code.
+func TestBundleReadersAgree(t *testing.T) {
+	type input struct {
+		name   string
+		data   []byte
+		accept bool
+	}
+	inputs := []input{{"v2-json", []byte(legacyJSONBundle), false}}
+	for _, name := range goldenBundles {
+		raw, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Walk the length-prefixed blocks: bounds[i] is where block i's
+		// length prefix starts, the last entry is the end of the file.
+		bounds := []int{len(bundleMagic)}
+		for off := len(bundleMagic); off < len(raw); {
+			off += 8 + int(binary.LittleEndian.Uint64(raw[off:]))
+			bounds = append(bounds, off)
+		}
+		if last := bounds[len(bounds)-1]; last != len(raw) || len(bounds) < 6 {
+			t.Fatalf("%s: walked %d blocks to byte %d of %d", name, len(bounds)-1, last, len(raw))
+		}
+		inputs = append(inputs,
+			input{name + "/intact", raw, true},
+			input{name + "/trailing-8", append(append([]byte(nil), raw...), make([]byte, 8)...), false},
+		)
+		for i, b := range bounds[:len(bounds)-1] {
+			inputs = append(inputs,
+				input{fmt.Sprintf("%s/cut-before-block-%d", name, i), raw[:b], false},
+				input{fmt.Sprintf("%s/cut-inside-length-%d", name, i), raw[:b+4], false},
+			)
+			// Block i claims one byte more than it has: every later block
+			// shifts, and the last one runs off the end of the file.
+			over := append([]byte(nil), raw...)
+			binary.LittleEndian.PutUint64(over[b:], binary.LittleEndian.Uint64(raw[b:])+1)
+			inputs = append(inputs, input{fmt.Sprintf("%s/overclaim-block-%d", name, i), over, false})
+		}
+	}
+	path := filepath.Join(t.TempDir(), "in.bin")
+	for _, in := range inputs {
+		_, streamErr := ReadBundle(bytes.NewReader(in.data))
+		if err := os.WriteFile(path, in.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		mb, mappedErr := OpenBundleMapped(path, MapOptions{})
+		if mappedErr == nil {
+			mb.Close()
+		}
+		if (streamErr == nil) != in.accept || (mappedErr == nil) != in.accept {
+			t.Errorf("%s: want accept=%v, ReadBundle err=%v, OpenBundleMapped err=%v", in.name, in.accept, streamErr, mappedErr)
+		}
+		if in.name == "v2-json" {
+			for _, err := range []error{streamErr, mappedErr} {
+				if err == nil || !strings.Contains(err.Error(), "repack with hydra-pack") {
+					t.Errorf("v2 JSON refusal does not point at hydra-pack: %v", err)
+				}
+			}
+		}
+	}
+}
+
+// TestSaveBundleReplacesByRename is the repack-then-SIGHUP drill at the
+// file level: a bundle saved over a path that a server still has mapped
+// must not change a byte under the old mapping — the old generation
+// keeps reading its own bits, a fresh open reads the new ones.
+func TestSaveBundleReplacesByRename(t *testing.T) {
+	oldB, newB := fullFixtureBundle(), fullFixtureBundle()
+	oldEmb := oldB.Views[platform.Twitter][0].Embedding
+	newEmb := linalg.Vector{0.5, 0.125} // same length: the file size does not change
+	newB.Views[platform.Twitter][0].Embedding = newEmb
+	dir := t.TempDir()
+	path := filepath.Join(dir, "bundle.bin")
+	if err := SaveBundle(path, oldB); err != nil {
+		t.Fatal(err)
+	}
+	served, err := OpenBundleMapped(path, MapOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer served.Close()
+	if err := SaveBundle(path, newB); err != nil {
+		t.Fatal(err)
+	}
+	// First touch happens after the overwrite, so the view decodes from
+	// whatever the mapping holds now.
+	v, err := served.View(platform.Twitter, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(v.Embedding, oldEmb) {
+		t.Fatalf("old mapping reads embedding %v after the overwrite, want its own %v", v.Embedding, oldEmb)
+	}
+	fresh, err := OpenBundleMapped(path, MapOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	if v, err = fresh.View(platform.Twitter, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(v.Embedding, newEmb) {
+		t.Fatalf("fresh open reads embedding %v, want the new %v", v.Embedding, newEmb)
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(left) != 0 {
+		t.Fatalf("SaveBundle left temp files behind: %v", left)
+	}
+	// A failed save must leave neither a temp file nor a damaged target.
+	newB.Version = BundleVersion + 1
+	if err := SaveBundle(path, newB); err == nil {
+		t.Fatal("SaveBundle accepted an unwritable bundle")
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(left) != 0 {
+		t.Fatalf("failed SaveBundle left temp files behind: %v", left)
+	}
+	if _, err := LoadBundle(path); err != nil {
+		t.Fatalf("failed SaveBundle damaged the target: %v", err)
 	}
 }
 

@@ -7,23 +7,26 @@ import (
 	"testing"
 )
 
-// fuzzSeeds loads the golden bundles (every wire format we ship) plus
-// truncations of each — the corners a torn download or a bad disk
-// produces. The checked-in corpus under testdata/fuzz/ adds hand-made
+// legacyJSONBundle is a cut-down retired v2 all-JSON bundle — what a
+// deployment that never repacked still has on disk. Both readers must
+// refuse it (and every truncation of it) with the hydra-pack pointer.
+const legacyJSONBundle = `{"version":2,"pipeline":{"cfg":{"topics":4}},"views":{"twitter":[{"username":"alice_tw","embedding":[0.25,0.75]}]},"friends":{"twitter":[[]]},"friends_k":3}`
+
+// fuzzSeeds loads the golden bundles plus truncations of each — the
+// corners a torn download or a bad disk produces — and a v2 JSON
+// document. The checked-in corpus under testdata/fuzz/ adds hand-made
 // near-miss headers.
 func fuzzSeeds(f *testing.F) {
 	f.Helper()
-	for _, name := range []string{
-		"bundle_v3.golden.bin",
-		"bundle_v2.golden.json",
-		"bundle_v3_shard0.golden.bin",
-		"bundle_v3_prescreen.golden.bin",
-		"bundle_v3_imputetable.golden.bin",
-	} {
+	seeds := [][]byte{[]byte(legacyJSONBundle)}
+	for _, name := range goldenBundles {
 		data, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
 			f.Fatal(err)
 		}
+		seeds = append(seeds, data)
+	}
+	for _, data := range seeds {
 		f.Add(data)
 		f.Add(data[:len(data)/2])
 		if len(data) > 64 {
@@ -33,10 +36,9 @@ func fuzzSeeds(f *testing.F) {
 	f.Add([]byte{})
 }
 
-// FuzzReadBundle hammers the streaming reader (v3 binary sniffing, v2
-// JSON fallback) with arbitrary bytes: it must reject garbage with an
-// error — never panic, never hang — and anything it accepts must
-// re-serialize.
+// FuzzReadBundle hammers the streaming reader with arbitrary bytes: it
+// must reject garbage with an error — never panic, never hang — and
+// anything it accepts must re-serialize.
 func FuzzReadBundle(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {

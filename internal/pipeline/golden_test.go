@@ -21,15 +21,13 @@ import (
 	"hydra/internal/vision"
 )
 
-// The golden-file tests pin the three wire formats byte for byte: the v1
-// model artifact, the legacy v2 JSON bundle (still readable and
-// writable through the migration window) and the current v3
-// binary-section bundle. The fixtures are hand-built
-// (no training involved), so these tests fail on codec drift — a renamed
-// JSON key, a dropped field, a changed version constant — and on nothing
-// else. An accidental change here would corrupt every deployed model, so
-// the failure mode is CI red, not silent misdecoding. After an
-// *intentional* format change, regenerate with:
+// The golden-file tests pin the two wire formats byte for byte: the v1
+// model artifact and the v3 binary-section bundle. The fixtures are
+// hand-built (no training involved), so these tests fail on codec drift
+// — a renamed JSON key, a dropped field, a changed version constant —
+// and on nothing else. An accidental change here would corrupt every
+// deployed model, so the failure mode is CI red, not silent
+// misdecoding. After an *intentional* format change, regenerate with:
 //
 //	go test ./internal/pipeline/ -run Golden -update
 //
@@ -91,7 +89,7 @@ func fixtureArtifact() *Artifact {
 	}
 }
 
-func fixtureBundle(version int) *Bundle {
+func fixtureBundle() *Bundle {
 	t0 := time.Date(2012, 6, 1, 0, 0, 0, 0, time.UTC)
 	span := temporal.Range{Start: t0, End: t0.AddDate(1, 0, 0)}
 	view := func(name string, avatar uint64) features.ViewParts {
@@ -109,7 +107,7 @@ func fixtureBundle(version int) *Bundle {
 		}
 	}
 	return &Bundle{
-		Version: version,
+		Version: BundleVersion,
 		Pipeline: features.PipelineParts{
 			Cfg:  fixtureFeatCfg(),
 			Span: span,
@@ -211,16 +209,11 @@ func checkBundleGolden(t *testing.T, b *Bundle, goldenName string) {
 	}
 }
 
-// TestBundleGoldenFormat pins the legacy v2 JSON bundle.
-func TestBundleGoldenFormat(t *testing.T) {
-	checkBundleGolden(t, fixtureBundle(BundleVersionJSON), "bundle_v2.golden.json")
-}
-
 // TestBundleV3GoldenFormat pins the v3 binary-section bundle without a
 // prescreen — exactly what pre-prescreen writers produced, so this
 // golden doubles as the backward-compatibility gate for old bundles.
 func TestBundleV3GoldenFormat(t *testing.T) {
-	checkBundleGolden(t, fixtureBundle(BundleVersion), "bundle_v3.golden.bin")
+	checkBundleGolden(t, fixtureBundle(), "bundle_v3.golden.bin")
 }
 
 // fixturePrescreen is a tiny hand-written prescreen consistent with
@@ -243,7 +236,7 @@ func fixturePrescreen() *core.PrescreenParts {
 // optional trailing prescreen section, and asserts the decoded parts
 // attach to the restored model (the serving path old bundles skip).
 func TestBundleV3PrescreenGoldenFormat(t *testing.T) {
-	b := fixtureBundle(BundleVersion)
+	b := fixtureBundle()
 	b.Prescreen = fixturePrescreen()
 	checkBundleGolden(t, b, "bundle_v3_prescreen.golden.bin")
 	var buf bytes.Buffer
@@ -267,35 +260,5 @@ func TestBundleV3PrescreenGoldenFormat(t *testing.T) {
 	}
 	if !m.HasPrescreen() || m.PrescreenEps() != 0.5 {
 		t.Fatal("decoded prescreen did not attach to the restored model")
-	}
-}
-
-// TestBundleV2DropsPrescreen is the legacy-format gate: writing a
-// prescreen-carrying bundle as v2 JSON produces exactly the bytes the
-// same bundle without a prescreen produces — v2-era readers never see
-// an unknown field — and the caller's bundle is left untouched.
-func TestBundleV2DropsPrescreen(t *testing.T) {
-	with := fixtureBundle(BundleVersionJSON)
-	with.Prescreen = fixturePrescreen()
-	without := fixtureBundle(BundleVersionJSON)
-	var bufWith, bufWithout bytes.Buffer
-	if err := WriteBundle(&bufWith, with); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteBundle(&bufWithout, without); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(bufWith.Bytes(), bufWithout.Bytes()) {
-		t.Fatal("v2 encoding leaked the prescreen into the legacy format")
-	}
-	if with.Prescreen == nil {
-		t.Fatal("WriteBundle mutated the caller's bundle")
-	}
-	decoded, err := ReadBundle(&bufWith)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if decoded.Prescreen != nil {
-		t.Fatal("v2 round trip resurrected a prescreen")
 	}
 }

@@ -35,7 +35,7 @@ func fixtureImputeTable() *core.ImputeTableParts {
 // the golden exercises the two-optional-sections ordering), and asserts
 // the decoded parts reach the restored store and model.
 func TestBundleV3ImputeTableGoldenFormat(t *testing.T) {
-	b := fixtureBundle(BundleVersion)
+	b := fixtureBundle()
 	b.Prescreen = fixturePrescreen()
 	b.ImputeTable = fixtureImputeTable()
 	checkBundleGolden(t, b, "bundle_v3_imputetable.golden.bin")
@@ -68,7 +68,7 @@ func TestBundleV3ImputeTableGoldenFormat(t *testing.T) {
 // bundle without the table decodes with a nil table, restores, and
 // serves imputation through the live path.
 func TestBundleV3AbsentImputeTableReads(t *testing.T) {
-	b := fixtureBundle(BundleVersion)
+	b := fixtureBundle()
 	var buf bytes.Buffer
 	if err := WriteBundle(&buf, b); err != nil {
 		t.Fatal(err)
@@ -92,35 +92,6 @@ func TestBundleV3AbsentImputeTableReads(t *testing.T) {
 	// codec fixture's views are not feature-consistent enough to score).
 	if _, err := core.ModelFromParts(store, decoded.Model); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestBundleV2DropsImputeTable mirrors the prescreen gate: writing a
-// table-carrying bundle as v2 JSON produces exactly the bytes the same
-// bundle without one produces, and the caller's bundle is untouched.
-func TestBundleV2DropsImputeTable(t *testing.T) {
-	with := fixtureBundle(BundleVersionJSON)
-	with.ImputeTable = fixtureImputeTable()
-	without := fixtureBundle(BundleVersionJSON)
-	var bufWith, bufWithout bytes.Buffer
-	if err := WriteBundle(&bufWith, with); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteBundle(&bufWithout, without); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(bufWith.Bytes(), bufWithout.Bytes()) {
-		t.Fatal("v2 encoding leaked the impute table into the legacy format")
-	}
-	if with.ImputeTable == nil {
-		t.Fatal("WriteBundle mutated the caller's bundle")
-	}
-	decoded, err := ReadBundle(&bufWith)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if decoded.ImputeTable != nil {
-		t.Fatal("v2 round trip resurrected an impute table")
 	}
 }
 

@@ -27,8 +27,8 @@ type LinkOpts struct {
 	// Report prints the feature-group weight report.
 	Report bool
 	// SaveModel, when non-empty, persists the trained model as an
-	// artifact at this path for hydra-serve (needs the world file at
-	// serving time).
+	// artifact at this path — hydra-pack's input, together with the
+	// world file, for packing a serving bundle later.
 	SaveModel string
 	// SaveBundle, when non-empty, packs the trained model plus all
 	// precomputed serving state into a self-contained bundle at this

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
-	"strings"
 	"testing"
 
 	"hydra/internal/blocking"
@@ -19,7 +18,7 @@ import (
 // stay in range and the index covers every B account, so the ownership
 // partition and the friend-closure retention both get exercised.
 func fixtureMultiBundle() *Bundle {
-	b := fixtureBundle(BundleVersion)
+	b := fixtureBundle()
 	tview := b.Views[platform.Twitter][0]
 	fview := b.Views[platform.Facebook][0]
 
@@ -202,43 +201,25 @@ func TestSplitBundleRefusals(t *testing.T) {
 }
 
 // TestShardDescGates pins the read/write-time validation: a corrupted
-// shard stamp must fail loudly at both ends of the wire, in both
-// formats, instead of silently mis-routing queries.
+// shard stamp must fail loudly at both ends of the wire instead of
+// silently mis-routing queries.
 func TestShardDescGates(t *testing.T) {
 	subs, err := SplitBundle(fixtureMultiBundle(), 2, testShardSeed, testShardGen)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	for _, version := range []int{BundleVersionJSON, BundleVersion} {
-		sb := *subs[0]
-		sb.Version = version
-		bad := *sb.Shard
-		bad.Index = 5 // out of [0,2)
-		sb.Shard = &bad
-		var buf bytes.Buffer
-		if err := WriteBundle(&buf, &sb); err == nil {
-			t.Errorf("v%d write accepted out-of-range shard index", version)
-		}
-	}
-
-	// Read gate, JSON path: corrupt the descriptor in the encoded bytes.
 	sb := *subs[0]
-	sb.Version = BundleVersionJSON
+	bad := *sb.Shard
+	bad.Index = 5 // out of [0,2)
+	sb.Shard = &bad
 	var buf bytes.Buffer
-	if err := WriteBundle(&buf, &sb); err != nil {
-		t.Fatal(err)
-	}
-	corrupt := strings.Replace(buf.String(), `"count":2`, `"count":0`, 1)
-	if corrupt == buf.String() {
-		t.Fatal("fixture bytes did not contain the shard count to corrupt")
-	}
-	if _, err := ReadBundle(strings.NewReader(corrupt)); err == nil {
-		t.Error("JSON read accepted shard count 0")
+	if err := WriteBundle(&buf, &sb); err == nil {
+		t.Error("write accepted out-of-range shard index")
 	}
 
-	// Read gate, binary path: the v3 header is JSON too — corrupt it the
-	// same way (the section lengths that follow are untouched).
+	// Read gate: the v3 header is JSON — corrupt the descriptor in the
+	// encoded bytes (the section lengths that follow are untouched).
 	sb3 := *subs[0]
 	var buf3 bytes.Buffer
 	if err := WriteBundle(&buf3, &sb3); err != nil {
@@ -261,49 +242,45 @@ func TestShardedBundleRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, version := range []int{BundleVersionJSON, BundleVersion} {
-		for i, sb := range subs {
-			cp := *sb
-			cp.Version = version
-			var buf bytes.Buffer
-			if err := WriteBundle(&buf, &cp); err != nil {
-				t.Fatal(err)
+	for i, sb := range subs {
+		var buf bytes.Buffer
+		if err := WriteBundle(&buf, sb); err != nil {
+			t.Fatal(err)
+		}
+		decoded, err := ReadBundle(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(decoded, sb) {
+			t.Fatalf("shard %d did not round-trip", i)
+		}
+		if !decoded.Shard.SameSplit(sb.Shard) {
+			t.Fatalf("shard %d descriptor drifted: %+v", i, decoded.Shard)
+		}
+		store, err := decoded.Store()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The restored store must refuse absent accounts and serve
+		// present ones: pick one of each.
+		var owned, absent = -1, -1
+		present := decoded.PresentViews()[platform.Facebook]
+		for j, p := range present {
+			if p && owned < 0 && decoded.Shard.ShardOf(platform.Facebook, j) == i {
+				owned = j
 			}
-			decoded, err := ReadBundle(&buf)
-			if err != nil {
-				t.Fatal(err)
+			if !p && absent < 0 {
+				absent = j
 			}
-			if !reflect.DeepEqual(decoded, &cp) {
-				t.Fatalf("v%d shard %d did not round-trip", version, i)
+		}
+		if owned >= 0 {
+			if _, err := store.Friends(platform.Facebook, owned, 3); err != nil {
+				t.Fatalf("shard %d: owned account %d refused: %v", i, owned, err)
 			}
-			if !decoded.Shard.SameSplit(sb.Shard) {
-				t.Fatalf("v%d shard %d descriptor drifted: %+v", version, i, decoded.Shard)
-			}
-			store, err := decoded.Store()
-			if err != nil {
-				t.Fatal(err)
-			}
-			// The restored store must refuse absent accounts and serve
-			// present ones: pick one of each.
-			var owned, absent = -1, -1
-			present := decoded.PresentViews()[platform.Facebook]
-			for j, p := range present {
-				if p && owned < 0 && decoded.Shard.ShardOf(platform.Facebook, j) == i {
-					owned = j
-				}
-				if !p && absent < 0 {
-					absent = j
-				}
-			}
-			if owned >= 0 {
-				if _, err := store.Friends(platform.Facebook, owned, 3); err != nil {
-					t.Fatalf("v%d shard %d: owned account %d refused: %v", version, i, owned, err)
-				}
-			}
-			if absent >= 0 {
-				if _, err := store.Friends(platform.Facebook, absent, 3); err == nil {
-					t.Fatalf("v%d shard %d: absent account %d served without error", version, i, absent)
-				}
+		}
+		if absent >= 0 {
+			if _, err := store.Friends(platform.Facebook, absent, 3); err == nil {
+				t.Fatalf("shard %d: absent account %d served without error", i, absent)
 			}
 		}
 	}

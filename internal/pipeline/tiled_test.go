@@ -12,7 +12,7 @@ import (
 // confined to their community block, candidate rows jittered around
 // candsPerA with in-range B ids — and the result survives the v3 codec.
 func TestTiledBundleShape(t *testing.T) {
-	base := fixtureBundle(BundleVersion)
+	base := fixtureBundle()
 	const n, cands = 600, 8
 	tb, err := TiledBundle(base, n, cands, 11)
 	if err != nil {
@@ -83,14 +83,14 @@ func TestTiledBundleShape(t *testing.T) {
 
 // TestTiledBundleRefusals pins the guard rails.
 func TestTiledBundleRefusals(t *testing.T) {
-	base := fixtureBundle(BundleVersion)
+	base := fixtureBundle()
 	if _, err := TiledBundle(base, 0, 8, 1); err == nil {
 		t.Fatal("n=0 accepted")
 	}
 	if _, err := TiledBundle(base, 10, 0, 1); err == nil {
 		t.Fatal("candsPerA=0 accepted")
 	}
-	sharded := fixtureBundle(BundleVersion)
+	sharded := fixtureBundle()
 	sharded.Shard = &ShardDesc{Count: 2, Index: 0, Seed: 1, Generation: 1}
 	if _, err := TiledBundle(sharded, 10, 4, 1); err == nil {
 		t.Fatal("sharded base accepted")

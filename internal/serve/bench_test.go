@@ -9,11 +9,11 @@ import (
 )
 
 // benchEnv reuses the test fixture; training dominates setup, so the
-// benchmarks share one engine — the bundle-backed one, the deployed
-// configuration and the one whose snapshot store serves friend lookups
-// allocation-free (the world-backed engine is bit-identical but ranks
-// live-graph friends per miss). The pair cache is pre-warmed with a full
-// batch so the numbers reflect a long-lived server's steady state.
+// benchmarks share one engine — the bundle-backed one, whose snapshot
+// store serves friend lookups allocation-free (the builder-backed
+// reference engine is bit-identical but ranks live-graph friends per
+// miss). The pair cache is pre-warmed with a full batch so the numbers
+// reflect a long-lived server's steady state.
 func benchEnv(b *testing.B) (testEnv, [][2]int) {
 	b.Helper()
 	envOnce.Do(func() { env, envErr = buildEnv() })
@@ -66,8 +66,8 @@ func BenchmarkServeTopK(b *testing.B) {
 
 // BenchmarkServeTopKImputeTableOn / ...Off price the pack-time Eqn-18
 // table on the same top-k stream: identical engines from the same
-// bundle, one with the table consulted and one with the
-// -impute-table=off escape hatch, so the delta is exactly the cost of
+// bundle, one with the table consulted and one with it switched off
+// (SetImputeTableEnabled), so the delta is exactly the cost of
 // re-deriving friend-pair sums live per scored pair with missing dims.
 func BenchmarkServeTopKImputeTableOn(b *testing.B) {
 	benchTopKImputeTable(b, true)
@@ -112,28 +112,9 @@ func BenchmarkServeBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkServeBundleDecodeV2 and ...V3 isolate the bundle decode the
-// two wire formats pay at cold start — the v3 binary sections exist to
-// win exactly this comparison.
-func BenchmarkServeBundleDecodeV2(b *testing.B) {
-	e, _ := benchEnv(b)
-	v2 := *e.bundle
-	v2.Version = pipeline.BundleVersionJSON
-	var buf bytes.Buffer
-	if err := pipeline.WriteBundle(&buf, &v2); err != nil {
-		b.Fatal(err)
-	}
-	raw := buf.Bytes()
-	b.SetBytes(int64(len(raw)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := pipeline.ReadBundle(bytes.NewReader(raw)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
+// BenchmarkServeBundleDecodeV3 isolates the streaming decode of the v3
+// wire format — what an in-memory engine pays before
+// NewEngineFromBundle.
 func BenchmarkServeBundleDecodeV3(b *testing.B) {
 	e, _ := benchEnv(b)
 	b.SetBytes(int64(len(e.bundleBytes)))
@@ -146,29 +127,9 @@ func BenchmarkServeBundleDecodeV3(b *testing.B) {
 	}
 }
 
-// BenchmarkBundleColdStartWorld measures the artifact+world startup
-// path from the serialized artifact: decode it, restore the feature
-// system from the recipe (LDA retrain included) and rebuild the
-// candidate indexes from the dataset.
-func BenchmarkBundleColdStartWorld(b *testing.B) {
-	e, _ := benchEnv(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		art, err := pipeline.ReadArtifact(bytes.NewReader(e.artBytes))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := NewEngine(art, e.ds, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkBundleColdStartBundle measures the self-contained startup
-// path from the serialized bundle: decode the precomputed views and
-// index shards and restore the snapshot store — no dataset, no
-// retraining. The gap to ColdStartWorld is the point of the bundle
-// format.
+// BenchmarkBundleColdStartBundle measures the in-memory startup path
+// from the serialized bundle: decode the precomputed views and index
+// shards and restore the snapshot store — no dataset, no retraining.
 func BenchmarkBundleColdStartBundle(b *testing.B) {
 	e, _ := benchEnv(b)
 	b.ResetTimer()

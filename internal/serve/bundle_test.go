@@ -135,14 +135,15 @@ func TestServeBundleREPLMatchesWorld(t *testing.T) {
 }
 
 // TestServeBundleStoreShape sanity-checks the snapshot store the bundle
-// engine runs on: both platforms present, friend slices cut at the
-// model's TopFriends, and the ground-truth person id scrubbed from every
-// restored view.
+// engine runs on — the same *core.LazyStore a mapped engine gets, over
+// the decoded bundle's in-memory snapshot: both platforms present,
+// friend slices cut at the model's TopFriends, and the ground-truth
+// person id scrubbed from every restored view.
 func TestServeBundleStoreShape(t *testing.T) {
 	e := getEnv(t)
-	store, ok := e.beng.Sys.(*core.Store)
+	store, ok := e.beng.Sys.(*core.LazyStore)
 	if !ok {
-		t.Fatalf("bundle engine source is %T, want *core.Store", e.beng.Sys)
+		t.Fatalf("bundle engine source is %T, want *core.LazyStore", e.beng.Sys)
 	}
 	wantPlats := []platform.ID{platform.Facebook, platform.Twitter}
 	if !reflect.DeepEqual(store.Platforms(), wantPlats) {
@@ -162,6 +163,9 @@ func TestServeBundleStoreShape(t *testing.T) {
 		}
 		if len(views) != len(worldViews) {
 			t.Fatalf("%s: %d snapshot views vs %d world views", id, len(views), len(worldViews))
+		}
+		if n := e.beng.NumAccounts(id); n != len(views) || e.eng.NumAccounts(id) != n {
+			t.Fatalf("%s: NumAccounts = %d (bundle) / %d (world), want %d", id, n, e.eng.NumAccounts(id), len(views))
 		}
 		for i, v := range views {
 			if v.Acc.Person != -1 {
@@ -189,25 +193,20 @@ func TestServeBundleVersionGate(t *testing.T) {
 	if err := pipeline.WriteBundle(&buf, &bad); err == nil {
 		t.Fatalf("expected write rejection for unknown version %d", bad.Version)
 	}
-	// The legacy v2 JSON format still writes and reads through the
-	// migration window — but a v1 stamp inside it is rejected.
-	bad.Version = pipeline.BundleVersionJSON
+	// The retired v2 JSON format is neither written nor read.
+	bad.Version = 2
+	if err := pipeline.WriteBundle(&buf, &bad); err == nil {
+		t.Fatal("expected write rejection for the retired JSON version 2")
+	}
+	if _, err := pipeline.ReadBundle(strings.NewReader(`{"version":2,"views":{}}`)); err == nil || !strings.Contains(err.Error(), "repack with hydra-pack") {
+		t.Fatalf("expected a v2 JSON bundle to be refused with the hydra-pack pointer, got %v", err)
+	}
+	// A tampered version stamp inside a v3 binary header is rejected.
 	buf.Reset()
-	if err := pipeline.WriteBundle(&buf, &bad); err != nil {
+	if err := pipeline.WriteBundle(&buf, e.bundle); err != nil {
 		t.Fatal(err)
 	}
-	raw := bytes.Replace(buf.Bytes(), []byte(`"version":2`), []byte(`"version":1`), 1)
-	if _, err := pipeline.ReadBundle(bytes.NewReader(raw)); err == nil {
-		t.Fatal("expected read rejection for version 1")
-	}
-	// Same for a tampered version stamp inside a v3 binary header.
-	v3 := *e.bundle
-	v3.Version = pipeline.BundleVersion
-	buf.Reset()
-	if err := pipeline.WriteBundle(&buf, &v3); err != nil {
-		t.Fatal(err)
-	}
-	raw = bytes.Replace(buf.Bytes(), []byte(`"version":3`), []byte(`"version":9`), 1)
+	raw := bytes.Replace(buf.Bytes(), []byte(`"version":3`), []byte(`"version":9`), 1)
 	if _, err := pipeline.ReadBundle(bytes.NewReader(raw)); err == nil {
 		t.Fatal("expected read rejection for a tampered v3 header version")
 	}

@@ -1,12 +1,8 @@
 package serve
 
 import (
-	"bytes"
 	"sort"
-	"strings"
 	"testing"
-
-	"hydra/internal/pipeline"
 )
 
 // TestServeTopKSelectionMatchesSort locks the bounded partial selection
@@ -127,68 +123,5 @@ func TestSteadyStateAllocs(t *testing.T) {
 		}
 	}); avg > 0 {
 		t.Fatalf("warm ScoreBatchInto allocates %.2f times/op, want 0", avg)
-	}
-}
-
-// TestServeBundleV2V3ByteIdentical asserts the two bundle wire formats
-// of one model restore into engines whose serving output is byte
-// identical: same REPL transcript, same scores, same top-k rows.
-func TestServeBundleV2V3ByteIdentical(t *testing.T) {
-	e := getEnv(t)
-
-	engineFor := func(version int) *Engine {
-		t.Helper()
-		b := *e.bundle
-		b.Version = version
-		var buf bytes.Buffer
-		if err := pipeline.WriteBundle(&buf, &b); err != nil {
-			t.Fatal(err)
-		}
-		decoded, err := pipeline.ReadBundle(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng, err := NewEngineFromBundle(decoded, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return eng
-	}
-	engV2 := engineFor(pipeline.BundleVersionJSON)
-	engV3 := engineFor(pipeline.BundleVersion)
-
-	script := strings.Join([]string{
-		"pairs",
-		"score twitter 0 facebook 0",
-		"link twitter 1 facebook 1",
-		"topk twitter 0 facebook 5",
-		"topk twitter 1 facebook 0",
-		"batch twitter facebook 0:0 0:1 1:0 2:2",
-		"quit",
-	}, "\n")
-	var outV2, outV3 bytes.Buffer
-	if err := engV2.REPL(strings.NewReader(script), &outV2); err != nil {
-		t.Fatal(err)
-	}
-	if err := engV3.REPL(strings.NewReader(script), &outV3); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(outV2.Bytes(), outV3.Bytes()) {
-		t.Fatalf("REPL output differs between v2 and v3 bundles:\n--- v2 ---\n%s\n--- v3 ---\n%s", outV2.String(), outV3.String())
-	}
-
-	blk := e.task.Blocks[0]
-	for _, c := range blk.Cands {
-		s2, err := engV2.Score(blk.PA, c.A, blk.PB, c.B)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s3, err := engV3.Score(blk.PA, c.A, blk.PB, c.B)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s2 != s3 {
-			t.Fatalf("score (%d,%d) differs between v2 (%v) and v3 (%v) bundles", c.A, c.B, s2, s3)
-		}
 	}
 }

@@ -1,17 +1,14 @@
 package serve
 
-// Mapped serving: NewEngineFromMapped answers the same query surface as
-// NewEngineFromBundle but off a pipeline.MappedBundle — O(header) cold
-// start, resident memory tracking the working set — plus the
-// Acquire/Release/Retire lifecycle that keeps the OS mapping alive until
-// the last in-flight request drains.
+// Mapped serving: NewEngineFromMapped serves off a pipeline.MappedBundle
+// — O(header) cold start, resident memory tracking the working set —
+// plus the Acquire/Release/Retire lifecycle that keeps the OS mapping
+// alive until the last in-flight request drains.
 
 import (
-	"fmt"
 	"time"
 
 	"hydra/internal/blocking"
-	"hydra/internal/core"
 	"hydra/internal/pipeline"
 	"hydra/internal/platform"
 )
@@ -27,51 +24,23 @@ func NewEngineFromMapped(mb *pipeline.MappedBundle, workers int) (*Engine, error
 	if err != nil {
 		return nil, err
 	}
-	store.LimitPairCache(DefaultPairCacheEntries)
-	model, err := core.ModelFromParts(store, mb.ModelParts())
-	if err != nil {
-		return nil, err
-	}
-	if p := mb.Prescreen(); p != nil {
-		if err := model.SetPrescreen(p); err != nil {
-			return nil, err
-		}
-	}
-	e := &Engine{
-		Sys:     store,
-		Model:   model,
-		Workers: workers,
-		shard:   mb.Shard(),
-		indexes: make(map[[2]platform.ID]*blocking.Index),
-		closer:  mb.Close,
-		mapped:  mb,
-	}
-	if d := mb.Shard(); d != nil {
-		if err := d.Validate(); err != nil {
-			return nil, err
-		}
-		e.generation = d.Generation
-	}
 	ixs, err := mb.LazyIndexes()
 	if err != nil {
 		return nil, err
 	}
-	for _, ix := range ixs {
-		e.indexes[[2]platform.ID{ix.PA, ix.PB}] = ix
+	e, err := newEngine(store, mb.ModelParts(), mb.Prescreen(), mb.Shard(), mb.Pairs(), ixs, workers)
+	if err != nil {
+		return nil, err
 	}
-	for _, pp := range mb.Pairs() {
-		if _, ok := e.indexes[pp]; !ok {
-			return nil, fmt.Errorf("serve: bundle lists pair %s → %s but carries no index for it", pp[0], pp[1])
-		}
-	}
+	e.closer, e.mapped = mb.Close, mb
 	return e, nil
 }
 
 // Acquire pins the engine for one request. It returns false when the
 // engine has been retired — the caller must re-resolve the current
 // engine (a swap just happened) instead of serving off state whose
-// backing mapping is about to unmap. Heap-decoded engines never retire,
-// so Acquire always succeeds on them.
+// backing mapping is about to unmap. In-memory engines never retire, so
+// Acquire always succeeds on them.
 func (e *Engine) Acquire() bool {
 	e.inflight.Add(1)
 	if e.retired.Load() {
@@ -122,7 +91,7 @@ func (e *Engine) Close() error {
 }
 
 // MappedStats snapshots the mapped bundle's residency and decode
-// counters, nil for a heap-decoded engine.
+// counters, nil for an in-memory engine.
 func (e *Engine) MappedStats() *pipeline.MappedStats {
 	if e.mapped == nil {
 		return nil
@@ -133,7 +102,7 @@ func (e *Engine) MappedStats() *pipeline.MappedStats {
 
 // DropMappedCaches releases every materialized section entry of a mapped
 // engine (memory pressure relief); the next queries re-materialize what
-// they touch. No-op on heap-decoded engines.
+// they touch. No-op on in-memory engines.
 func (e *Engine) DropMappedCaches() {
 	if e.mapped != nil {
 		e.mapped.DropCaches()
@@ -141,19 +110,9 @@ func (e *Engine) DropMappedCaches() {
 }
 
 // NumAccounts reports how many accounts platform id carries, -1 when
-// the platform is absent. A mapped engine answers from the bundle
-// header without materializing any views; a heap engine measures the
-// decoded view slice.
-func (e *Engine) NumAccounts(id platform.ID) int {
-	if e.mapped != nil {
-		return e.mapped.NumAccounts(id)
-	}
-	vs, err := e.Sys.Views(id)
-	if err != nil {
-		return -1
-	}
-	return len(vs)
-}
+// the platform is absent — answered from the store's counts, without
+// materializing any view.
+func (e *Engine) NumAccounts(id platform.ID) int { return e.Sys.NumAccounts(id) }
 
 // Fanout reports each indexed pair's candidate-set size distribution.
 // Free on both backings: lazy indexes answer from their length tables.

@@ -326,8 +326,8 @@ func TestTwoTierSteadyStateAllocs(t *testing.T) {
 // BenchmarkServeTopKWideExact and ...WidePrescreen are the headline
 // pair: the same k=5 query over a production-shaped (full cross
 // product) shard, with the prescreen off and on. The gap is the
-// support-set floor the two-tier path breaks; hydra-servebench records
-// it per PR, and bench-smoke keeps both harnesses compiling.
+// support-set floor the two-tier path breaks; bench-smoke keeps both
+// compiling, the numbers come from bench/ (topk-wide).
 func BenchmarkServeTopKWideExact(b *testing.B) {
 	benchWideTopK(b, false)
 }

@@ -90,11 +90,10 @@ func (e *Engine) serveLine(line string, w io.Writer) {
 			fmt.Fprintf(w, "error: %v\n", err)
 			return
 		}
-		// Usernames come from the views, so the lookup works identically
-		// over a world-backed System and a world-free snapshot Store. A
-		// lazy (mapped) source instead answers them from its header
-		// through the usernamer upgrade — same strings, since both read
-		// the packed profile — without materializing the whole platform.
+		// A bundle's LazyStore answers usernames through the usernamer
+		// upgrade, from the packed profile, without materializing the
+		// whole platform; a dataset-backed System reads them off its
+		// views — the same strings, since the bundle packed those views.
 		name := func(b int) string { return "" }
 		if un, ok := e.Sys.(usernamer); ok {
 			name = func(b int) string { return un.Username(pb, b) }
@@ -142,9 +141,8 @@ func (e *Engine) serveLine(line string, w io.Writer) {
 	}
 }
 
-// usernamer is the optional Source upgrade a lazy snapshot store
-// implements: username lookups that bypass full-platform view
-// materialization (core.LazyStore answers from the bundle header).
+// usernamer is the optional Source upgrade core.LazyStore implements:
+// username lookups that bypass full-platform view materialization.
 type usernamer interface {
 	Username(id platform.ID, local int) string
 }

@@ -106,22 +106,27 @@ func (r *Router) timedTopK(j *topkJob, idx int, attempts *int, maxAttempts int, 
 	launch := func(i int) hedgeFlight {
 		cctx, cancel := r.attemptCtx(j.ctx, budgetT, hasBudget)
 		ab := &atomic.Bool{}
+		// The flight reads the query from copies, never from j: the job is
+		// pooled, and a flight that lost (or was left behind by a
+		// cancelled request) can still be running when the next query
+		// rewrites j's fields.
+		si, pa, a, pb, k := j.si, j.pa, j.a, j.pb, j.k
 		go func() {
 			defer cancel()
 			t0 := time.Now()
-			res, gen, err := reps[i].TopK(cctx, j.pa, j.a, j.pb, j.k)
+			res, gen, err := reps[i].TopK(cctx, pa, a, pb, k)
 			dur := time.Since(t0)
 			if ab.Load() {
 				return // abandoned: the winner already answered and cancelled us
 			}
 			switch {
 			case err == nil:
-				r.breakerSuccess(j.si, i)
-				r.lats[j.si].record(dur)
+				r.breakerSuccess(si, i)
+				r.lats[si].record(dur)
 			case IsQueryError(err):
-				r.breakerSuccess(j.si, i) // the replica answered; the query is at fault
+				r.breakerSuccess(si, i) // the replica answered; the query is at fault
 			default:
-				r.breakerFailure(j.si, i)
+				r.breakerFailure(si, i)
 			}
 			ch <- outcome{idx: i, res: res, gen: gen, err: err}
 		}()

@@ -1,16 +1,15 @@
 // Package serve is HYDRA's query front-end: it answers score, link and
 // top-k linkage queries against a persisted model without retraining —
-// the serving half of the train/serve split. Two startup paths feed the
-// same engine:
-//
-//   - NewEngine loads a v1 model artifact plus the world file it was
-//     trained on, rebuilding the feature pipeline and candidate indexes
-//     from the raw dataset (the builder-backed path), and
-//   - NewEngineFromBundle loads a self-contained serving bundle (v3
-//     binary sections or legacy v2 JSON) — precomputed
-//     views, friend slices and index shards — and serves with no world
-//     file at all (the snapshot-backed path), bit-identical to the
-//     builder but with a cold start that only decodes, never retrains.
+// the serving half of the train/serve split. An engine serves one
+// self-contained v3 bundle — precomputed views, friend slices and index
+// shards, no world file — bit-identical to the builder-backed system it
+// was packed from. NewEngineFromMapped serves it straight off the file
+// (pipeline.OpenBundleMapped: header-only cold start, entries
+// materialized on first touch; this is what hydra-serve runs);
+// NewEngineFromBundle serves a bundle already decoded in memory (what
+// pipeline.SplitBundle hands back; the benchmark's shard replicas and
+// oracle run on it). Both are the same engine over the same
+// core.LazyStore.
 //
 // Queries run on the serving fast path (core.Model.ScoreBatchInto): the
 // batch imputes into pooled feature rows, all kernel values evaluate in
@@ -19,9 +18,8 @@
 // allocation-free once warm (the source's pair cache is mutex-guarded
 // and shared across queries, so repeated queries get warmer). Top-k
 // queries never scan the full B side: each A-side account's candidates
-// come from a per-A-side sharded blocking.Index built (or decoded) once
-// at startup, and the shard ranks by bounded partial selection rather
-// than a full sort.
+// come from the bundle's per-A-side sharded blocking.Index, and the
+// shard ranks by bounded partial selection rather than a full sort.
 package serve
 
 import (
@@ -40,8 +38,9 @@ import (
 // immutable after construction apart from the source's internal caches
 // and the query-scratch pool, and safe for concurrent queries.
 type Engine struct {
-	// Sys is the feature source behind the model: a dataset-backed
-	// core.System (world path) or a snapshot core.Store (bundle path).
+	// Sys is the feature source behind the model: the bundle's
+	// *core.LazyStore. (Tests also build engines over the dataset-backed
+	// core.System as the reference the bundle must match.)
 	Sys   core.Source
 	Model *core.Model
 	// Workers pins the per-query batch parallelism (≤ 0 = all cores).
@@ -62,7 +61,7 @@ type Engine struct {
 	// memory map that must outlive every in-flight query: handlers pin
 	// the engine with Acquire/Release, and after a hot swap the old
 	// engine's Retire closes the mapping only once the last pinned
-	// request drains. Heap-decoded engines have a nil closer and all of
+	// request drains. In-memory engines have a nil closer and all of
 	// this degenerates to no-ops.
 	inflight  atomic.Int64
 	retired   atomic.Bool
@@ -71,9 +70,10 @@ type Engine struct {
 	closer    func() error
 	mapped    *pipeline.MappedBundle
 
-	// Prescreen state: prescreenOff is the runtime escape hatch
-	// (hydra-serve -prescreen=off), prescreenObs an optional metrics
-	// sink wired before serving starts, and the counters feed both the
+	// Prescreen state: prescreenOff is the differential tests' and the
+	// benchmark oracle's hook (SetPrescreenEnabled), prescreenObs an
+	// optional metrics sink wired before serving starts, and the
+	// counters feed both the
 	// observer-free /healthz block and the router's per-shard stats.
 	// None of it ever changes a served value — with or without the
 	// prescreen the exact scorer alone decides output.
@@ -105,70 +105,47 @@ const prescreenMinSlack = 8
 // and hence the prescreen stats — is deterministic at any worker count.
 const prescreenRescoreChunk = 16
 
-// DefaultPairCacheEntries bounds the System's pair-vector cache in a
+// DefaultPairCacheEntries bounds the store's pair-vector cache in a
 // serving process (≈ a few hundred bytes per entry; this cap keeps a
 // long-lived server around ~100 MB of cache even under an adversarial
 // query sweep of the full pair space).
 const DefaultPairCacheEntries = 1 << 18
 
-// NewEngine restores the artifact over the world dataset and builds the
-// candidate indexes for every platform pair the artifact was trained on.
-// The restored System's pair cache is capped at DefaultPairCacheEntries;
-// call Sys.LimitPairCache to choose a different bound.
-func NewEngine(art *pipeline.Artifact, ds *platform.Dataset, workers int) (*Engine, error) {
-	st, model, err := art.Restore(ds)
-	if err != nil {
-		return nil, err
-	}
-	st.Sys.LimitPairCache(DefaultPairCacheEntries)
-	e := &Engine{
-		Sys:     st.Sys,
-		Model:   model,
-		Workers: workers,
-		indexes: make(map[[2]platform.ID]*blocking.Index, len(art.Pairs)),
-	}
-	rules := art.Rules
-	rules.Workers = workers
-	for _, pp := range art.Pairs {
-		if _, ok := e.indexes[pp]; ok {
-			continue
-		}
-		platA, err := ds.Platform(pp[0])
-		if err != nil {
-			return nil, err
-		}
-		platB, err := ds.Platform(pp[1])
-		if err != nil {
-			return nil, err
-		}
-		ix, err := blocking.BuildIndex(platA, platB, st.Sys.Faces(), rules)
-		if err != nil {
-			return nil, err
-		}
-		e.indexes[pp] = ix
-	}
-	return e, nil
-}
-
-// NewEngineFromBundle restores a self-contained serving bundle: the
-// snapshot store answers all feature queries and the prebuilt candidate
-// indexes are decoded, so startup never touches a dataset. The store's
-// pair cache is capped at DefaultPairCacheEntries, like NewEngine's.
+// NewEngineFromBundle serves a bundle already decoded in memory: every
+// view is restored up front and the candidate indexes are built from the
+// decoded rows. The engine owns no OS resources, so it never retires.
 func NewEngineFromBundle(b *pipeline.Bundle, workers int) (*Engine, error) {
 	store, err := b.Store()
 	if err != nil {
 		return nil, err
 	}
+	ixs := make([]*blocking.Index, 0, len(b.Indexes))
+	for _, parts := range b.Indexes {
+		ix, err := blocking.IndexFromParts(parts)
+		if err != nil {
+			return nil, err
+		}
+		ixs = append(ixs, ix)
+	}
+	return newEngine(store, b.Model, b.Prescreen, b.Shard, b.Pairs, ixs, workers)
+}
+
+// newEngine is the one engine constructor behind both bundle backings:
+// it caps the store's pair cache at DefaultPairCacheEntries (call
+// Sys.LimitPairCache to choose a different bound), restores the model
+// over the store, attaches the prescreen when the bundle carries one —
+// a bundle without it (older packers, non-RBF models) serves exact-only,
+// same outputs, no pruning — and checks every listed pair has its index.
+func newEngine(store *core.LazyStore, parts core.ModelParts, prescreen *core.PrescreenParts,
+	shard *pipeline.ShardDesc, pairs [][2]platform.ID, ixs []*blocking.Index, workers int) (*Engine, error) {
+
 	store.LimitPairCache(DefaultPairCacheEntries)
-	model, err := core.ModelFromParts(store, b.Model)
+	model, err := core.ModelFromParts(store, parts)
 	if err != nil {
 		return nil, err
 	}
-	if b.Prescreen != nil {
-		// Bundles built by current packers carry the prescreen section;
-		// a bundle without one (older packers, non-RBF models) serves
-		// exact-only — same outputs, no pruning.
-		if err := model.SetPrescreen(b.Prescreen); err != nil {
+	if prescreen != nil {
+		if err := model.SetPrescreen(prescreen); err != nil {
 			return nil, err
 		}
 	}
@@ -176,23 +153,19 @@ func NewEngineFromBundle(b *pipeline.Bundle, workers int) (*Engine, error) {
 		Sys:     store,
 		Model:   model,
 		Workers: workers,
-		shard:   b.Shard,
-		indexes: make(map[[2]platform.ID]*blocking.Index, len(b.Indexes)),
+		shard:   shard,
+		indexes: make(map[[2]platform.ID]*blocking.Index, len(ixs)),
 	}
-	if b.Shard != nil {
-		if err := b.Shard.Validate(); err != nil {
+	if shard != nil {
+		if err := shard.Validate(); err != nil {
 			return nil, err
 		}
-		e.generation = b.Shard.Generation
+		e.generation = shard.Generation
 	}
-	for _, parts := range b.Indexes {
-		ix, err := blocking.IndexFromParts(parts)
-		if err != nil {
-			return nil, err
-		}
-		e.indexes[[2]platform.ID{parts.PA, parts.PB}] = ix
+	for _, ix := range ixs {
+		e.indexes[[2]platform.ID{ix.PA, ix.PB}] = ix
 	}
-	for _, pp := range b.Pairs {
+	for _, pp := range pairs {
 		if _, ok := e.indexes[pp]; !ok {
 			return nil, fmt.Errorf("serve: bundle lists pair %s → %s but carries no index for it", pp[0], pp[1])
 		}
@@ -533,9 +506,10 @@ func (e *Engine) notePrescreenSkipped() {
 	}
 }
 
-// SetPrescreenEnabled toggles the approximate prescreen at runtime (the
-// hydra-serve -prescreen=off escape hatch). Disabling never changes any
-// served value — it only forces every top-k back to the exact path.
+// SetPrescreenEnabled toggles the approximate prescreen at runtime — the
+// hook the differential tests and the benchmark oracle use to compare
+// the two-tier path against exact-only scoring. Disabling never changes
+// any served value — it only forces every top-k back to the exact path.
 func (e *Engine) SetPrescreenEnabled(on bool) { e.prescreenOff.Store(!on) }
 
 // SetPrescreenObserver wires a metrics sink for prescreen telemetry.
@@ -583,7 +557,7 @@ func (e *Engine) PrescreenHealth() *PrescreenHealth {
 }
 
 // SetImputeTableEnabled toggles the pack-time Eqn-18 impute table at
-// runtime (the hydra-serve -impute-table=off escape hatch). Like the
+// runtime — the table-side twin of SetPrescreenEnabled. Like the
 // prescreen toggle it never changes a served bit — the table is built
 // through the exact live accumulation, so turning it off only routes
 // missing-dimension candidates back through the per-query friend walk.
@@ -607,7 +581,7 @@ type ImputeHealth struct {
 }
 
 // pairCacheStatser is the optional Source upgrade both core.System and
-// core.Store implement; the interface itself stays narrow.
+// core.LazyStore implement; the interface itself stays narrow.
 type pairCacheStatser interface {
 	PairCacheStats() (hits, misses uint64)
 }

@@ -19,22 +19,57 @@ import (
 
 // testEnv is the shared serving fixture: a model trained through the
 // staged pipeline, round-tripped through the artifact codec and restored
-// into an engine — built once because training dominates test time. The
-// same fit is also packed into a bundle (round-tripped through the
-// bundle codec) and restored into a second, world-free engine, so every
-// test can diff the two startup paths.
+// over its world into the builder-backed reference engine — built once
+// because training dominates test time. The same fit is also packed into
+// a bundle (round-tripped through the bundle codec) and restored into a
+// second, world-free engine, so every test can diff what ships against
+// the system it was packed from.
 type testEnv struct {
-	eng     *Engine // world-backed: artifact + dataset
+	eng     *Engine // reference: artifact + dataset (newWorldEngine)
 	beng    *Engine // snapshot-backed: bundle only
 	trained *core.Model
 	task    *core.Task
-	ds      *platform.Dataset
 	art     *pipeline.Artifact
 	bundle  *pipeline.Bundle
-	// Serialized forms, so the cold-start benchmarks pay the decode a
-	// real process start pays.
-	artBytes    []byte
+	// The serialized bundle, so the cold-start benchmarks pay the decode
+	// a real process start pays.
 	bundleBytes []byte
+}
+
+// newWorldEngine is the builder-backed reference engine: it restores the
+// artifact over the world dataset it was trained on — rebuilding the
+// feature pipeline and the candidate indexes from raw data — so the
+// identity tests can hold every bundle-backed engine to the answers of
+// the system the bundle was packed from. The product no longer serves
+// this way; it lives here as the tests' oracle.
+func newWorldEngine(art *pipeline.Artifact, ds *platform.Dataset, workers int) (*Engine, error) {
+	st, model, err := art.Restore(ds)
+	if err != nil {
+		return nil, err
+	}
+	st.Sys.LimitPairCache(DefaultPairCacheEntries)
+	e := &Engine{
+		Sys:     st.Sys,
+		Model:   model,
+		Workers: workers,
+		indexes: make(map[[2]platform.ID]*blocking.Index, len(art.Pairs)),
+	}
+	rules := art.Rules
+	rules.Workers = workers
+	for _, pp := range art.Pairs {
+		platA, err := ds.Platform(pp[0])
+		if err != nil {
+			return nil, err
+		}
+		platB, err := ds.Platform(pp[1])
+		if err != nil {
+			return nil, err
+		}
+		if e.indexes[pp], err = blocking.BuildIndex(platA, platB, st.Sys.Faces(), rules); err != nil {
+			return nil, err
+		}
+	}
+	return e, nil
 }
 
 var (
@@ -91,12 +126,11 @@ func buildEnv() (testEnv, error) {
 	if err := pipeline.WriteArtifact(&buf, art); err != nil {
 		return testEnv{}, err
 	}
-	artBytes := append([]byte(nil), buf.Bytes()...)
 	art2, err := pipeline.ReadArtifact(&buf)
 	if err != nil {
 		return testEnv{}, err
 	}
-	eng, err := NewEngine(art2, w.Dataset, 0)
+	eng, err := newWorldEngine(art2, w.Dataset, 0)
 	if err != nil {
 		return testEnv{}, err
 	}
@@ -122,10 +156,8 @@ func buildEnv() (testEnv, error) {
 		beng:        beng,
 		trained:     fitted.Linker.Model(),
 		task:        blocked.Task,
-		ds:          w.Dataset,
 		art:         art2,
 		bundle:      bundle2,
-		artBytes:    artBytes,
 		bundleBytes: bundleBytes,
 	}, nil
 }
