@@ -32,8 +32,9 @@ test:
 # hot-swap drills), the scatter-gather router (TestRouter*), the chaos
 # suite with its live-listener HTTP drill (TestChaos*), the two-tier
 # prescreen oracles (TestPrescreen*), the pack-time impute table vs
-# live-path twins (TestImpute*), the staged pipeline, the parallel
-# figure sweeps and the fanned-out synth generator
+# live-path twins (TestImpute*), the racing first touches of per-view
+# derived state (TestPairConcurrentFirstTouch), the staged pipeline, the
+# parallel figure sweeps and the fanned-out synth generator
 # (*Workers*/*Determinism* tests) all match the filter.
 # Allocation-budget tests are deliberately named outside it: the race
 # runtime inflates AllocsPerRun.
@@ -58,13 +59,14 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadBundle -fuzztime 10s ./internal/pipeline/
 	$(GO) test -run '^$$' -fuzz FuzzOpenBundleMapped -fuzztime 10s ./internal/pipeline/
 
-# bench-smoke runs every serve benchmark once (-benchtime=1x) as part of
+# bench-smoke runs every serve benchmark and the pair kernel's
+# (BenchmarkPair: first-touch and steady) once (-benchtime=1x) as part of
 # make ci — not for numbers (those come from `make bench`), but so the
 # microbenchmarks themselves (fixtures, pooled buffers, the v3 decode
-# path, the wide-shard exact vs two-tier prescreen pair) cannot rot
-# between perf PRs.
+# path, the wide-shard exact vs two-tier prescreen pair, the derived
+# per-view state) cannot rot between perf PRs.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'Serve' -benchtime=1x ./internal/serve/
+	$(GO) test -run '^$$' -bench 'Serve|Pair' -benchtime=1x ./internal/serve/ ./internal/features/
 
 # bench runs the repository's benchmark: the five BENCHMARK.json
 # workloads over one fixed world, every answer checked bit for bit

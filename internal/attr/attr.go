@@ -54,11 +54,18 @@ func Match(a, b *platform.Profile, name platform.AttrName) (matched bool, ok boo
 func equalAttr(name platform.AttrName, va, vb string) bool {
 	switch name {
 	case platform.AttrTag:
-		sa := strings.Split(va, ",")
-		sb := strings.Split(vb, ",")
-		for _, x := range sa {
-			for _, y := range sb {
-				if x != "" && x == y {
+		// Walk the comma-separated lists in place; splitting them would
+		// allocate for every pair compared.
+		for va != "" {
+			var x string
+			x, va, _ = strings.Cut(va, ",")
+			if x == "" {
+				continue
+			}
+			for rest := vb; rest != ""; {
+				var y string
+				y, rest, _ = strings.Cut(rest, ",")
+				if x == y {
 					return true
 				}
 			}
@@ -114,14 +121,14 @@ func LearnImportance(pairs []LabeledPair, attrs []platform.AttrName, epsilon flo
 	return &Importance{Attrs: attrs, Scores: scores}, nil
 }
 
-// PairFeatures returns the importance-weighted attribute-match feature
-// vector for a profile pair and the observation mask. Feature k is
-// m_t(k)·1[match on attribute k]; mask[k] is false when attribute k is
-// missing on either profile.
-func (im *Importance) PairFeatures(a, b *platform.Profile) (linalg.Vector, []bool) {
-	vec := linalg.NewVector(len(im.Attrs))
-	mask := make([]bool, len(im.Attrs))
+// PairFeaturesInto writes the importance-weighted attribute-match
+// feature vector of a profile pair and its observation mask into the
+// first len(im.Attrs) entries of vec and mask. Feature k is
+// m_t(k)·1[match on attribute k]; mask[k] is false (and vec[k] zero) when
+// attribute k is missing on either profile.
+func (im *Importance) PairFeaturesInto(a, b *platform.Profile, vec linalg.Vector, mask []bool) {
 	for k, name := range im.Attrs {
+		vec[k], mask[k] = 0, false
 		matched, ok := Match(a, b, name)
 		if !ok {
 			continue
@@ -131,5 +138,4 @@ func (im *Importance) PairFeatures(a, b *platform.Profile) (linalg.Vector, []boo
 			vec[k] = im.Scores[k] * float64(len(im.Attrs))
 		}
 	}
-	return vec, mask
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"hydra/internal/linalg"
 	"hydra/internal/platform"
 )
 
@@ -37,6 +38,25 @@ func TestMatchTags(t *testing.T) {
 	matched, ok = Match(a, c, platform.AttrTag)
 	if !ok || matched {
 		t.Fatal("disjoint tags should not match")
+	}
+	// Empty list items (doubled, leading or trailing commas) are not tags
+	// and never match each other.
+	for _, tc := range []struct {
+		a, b string
+		want bool
+	}{
+		{"a,,b", ",,", false},
+		{",", ",", false},
+		{",coding,", "yoga,,coding", true},
+		{"hiking,coding,", ",", false},
+		{"codin", "coding", false},
+		{"b", "a,b", true},
+	} {
+		x := prof(map[platform.AttrName]string{platform.AttrTag: tc.a})
+		y := prof(map[platform.AttrName]string{platform.AttrTag: tc.b})
+		if matched, ok := Match(x, y, platform.AttrTag); !ok || matched != tc.want {
+			t.Fatalf("tags %q vs %q: matched=%v ok=%v, want %v", tc.a, tc.b, matched, ok, tc.want)
+		}
 	}
 }
 
@@ -96,7 +116,9 @@ func TestPairFeatures(t *testing.T) {
 	im := &Importance{Attrs: attrs, Scores: []float64{0.5, 0.3, 0.2}}
 	a := prof(map[platform.AttrName]string{platform.AttrJob: "doctor", platform.AttrCity: "beijing"})
 	b := prof(map[platform.AttrName]string{platform.AttrJob: "doctor", platform.AttrCity: "shanghai"})
-	vec, mask := im.PairFeatures(a, b)
+	// Dirty outputs: every entry must be overwritten, observed or not.
+	vec, mask := linalg.Vector{9, 9, 9}, []bool{true, true, true}
+	im.PairFeaturesInto(a, b, vec, mask)
 	if !mask[0] || !mask[1] || mask[2] {
 		t.Fatalf("mask = %v", mask)
 	}

@@ -40,8 +40,8 @@ func (p *Pipeline) Parts() PipelineParts {
 // snapshotted views, it does not construct new ones.
 func PipelineFromParts(parts PipelineParts) (*Pipeline, error) {
 	cfg := parts.Cfg
-	if len(cfg.ScalesDays) == 0 {
-		return nil, fmt.Errorf("features: no temporal scales configured")
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	if parts.Importance == nil {
 		return nil, fmt.Errorf("features: pipeline parts have no attribute-importance model")

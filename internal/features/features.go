@@ -17,7 +17,9 @@ package features
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"hydra/internal/attr"
@@ -56,6 +58,31 @@ type Config struct {
 	// Epsilon is the attribute-importance smoothing constant ε of Eqn 3.
 	Epsilon float64
 	Seed    int64
+}
+
+// validate reports a configuration under which pair vectors could not be
+// computed as configured. Both pipeline constructors call it, so a
+// damaged config — one field of a bundle is enough — is refused when the
+// pipeline is built instead of silently serving the dimensions it
+// breaks as unobserved.
+func (cfg Config) validate() error {
+	if len(cfg.ScalesDays) == 0 {
+		return fmt.Errorf("features: no temporal scales configured")
+	}
+	for _, days := range cfg.ScalesDays {
+		if err := temporal.ValidDays(days); err != nil {
+			return fmt.Errorf("features: bucket scale: %w", err)
+		}
+	}
+	for _, k := range cfg.StyleKs {
+		if k <= 0 {
+			return fmt.Errorf("features: style model over the %d most unique words", k)
+		}
+	}
+	if err := cfg.MR.Validate(); err != nil {
+		return fmt.Errorf("features: %w", err)
+	}
+	return nil
 }
 
 // DefaultConfig returns the paper-faithful configuration.
@@ -102,8 +129,8 @@ type Lexicons struct {
 // NewPipeline trains the pipeline: attribute importance from the labeled
 // pairs, LDA on the dataset's post corpus, and lexicon models from lx.
 func NewPipeline(ds *platform.Dataset, labeled []attr.LabeledPair, lx Lexicons, cfg Config) (*Pipeline, error) {
-	if len(cfg.ScalesDays) == 0 {
-		return nil, fmt.Errorf("features: no temporal scales configured")
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	imp, err := attr.LearnImportance(labeled, platform.MatchAttrs, cfg.Epsilon)
 	if err != nil {
@@ -238,6 +265,15 @@ func (p *Pipeline) Importance() *attr.Importance { return p.importance }
 
 // AccountView is the per-account preprocessed state: per-post distributions,
 // unique words, and the behavior embedding used by structure consistency.
+//
+// A view is immutable after construction (BuildView or RestoreView):
+// views are shared by concurrent pair computations, and the first pair a
+// view takes part in derives further state from its fields and caches it
+// on the view, so a later write to any field — or to the events of Acc —
+// would be both a data race and silently ignored. A view belongs to one
+// pipeline: the derived state depends on that pipeline's span and
+// scales, and pairing the view under a pipeline that differs in either
+// rebuilds it.
 type AccountView struct {
 	Acc        *platform.Account
 	PostTimes  []time.Time
@@ -250,6 +286,56 @@ type AccountView struct {
 	// aggregated topic, genre and sentiment distributions — used by the
 	// structure-consistency affinities (Eqn 9).
 	Embedding linalg.Vector
+
+	// derived is everything Pair needs that is a function of this account
+	// alone, built on the first pair (see Pipeline.derive).
+	derived atomic.Pointer[derivedState]
+}
+
+// derivedState is the per-account half of a pair vector: the steps of
+// Figure 5 and Figure 6 that depend on one user only, and that Pair once
+// redid for every partner. It is deliberately small — every account a
+// server has paired keeps one — and immutable; it lives and dies with
+// its view.
+type derivedState struct {
+	// pipe is the pipeline the state was built under; see reusableUnder.
+	pipe *Pipeline
+	// posts lays PostTimes out for bucketing at every scale.
+	posts temporal.Timeline
+	// events is Acc.Events as the sensors scan them.
+	events temporal.Stream
+}
+
+// derive returns v's derived state under p, building it on first use and
+// again if the view was last paired under a pipeline with another span or
+// other scales. Concurrent first touches race benignly, as
+// MappedBundle.View's do: the build is deterministic, every racer's
+// result is interchangeable, and the CAS keeps one.
+func (p *Pipeline) derive(v *AccountView) *derivedState {
+	for {
+		d := v.derived.Load()
+		if d != nil && d.reusableUnder(p) {
+			return d
+		}
+		fresh := &derivedState{
+			pipe:   p,
+			posts:  temporal.NewTimeline(p.span, p.cfg.ScalesDays, v.PostTimes),
+			events: temporal.NewStream(v.Acc.Events),
+		}
+		if v.derived.CompareAndSwap(d, fresh) {
+			return fresh
+		}
+	}
+}
+
+// reusableUnder reports whether p would derive the same state: the
+// timeline depends on the span and the bucket scales, and nothing else in
+// it on the pipeline. Two pipelines restored from one bundle — an engine's
+// and a diagnostic tool's, say — therefore share their views' state.
+func (d *derivedState) reusableUnder(p *Pipeline) bool {
+	q := d.pipe
+	return q == p || q.span.Start.Equal(p.span.Start) && q.span.End.Equal(p.span.End) &&
+		slices.Equal(q.cfg.ScalesDays, p.cfg.ScalesDays)
 }
 
 // tokDoc is one tokenized post with its vocabulary ids.
@@ -375,18 +461,30 @@ func (pv PairVector) ObservedFraction() float64 {
 
 // Pair computes the full heterogeneous similarity vector between two
 // account views (accounts must be on different platforms; the method does
-// not enforce it).
+// not enforce it). It is PairInto with storage the caller owns.
 func (p *Pipeline) Pair(a, b *AccountView) PairVector {
+	pv := PairVector{X: linalg.NewVector(p.Dim()), Mask: make([]bool, p.Dim())}
+	p.PairInto(a, b, pv.X, pv.Mask)
+	return pv
+}
+
+// PairInto writes the pair vector of a and b into x and mask, both of
+// length Dim; whatever they held is overwritten. Everything that depends
+// on one account only is read from the views' derived state, so once
+// both views have been paired before, a call allocates nothing.
+func (p *Pipeline) PairInto(a, b *AccountView, x linalg.Vector, mask []bool) {
 	dim := p.Dim()
-	x := linalg.NewVector(dim)
-	mask := make([]bool, dim)
+	if len(x) != dim || len(mask) != dim {
+		panic(fmt.Sprintf("features: PairInto into %d values and %d mask entries, pipeline has %d dims", len(x), len(mask), dim))
+	}
+	da, db := p.derive(a), p.derive(b)
+	clear(x)
+	clear(mask)
 	idx := 0
 
 	// 1. Attributes.
-	av, am := p.importance.PairFeatures(&a.Acc.Profile, &b.Acc.Profile)
-	copy(x[idx:], av)
-	copy(mask[idx:], am)
-	idx += len(av)
+	p.importance.PairFeaturesInto(&a.Acc.Profile, &b.Acc.Profile, x, mask)
+	idx += len(p.importance.Attrs)
 
 	// 2. Face.
 	if score, ok := p.faces.Match(a.Acc.Profile.AvatarID, b.Acc.Profile.AvatarID); ok {
@@ -404,66 +502,39 @@ func (p *Pipeline) Pair(a, b *AccountView) PairVector {
 	mask[idx] = true
 	idx++
 
-	// 4-6. Multi-scale distribution similarities.
-	idx = p.multiScale(x, mask, idx, a.PostTimes, a.TopicDists, b.PostTimes, b.TopicDists)
-	idx = p.multiScale(x, mask, idx, a.PostTimes, a.GenreDists, b.PostTimes, b.GenreDists)
-	idx = p.multiScale(x, mask, idx, a.PostTimes, a.SentDists, b.PostTimes, b.SentDists)
+	// 4-6. Multi-scale distribution similarities. A family whose length
+	// disagrees with PostTimes on either side comes back unobserved.
+	famsA := [...][]linalg.Vector{a.TopicDists, a.GenreDists, a.SentDists}
+	famsB := [...][]linalg.Vector{b.TopicDists, b.GenreDists, b.SentDists}
+	da.posts.SimilarityInto(&db.posts, famsA[:], famsB[:], p.topicSim, x[idx:], mask[idx:])
+	idx += len(famsA) * len(p.cfg.ScalesDays)
 
 	// 7. Style: S_lea = #matched / k for k in StyleKs (Eqn 4). Missing when
 	// either account has no unique words at all (no posts).
 	for _, k := range p.cfg.StyleKs {
-		if len(a.Unique) == 0 || len(b.Unique) == 0 {
-			idx++
-			continue
+		if len(a.Unique) > 0 && len(b.Unique) > 0 {
+			x[idx] = styleSim(a.Unique, b.Unique, k)
+			mask[idx] = true
 		}
-		x[idx] = styleSim(a.Unique, b.Unique, k)
-		mask[idx] = true
 		idx++
 	}
 
 	// 8. Multi-resolution behavior matching.
-	mr, mrMask, err := temporal.MultiResolutionMatch(p.sensors, p.cfg.MR, a.Acc.Events, b.Acc.Events)
-	if err == nil {
-		copy(x[idx:], mr)
-		copy(mask[idx:], mrMask)
-	}
+	p.cfg.MR.MatchInto(p.sensors, da.events, db.events, x[idx:], mask[idx:])
 	idx += len(p.sensors) * len(p.cfg.MR.WindowsDays)
 
 	if idx != dim {
 		panic(fmt.Sprintf("features: assembled %d dims, expected %d", idx, dim))
 	}
-	return PairVector{X: x, Mask: mask}
 }
 
-// multiScale writes the per-scale similarity features starting at idx and
-// returns the next index.
-func (p *Pipeline) multiScale(x linalg.Vector, mask []bool, idx int,
-	ta []time.Time, da []linalg.Vector, tb []time.Time, db []linalg.Vector) int {
-
-	vec, m, err := temporal.MultiScaleSimilarity(p.span, p.cfg.ScalesDays, ta, da, tb, db, p.topicSim)
-	if err == nil {
-		copy(x[idx:], vec)
-		copy(mask[idx:], m)
-	}
-	return idx + len(p.cfg.ScalesDays)
-}
-
-// styleSim computes Eqn 4 over the k most unique words of each side.
+// styleSim computes Eqn 4 over the k most unique words of each side: how
+// many of B's are among A's, over k.
 func styleSim(ua, ub []string, k int) float64 {
-	ka, kb := k, k
-	if ka > len(ua) {
-		ka = len(ua)
-	}
-	if kb > len(ub) {
-		kb = len(ub)
-	}
-	set := make(map[string]bool, ka)
-	for _, w := range ua[:ka] {
-		set[w] = true
-	}
+	ua, ub = ua[:min(k, len(ua))], ub[:min(k, len(ub))]
 	matched := 0
-	for _, w := range ub[:kb] {
-		if set[w] {
+	for _, w := range ub {
+		if slices.Contains(ua, w) {
 			matched++
 		}
 	}

@@ -10,7 +10,7 @@ import (
 )
 
 // worldAndPipeline builds a small synthetic world and a trained pipeline.
-func worldAndPipeline(t *testing.T, persons int, seed int64) (*synth.World, *Pipeline) {
+func worldAndPipeline(t testing.TB, persons int, seed int64) (*synth.World, *Pipeline) {
 	t.Helper()
 	w, err := synth.Generate(synth.DefaultConfig(persons, platform.EnglishPlatforms, seed))
 	if err != nil {

@@ -53,6 +53,10 @@ func FuzzReadBundle(f *testing.F) {
 		if err := WriteBundle(&buf, b); err != nil {
 			t.Fatalf("accepted bundle does not re-serialize: %v", err)
 		}
+		// What every caller does next. A header the reader let through
+		// may still carry a feature config no pipeline can run; the store
+		// must refuse it with an error.
+		_, _ = b.Store()
 	})
 }
 
@@ -85,6 +89,7 @@ func FuzzOpenBundleMapped(f *testing.F) {
 			_ = sd.Validate()
 		}
 		_ = mb.Stats()
+		_, _ = mb.Store() // as in FuzzReadBundle: refuse, never panic
 		mb.Close()
 	})
 }

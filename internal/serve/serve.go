@@ -106,10 +106,13 @@ const prescreenMinSlack = 8
 const prescreenRescoreChunk = 16
 
 // DefaultPairCacheEntries bounds the store's pair-vector cache in a
-// serving process (≈ a few hundred bytes per entry; this cap keeps a
-// long-lived server around ~100 MB of cache even under an adversarial
-// query sweep of the full pair space).
-const DefaultPairCacheEntries = 1 << 18
+// serving process (≈ 500 bytes per entry; this cap keeps a long-lived
+// server around 35 MB of cache even under an adversarial query sweep of
+// the full pair space). An entry saves one features.Pair, some 15 µs
+// between views that have been paired before, so the cache earns its
+// memory on a working set that fits and only costs it — the entries and
+// the garbage their eviction leaves — on one that does not.
+const DefaultPairCacheEntries = 1 << 16
 
 // NewEngineFromBundle serves a bundle already decoded in memory: every
 // view is restored up front and the candidate indexes are built from the

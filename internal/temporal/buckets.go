@@ -5,7 +5,11 @@
 package temporal
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
+	"sync"
 	"time"
 
 	"hydra/internal/linalg"
@@ -17,6 +21,15 @@ const Day = 24 * time.Hour
 // DefaultScalesDays are the bucket scales of Section 5.2: "we use 1, 2, 4,
 // 8, 16 and 32 days in this paper to guarantee the optimal performance".
 var DefaultScalesDays = []int{1, 2, 4, 8, 16, 32}
+
+// ValidDays reports a scale or window length that is not a positive
+// number of days a time.Duration can hold.
+func ValidDays(days int) error {
+	if days <= 0 || days > int(math.MaxInt64/Day) {
+		return fmt.Errorf("%d days is outside 1..%d", days, int(math.MaxInt64/Day))
+	}
+	return nil
+}
 
 // Stamped is any event carrying a timestamp.
 type Stamped interface {
@@ -51,110 +64,163 @@ func (r Range) NumBuckets(scale time.Duration) int {
 // BucketOf returns the bucket index of t within r at the given scale, or
 // -1 if t lies outside r.
 func (r Range) BucketOf(t time.Time, scale time.Duration) int {
-	if t.Before(r.Start) || !t.Before(r.End) {
+	if !r.Contains(t) {
 		return -1
 	}
 	return int(t.Sub(r.Start) / scale)
 }
 
-// DistSeries is a sequence of per-bucket probability distributions at one
-// temporal scale. Buckets with no events hold a nil vector ("missing"), not
-// a zero distribution: HYDRA distinguishes absent behavior from observed
-// neutral behavior.
-type DistSeries struct {
-	Scale   time.Duration
-	Buckets []linalg.Vector
+// Contains reports whether t lies within r.
+func (r Range) Contains(t time.Time) bool { return !t.Before(r.Start) && t.Before(r.End) }
+
+// Timeline is one account's observation times laid out for bucketing at
+// every scale — the per-user half of Figure 5's time-bucket division,
+// which depends on nothing but the account and is therefore built once
+// per account, not once per partner. It holds no distributions: the
+// bucket means are cheap to form once the grouping is known, and an
+// account's means at six scales would outweigh the observations
+// themselves several times over, in every account a server has ever
+// paired. Immutable once built.
+type Timeline struct {
+	scalesDays []int
+	// at[i] is observation i's offset into the range in nanoseconds, for
+	// the observations that fall inside it.
+	at []int64
+	// order[s*m:(s+1)*m], m = len(order)/len(scalesDays), lists the
+	// observations inside the range grouped by their bucket at scale s in
+	// ascending bucket order, and in observation order within a bucket —
+	// the order their distributions are summed in.
+	order []int32
 }
 
-// AggregateDistributions groups the (timestamp, distribution) observations
-// into buckets of the given scale over range r and averages the
-// distributions within each bucket — the aggregation step of Figure 5.
-func AggregateDistributions(r Range, scale time.Duration, times []time.Time, dists []linalg.Vector) (DistSeries, error) {
-	if len(times) != len(dists) {
-		return DistSeries{}, fmt.Errorf("temporal: %d times but %d distributions", len(times), len(dists))
-	}
-	n := r.NumBuckets(scale)
-	out := DistSeries{Scale: scale, Buckets: make([]linalg.Vector, n)}
-	counts := make([]int, n)
+// NewTimeline lays out the observation times over range r for the bucket
+// scales scalesDays (each a positive number of days, see ValidDays).
+// Observations outside r belong to no bucket.
+func NewTimeline(r Range, scalesDays []int, times []time.Time) Timeline {
+	tl := Timeline{scalesDays: scalesDays, at: make([]int64, len(times))}
+	inside := make([]int32, 0, len(times))
 	for i, t := range times {
-		b := r.BucketOf(t, scale)
-		if b < 0 {
-			continue
-		}
-		if out.Buckets[b] == nil {
-			out.Buckets[b] = linalg.NewVector(len(dists[i]))
-		}
-		out.Buckets[b].AddScaled(1, dists[i])
-		counts[b]++
-	}
-	for b, c := range counts {
-		if c > 0 {
-			out.Buckets[b].Scale(1 / float64(c))
+		if r.Contains(t) {
+			tl.at[i] = int64(t.Sub(r.Start))
+			inside = append(inside, int32(i))
 		}
 	}
-	return out, nil
+	tl.order = make([]int32, 0, len(scalesDays)*len(inside))
+	buckets := make([]int64, len(times))
+	for _, days := range scalesDays {
+		scale := int64(days) * int64(Day)
+		for _, i := range inside {
+			buckets[i] = tl.at[i] / scale // = r.BucketOf(times[i], scale)
+		}
+		group := append(tl.order[len(tl.order):], inside...)
+		slices.SortStableFunc(group, func(x, y int32) int { return cmp.Compare(buckets[x], buckets[y]) })
+		tl.order = tl.order[:len(tl.order)+len(group)]
+	}
+	return tl
 }
 
 // Similarity is a pairwise similarity between two distributions (e.g. a
 // chi-square or histogram-intersection kernel evaluation).
 type Similarity func(a, b linalg.Vector) float64
 
-// SeriesSimilarity computes the average per-bucket similarity between two
-// DistSeries of the same scale — "the similarity of topic evolution of a
-// specific scale between two users can be simply calculated by averaging
-// over the similarities of all temporal intervals" (Section 5.2).
+// meanScratch is the distribution length up to which bucket means are
+// formed in recycled scratch.
+const meanScratch = 64
+
+// meanPool recycles that scratch, one buffer per user. The means are
+// handed to a Similarity — an indirect call, which the compiler must
+// assume retains its arguments — so they cannot live on the stack, and a
+// Timeline is shared by concurrent comparisons, so not on it either.
+var meanPool = sync.Pool{New: func() any { return new([2][meanScratch]float64) }}
+
+// SimilarityInto compares two users' distribution series scale by scale,
+// one family of distributions (topic, genre, sentiment, ...) after the
+// other: famsA[f][i] is user A's family-f distribution at the i-th
+// timestamp a was laid out from, likewise famsB and b, and both timelines
+// must share range and scales. Distributions are averaged within each
+// bucket — the aggregation step of Figure 5, accumulated in observation
+// order and scaled by 1/count — and "the similarity of topic evolution of
+// a specific scale between two users can be simply calculated by
+// averaging over the similarities of all temporal intervals"; "all the
+// similarities calculated using different time scales are concatenated
+// into a similarity vector" (Section 5.2).
 //
-// The second return value is the fraction of buckets where both users had
-// observations; if no bucket overlaps, ok is false and callers must treat
-// the feature as missing.
-func SeriesSimilarity(a, b DistSeries, sim Similarity) (value float64, coverage float64, ok bool) {
-	n := len(a.Buckets)
-	if len(b.Buckets) < n {
-		n = len(b.Buckets)
+// x and mask are overwritten, family-major: family f at scale s is entry
+// f*len(scales)+s. It is observed when at least one bucket holds
+// observations of both users, and missing (zero, mask false) otherwise —
+// as is every scale of a family whose length differs from its timeline's
+// on either side. Buckets are visited in ascending order, so each average
+// is summed in the order a bucket-by-bucket walk would sum it.
+func (a *Timeline) SimilarityInto(b *Timeline, famsA, famsB [][]linalg.Vector, sim Similarity, x []float64, mask []bool) {
+	scales := len(a.scalesDays)
+	clear(x[:len(famsA)*scales])
+	clear(mask[:len(famsA)*scales])
+	if scales == 0 {
+		return
 	}
-	if n == 0 {
-		return 0, 0, false
-	}
-	var total float64
-	matched := 0
-	for i := 0; i < n; i++ {
-		if a.Buckets[i] == nil || b.Buckets[i] == nil {
+	usable := func(f int) bool { return len(famsA[f]) == len(a.at) && len(famsB[f]) == len(b.at) }
+	scratch := meanPool.Get().(*[2][meanScratch]float64)
+	defer meanPool.Put(scratch)
+	bufA, bufB := &scratch[0], &scratch[1]
+	ma, mb := len(a.order)/scales, len(b.order)/scales
+	for si, days := range a.scalesDays {
+		scale := int64(days) * int64(Day)
+		oa, ob := a.order[si*ma:][:ma], b.order[si*mb:][:mb]
+		matched := 0
+		for len(oa) > 0 && len(ob) > 0 {
+			ba, bb := a.at[oa[0]]/scale, b.at[ob[0]]/scale
+			switch {
+			case ba < bb:
+				oa = oa[a.run(oa, ba*scale, scale):]
+			case ba > bb:
+				ob = ob[b.run(ob, bb*scale, scale):]
+			default:
+				na, nb := a.run(oa, ba*scale, scale), b.run(ob, bb*scale, scale)
+				for f := range famsA {
+					if usable(f) {
+						x[f*scales+si] += sim(meanInto(bufA, famsA[f], oa[:na]), meanInto(bufB, famsB[f], ob[:nb]))
+					}
+				}
+				matched++
+				oa, ob = oa[na:], ob[nb:]
+			}
+		}
+		if matched == 0 {
 			continue
 		}
-		total += sim(a.Buckets[i], b.Buckets[i])
-		matched++
+		for f := range famsA {
+			if usable(f) {
+				x[f*scales+si] /= float64(matched)
+				mask[f*scales+si] = true
+			}
+		}
 	}
-	if matched == 0 {
-		return 0, 0, false
-	}
-	return total / float64(matched), float64(matched) / float64(n), true
 }
 
-// MultiScaleSimilarity evaluates SeriesSimilarity at every scale in
-// scalesDays and concatenates the results into a similarity vector — "all
-// the similarities calculated using different time scales are concatenated
-// into a similarity vector". The returned mask marks which entries are
-// observed (true) versus missing (false).
-func MultiScaleSimilarity(r Range, scalesDays []int, timesA []time.Time, distsA []linalg.Vector,
-	timesB []time.Time, distsB []linalg.Vector, sim Similarity) (vec linalg.Vector, mask []bool, err error) {
-
-	vec = linalg.NewVector(len(scalesDays))
-	mask = make([]bool, len(scalesDays))
-	for si, days := range scalesDays {
-		scale := time.Duration(days) * Day
-		sa, err := AggregateDistributions(r, scale, timesA, distsA)
-		if err != nil {
-			return nil, nil, err
-		}
-		sb, err := AggregateDistributions(r, scale, timesB, distsB)
-		if err != nil {
-			return nil, nil, err
-		}
-		v, _, ok := SeriesSimilarity(sa, sb, sim)
-		if ok {
-			vec[si] = v
-			mask[si] = true
-		}
+// run returns how many leading observations of group (one scale's, from
+// the first observation of a bucket on) fall into that bucket, which
+// begins at offset start.
+func (tl *Timeline) run(group []int32, start, scale int64) int {
+	n := 1
+	for n < len(group) && tl.at[group[n]]-start < scale {
+		n++
 	}
-	return vec, mask, nil
+	return n
+}
+
+// meanInto averages the distributions of one bucket's observations, in
+// buf when they fit.
+func meanInto(buf *[meanScratch]float64, dists []linalg.Vector, bucket []int32) linalg.Vector {
+	first := dists[bucket[0]]
+	var mean linalg.Vector
+	if len(first) <= len(buf) {
+		mean = buf[:len(first)]
+		clear(mean)
+	} else {
+		mean = linalg.NewVector(len(first))
+	}
+	for _, i := range bucket {
+		mean.AddScaled(1, dists[i])
+	}
+	return mean.Scale(1 / float64(len(bucket)))
 }

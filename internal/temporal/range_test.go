@@ -1,6 +1,10 @@
 package temporal
 
 import (
+	"math"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -55,24 +59,24 @@ func TestBucketBoundaries(t *testing.T) {
 }
 
 func TestSeriesSimilarityShorterSeries(t *testing.T) {
-	// Mismatched bucket counts: only the shared prefix is compared.
-	a := DistSeries{Buckets: []linalg.Vector{{1, 0}, {0, 1}, {1, 0}}}
-	b := DistSeries{Buckets: []linalg.Vector{{1, 0}}}
-	v, cov, ok := SeriesSimilarity(a, b, dot)
-	if !ok || v != 1 || cov != 1 {
-		t.Fatalf("prefix comparison wrong: v=%v cov=%v ok=%v", v, cov, ok)
+	// Series laid out over ranges of different length: only the shared
+	// prefix of buckets can overlap.
+	long := Range{Start: t0, End: t0.Add(3 * Day)}
+	short := Range{Start: t0, End: t0.Add(Day)}
+	a := newDaily(long, linalg.Vector{1, 0}, linalg.Vector{0, 1}, linalg.Vector{1, 0})
+	b := newDaily(short, linalg.Vector{1, 0}, linalg.Vector{0, 1})
+	if v, ok := similarity(a, b); !ok || v != 1 {
+		t.Fatalf("prefix comparison wrong: v=%v ok=%v", v, ok)
 	}
 }
 
 func TestMultiScaleSimilarityAllMissing(t *testing.T) {
 	r := Range{Start: t0, End: t0.Add(30 * Day)}
 	// User B has no posts: every scale must be missing.
-	timesA := []time.Time{t0.Add(Day)}
-	distsA := []linalg.Vector{{1, 0}}
-	vec, mask, err := MultiScaleSimilarity(r, []int{1, 8, 32}, timesA, distsA, nil, nil, dot)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := NewTimeline(r, []int{1, 8, 32}, []time.Time{t0.Add(Day)})
+	b := NewTimeline(r, []int{1, 8, 32}, nil)
+	vec, mask := []float64{9, 9, 9}, []bool{true, true, true}
+	a.SimilarityInto(&b, [][]linalg.Vector{{{1, 0}}}, [][]linalg.Vector{nil}, dot, vec, mask)
 	for i := range mask {
 		if mask[i] || vec[i] != 0 {
 			t.Fatal("empty counterpart must yield all-missing features")
@@ -92,8 +96,8 @@ func TestScanWindowsOrderingIndependence(t *testing.T) {
 		{Time: t0.Add(3 * Day), MediaID: 5},
 	}
 	other := []Event{{Time: t0.Add(Day + time.Hour), MediaID: 4}}
-	a := s.Match(append([]Event(nil), evs1...), append([]Event(nil), other...), 2*Day)
-	b := s.Match(append([]Event(nil), evs2...), append([]Event(nil), other...), 2*Day)
+	a := sensorSignals(s, append([]Event(nil), evs1...), append([]Event(nil), other...), 2*Day)
+	b := sensorSignals(s, append([]Event(nil), evs2...), append([]Event(nil), other...), 2*Day)
 	if len(a) != len(b) {
 		t.Fatalf("order dependence: %v vs %v", a, b)
 	}
@@ -109,7 +113,7 @@ func TestLocationSensorDefaultSigma(t *testing.T) {
 	s := LocationSensor{SigmaKm: 0}
 	a := []Event{{Time: t0.Add(Day), Lat: 10, Lon: 10}}
 	b := []Event{{Time: t0.Add(Day), Lat: 10, Lon: 10}}
-	signals := s.Match(a, b, 2*Day)
+	signals := sensorSignals(s, a, b, 2*Day)
 	if len(signals) != 1 || signals[0] < 0.99 {
 		t.Fatalf("default-sigma signal = %v", signals)
 	}
@@ -120,10 +124,93 @@ func TestMediaSensorIgnoresLocationEvents(t *testing.T) {
 	// Media events must not contribute to location matching.
 	a := []Event{{Time: t0.Add(Day), MediaID: 9}}
 	b := []Event{{Time: t0.Add(Day), Lat: 1, Lon: 1}}
-	signals := s.Match(a, b, 2*Day)
+	signals := sensorSignals(s, a, b, 2*Day)
 	// Window has both users active but no location pair on side A: the
 	// max over an empty set is 0 — a zero-stimulation signal.
 	if len(signals) != 1 || signals[0] != 0 {
 		t.Fatalf("signals = %v", signals)
+	}
+}
+
+// steppedWindows is the scan as Figure 6 draws it: step a tumbling window
+// from the first event to the last, one window at a time, and report the
+// event counts of every window in which both users were active.
+func steppedWindows(a, b []Event, window time.Duration) [][2]int {
+	a, b = append([]Event(nil), a...), append([]Event(nil), b...)
+	for _, evs := range [][]Event{a, b} {
+		sort.SliceStable(evs, func(i, j int) bool { return evs[i].Time.Before(evs[j].Time) })
+	}
+	start, end := a[0].Time, a[len(a)-1].Time
+	if b[0].Time.Before(start) {
+		start = b[0].Time
+	}
+	if b[len(b)-1].Time.After(end) {
+		end = b[len(b)-1].Time
+	}
+	var out [][2]int
+	for t := start; !t.After(end); t = t.Add(window) {
+		var n [2]int
+		for side, evs := range [][]Event{a, b} {
+			for _, e := range evs {
+				if !e.Time.Before(t) && e.Time.Before(t.Add(window)) {
+					n[side]++
+				}
+			}
+		}
+		if n[0] > 0 && n[1] > 0 {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
+// TestWindowScanJumpsLikeStepping: jumping from one event-bearing window
+// to the next yields exactly the windows a step-by-step walk yields.
+func TestWindowScanJumpsLikeStepping(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		mk := func() []Event {
+			evs := make([]Event, 1+rng.Intn(12))
+			for i := range evs {
+				// Whole and fractional days, clustered and far apart, with ties.
+				evs[i].Time = t0.Add(time.Duration(rng.Intn(40))*Day/2 + time.Duration(rng.Intn(3))*time.Duration(rng.Intn(400))*Day)
+			}
+			return evs
+		}
+		a, b := mk(), mk()
+		window := time.Duration(1+rng.Intn(9)) * Day
+		var got [][2]int
+		ws := newWindowScan(NewStream(a), NewStream(b), window)
+		for ea, eb, ok := ws.next(); ok; ea, eb, ok = ws.next() {
+			got = append(got, [2]int{len(ea), len(eb)})
+		}
+		if want := steppedWindows(a, b, window); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d, %v windows: jumped %v, stepped %v", trial, window, got, want)
+		}
+	}
+}
+
+// TestWindowScanExtremeStamps: stamps at both ends of the int64 range —
+// a hostile bundle can carry any — neither hang nor crash the scan, and
+// every event is still read exactly once.
+func TestWindowScanExtremeStamps(t *testing.T) {
+	at := func(ns int64) Event { return Event{Time: time.Unix(0, ns), MediaID: 1} }
+	a := NewStream([]Event{at(math.MinInt64), at(-1), at(math.MaxInt64 - 1)})
+	b := NewStream([]Event{at(math.MinInt64 + 5), at(0), at(math.MaxInt64)})
+	for _, window := range []time.Duration{1, Day, math.MaxInt64} {
+		var na, nb int
+		ws := newWindowScan(a, b, window)
+		for ea, eb, ok := ws.next(); ok; ea, eb, ok = ws.next() {
+			na, nb = na+len(ea), nb+len(eb)
+		}
+		// In a 1 ns window every event sits alone; in the wider ones each
+		// event has the other user's neighbour for company.
+		want := 3
+		if window == 1 {
+			want = 0
+		}
+		if na != want || nb != want {
+			t.Fatalf("window %v: read %d and %d events in shared windows, want %d each", window, na, nb, want)
+		}
 	}
 }

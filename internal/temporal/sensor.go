@@ -5,8 +5,6 @@ import (
 	"math"
 	"sort"
 	"time"
-
-	"hydra/internal/linalg"
 )
 
 // Event is a timestamped behavioral observation fed to pattern-matching
@@ -22,56 +20,102 @@ type Event struct {
 // When implements Stamped.
 func (e Event) When() time.Time { return e.Time }
 
-// Sensor detects matched behavior patterns between two users' event streams
-// within a temporal search window. Match returns per-window stimulation
-// signals in [0,1]; the slice may be empty when no window holds events from
-// both streams.
+// Stream is one account's event stream prepared for window scans — the
+// per-user half of Figure 6: the events in chronological order, stamped
+// in int64 nanoseconds, with the per-event terms the sensors would
+// otherwise recompute against every partner. It is a copy: the caller's
+// slice is shared across concurrent pair computations and is never
+// sorted in place. Immutable once built.
+type Stream []streamEvent
+
+// streamEvent is one Event as the scan reads it.
+type streamEvent struct {
+	// ns is Event.Time.UnixNano() — the same representation (and the same
+	// 1678–2262 range) as the bundle format stores event times in.
+	ns       int64
+	lat, lon float64
+	cosLat   float64 // math.Cos of the latitude in radians (location events)
+	media    uint64
+}
+
+// NewStream prepares evs. Events already in time order keep their order;
+// otherwise a copy is sorted with sort.Slice, whose placement of
+// equal-timestamp events decides which of them meet in a window and is
+// therefore part of every pair vector ever computed.
+func NewStream(evs []Event) Stream {
+	sorted := true
+	for i := 1; i < len(evs); i++ {
+		if evs[i].Time.Before(evs[i-1].Time) {
+			sorted = false
+			break
+		}
+	}
+	if !sorted {
+		evs = append([]Event(nil), evs...)
+		sort.Slice(evs, func(i, j int) bool { return evs[i].Time.Before(evs[j].Time) })
+	}
+	st := make(Stream, len(evs))
+	for i, e := range evs {
+		st[i] = streamEvent{ns: e.Time.UnixNano(), lat: e.Lat, lon: e.Lon, media: e.MediaID}
+		if e.MediaID == 0 {
+			st[i].cosLat = math.Cos(toRad(e.Lat))
+		}
+	}
+	return st
+}
+
+// Sensor detects matched behavior patterns between two users' event
+// streams within a temporal search window: one stimulation signal per
+// window in which both users were active.
 type Sensor interface {
-	// Name identifies the sensor (one similarity-vector dimension each).
+	// Name identifies the sensor (one similarity-vector dimension per
+	// sensor and window).
 	Name() string
-	// Match scans both event streams with the given temporal search window
-	// and returns one stimulation signal per window where both users were
-	// active.
-	Match(a, b []Event, window time.Duration) []float64
+	// stimulate returns the sensor's signal in [0,1] for one window holding
+	// the events ea of one user and eb of the other (both non-empty), or a
+	// negative value when the window holds nothing this sensor reads on
+	// one of the sides.
+	stimulate(ea, eb Stream) float64
 }
 
 // LocationSensor is the paper's location matching sensor: "calculates
 // location adjacency by a Gaussian kernel on geo-coordinates of user i and
 // user i′ within the predefined spatial range".
 type LocationSensor struct {
-	// SigmaKm is the Gaussian bandwidth over great-circle distance in km.
+	// SigmaKm is the Gaussian bandwidth over great-circle distance in km
+	// (≤ 0 selects the default of 5).
 	SigmaKm float64
 }
 
 // Name implements Sensor.
 func (s LocationSensor) Name() string { return "location" }
 
-// Match implements Sensor. Within each window the stimulation is the
-// maximum Gaussian location adjacency over all cross pairs of check-ins.
-func (s LocationSensor) Match(a, b []Event, window time.Duration) []float64 {
+// stimulate implements Sensor: the maximum Gaussian location adjacency
+// over all cross pairs of check-ins, 0 when a side has none.
+func (s LocationSensor) stimulate(ea, eb Stream) float64 {
 	sigma := s.SigmaKm
 	if sigma <= 0 {
 		sigma = 5
 	}
-	return scanWindows(a, b, window, func(ea, eb []Event) float64 {
-		best := 0.0
-		for _, x := range ea {
-			if x.MediaID != 0 {
+	best := 0.0
+	for i := range ea {
+		x := &ea[i]
+		if x.media != 0 {
+			continue
+		}
+		for j := range eb {
+			y := &eb[j]
+			if y.media != 0 {
 				continue
 			}
-			for _, y := range eb {
-				if y.MediaID != 0 {
-					continue
-				}
-				d := HaversineKm(x.Lat, x.Lon, y.Lat, y.Lon)
-				v := math.Exp(-d * d / (2 * sigma * sigma))
-				if v > best {
-					best = v
-				}
+			d := haversineKm(y.lat-x.lat, y.lon-x.lon, x.cosLat, y.cosLat)
+			v := math.Exp(-d * d / (2 * sigma * sigma))
+			if v > best {
+				best = v
 			}
 		}
-		return best
-	})
+	}
+	return best
 }
 
 // MediaSensor is the near-duplicate multimedia sensor: two events match when
@@ -82,146 +126,162 @@ type MediaSensor struct{}
 // Name implements Sensor.
 func (MediaSensor) Name() string { return "media" }
 
-// Match implements Sensor. The stimulation of a window is 1 if any media
-// fingerprint is shared, else 0; windows where either side has no media
-// events are skipped.
-func (MediaSensor) Match(a, b []Event, window time.Duration) []float64 {
-	return scanWindows(a, b, window, func(ea, eb []Event) float64 {
-		seen := make(map[uint64]bool)
-		hasA := false
-		for _, x := range ea {
-			if x.MediaID != 0 {
-				seen[x.MediaID] = true
-				hasA = true
-			}
-		}
-		if !hasA {
-			return -1 // no media on side A: window not applicable
-		}
-		hasB := false
-		for _, y := range eb {
-			if y.MediaID != 0 {
-				hasB = true
-				if seen[y.MediaID] {
-					return 1
-				}
-			}
-		}
-		if !hasB {
-			return -1
-		}
-		return 0
-	})
-}
-
-// scanWindows slides a tumbling window across the union time span of the
-// two streams and evaluates f on the events of each window. Windows where
-// either side is empty, or where f returns a negative sentinel, produce no
-// signal — that is the "missing information" the multi-resolution model is
-// designed to tolerate.
-func scanWindows(a, b []Event, window time.Duration, f func(ea, eb []Event) float64) []float64 {
-	if len(a) == 0 || len(b) == 0 || window <= 0 {
-		return nil
-	}
-	// Never sort the caller's slices in place: event streams are shared
-	// across concurrent pair computations. Streams are almost always
-	// already chronological, so the copy is rarely taken.
-	a = chronological(a)
-	b = chronological(b)
-	start := a[0].Time
-	if b[0].Time.Before(start) {
-		start = b[0].Time
-	}
-	end := a[len(a)-1].Time
-	if b[len(b)-1].Time.After(end) {
-		end = b[len(b)-1].Time
-	}
-	end = end.Add(time.Nanosecond) // make the last event inclusive
-
-	var signals []float64
-	ia, ib := 0, 0
-	for t := start; t.Before(end); t = t.Add(window) {
-		wEnd := t.Add(window)
-		ea := sliceWindow(a, &ia, wEnd)
-		eb := sliceWindow(b, &ib, wEnd)
-		if len(ea) == 0 || len(eb) == 0 {
-			continue
-		}
-		if v := f(ea, eb); v >= 0 {
-			signals = append(signals, v)
-		}
-	}
-	return signals
-}
-
-// chronological returns evs sorted by time, copying only when needed so
-// shared input slices are never mutated.
-func chronological(evs []Event) []Event {
-	sorted := true
-	for i := 1; i < len(evs); i++ {
-		if evs[i].Time.Before(evs[i-1].Time) {
-			sorted = false
+// stimulate implements Sensor: 1 if any media fingerprint is shared, else
+// 0; windows where either side has no media events do not apply.
+func (MediaSensor) stimulate(ea, eb Stream) float64 {
+	hasA := false
+	for i := range ea {
+		if ea[i].media != 0 {
+			hasA = true
 			break
 		}
 	}
-	if sorted {
-		return evs
+	if !hasA {
+		return -1
 	}
-	cp := append([]Event(nil), evs...)
-	sort.Slice(cp, func(i, j int) bool { return cp[i].Time.Before(cp[j].Time) })
-	return cp
+	hasB := false
+	for j := range eb {
+		id := eb[j].media
+		if id == 0 {
+			continue
+		}
+		hasB = true
+		for i := range ea {
+			if ea[i].media == id {
+				return 1
+			}
+		}
+	}
+	if !hasB {
+		return -1
+	}
+	return 0
 }
 
-// sliceWindow advances *idx past all events before wEnd and returns them.
-func sliceWindow(evs []Event, idx *int, wEnd time.Time) []Event {
-	lo := *idx
-	for *idx < len(evs) && evs[*idx].Time.Before(wEnd) {
-		*idx++
-	}
-	return evs[lo:*idx]
+// windowScan slides a tumbling window across the union time span of two
+// streams, starting at the earlier stream's first event, and yields the
+// events of every window in which both users were active. Windows where
+// either side is empty produce nothing — that is the "missing
+// information" the multi-resolution model is designed to tolerate — so
+// the scan jumps from one event-bearing window straight to the next
+// instead of stepping through the empty ones between them.
+type windowScan struct {
+	a, b   Stream
+	start  int64
+	window uint64
 }
+
+func newWindowScan(a, b Stream, window time.Duration) windowScan {
+	if len(a) == 0 || len(b) == 0 || window <= 0 {
+		return windowScan{}
+	}
+	return windowScan{a: a, b: b, start: min(a[0].ns, b[0].ns), window: uint64(window)}
+}
+
+// next returns the two sides of the next window holding events of both,
+// ok false once there is none.
+func (ws *windowScan) next() (ea, eb Stream, ok bool) {
+	for len(ws.a) > 0 && len(ws.b) > 0 {
+		// Offsets from start are taken in uint64, where the difference of
+		// any two int64 stamps is exact; last is the final nanosecond of
+		// the window holding the earliest unread event.
+		k := ws.since(min(ws.a[0].ns, ws.b[0].ns)) / ws.window
+		last := k*ws.window + (ws.window - 1)
+		if last < k*ws.window {
+			last = math.MaxUint64
+		}
+		ea, ws.a = ws.cut(ws.a, last)
+		eb, ws.b = ws.cut(ws.b, last)
+		if len(ea) > 0 && len(eb) > 0 {
+			return ea, eb, true
+		}
+	}
+	return nil, nil, false
+}
+
+func (ws *windowScan) since(ns int64) uint64 { return uint64(ns) - uint64(ws.start) }
+
+// cut splits st after its events up to offset last.
+func (ws *windowScan) cut(st Stream, last uint64) (in, rest Stream) {
+	n := 0
+	for n < len(st) && ws.since(st[n].ns) <= last {
+		n++
+	}
+	return st[:n], st[n:]
+}
+
+func toRad(deg float64) float64 { return deg * math.Pi / 180 }
 
 // HaversineKm returns the great-circle distance between two lat/lon points
 // in kilometers.
 func HaversineKm(lat1, lon1, lat2, lon2 float64) float64 {
+	return haversineKm(lat2-lat1, lon2-lon1, math.Cos(toRad(lat1)), math.Cos(toRad(lat2)))
+}
+
+// haversineKm is HaversineKm over the coordinate differences in degrees
+// and the cosines of the two latitudes, which depend on one point each.
+func haversineKm(dLatDeg, dLonDeg, cosLat1, cosLat2 float64) float64 {
 	const earthRadiusKm = 6371
-	toRad := func(deg float64) float64 { return deg * math.Pi / 180 }
-	dLat := toRad(lat2 - lat1)
-	dLon := toRad(lon2 - lon1)
-	h := math.Sin(dLat/2)*math.Sin(dLat/2) +
-		math.Cos(toRad(lat1))*math.Cos(toRad(lat2))*math.Sin(dLon/2)*math.Sin(dLon/2)
+	sinLat := math.Sin(toRad(dLatDeg) / 2)
+	sinLon := math.Sin(toRad(dLonDeg) / 2)
+	h := sinLat*sinLat + cosLat1*cosLat2*sinLon*sinLon
 	return 2 * earthRadiusKm * math.Asin(math.Min(1, math.Sqrt(h)))
+}
+
+// pool accumulates stimulation signals one at a time: Eqn 5's lq-norm
+// pooling S = (1/N · Σ s_iᵠ)^(1/q), or plain averaging (the ablation),
+// summed in arrival order without holding the signals.
+type pool struct {
+	q    float64
+	mean bool
+	acc  float64
+	n    int
+}
+
+func (p *pool) add(s float64) {
+	if p.mean {
+		p.acc += s
+	} else {
+		p.acc += math.Pow(s, p.q)
+	}
+	p.n++
+}
+
+// value returns the pooled signal, 0 over no signals.
+func (p *pool) value() float64 {
+	switch {
+	case p.n == 0:
+		return 0
+	case p.mean:
+		return p.acc / float64(p.n)
+	default:
+		return math.Pow(p.acc/float64(p.n), 1/p.q)
+	}
 }
 
 // LqPool aggregates stimulation signals with the lq-norm pooling of Eqn 5:
 // S = (1/N · Σ s_iᵠ)^(1/q). q → ∞ approaches max pooling; q must be ≥ 1.
 func LqPool(signals []float64, q float64) (float64, error) {
-	if q < 1 {
+	if !(q >= 1) {
 		return 0, fmt.Errorf("temporal: lq pooling requires q >= 1, got %g", q)
 	}
-	if len(signals) == 0 {
-		return 0, nil
-	}
-	var acc float64
+	p := pool{q: q}
 	for _, s := range signals {
 		if s < 0 {
 			return 0, fmt.Errorf("temporal: negative stimulation signal %g", s)
 		}
-		acc += math.Pow(s, q)
+		p.add(s)
 	}
-	return math.Pow(acc/float64(len(signals)), 1/q), nil
+	return p.value(), nil
 }
 
 // MeanPool is the ablation alternative to LqPool (plain averaging).
 func MeanPool(signals []float64) float64 {
-	if len(signals) == 0 {
-		return 0
-	}
-	var acc float64
+	p := pool{mean: true}
 	for _, s := range signals {
-		acc += s
+		p.add(s)
 	}
-	return acc / float64(len(signals))
+	return p.value()
 }
 
 // Sigmoid is the nonlinear transformation Ŝ = 1/(1+e^{-λS}) of Section 5.4.
@@ -247,37 +307,50 @@ func DefaultMultiResolutionConfig() MultiResolutionConfig {
 	return MultiResolutionConfig{WindowsDays: []int{1, 2, 4, 8, 16}, Q: 4, Lambda: 4}
 }
 
-// MultiResolutionMatch runs every sensor at every temporal window, pools the
-// stimulation signals (Eqn 5), applies the sigmoid, and returns the
-// multi-dimensional pattern-matching feature. mask[i] is false when sensor
-// i produced no signal at window j (missing information).
+// Validate reports a configuration the sensor bank cannot run: a window
+// that is not a positive, representable number of days, a pooling
+// exponent below 1 (unless mean pooling replaces it) or a non-finite
+// sigmoid steepness.
+func (cfg MultiResolutionConfig) Validate() error {
+	for _, days := range cfg.WindowsDays {
+		if err := ValidDays(days); err != nil {
+			return fmt.Errorf("temporal: search window: %w", err)
+		}
+	}
+	if !cfg.MeanPooling && !(cfg.Q >= 1) {
+		return fmt.Errorf("temporal: lq pooling requires q >= 1, got %g", cfg.Q)
+	}
+	if math.IsNaN(cfg.Lambda) || math.IsInf(cfg.Lambda, 0) {
+		return fmt.Errorf("temporal: sigmoid steepness %g is not finite", cfg.Lambda)
+	}
+	return nil
+}
+
+// MatchInto runs every sensor at every temporal window over two users'
+// streams, pools each run's stimulation signals (Eqn 5), applies the
+// sigmoid and writes the multi-dimensional pattern-matching feature:
+// x[i] and mask[i] are set where sensor and window produced a signal and
+// left alone where they produced none (missing information). cfg must
+// have passed Validate.
 //
 // The output layout is sensor-major: [s0w0, s0w1, ..., s1w0, ...].
-func MultiResolutionMatch(sensors []Sensor, cfg MultiResolutionConfig, a, b []Event) (linalg.Vector, []bool, error) {
+func (cfg MultiResolutionConfig) MatchInto(sensors []Sensor, a, b Stream, x []float64, mask []bool) {
 	nw := len(cfg.WindowsDays)
-	vec := linalg.NewVector(len(sensors) * nw)
-	mask := make([]bool, len(sensors)*nw)
 	for si, sensor := range sensors {
 		for wi, days := range cfg.WindowsDays {
-			window := time.Duration(days) * Day
-			signals := sensor.Match(a, b, window)
-			if len(signals) == 0 {
-				continue
-			}
-			var pooled float64
-			if cfg.MeanPooling {
-				pooled = MeanPool(signals)
-			} else {
-				var err error
-				pooled, err = LqPool(signals, cfg.Q)
-				if err != nil {
-					return nil, nil, err
+			p := pool{q: cfg.Q, mean: cfg.MeanPooling}
+			ws := newWindowScan(a, b, time.Duration(days)*Day)
+			for ea, eb, ok := ws.next(); ok; ea, eb, ok = ws.next() {
+				if v := sensor.stimulate(ea, eb); v >= 0 {
+					p.add(v)
 				}
 			}
+			if p.n == 0 {
+				continue
+			}
 			idx := si*nw + wi
-			vec[idx] = Sigmoid(pooled, cfg.Lambda)
+			x[idx] = Sigmoid(p.value(), cfg.Lambda)
 			mask[idx] = true
 		}
 	}
-	return vec, mask, nil
 }

@@ -45,69 +45,148 @@ func TestBucketOf(t *testing.T) {
 	}
 }
 
+func dot(a, b linalg.Vector) float64 { return a.Dot(b) }
+
+// bucketMeans expands one scale of an account's series into the dense
+// form the paper draws: one mean per bucket, nil where the bucket is
+// empty. It reads each mean back through SimilarityInto, as the dot
+// product with a probe holding a single unit observation in that bucket.
+func bucketMeans(r Range, days int, times []time.Time, dists []linalg.Vector) []linalg.Vector {
+	tl := NewTimeline(r, []int{days}, times)
+	scale := time.Duration(days) * Day
+	out := make([]linalg.Vector, r.NumBuckets(scale))
+	for bkt := range out {
+		at := []time.Time{r.Start.Add(time.Duration(bkt) * scale)}
+		probe := NewTimeline(r, []int{days}, at)
+		for d := range dists[0] {
+			unit := linalg.NewVector(len(dists[0]))
+			unit[d] = 1
+			x, mask := []float64{0}, []bool{false}
+			tl.SimilarityInto(&probe, [][]linalg.Vector{dists}, [][]linalg.Vector{{unit}}, dot, x, mask)
+			if mask[0] {
+				if out[bkt] == nil {
+					out[bkt] = linalg.NewVector(len(dists[0]))
+				}
+				out[bkt][d] = x[0]
+			}
+		}
+	}
+	return out
+}
+
 func TestAggregateDistributions(t *testing.T) {
 	r := r30()
 	times := []time.Time{t0.Add(Day), t0.Add(2 * Day), t0.Add(20 * Day)}
 	dists := []linalg.Vector{{1, 0}, {0, 1}, {1, 0}}
-	s, err := AggregateDistributions(r, 16*Day, times, dists)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Buckets) != 2 {
-		t.Fatalf("buckets = %d", len(s.Buckets))
+	buckets := bucketMeans(r, 16, times, dists)
+	if len(buckets) != 2 {
+		t.Fatalf("buckets = %d", len(buckets))
 	}
 	// First bucket averages two one-hot dists.
-	if math.Abs(s.Buckets[0][0]-0.5) > 1e-12 || math.Abs(s.Buckets[0][1]-0.5) > 1e-12 {
-		t.Fatalf("bucket0 = %v", s.Buckets[0])
+	if math.Abs(buckets[0][0]-0.5) > 1e-12 || math.Abs(buckets[0][1]-0.5) > 1e-12 {
+		t.Fatalf("bucket0 = %v", buckets[0])
 	}
-	if s.Buckets[1][0] != 1 {
-		t.Fatalf("bucket1 = %v", s.Buckets[1])
+	if buckets[1][0] != 1 {
+		t.Fatalf("bucket1 = %v", buckets[1])
 	}
 }
 
 func TestAggregateDistributionsMismatch(t *testing.T) {
-	if _, err := AggregateDistributions(r30(), Day, []time.Time{t0}, nil); err == nil {
-		t.Fatal("expected length-mismatch error")
+	// One timestamp, but no distribution in the first family: that family
+	// is missing, the well-formed one beside it is not.
+	tl := NewTimeline(r30(), []int{1}, []time.Time{t0})
+	fams := [][]linalg.Vector{nil, {{1}}}
+	x, mask := []float64{9, 9}, []bool{true, true}
+	tl.SimilarityInto(&tl, fams, fams, dot, x, mask)
+	if mask[0] || x[0] != 0 {
+		t.Fatalf("a family with 1 time but 0 distributions must be missing, got %v %v", x[0], mask[0])
+	}
+	if !mask[1] || x[1] != 1 {
+		t.Fatalf("well-formed family beside a mismatched one: %v %v", x[1], mask[1])
 	}
 }
 
 func TestAggregateSkipsOutOfRange(t *testing.T) {
-	s, err := AggregateDistributions(r30(), 16*Day,
-		[]time.Time{t0.Add(-Day)}, []linalg.Vector{{1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range s.Buckets {
+	buckets := bucketMeans(r30(), 16, []time.Time{t0.Add(-Day), t0.Add(30 * Day)}, []linalg.Vector{{1}, {1}})
+	for _, b := range buckets {
 		if b != nil {
 			t.Fatal("out-of-range event leaked into a bucket")
 		}
 	}
 }
 
-func dot(a, b linalg.Vector) float64 { return a.Dot(b) }
+// TestAggregateGroupsOutOfOrderObservations: observations arrive in any
+// order; each bucket still averages exactly its own.
+func TestAggregateGroupsOutOfOrderObservations(t *testing.T) {
+	times := []time.Time{t0.Add(20 * Day), t0.Add(Day), t0.Add(21 * Day), t0.Add(2 * Day), t0.Add(20*Day + time.Hour)}
+	dists := []linalg.Vector{{1}, {2}, {4}, {8}, {16}}
+	day := bucketMeans(r30(), 1, times, dists)
+	for b, want := range map[int]float64{1: 2, 2: 8, 20: (1.0 + 16) / 2, 21: 4} {
+		if day[b] == nil || day[b][0] != want {
+			t.Fatalf("1-day bucket %d = %v, want %v", b, day[b], want)
+		}
+	}
+	for b, mean := range day {
+		if mean != nil && b != 1 && b != 2 && b != 20 && b != 21 {
+			t.Fatalf("1-day bucket %d = %v, want it empty", b, mean)
+		}
+	}
+	wide := bucketMeans(r30(), 16, times, dists)
+	if wide[0][0] != (2.0+8)/2 || wide[1][0] != (1.0+4+16)/3 {
+		t.Fatalf("16-day buckets = %v", wide)
+	}
+}
+
+// daily is a one-scale series over r with one observation per given day
+// (nil = no observation that day).
+type daily struct {
+	tl    Timeline
+	dists []linalg.Vector
+}
+
+func newDaily(r Range, dists ...linalg.Vector) daily {
+	var times []time.Time
+	var kept []linalg.Vector
+	for day, d := range dists {
+		if d != nil {
+			times = append(times, r.Start.Add(time.Duration(day)*Day))
+			kept = append(kept, d)
+		}
+	}
+	return daily{NewTimeline(r, []int{1}, times), kept}
+}
+
+// similarity is the one-scale, one-family form of SimilarityInto.
+func similarity(a, b daily) (float64, bool) {
+	x, mask := []float64{0}, []bool{false}
+	a.tl.SimilarityInto(&b.tl, [][]linalg.Vector{a.dists}, [][]linalg.Vector{b.dists}, dot, x, mask)
+	return x[0], mask[0]
+}
 
 func TestSeriesSimilarity(t *testing.T) {
-	a := DistSeries{Buckets: []linalg.Vector{{1, 0}, nil, {0, 1}}}
-	b := DistSeries{Buckets: []linalg.Vector{{1, 0}, {1, 0}, nil}}
-	v, cov, ok := SeriesSimilarity(a, b, dot)
+	a := newDaily(r30(), linalg.Vector{1, 0}, nil, linalg.Vector{0, 1})
+	b := newDaily(r30(), linalg.Vector{1, 0}, linalg.Vector{1, 0}, nil)
+	v, ok := similarity(a, b)
 	if !ok {
 		t.Fatal("expected overlap")
 	}
 	if v != 1 {
 		t.Fatalf("similarity = %v, want 1 (only bucket 0 overlaps)", v)
 	}
-	if math.Abs(cov-1.0/3) > 1e-12 {
-		t.Fatalf("coverage = %v, want 1/3", cov)
+	// Every overlapping bucket counts.
+	c := newDaily(r30(), linalg.Vector{1, 0}, linalg.Vector{0, 1}, linalg.Vector{0.5, 0.5})
+	if v, ok := similarity(c, c); !ok || math.Abs(v-(1+1+0.5)/3) > 1e-12 {
+		t.Fatalf("self similarity = %v, %v", v, ok)
 	}
 }
 
 func TestSeriesSimilarityNoOverlap(t *testing.T) {
-	a := DistSeries{Buckets: []linalg.Vector{{1}, nil}}
-	b := DistSeries{Buckets: []linalg.Vector{nil, {1}}}
-	if _, _, ok := SeriesSimilarity(a, b, dot); ok {
+	a := newDaily(r30(), linalg.Vector{1}, nil)
+	b := newDaily(r30(), nil, linalg.Vector{1})
+	if _, ok := similarity(a, b); ok {
 		t.Fatal("expected missing feature when no bucket overlaps")
 	}
-	if _, _, ok := SeriesSimilarity(DistSeries{}, DistSeries{}, dot); ok {
+	if _, ok := similarity(newDaily(r30()), newDaily(r30())); ok {
 		t.Fatal("empty series should be missing")
 	}
 }
@@ -116,19 +195,25 @@ func TestMultiScaleSimilarity(t *testing.T) {
 	r := r30()
 	timesA := []time.Time{t0.Add(Day), t0.Add(10 * Day)}
 	timesB := []time.Time{t0.Add(Day + time.Hour), t0.Add(10*Day + time.Hour)}
-	dists := []linalg.Vector{{0.5, 0.5}, {0.5, 0.5}}
-	vec, mask, err := MultiScaleSimilarity(r, []int{1, 16}, timesA, dists, timesB, dists, dot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vec) != 2 || len(mask) != 2 {
-		t.Fatalf("vec=%v mask=%v", vec, mask)
-	}
+	dists := [][]linalg.Vector{{{0.5, 0.5}, {0.5, 0.5}}}
+	a, b := NewTimeline(r, []int{1, 16}, timesA), NewTimeline(r, []int{1, 16}, timesB)
+	vec, mask := make([]float64, 2), make([]bool, 2)
+	a.SimilarityInto(&b, dists, dists, dot, vec, mask)
 	if !mask[0] || !mask[1] {
 		t.Fatalf("both scales should be observed: %v", mask)
 	}
 	if math.Abs(vec[0]-0.5) > 1e-12 {
 		t.Fatalf("similarity = %v", vec[0])
+	}
+}
+
+// TestSimilarityLongDistributions: distributions too long for the stack
+// scratch take the allocating path to the same numbers.
+func TestSimilarityLongDistributions(t *testing.T) {
+	long := linalg.NewVector(meanScratch + 3).Fill(0.25)
+	a := newDaily(r30(), long, long)
+	if v, ok := similarity(a, a); !ok || v != long.Dot(long) {
+		t.Fatalf("similarity = %v, %v; want %v", v, ok, long.Dot(long))
 	}
 }
 
@@ -143,6 +228,27 @@ func TestHaversine(t *testing.T) {
 	}
 }
 
+// sensorSignals collects a sensor's stimulation of every window in which both
+// event lists are active — what MatchInto pools.
+func sensorSignals(s Sensor, a, b []Event, window time.Duration) []float64 {
+	var out []float64
+	ws := newWindowScan(NewStream(a), NewStream(b), window)
+	for ea, eb, ok := ws.next(); ok; ea, eb, ok = ws.next() {
+		if v := s.stimulate(ea, eb); v >= 0 {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// match runs MatchInto into fresh outputs.
+func match(sensors []Sensor, cfg MultiResolutionConfig, a, b []Event) ([]float64, []bool) {
+	n := len(sensors) * len(cfg.WindowsDays)
+	vec, mask := make([]float64, n), make([]bool, n)
+	cfg.MatchInto(sensors, NewStream(a), NewStream(b), vec, mask)
+	return vec, mask
+}
+
 func mkEvents(times []time.Duration, lat, lon float64, media uint64) []Event {
 	evs := make([]Event, len(times))
 	for i, d := range times {
@@ -155,7 +261,7 @@ func TestLocationSensor(t *testing.T) {
 	s := LocationSensor{SigmaKm: 5}
 	a := mkEvents([]time.Duration{Day, 3 * Day}, 39.9, 116.4, 0)
 	b := mkEvents([]time.Duration{Day + time.Hour}, 39.9, 116.4, 0)
-	signals := s.Match(a, b, 2*Day)
+	signals := sensorSignals(s, a, b, 2*Day)
 	if len(signals) != 1 {
 		t.Fatalf("signals = %v", signals)
 	}
@@ -164,7 +270,7 @@ func TestLocationSensor(t *testing.T) {
 	}
 	// Far apart: signal near zero but still present (both active).
 	far := mkEvents([]time.Duration{Day}, 31.2, 121.5, 0)
-	signals = s.Match(a, far, 2*Day)
+	signals = sensorSignals(s, a, far, 2*Day)
 	if len(signals) != 1 || signals[0] > 1e-6 {
 		t.Fatalf("far signal = %v", signals)
 	}
@@ -172,7 +278,7 @@ func TestLocationSensor(t *testing.T) {
 
 func TestLocationSensorEmpty(t *testing.T) {
 	s := LocationSensor{}
-	if got := s.Match(nil, mkEvents([]time.Duration{Day}, 0, 0, 0), Day); got != nil {
+	if got := sensorSignals(s, nil, mkEvents([]time.Duration{Day}, 0, 0, 0), Day); got != nil {
 		t.Fatalf("empty stream should give nil, got %v", got)
 	}
 }
@@ -181,18 +287,18 @@ func TestMediaSensor(t *testing.T) {
 	s := MediaSensor{}
 	a := mkEvents([]time.Duration{Day}, 0, 0, 42)
 	b := mkEvents([]time.Duration{Day + 2*time.Hour}, 0, 0, 42)
-	signals := s.Match(a, b, 2*Day)
+	signals := sensorSignals(s, a, b, 2*Day)
 	if len(signals) != 1 || signals[0] != 1 {
 		t.Fatalf("shared media = %v", signals)
 	}
 	c := mkEvents([]time.Duration{Day}, 0, 0, 99)
-	signals = s.Match(a, c, 2*Day)
+	signals = sensorSignals(s, a, c, 2*Day)
 	if len(signals) != 1 || signals[0] != 0 {
 		t.Fatalf("disjoint media = %v", signals)
 	}
 	// Location-only events on one side → window skipped entirely.
 	loc := mkEvents([]time.Duration{Day}, 1, 1, 0)
-	if got := s.Match(a, loc, 2*Day); got != nil {
+	if got := sensorSignals(s, a, loc, 2*Day); got != nil {
 		t.Fatalf("media/location mix should be skipped, got %v", got)
 	}
 }
@@ -247,10 +353,10 @@ func TestMultiResolutionMatch(t *testing.T) {
 		mkEvents([]time.Duration{2 * Day}, 0, 0, 7)...)
 	b := append(mkEvents([]time.Duration{Day + time.Hour}, 39.9, 116.4, 0),
 		mkEvents([]time.Duration{2*Day + time.Hour}, 0, 0, 7)...)
-	vec, mask, err := MultiResolutionMatch(sensors, cfg, a, b)
-	if err != nil {
+	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	vec, mask := match(sensors, cfg, a, b)
 	if len(vec) != 2*len(cfg.WindowsDays) {
 		t.Fatalf("vector length %d", len(vec))
 	}
@@ -274,10 +380,7 @@ func TestMultiResolutionMatchDisjointStreams(t *testing.T) {
 	cfg := DefaultMultiResolutionConfig()
 	sensors := []Sensor{MediaSensor{}}
 	a := mkEvents([]time.Duration{Day}, 0, 0, 1)
-	vec, mask, err := MultiResolutionMatch(sensors, cfg, a, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	vec, mask := match(sensors, cfg, a, nil)
 	for i := range mask {
 		if mask[i] || vec[i] != 0 {
 			t.Fatal("all features should be missing when one stream is empty")

@@ -54,9 +54,15 @@ func EditSimilarity(a, b string) float64 {
 	return 1 - float64(EditDistance(a, b))/float64(maxLen)
 }
 
+// shortString is the rune count up to which the matchers below keep their
+// scratch on the stack (usernames are shorter), so that comparing two of
+// them allocates nothing: these run under every pair vector.
+const shortString = 32
+
 // Jaro returns the Jaro similarity of a and b in [0,1].
-func Jaro(a, b string) float64 {
-	ra, rb := []rune(a), []rune(b)
+func Jaro(a, b string) float64 { return jaro([]rune(a), []rune(b)) }
+
+func jaro(ra, rb []rune) float64 {
 	la, lb := len(ra), len(rb)
 	if la == 0 && lb == 0 {
 		return 1
@@ -72,8 +78,13 @@ func Jaro(a, b string) float64 {
 	if window < 0 {
 		window = 0
 	}
-	matchA := make([]bool, la)
-	matchB := make([]bool, lb)
+	var bufA, bufB [shortString]bool
+	var matchA, matchB []bool
+	if la <= shortString && lb <= shortString {
+		matchA, matchB = bufA[:la], bufB[:lb]
+	} else {
+		matchA, matchB = make([]bool, la), make([]bool, lb)
+	}
 	matches := 0
 	for i := 0; i < la; i++ {
 		lo := i - window
@@ -119,8 +130,8 @@ func Jaro(a, b string) float64 {
 // JaroWinkler returns the Jaro-Winkler similarity with the standard prefix
 // scale 0.1 and maximum prefix length 4.
 func JaroWinkler(a, b string) float64 {
-	j := Jaro(a, b)
 	ra, rb := []rune(a), []rune(b)
+	j := jaro(ra, rb)
 	prefix := 0
 	for prefix < len(ra) && prefix < len(rb) && prefix < 4 && ra[prefix] == rb[prefix] {
 		prefix++
@@ -160,12 +171,20 @@ func NGramJaccard(a, b string, n int) float64 {
 // substring of a and b. Username-overlap filtering uses this to detect
 // partial overlap such as "Adele" inside "Adele_xiaonuan".
 func LongestCommonSubstring(a, b string) int {
-	ra, rb := []rune(a), []rune(b)
+	return longestCommonSubstring([]rune(a), []rune(b))
+}
+
+func longestCommonSubstring(ra, rb []rune) int {
 	if len(ra) == 0 || len(rb) == 0 {
 		return 0
 	}
-	prev := make([]int, len(rb)+1)
-	cur := make([]int, len(rb)+1)
+	var bufPrev, bufCur [shortString + 1]int
+	var prev, cur []int
+	if len(rb) <= shortString {
+		prev, cur = bufPrev[:len(rb)+1], bufCur[:len(rb)+1]
+	} else {
+		prev, cur = make([]int, len(rb)+1), make([]int, len(rb)+1)
+	}
 	best := 0
 	for i := 1; i <= len(ra); i++ {
 		for j := 1; j <= len(rb); j++ {
@@ -189,7 +208,8 @@ func LongestCommonSubstring(a, b string) int {
 // UsernameOverlap returns LongestCommonSubstring normalized by the shorter
 // username's length, in [0,1].
 func UsernameOverlap(a, b string) float64 {
-	la, lb := len([]rune(a)), len([]rune(b))
+	ra, rb := []rune(a), []rune(b)
+	la, lb := len(ra), len(rb)
 	if la == 0 || lb == 0 {
 		return 0
 	}
@@ -197,5 +217,5 @@ func UsernameOverlap(a, b string) float64 {
 	if lb < shorter {
 		shorter = lb
 	}
-	return float64(LongestCommonSubstring(a, b)) / float64(shorter)
+	return float64(longestCommonSubstring(ra, rb)) / float64(shorter)
 }

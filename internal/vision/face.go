@@ -10,6 +10,7 @@ package vision
 
 import (
 	"math/rand"
+	"sync"
 )
 
 // StockImageThreshold separates real-face avatar ids (below) from
@@ -33,16 +34,23 @@ func NewMatcher(seed int64) *Matcher {
 	return &Matcher{DetectRate: 0.85, NoiseSigma: 0.08, Seed: seed}
 }
 
-// pairRand returns a deterministic PRNG for an avatar pair, so repeated
-// calls with the same avatars yield the same simulated pipeline outcome.
-func (m *Matcher) pairRand(a, b uint64) *rand.Rand {
+// rngPool recycles generators between Match calls: a math/rand source is
+// 5 KB of state, and Match sits under every pair vector. A recycled
+// generator is reseeded before use, which puts it in exactly the state
+// of a freshly constructed one.
+var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
+// pairSeed is the seed of the deterministic PRNG of an avatar pair, so
+// repeated calls with the same avatars yield the same simulated pipeline
+// outcome.
+func (m *Matcher) pairSeed(a, b uint64) int64 {
 	// Order-independent mix of the two ids with the matcher seed.
 	lo, hi := a, b
 	if lo > hi {
 		lo, hi = hi, lo
 	}
 	h := lo*0x9E3779B97F4A7C15 ^ hi*0xC2B2AE3D27D4EB4F ^ uint64(m.Seed)
-	return rand.New(rand.NewSource(int64(h & 0x7FFFFFFFFFFFFFFF)))
+	return int64(h & 0x7FFFFFFFFFFFFFFF)
 }
 
 // Match runs the Figure-4 workflow on two avatar ids. The returned score is
@@ -54,10 +62,16 @@ func (m *Matcher) Match(avatarA, avatarB uint64) (score float64, ok bool) {
 	if avatarA == 0 || avatarB == 0 {
 		return 0, false
 	}
-	rng := m.pairRand(avatarA, avatarB)
-	// "Face?" stage: stock images have no face; real faces are found with
-	// DetectRate probability each.
-	if !m.detect(avatarA, rng) || !m.detect(avatarB, rng) {
+	// "Face?" stage: stock images have no face, whatever the detector
+	// draws for the other image; real faces are found with DetectRate
+	// probability each.
+	if avatarA >= StockImageThreshold || avatarB >= StockImageThreshold {
+		return 0, false
+	}
+	rng := rngPool.Get().(*rand.Rand)
+	defer rngPool.Put(rng)
+	rng.Seed(m.pairSeed(avatarA, avatarB))
+	if !m.detect(rng) || !m.detect(rng) {
 		return 0, false
 	}
 	// Classifier stage: same identity scores high, different low, both with
@@ -78,9 +92,7 @@ func (m *Matcher) Match(avatarA, avatarB uint64) (score float64, ok bool) {
 	return score, true
 }
 
-func (m *Matcher) detect(avatar uint64, rng *rand.Rand) bool {
-	if avatar >= StockImageThreshold {
-		return false // stock/cartoon image: no face
-	}
+// detect draws whether the face in one real-face avatar is found.
+func (m *Matcher) detect(rng *rand.Rand) bool {
 	return rng.Float64() < m.DetectRate
 }
