@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet build test race chaos fuzz-smoke bench bench-smoke bench-linalg bench-save bench-compare profile-topk figures
+.PHONY: ci fmt vet build test race chaos fuzz-smoke bench bench-smoke figures
 
 ci: fmt vet build test chaos bench-smoke fuzz-smoke
 
@@ -74,43 +74,6 @@ bench-smoke:
 # (--workload, --seed, --seconds, --trace, -repeat).
 bench:
 	bash bench/run.sh
-
-# bench-linalg runs the dense linear-algebra microbenchmarks behind the
-# dual-training hot path (blocked Mul, parallel LU factorize/solve). Each
-# benchmark carries a `naive` sub-benchmark with the pre-tiling serial
-# loop, so a single run already shows the tiling delta; the -w4 variants
-# only beat -w1 on multicore hardware.
-LINALG_BENCH ?= Mul|Factorize|SolveMatrix
-bench-linalg:
-	$(GO) test -run '^$$' -bench '$(LINALG_BENCH)' -benchmem ./internal/linalg/
-
-# bench-save / bench-compare report perf deltas mechanically: run
-# `make bench-save` on the old code (writes bench-old.txt), apply the
-# change, then `make bench-compare` (writes bench-new.txt and prints a
-# benchstat comparison when the tool is installed, falling back to the raw
-# files). BENCH_COUNT=5 gives benchstat enough samples for significance.
-BENCH_COUNT ?= 5
-# Redirect-then-cat (not a tee pipe) so a failing bench run fails the
-# target and removes the garbage output instead of becoming a baseline.
-bench-save:
-	$(GO) test -run '^$$' -bench '$(LINALG_BENCH)' -count $(BENCH_COUNT) ./internal/linalg/ > bench-old.txt 2>&1 || { cat bench-old.txt; rm -f bench-old.txt; exit 1; }
-	@cat bench-old.txt
-bench-compare:
-	$(GO) test -run '^$$' -bench '$(LINALG_BENCH)' -count $(BENCH_COUNT) ./internal/linalg/ > bench-new.txt 2>&1 || { cat bench-new.txt; rm -f bench-new.txt; exit 1; }
-	@cat bench-new.txt
-	@if command -v benchstat >/dev/null 2>&1; then \
-		benchstat bench-old.txt bench-new.txt; \
-	else \
-		echo "benchstat not installed; compare bench-old.txt and bench-new.txt by hand"; \
-	fi
-
-# profile-topk captures a CPU profile of the wide-shard top-k serving
-# path (the impute-dominated workload the pack-time table attacks).
-# Inspect with `go tool pprof -top topk.prof` or -http=:8088.
-profile-topk:
-	$(GO) test -run '^$$' -bench 'ServeTopKImputeTable' -benchtime 2s \
-		-cpuprofile topk.prof -o topk.test ./internal/serve/
-	$(GO) tool pprof -top -nodecount 15 topk.test topk.prof
 
 # figures regenerates every figure table (the full experiment suite).
 figures:

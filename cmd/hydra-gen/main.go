@@ -1,10 +1,11 @@
 // Command hydra-gen generates a synthetic multi-platform social world and
 // writes it as JSON — the stand-in for the paper's seven-platform crawl
-// (see DESIGN.md §2).
+// (see the README's introduction).
 //
 //	go run ./cmd/hydra-gen -persons 200 -dataset all -o world.json
 //
-// Generation fans out over the -workers pool: every random draw comes
+// Accounts stream to the output as they render, so a world larger than
+// memory can be written. Generation fans out over the -workers pool: every random draw comes
 // from a per-person or per-platform seeded stream, so the emitted world
 // is byte-identical at any worker count (pinned by the synth package's
 // workers test).
@@ -29,7 +30,6 @@ func main() {
 		out     = flag.String("o", "", "output path (default stdout)")
 		missing = flag.Float64("missing-scale", 1, "missingness multiplier (1 = Figure 2(a) regime)")
 		workers = flag.Int("workers", 0, "worker-pool size for person/account generation; 0 = all cores — the world is byte-identical at any setting")
-		stream  = flag.Bool("stream", false, "stream accounts to the output as they render instead of building the world in RAM first — byte-identical output; use for worlds larger than memory")
 	)
 	flag.Parse()
 
@@ -59,22 +59,12 @@ func main() {
 		w = f
 	}
 
-	if *stream {
-		bw := bufio.NewWriterSize(w, 1<<20)
-		if err := synth.GenerateStream(cfg, bw); err != nil {
-			log.Fatal(err)
-		}
-		if err := bw.Flush(); err != nil {
-			log.Fatal(err)
-		}
-	} else {
-		world, err := synth.Generate(cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := platform.Encode(w, world.Dataset); err != nil {
-			log.Fatal(err)
-		}
+	bw := bufio.NewWriterSize(w, 1<<20)
+	if err := synth.GenerateStream(cfg, bw); err != nil {
+		log.Fatal(err)
+	}
+	if err := bw.Flush(); err != nil {
+		log.Fatal(err)
 	}
 	if *out != "" {
 		fmt.Fprintf(os.Stderr, "wrote %d persons × %d platforms to %s\n",

@@ -64,10 +64,6 @@ func (m *Model) servingTable() *ImputeTable {
 // only the work per missing-dimension candidate changes.
 func (m *Model) SetImputeTableEnabled(on bool) { m.tblOff.Store(!on) }
 
-// HasImputeTable reports whether a pack-time impute table is attached
-// (regardless of the enabled toggle).
-func (m *Model) HasImputeTable() bool { return m.tbl != nil }
-
 // ImputeTableEnabled reports whether a table is attached AND the
 // runtime toggle leaves it on (the state /healthz publishes).
 func (m *Model) ImputeTableEnabled() bool { return m.servingTable() != nil }

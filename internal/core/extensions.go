@@ -8,93 +8,17 @@ import (
 	"hydra/internal/linalg"
 	"hydra/internal/parallel"
 	"hydra/internal/platform"
-	"hydra/internal/structure"
 )
 
 // This file contains extensions beyond the paper's Algorithm 1 that fall
 // out of its own machinery:
 //
-//   - EigenLinker: the fully unsupervised agreement-cluster relaxation of
-//     Section 6.2 used directly as a linker (no labels at all);
 //   - LinearLinker: the primal linear model fitted by consensus ADMM over
 //     data shards — the "distributed convex optimization [3] ... on several
 //     servers in parallel" path of Section 6.3, for scales where the dense
 //     dual would not fit;
 //   - TuneThreshold: validation-style decision-threshold selection (the
 //     paper tunes all parameters on a validation set).
-
-// EigenLinker links accounts with no supervision: it builds the structure
-// consistency matrix M over the candidates of each block and scores each
-// candidate by its weight in the principal eigenvector (the relaxed
-// agreement-cluster indicator). Scores are shifted by Threshold so that
-// the Linker convention (positive = link) holds.
-type EigenLinker struct {
-	// Cfg supplies the σ₁/σ₂/MaxHops bandwidths (GammaL etc. are unused).
-	Cfg Config
-	// Threshold is the cluster-score cut (default 0.3).
-	Threshold float64
-
-	scores map[pairKey]float64
-}
-
-// Name implements Linker.
-func (e *EigenLinker) Name() string { return "HYDRA-U(eigen)" }
-
-// Fit implements Linker. Labels in the task are ignored entirely.
-func (e *EigenLinker) Fit(sys *System, task *Task) error {
-	if e.Threshold <= 0 {
-		e.Threshold = 0.3
-	}
-	e.scores = make(map[pairKey]float64)
-	for _, b := range task.Blocks {
-		embA, err := sys.Embeddings(b.PA)
-		if err != nil {
-			return err
-		}
-		embB, err := sys.Embeddings(b.PB)
-		if err != nil {
-			return err
-		}
-		platA, err := sys.DS.Platform(b.PA)
-		if err != nil {
-			return err
-		}
-		platB, err := sys.DS.Platform(b.PB)
-		if err != nil {
-			return err
-		}
-		scands := make([]structure.Candidate, len(b.Cands))
-		for i, c := range b.Cands {
-			scands[i] = structure.Candidate{A: c.A, B: c.B}
-		}
-		m, err := structure.Build(scands, embA, embB, platA.Graph, platB.Graph, structure.Config{
-			Sigma1: e.Cfg.Sigma1, Sigma2: e.Cfg.Sigma2, MaxHops: e.Cfg.MaxHops,
-		})
-		if err != nil {
-			return err
-		}
-		cluster, err := structure.AgreementCluster(m, e.Cfg.Seed)
-		if err != nil {
-			return err
-		}
-		for i, c := range b.Cands {
-			e.scores[pairKey{b.PA, b.PB, c.A, c.B}] = cluster[i] - e.Threshold
-		}
-	}
-	return nil
-}
-
-// PairScore implements Linker. Pairs outside the fitted candidate set score
-// at the negative threshold (unknown pairs are not linked).
-func (e *EigenLinker) PairScore(pa platform.ID, a int, pb platform.ID, b int) (float64, error) {
-	if e.scores == nil {
-		return 0, fmt.Errorf("core: EigenLinker not fitted")
-	}
-	if s, ok := e.scores[pairKey{pa, pb, a, b}]; ok {
-		return s, nil
-	}
-	return -e.Threshold, nil
-}
 
 // LinearModel is a primal linear linkage function w·x + b over imputed
 // feature vectors.

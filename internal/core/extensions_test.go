@@ -6,59 +6,6 @@ import (
 	"hydra/internal/platform"
 )
 
-func TestEigenLinkerUnsupervised(t *testing.T) {
-	_, sys := buildSystem(t, 60, platform.EnglishPlatforms, 9)
-	// Task with zero labels: only EigenLinker can handle this.
-	task := buildTask(t, sys, platform.Twitter, platform.Facebook,
-		LabelOpts{LabelFraction: 0, NegPerPos: 0, UsePreMatched: false, Seed: 9})
-	linker := &EigenLinker{Cfg: DefaultConfig(9)}
-	if err := linker.Fit(sys, task); err != nil {
-		t.Fatal(err)
-	}
-	conf, err := EvaluateLinker(sys, linker, task.Blocks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Unsupervised precision should be solid even if recall is partial.
-	if conf.TP == 0 {
-		t.Fatalf("eigen linker found nothing: %s", conf)
-	}
-	if conf.Precision() < 0.5 {
-		t.Fatalf("eigen linker precision = %v: %s", conf.Precision(), conf)
-	}
-}
-
-func TestEigenLinkerUnknownPair(t *testing.T) {
-	_, sys := buildSystem(t, 30, platform.EnglishPlatforms, 10)
-	task := buildTask(t, sys, platform.Twitter, platform.Facebook,
-		LabelOpts{LabelFraction: 0, Seed: 10})
-	linker := &EigenLinker{Cfg: DefaultConfig(10), Threshold: 0.4}
-	if err := linker.Fit(sys, task); err != nil {
-		t.Fatal(err)
-	}
-	// A pair that was never a candidate must score below zero.
-	s, err := linker.PairScore(platform.Twitter, 0, platform.Facebook, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, c := range task.Blocks[0].Cands {
-		if c.A == 0 && c.B == 1 {
-			found = true
-		}
-	}
-	if !found && s != -0.4 {
-		t.Fatalf("unknown pair score = %v, want -0.4", s)
-	}
-}
-
-func TestEigenLinkerUnfitted(t *testing.T) {
-	l := &EigenLinker{}
-	if _, err := l.PairScore(platform.Twitter, 0, platform.Facebook, 0); err == nil {
-		t.Fatal("expected unfitted error")
-	}
-}
-
 func TestLinearLinkerADMM(t *testing.T) {
 	_, sys := buildSystem(t, 50, platform.EnglishPlatforms, 11)
 	task := buildTask(t, sys, platform.Twitter, platform.Facebook, DefaultLabelOpts(11))
@@ -135,11 +82,8 @@ func TestTuneThresholdValidation(t *testing.T) {
 	_, sys := buildSystem(t, 20, platform.EnglishPlatforms, 14)
 	task := buildTask(t, sys, platform.Twitter, platform.Facebook,
 		LabelOpts{LabelFraction: 0, Seed: 14})
-	linker := &EigenLinker{Cfg: DefaultConfig(14)}
-	if err := linker.Fit(sys, task); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := TuneThreshold(sys, linker, task); err == nil {
+	// No labeled pair is ever scored, so the linker need not be fitted.
+	if _, err := TuneThreshold(sys, &HydraLinker{Cfg: DefaultConfig(14)}, task); err == nil {
 		t.Fatal("expected error without labels")
 	}
 }

@@ -145,7 +145,6 @@ type Model struct {
 	xs    []linalg.Vector
 	alpha linalg.Vector
 	bias  float64
-	dual  *rememberedDual
 	Diag  Diagnostics
 
 	// Serving fast path, prepared once by prepareServing (see batch.go):
@@ -178,12 +177,6 @@ type Model struct {
 // dual (Eqns 13–17); for p>1 it iteratively reweights γ_M following the
 // first-order reduction of the exponential-sum utility (see internal/moo).
 func Train(sys *System, task *Task, cfg Config) (*Model, error) {
-	return train(sys, task, cfg, nil)
-}
-
-// train is Train plus an optional remembered-β warm start (see
-// TrainIncremental).
-func train(sys *System, task *Task, cfg Config, warmMap map[labelKey]float64) (*Model, error) {
 	if len(task.Blocks) == 0 {
 		return nil, fmt.Errorf("core: task has no blocks")
 	}
@@ -232,17 +225,15 @@ func train(sys *System, task *Task, cfg Config, warmMap map[labelKey]float64) (*
 	}
 	var labeledIdx []int
 	var labels []float64
-	var labelKeys []labelKey
 	offset := 0
 	for _, b := range task.Blocks {
-		for ci, c := range b.Cands {
+		for ci := range b.Cands {
 			if y, ok := b.Labels[ci]; ok {
 				if y != 1 && y != -1 {
 					return nil, fmt.Errorf("core: label %g on block %s/%s candidate %d, want ±1", y, b.PA, b.PB, ci)
 				}
 				labeledIdx = append(labeledIdx, offset+ci)
 				labels = append(labels, y)
-				labelKeys = append(labelKeys, labelKey{b.PA, b.PB, c.A, c.B})
 			}
 		}
 		offset += len(b.Cands)
@@ -322,15 +313,13 @@ func train(sys *System, task *Task, cfg Config, warmMap map[labelKey]float64) (*
 			rounds = 3
 		}
 	}
-	warm := warmStartVector(task, labels, labelKeys, 1/float64(nl), warmMap)
-	var finalBeta []float64
+	var warm []float64
 	for round := 0; round < rounds; round++ {
 		beta, err := m.solveOnce(gram, lk, labeledIdx, labels, effGammaM, warm)
 		if err != nil {
 			return nil, err
 		}
 		warm = beta // β_t warm-starts β_{t+1} (Section 7.5)
-		finalBeta = beta
 		m.Diag.ReweightDone = round + 1
 		m.Diag.EffGammaM = effGammaM
 		if cfg.P <= 1 || round == rounds-1 {
@@ -348,13 +337,6 @@ func train(sys *System, task *Task, cfg Config, warmMap map[labelKey]float64) (*
 	}
 	fd, fs := m.objectives(gram, lap, labeledIdx, labels)
 	m.Diag.FD, m.Diag.FS = fd, fs
-	// Remember the dual for incremental retraining.
-	m.dual = &rememberedDual{beta: make(map[labelKey]float64, len(labelKeys))}
-	for i, k := range labelKeys {
-		if finalBeta[i] != 0 {
-			m.dual.beta[k] = finalBeta[i]
-		}
-	}
 	m.prepareServing()
 	return m, nil
 }

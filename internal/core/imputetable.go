@@ -113,7 +113,6 @@ type imputeTableKey struct {
 // serving hot path. Hit/miss counters are atomic so /metrics can report
 // imputation health without perturbing queries.
 type ImputeTable struct {
-	parts  *ImputeTableParts
 	k, dim int
 	idx    map[imputeTableKey]int32
 	counts []float64
@@ -129,7 +128,6 @@ func ImputeTableFromParts(p *ImputeTableParts) (*ImputeTable, error) {
 	}
 	n := p.NumEntries()
 	t := &ImputeTable{
-		parts:  p,
 		k:      p.K,
 		dim:    p.Dim,
 		idx:    make(map[imputeTableKey]int32, n),
@@ -151,9 +149,6 @@ func ImputeTableFromParts(p *ImputeTableParts) (*ImputeTable, error) {
 	}
 	return t, nil
 }
-
-// Parts returns the serialized form the table was built from (read-only).
-func (t *ImputeTable) Parts() *ImputeTableParts { return t.parts }
 
 // K returns the topFriends depth the sums were accumulated at; lookups
 // at any other depth must bypass the table.

@@ -25,9 +25,6 @@ const (
 
 // ModelParts is the serializable state of a trained Model: everything
 // Decision/Score/Link needs, and nothing tied to the training process.
-// The remembered dual of TrainIncremental is deliberately excluded — a
-// restored model serves queries and can seed a cold retrain, but does not
-// warm-start one.
 type ModelParts struct {
 	// Cfg is the training configuration; Score needs Variant and
 	// TopFriends, the rest is kept for provenance.

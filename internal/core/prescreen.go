@@ -4,22 +4,11 @@ package core
 // decision function (Eqn 12) costs one RBF evaluation per support
 // vector per candidate — the support-set floor no amount of batching
 // breaks. The prescreen replaces that expansion with a single m-term
-// feature fold f̃(x) = bias + Σ V_i·φ_i(x) fitted once at build time,
-// where the basis mixes two optional blocks of equal per-feature cost
-// (one dim-length pass each):
-//
-//   - random Fourier features of the learned RBF bandwidth (see
-//     internal/kernel's RFF): φ_i(x) = cos(W_i·x + B_i) from the seeded
-//     draw. Measured on real bundles, a pure-RFF fold needs several
-//     hundred features before its certified margin prunes anything —
-//     the global cosines average away the spiky RBF mixture — at which
-//     point the fold costs more than the exact expansion it fronts.
-//   - a reduced support expansion: φ_j(x) = K(c_j, x) with centers c_j
-//     the highest-|α| support vectors. The decision function literally
-//     lives in the span of such bumps, so 64 of them fit it an order
-//     of magnitude tighter than 64 cosines; this block is what the
-//     packers ship (RFF = 0), and the RFF block remains for models
-//     whose support sets are too small or too diffuse to subsample.
+// feature fold f̃(x) = bias + Σ V_j·φ_j(x) fitted once at build time,
+// over a reduced support expansion: φ_j(x) = K(c_j, x) with centers c_j
+// the highest-|α| support vectors. The decision function literally
+// lives in the span of such bumps, so 64 of them fit it tightly at the
+// cost of one dim-length pass each.
 //
 // The approximation never decides anything. At build time the maximum
 // prescreen error is measured over every training candidate plus the
@@ -40,17 +29,16 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"hydra/internal/kernel"
 	"hydra/internal/linalg"
 	"hydra/internal/parallel"
 	"hydra/internal/platform"
 )
 
-// DefaultPrescreenFeatures is the RFF feature count m the packers build
-// with: small enough that a prescreen score (one m-dim cosine fold)
-// stays far below the support-set cost it replaces, large enough that
-// the empirical margin ε still prunes (ε shrinks ~1/√m).
-const DefaultPrescreenFeatures = 64
+// prescreenFeatures is the fold length m the packers build with: small
+// enough that a prescreen score (m kernel bumps) stays far below the
+// support-set cost it replaces, large enough that the empirical margin
+// ε still prunes.
+const prescreenFeatures = 64
 
 // DefaultPrescreenSafety inflates the empirically measured maximum
 // error into the certified margin ε when the packer could only SAMPLE
@@ -60,8 +48,9 @@ const DefaultPrescreenFeatures = 64
 // over every query the bundle can be asked.
 const DefaultPrescreenSafety = 2
 
-// prescreenSeedMix decorrelates the RFF projection stream from every
-// other consumer of Config.Seed (the synth generator, shard hashing).
+// prescreenSeedMix offsets Config.Seed into the seed the v3 prescreen
+// header records. Nothing draws from it any more (it seeded the retired
+// Fourier block); it is still written so packed bundles keep their bytes.
 const prescreenSeedMix = 0x5ca1ab1e
 
 // prescreenRidge scales the ridge term of the collapsed-vector fit,
@@ -80,32 +69,24 @@ const prescreenIRLSRounds = 12
 const prescreenIRLSFloor = 1e-3
 
 // PrescreenParts is the serialized prescreen: everything a server needs
-// to score approximately without paying the build (the projection, the
-// collapsed decision vector and the certified margin). It rides bundles
+// to score approximately without paying the build (the centers, the
+// fitted decision vector and the certified margin). It rides bundles
 // as an optional section — absent parts mean exact-only serving.
 type PrescreenParts struct {
-	// Features is the total fold length m; Dim the input dimensionality
-	// each feature row spans. RFF of the m features are cosines from
-	// the seeded Fourier draw; the remaining m−RFF are reduced-set
-	// kernel bumps at the Centers rows.
+	// Features is the fold length m (one reduced-set kernel bump per
+	// row of C); Dim the input dimensionality each row spans.
 	Features int `json:"features"`
-	RFF      int `json:"rff"`
 	Dim      int `json:"dim"`
-	// Seed drew the Fourier projection; kept so a rebuild reproduces
-	// the bytes (recorded even when RFF = 0).
+	// Seed is recorded in the bundle header and read by nothing; see
+	// prescreenSeedMix.
 	Seed int64 `json:"seed"`
-	// W is the RFF×Dim projection (row-major) and B the RFF phases of
-	// the underlying kernel.RFF map. Both empty when RFF = 0.
-	W linalg.Vector `json:"w"`
-	B linalg.Vector `json:"b"`
-	// C holds the (Features−RFF)×Dim reduced-set centers (row-major,
+	// C holds the Features×Dim reduced-set centers (row-major,
 	// zero-padded rows of the model's highest-|α| support vectors) and
 	// Sigma the RBF bandwidth their bumps are evaluated at.
 	C     linalg.Vector `json:"c"`
 	Sigma float64       `json:"sigma"`
-	// V is the fitted decision vector over the concatenated basis:
-	// f̃(x) = bias + Σ_{i<RFF} V[i]·cos(W_i·x + B[i])
-	//              + Σ_{j} V[RFF+j]·exp(−‖C_j − x‖² / 2σ²).
+	// V is the fitted decision vector:
+	// f̃(x) = bias + Σ_j V[j]·exp(−‖C_j − x‖² / 2σ²).
 	V linalg.Vector `json:"v"`
 	// EpsRaw is the maximum |f − f̃| measured at build time over every
 	// training candidate and query-space sample; Eps = EpsRaw·Safety is
@@ -120,20 +101,10 @@ func (p *PrescreenParts) Validate() error {
 	if p.Features <= 0 || p.Dim <= 0 {
 		return fmt.Errorf("core: prescreen parts need positive shape, got %d features over dim %d", p.Features, p.Dim)
 	}
-	if p.RFF < 0 || p.RFF > p.Features {
-		return fmt.Errorf("core: prescreen claims %d Fourier features of %d total", p.RFF, p.Features)
+	if len(p.C) != p.Features*p.Dim {
+		return fmt.Errorf("core: prescreen centers have %d entries, want %d×%d", len(p.C), p.Features, p.Dim)
 	}
-	if len(p.W) != p.RFF*p.Dim {
-		return fmt.Errorf("core: prescreen projection has %d entries, want %d×%d", len(p.W), p.RFF, p.Dim)
-	}
-	if len(p.B) != p.RFF {
-		return fmt.Errorf("core: prescreen has %d phases for %d Fourier features", len(p.B), p.RFF)
-	}
-	rs := p.Features - p.RFF
-	if len(p.C) != rs*p.Dim {
-		return fmt.Errorf("core: prescreen centers have %d entries, want %d×%d", len(p.C), rs, p.Dim)
-	}
-	if rs > 0 && (math.IsNaN(p.Sigma) || p.Sigma <= 0) {
+	if math.IsNaN(p.Sigma) || p.Sigma <= 0 {
 		return fmt.Errorf("core: prescreen reduced-set bandwidth σ=%g is not usable", p.Sigma)
 	}
 	if len(p.V) != p.Features {
@@ -148,17 +119,10 @@ func (p *PrescreenParts) Validate() error {
 	return nil
 }
 
-// PrescreenOpts tunes BuildPrescreen; the zero value selects the
-// defaults (DefaultPrescreenFeatures, DefaultPrescreenSafety, a seed
-// derived from the model's training seed).
+// PrescreenOpts tunes BuildPrescreen; a zero Safety selects
+// DefaultPrescreenSafety.
 type PrescreenOpts struct {
-	// Features is the total fold length; RFF of them are Fourier
-	// cosines (0 = the all-reduced-set default the packers ship).
-	Features int
-	RFF      int
-	Safety   float64
-	// Seed overrides the projection seed when non-zero.
-	Seed int64
+	Safety float64
 	// Queries is a sample of query-time imputed pair vectors (see
 	// Model.ImputedPairRows) drawn from the bundle's serving cross
 	// product. The training candidates alone badly under-represent the
@@ -172,15 +136,14 @@ type PrescreenOpts struct {
 }
 
 // BuildPrescreen builds the approximate prescreen for a trained RBF
-// model from its serialized parts: it assembles the feature basis (the
-// seeded RFF draw when opts.RFF > 0, highest-|α| support vectors as
-// reduced-set centers for the rest), fits the decision vector by
+// model from its serialized parts: it takes the highest-|α| support
+// vectors as reduced-set centers, fits the decision vector by
 // iteratively reweighted ridge regression, and certifies the margin ε
 // empirically over every training candidate plus every supplied
 // query-space sample. The build is a pure function of (parts, opts) —
 // packing the same model twice yields byte-identical prescreen
-// sections. Non-RBF models have neither a Fourier feature map nor
-// bandwidthed bumps; they serve exact-only.
+// sections. Non-RBF models have no bandwidthed bumps; they serve
+// exact-only.
 func BuildPrescreen(p ModelParts, opts PrescreenOpts) (*PrescreenParts, error) {
 	if p.KernelKind != KernelRBF {
 		return nil, fmt.Errorf("core: prescreen needs an RBF model, got kernel %q", p.KernelKind)
@@ -191,17 +154,9 @@ func BuildPrescreen(p ModelParts, opts PrescreenOpts) (*PrescreenParts, error) {
 	if len(p.Xs) == 0 || len(p.Alpha) != len(p.Xs) {
 		return nil, fmt.Errorf("core: prescreen got %d duals for %d candidate vectors", len(p.Alpha), len(p.Xs))
 	}
-	m := opts.Features
-	if m <= 0 {
-		m = DefaultPrescreenFeatures
-	}
 	safety := opts.Safety
 	if safety <= 0 {
 		safety = DefaultPrescreenSafety
-	}
-	seed := opts.Seed
-	if seed == 0 {
-		seed = p.Cfg.Seed + prescreenSeedMix
 	}
 	// The point set the fit and certification run over: every training
 	// candidate, then every query-space sample.
@@ -213,18 +168,6 @@ func BuildPrescreen(p ModelParts, opts PrescreenOpts) (*PrescreenParts, error) {
 		if len(x) > dim {
 			dim = len(x)
 		}
-	}
-	nRFF := opts.RFF
-	if nRFF < 0 || nRFF > m {
-		return nil, fmt.Errorf("core: prescreen wants %d Fourier features of %d total", nRFF, m)
-	}
-	var wRFF, bRFF linalg.Vector
-	if nRFF > 0 {
-		rff, err := kernel.NewRFF(p.KernelSigma, dim, nRFF, seed)
-		if err != nil {
-			return nil, err
-		}
-		wRFF, bRFF = linalg.Vector(rff.W), linalg.Vector(rff.B)
 	}
 
 	// Reduced-set centers: the highest-|α| support vectors, zero-padded
@@ -247,21 +190,16 @@ func BuildPrescreen(p ModelParts, opts PrescreenOpts) (*PrescreenParts, error) {
 		}
 		return sv[i].idx < sv[j].idx
 	})
-	nRS := m - nRFF
-	if nRS > len(sv) {
-		// Fewer support vectors than requested bumps: shrink the fold
-		// rather than duplicating centers into a singular fit.
-		nRS = len(sv)
-		m = nRFF + nRS
-	}
-	centers := make(linalg.Vector, nRS*dim)
-	for i := 0; i < nRS; i++ {
+	// Fewer support vectors than bumps: shrink the fold rather than
+	// duplicating centers into a singular fit.
+	m := min(prescreenFeatures, len(sv))
+	centers := make(linalg.Vector, m*dim)
+	for i := 0; i < m; i++ {
 		copy(centers[i*dim:(i+1)*dim], p.Xs[sv[i].idx])
 	}
 
 	out := PrescreenParts{
-		Features: m, RFF: nRFF, Dim: dim, Seed: seed,
-		W: wRFF, B: bRFF,
+		Features: m, Dim: dim, Seed: p.Cfg.Seed + prescreenSeedMix,
 		C: centers, Sigma: p.KernelSigma,
 		Safety: safety,
 	}
@@ -282,18 +220,13 @@ func BuildPrescreen(p ModelParts, opts PrescreenOpts) (*PrescreenParts, error) {
 		}
 		y[i] = s
 	}
-	// Feature rows, computed once. The cosine block goes through
-	// kernel.DotPhase and the bump block through the same SqDist/Exp
-	// the query fold runs, so the fit lives in exactly the query's
-	// float space.
+	// Feature rows, computed once through the same SqDist/Exp the query
+	// fold runs, so the fit lives in exactly the query's float space.
 	feats := make([]float64, len(pts)*m)
 	for i, x := range pts {
 		z := feats[i*m : (i+1)*m]
-		for k := 0; k < nRFF; k++ {
-			z[k] = math.Cos(kernel.DotPhase(wRFF[k*dim:(k+1)*dim], x, bRFF[k]))
-		}
-		for j := 0; j < nRS; j++ {
-			z[nRFF+j] = math.Exp(-linalg.SqDist(centers[j*dim:(j+1)*dim], x) / sigma2)
+		for j := 0; j < m; j++ {
+			z[j] = math.Exp(-linalg.SqDist(centers[j*dim:(j+1)*dim], x) / sigma2)
 		}
 	}
 	// Iteratively reweighted ridge solves of ΩZ·V ≈ Ω(y − bias): the
@@ -429,37 +362,30 @@ func (m *Model) PrescreenFoldStats() (hits, misses uint64, size int) {
 // prescreenState is the query-time form of PrescreenParts: plain slices
 // the hot fold walks without re-validating shapes.
 type prescreenState struct {
-	parts      *PrescreenParts
-	dim        int
-	rff, rs    int
-	w, b, c, v []float64
-	sigma2     float64
-	eps        float64
-	cache      foldCache
+	parts  *PrescreenParts
+	dim    int
+	c, v   []float64
+	sigma2 float64
+	eps    float64
+	cache  foldCache
 }
 
 func newPrescreenState(p *PrescreenParts) *prescreenState {
 	return &prescreenState{
-		parts: p, dim: p.Dim, rff: p.RFF, rs: p.Features - p.RFF,
-		w: p.W, b: p.B, c: p.C, v: p.V,
+		parts: p, dim: p.Dim, c: p.C, v: p.V,
 		sigma2: 2 * p.Sigma * p.Sigma, eps: p.Eps,
 	}
 }
 
-// score evaluates the fold f̃(x) = bias + Σ v_i·cos(w_i·x + b_i)
-//   - Σ v_{rff+j}·exp(−‖c_j − x‖²/2σ²).
-//
-// Both blocks run the identical float sequence (kernel.DotPhase,
-// linalg.SqDist) the build's certification ran, in the same
-// accumulation order — the measured ε is only valid because of that.
+// score evaluates the fold f̃(x) = bias + Σ v_j·exp(−‖c_j − x‖²/2σ²)
+// with the identical float sequence (linalg.SqDist) the build's
+// certification ran, in the same accumulation order — the measured ε is
+// only valid because of that.
 func (ps *prescreenState) score(x linalg.Vector, bias float64) float64 {
 	s := bias
 	d := ps.dim
-	for i := 0; i < ps.rff; i++ {
-		s += ps.v[i] * math.Cos(kernel.DotPhase(ps.w[i*d:(i+1)*d], x, ps.b[i]))
-	}
-	for j := 0; j < ps.rs; j++ {
-		s += ps.v[ps.rff+j] * math.Exp(-linalg.SqDist(ps.c[j*d:(j+1)*d], x)/ps.sigma2)
+	for j, v := range ps.v {
+		s += v * math.Exp(-linalg.SqDist(ps.c[j*d:(j+1)*d], x)/ps.sigma2)
 	}
 	return s
 }
@@ -482,9 +408,6 @@ func (m *Model) SetPrescreen(p *PrescreenParts) error {
 	m.pre = newPrescreenState(p)
 	return nil
 }
-
-// ClearPrescreen detaches the prescreen; the model serves exact-only.
-func (m *Model) ClearPrescreen() { m.pre = nil }
 
 // HasPrescreen reports whether an approximate prescreen is attached.
 func (m *Model) HasPrescreen() bool { return m.pre != nil }

@@ -108,53 +108,6 @@ func TestPrescreenPartsValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Fatal("expected error for a missing fitted vector")
 	}
-	mixed, err := BuildPrescreen(parts, PrescreenOpts{Features: 48, RFF: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad = *mixed
-	bad.W = bad.W[:len(bad.W)-1]
-	if err := bad.Validate(); err == nil {
-		t.Fatal("expected error for a truncated Fourier projection")
-	}
-}
-
-// TestBuildPrescreenMixedBasis keeps the Fourier block of the format
-// honest: a build that asks for cosine features alongside the
-// reduced-set bumps must stay deterministic and certified too.
-func TestBuildPrescreenMixedBasis(t *testing.T) {
-	_, _, parts := trainedParts(t)
-	ps, err := BuildPrescreen(parts, PrescreenOpts{Features: 48, RFF: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ps.RFF != 16 || ps.Features != 48 {
-		t.Fatalf("asked for 16 of 48 Fourier features, got %d of %d", ps.RFF, ps.Features)
-	}
-	if len(ps.W) != 16*ps.Dim || len(ps.B) != 16 || len(ps.C) != 32*ps.Dim || len(ps.V) != 48 {
-		t.Fatalf("mixed-basis shapes wrong: |W|=%d |B|=%d |C|=%d |V|=%d dim=%d", len(ps.W), len(ps.B), len(ps.C), len(ps.V), ps.Dim)
-	}
-	ps2, err := BuildPrescreen(parts, PrescreenOpts{Features: 48, RFF: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ps, ps2) {
-		t.Fatal("two mixed-basis builds from the same parts differ")
-	}
-	state := newPrescreenState(ps)
-	sigma2 := 2 * parts.KernelSigma * parts.KernelSigma
-	for _, x := range parts.Xs {
-		exact := parts.Bias
-		for j, a := range parts.Alpha {
-			if a == 0 {
-				continue
-			}
-			exact += a * math.Exp(-linalg.SqDist(parts.Xs[j], x)/sigma2)
-		}
-		if gap := math.Abs(exact - state.score(x, parts.Bias)); gap > ps.EpsRaw {
-			t.Fatalf("mixed-basis error %g exceeds the measured EpsRaw %g", gap, ps.EpsRaw)
-		}
-	}
 }
 
 // TestPrescreenBatchIntoMatchesState asserts the batched prescreen path
@@ -224,8 +177,7 @@ func TestSetPrescreenRejectsNarrowProjection(t *testing.T) {
 	}
 	narrow := *ps
 	narrow.Dim = ps.Dim - 1
-	narrow.W = ps.W[:narrow.RFF*narrow.Dim]
-	narrow.C = ps.C[:(narrow.Features-narrow.RFF)*narrow.Dim]
+	narrow.C = ps.C[:narrow.Features*narrow.Dim]
 	if err := m.SetPrescreen(&narrow); err == nil {
 		t.Fatal("expected error for a projection narrower than the feature space")
 	}

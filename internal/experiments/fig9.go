@@ -21,8 +21,7 @@ var englishPairs = [][2]platform.ID{{platform.Twitter, platform.Facebook}}
 // Figure9 reproduces "Performance w.r.t. #labeled pairs": precision and
 // recall versus the number of labeled users, for the Chinese and English
 // datasets, all five methods. The paper's x-axis runs 1–5 million labeled
-// users; ours sweeps the labeled fraction of a fixed world (EXPERIMENTS.md
-// documents the scale substitution).
+// users; ours sweeps the labeled fraction of a fixed world.
 func Figure9(cfg Config) (*Result, error) {
 	res := &Result{
 		Figure: "Figure 9",

@@ -15,9 +15,9 @@ import (
 )
 
 // Config scales the experiment suite. Scale = 1 is the calibrated laptop
-// scale (hundreds of users — the paper's millions are documented as
-// scaled-down in EXPERIMENTS.md; curve shapes, not absolute axes, are the
-// reproduction target).
+// scale (hundreds of users against the paper's millions; curve shapes, not
+// absolute axes, are the reproduction target — see the README's
+// introduction).
 type Config struct {
 	// Scale multiplies every world size (≥ 0.25 recommended).
 	Scale float64
@@ -29,9 +29,6 @@ type Config struct {
 	// seeded RNGs, so any setting produces identical figures.
 	Workers int
 }
-
-// DefaultExpConfig is the standard suite configuration.
-func DefaultExpConfig(seed int64) Config { return Config{Scale: 1, Seed: seed} }
 
 // hydraConfig is core.DefaultConfig with the suite's worker pin applied.
 func (c Config) hydraConfig() core.Config {

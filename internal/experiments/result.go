@@ -1,8 +1,8 @@
 // Package experiments contains one driver per figure of the paper's
 // evaluation (Section 7): each builds the required synthetic workload, runs
 // HYDRA and the baselines, and emits the figure's series as printable rows.
-// The per-experiment index in DESIGN.md maps each driver to its paper
-// figure; EXPERIMENTS.md records the paper-vs-measured comparison.
+// cmd/hydra-bench maps each driver to its -only name (README "Figures and
+// benchmarks").
 package experiments
 
 import (

@@ -260,9 +260,6 @@ func (p *Pipeline) FeatureNames() []string { return p.names }
 // FeatureGroups returns the group label of each feature dimension.
 func (p *Pipeline) FeatureGroups() []string { return p.groups }
 
-// Importance exposes the learned attribute-importance model.
-func (p *Pipeline) Importance() *attr.Importance { return p.importance }
-
 // AccountView is the per-account preprocessed state: per-post distributions,
 // unique words, and the behavior embedding used by structure consistency.
 //

@@ -1,8 +1,8 @@
 // Package graph implements the social-structure substrate of HYDRA: the
 // per-platform interaction graph, k-hop distances for the structure
-// consistency matrix (d_ij = (k_ij+1)² in Eqn 9), the interaction-weighted
-// "core structure" (top-k most contacted friends, Section 6.2/6.3), and
-// overlapping community extraction for the Figure-12 experiment.
+// consistency matrix (d_ij = (k_ij+1)² in Eqn 9) and the
+// interaction-weighted "core structure" (top-k most contacted friends,
+// Section 6.2/6.3).
 package graph
 
 import (
@@ -154,63 +154,4 @@ func (g *Graph) HopDistance(u, v, maxHops int) (int, bool) {
 		frontier = next
 	}
 	return 0, false
-}
-
-// StructDistance returns the paper's d_ij = (k_ij+1)² closeness measure,
-// and ok=false when the two users are farther than maxHops apart.
-func (g *Graph) StructDistance(u, v, maxHops int) (float64, bool) {
-	k, ok := g.HopDistance(u, v, maxHops)
-	if !ok {
-		return 0, false
-	}
-	d := float64(k + 1)
-	return d * d, true
-}
-
-// ConnectedComponents returns the list of components, each a sorted slice
-// of node ids, ordered by their smallest node id.
-func (g *Graph) ConnectedComponents() [][]int {
-	seen := make([]bool, g.n)
-	var comps [][]int
-	for start := 0; start < g.n; start++ {
-		if seen[start] {
-			continue
-		}
-		var comp []int
-		stack := []int{start}
-		seen[start] = true
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			comp = append(comp, u)
-			for v := range g.adj[u] {
-				if !seen[v] {
-					seen[v] = true
-					stack = append(stack, v)
-				}
-			}
-		}
-		sort.Ints(comp)
-		comps = append(comps, comp)
-	}
-	return comps
-}
-
-// ClusteringCoefficient returns the local clustering coefficient of u:
-// the fraction of u's neighbor pairs that are themselves connected.
-func (g *Graph) ClusteringCoefficient(u int) float64 {
-	nbrs := g.Neighbors(u)
-	d := len(nbrs)
-	if d < 2 {
-		return 0
-	}
-	links := 0
-	for i := 0; i < d; i++ {
-		for j := i + 1; j < d; j++ {
-			if g.HasEdge(nbrs[i], nbrs[j]) {
-				links++
-			}
-		}
-	}
-	return 2 * float64(links) / (float64(d) * float64(d-1))
 }

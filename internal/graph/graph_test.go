@@ -105,120 +105,6 @@ func TestHopDistance(t *testing.T) {
 	}
 }
 
-func TestStructDistance(t *testing.T) {
-	g := pathGraph(4)
-	d, ok := g.StructDistance(0, 1, 3)
-	if !ok || d != 1 {
-		t.Fatalf("direct friends d = %v", d)
-	}
-	d, ok = g.StructDistance(0, 2, 3)
-	if !ok || d != 4 {
-		t.Fatalf("2-hop d = %v, want (1+1)²=4", d)
-	}
-	if _, ok := g.StructDistance(0, 3, 0); ok {
-		t.Fatal("cap should make far node unreachable")
-	}
-}
-
-func TestConnectedComponents(t *testing.T) {
-	g := New(6)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 2, 1)
-	g.AddEdge(3, 4, 1)
-	comps := g.ConnectedComponents()
-	if len(comps) != 3 {
-		t.Fatalf("components = %v", comps)
-	}
-	if len(comps[0]) != 3 || len(comps[1]) != 2 || len(comps[2]) != 1 {
-		t.Fatalf("component sizes wrong: %v", comps)
-	}
-}
-
-func TestClusteringCoefficient(t *testing.T) {
-	g := New(4)
-	// Triangle 0-1-2 plus pendant 3.
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 2, 1)
-	g.AddEdge(0, 2, 1)
-	g.AddEdge(2, 3, 1)
-	if got := g.ClusteringCoefficient(0); got != 1 {
-		t.Fatalf("cc(0) = %v", got)
-	}
-	if got := g.ClusteringCoefficient(3); got != 0 {
-		t.Fatalf("cc(3) = %v", got)
-	}
-	// Node 2 has neighbors {0,1,3}, one of three pairs linked.
-	if got := g.ClusteringCoefficient(2); got < 0.3 || got > 0.34 {
-		t.Fatalf("cc(2) = %v, want 1/3", got)
-	}
-}
-
-func twoCliqueGraph() *Graph {
-	// Two 5-cliques bridged by a single edge.
-	g := New(10)
-	for i := 0; i < 5; i++ {
-		for j := i + 1; j < 5; j++ {
-			g.AddEdge(i, j, 3)
-			g.AddEdge(i+5, j+5, 3)
-		}
-	}
-	g.AddEdge(4, 5, 0.1)
-	return g
-}
-
-func TestDetectCommunities(t *testing.T) {
-	g := twoCliqueGraph()
-	comms := DetectCommunities(g, 10, 3)
-	if len(comms) != 2 {
-		t.Fatalf("communities = %d, want 2", len(comms))
-	}
-	// Each community must contain one full clique.
-	foundA, foundB := false, false
-	for _, c := range comms {
-		inA, inB := 0, 0
-		for _, u := range c.Nodes {
-			if u < 5 {
-				inA++
-			} else {
-				inB++
-			}
-		}
-		if inA == 5 {
-			foundA = true
-		}
-		if inB == 5 {
-			foundB = true
-		}
-	}
-	if !foundA || !foundB {
-		t.Fatalf("cliques not recovered: %v", comms)
-	}
-	// Sorted by size descending and ids assigned.
-	if comms[0].Size() < comms[1].Size() || comms[0].ID != 0 || comms[1].ID != 1 {
-		t.Fatal("community ordering/ids wrong")
-	}
-}
-
-func TestCommunityContainsAndOverlap(t *testing.T) {
-	a := Community{Nodes: []int{1, 3, 5}}
-	b := Community{Nodes: []int{3, 5, 7}}
-	if !a.Contains(3) || a.Contains(2) {
-		t.Fatal("Contains wrong")
-	}
-	if OverlapSize(a, b) != 2 {
-		t.Fatalf("OverlapSize = %d", OverlapSize(a, b))
-	}
-}
-
-func TestDetectCommunitiesMinSize(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1, 1)
-	comms := DetectCommunities(g, 5, 10)
-	if len(comms) != 0 {
-		t.Fatalf("minSize not honored: %v", comms)
-	}
-}
-
 // Property: hop distance is symmetric and satisfies the triangle-ish bound
 // k(u,w) <= k(u,v)+k(v,w)+1 (intermediate counts compose with the shared
 // midpoint counted once).
@@ -238,36 +124,6 @@ func TestHopDistanceSymmetryProperty(t *testing.T) {
 		}
 		if ok1 && duv != dvu {
 			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: every node appears in exactly one connected component.
-func TestComponentsPartitionProperty(t *testing.T) {
-	f := func(seed uint8) bool {
-		rng := rand.New(rand.NewSource(int64(seed)))
-		n := 3 + int(seed)%10
-		g := New(n)
-		for k := 0; k < n; k++ {
-			g.AddEdge(rng.Intn(n), rng.Intn(n), 1)
-		}
-		seen := make(map[int]int)
-		for _, comp := range g.ConnectedComponents() {
-			for _, u := range comp {
-				seen[u]++
-			}
-		}
-		if len(seen) != n {
-			return false
-		}
-		for _, c := range seen {
-			if c != 1 {
-				return false
-			}
 		}
 		return true
 	}

@@ -84,51 +84,3 @@ func absMaxIdx(v Vector) (float64, int) {
 	}
 	return best, idx
 }
-
-// ConjugateGradient solves a x = b for a symmetric positive-definite
-// operator a using CG, starting from x0 (nil means zero). It is the
-// iterative fallback for large kernel systems where a dense Cholesky would
-// not fit.
-func ConjugateGradient(a MulVeccer, b Vector, x0 Vector, maxIter int, tol float64) (Vector, int, error) {
-	n := len(b)
-	if maxIter <= 0 {
-		maxIter = 2 * n
-	}
-	if tol <= 0 {
-		tol = 1e-10
-	}
-	x := NewVector(n)
-	if x0 != nil {
-		if len(x0) != n {
-			return nil, 0, fmt.Errorf("linalg: CG x0 length %d, want %d", len(x0), n)
-		}
-		x = x0.Clone()
-	}
-	r := b.Sub(a.MulVec(x))
-	p := r.Clone()
-	rs := r.Dot(r)
-	bnorm := b.Norm()
-	if bnorm == 0 {
-		bnorm = 1
-	}
-	for k := 0; k < maxIter; k++ {
-		if math.Sqrt(rs)/bnorm < tol {
-			return x, k, nil
-		}
-		ap := a.MulVec(p)
-		denom := p.Dot(ap)
-		if denom <= 0 {
-			return nil, k, fmt.Errorf("linalg: CG detected non-positive curvature %g at iter %d (operator not SPD?)", denom, k)
-		}
-		alpha := rs / denom
-		x.AddScaled(alpha, p)
-		r.AddScaled(-alpha, ap)
-		rsNew := r.Dot(r)
-		beta := rsNew / rs
-		for i := range p {
-			p[i] = r[i] + beta*p[i]
-		}
-		rs = rsNew
-	}
-	return x, maxIter, nil
-}

@@ -73,56 +73,6 @@ func TestPowerIterationSparse(t *testing.T) {
 	}
 }
 
-func TestConjugateGradient(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	n := 12
-	b := NewMatrix(n, n)
-	for i := range b.Data {
-		b.Data[i] = rng.NormFloat64()
-	}
-	a := b.Mul(b.T()).AddDiag(2)
-	x := randVec(rng, n)
-	rhs := a.MulVec(x)
-	got, iters, err := ConjugateGradient(a, rhs, nil, 0, 1e-12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Sub(x).Norm() > 1e-6 {
-		t.Fatalf("CG residual too large after %d iters: %v", iters, got.Sub(x).Norm())
-	}
-}
-
-func TestConjugateGradientWarmStart(t *testing.T) {
-	a := NewMatrixFrom([][]float64{{4, 1}, {1, 3}})
-	x := Vector{1, 2}
-	rhs := a.MulVec(x)
-	got, iters, err := ConjugateGradient(a, rhs, x.Clone(), 10, 1e-10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if iters != 0 {
-		t.Fatalf("warm start at solution should take 0 iterations, took %d", iters)
-	}
-	if got.Sub(x).Norm() > 1e-10 {
-		t.Fatalf("warm-start solution drifted: %v", got)
-	}
-}
-
-func TestConjugateGradientBadX0(t *testing.T) {
-	a := Identity(2)
-	if _, _, err := ConjugateGradient(a, Vector{1, 2}, Vector{1}, 5, 1e-8); err == nil {
-		t.Fatal("expected error on x0 length mismatch")
-	}
-}
-
-func TestConjugateGradientNonSPD(t *testing.T) {
-	a := NewMatrixFrom([][]float64{{0, 1}, {1, 0}}) // indefinite
-	_, _, err := ConjugateGradient(a, Vector{1, -1}, nil, 50, 1e-10)
-	if err == nil {
-		t.Fatal("expected CG to report non-positive curvature")
-	}
-}
-
 // Property: power iteration's Rayleigh quotient upper-bounds the quotient of
 // any random probe vector (dominant eigenvalue is the max of the quotient).
 func TestPowerIterationDominanceProperty(t *testing.T) {

@@ -234,13 +234,3 @@ func (f *LU) SolveMatrixWorkers(b *Matrix, workers int) *Matrix {
 	})
 	return out
 }
-
-// Det returns the determinant of the factored matrix.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	n := f.lu.Rows
-	for i := 0; i < n; i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
-}

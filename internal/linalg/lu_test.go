@@ -49,9 +49,6 @@ func TestLUNeedsPivoting(t *testing.T) {
 	if math.Abs(x[0]-7) > 1e-12 || math.Abs(x[1]-3) > 1e-12 {
 		t.Fatalf("pivoted solve = %v", x)
 	}
-	if math.Abs(f.Det()-(-1)) > 1e-12 {
-		t.Fatalf("det = %v, want -1", f.Det())
-	}
 }
 
 func TestLUSolveMatrix(t *testing.T) {
@@ -73,17 +70,6 @@ func TestLUSolveMatrix(t *testing.T) {
 		if math.Abs(x.Data[i]-id.Data[i]) > 1e-9 {
 			t.Fatalf("A⁻¹A != I at %d: %v", i, x.Data[i])
 		}
-	}
-}
-
-func TestLUDetDiagonal(t *testing.T) {
-	a := NewMatrixFrom([][]float64{{2, 0}, {0, 3}})
-	f, err := Factorize(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(f.Det()-6) > 1e-12 {
-		t.Fatalf("det = %v, want 6", f.Det())
 	}
 }
 

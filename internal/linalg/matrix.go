@@ -72,40 +72,10 @@ func (m *Matrix) T() *Matrix { return m.TWorkers(1) }
 // in blocked.go for the parallel variant — both are bit-identical).
 func (m *Matrix) MulVec(v Vector) Vector { return m.MulVecWorkers(v, 1) }
 
-// MulVecT returns mᵀ*v as a new vector.
-func (m *Matrix) MulVecT(v Vector) Vector {
-	if m.Rows != len(v) {
-		panic(fmt.Sprintf("linalg: MulVecT shape mismatch %dx%dᵀ * %d", m.Rows, m.Cols, len(v)))
-	}
-	out := NewVector(m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		vi := v[i]
-		if vi == 0 {
-			continue
-		}
-		for j, x := range row {
-			out[j] += x * vi
-		}
-	}
-	return out
-}
-
 // Mul returns m*n as a new matrix (single-threaded; see MulWorkers in
 // blocked.go for the parallel variant — the blocked kernel reproduces the
 // classic row-sweep bit-for-bit at any worker count).
 func (m *Matrix) Mul(n *Matrix) *Matrix { return m.MulWorkers(n, 1) }
-
-// AddInPlace adds n to m element-wise in place and returns m.
-func (m *Matrix) AddInPlace(n *Matrix) *Matrix {
-	if m.Rows != n.Rows || m.Cols != n.Cols {
-		panic(fmt.Sprintf("linalg: Add shape mismatch %dx%d vs %dx%d", m.Rows, m.Cols, n.Rows, n.Cols))
-	}
-	for i := range m.Data {
-		m.Data[i] += n.Data[i]
-	}
-	return m
-}
 
 // ScaleInPlace multiplies every entry by a and returns m.
 func (m *Matrix) ScaleInPlace(a float64) *Matrix {
@@ -124,26 +94,6 @@ func (m *Matrix) AddDiag(a float64) *Matrix {
 		m.Data[i*m.Cols+i] += a
 	}
 	return m
-}
-
-// IsSymmetric reports whether m is symmetric within tolerance tol.
-func (m *Matrix) IsSymmetric(tol float64) bool {
-	if m.Rows != m.Cols {
-		return false
-	}
-	for i := 0; i < m.Rows; i++ {
-		for j := i + 1; j < m.Cols; j++ {
-			if math.Abs(m.At(i, j)-m.At(j, i)) > tol {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// QuadForm returns vᵀ m v.
-func (m *Matrix) QuadForm(v Vector) float64 {
-	return v.Dot(m.MulVec(v))
 }
 
 // Cholesky computes the lower-triangular factor L with m = L Lᵀ.

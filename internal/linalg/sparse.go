@@ -149,15 +149,3 @@ func (s *Sparse) Density() float64 {
 	}
 	return float64(s.NNZ()) / float64(total)
 }
-
-// LaplacianMulVec computes (D - S) v where D = diag(row sums of S),
-// without materializing the Laplacian. This is the operator HYDRA applies
-// inside its regularizer wᵀXᵀ(D−M)Xw.
-func (s *Sparse) LaplacianMulVec(v Vector) Vector {
-	out := s.MulVec(v).Scale(-1)
-	d := s.RowSums()
-	for i := range out {
-		out[i] += d[i] * v[i]
-	}
-	return out
-}

@@ -41,26 +41,6 @@ func (v Vector) Dot(w Vector) float64 {
 // Norm returns the Euclidean norm of v.
 func (v Vector) Norm() float64 { return math.Sqrt(v.Dot(v)) }
 
-// Norm1 returns the l1 norm of v.
-func (v Vector) Norm1() float64 {
-	var s float64
-	for _, x := range v {
-		s += math.Abs(x)
-	}
-	return s
-}
-
-// NormInf returns the maximum absolute entry of v.
-func (v Vector) NormInf() float64 {
-	var m float64
-	for _, x := range v {
-		if a := math.Abs(x); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
 // Scale multiplies every entry of v by a in place and returns v.
 func (v Vector) Scale(a float64) Vector {
 	for i := range v {

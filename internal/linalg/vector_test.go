@@ -31,12 +31,6 @@ func TestVectorNorms(t *testing.T) {
 	if got := v.Norm(); got != 5 {
 		t.Fatalf("Norm = %v, want 5", got)
 	}
-	if got := v.Norm1(); got != 7 {
-		t.Fatalf("Norm1 = %v, want 7", got)
-	}
-	if got := v.NormInf(); got != 4 {
-		t.Fatalf("NormInf = %v, want 4", got)
-	}
 }
 
 func TestVectorScaleAddSub(t *testing.T) {

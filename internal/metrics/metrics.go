@@ -1,13 +1,12 @@
 // Package metrics provides the evaluation measures of the paper's Section
 // 7.1: precision ("the fraction of the user pairs in the returned result
 // that are correctly linked"), recall ("the fraction of the actual linked
-// user pairs that are contained in the returned result"), F1, PR curves
-// and wall-clock timing.
+// user pairs that are contained in the returned result"), F1 and
+// wall-clock timing.
 package metrics
 
 import (
 	"fmt"
-	"sort"
 	"time"
 )
 
@@ -74,84 +73,6 @@ func EvaluateLinkage(returned, truth []bool, missedPositives int) (Confusion, er
 	}
 	c.FN += missedPositives
 	return c, nil
-}
-
-// PRPoint is one precision/recall point at a score threshold.
-type PRPoint struct {
-	Threshold float64
-	Precision float64
-	Recall    float64
-}
-
-// PRCurve sweeps thresholds over the scores and returns the PR points in
-// descending threshold order. missedPositives is charged to recall as in
-// EvaluateLinkage.
-func PRCurve(scores []float64, truth []bool, missedPositives int) ([]PRPoint, error) {
-	if len(scores) != len(truth) {
-		return nil, fmt.Errorf("metrics: %d scores but %d labels", len(scores), len(truth))
-	}
-	idx := make([]int, len(scores))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return scores[idx[a]] > scores[idx[b]] })
-	totalPos := missedPositives
-	for _, t := range truth {
-		if t {
-			totalPos++
-		}
-	}
-	var out []PRPoint
-	tp, fp := 0, 0
-	for rank, i := range idx {
-		if truth[i] {
-			tp++
-		} else {
-			fp++
-		}
-		// Emit a point at each distinct threshold (skip ties with the next).
-		if rank+1 < len(idx) && scores[idx[rank+1]] == scores[i] {
-			continue
-		}
-		p := float64(tp) / float64(tp+fp)
-		r := 0.0
-		if totalPos > 0 {
-			r = float64(tp) / float64(totalPos)
-		}
-		out = append(out, PRPoint{Threshold: scores[i], Precision: p, Recall: r})
-	}
-	return out, nil
-}
-
-// AveragePrecision integrates the PR curve (the mean precision at each
-// positive hit).
-func AveragePrecision(scores []float64, truth []bool, missedPositives int) (float64, error) {
-	if len(scores) != len(truth) {
-		return 0, fmt.Errorf("metrics: %d scores but %d labels", len(scores), len(truth))
-	}
-	idx := make([]int, len(scores))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return scores[idx[a]] > scores[idx[b]] })
-	totalPos := missedPositives
-	for _, t := range truth {
-		if t {
-			totalPos++
-		}
-	}
-	if totalPos == 0 {
-		return 0, nil
-	}
-	tp := 0
-	var acc float64
-	for rank, i := range idx {
-		if truth[i] {
-			tp++
-			acc += float64(tp) / float64(rank+1)
-		}
-	}
-	return acc / float64(totalPos), nil
 }
 
 // Timer measures wall-clock durations for the efficiency experiments.

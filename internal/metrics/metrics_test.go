@@ -54,80 +54,6 @@ func TestEvaluateLinkageValidation(t *testing.T) {
 	}
 }
 
-func TestPRCurve(t *testing.T) {
-	scores := []float64{0.9, 0.8, 0.7, 0.6}
-	truth := []bool{true, true, false, true}
-	pts, err := PRCurve(scores, truth, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 4 {
-		t.Fatalf("points = %d", len(pts))
-	}
-	// At the top threshold: 1 TP, precision 1, recall 1/3.
-	if pts[0].Precision != 1 || math.Abs(pts[0].Recall-1.0/3) > 1e-12 {
-		t.Fatalf("first point = %+v", pts[0])
-	}
-	// Final point: 3 TP, 1 FP.
-	last := pts[len(pts)-1]
-	if math.Abs(last.Precision-0.75) > 1e-12 || last.Recall != 1 {
-		t.Fatalf("last point = %+v", last)
-	}
-	// Recall must be non-decreasing as threshold drops.
-	for i := 1; i < len(pts); i++ {
-		if pts[i].Recall < pts[i-1].Recall {
-			t.Fatal("recall decreased along the curve")
-		}
-	}
-}
-
-func TestPRCurveTies(t *testing.T) {
-	scores := []float64{0.5, 0.5, 0.5}
-	truth := []bool{true, false, true}
-	pts, err := PRCurve(scores, truth, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 1 {
-		t.Fatalf("tied scores should emit one point, got %d", len(pts))
-	}
-}
-
-func TestPRCurveMissedPositives(t *testing.T) {
-	scores := []float64{0.9}
-	truth := []bool{true}
-	pts, err := PRCurve(scores, truth, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pts[0].Recall != 0.5 {
-		t.Fatalf("recall with blocking miss = %v, want 0.5", pts[0].Recall)
-	}
-}
-
-func TestAveragePrecision(t *testing.T) {
-	// Perfect ranking.
-	ap, err := AveragePrecision([]float64{0.9, 0.8, 0.1}, []bool{true, true, false}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ap != 1 {
-		t.Fatalf("perfect AP = %v", ap)
-	}
-	// Worst ranking of one positive among two.
-	ap, _ = AveragePrecision([]float64{0.9, 0.8}, []bool{false, true}, 0)
-	if ap != 0.5 {
-		t.Fatalf("AP = %v, want 0.5", ap)
-	}
-	if _, err := AveragePrecision([]float64{1}, []bool{true, false}, 0); err == nil {
-		t.Fatal("expected length error")
-	}
-	ap, _ = AveragePrecision(nil, nil, 0)
-	if ap != 0 {
-		t.Fatal("empty AP should be 0")
-	}
-}
-
 func TestTimer(t *testing.T) {
 	tm := NewTimer()
 	if tm.Seconds() < 0 {

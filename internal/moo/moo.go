@@ -1,73 +1,15 @@
 // Package moo implements the multi-objective optimization scaffolding of
-// the paper's Section 6.3: the weighted exponential-sum utility (Eqn 11),
-// Pareto dominance, and the iterative reweighting that reduces the p-power
-// utility to a sequence of weighted-sum (p=1) problems — the mechanism by
-// which larger p "imposes greater uniqueness on the dominant objective
-// function" (Section 6.4).
+// the paper's Section 6.3: the iterative reweighting that reduces the
+// weighted exponential-sum utility U = Σ_k w_k · F_k^p (Eqn 11) to a
+// sequence of weighted-sum (p=1) problems — the mechanism by which larger
+// p "imposes greater uniqueness on the dominant objective function"
+// (Section 6.4).
 package moo
 
 import (
 	"fmt"
 	"math"
 )
-
-// Utility evaluates U = Σ_k w_k · F_k^p (Eqn 11). All objective values must
-// be positive and all weights non-negative, as the paper requires.
-func Utility(weights, values []float64, p float64) (float64, error) {
-	if len(weights) != len(values) {
-		return 0, fmt.Errorf("moo: %d weights but %d values", len(weights), len(values))
-	}
-	if p < 1 {
-		return 0, fmt.Errorf("moo: exponent p must be ≥ 1, got %g", p)
-	}
-	var u float64
-	for k := range weights {
-		if weights[k] < 0 {
-			return 0, fmt.Errorf("moo: weight %d is negative (%g)", k, weights[k])
-		}
-		if values[k] <= 0 {
-			return 0, fmt.Errorf("moo: objective %d is non-positive (%g); Eqn 11 requires F_k > 0", k, values[k])
-		}
-		u += weights[k] * math.Pow(values[k], p)
-	}
-	return u, nil
-}
-
-// Dominates reports whether objective vector a Pareto-dominates b for
-// minimization: a ≤ b component-wise with at least one strict inequality.
-func Dominates(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	strict := false
-	for k := range a {
-		if a[k] > b[k] {
-			return false
-		}
-		if a[k] < b[k] {
-			strict = true
-		}
-	}
-	return strict
-}
-
-// ParetoFront returns the indices of the non-dominated points (minimization).
-func ParetoFront(points [][]float64) []int {
-	var front []int
-	for i, p := range points {
-		dominated := false
-		for j, q := range points {
-			if i != j && Dominates(q, p) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			front = append(front, i)
-		}
-	}
-	return front
-}
 
 // EffectiveWeights linearizes the p-power utility at the current objective
 // values: ∂U/∂F_k = p · w_k · F_k^(p−1). Minimizing the weighted sum with
@@ -99,23 +41,4 @@ func EffectiveWeights(weights, values []float64, p float64) ([]float64, error) {
 		}
 	}
 	return out, nil
-}
-
-// UtopiaDistance returns the l_p distance between the objective vector and
-// a utopia point — the p>1 interpretation the paper cites from compromise
-// programming [1]: "minimizing the distance function between the solution
-// point and Utopia points".
-func UtopiaDistance(values, utopia []float64, p float64) (float64, error) {
-	if len(values) != len(utopia) {
-		return 0, fmt.Errorf("moo: %d values but %d utopia coordinates", len(values), len(utopia))
-	}
-	if p < 1 {
-		return 0, fmt.Errorf("moo: p must be ≥ 1, got %g", p)
-	}
-	var acc float64
-	for k := range values {
-		d := math.Abs(values[k] - utopia[k])
-		acc += math.Pow(d, p)
-	}
-	return math.Pow(acc, 1/p), nil
 }

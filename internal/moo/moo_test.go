@@ -3,75 +3,7 @@ package moo
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
-
-func TestUtility(t *testing.T) {
-	u, err := Utility([]float64{1, 2}, []float64{3, 4}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u != 11 {
-		t.Fatalf("U = %v, want 11", u)
-	}
-	u, err = Utility([]float64{1, 1}, []float64{2, 3}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u != 13 {
-		t.Fatalf("U(p=2) = %v, want 13", u)
-	}
-}
-
-func TestUtilityValidation(t *testing.T) {
-	if _, err := Utility([]float64{1}, []float64{1, 2}, 1); err == nil {
-		t.Fatal("expected length error")
-	}
-	if _, err := Utility([]float64{1}, []float64{1}, 0.5); err == nil {
-		t.Fatal("expected p validation error")
-	}
-	if _, err := Utility([]float64{-1}, []float64{1}, 1); err == nil {
-		t.Fatal("expected negative-weight error")
-	}
-	if _, err := Utility([]float64{1}, []float64{0}, 1); err == nil {
-		t.Fatal("expected non-positive objective error")
-	}
-}
-
-func TestDominates(t *testing.T) {
-	if !Dominates([]float64{1, 2}, []float64{2, 2}) {
-		t.Fatal("should dominate")
-	}
-	if Dominates([]float64{1, 3}, []float64{2, 2}) {
-		t.Fatal("incomparable points should not dominate")
-	}
-	if Dominates([]float64{1, 2}, []float64{1, 2}) {
-		t.Fatal("equal points should not dominate")
-	}
-	if Dominates([]float64{1}, []float64{1, 2}) {
-		t.Fatal("mismatched lengths should not dominate")
-	}
-}
-
-func TestParetoFront(t *testing.T) {
-	points := [][]float64{
-		{1, 4}, // front
-		{2, 2}, // front
-		{4, 1}, // front
-		{3, 3}, // dominated by (2,2)
-		{5, 5}, // dominated
-	}
-	front := ParetoFront(points)
-	want := map[int]bool{0: true, 1: true, 2: true}
-	if len(front) != 3 {
-		t.Fatalf("front = %v", front)
-	}
-	for _, i := range front {
-		if !want[i] {
-			t.Fatalf("unexpected front member %d", i)
-		}
-	}
-}
 
 func TestEffectiveWeightsP1Identity(t *testing.T) {
 	w := []float64{1, 0.5}
@@ -110,65 +42,5 @@ func TestEffectiveWeightsValidation(t *testing.T) {
 	}
 	if _, err := EffectiveWeights([]float64{1}, []float64{1}, 0); err == nil {
 		t.Fatal("expected p error")
-	}
-}
-
-func TestUtopiaDistance(t *testing.T) {
-	d, err := UtopiaDistance([]float64{3, 4}, []float64{0, 0}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(d-5) > 1e-12 {
-		t.Fatalf("distance = %v, want 5", d)
-	}
-	if _, err := UtopiaDistance([]float64{1}, []float64{1, 2}, 2); err == nil {
-		t.Fatal("expected length error")
-	}
-	if _, err := UtopiaDistance([]float64{1}, []float64{1}, 0.2); err == nil {
-		t.Fatal("expected p error")
-	}
-}
-
-// Property: utility is monotone in each objective value (for minimization,
-// increasing any F_k increases U).
-func TestUtilityMonotoneProperty(t *testing.T) {
-	f := func(a, b uint8, p uint8) bool {
-		pf := 1 + float64(p%5)
-		v1 := 0.1 + float64(a)/64
-		v2 := v1 + 0.1 + float64(b)/64
-		u1, err1 := Utility([]float64{1, 1}, []float64{v1, 1}, pf)
-		u2, err2 := Utility([]float64{1, 1}, []float64{v2, 1}, pf)
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		return u2 > u1
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: the Pareto front never contains a dominated point.
-func TestParetoFrontProperty(t *testing.T) {
-	f := func(seed uint8) bool {
-		pts := make([][]float64, 8)
-		x := int(seed) + 1
-		for i := range pts {
-			x = (x*31 + 7) % 97
-			y := (x*17 + 3) % 89
-			pts[i] = []float64{float64(x), float64(y)}
-		}
-		front := ParetoFront(pts)
-		for _, i := range front {
-			for j := range pts {
-				if i != j && Dominates(pts[j], pts[i]) {
-					return false
-				}
-			}
-		}
-		return len(front) > 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -98,8 +98,11 @@ type bundleHeaderV3 struct {
 	WorldFingerprint string `json:"world_fingerprint"`
 }
 
-// prescreenMetaV3 is a core.PrescreenParts minus its projection,
-// phase and collapsed vectors, which live in the prescreen section.
+// prescreenMetaV3 is a core.PrescreenParts minus its center and fitted
+// vectors, which live in the prescreen section. RFF counted the
+// features of a random-Fourier block no packer ever shipped; v3 keeps
+// the key (always 0) and the section keeps the block's two vectors
+// (always empty) so that packed bundles do not change a byte.
 type prescreenMetaV3 struct {
 	Features int     `json:"features"`
 	RFF      int     `json:"rff"`
@@ -109,6 +112,24 @@ type prescreenMetaV3 struct {
 	EpsRaw   float64 `json:"eps_raw"`
 	Safety   float64 `json:"safety"`
 	Eps      float64 `json:"eps"`
+}
+
+// parts assembles the prescreen from the header scalars and the
+// section's four vectors, refusing a Fourier block — the gate both
+// readers share, like checkMagic.
+func (hp *prescreenMetaV3) parts(w, b, c, v linalg.Vector) (*core.PrescreenParts, error) {
+	if hp.RFF != 0 || len(w) != 0 || len(b) != 0 {
+		return nil, fmt.Errorf("pipeline: v%d prescreen carries a random-Fourier block (rff=%d) — that basis is no longer read; repack with hydra-pack from the model artifact and its world", BundleVersion, hp.RFF)
+	}
+	p := &core.PrescreenParts{
+		Features: hp.Features, Dim: hp.Dim, Seed: hp.Seed,
+		Sigma: hp.Sigma, EpsRaw: hp.EpsRaw, Safety: hp.Safety, Eps: hp.Eps,
+		C: c, V: v,
+	}
+	// Shape-check against the header's announced dimensions here, so a
+	// truncated or hand-edited prescreen fails at load time rather than
+	// mis-pruning a top-k later.
+	return p, p.Validate()
 }
 
 // imputeTableMetaV3 is a core.ImputeTableParts minus its id, count and
@@ -190,7 +211,7 @@ func writeBundleV3(w io.Writer, b *Bundle) error {
 	}
 	if p := b.Prescreen; p != nil {
 		header.Prescreen = &prescreenMetaV3{
-			Features: p.Features, RFF: p.RFF, Dim: p.Dim, Seed: p.Seed,
+			Features: p.Features, Dim: p.Dim, Seed: p.Seed,
 			Sigma: p.Sigma, EpsRaw: p.EpsRaw, Safety: p.Safety, Eps: p.Eps,
 		}
 	}
@@ -254,8 +275,8 @@ func writeBundleV3(w io.Writer, b *Bundle) error {
 		// header, so a bundle without one is byte-identical to what
 		// pre-prescreen writers produced.
 		var prescreen binSection
-		prescreen.putVec(p.W)
-		prescreen.putVec(p.B)
+		prescreen.putVec(nil) // the retired Fourier block's projection
+		prescreen.putVec(nil) // and phases; see prescreenMetaV3
 		prescreen.putVec(p.C)
 		prescreen.putVec(p.V)
 		secs = append(secs, &prescreen)
@@ -412,10 +433,11 @@ func readBundleV3(r io.Reader) (*Bundle, error) {
 			return nil, err
 		}
 		prescreen := &binSection{buf: p}
-		b.Prescreen = &core.PrescreenParts{
-			Features: hp.Features, RFF: hp.RFF, Dim: hp.Dim, Seed: hp.Seed,
-			Sigma: hp.Sigma, EpsRaw: hp.EpsRaw, Safety: hp.Safety, Eps: hp.Eps,
-			W: prescreen.vec(), B: prescreen.vec(), C: prescreen.vec(), V: prescreen.vec(),
+		w, ph, c, v := prescreen.vec(), prescreen.vec(), prescreen.vec(), prescreen.vec()
+		if prescreen.err == nil { // a torn section is reported below, with the others
+			if b.Prescreen, err = hp.parts(w, ph, c, v); err != nil {
+				return nil, err
+			}
 		}
 		secList = append(secList, prescreen)
 	}
@@ -454,14 +476,6 @@ func readBundleV3(r io.Reader) (*Bundle, error) {
 		}
 		if sec.off != len(sec.buf) {
 			return nil, fmt.Errorf("pipeline: v3 section %d has %d trailing bytes — corrupt bundle", i, len(sec.buf)-sec.off)
-		}
-	}
-	if b.Prescreen != nil {
-		// Shape-check against the header's announced dimensions here, so
-		// a truncated or hand-edited prescreen fails at load time rather
-		// than mis-pruning a top-k later.
-		if err := b.Prescreen.Validate(); err != nil {
-			return nil, err
 		}
 	}
 	if b.ImputeTable != nil {

@@ -255,15 +255,13 @@ func (mb *MappedBundle) decodePrescreen(buf []byte) error {
 		return nil
 	}
 	r := mb.reader(buf)
-	mb.prescreenParts = &core.PrescreenParts{
-		Features: hp.Features, RFF: hp.RFF, Dim: hp.Dim, Seed: hp.Seed,
-		Sigma: hp.Sigma, EpsRaw: hp.EpsRaw, Safety: hp.Safety, Eps: hp.Eps,
-		W: r.vec(), B: r.vec(), C: r.vec(), V: r.vec(),
-	}
+	w, b, c, v := r.vec(), r.vec(), r.vec(), r.vec()
 	if err := r.finish("prescreen section"); err != nil {
 		return err
 	}
-	return mb.prescreenParts.Validate()
+	var err error
+	mb.prescreenParts, err = hp.parts(w, b, c, v)
+	return err
 }
 
 func (mb *MappedBundle) decodeImputeTable(buf []byte) error {
@@ -559,37 +557,6 @@ func (mb *MappedBundle) Stats() MappedStats {
 		TotalViews:      mb.totalViews,
 		TotalFriends:    mb.totalFriends,
 		TotalRows:       mb.rows,
-	}
-}
-
-// DropCaches releases every materialized view, friend slice and index
-// row; the next touch re-materializes from the mapping. Safe to call
-// concurrently with queries — in-flight holders keep their references
-// alive, the GC reclaims the rest.
-func (mb *MappedBundle) DropCaches() {
-	for _, mv := range mb.views {
-		for i := range mv.cache {
-			if mv.cache[i].Swap(nil) != nil {
-				mb.resViews.Add(-1)
-			}
-		}
-	}
-	for _, mf := range mb.friends {
-		for i := range mf.cache {
-			if mf.cache[i].Swap(nil) != nil {
-				mb.resFriends.Add(-1)
-			}
-		}
-	}
-	for _, mi := range mb.indexes {
-		for i := range mi.cache {
-			if mi.cache[i].Swap(nil) != nil {
-				mb.resRows.Add(-1)
-			}
-		}
-	}
-	if mb.mapped {
-		dropResident(mb.data)
 	}
 }
 

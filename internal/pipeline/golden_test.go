@@ -217,15 +217,12 @@ func TestBundleV3GoldenFormat(t *testing.T) {
 }
 
 // fixturePrescreen is a tiny hand-written prescreen consistent with
-// fixtureModelParts' 2-dim feature space: 2 Fourier features plus one
-// reduced-set center, so every field of the wire layout — both basis
-// blocks — appears in the golden bytes.
+// fixtureModelParts' 2-dim feature space: three reduced-set centers, so
+// every field of the wire layout appears in the golden bytes.
 func fixturePrescreen() *core.PrescreenParts {
 	return &core.PrescreenParts{
-		Features: 3, RFF: 2, Dim: 2, Seed: 77,
-		W:      linalg.Vector{0.5, -0.25, 1.5, 0.75},
-		B:      linalg.Vector{0.125, 2.5},
-		C:      linalg.Vector{0.375, -1.25},
+		Features: 3, Dim: 2, Seed: 77,
+		C:      linalg.Vector{0.375, -1.25, 0.5, -0.25, 1.5, 0.75},
 		Sigma:  0.8,
 		V:      linalg.Vector{0.0625, -0.03125, 0.5},
 		EpsRaw: 0.25, Safety: 2, Eps: 0.5,

@@ -59,7 +59,7 @@ func TestBundleV3ImputeTableGoldenFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !m.HasImputeTable() {
+	if m.ImputeTable() == nil {
 		t.Fatal("restored model did not adopt the store's impute table")
 	}
 }

@@ -113,14 +113,6 @@ func (d *ShardDesc) Owns(id platform.ID, b int) bool {
 	return s == -1 || s == d.Index
 }
 
-// SameSplit reports whether two descriptors come from the same split of
-// the same generation — everything but the shard index agrees. A router
-// requires this across the serves it fans out to; a hot swap requires it
-// minus the generation (SameTopology).
-func (d *ShardDesc) SameSplit(o *ShardDesc) bool {
-	return d.SameTopology(o) && (d == nil || d.Generation == o.Generation)
-}
-
 // SameTopology reports whether two descriptors describe the same
 // partition shape: count, seed and restricted platforms (generation and
 // shard index free). A serve only hot-swaps between same-topology

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -16,19 +17,30 @@ import (
 // cross the wire.
 const DeadlineHeader = "X-Hydra-Deadline-Ms"
 
+// maxBudgetMs is the largest budget a header can ask for, one day.
+// Larger values (and ±Inf) are clamped to it before the conversion to
+// time.Duration, which overflows from ≈ 9.2e12 ms: an unclamped 1e13
+// lands 292 years in the past and the client that asked for the most
+// time is told its budget is spent.
+const maxBudgetMs = float64(24 * time.Hour / time.Millisecond)
+
 // ParseDeadline reads the deadline budget header: the absolute wall time
 // the budget expires at, and whether a budget was present at all. A
-// malformed value is an error (a client that tried to set a budget and
-// failed should hear about it, not silently run unbounded).
+// malformed value, NaN included, is an error (a client that tried to set
+// a budget and failed should hear about it, not silently run unbounded).
 func ParseDeadline(h http.Header) (time.Time, bool, error) {
 	s := h.Get(DeadlineHeader)
 	if s == "" {
 		return time.Time{}, false, nil
 	}
 	ms, err := strconv.ParseFloat(s, 64)
+	if err == nil && math.IsNaN(ms) {
+		err = strconv.ErrSyntax
+	}
 	if err != nil {
 		return time.Time{}, false, fmt.Errorf("bad %s=%q: %w", DeadlineHeader, s, err)
 	}
+	ms = max(min(ms, maxBudgetMs), -maxBudgetMs)
 	return time.Now().Add(time.Duration(ms * float64(time.Millisecond))), true, nil
 }
 

@@ -20,7 +20,7 @@ func imputePair(t *testing.T, workers int) (on, off *Engine) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !on.Model.HasImputeTable() {
+	if on.Model.ImputeTable() == nil {
 		t.Fatal("fixture bundle carries no impute table — pack-time build is broken")
 	}
 	off, err = NewEngineFromBundle(e.bundle, workers)

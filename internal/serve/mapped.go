@@ -100,15 +100,6 @@ func (e *Engine) MappedStats() *pipeline.MappedStats {
 	return &s
 }
 
-// DropMappedCaches releases every materialized section entry of a mapped
-// engine (memory pressure relief); the next queries re-materialize what
-// they touch. No-op on in-memory engines.
-func (e *Engine) DropMappedCaches() {
-	if e.mapped != nil {
-		e.mapped.DropCaches()
-	}
-}
-
 // NumAccounts reports how many accounts platform id carries, -1 when
 // the platform is absent — answered from the store's counts, without
 // materializing any view.

@@ -130,12 +130,6 @@ type HTTP struct {
 	// Client overrides http.DefaultClient; per-attempt deadlines come
 	// from the router's context, not the client timeout.
 	Client *http.Client
-	// HopMargin is subtracted from the request's remaining deadline
-	// budget before it is stamped on the outgoing hop (default 2ms),
-	// reserving time for the reply to travel back and be merged. A
-	// budget-carrying request whose remainder is spent fails before the
-	// wire is touched.
-	HopMargin time.Duration
 }
 
 func (h *HTTP) Name() string { return h.URL }
@@ -213,17 +207,14 @@ func (h *HTTP) post(ctx context.Context, path string, body []byte, out any) erro
 }
 
 // stampBudget propagates the request's deadline budget to the next hop,
-// decremented by HopMargin.
+// decremented by hopMargin. A budget-carrying request whose remainder is
+// spent fails before the wire is touched.
 func (h *HTTP) stampBudget(req *http.Request) error {
 	t, ok := Budget(req.Context())
 	if !ok {
 		return nil
 	}
-	margin := h.HopMargin
-	if margin <= 0 {
-		margin = 2 * time.Millisecond
-	}
-	t = t.Add(-margin)
+	t = t.Add(-hopMargin)
 	if !time.Now().Before(t) {
 		return fmt.Errorf("router: %s: deadline budget exhausted before the call", h.URL)
 	}

@@ -63,26 +63,23 @@ func (b *breaker) success() {
 	b.streak.Store(0)
 }
 
-func (b *breaker) failure(now int64, threshold int32, openFor, maxOpen time.Duration) {
+func (b *breaker) failure(now int64, threshold int32, openFor time.Duration) {
 	switch b.state.Load() {
 	case bkHalfOpen: // the probe failed: straight back open, longer window
-		b.trip(now, openFor, maxOpen)
+		b.trip(now, openFor)
 	case bkClosed:
 		if b.fails.Add(1) >= threshold {
-			b.trip(now, openFor, maxOpen)
+			b.trip(now, openFor)
 		}
 	} // already open: a straggling failure from before the trip — ignore.
 }
 
-func (b *breaker) trip(now int64, openFor, maxOpen time.Duration) {
+func (b *breaker) trip(now int64, openFor time.Duration) {
 	s := b.streak.Add(1)
 	if s > 6 {
 		s = 6 // 32× the base window is the exponential ceiling
 	}
-	d := openFor << uint(s-1)
-	if d > maxOpen {
-		d = maxOpen
-	}
+	d := min(openFor<<uint(s-1), breakerMaxOpen)
 	// Full jitter over [d/2, d): desynchronizes probe traffic across
 	// routers without ever halving the floor below d/2.
 	d = d/2 + time.Duration(rand.Int63n(int64(d/2)+1))

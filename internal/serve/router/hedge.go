@@ -59,7 +59,7 @@ func (w *latWindow) p99() time.Duration {
 
 // hedgeDelay is how long a shard's network attempt may run before the
 // backup fires: a fixed Options.HedgeAfter when set, otherwise the
-// shard's observed p99 clamped to [HedgeMin, timeout/2], falling back
+// shard's observed p99 clamped to [hedgeMin, timeout/2], falling back
 // to timeout/4 before enough samples exist.
 func (r *Router) hedgeDelay(si int) time.Duration {
 	if d := r.opts.HedgeAfter; d > 0 {
@@ -69,13 +69,7 @@ func (r *Router) hedgeDelay(si int) time.Duration {
 	if d <= 0 {
 		return r.opts.timeout() / 4
 	}
-	if mn := r.opts.hedgeMin(); d < mn {
-		d = mn
-	}
-	if mx := r.opts.timeout() / 2; d > mx {
-		d = mx
-	}
-	return d
+	return min(max(d, hedgeMin), r.opts.timeout()/2)
 }
 
 // hedgeFlight is one in-flight timed call's handle: its cancel and the
@@ -121,10 +115,10 @@ func (r *Router) timedTopK(j *topkJob, idx int, attempts *int, maxAttempts int, 
 			}
 			switch {
 			case err == nil:
-				r.breakerSuccess(si, i)
+				r.breakers[si][i].success()
 				r.lats[si].record(dur)
 			case IsQueryError(err):
-				r.breakerSuccess(si, i) // the replica answered; the query is at fault
+				r.breakers[si][i].success() // the replica answered; the query is at fault
 			default:
 				r.breakerFailure(si, i)
 			}
@@ -149,7 +143,7 @@ func (r *Router) timedTopK(j *topkJob, idx int, attempts *int, maxAttempts int, 
 	if r.opts.HedgeAfter >= 0 && len(reps) > 1 && *attempts < maxAttempts {
 		for o := 1; o < len(reps); o++ {
 			c := (idx + o) % len(reps)
-			if r.opts.BreakerDisabled || r.breakers[j.si][c].closedNow() {
+			if r.breakers[j.si][c].closedNow() {
 				backup = c
 				break
 			}

@@ -62,34 +62,20 @@ func (r *Router) RobustStats() RobustStats {
 }
 
 func (r *Router) breakerAllow(si, ri int) bool {
-	if r.opts.BreakerDisabled {
-		return true
-	}
 	return r.breakers[si][ri].allow(time.Now().UnixNano())
 }
 
-func (r *Router) breakerSuccess(si, ri int) {
-	if !r.opts.BreakerDisabled {
-		r.breakers[si][ri].success()
-	}
-}
-
 func (r *Router) breakerFailure(si, ri int) {
-	if !r.opts.BreakerDisabled {
-		r.breakers[si][ri].failure(time.Now().UnixNano(),
-			r.opts.breakerThreshold(), r.opts.breakerOpenFor(), r.opts.breakerMaxOpen())
-	}
+	r.breakers[si][ri].failure(time.Now().UnixNano(), r.opts.breakerThreshold(), r.opts.breakerOpenFor())
 }
 
 // backoffWait sleeps the full-jitter exponential backoff before ring
-// pass `pass` (≥ 1): uniform over [0, min(BackoffMax, BackoffBase·2^(pass-1))].
+// pass `pass` (≥ 1): uniform over [0, min(backoffMax, BackoffBase·2^(pass-1))].
 // It returns false — without sleeping uselessly — when the wait would
 // outlive the deadline budget or the context.
 func (r *Router) backoffWait(ctx context.Context, pass int, budgetT time.Time, hasBudget bool) bool {
 	mx := r.opts.backoffBase() << uint(pass-1)
-	if lim := r.opts.backoffMax(); mx > lim {
-		mx = lim
-	}
+	mx = min(mx, backoffMax)
 	d := time.Duration(rand.Int63n(int64(mx) + 1))
 	if hasBudget && time.Until(budgetT) <= d {
 		return false

@@ -407,6 +407,32 @@ func TestRouterDeadlineBudgetDegradesSlowShard(t *testing.T) {
 	}
 }
 
+// TestRouterBudgetMiddlewareHugeBudget asserts the router front-end
+// serves a request that asks for an enormous budget (1e13 ms used to
+// overflow into the past and come back 504 "budget exhausted") and
+// still hears a NaN as the client's error.
+func TestRouterBudgetMiddlewareHugeBudget(t *testing.T) {
+	h := (&Router{}).budgetMiddleware(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if _, ok := Budget(req.Context()); !ok {
+			t.Error("budgeted request reached the handler without a budget")
+		}
+		w.WriteHeader(http.StatusOK)
+	}))
+	for value, want := range map[string]int{
+		"NaN":  http.StatusBadRequest,
+		"1e13": http.StatusOK,
+		"+Inf": http.StatusOK,
+	} {
+		req := httptest.NewRequest(http.MethodGet, "/topk", nil)
+		req.Header.Set(serve.DeadlineHeader, value)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != want {
+			t.Errorf("%s=%s: status %d, want %d", serve.DeadlineHeader, value, rec.Code, want)
+		}
+	}
+}
+
 // TestRouterAutoRefresh asserts the background jittered re-probe loop
 // actually probes (the health observer sees repeated rounds) and that
 // stop halts it.

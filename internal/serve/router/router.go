@@ -37,28 +37,21 @@ import (
 type Options struct {
 	// Timeout bounds one attempt against one replica (default 2s).
 	Timeout time.Duration
-	// Rings is how many passes over a shard's replica ring to make
-	// before declaring the shard down (default 2: every replica gets a
-	// retry).
-	Rings int
 	// MaxAttempts is the per-request retry budget against one shard:
 	// the hard cap on actual replica calls (breaker denials are free),
-	// hedges included. Default Rings passes' worth (rings × replicas).
+	// hedges included. Default: every replica gets a retry (rings ×
+	// replicas).
 	MaxAttempts int
 	// BackoffBase seeds the exponential backoff slept between ring
-	// passes, with full jitter: pass p sleeps uniform [0, min(BackoffMax,
-	// BackoffBase·2^(p-1))). Defaults 2ms base, 250ms cap.
+	// passes, with full jitter: pass p sleeps uniform [0, min(backoffMax,
+	// BackoffBase·2^(p-1))). Default 2ms.
 	BackoffBase time.Duration
-	BackoffMax  time.Duration
 	// BreakerThreshold is the consecutive-failure count that trips a
 	// replica's circuit breaker open (default 3). BreakerOpenFor is the
 	// base open window (default 500ms; doubles per consecutive trip up
-	// to BreakerMaxOpen, default 10s). BreakerDisabled turns the
-	// breakers off entirely.
+	// to breakerMaxOpen).
 	BreakerThreshold int
 	BreakerOpenFor   time.Duration
-	BreakerMaxOpen   time.Duration
-	BreakerDisabled  bool
 	// HedgeAfter is the tied-hedged-request delay for network top-k
 	// scatter: after this long without a primary answer, the same query
 	// is fired at a backup replica and the first answer wins (the loser
@@ -67,18 +60,29 @@ type Options struct {
 	// with in-process replicas never hedge (the call cannot straggle on
 	// I/O, and hedging would cost the zero-alloc path its guarantee).
 	HedgeAfter time.Duration
-	// HedgeMin floors the adaptive hedge delay (default 1ms) so a burst
-	// of fast answers cannot talk the router into hedging every query.
-	HedgeMin time.Duration
 	// DefaultBudget, when positive, is the end-to-end deadline budget
 	// the HTTP front-end applies to requests that carry no deadline
 	// header of their own. 0 means such requests run unbudgeted.
 	DefaultBudget time.Duration
-	// HopMargin is subtracted from the remaining budget at every
-	// downstream hop (header propagation), reserving time for the reply
-	// to travel back and be merged. Default 2ms.
-	HopMargin time.Duration
 }
+
+// Fixed policy: not options, because nothing needs them to vary.
+const (
+	// rings is how many passes over a shard's replica ring to make
+	// before declaring the shard down: every replica gets a retry.
+	rings = 2
+	// backoffMax caps the jittered sleep between ring passes.
+	backoffMax = 250 * time.Millisecond
+	// breakerMaxOpen caps a breaker's doubling open window.
+	breakerMaxOpen = 10 * time.Second
+	// hedgeMin floors the adaptive hedge delay so a burst of fast
+	// answers cannot talk the router into hedging every query.
+	hedgeMin = time.Millisecond
+	// hopMargin is subtracted from the remaining deadline budget at
+	// every downstream hop, reserving time for the reply to travel back
+	// and be merged.
+	hopMargin = 2 * time.Millisecond
+)
 
 func (o Options) timeout() time.Duration {
 	if o.Timeout <= 0 {
@@ -87,18 +91,11 @@ func (o Options) timeout() time.Duration {
 	return o.Timeout
 }
 
-func (o Options) rings() int {
-	if o.Rings <= 0 {
-		return 2
-	}
-	return o.Rings
-}
-
 func (o Options) maxAttempts(replicas int) int {
 	if o.MaxAttempts > 0 {
 		return o.MaxAttempts
 	}
-	return o.rings() * replicas
+	return rings * replicas
 }
 
 func (o Options) backoffBase() time.Duration {
@@ -106,13 +103,6 @@ func (o Options) backoffBase() time.Duration {
 		return 2 * time.Millisecond
 	}
 	return o.BackoffBase
-}
-
-func (o Options) backoffMax() time.Duration {
-	if o.BackoffMax <= 0 {
-		return 250 * time.Millisecond
-	}
-	return o.BackoffMax
 }
 
 func (o Options) breakerThreshold() int32 {
@@ -127,27 +117,6 @@ func (o Options) breakerOpenFor() time.Duration {
 		return 500 * time.Millisecond
 	}
 	return o.BreakerOpenFor
-}
-
-func (o Options) breakerMaxOpen() time.Duration {
-	if o.BreakerMaxOpen <= 0 {
-		return 10 * time.Second
-	}
-	return o.BreakerMaxOpen
-}
-
-func (o Options) hedgeMin() time.Duration {
-	if o.HedgeMin <= 0 {
-		return time.Millisecond
-	}
-	return o.HedgeMin
-}
-
-func (o Options) hopMargin() time.Duration {
-	if o.HopMargin <= 0 {
-		return 2 * time.Millisecond
-	}
-	return o.HopMargin
 }
 
 // Router fans linkage queries out over shard replicas. Construct with
@@ -321,7 +290,7 @@ func (r *Router) shardFor(pb platform.ID, b int) (int, error) {
 // callShard runs fn against shard si's replicas until one succeeds:
 // starting at the preferred (last-good) replica, each attempt under its
 // own timeout (capped by the deadline budget), walking the ring
-// opts.Rings times with full-jitter exponential backoff between passes,
+// `rings` times with full-jitter exponential backoff between passes,
 // bounded by the per-request retry budget. Replicas whose circuit
 // breaker is open are skipped without paying a call or an attempt; if a
 // whole pass admits nothing, the shard fails fast. Query errors (see
@@ -334,7 +303,7 @@ func (r *Router) callShard(ctx context.Context, si int, fn func(context.Context,
 	maxAttempts := r.opts.maxAttempts(len(reps))
 	attempts := 0
 	var lastErr error
-	for pass := 0; pass < r.opts.rings(); pass++ {
+	for pass := 0; pass < rings; pass++ {
 		if pass > 0 && !r.backoffWait(ctx, pass, budgetT, hasBudget) {
 			r.robust.retryExhausted.Add(1)
 			return fmt.Errorf("router: shard %d: deadline budget exhausted during backoff (%d attempts): %w",
@@ -367,12 +336,12 @@ func (r *Router) callShard(ctx context.Context, si int, fn func(context.Context,
 			err := fn(cctx, reps[idx])
 			cancel()
 			if err == nil {
-				r.breakerSuccess(si, idx)
+				r.breakers[si][idx].success()
 				r.pref[si].Store(int32(idx))
 				return nil
 			}
 			if IsQueryError(err) {
-				r.breakerSuccess(si, idx) // the replica answered; the query is at fault
+				r.breakers[si][idx].success() // the replica answered; the query is at fault
 				return err
 			}
 			r.breakerFailure(si, idx)
@@ -555,7 +524,7 @@ func (r *Router) runTopKJob(j *topkJob) {
 	maxAttempts := r.opts.maxAttempts(len(reps))
 	attempts := 0
 	var lastErr error
-	for pass := 0; pass < r.opts.rings(); pass++ {
+	for pass := 0; pass < rings; pass++ {
 		if pass > 0 && !r.backoffWait(j.ctx, pass, budgetT, hasBudget) {
 			r.robust.retryExhausted.Add(1)
 			j.err = fmt.Errorf("router: shard %d: deadline budget exhausted during backoff (%d attempts): %w",
@@ -595,7 +564,7 @@ func (r *Router) runTopKJob(j *topkJob) {
 				j.res, j.gen, err = ta.TopKAppend(j.ctx, j.res[:0], j.pa, j.a, j.pb, j.k)
 				switch {
 				case err == nil, IsQueryError(err):
-					r.breakerSuccess(j.si, idx)
+					r.breakers[j.si][idx].success()
 				default:
 					r.breakerFailure(j.si, idx)
 					err = fmt.Errorf("%s: %w", b.Name(), err)

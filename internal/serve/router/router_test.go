@@ -618,7 +618,9 @@ func TestRouterRelaysPrescreenHealth(t *testing.T) {
 	}
 	// A prescreen-less engine reports a nil block all the way through.
 	exact := engines[0]
-	exact.Model.ClearPrescreen()
+	if err := exact.Model.SetPrescreen(nil); err != nil {
+		t.Fatal(err)
+	}
 	if h, err := (&Local{Src: exact}).Health(ctx); err != nil || h.Prescreen != nil {
 		t.Fatalf("prescreen-less shard leaked health %+v (err %v)", h.Prescreen, err)
 	}

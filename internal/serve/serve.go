@@ -196,10 +196,6 @@ func (e *Engine) Pairs() [][2]platform.ID {
 // a whole-space engine.
 func (e *Engine) ShardDesc() *pipeline.ShardDesc { return e.shard }
 
-// Generation returns the bundle generation the engine serves (0 when the
-// bundle carries no shard stamp).
-func (e *Engine) Generation() uint64 { return e.generation }
-
 // checkOwned rejects a query for a B-side account the engine's shard
 // does not own. The consistent hash is the same one the router routes
 // by, so the error only fires on mis-routed (or routerless) queries.

@@ -116,16 +116,3 @@ func (m *Model) Predict(x linalg.Vector) float64 {
 	}
 	return -1
 }
-
-// LinearWeights recovers the primal weight vector w = Σ β_i y_i x_i. Only
-// meaningful for the linear kernel.
-func (m *Model) LinearWeights(dim int) linalg.Vector {
-	w := linalg.NewVector(dim)
-	for i, sv := range m.svX {
-		w.AddScaled(m.svCoeff[i], sv)
-	}
-	return w
-}
-
-// Bias returns the intercept b.
-func (m *Model) Bias() float64 { return m.bias }

@@ -1,7 +1,6 @@
 package svm
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -105,21 +104,6 @@ func TestGeneralization(t *testing.T) {
 	}
 	if float64(correct)/float64(len(testX)) < 0.95 {
 		t.Fatalf("test accuracy %d/%d", correct, len(testX))
-	}
-}
-
-func TestLinearWeightsAgreeWithDecision(t *testing.T) {
-	xs, ys := gaussianBlobs(40, 3, 4)
-	m, err := Train(xs, ys, kernel.Linear{}, Opts{C: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := m.LinearWeights(2)
-	for i := range xs {
-		direct := w.Dot(xs[i]) + m.Bias()
-		if math.Abs(direct-m.Decision(xs[i])) > 1e-9 {
-			t.Fatalf("weights disagree with kernel decision: %v vs %v", direct, m.Decision(xs[i]))
-		}
 	}
 }
 

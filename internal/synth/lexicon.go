@@ -1,6 +1,6 @@
 // Package synth generates the synthetic multi-platform social world that
 // stands in for the paper's 10-million-user, seven-platform dataset (see
-// DESIGN.md §2 for the substitution rationale). The generator is a
+// the README's introduction). The generator is a
 // person-level generative model: each natural person has latent interests,
 // style, mobility, sociality and deception habits; each platform projects a
 // noisy, biased, partially-missing view of that person. Every challenge the

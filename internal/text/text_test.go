@@ -42,10 +42,6 @@ func TestStopwords(t *testing.T) {
 	if !IsStopword("the") || IsStopword("database") {
 		t.Fatal("stopword classification wrong")
 	}
-	got := RemoveStopwords([]string{"the", "big", "and", "fast", "db"})
-	if strings.Join(got, " ") != "big fast db" {
-		t.Fatalf("RemoveStopwords = %v", got)
-	}
 }
 
 func TestSingularize(t *testing.T) {
@@ -81,47 +77,21 @@ func TestNGrams(t *testing.T) {
 func TestVocabulary(t *testing.T) {
 	v := NewVocabulary()
 	ids := v.AddDoc([]string{"a", "b", "a"})
-	if v.Size() != 2 || v.Docs() != 1 {
-		t.Fatalf("Size=%d Docs=%d", v.Size(), v.Docs())
+	if v.Size() != 2 {
+		t.Fatalf("Size=%d", v.Size())
 	}
 	if ids[0] != ids[2] || ids[0] == ids[1] {
 		t.Fatalf("ids = %v", ids)
 	}
-	if v.TermFreq(ids[0]) != 2 || v.DocFreq(ids[0]) != 1 {
+	if v.TermFreq(ids[0]) != 2 {
 		t.Fatal("freq wrong")
 	}
 	v.AddDoc([]string{"a", "c"})
-	if v.DocFreq(ids[0]) != 2 {
-		t.Fatal("docfreq not updated")
-	}
-	if tok := v.Token(ids[1]); tok != "b" {
-		t.Fatalf("Token = %q", tok)
+	if v.TermFreq(ids[0]) != 3 || v.Size() != 3 {
+		t.Fatal("second document not accumulated")
 	}
 	if _, ok := v.Lookup("zzz"); ok {
 		t.Fatal("Lookup of absent token should fail")
-	}
-}
-
-func TestRarestTerms(t *testing.T) {
-	v := NewVocabulary()
-	v.AddDoc([]string{"common", "common", "common", "rare", "the", "the"})
-	v.AddDoc([]string{"common", "mid", "mid"})
-	terms := v.RarestTerms(2)
-	if len(terms) != 2 {
-		t.Fatalf("RarestTerms = %v", terms)
-	}
-	if terms[0].Token != "rare" || terms[0].Count != 1 {
-		t.Fatalf("rarest = %+v", terms[0])
-	}
-	// Stopword "the" must never appear.
-	for _, tc := range terms {
-		if tc.Token == "the" {
-			t.Fatal("stopword leaked into RarestTerms")
-		}
-	}
-	// k larger than vocabulary truncates.
-	if got := v.RarestTerms(100); len(got) != 3 {
-		t.Fatalf("over-k RarestTerms len = %d", len(got))
 	}
 }
 

@@ -63,17 +63,6 @@ var defaultStopwords = map[string]bool{
 // IsStopword reports whether tok is in the built-in stop-word list.
 func IsStopword(tok string) bool { return defaultStopwords[tok] }
 
-// RemoveStopwords filters stop words out of tokens, preserving order.
-func RemoveStopwords(tokens []string) []string {
-	out := tokens[:0:0]
-	for _, t := range tokens {
-		if !defaultStopwords[t] {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
 // Singularize applies light plural stripping so that word matching in the
 // style model compares a uniform format (Section 5.3: "converted into a
 // uniform format, such as lower-case and singular form").

@@ -1,15 +1,10 @@
 package text
 
-import "sort"
-
 // Vocabulary maps tokens to dense integer ids, accumulating corpus-level
-// term and document frequencies as documents are added.
+// term frequencies as documents are added.
 type Vocabulary struct {
 	ids      map[string]int
-	tokens   []string
 	termFreq []int
-	docFreq  []int
-	docs     int
 }
 
 // NewVocabulary returns an empty vocabulary.
@@ -18,21 +13,16 @@ func NewVocabulary() *Vocabulary {
 }
 
 // Size returns the number of distinct tokens.
-func (v *Vocabulary) Size() int { return len(v.tokens) }
-
-// Docs returns the number of documents added via AddDoc.
-func (v *Vocabulary) Docs() int { return v.docs }
+func (v *Vocabulary) Size() int { return len(v.termFreq) }
 
 // ID returns the id for tok, inserting it if new.
 func (v *Vocabulary) ID(tok string) int {
 	if id, ok := v.ids[tok]; ok {
 		return id
 	}
-	id := len(v.tokens)
+	id := len(v.termFreq)
 	v.ids[tok] = id
-	v.tokens = append(v.tokens, tok)
 	v.termFreq = append(v.termFreq, 0)
-	v.docFreq = append(v.docFreq, 0)
 	return id
 }
 
@@ -42,60 +32,17 @@ func (v *Vocabulary) Lookup(tok string) (int, bool) {
 	return id, ok
 }
 
-// Token returns the token for id.
-func (v *Vocabulary) Token(id int) string { return v.tokens[id] }
-
 // TermFreq returns the corpus frequency of token id.
 func (v *Vocabulary) TermFreq(id int) int { return v.termFreq[id] }
 
-// DocFreq returns the number of documents containing token id.
-func (v *Vocabulary) DocFreq(id int) int { return v.docFreq[id] }
-
-// AddDoc registers a tokenized document, updating term and document
-// frequencies, and returns the document as token ids.
+// AddDoc registers a tokenized document, updating term frequencies, and
+// returns the document as token ids.
 func (v *Vocabulary) AddDoc(tokens []string) []int {
 	ids := make([]int, len(tokens))
-	seen := make(map[int]bool, len(tokens))
 	for i, tok := range tokens {
 		id := v.ID(tok)
 		ids[i] = id
 		v.termFreq[id]++
-		if !seen[id] {
-			seen[id] = true
-			v.docFreq[id]++
-		}
 	}
-	v.docs++
 	return ids
-}
-
-// TermCount is a token with its corpus frequency.
-type TermCount struct {
-	Token string
-	Count int
-}
-
-// RarestTerms returns the k least-frequent non-stop-word tokens of the
-// vocabulary, ties broken lexicographically for determinism. This implements
-// the paper's unique-word selection for the style model (Section 5.3): "we
-// select the k most unique ones after removing stop words from the
-// least-used terms of the whole user data repository".
-func (v *Vocabulary) RarestTerms(k int) []TermCount {
-	all := make([]TermCount, 0, len(v.tokens))
-	for id, tok := range v.tokens {
-		if IsStopword(tok) {
-			continue
-		}
-		all = append(all, TermCount{Token: tok, Count: v.termFreq[id]})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Count != all[j].Count {
-			return all[i].Count < all[j].Count
-		}
-		return all[i].Token < all[j].Token
-	})
-	if k > len(all) {
-		k = len(all)
-	}
-	return all[:k]
 }

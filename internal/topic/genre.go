@@ -59,16 +59,3 @@ func (m *GenreModel) Classify(tokens []string) linalg.Vector {
 	}
 	return out.Scale(1 / out.Sum())
 }
-
-// ClassifyMany averages the genre distributions of several messages; an
-// empty input yields the uniform distribution.
-func (m *GenreModel) ClassifyMany(messages [][]string) linalg.Vector {
-	if len(messages) == 0 {
-		return linalg.NewVector(len(Genres)).Fill(1 / float64(len(Genres)))
-	}
-	acc := linalg.NewVector(len(Genres))
-	for _, msg := range messages {
-		acc.AddScaled(1, m.Classify(msg))
-	}
-	return acc.Scale(1 / float64(len(messages)))
-}

@@ -66,22 +66,3 @@ func (m *SentimentModel) Classify(tokens []string) linalg.Vector {
 	}
 	return out.Scale(1 / out.Sum())
 }
-
-// MeanAV returns the average arousal-valence point of the message's
-// emotional keywords and the number of keywords found.
-func (m *SentimentModel) MeanAV(tokens []string) (AVPoint, int) {
-	var acc AVPoint
-	n := 0
-	for _, tok := range tokens {
-		if p, ok := m.lexicon[tok]; ok {
-			acc.Arousal += p.Arousal
-			acc.Valence += p.Valence
-			n++
-		}
-	}
-	if n > 0 {
-		acc.Arousal /= float64(n)
-		acc.Valence /= float64(n)
-	}
-	return acc, n
-}

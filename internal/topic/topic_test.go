@@ -168,21 +168,6 @@ func TestGenreModelUnknownGenre(t *testing.T) {
 	}
 }
 
-func TestGenreClassifyMany(t *testing.T) {
-	gm, err := NewGenreModel(map[string]string{"football": "sports"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	avg := gm.ClassifyMany([][]string{{"football"}, {"football", "football"}})
-	if math.Abs(avg.Sum()-1) > 1e-9 {
-		t.Fatalf("avg sums to %v", avg.Sum())
-	}
-	empty := gm.ClassifyMany(nil)
-	if math.Abs(empty.Sum()-1) > 1e-9 {
-		t.Fatal("empty ClassifyMany not a distribution")
-	}
-}
-
 func TestAVCategory(t *testing.T) {
 	cases := []struct {
 		p    AVPoint
@@ -213,15 +198,5 @@ func TestSentimentModel(t *testing.T) {
 	_, idx := d.Max()
 	if Sentiments[idx] != "happy" {
 		t.Fatalf("dominant sentiment = %s", Sentiments[idx])
-	}
-	av, n := sm.MeanAV([]string{"joy", "gloom"})
-	if n != 2 {
-		t.Fatalf("keyword count = %d", n)
-	}
-	if math.Abs(av.Valence-0) > 1e-9 || math.Abs(av.Arousal-0) > 1e-9 {
-		t.Fatalf("MeanAV = %+v", av)
-	}
-	if _, n := sm.MeanAV([]string{"nothing"}); n != 0 {
-		t.Fatal("MeanAV on keyword-free message should report 0 keywords")
 	}
 }
