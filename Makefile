@@ -46,10 +46,13 @@ race:
 # over in-process backends, and dead-replica / straggler-tail again over
 # real HTTP listeners) against the hardened router, every answer
 # asserted byte-identical to the fault-free single engine or truthfully
-# degraded. Deterministic — a failure replays with
-# `go test -run Chaos ./internal/faults/`.
+# degraded — plus the router's own failover, breaker, hedge and budget
+# tests, all under the race detector: both packages walk the one
+# failover iterator, and a race there is a wrong answer under load.
+# Deterministic — a failure replays with
+# `go test -race -run Chaos ./internal/faults/`.
 chaos:
-	$(GO) test -run 'Faults|Chaos' -count=1 ./internal/faults/
+	$(GO) test -race -run 'Faults|Chaos|Router|Hedge|Breaker' -count=1 ./internal/faults/ ./internal/serve/router/
 
 # fuzz-smoke gives each native fuzz target a short budget on top of the
 # checked-in corpus, inside make ci because the readers decide which

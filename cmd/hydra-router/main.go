@@ -34,13 +34,11 @@ import (
 	"log"
 	"net/http"
 	"os"
-	"os/signal"
-	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
 	"hydra/internal/obs"
+	"hydra/internal/serve"
 	"hydra/internal/serve/router"
 )
 
@@ -83,35 +81,6 @@ func main() {
 		log.Fatal(err)
 	}
 
-	metrics := obs.NewMetrics()
-	// Every successful shard health probe (startup refresh, SIGHUP, and
-	// each /healthz live-probe) republished as per-shard prescreen and
-	// impute gauges, so one router /metrics page shows pruning and
-	// imputation health fleet-wide. Registered before the first refresh
-	// so the startup probe already populates the gauges.
-	rt.SetHealthObserver(func(shard int, h router.Health) {
-		s := obs.ShardPrescreen{}
-		if ph := h.Prescreen; ph != nil {
-			s = obs.ShardPrescreen{
-				Enabled: ph.Enabled, Features: ph.Features, Eps: ph.Eps,
-				Queries: ph.Queries, Survivors: ph.Survivors,
-				Pruned: ph.Pruned, Skipped: ph.Skipped,
-				FoldHits: ph.FoldHits, FoldMisses: ph.FoldMisses,
-			}
-		}
-		metrics.SetShardPrescreen(strconv.Itoa(shard), s)
-		im := obs.ImputeStats{}
-		if ih := h.Impute; ih != nil {
-			im = obs.ImputeStats{
-				Enabled: ih.Enabled, TableEntries: ih.TableEntries,
-				TableHits: ih.TableHits, TableMisses: ih.TableMisses,
-				PairCacheSize: ih.PairCacheSize,
-				PairCacheHits: ih.PairCacheHits, PairCacheMisses: ih.PairCacheMisses,
-			}
-		}
-		metrics.SetShardImpute(strconv.Itoa(shard), im)
-	})
-
 	refresh := func() error {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*(*timeout)*time.Duration(rt.NumShards()))
 		defer cancel()
@@ -122,26 +91,6 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "routing over %d shards, %d platform pairs\n", rt.NumShards(), len(rt.Pairs()))
 
-	// Breaker states, hedge outcomes and retry-budget exhaustion on
-	// /metrics, snapshotted per scrape.
-	metrics.SetRobustSource(func() obs.RouterRobust {
-		st := rt.RobustStats()
-		out := obs.RouterRobust{
-			HedgeFired:     st.HedgeFired,
-			HedgeWon:       st.HedgeWon,
-			HedgeCancelled: st.HedgeCancelled,
-			RetryExhausted: st.RetryExhausted,
-			FailFast:       st.FailFast,
-		}
-		for _, b := range st.Breakers {
-			out.Breakers = append(out.Breakers, obs.BreakerState{
-				Shard: b.Shard, Replica: b.Replica, Name: b.Name,
-				State: b.State, Opens: b.Opens,
-			})
-		}
-		return out
-	})
-
 	// Background re-probe on a jittered interval: a replica that comes
 	// back (or a repaired topology) rejoins without operator action.
 	stopAutoRefresh := rt.StartAutoRefresh(*refreshInterval, func(err error) {
@@ -151,6 +100,12 @@ func main() {
 	})
 	defer stopAutoRefresh()
 
+	// /metrics: the request families, then the router's own block — each
+	// shard's prescreen and impute health as of its last probe (startup
+	// refresh, SIGHUP, background re-probe, every /healthz), breaker
+	// states, hedge outcomes and retry-budget exhaustion.
+	metrics := obs.NewMetrics()
+	metrics.Add(rt.WriteMetrics)
 	mux := http.NewServeMux()
 	mux.Handle("/", rt.Handler())
 	mux.Handle("/metrics", metrics.Handler())
@@ -161,45 +116,15 @@ func main() {
 	handler := obs.Middleware(mux, metrics, logs)
 
 	fmt.Fprintf(os.Stderr, "serving HTTP on %s (/healthz /score /link /topk /metrics)\n", *httpAddr)
-	srv := &http.Server{
-		Addr:              *httpAddr,
-		Handler:           handler,
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		WriteTimeout:      60 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-
-	sigs := make(chan os.Signal, 2)
-	signal.Notify(sigs, syscall.SIGHUP, syscall.SIGINT, syscall.SIGTERM)
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.ListenAndServe() }()
-	for {
-		select {
-		case err := <-errCh:
-			if err != nil && err != http.ErrServerClosed {
-				log.Fatal(err)
-			}
+	err = serve.ListenAndServe(*httpAddr, handler, *drainTimeout, func() {
+		if err := refresh(); err != nil {
+			fmt.Fprintf(os.Stderr, "refresh failed: %v — keeping previous view of the serving set\n", err)
 			return
-		case sig := <-sigs:
-			switch sig {
-			case syscall.SIGHUP:
-				if err := refresh(); err != nil {
-					fmt.Fprintf(os.Stderr, "refresh failed: %v — keeping previous view of the serving set\n", err)
-					continue
-				}
-				fmt.Fprintf(os.Stderr, "refreshed: %d shards coherent\n", rt.NumShards())
-			default:
-				fmt.Fprintf(os.Stderr, "%s: draining (up to %s) …\n", sig, *drainTimeout)
-				ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-				err := srv.Shutdown(ctx)
-				cancel()
-				if err != nil {
-					log.Fatalf("drain incomplete after %s: %v", *drainTimeout, err)
-				}
-				fmt.Fprintln(os.Stderr, "drained; bye")
-				return
-			}
 		}
+		fmt.Fprintf(os.Stderr, "refreshed: %d shards coherent\n", rt.NumShards())
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
+	fmt.Fprintln(os.Stderr, "drained; bye")
 }

@@ -40,15 +40,12 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
 	"log"
 	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"hydra/internal/obs"
@@ -86,58 +83,15 @@ func main() {
 		return
 	}
 
-	metrics := obs.NewMetrics()
-	eng.SetPrescreenObserver(metrics)
+	// /metrics: the request families, then the block the installed
+	// engine generation writes from its own counters (prescreen,
+	// imputation, residency, fan-out — a hot swap is reflected on the next
+	// scrape with nothing to re-attach), then the admission gate's.
 	holder := serve.NewSwappable(eng)
-	// Pull-style: each /metrics scrape snapshots the *current* engine's
-	// impute-layer counters, so a hot swap is reflected automatically.
-	metrics.SetImputeSource(func() obs.ImputeStats {
-		cur, _ := holder.Current()
-		h := cur.ImputeHealth()
-		return obs.ImputeStats{
-			Enabled:         h.Enabled,
-			TableEntries:    h.TableEntries,
-			TableHits:       h.TableHits,
-			TableMisses:     h.TableMisses,
-			PairCacheSize:   h.PairCacheSize,
-			PairCacheHits:   h.PairCacheHits,
-			PairCacheMisses: h.PairCacheMisses,
-		}
-	})
-	// Mapped-bundle residency and blocking fan-out ride the same
-	// pull-style pattern; both are free to snapshot (atomic loads and
-	// length-table sums, no section materialization).
-	metrics.SetMappedSource(func() (obs.MappedStats, bool) {
-		cur, _ := holder.Current()
-		s := cur.MappedStats()
-		if s == nil {
-			return obs.MappedStats{}, false
-		}
-		return obs.MappedStats{
-			Mapped:          s.Mapped,
-			Bytes:           s.Bytes,
-			AliasedVecs:     s.AliasedVecs,
-			CopiedVecs:      s.CopiedVecs,
-			ResidentViews:   s.ResidentViews,
-			TotalViews:      s.TotalViews,
-			ResidentFriends: s.ResidentFriends,
-			TotalFriends:    s.TotalFriends,
-			ResidentRows:    s.ResidentRows,
-			TotalRows:       s.TotalRows,
-		}, true
-	})
-	metrics.SetFanoutSource(func() []obs.PairFanout {
-		cur, _ := holder.Current()
-		fans := cur.Fanout()
-		out := make([]obs.PairFanout, 0, len(fans))
-		for pp, f := range fans {
-			out = append(out, obs.PairFanout{
-				PA: string(pp[0]), PB: string(pp[1]),
-				Rows: f.Rows, Total: f.Total, Mean: f.Mean, P99: f.P99, Max: f.Max,
-			})
-		}
-		return out
-	})
+	admission := obs.NewAdmission(*maxInflight)
+	metrics := obs.NewMetrics()
+	metrics.Add(holder.WriteMetrics)
+	metrics.Add(admission.WriteMetrics)
 	mux := http.NewServeMux()
 	mux.Handle("/", holder.Handler())
 	mux.Handle("/metrics", metrics.Handler())
@@ -149,84 +103,48 @@ func main() {
 	// budgets, feeds the remaining-budget histogram), bounded admission
 	// (429 + Retry-After past -max-inflight), then request metrics/logs
 	// so shed and expired requests are still counted and logged.
-	admission := obs.NewAdmission(*maxInflight)
-	metrics.SetAdmission(admission)
 	handler := obs.Middleware(admission.Middleware(serve.DeadlineMiddleware(mux, metrics)), metrics, logs)
 
-	fmt.Fprintf(os.Stderr, "serving HTTP on %s (/healthz /score /link /topk /metrics)\n", *httpAddr)
-	srv := &http.Server{
-		Addr:              *httpAddr,
-		Handler:           handler,
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		// Batches fan out over the pool; a minute covers the largest
-		// legitimate batch on a loaded box with headroom.
-		WriteTimeout: 60 * time.Second,
-		IdleTimeout:  2 * time.Minute,
-	}
-
 	// SIGHUP hot-swaps the bundle; SIGINT/SIGTERM drain and exit.
-	sigs := make(chan os.Signal, 2)
-	signal.Notify(sigs, syscall.SIGHUP, syscall.SIGINT, syscall.SIGTERM)
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.ListenAndServe() }()
-	for {
-		select {
-		case err := <-errCh:
-			if err != nil && err != http.ErrServerClosed {
-				log.Fatal(err)
-			}
+	swap := func() {
+		next, err := loadBundleEngine(*bundle, *workers)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "swap refused: %v — keeping current generation\n", err)
 			return
-		case sig := <-sigs:
-			switch sig {
-			case syscall.SIGHUP:
-				next, err := loadBundleEngine(*bundle, *workers)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "swap refused: %v — keeping current generation\n", err)
-					continue
-				}
-				next.SetPrescreenObserver(metrics)
-				// Pre-warm before publishing: the old generation keeps
-				// serving while the new one's pair cache and prescreen
-				// fold memo fill, so the first post-swap queries don't
-				// pay the cold-cache tail.
-				if *prewarmN != 0 {
-					warmStart := time.Now()
-					if err := next.Prewarm(*prewarmN); err != nil {
-						fmt.Fprintf(os.Stderr, "swap refused: prewarm: %v — keeping current generation\n", err)
-						next.Close()
-						continue
-					}
-					fmt.Fprintf(os.Stderr, "prewarmed incoming generation in %s\n", time.Since(warmStart).Round(time.Millisecond))
-				}
-				old, err := holder.Swap(next)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "swap refused: %v — keeping current generation\n", err)
-					next.Close() // release the rejected engine's mapping
-					continue
-				}
-				// The old mapping unmaps only after its last pinned
-				// request drains.
-				old.Retire()
-				_, gen := holder.Current()
-				fmt.Fprintf(os.Stderr, "swapped in generation %d from %s; in-flight queries finish on the old generation\n", gen, *bundle)
-			default:
-				fmt.Fprintf(os.Stderr, "%s: draining (up to %s) …\n", sig, *drainTimeout)
-				ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-				err := srv.Shutdown(ctx)
-				cancel()
-				if err != nil {
-					log.Fatalf("drain incomplete after %s: %v", *drainTimeout, err)
-				}
-				cur, _ := holder.Current()
-				if err := cur.Close(); err != nil {
-					log.Fatalf("closing bundle mapping: %v", err)
-				}
-				fmt.Fprintln(os.Stderr, "drained; bye")
+		}
+		// Pre-warm before publishing: the old generation keeps serving
+		// while the new one's pair cache and prescreen fold memo fill, so
+		// the first post-swap queries don't pay the cold-cache tail.
+		if *prewarmN != 0 {
+			warmStart := time.Now()
+			if err := next.Prewarm(*prewarmN); err != nil {
+				fmt.Fprintf(os.Stderr, "swap refused: prewarm: %v — keeping current generation\n", err)
+				next.Close()
 				return
 			}
+			fmt.Fprintf(os.Stderr, "prewarmed incoming generation in %s\n", time.Since(warmStart).Round(time.Millisecond))
 		}
+		old, err := holder.Swap(next)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "swap refused: %v — keeping current generation\n", err)
+			next.Close() // release the rejected engine's mapping
+			return
+		}
+		// The old mapping unmaps only after its last pinned request
+		// drains.
+		old.Retire()
+		_, gen := holder.Current()
+		fmt.Fprintf(os.Stderr, "swapped in generation %d from %s; in-flight queries finish on the old generation\n", gen, *bundle)
 	}
+	fmt.Fprintf(os.Stderr, "serving HTTP on %s (/healthz /score /link /topk /metrics)\n", *httpAddr)
+	if err := serve.ListenAndServe(*httpAddr, handler, *drainTimeout, swap); err != nil {
+		log.Fatal(err)
+	}
+	cur, _ := holder.Current()
+	if err := cur.Close(); err != nil {
+		log.Fatalf("closing bundle mapping: %v", err)
+	}
+	fmt.Fprintln(os.Stderr, "drained; bye")
 }
 
 // loadBundleEngine maps a bundle file and builds its engine — startup

@@ -1,13 +1,17 @@
-// Package obs is the serving tier's observability: per-endpoint request
-// counters, error counters and latency histograms exposed in Prometheus
-// text format on /metrics, plus optional JSON request logs. It is
-// dependency-free on purpose — the exposition format is a few lines of
-// text, and hand-rolling it keeps the serving binaries self-contained.
+// Package obs is the serving tier's observability kit: the request
+// middleware (per-endpoint counters, error counters and latency
+// histograms, plus optional JSON request logs), the admission gate, one
+// histogram type and a small writer for the Prometheus text exposition
+// format. What a /metrics page says beyond the request block is written
+// by the package that counts it — serve.Engine and router.Router each
+// write their own block straight from their own state, registered with
+// Metrics.Add — so obs imports nothing of HYDRA's and mirrors no one's
+// structs. The exposition format is a few lines of text; hand-rolling it
+// keeps the serving binaries self-contained.
 package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"sort"
@@ -16,86 +20,44 @@ import (
 	"time"
 )
 
-// latencyBuckets are the histogram upper bounds in seconds, spanning the
-// microsecond in-process path through multi-second degraded fan-outs.
-var latencyBuckets = []float64{
-	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
-	0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5,
-}
-
 // endpointStats is one endpoint's counters. Everything is atomic so the
 // hot path never takes a lock.
 type endpointStats struct {
-	requests atomic.Uint64
-	errors   atomic.Uint64 // responses with status >= 400
-	buckets  []atomic.Uint64
-	sum      atomic.Uint64 // latency sum in nanoseconds
+	errors  atomic.Uint64 // responses with status >= 400
+	latency *Histogram    // its count is the endpoint's request count
 }
 
-func (s *endpointStats) observe(d time.Duration, status int) {
-	s.requests.Add(1)
-	if status >= 400 {
-		s.errors.Add(1)
-	}
-	s.sum.Add(uint64(d.Nanoseconds()))
-	sec := d.Seconds()
-	for i, ub := range latencyBuckets {
-		if sec <= ub {
-			s.buckets[i].Add(1)
-			return
-		}
-	}
-	// Beyond the last bound: counted only in +Inf (requests).
-}
-
-// Metrics collects per-endpoint serving metrics and renders them in
-// Prometheus text exposition format. The zero value is not usable; call
-// NewMetrics.
+// Metrics collects per-endpoint serving metrics and renders them, followed
+// by every registered block, in Prometheus text exposition format. The
+// zero value is not usable; call NewMetrics.
 type Metrics struct {
 	mu        sync.RWMutex
 	endpoints map[string]*endpointStats
 	start     time.Time
 
-	// Prescreen telemetry (see prescreen.go): survivor histogram and
-	// skip counter fed by the engine, per-shard gauges fed by the
-	// router's health scrapes.
-	preQueries     atomic.Uint64
-	preSum         atomic.Uint64
-	preSkipped     atomic.Uint64
-	preBuckets     []atomic.Uint64
-	shardMu        sync.Mutex
-	shardPrescreen map[string]ShardPrescreen
-
-	// Imputation telemetry (see impute.go): a pull-style snapshot
-	// source evaluated per scrape on the serve side, per-shard gauges
-	// fed by the router's health scrapes.
-	imputeSource func() ImputeStats
-	shardImpute  map[string]ImputeStats
-
-	// Mapped-serving and blocking fan-out telemetry (see mapped.go):
-	// pull-style snapshot sources evaluated per scrape.
-	mappedSource func() (MappedStats, bool)
-	fanoutSource func() []PairFanout
-
-	// Robustness telemetry (see robust.go): the router's breaker/hedge
-	// snapshot source, the serve tier's admission gate, and the per-hop
-	// deadline-remaining histogram.
-	robustSource    func() RouterRobust
-	admission       *Admission
-	deadlineBuckets []atomic.Uint64
-	deadlineSum     atomic.Uint64
-	deadlineCount   atomic.Uint64
+	// blocks are the page's owner-written sections, in Add order.
+	blocks []func(io.Writer)
+	// deadline is the per-hop deadline-remaining histogram
+	// (serve.DeadlineMiddleware feeds it), rendered last and only once a
+	// budgeted request has arrived.
+	deadline *Histogram
 }
 
 // NewMetrics returns an empty metrics registry.
 func NewMetrics() *Metrics {
 	return &Metrics{
-		endpoints:       make(map[string]*endpointStats),
-		start:           time.Now(),
-		preBuckets:      make([]atomic.Uint64, len(survivorBuckets)),
-		deadlineBuckets: make([]atomic.Uint64, len(latencyBuckets)),
+		endpoints: make(map[string]*endpointStats),
+		start:     time.Now(),
+		deadline:  newLatencyHistogram(),
 	}
 }
+
+// Add registers a block of the /metrics page: write is called on every
+// scrape, after the request families and after the blocks added before
+// it, and writes whatever its owner counts (Engine.WriteMetrics,
+// Router.WriteMetrics, Admission.WriteMetrics). Call before the process
+// starts serving; the list is not synchronized.
+func (m *Metrics) Add(write func(io.Writer)) { m.blocks = append(m.blocks, write) }
 
 func (m *Metrics) stats(endpoint string) *endpointStats {
 	m.mu.RLock()
@@ -107,7 +69,7 @@ func (m *Metrics) stats(endpoint string) *endpointStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if s = m.endpoints[endpoint]; s == nil {
-		s = &endpointStats{buckets: make([]atomic.Uint64, len(latencyBuckets))}
+		s = &endpointStats{latency: newLatencyHistogram()}
 		m.endpoints[endpoint] = s
 	}
 	return s
@@ -115,7 +77,18 @@ func (m *Metrics) stats(endpoint string) *endpointStats {
 
 // Observe records one completed request.
 func (m *Metrics) Observe(endpoint string, d time.Duration, status int) {
-	m.stats(endpoint).observe(d, status)
+	s := m.stats(endpoint)
+	if status >= 400 {
+		s.errors.Add(1)
+	}
+	s.latency.Observe(uint64(d.Nanoseconds()))
+}
+
+// ObserveDeadlineRemaining records how much of its deadline budget a
+// request had left when it arrived at this hop. Exhausted budgets land
+// in the first bucket.
+func (m *Metrics) ObserveDeadlineRemaining(rem time.Duration) {
+	m.deadline.Observe(uint64(max(rem, 0).Nanoseconds()))
 }
 
 // Render writes the registry in Prometheus text exposition format.
@@ -127,59 +100,29 @@ func (m *Metrics) Render(w io.Writer) {
 	}
 	sort.Strings(names)
 
-	fmt.Fprintf(w, "# HELP hydra_uptime_seconds Seconds since the process started serving.\n")
-	fmt.Fprintf(w, "# TYPE hydra_uptime_seconds gauge\n")
-	fmt.Fprintf(w, "hydra_uptime_seconds %g\n", time.Since(m.start).Seconds())
-
-	fmt.Fprintf(w, "# HELP hydra_requests_total Requests served, by endpoint.\n")
-	fmt.Fprintf(w, "# TYPE hydra_requests_total counter\n")
+	NewFamily(w, "hydra_uptime_seconds", "gauge", "Seconds since the process started serving.").
+		Sample(time.Since(m.start).Seconds())
+	f := NewFamily(w, "hydra_requests_total", "counter", "Requests served, by endpoint.")
 	for _, name := range names {
-		fmt.Fprintf(w, "hydra_requests_total{endpoint=%q} %d\n", name, m.endpoints[name].requests.Load())
+		f.Sample(m.endpoints[name].latency.Count(), "endpoint", name)
 	}
-
-	fmt.Fprintf(w, "# HELP hydra_request_errors_total Responses with status >= 400, by endpoint.\n")
-	fmt.Fprintf(w, "# TYPE hydra_request_errors_total counter\n")
+	f = NewFamily(w, "hydra_request_errors_total", "counter", "Responses with status >= 400, by endpoint.")
 	for _, name := range names {
-		fmt.Fprintf(w, "hydra_request_errors_total{endpoint=%q} %d\n", name, m.endpoints[name].errors.Load())
+		f.Sample(m.endpoints[name].errors.Load(), "endpoint", name)
 	}
-
-	fmt.Fprintf(w, "# HELP hydra_request_duration_seconds Request latency, by endpoint.\n")
-	fmt.Fprintf(w, "# TYPE hydra_request_duration_seconds histogram\n")
+	f = NewFamily(w, "hydra_request_duration_seconds", "histogram", "Request latency, by endpoint.")
 	for _, name := range names {
-		s := m.endpoints[name]
-		var cum uint64
-		for i, ub := range latencyBuckets {
-			cum += s.buckets[i].Load()
-			fmt.Fprintf(w, "hydra_request_duration_seconds_bucket{endpoint=%q,le=%q} %d\n", name, formatBound(ub), cum)
-		}
-		fmt.Fprintf(w, "hydra_request_duration_seconds_bucket{endpoint=%q,le=\"+Inf\"} %d\n", name, s.requests.Load())
-		fmt.Fprintf(w, "hydra_request_duration_seconds_sum{endpoint=%q} %g\n", name, float64(s.sum.Load())/1e9)
-		fmt.Fprintf(w, "hydra_request_duration_seconds_count{endpoint=%q} %d\n", name, s.requests.Load())
+		f.Histogram(m.endpoints[name].latency, "endpoint", name)
 	}
 	m.mu.RUnlock()
 
-	m.renderPrescreen(w)
-	m.renderImpute(w)
-	m.renderMapped(w)
-	m.renderRobust(w)
-	m.renderAdmission(w)
-	m.renderDeadline(w)
-}
-
-// formatBound renders a bucket bound the way Prometheus expects
-// (shortest exact decimal, no exponent for these magnitudes).
-func formatBound(ub float64) string {
-	return trimZeros(fmt.Sprintf("%.5f", ub))
-}
-
-func trimZeros(s string) string {
-	for len(s) > 0 && s[len(s)-1] == '0' {
-		s = s[:len(s)-1]
+	for _, write := range m.blocks {
+		write(w)
 	}
-	if len(s) > 0 && s[len(s)-1] == '.' {
-		s = s[:len(s)-1]
+	if m.deadline.Count() > 0 {
+		NewFamily(w, "hydra_deadline_remaining_seconds", "histogram", "Deadline budget remaining when a request arrived at this hop.").
+			Histogram(m.deadline)
 	}
-	return s
 }
 
 // Handler serves the registry as a /metrics endpoint.

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -96,53 +97,45 @@ func TestMiddlewareMetricsAndLogs(t *testing.T) {
 	}
 }
 
-// TestPrescreenMetricsExposition pins the survivor histogram, the skip
-// counter and the router's per-shard gauges — the pruning telemetry the
-// two-tier scorer reports through the serve.PrescreenObserver hook.
-func TestPrescreenMetricsExposition(t *testing.T) {
+// TestHistogramExposition pins the one histogram type on an integer
+// family (scale 1, the engine's survivor histogram): cumulative buckets,
+// an observation past the last bound counted in +Inf only, the sum kept
+// an integer, labels ahead of le — and Metrics.Add blocks rendered after
+// the request families in registration order.
+func TestHistogramExposition(t *testing.T) {
+	h := NewHistogram([]float64{1, 8, 128}, 1)
+	for _, v := range []uint64{1, 7, 7, 500} {
+		h.Observe(v)
+	}
 	m := NewMetrics()
-	m.ObservePrescreen(1)
-	m.ObservePrescreen(7)
-	m.ObservePrescreen(7)
-	m.ObservePrescreen(500) // beyond the last bound: +Inf only
-	m.ObservePrescreenSkipped()
-	m.ObservePrescreenSkipped()
-	m.SetShardPrescreen("shard0", ShardPrescreen{
-		Enabled: true, Features: 64, Eps: 0.25,
-		Queries: 10, Survivors: 42, Pruned: 300, Skipped: 1,
+	m.Observe("/topk", time.Millisecond, 200)
+	m.Add(func(w io.Writer) {
+		NewFamily(w, "survivors", "histogram", "Survivors.").Histogram(h, "shard", "0")
 	})
-	m.SetShardPrescreen("shard1", ShardPrescreen{Enabled: false})
+	m.Add(func(w io.Writer) {
+		f := NewFamily(w, "flags", "gauge", "Flags.")
+		f.Sample(true, "shard", "0", "stat", "enabled")
+		f.Sample(0.25)
+	})
 
 	var buf bytes.Buffer
 	m.Render(&buf)
-	out := buf.String()
-	for _, want := range []string{
-		"# TYPE hydra_prescreen_survivors histogram",
-		`hydra_prescreen_survivors_bucket{le="1"} 1`,
-		`hydra_prescreen_survivors_bucket{le="8"} 3`, // cumulative: 1 + two 7s
-		`hydra_prescreen_survivors_bucket{le="128"} 3`,
-		`hydra_prescreen_survivors_bucket{le="+Inf"} 4`,
-		"hydra_prescreen_survivors_sum 515",
-		"hydra_prescreen_survivors_count 4",
-		"hydra_prescreen_skipped_total 2",
-		`hydra_shard_prescreen{shard="shard0",stat="enabled"} 1`,
-		`hydra_shard_prescreen{shard="shard0",stat="eps"} 0.25`,
-		`hydra_shard_prescreen{shard="shard0",stat="queries"} 10`,
-		`hydra_shard_prescreen{shard="shard0",stat="survivors"} 42`,
-		`hydra_shard_prescreen{shard="shard0",stat="pruned"} 300`,
-		`hydra_shard_prescreen{shard="shard0",stat="skipped"} 1`,
-		`hydra_shard_prescreen{shard="shard1",stat="enabled"} 0`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("exposition missing %q:\n%s", want, out)
-		}
-	}
-	// A re-scrape replaces the gauge, never accumulates.
-	m.SetShardPrescreen("shard0", ShardPrescreen{Enabled: true, Queries: 11})
-	buf.Reset()
-	m.Render(&buf)
-	if !strings.Contains(buf.String(), `hydra_shard_prescreen{shard="shard0",stat="queries"} 11`) {
-		t.Errorf("shard gauge did not replace on re-scrape:\n%s", buf.String())
+	_, blocks, _ := strings.Cut(buf.String(), "hydra_request_duration_seconds_count{endpoint=\"/topk\"} 1\n")
+	want := `# HELP survivors Survivors.
+# TYPE survivors histogram
+survivors_bucket{shard="0",le="1"} 1
+survivors_bucket{shard="0",le="8"} 3
+survivors_bucket{shard="0",le="128"} 3
+survivors_bucket{shard="0",le="+Inf"} 4
+survivors_sum{shard="0"} 515
+survivors_count{shard="0"} 4
+# HELP flags Flags.
+# TYPE flags gauge
+flags{shard="0",stat="enabled"} 1
+flags 0.25
+`
+	if blocks != want {
+		t.Errorf("added blocks rendered as:\n%s\nwant:\n%s", blocks, want)
 	}
 }
 

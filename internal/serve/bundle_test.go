@@ -2,8 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"net/http"
-	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
@@ -224,57 +222,5 @@ func TestServeBundleVersionGate(t *testing.T) {
 	shallow.FriendsK = shallow.Model.Cfg.ResolvedTopFriends() - 1
 	if _, err := shallow.Store(); err == nil {
 		t.Fatal("expected Store to reject a friend depth below the model's imputation depth")
-	}
-}
-
-// TestServeHTTPHardening locks the long-lived-serving protections: 405
-// for wrong methods on every endpoint and 413 for oversized POST bodies.
-func TestServeHTTPHardening(t *testing.T) {
-	e := getEnv(t)
-	srv := httptest.NewServer(e.beng.Handler())
-	defer srv.Close()
-
-	for _, tc := range []struct {
-		method, path string
-		want         int
-	}{
-		{http.MethodGet, "/score", http.StatusMethodNotAllowed},
-		{http.MethodDelete, "/link", http.StatusMethodNotAllowed},
-		{http.MethodPost, "/topk?pa=twitter&a=0&pb=facebook", http.StatusMethodNotAllowed},
-	} {
-		req, err := http.NewRequest(tc.method, srv.URL+tc.path, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != tc.want {
-			t.Fatalf("%s %s = %d, want %d", tc.method, tc.path, resp.StatusCode, tc.want)
-		}
-	}
-
-	// A body past MaxRequestBody gets 413 instead of being buffered.
-	big := `{"pa":"twitter","pb":"facebook","pairs":[` +
-		strings.Repeat(`[0,0],`, MaxRequestBody/6) + `[0,0]]}`
-	resp, err := http.Post(srv.URL+"/score", "application/json", strings.NewReader(big))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized POST = %d, want %d", resp.StatusCode, http.StatusRequestEntityTooLarge)
-	}
-	// A maximal legitimate batch still works.
-	resp, err = http.Post(srv.URL+"/score", "application/json",
-		strings.NewReader(`{"pa":"twitter","pb":"facebook","pairs":[[0,0]]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("small POST after hardening = %d", resp.StatusCode)
 	}
 }

@@ -2,12 +2,14 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
 	"strconv"
 	"time"
+
+	"hydra/internal/obs"
 )
 
 // DeadlineHeader carries the remaining end-to-end answer budget of a
@@ -55,27 +57,22 @@ func SetDeadline(h http.Header, t time.Time) {
 	h.Set(DeadlineHeader, strconv.FormatFloat(float64(rem)/float64(time.Millisecond), 'f', 3, 64))
 }
 
-// DeadlineObserver receives each arriving request's remaining budget —
-// obs.Metrics implements it to feed the per-hop deadline-remaining
-// histogram on /metrics.
-type DeadlineObserver interface {
-	ObserveDeadlineRemaining(rem time.Duration)
-}
+// ErrBudgetSpent refuses (504) a request whose deadline budget ran out
+// before this hop could serve it.
+var ErrBudgetSpent = errors.New("deadline budget exhausted before the request was served")
 
 // DeadlineMiddleware enforces the per-hop deadline budget on a serving
 // front-end: requests without the header pass through untouched;
 // requests carrying one get the deadline installed on their context (so
 // downstream work is cancellable) and are rejected with 504 when the
 // budget is already spent — running a query nobody is still waiting for
-// only steals capacity from requests that can still make it. obs may be
-// nil.
-func DeadlineMiddleware(next http.Handler, obs DeadlineObserver) http.Handler {
+// only steals capacity from requests that can still make it. Each
+// arriving budget feeds m's deadline-remaining histogram; m may be nil.
+func DeadlineMiddleware(next http.Handler, m *obs.Metrics) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		t, ok, err := ParseDeadline(r.Header)
 		if err != nil {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusBadRequest)
-			json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
+			HTTPError(w, http.StatusBadRequest, err)
 			return
 		}
 		if !ok {
@@ -83,15 +80,11 @@ func DeadlineMiddleware(next http.Handler, obs DeadlineObserver) http.Handler {
 			return
 		}
 		rem := time.Until(t)
-		if obs != nil {
-			obs.ObserveDeadlineRemaining(rem)
+		if m != nil {
+			m.ObserveDeadlineRemaining(rem)
 		}
 		if rem <= 0 {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusGatewayTimeout)
-			json.NewEncoder(w).Encode(map[string]string{
-				"error": "deadline budget exhausted before the request was served",
-			})
+			HTTPError(w, http.StatusGatewayTimeout, ErrBudgetSpent)
 			return
 		}
 		ctx, cancel := context.WithDeadline(r.Context(), t)

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -18,22 +19,36 @@ import (
 //	POST /link   (same body)                       scores + decisions
 //	GET  /topk?pa=&a=&pb=&k=                       ranked candidates
 //
-// Batch bodies go through ScoreBatch, so one request fans its pairs over
-// the worker pool. The front-end is hardened for long-lived serving:
-// wrong methods get 405, POST bodies are capped at MaxRequestBody (413
-// beyond it), and cmd/hydra-serve adds read/write timeouts on the server
-// so a stalled client cannot pin a connection forever.
+// There is one front-end — method checks, body cap and decode, parameter
+// parsing, response and error encoding — and it serves whatever answers
+// it: an engine source here, the scatter-gather router in hydra-router
+// (see Answerer). It is hardened for long-lived serving: wrong methods
+// get 405 + Allow, POST bodies are capped at MaxRequestBody (413 beyond
+// it), and ListenAndServe adds read/write timeouts on the server so a
+// stalled client cannot pin a connection forever.
 //
-// Handlers are built over an EngineSource, not a bare engine: each
-// request loads the current (engine, generation) pair exactly once and
-// stamps the generation into its response, so a hot bundle swap never
-// mixes generations inside one response and the scatter-gather router
-// can verify that a fan-out was answered by a single generation.
+// Over an EngineSource each request pins the current (engine,
+// generation) pair exactly once and stamps the generation into its
+// response, so a hot bundle swap never mixes generations inside one
+// response and the router can verify that a fan-out was answered by a
+// single generation. Batch bodies go through ScoreBatch, so one request
+// fans its pairs over the worker pool.
 
 // MaxRequestBody caps a POST body. The largest legitimate batch over a
 // laptop-scale world is well under a megabyte of pair ids; anything
 // bigger is a mistake or abuse, and decoding it would buffer the lot.
 const MaxRequestBody = 1 << 20
+
+// Answerer is what answers the JSON front-end's queries. TopK and
+// Healthz return the response body to encode (the engine's and the
+// router's differ: the router's rows can be degraded, its health is per
+// shard); ErrorStatus picks the status a failed query is refused with.
+type Answerer interface {
+	Healthz(ctx context.Context) any
+	ScoreBatch(ctx context.Context, pa, pb platform.ID, pairs [][2]int) (scores []float64, generation uint64, err error)
+	TopK(ctx context.Context, pa platform.ID, a int, pb platform.ID, k int) (any, error)
+	ErrorStatus(err error) int
+}
 
 // scoreRequest is the body of POST /score and /link.
 type scoreRequest struct {
@@ -42,59 +57,21 @@ type scoreRequest struct {
 	Pairs [][2]int    `json:"pairs"`
 }
 
-// Handler returns the HTTP front-end over a fixed engine (no swapping).
-func (e *Engine) Handler() http.Handler { return HandlerFor(e) }
-
-// Handler returns the HTTP front-end over whatever engine generation is
-// currently installed — the hot-swappable form cmd/hydra-serve runs.
-func (s *Swappable) Handler() http.Handler { return HandlerFor(s) }
-
-// acquireEngine resolves the current engine and pins it for one request,
-// so a hot swap cannot unmap a mapped engine's backing file mid-query.
-// The retry loop covers the race where the engine retires between the
-// Current load and the Acquire; it converges because a retired engine
-// has already been replaced in its source. Atomic ops only — the serving
-// steady state stays allocation-free.
-func acquireEngine(src EngineSource) (*Engine, uint64) {
-	for {
-		eng, gen := src.Current()
-		if eng.Acquire() {
-			return eng, gen
-		}
-	}
-}
-
-// HandlerFor builds the HTTP front-end over an EngineSource.
-func HandlerFor(src EngineSource) http.Handler {
+// FrontEnd builds the JSON front-end over an Answerer.
+func FrontEnd(ans Answerer) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		eng, gen := acquireEngine(src)
-		defer eng.Release()
-		resp := map[string]any{"ok": true, "pairs": eng.Pairs(), "generation": gen}
-		if d := eng.ShardDesc(); d != nil {
-			resp["shard"] = d
-		}
-		// Prescreen telemetry rides /healthz (never a query response, so
-		// query bodies stay byte-identical with and without a prescreen);
-		// the router scrapes this block into per-shard gauges.
-		if ph := eng.PrescreenHealth(); ph != nil {
-			resp["prescreen"] = ph
-		}
-		// Imputation telemetry rides along the same way: table and
-		// pair-cache hit rates, never a query response.
-		resp["impute"] = eng.ImputeHealth()
-		writeJSON(w, resp)
+		writeJSON(w, ans.Healthz(r.Context()))
 	})
-	mux.HandleFunc("/score", handleScore(src, false))
-	mux.HandleFunc("/link", handleScore(src, true))
-	mux.HandleFunc("/topk", handleTopK(src))
+	mux.HandleFunc("/score", handleScore(ans, false))
+	mux.HandleFunc("/link", handleScore(ans, true))
+	mux.HandleFunc("/topk", handleTopK(ans))
 	return mux
 }
 
-func handleScore(src EngineSource, decide bool) http.HandlerFunc {
+func handleScore(ans Answerer, decide bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST only"))
+		if !allowOnly(w, r, http.MethodPost) {
 			return
 		}
 		r.Body = http.MaxBytesReader(w, r.Body, MaxRequestBody)
@@ -102,22 +79,20 @@ func handleScore(src EngineSource, decide bool) http.HandlerFunc {
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			var tooBig *http.MaxBytesError
 			if errors.As(err, &tooBig) {
-				httpError(w, http.StatusRequestEntityTooLarge,
+				HTTPError(w, http.StatusRequestEntityTooLarge,
 					fmt.Errorf("request body exceeds %d bytes", MaxRequestBody))
 				return
 			}
-			httpError(w, http.StatusBadRequest, err)
+			HTTPError(w, http.StatusBadRequest, err)
 			return
 		}
 		if len(req.Pairs) == 0 {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("empty pairs"))
+			HTTPError(w, http.StatusBadRequest, fmt.Errorf("empty pairs"))
 			return
 		}
-		eng, gen := acquireEngine(src)
-		defer eng.Release()
-		scores, err := eng.ScoreBatch(req.PA, req.PB, req.Pairs)
+		scores, gen, err := ans.ScoreBatch(r.Context(), req.PA, req.PB, req.Pairs)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
+			HTTPError(w, ans.ErrorStatus(err), err)
 			return
 		}
 		resp := map[string]any{"scores": scores, "generation": gen}
@@ -132,47 +107,120 @@ func handleScore(src EngineSource, decide bool) http.HandlerFunc {
 	}
 }
 
-func handleTopK(src EngineSource) http.HandlerFunc {
+func handleTopK(ans Answerer) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("GET only"))
+		if !allowOnly(w, r, http.MethodGet) {
 			return
 		}
 		q := r.URL.Query()
 		a, errA := strconv.Atoi(q.Get("a"))
 		if errA != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad a=%q", q.Get("a")))
+			HTTPError(w, http.StatusBadRequest, fmt.Errorf("bad a=%q", q.Get("a")))
 			return
 		}
 		k := 5
 		if s := q.Get("k"); s != "" {
 			var err error
 			if k, err = strconv.Atoi(s); err != nil {
-				httpError(w, http.StatusBadRequest, fmt.Errorf("bad k=%q", s))
+				HTTPError(w, http.StatusBadRequest, fmt.Errorf("bad k=%q", s))
 				return
 			}
 		}
-		eng, gen := acquireEngine(src)
-		defer eng.Release()
-		res, err := eng.TopK(platform.ID(q.Get("pa")), a, platform.ID(q.Get("pb")), k)
+		res, err := ans.TopK(r.Context(), platform.ID(q.Get("pa")), a, platform.ID(q.Get("pb")), k)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
+			HTTPError(w, ans.ErrorStatus(err), err)
 			return
 		}
-		writeJSON(w, map[string]any{"results": res, "generation": gen})
+		writeJSON(w, res)
 	}
+}
+
+// allowOnly refuses every method but the endpoint's own with 405 and the
+// Allow header RFC 9110 §15.5.6 requires.
+func allowOnly(w http.ResponseWriter, r *http.Request, method string) bool {
+	if r.Method == method {
+		return true
+	}
+	w.Header().Set("Allow", method)
+	HTTPError(w, http.StatusMethodNotAllowed, fmt.Errorf("%s only", method))
+	return false
 }
 
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		// Headers are gone; nothing useful left to send.
-		return
-	}
+	// Once the headers are gone an encode error has nothing useful left
+	// to send.
+	json.NewEncoder(w).Encode(v)
 }
 
-func httpError(w http.ResponseWriter, code int, err error) {
+// HTTPError refuses a request with the front-end's error body,
+// {"error": "..."} — exported for the middlewares in front of it.
+func HTTPError(w http.ResponseWriter, code int, err error) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
+}
+
+// Handler returns the HTTP front-end over a fixed engine (no swapping).
+func (e *Engine) Handler() http.Handler { return FrontEnd(pinned{e}) }
+
+// Handler returns the HTTP front-end over whatever engine generation is
+// currently installed — the hot-swappable form cmd/hydra-serve runs.
+func (s *Swappable) Handler() http.Handler { return FrontEnd(pinned{s}) }
+
+// Pin resolves src's current engine and pins it for one request, so a
+// hot swap cannot unmap a mapped engine's backing file mid-query; the
+// caller Releases the engine when done. The retry loop covers the race
+// where the engine retires between the Current load and the Acquire; it
+// converges because a retired engine has already been replaced in its
+// source. Two atomic ops — the serving steady state stays
+// allocation-free.
+func Pin(src EngineSource) (*Engine, uint64) {
+	for {
+		eng, gen := src.Current()
+		if eng.Acquire() {
+			return eng, gen
+		}
+	}
+}
+
+// pinned answers the front-end from an EngineSource, each query on the
+// engine generation it pinned. Every query error is the client's (400):
+// one process has no replica to blame.
+type pinned struct{ src EngineSource }
+
+func (p pinned) ErrorStatus(error) int { return http.StatusBadRequest }
+
+func (p pinned) Healthz(context.Context) any {
+	eng, gen := Pin(p.src)
+	defer eng.Release()
+	resp := map[string]any{"ok": true, "pairs": eng.Pairs(), "generation": gen}
+	if d := eng.ShardDesc(); d != nil {
+		resp["shard"] = d
+	}
+	// Prescreen and imputation telemetry ride /healthz (never a query
+	// response, so query bodies stay byte-identical with and without
+	// them); the router relays both blocks as per-shard gauges.
+	if ph := eng.PrescreenHealth(); ph != nil {
+		resp["prescreen"] = ph
+	}
+	resp["impute"] = eng.ImputeHealth()
+	return resp
+}
+
+func (p pinned) ScoreBatch(_ context.Context, pa, pb platform.ID, pairs [][2]int) ([]float64, uint64, error) {
+	eng, gen := Pin(p.src)
+	defer eng.Release()
+	scores, err := eng.ScoreBatch(pa, pb, pairs)
+	return scores, gen, err
+}
+
+func (p pinned) TopK(_ context.Context, pa platform.ID, a int, pb platform.ID, k int) (any, error) {
+	eng, gen := Pin(p.src)
+	defer eng.Release()
+	res, err := eng.TopK(pa, a, pb, k)
+	if err != nil {
+		return nil, err
+	}
+	return map[string]any{"results": res, "generation": gen}, nil
 }

@@ -73,7 +73,9 @@ func IsQueryError(err error) bool {
 	return errors.As(err, &q)
 }
 
-// Local is an in-process backend: the router calls the engine directly.
+// Local is an in-process backend: the router calls the engine directly,
+// pinning it for the call exactly as the HTTP front-end does (serve.Pin),
+// so a hot swap cannot unmap a mapped engine under an in-flight query.
 // It is how the router tests its scatter-gather against real engines
 // without network plumbing, and how one process can serve all shards of
 // a small deployment.
@@ -91,13 +93,15 @@ func (l *Local) Name() string {
 }
 
 func (l *Local) Health(ctx context.Context) (Health, error) {
-	eng, gen := l.Src.Current()
+	eng, gen := serve.Pin(l.Src)
+	defer eng.Release()
 	return Health{OK: true, Generation: gen, Shard: eng.ShardDesc(), Pairs: eng.Pairs(),
 		Prescreen: eng.PrescreenHealth(), Impute: eng.ImputeHealth()}, nil
 }
 
 func (l *Local) ScoreBatch(ctx context.Context, pa, pb platform.ID, pairs [][2]int) ([]float64, uint64, error) {
-	eng, gen := l.Src.Current()
+	eng, gen := serve.Pin(l.Src)
+	defer eng.Release()
 	scores, err := eng.ScoreBatch(pa, pb, pairs)
 	if err != nil {
 		return nil, gen, queryError{err}
@@ -112,7 +116,8 @@ func (l *Local) TopK(ctx context.Context, pa platform.ID, a int, pb platform.ID,
 // TopKAppend implements TopKAppender: the engine's own append form does
 // the work, so a warm query with a recycled dst allocates nothing.
 func (l *Local) TopKAppend(ctx context.Context, dst []serve.Scored, pa platform.ID, a int, pb platform.ID, k int) ([]serve.Scored, uint64, error) {
-	eng, gen := l.Src.Current()
+	eng, gen := serve.Pin(l.Src)
+	defer eng.Release()
 	res, err := eng.TopKAppend(dst, pa, a, pb, k)
 	if err != nil {
 		return res, gen, queryError{err}

@@ -83,13 +83,15 @@ type hedgeFlight struct {
 // timedTopK runs one network top-k attempt against reps[idx] with the
 // per-attempt timeout (capped by the deadline budget), hedging to the
 // next breaker-closed replica after the hedge delay. It owns breaker
-// and latency bookkeeping for the calls it fires, bumps *attempts per
-// call fired, and on success copies the winner into j.res/j.gen and
-// returns the winning replica index. The returned error is already
+// and latency bookkeeping for the calls it fires, counts each in the
+// walk's attempts, and on success copies the winner into j.res/j.gen
+// and returns the winning replica index. The returned error is already
 // wrapped with the replica name (unless it is a query error, which
 // propagates untouched).
-func (r *Router) timedTopK(j *topkJob, idx int, attempts *int, maxAttempts int, budgetT time.Time, hasBudget bool) (int, error) {
-	reps := r.shards[j.si]
+func (r *Router) timedTopK(j *topkJob, idx int, w *walk) (int, error) {
+	// Copies, not w: the flights below outlive this call, and a walk
+	// they captured would move to the heap on the in-process path too.
+	reps, budgetT, hasBudget := w.reps, w.budgetT, w.hasBudget
 	type outcome struct {
 		idx int
 		res []serve.Scored
@@ -127,7 +129,7 @@ func (r *Router) timedTopK(j *topkJob, idx int, attempts *int, maxAttempts int, 
 		return hedgeFlight{cancel: cancel, ab: ab}
 	}
 
-	*attempts++
+	w.attempts++
 	prim := launch(idx)
 	var back hedgeFlight
 	defer func() {
@@ -140,7 +142,7 @@ func (r *Router) timedTopK(j *topkJob, idx int, attempts *int, maxAttempts int, 
 	// A hedge needs a distinct breaker-closed backup, retry-budget
 	// headroom, and hedging enabled.
 	backup := -1
-	if r.opts.HedgeAfter >= 0 && len(reps) > 1 && *attempts < maxAttempts {
+	if r.opts.HedgeAfter >= 0 && len(reps) > 1 && w.attempts < w.maxAttempts {
 		for o := 1; o < len(reps); o++ {
 			c := (idx + o) % len(reps)
 			if r.breakers[j.si][c].closedNow() {
@@ -165,7 +167,7 @@ func (r *Router) timedTopK(j *topkJob, idx int, attempts *int, maxAttempts int, 
 			hedgeC = nil
 			hedged = true
 			r.robust.hedgeFired.Add(1)
-			*attempts++
+			w.attempts++
 			back = launch(backup)
 			inFlight++
 		case oc := <-ch:

@@ -1,45 +1,35 @@
 package router
 
 import (
-	"encoding/json"
-	"errors"
-	"fmt"
+	"context"
 	"net/http"
-	"strconv"
 	"time"
 
 	"hydra/internal/platform"
 	"hydra/internal/serve"
 )
 
-// The router's HTTP front-end mirrors hydra-serve's endpoints, so a
-// client cannot tell a router from a single engine except by the extra
-// health detail and the degraded-response fields:
+// The router answers hydra-serve's own JSON front-end (serve.FrontEnd),
+// so a client cannot tell a router from a single engine except by what
+// is the router's own, kept here:
 //
-//	GET  /healthz                        per-shard health + generations
-//	POST /score  {"pa","pb","pairs"}     batch scores (scattered by owner)
-//	POST /link   (same body)             scores + decisions
-//	GET  /topk?pa=&a=&pb=&k=             merged ranked candidates;
-//	                                     degraded responses carry
-//	                                     "degraded":true,"failed_shards":[...]
+//	GET  /healthz    per-shard health + generations
+//	GET  /topk       merged ranked candidates; degraded responses carry
+//	                 "degraded":true,"failed_shards":[...]
 //
-// Query errors surface as 400 (the shard's own message passes through);
-// a shard down after failover is 502 for score/link (no honest partial
-// answer) but still 200 + degraded flag for top-k.
+// and by the status of a failed query: a query error surfaces as 400
+// (the shard's own message passes through), a shard down after failover
+// is 502 for score/link (no honest partial answer) but still 200 +
+// degraded flag for top-k.
 
-// Handler returns the router's HTTP front-end. Every query route runs
-// under the deadline-budget middleware: a request carrying the
+// Handler returns the router's HTTP front-end. Every route runs under
+// the deadline-budget middleware: a request carrying the
 // serve.DeadlineHeader budget gets it installed on its context (the
 // scatter's retries, backoffs and downstream hops all decrement against
 // it), a request without one gets Options.DefaultBudget when set, and a
 // request whose budget is already spent is refused with 504.
 func (r *Router) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", r.handleHealthz)
-	mux.HandleFunc("/score", r.handleScore(false))
-	mux.HandleFunc("/link", r.handleScore(true))
-	mux.HandleFunc("/topk", r.handleTopK)
-	return r.budgetMiddleware(mux)
+	return r.budgetMiddleware(serve.FrontEnd(answerer{r}))
 }
 
 // budgetMiddleware installs the request's deadline budget — from the
@@ -49,7 +39,7 @@ func (r *Router) budgetMiddleware(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		t, ok, err := serve.ParseDeadline(req.Header)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
+			serve.HTTPError(w, http.StatusBadRequest, err)
 			return
 		}
 		if !ok {
@@ -61,119 +51,35 @@ func (r *Router) budgetMiddleware(next http.Handler) http.Handler {
 			}
 		}
 		if !time.Now().Before(t) {
-			httpError(w, http.StatusGatewayTimeout,
-				fmt.Errorf("deadline budget exhausted before the request was served"))
+			serve.HTTPError(w, http.StatusGatewayTimeout, serve.ErrBudgetSpent)
 			return
 		}
 		next.ServeHTTP(w, req.WithContext(WithBudget(req.Context(), t)))
 	})
 }
 
-func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
-	statuses := r.Status(req.Context())
+// answerer is the router as the front-end's serve.Answerer; ScoreBatch
+// is the router's own.
+type answerer struct{ *Router }
+
+func (an answerer) ErrorStatus(err error) int {
+	if IsQueryError(err) {
+		return http.StatusBadRequest
+	}
+	return http.StatusBadGateway
+}
+
+func (an answerer) Healthz(ctx context.Context) any {
+	statuses := an.Status(ctx)
 	ok := true
 	for _, st := range statuses {
 		if !st.Healthy {
 			ok = false
 		}
 	}
-	writeJSON(w, map[string]any{
-		"ok":     ok,
-		"pairs":  r.Pairs(),
-		"shards": statuses,
-	})
+	return map[string]any{"ok": ok, "pairs": an.Pairs(), "shards": statuses}
 }
 
-// scoreRequest mirrors serve's POST /score body.
-type scoreRequest struct {
-	PA    platform.ID `json:"pa"`
-	PB    platform.ID `json:"pb"`
-	Pairs [][2]int    `json:"pairs"`
-}
-
-func (r *Router) handleScore(decide bool) http.HandlerFunc {
-	return func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodPost {
-			httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST only"))
-			return
-		}
-		req.Body = http.MaxBytesReader(w, req.Body, serve.MaxRequestBody)
-		var body scoreRequest
-		if err := json.NewDecoder(req.Body).Decode(&body); err != nil {
-			var tooBig *http.MaxBytesError
-			if errors.As(err, &tooBig) {
-				httpError(w, http.StatusRequestEntityTooLarge,
-					fmt.Errorf("request body exceeds %d bytes", serve.MaxRequestBody))
-				return
-			}
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-		if len(body.Pairs) == 0 {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("empty pairs"))
-			return
-		}
-		scores, gen, err := r.ScoreBatch(req.Context(), body.PA, body.PB, body.Pairs)
-		if err != nil {
-			if IsQueryError(err) {
-				httpError(w, http.StatusBadRequest, err)
-			} else {
-				httpError(w, http.StatusBadGateway, err)
-			}
-			return
-		}
-		resp := map[string]any{"scores": scores, "generation": gen}
-		if decide {
-			linked := make([]bool, len(scores))
-			for i, s := range scores {
-				linked[i] = s > 0
-			}
-			resp["linked"] = linked
-		}
-		writeJSON(w, resp)
-	}
-}
-
-func (r *Router) handleTopK(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("GET only"))
-		return
-	}
-	q := req.URL.Query()
-	a, errA := strconv.Atoi(q.Get("a"))
-	if errA != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad a=%q", q.Get("a")))
-		return
-	}
-	k := 5
-	if s := q.Get("k"); s != "" {
-		var err error
-		if k, err = strconv.Atoi(s); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad k=%q", s))
-			return
-		}
-	}
-	res, err := r.TopK(req.Context(), platform.ID(q.Get("pa")), a, platform.ID(q.Get("pb")), k)
-	if err != nil {
-		if IsQueryError(err) {
-			httpError(w, http.StatusBadRequest, err)
-		} else {
-			httpError(w, http.StatusBadGateway, err)
-		}
-		return
-	}
-	writeJSON(w, res)
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		return
-	}
-}
-
-func httpError(w http.ResponseWriter, code int, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
+func (an answerer) TopK(ctx context.Context, pa platform.ID, a int, pb platform.ID, k int) (any, error) {
+	return an.Router.TopK(ctx, pa, a, pb, k)
 }

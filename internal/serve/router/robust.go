@@ -29,7 +29,7 @@ type BreakerStatus struct {
 
 // RobustStats snapshots the router's failure-handling state: breaker
 // states, hedge outcomes, retry-budget exhaustions and fail-fast
-// denials. cmd/hydra-router publishes it on /metrics.
+// denials. WriteMetrics publishes it on /metrics.
 type RobustStats struct {
 	Breakers       []BreakerStatus `json:"breakers"`
 	HedgeFired     uint64          `json:"hedge_fired"`

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -434,43 +433,29 @@ func TestRouterBudgetMiddlewareHugeBudget(t *testing.T) {
 }
 
 // TestRouterAutoRefresh asserts the background jittered re-probe loop
-// actually probes (the health observer sees repeated rounds) and that
-// stop halts it.
+// actually probes (repeated rounds report their outcome) and that stop
+// halts it.
 func TestRouterAutoRefresh(t *testing.T) {
-	e := getEnv(t)
-	_ = e
 	shards, _ := shardBackends(t, 2, 1)
 	r := newRouter(t, shards)
-	var mu sync.Mutex
-	probes := 0
-	r.SetHealthObserver(func(shard int, h Health) {
-		mu.Lock()
-		probes++
-		mu.Unlock()
-	})
-	stop := r.StartAutoRefresh(5*time.Millisecond, nil)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		mu.Lock()
-		n := probes
-		mu.Unlock()
-		if n >= 4 { // ≥ 2 full rounds over 2 shards
-			break
+	var rounds atomic.Int32
+	stop := r.StartAutoRefresh(5*time.Millisecond, func(err error) {
+		if err != nil {
+			t.Errorf("background refresh over healthy shards: %v", err)
 		}
+		rounds.Add(1)
+	})
+	deadline := time.Now().Add(5 * time.Second)
+	for rounds.Load() < 2 {
 		if time.Now().After(deadline) {
-			t.Fatalf("auto-refresh made %d probes in 5s, want ≥ 4", n)
+			t.Fatalf("auto-refresh made %d rounds in 5s, want ≥ 2", rounds.Load())
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	stop()
-	mu.Lock()
-	after := probes
-	mu.Unlock()
+	stop() // waits for an in-flight round; none may start after it
+	after := rounds.Load()
 	time.Sleep(30 * time.Millisecond)
-	mu.Lock()
-	final := probes
-	mu.Unlock()
-	if final > after+2 { // an in-flight round may land; the loop must not continue
+	if final := rounds.Load(); final != after {
 		t.Fatalf("auto-refresh kept probing after stop: %d -> %d", after, final)
 	}
 }

@@ -135,11 +135,6 @@ type Router struct {
 	// warm fan-out path allocates nothing.
 	gather sync.Pool
 
-	// healthObs, when set (before serving; see SetHealthObserver), is
-	// invoked with every successful per-shard health probe — the hook
-	// cmd/hydra-router uses to publish per-shard prescreen gauges.
-	healthObs func(shard int, h Health)
-
 	// breakers[si][ri] gates shard si's replica ri (see breaker.go).
 	breakers [][]breaker
 	// lats[si] is the shard's recent successful network-attempt latency
@@ -154,6 +149,9 @@ type Router struct {
 	topo  *pipeline.ShardDesc
 	pairs [][2]platform.ID
 	gens  []uint64 // last generation each shard reported (Refresh/queries)
+	// health is each shard's last successful probe (zero before the
+	// first), which WriteMetrics republishes as per-shard gauges.
+	health []Health
 }
 
 // New builds a router over shards[i] = the replicas of shard i. At least
@@ -177,6 +175,7 @@ func New(shards [][]Backend, opts Options) (*Router, error) {
 		opts:     opts,
 		pref:     make([]atomic.Int32, len(shards)),
 		gens:     make([]uint64, len(shards)),
+		health:   make([]Health, len(shards)),
 		breakers: breakers,
 		lats:     make([]latWindow, len(shards)),
 	}, nil
@@ -185,15 +184,21 @@ func New(shards [][]Backend, opts Options) (*Router, error) {
 // NumShards returns the configured shard count.
 func (r *Router) NumShards() int { return len(r.shards) }
 
-// SetHealthObserver installs a callback invoked with every successful
-// per-shard health probe (Refresh and Status). Call before serving —
-// the field is not synchronized against in-flight probes.
-func (r *Router) SetHealthObserver(obs func(shard int, h Health)) { r.healthObs = obs }
-
-func (r *Router) observeHealth(si int, h Health) {
-	if r.healthObs != nil {
-		r.healthObs(si, h)
+// probe health-checks shard si through replica failover and keeps the
+// answer for /metrics — startup refresh, SIGHUP, the background
+// re-probe and every /healthz all come through here.
+func (r *Router) probe(ctx context.Context, si int) (Health, error) {
+	var h Health
+	err := r.callShard(ctx, si, func(cctx context.Context, b Backend) (err error) {
+		h, err = b.Health(cctx)
+		return err
+	})
+	if err == nil {
+		r.mu.Lock()
+		r.health[si] = h
+		r.mu.Unlock()
 	}
+	return h, err
 }
 
 // Refresh health-checks every shard and verifies the set is coherent:
@@ -211,14 +216,7 @@ func (r *Router) Refresh(ctx context.Context) error {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = r.callShard(ctx, i, func(cctx context.Context, b Backend) error {
-				h, err := b.Health(cctx)
-				if err == nil {
-					healths[i] = h
-					r.observeHealth(i, h)
-				}
-				return err
-			})
+			healths[i], errs[i] = r.probe(ctx, i)
 		}(i)
 	}
 	wg.Wait()
@@ -282,77 +280,127 @@ func (r *Router) shardFor(pb platform.ID, b int) (int, error) {
 	}
 	s := topo.ShardOf(pb, b)
 	if s < 0 {
-		return 0, fmt.Errorf("router: platform %s is not a sharded B side (sharded: %v) — only A→B queries route", pb, topo.BSide)
+		// The query's fault, not a replica's: 400, as a single engine answers it.
+		return 0, queryError{fmt.Errorf("router: platform %s is not a sharded B side (sharded: %v) — only A→B queries route", pb, topo.BSide)}
 	}
 	return s, nil
 }
 
-// callShard runs fn against shard si's replicas until one succeeds:
-// starting at the preferred (last-good) replica, each attempt under its
-// own timeout (capped by the deadline budget), walking the ring
-// `rings` times with full-jitter exponential backoff between passes,
-// bounded by the per-request retry budget. Replicas whose circuit
-// breaker is open are skipped without paying a call or an attempt; if a
-// whole pass admits nothing, the shard fails fast. Query errors (see
-// queryError) propagate immediately — another replica would answer the
-// same.
-func (r *Router) callShard(ctx context.Context, si int, fn func(context.Context, Backend) error) error {
-	reps := r.shards[si]
-	start := int(r.pref[si].Load())
-	budgetT, hasBudget := Budget(ctx)
-	maxAttempts := r.opts.maxAttempts(len(reps))
-	attempts := 0
-	var lastErr error
-	for pass := 0; pass < rings; pass++ {
-		if pass > 0 && !r.backoffWait(ctx, pass, budgetT, hasBudget) {
-			r.robust.retryExhausted.Add(1)
-			return fmt.Errorf("router: shard %d: deadline budget exhausted during backoff (%d attempts): %w",
-				si, attempts, afterErr(lastErr))
+// walk is one shard call's failover walk over the shard's replicas —
+// the one place ring order, breaker gating, the retry budget, the
+// deadline budget and backoff are decided. It starts at the preferred
+// (last-good) replica and walks the ring `rings` times with full-jitter
+// exponential backoff between passes, bounded by the per-request retry
+// budget. Replicas whose circuit breaker is open are skipped without
+// paying a call or an attempt; if a whole pass admits nothing, the shard
+// fails fast. A plain struct on the caller's stack: the warm scatter
+// path walks it without allocating.
+type walk struct {
+	r           *Router
+	ctx         context.Context
+	si          int
+	reps        []Backend
+	start       int
+	budgetT     time.Time // the request's deadline budget, if hasBudget
+	hasBudget   bool
+	maxAttempts int
+	attempts    int   // replica calls fired so far, hedges included
+	pass, off   int   // position: ring pass, offset into it
+	admitted    int   // replicas the current pass let through
+	lastErr     error // the last replica failure or breaker denial
+}
+
+func (r *Router) newWalk(ctx context.Context, si int) walk {
+	w := walk{r: r, ctx: ctx, si: si, reps: r.shards[si], start: int(r.pref[si].Load())}
+	w.budgetT, w.hasBudget = Budget(ctx)
+	w.maxAttempts = r.opts.maxAttempts(len(w.reps))
+	return w
+}
+
+// next returns the next replica to attempt, or the error the walk ends
+// with: context cancelled, deadline or retry budget exhausted, every
+// breaker open, or the shard down after `rings` passes. The caller fires
+// the attempt, counts it in attempts and settles its outcome before
+// calling next again.
+func (w *walk) next() (int, error) {
+	for ; w.pass < rings; w.pass, w.off, w.admitted = w.pass+1, 0, 0 {
+		if w.pass > 0 && w.off == 0 && !w.r.backoffWait(w.ctx, w.pass, w.budgetT, w.hasBudget) {
+			return -1, w.exhausted(fmt.Errorf("router: shard %d: deadline budget exhausted during backoff (%d attempts): %w",
+				w.si, w.attempts, afterErr(w.lastErr)))
 		}
-		admitted := 0
-		for j := 0; j < len(reps); j++ {
-			if ctx.Err() != nil {
-				return fmt.Errorf("router: shard %d: %w", si, ctx.Err())
+		for w.off < len(w.reps) {
+			if w.ctx.Err() != nil {
+				return -1, fmt.Errorf("router: shard %d: %w", w.si, w.ctx.Err())
 			}
-			if hasBudget && time.Until(budgetT) <= 0 {
-				r.robust.retryExhausted.Add(1)
-				return fmt.Errorf("router: shard %d: deadline budget exhausted after %d attempts: %w",
-					si, attempts, afterErr(lastErr))
+			if w.hasBudget && time.Until(w.budgetT) <= 0 {
+				return -1, w.exhausted(fmt.Errorf("router: shard %d: deadline budget exhausted after %d attempts: %w",
+					w.si, w.attempts, afterErr(w.lastErr)))
 			}
-			idx := (start + j) % len(reps)
-			if !r.breakerAllow(si, idx) {
-				r.robust.failFast.Add(1)
-				lastErr = fmt.Errorf("%s: circuit breaker open", reps[idx].Name())
+			idx := (w.start + w.off) % len(w.reps)
+			w.off++
+			if !w.r.breakerAllow(w.si, idx) {
+				w.r.robust.failFast.Add(1)
+				w.lastErr = fmt.Errorf("%s: circuit breaker open", w.reps[idx].Name())
 				continue
 			}
-			if attempts >= maxAttempts {
-				r.robust.retryExhausted.Add(1)
-				return fmt.Errorf("router: shard %d: retry budget exhausted (%d attempts): %w",
-					si, attempts, afterErr(lastErr))
+			if w.attempts >= w.maxAttempts {
+				return -1, w.exhausted(fmt.Errorf("router: shard %d: retry budget exhausted (%d attempts): %w",
+					w.si, w.attempts, afterErr(w.lastErr)))
 			}
-			admitted++
-			attempts++
-			cctx, cancel := r.attemptCtx(ctx, budgetT, hasBudget)
-			err := fn(cctx, reps[idx])
-			cancel()
-			if err == nil {
-				r.breakers[si][idx].success()
-				r.pref[si].Store(int32(idx))
-				return nil
-			}
-			if IsQueryError(err) {
-				r.breakers[si][idx].success() // the replica answered; the query is at fault
-				return err
-			}
-			r.breakerFailure(si, idx)
-			lastErr = fmt.Errorf("%s: %w", reps[idx].Name(), err)
+			w.admitted++
+			return idx, nil
 		}
-		if admitted == 0 {
-			return fmt.Errorf("router: shard %d fail-fast: all %d replica breakers open: %w",
-				si, len(reps), afterErr(lastErr))
+		if w.admitted == 0 {
+			return -1, fmt.Errorf("router: shard %d fail-fast: all %d replica breakers open: %w",
+				w.si, len(w.reps), afterErr(w.lastErr))
 		}
 	}
-	return fmt.Errorf("router: shard %d down (%d replicas, %d attempts): %w", si, len(reps), attempts, lastErr)
+	return -1, fmt.Errorf("router: shard %d down (%d replicas, %d attempts): %w", w.si, len(w.reps), w.attempts, w.lastErr)
+}
+
+// exhausted counts a walk that ran out of retry or deadline budget.
+func (w *walk) exhausted(err error) error {
+	w.r.robust.retryExhausted.Add(1)
+	return err
+}
+
+// settle books one synchronous attempt's outcome on the replica's
+// breaker and reports whether the walk ends with it: an answer does (the
+// replica becomes the preferred one) and so does a query error (see
+// queryError — another replica would answer the same); a replica failure
+// is remembered and the walk goes on.
+func (w *walk) settle(idx int, err error) bool {
+	switch {
+	case err == nil:
+		w.r.pref[w.si].Store(int32(idx))
+		fallthrough
+	case IsQueryError(err):
+		w.r.breakers[w.si][idx].success() // the replica answered; a query error is the query's fault
+		return true
+	}
+	w.r.breakerFailure(w.si, idx)
+	w.lastErr = fmt.Errorf("%s: %w", w.reps[idx].Name(), err)
+	return false
+}
+
+// callShard runs fn against shard si's replicas until one answers, each
+// attempt under its own timeout (capped by the deadline budget); see
+// walk for the failover discipline.
+func (r *Router) callShard(ctx context.Context, si int, fn func(context.Context, Backend) error) error {
+	w := r.newWalk(ctx, si)
+	for {
+		idx, err := w.next()
+		if err != nil {
+			return err
+		}
+		w.attempts++
+		cctx, cancel := r.attemptCtx(ctx, w.budgetT, w.hasBudget)
+		err = fn(cctx, w.reps[idx])
+		cancel()
+		if w.settle(idx, err) {
+			return err
+		}
+	}
 }
 
 // noteGen records the freshest generation a shard has been seen serving.
@@ -506,93 +554,44 @@ func (ms *mergeSorter) Len() int           { return len(ms.s) }
 func (ms *mergeSorter) Swap(i, j int)      { ms.s[i], ms.s[j] = ms.s[j], ms.s[i] }
 func (ms *mergeSorter) Less(i, j int) bool { return serve.ScoredLess(ms.s[i], ms.s[j]) }
 
-// runTopKJob answers one shard's slice of a top-k fan-out, with the
-// same replica failover discipline as callShard (preferred replica
-// first, breaker-gated attempts under the retry budget, per-attempt
-// timeout capped by the deadline budget, backoff between ring passes,
-// query errors propagate immediately). It is inlined rather than routed
-// through callShard so the hot path carries no per-query closures:
-// in-process TopKAppender backends append into the job's recycled
-// buffer and skip the timeout context entirely (the call cannot block
-// on I/O); network backends go through timedTopK, which adds tied
-// hedging.
+// runTopKJob answers one shard's slice of a top-k fan-out over the same
+// failover walk as callShard, stepped inline so the hot path carries no
+// per-query closures: in-process TopKAppender backends append into the
+// job's recycled buffer and skip the timeout context entirely (the call
+// cannot block on I/O); network backends go through timedTopK, which
+// adds tied hedging and does its flights' breaker bookkeeping itself.
 func (r *Router) runTopKJob(j *topkJob) {
 	defer j.owner.wg.Done()
-	reps := r.shards[j.si]
-	start := int(r.pref[j.si].Load())
-	budgetT, hasBudget := Budget(j.ctx)
-	maxAttempts := r.opts.maxAttempts(len(reps))
-	attempts := 0
-	var lastErr error
-	for pass := 0; pass < rings; pass++ {
-		if pass > 0 && !r.backoffWait(j.ctx, pass, budgetT, hasBudget) {
-			r.robust.retryExhausted.Add(1)
-			j.err = fmt.Errorf("router: shard %d: deadline budget exhausted during backoff (%d attempts): %w",
-				j.si, attempts, afterErr(lastErr))
+	w := r.newWalk(j.ctx, j.si)
+	for {
+		idx, err := w.next()
+		if err != nil {
+			j.err = err
 			return
 		}
-		admitted := 0
-		for i := 0; i < len(reps); i++ {
-			if j.ctx.Err() != nil {
-				j.err = fmt.Errorf("router: shard %d: %w", j.si, j.ctx.Err())
-				return
-			}
-			if hasBudget && time.Until(budgetT) <= 0 {
-				r.robust.retryExhausted.Add(1)
-				j.err = fmt.Errorf("router: shard %d: deadline budget exhausted after %d attempts: %w",
-					j.si, attempts, afterErr(lastErr))
-				return
-			}
-			idx := (start + i) % len(reps)
-			if !r.breakerAllow(j.si, idx) {
-				r.robust.failFast.Add(1)
-				lastErr = fmt.Errorf("%s: circuit breaker open", reps[idx].Name())
+		if ta, ok := w.reps[idx].(TopKAppender); ok {
+			w.attempts++
+			j.res, j.gen, err = ta.TopKAppend(j.ctx, j.res[:0], j.pa, j.a, j.pb, j.k)
+			if !w.settle(idx, err) {
 				continue
 			}
-			if attempts >= maxAttempts {
-				r.robust.retryExhausted.Add(1)
-				j.err = fmt.Errorf("router: shard %d: retry budget exhausted (%d attempts): %w",
-					j.si, attempts, afterErr(lastErr))
-				return
-			}
-			admitted++
-			b := reps[idx]
-			winner := idx
-			var err error
-			if ta, ok := b.(TopKAppender); ok {
-				attempts++
-				j.res, j.gen, err = ta.TopKAppend(j.ctx, j.res[:0], j.pa, j.a, j.pb, j.k)
-				switch {
-				case err == nil, IsQueryError(err):
-					r.breakers[j.si][idx].success()
-				default:
-					r.breakerFailure(j.si, idx)
-					err = fmt.Errorf("%s: %w", b.Name(), err)
-				}
-			} else {
-				// Network replica: timed attempt with tied hedging;
-				// breaker and latency bookkeeping happen inside.
-				winner, err = r.timedTopK(j, idx, &attempts, maxAttempts, budgetT, hasBudget)
-			}
-			if err == nil {
+		} else {
+			var winner int
+			winner, err = r.timedTopK(j, idx, &w)
+			switch {
+			case err == nil:
 				r.pref[j.si].Store(int32(winner))
-				r.noteGen(j.si, j.gen)
-				j.err = nil
-				return
+			case !IsQueryError(err):
+				w.lastErr = err
+				continue
 			}
-			if IsQueryError(err) {
-				j.err = err
-				return
-			}
-			lastErr = err
 		}
-		if admitted == 0 {
-			j.err = fmt.Errorf("router: shard %d fail-fast: all %d replica breakers open: %w",
-				j.si, len(reps), afterErr(lastErr))
-			return
+		if err == nil {
+			r.noteGen(j.si, j.gen)
 		}
+		j.err = err
+		return
 	}
-	j.err = fmt.Errorf("router: shard %d down (%d replicas, %d attempts): %w", j.si, len(reps), attempts, lastErr)
 }
 
 // TopK returns account a's k best-scoring B-side candidates across the
@@ -717,20 +716,10 @@ func (r *Router) Status(ctx context.Context) []ShardStatus {
 		go func(si int) {
 			defer wg.Done()
 			st := ShardStatus{Shard: si, Replicas: len(r.shards[si])}
-			err := r.callShard(ctx, si, func(cctx context.Context, b Backend) error {
-				h, err := b.Health(cctx)
-				if err != nil {
-					return err
-				}
-				st.Healthy = h.OK
-				st.Generation = h.Generation
-				st.Prescreen = h.Prescreen
-				st.Impute = h.Impute
-				r.observeHealth(si, h)
-				return nil
-			})
-			if err != nil {
+			if h, err := r.probe(ctx, si); err != nil {
 				st.Error = err.Error()
+			} else {
+				st.Healthy, st.Generation, st.Prescreen, st.Impute = h.OK, h.Generation, h.Prescreen, h.Impute
 			}
 			out[si] = st
 		}(si)

@@ -3,8 +3,11 @@ package router
 import (
 	"context"
 	"fmt"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"hydra/internal/blocking"
@@ -573,8 +576,7 @@ func TestRouterRefreshCoherence(t *testing.T) {
 // TestRouterRelaysPrescreenHealth asserts the router's health surface
 // carries each shard's two-tier pruning telemetry end to end: the Local
 // backend reports the engine's prescreen block, Status relays it per
-// shard, and the health observer (the hook cmd/hydra-router publishes
-// /metrics gauges through) sees every probe.
+// shard, and the router's /metrics block republishes every probe.
 func TestRouterRelaysPrescreenHealth(t *testing.T) {
 	e := getEnv(t)
 	if e.bundle.Prescreen == nil {
@@ -582,15 +584,6 @@ func TestRouterRelaysPrescreenHealth(t *testing.T) {
 	}
 	shards, engines := shardBackends(t, 2, 1)
 	r := newRouter(t, shards)
-	// Status fans its probes over the shards concurrently, so the
-	// observer fires from multiple goroutines — guard the recording map.
-	var seenMu sync.Mutex
-	seen := make(map[int]*serve.PrescreenHealth)
-	r.SetHealthObserver(func(shard int, h Health) {
-		seenMu.Lock()
-		seen[shard] = h.Prescreen
-		seenMu.Unlock()
-	})
 	ctx := context.Background()
 
 	// Drive some top-k traffic so the engines' counters move (wide shards
@@ -612,8 +605,11 @@ func TestRouterRelaysPrescreenHealth(t *testing.T) {
 		if st.Prescreen.Queries+st.Prescreen.Skipped == 0 {
 			t.Fatalf("shard %d saw a top-k but reports no prescreen decisions: %+v", st.Shard, st.Prescreen)
 		}
-		if seen[st.Shard] == nil {
-			t.Fatalf("health observer missed shard %d", st.Shard)
+		// The probe replaced the startup refresh's all-zero gauge.
+		want := fmt.Sprintf("hydra_shard_prescreen{shard=\"%d\",stat=\"skipped\"} %d\n", st.Shard, st.Prescreen.Skipped)
+		var page strings.Builder
+		if r.WriteMetrics(&page); !strings.Contains(page.String(), want) {
+			t.Fatalf("/metrics block missed shard %d's probe: want %q in\n%s", st.Shard, want, page.String())
 		}
 	}
 	// A prescreen-less engine reports a nil block all the way through.
@@ -629,7 +625,7 @@ func TestRouterRelaysPrescreenHealth(t *testing.T) {
 // TestRouterRelaysImputeHealth asserts the imputation telemetry travels
 // the same road as the prescreen block: the Local backend reports the
 // engine's impute health (table entries, pair-cache counters), Status
-// relays it per shard, and the health observer sees every probe.
+// relays it per shard, and the router's /metrics block republishes it.
 func TestRouterRelaysImputeHealth(t *testing.T) {
 	e := getEnv(t)
 	if e.bundle.ImputeTable == nil {
@@ -637,13 +633,6 @@ func TestRouterRelaysImputeHealth(t *testing.T) {
 	}
 	shards, engines := shardBackends(t, 2, 1)
 	r := newRouter(t, shards)
-	var seenMu sync.Mutex
-	seen := make(map[int]*serve.ImputeHealth)
-	r.SetHealthObserver(func(shard int, h Health) {
-		seenMu.Lock()
-		seen[shard] = h.Impute
-		seenMu.Unlock()
-	})
 	ctx := context.Background()
 	if _, err := r.TopK(ctx, e.pair[0], 0, e.pair[1], 3); err != nil {
 		t.Fatal(err)
@@ -658,8 +647,10 @@ func TestRouterRelaysImputeHealth(t *testing.T) {
 		if !st.Impute.Enabled || st.Impute.TableEntries == 0 {
 			t.Fatalf("shard %d impute health malformed: %+v", st.Shard, st.Impute)
 		}
-		if seen[st.Shard] == nil {
-			t.Fatalf("health observer missed shard %d", st.Shard)
+		want := fmt.Sprintf("hydra_shard_impute{shard=\"%d\",stat=\"pair_cache_misses\"} %d\n", st.Shard, st.Impute.PairCacheMisses)
+		var page strings.Builder
+		if r.WriteMetrics(&page); !strings.Contains(page.String(), want) {
+			t.Fatalf("/metrics block missed shard %d's probe: want %q in\n%s", st.Shard, want, page.String())
 		}
 	}
 	// The runtime toggle shows up in the health block (answers are
@@ -702,5 +693,81 @@ func TestScatterGatherSteadyStateAllocs(t *testing.T) {
 		dst = res.Results
 	}); avg > 0 {
 		t.Fatalf("warm scatter-gather top-k allocates %.1f allocs/op, want 0", avg)
+	}
+}
+
+// retiredFirst is an EngineSource caught mid-swap: its first Current
+// yields the generation that has just been retired, every later one the
+// live engine — the window Swappable leaves between a caller's pointer
+// load and its Acquire.
+type retiredFirst struct {
+	retired, live *serve.Engine
+	loads         atomic.Int32
+}
+
+func (s *retiredFirst) Current() (*serve.Engine, uint64) {
+	if s.loads.Add(1) == 1 {
+		return s.retired.Current()
+	}
+	return s.live.Current()
+}
+
+// TestRouterLocalPinsEngine asserts the in-process backend pins its
+// engine the way the HTTP front-end does: handed a retired engine — a
+// mapped one, whose file unmaps as soon as nothing pins it — Local must
+// re-resolve its source and answer from the live generation, never
+// query the retired one.
+func TestRouterLocalPinsEngine(t *testing.T) {
+	e := getEnv(t)
+	ctx := context.Background()
+	subs, err := pipeline.SplitBundle(e.bundle, 1, 7, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "gen1.bin")
+	if err := pipeline.SaveBundle(path, subs[0]); err != nil {
+		t.Fatal(err)
+	}
+	_, lives := shardBackends(t, 1, 2)
+	want, err := lives[0].TopK(e.pair[0], 0, e.pair[1], 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, query := range map[string]func(*Local) (uint64, error){
+		"Health": func(l *Local) (uint64, error) {
+			h, err := l.Health(ctx)
+			return h.Generation, err
+		},
+		"ScoreBatch": func(l *Local) (uint64, error) {
+			_, gen, err := l.ScoreBatch(ctx, e.pair[0], e.pair[1], [][2]int{{0, want[0].B}})
+			return gen, err
+		},
+		"TopKAppend": func(l *Local) (uint64, error) {
+			got, gen, err := l.TopKAppend(ctx, nil, e.pair[0], 0, e.pair[1], 5)
+			if err == nil && !reflect.DeepEqual(got, want) {
+				err = fmt.Errorf("rows %v, want the live engine's %v", got, want)
+			}
+			return gen, err
+		},
+	} {
+		mb, err := pipeline.OpenBundleMapped(path, pipeline.MapOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		old, err := serve.NewEngineFromMapped(mb, 0)
+		if err != nil {
+			mb.Close()
+			t.Fatal(err)
+		}
+		old.Retire() // nothing pins it: the mapping is on its way out
+		src := &retiredFirst{retired: old, live: lives[0]}
+		gen, err := query(&Local{Src: src})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if gen != 2 || src.loads.Load() != 2 {
+			t.Fatalf("%s answered from generation %d after %d source loads, want the live generation 2 on the second load",
+				name, gen, src.loads.Load())
+		}
 	}
 }

@@ -30,6 +30,7 @@ import (
 
 	"hydra/internal/blocking"
 	"hydra/internal/core"
+	"hydra/internal/obs"
 	"hydra/internal/pipeline"
 	"hydra/internal/platform"
 )
@@ -71,27 +72,16 @@ type Engine struct {
 	mapped    *pipeline.MappedBundle
 
 	// Prescreen state: prescreenOff is the differential tests' and the
-	// benchmark oracle's hook (SetPrescreenEnabled), prescreenObs an
-	// optional metrics sink wired before serving starts, and the
-	// counters feed both the
-	// observer-free /healthz block and the router's per-shard stats.
-	// None of it ever changes a served value — with or without the
-	// prescreen the exact scorer alone decides output.
+	// benchmark oracle's hook (SetPrescreenEnabled); survivors (how many
+	// candidates each engaged top-k rescored exactly — its count is the
+	// engaged-query count, its sum the survivor total) and the two
+	// counters feed /healthz, /metrics (WriteMetrics) and the router's
+	// per-shard gauges. None of it ever changes a served value — with or
+	// without the prescreen the exact scorer alone decides output.
 	prescreenOff atomic.Bool
-	prescreenObs PrescreenObserver
-	preQueries   atomic.Uint64
-	preSurvivors atomic.Uint64
+	survivors    *obs.Histogram
 	prePruned    atomic.Uint64
 	preSkipped   atomic.Uint64
-}
-
-// PrescreenObserver receives prescreen telemetry from top-k queries:
-// the exact-rescored survivor count when the prescreen engaged, or a
-// skip note when a top-k ran exact-only (prescreen absent, disabled, or
-// the shard too small to prune). internal/obs.Metrics implements it.
-type PrescreenObserver interface {
-	ObservePrescreen(survivors int)
-	ObservePrescreenSkipped()
 }
 
 // prescreenMinSlack is the minimum prunable candidate count (shard size
@@ -158,6 +148,8 @@ func newEngine(store *core.LazyStore, parts core.ModelParts, prescreen *core.Pre
 		Workers: workers,
 		shard:   shard,
 		indexes: make(map[[2]platform.ID]*blocking.Index, len(ixs)),
+
+		survivors: newSurvivorHistogram(),
 	}
 	if shard != nil {
 		if err := shard.Validate(); err != nil {
@@ -352,7 +344,7 @@ func (e *Engine) TopKAppend(dst []Scored, pa platform.ID, a int, pb platform.ID,
 		sc.sel = sel
 		return append(dst, sel...), nil
 	}
-	e.notePrescreenSkipped()
+	e.preSkipped.Add(1)
 	if cap(sc.scores) < len(cands) {
 		sc.scores = make([]float64, len(cands))
 	}
@@ -489,20 +481,9 @@ func (e *Engine) topKPrescreen(sc *topkScratch, pa platform.ID, pb platform.ID, 
 			full, kth = true, sel[kk-1].Score
 		}
 	}
-	e.preQueries.Add(1)
-	e.preSurvivors.Add(uint64(rescored))
+	e.survivors.Observe(uint64(rescored))
 	e.prePruned.Add(uint64(n - rescored))
-	if e.prescreenObs != nil {
-		e.prescreenObs.ObservePrescreen(rescored)
-	}
 	return sel, nil
-}
-
-func (e *Engine) notePrescreenSkipped() {
-	e.preSkipped.Add(1)
-	if e.prescreenObs != nil {
-		e.prescreenObs.ObservePrescreenSkipped()
-	}
 }
 
 // SetPrescreenEnabled toggles the approximate prescreen at runtime — the
@@ -511,13 +492,9 @@ func (e *Engine) notePrescreenSkipped() {
 // any served value — it only forces every top-k back to the exact path.
 func (e *Engine) SetPrescreenEnabled(on bool) { e.prescreenOff.Store(!on) }
 
-// SetPrescreenObserver wires a metrics sink for prescreen telemetry.
-// Call before the engine starts serving; the field is not synchronized.
-func (e *Engine) SetPrescreenObserver(obs PrescreenObserver) { e.prescreenObs = obs }
-
 // PrescreenHealth is the engine's prescreen block on /healthz: the
 // certified margin and build size plus the running counters, which the
-// router scrapes into per-shard gauges. nil when the model carries no
+// router relays as per-shard gauges. nil when the model carries no
 // prescreen at all.
 type PrescreenHealth struct {
 	Enabled   bool    `json:"enabled"`
@@ -546,8 +523,8 @@ func (e *Engine) PrescreenHealth() *PrescreenHealth {
 		Enabled:   !e.prescreenOff.Load(),
 		Features:  p.Features,
 		Eps:       p.Eps,
-		Queries:   e.preQueries.Load(),
-		Survivors: e.preSurvivors.Load(),
+		Queries:   e.survivors.Count(),
+		Survivors: e.survivors.Sum(),
 		Pruned:    e.prePruned.Load(),
 		Skipped:   e.preSkipped.Load(),
 	}

@@ -53,6 +53,8 @@ func newWorldEngine(art *pipeline.Artifact, ds *platform.Dataset, workers int) (
 		Model:   model,
 		Workers: workers,
 		indexes: make(map[[2]platform.ID]*blocking.Index, len(art.Pairs)),
+
+		survivors: newSurvivorHistogram(),
 	}
 	rules := art.Rules
 	rules.Workers = workers
