@@ -1,15 +1,16 @@
 # HYDRA reproduction — build, verify and benchmark targets.
 #
 # `make ci` is the gate: it refuses unformatted files, vets, builds and
-# tests every package, runs the chaos suite, runs every serve benchmark
-# once, and gives the bundle readers' fuzz targets a short budget.
+# tests every package, vets the cross-compiled builds (`make cross`),
+# runs the chaos suite, runs every serve benchmark once, and gives the
+# bundle readers' fuzz targets a short budget.
 # `make bench` is the repository's one benchmark (bench/, BENCHMARK.json).
 
 GO ?= go
 
-.PHONY: ci fmt vet build test race chaos fuzz-smoke bench bench-smoke figures
+.PHONY: ci fmt vet cross build test race chaos fuzz-smoke bench bench-smoke figures
 
-ci: fmt vet build test chaos bench-smoke fuzz-smoke
+ci: fmt vet cross build test chaos bench-smoke fuzz-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -19,6 +20,15 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+
+# cross vets every package under the three builds this host never
+# compiles: darwin (mmap without Madvise — resident_other.go), windows
+# (the heap-copy fallback, mmap_other.go) and big-endian s390x (the
+# aliasFloat64s refusal path). Offline, installed toolchain only.
+cross:
+	GOOS=darwin GOARCH=arm64 $(GO) vet ./...
+	GOOS=windows GOARCH=amd64 $(GO) vet ./...
+	GOARCH=s390x $(GO) vet ./...
 
 build:
 	$(GO) build ./...

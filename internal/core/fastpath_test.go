@@ -7,12 +7,12 @@ import (
 )
 
 // referenceScore is the pre-fast-path scalar serving path, kept verbatim
-// as the bit-exactness oracle: impute through the Source, then walk the
+// as the bit-exactness oracle: impute through the store, then walk the
 // FULL candidate expansion skipping α=0 entries per call — exactly what
 // Model.Score did before support compaction and batching.
 func referenceScore(t *testing.T, m *Model, pa platform.ID, a int, pb platform.ID, b int) float64 {
 	t.Helper()
-	x, err := m.src.Impute(pa, a, pb, b, m.cfg.Variant, m.cfg.TopFriends)
+	x, err := m.store.Impute(pa, a, pb, b, m.cfg.Variant, m.cfg.TopFriends)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestCompactionZeroedDualsBitExact(t *testing.T) {
 		t.Fatal("fixture zeroed no duals; pick a different seed")
 	}
 	parts.Alpha = alpha
-	restored, err := ModelFromParts(sys, parts)
+	restored, err := ModelFromParts(sys.LazyStore, parts)
 	if err != nil {
 		t.Fatal(err)
 	}

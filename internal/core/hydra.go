@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"hydra/internal/blocking"
 	"hydra/internal/kernel"
@@ -135,11 +134,12 @@ type Diagnostics struct {
 // Model is a trained HYDRA linkage function (Eqn 12): the kernel expansion
 // over all candidate pairs.
 type Model struct {
-	// src answers the feature queries scoring needs; it is the training
-	// System when the model was just trained, or a snapshot LazyStore
-	// when it was restored from a serving bundle — scores are
-	// bit-identical either way.
-	src   Source
+	// store answers the feature queries scoring needs — the training
+	// System's store when the model was just trained, a bundle's when it
+	// was restored for serving; one store type, so scores are
+	// bit-identical either way. The pack-time impute table and its
+	// off-switch live there too.
+	store *LazyStore
 	cfg   Config
 	kern  kernel.Func
 	xs    []linalg.Vector
@@ -147,23 +147,14 @@ type Model struct {
 	bias  float64
 	Diag  Diagnostics
 
-	// Serving fast path, prepared once by prepareServing (see batch.go):
+	// Serving fast path, prepared once by compactSupport (see batch.go):
 	// the α≠0 support set packed into one dense row-major matrix (svXs
-	// are row views into svMat, svAlpha the matching coefficients), the
-	// pass-through resolver, and the pooled per-query scratch.
+	// are row views into svMat, svAlpha the matching coefficients), and
+	// the pooled per-query scratch.
 	svMat   *linalg.Matrix
 	svXs    []linalg.Vector
 	svAlpha []float64
-	direct  imputeResolver
 	scratch sync.Pool
-
-	// tbl is the optional pack-time Eqn-18 table (see imputetable.go),
-	// adopted from a snapshot LazyStore that carries one; tblOff turns
-	// it off for differential tests (SetImputeTableEnabled). Like the
-	// prescreen, the table never changes a served bit — a hit just skips
-	// the live friend walk.
-	tbl    *ImputeTable
-	tblOff atomic.Bool
 
 	// pre is the optional approximate prescreen (see prescreen.go):
 	// attached from a bundle's prescreen section via SetPrescreen, nil
@@ -292,7 +283,7 @@ func Train(sys *System, task *Task, cfg Config) (*Model, error) {
 	kern := pickKernel(cfg, xs)
 	gram := kernel.GramWorkers(kern, xs, cfg.Workers)
 
-	m := &Model{src: sys, cfg: cfg, kern: kern, xs: xs}
+	m := &Model{store: sys.LazyStore, cfg: cfg, kern: kern, xs: xs}
 	m.Diag.N, m.Diag.NL = n, nl
 	m.Diag.MDensity = density
 
@@ -337,7 +328,7 @@ func Train(sys *System, task *Task, cfg Config) (*Model, error) {
 	}
 	fd, fs := m.objectives(gram, lap, labeledIdx, labels)
 	m.Diag.FD, m.Diag.FS = fd, fs
-	m.prepareServing()
+	m.compactSupport()
 	return m, nil
 }
 
@@ -513,8 +504,7 @@ func (m *Model) Decision(x linalg.Vector) float64 {
 func (m *Model) Score(pa platform.ID, a int, pb platform.ID, b int) (float64, error) {
 	sc := m.getScratch()
 	defer m.scratch.Put(sc)
-	x, err := sc.imp.imputePairInto(sc.single(), m.src, m.direct, m.servingTable(),
-		pa, a, pb, b, m.cfg.Variant, m.cfg.TopFriends)
+	x, err := m.store.imputeInto(sc.single(), &sc.imp, nil, pa, a, pb, b, m.cfg.Variant, m.cfg.TopFriends)
 	if err != nil {
 		return 0, err
 	}

@@ -13,10 +13,11 @@ package core
 // resolution, no friend-pair features, no cache traffic.
 //
 // Bit-exactness is by construction, not by tolerance: BuildImputeTable
-// accumulates each entry's sums with accumFriendPairSums — the same
-// helper the live loop in imputePairInto runs, in the same float order —
-// and the fill x[d] = sums[d]/count is the identical expression, so a
-// table-backed impute returns the exact bits the live path would.
+// accumulates each entry's sums with friendPairSums — the same helper
+// the live walk in imputeInto runs, in the same float order — and
+// imputeInto fills x[d] = sums[d]/count from either source with the one
+// expression, so a table-backed impute returns the exact bits the live
+// path would.
 // Entries are keyed at the packed topFriends K; a query at any other K,
 // a pair outside the table, or a model without one falls back to the
 // live path, mirroring how the prescreen section degrades to exact-only.
@@ -26,7 +27,6 @@ import (
 	"math"
 	"sync/atomic"
 
-	"hydra/internal/graph"
 	"hydra/internal/linalg"
 	"hydra/internal/parallel"
 	"hydra/internal/platform"
@@ -193,12 +193,12 @@ type ImputeTableInput struct {
 // at friend depth topFriends over dimensionality dim. Candidates whose
 // raw vector is complete get no entry — the live path's mask scan
 // already short-circuits them before any friend work. The accumulation
-// runs accumFriendPairSums, the exact float sequence of the live loop,
-// so a table-backed impute is bit-identical by construction. The build
+// runs friendPairSums, the exact float sequence of the live walk, so a
+// table-backed impute is bit-identical by construction. The build
 // parallelizes over candidates (workers ≤ 0 = all cores) with each
 // entry written to its own slot, so the output is identical at any
 // worker count.
-func BuildImputeTable(src Source, topFriends, dim, workers int, inputs []ImputeTableInput) (*ImputeTableParts, error) {
+func BuildImputeTable(st *LazyStore, topFriends, dim, workers int, inputs []ImputeTableInput) (*ImputeTableParts, error) {
 	if topFriends <= 0 {
 		topFriends = DefaultTopFriends
 	}
@@ -206,7 +206,6 @@ func BuildImputeTable(src Source, topFriends, dim, workers int, inputs []ImputeT
 		return nil, fmt.Errorf("core: impute table build needs a positive dim, got %d", dim)
 	}
 	parts := &ImputeTableParts{K: topFriends, Dim: dim}
-	res := sourceResolver{src}
 	for _, in := range inputs {
 		pp := ImputeTablePairParts{
 			PA: in.PA, PB: in.PB,
@@ -214,9 +213,8 @@ func BuildImputeTable(src Source, topFriends, dim, workers int, inputs []ImputeT
 			Counts: linalg.Vector{}, Sums: linalg.Vector{},
 		}
 		type slot struct {
-			present bool
-			count   float64
-			sums    linalg.Vector
+			count float64
+			sums  linalg.Vector // nil: complete pair, no entry
 		}
 		slots := make([]slot, len(in.Pairs))
 		if err := parallel.ForErr(workers, len(in.Pairs), func(i int) error {
@@ -224,59 +222,37 @@ func BuildImputeTable(src Source, topFriends, dim, workers int, inputs []ImputeT
 			if a < 0 || a > math.MaxInt32 || b < 0 || b > math.MaxInt32 {
 				return fmt.Errorf("core: impute table candidate (%d, %d) outside the u32 id range", a, b)
 			}
-			pv, err := src.RawPair(in.PA, a, in.PB, b)
+			pv, err := st.RawPair(in.PA, a, in.PB, b)
 			if err != nil {
 				return err
 			}
 			if len(pv.X) != dim {
 				return fmt.Errorf("core: impute table candidate (%d, %d) spans dim %d, want %d", a, b, len(pv.X), dim)
 			}
-			missing := false
-			for _, m := range pv.Mask {
-				if !m {
-					missing = true
-					break
-				}
-			}
-			if !missing {
+			if !hasMissing(pv.Mask) {
 				return nil
 			}
-			friendsA, err := res.resolveFriends(in.PA, a, topFriends)
-			if err != nil {
-				return err
-			}
-			friendsB, err := res.resolveFriends(in.PB, b, topFriends)
-			if err != nil {
-				return err
-			}
-			slots[i].present = true
-			if len(friendsA) == 0 || len(friendsB) == 0 {
-				// Count 0: the live path's "no social context" verdict,
-				// recorded so serving skips even the friend resolution.
-				return nil
-			}
+			// Count 0 (no friends on a side) is the live path's "no social
+			// context" verdict, recorded with zero sums so serving skips
+			// even the friend resolution.
 			sums := make(linalg.Vector, dim)
-			if err := accumFriendPairSums(sums, res, in.PA, friendsA, in.PB, friendsB); err != nil {
+			count, err := st.friendPairSums(sums, nil, in.PA, a, in.PB, b, topFriends)
+			if err != nil {
 				return err
 			}
-			slots[i].count = float64(len(friendsA) * len(friendsB))
-			slots[i].sums = sums
+			slots[i] = slot{count: count, sums: sums}
 			return nil
 		}); err != nil {
 			return nil, err
 		}
 		for i, s := range slots {
-			if !s.present {
+			if s.sums == nil {
 				continue
 			}
 			pp.A = append(pp.A, int32(in.Pairs[i][0]))
 			pp.B = append(pp.B, int32(in.Pairs[i][1]))
 			pp.Counts = append(pp.Counts, s.count)
-			if s.sums == nil {
-				pp.Sums = append(pp.Sums, make(linalg.Vector, dim)...)
-			} else {
-				pp.Sums = append(pp.Sums, s.sums...)
-			}
+			pp.Sums = append(pp.Sums, s.sums...)
 		}
 		parts.Pairs = append(parts.Pairs, pp)
 	}
@@ -308,29 +284,4 @@ func RestrictImputeTable(p *ImputeTableParts, keep func(pb platform.ID, b int) b
 		out.Pairs = append(out.Pairs, kept)
 	}
 	return out
-}
-
-// accumFriendPairSums adds every friend pair's raw-vector contribution
-// into sums: the Eqn-18 numerator, friend pairs missing a dimension
-// contributing zero to it. This is THE accumulation loop — the live
-// imputePairInto path and the pack-time BuildImputeTable both run it,
-// which is what makes a table-backed impute bit-identical to a live one
-// rather than merely close.
-func accumFriendPairSums(sums linalg.Vector, rp rawPairResolver,
-	pa platform.ID, friendsA []graph.Friend, pb platform.ID, friendsB []graph.Friend) error {
-
-	for _, fa := range friendsA {
-		for _, fb := range friendsB {
-			fpv, err := rp.resolveRawPair(pa, fa.ID, pb, fb.ID)
-			if err != nil {
-				return err
-			}
-			for d := range sums {
-				if fpv.Mask[d] {
-					sums[d] += fpv.X[d]
-				}
-			}
-		}
-	}
-	return nil
 }

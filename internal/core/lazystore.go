@@ -2,22 +2,21 @@ package core
 
 import (
 	"fmt"
-	"sync"
+	"sync/atomic"
 
 	"hydra/internal/features"
 	"hydra/internal/graph"
-	"hydra/internal/linalg"
 	"hydra/internal/platform"
 	"hydra/internal/vision"
 )
 
 // LazySnapshot is the storage contract behind LazyStore: per-account
 // views and friend slices handed out one account at a time, plus the
-// counts and header-level strings that never need a section touch. Core
-// cannot import pipeline, so this is the core-side face of both bundle
-// backings: pipeline.MappedBundle materializes entries from the file on
-// first touch, a decoded pipeline.Bundle restores every view up front
-// and indexes into the slices.
+// counts and header-level strings that never need a section touch. It
+// has three backings: pipeline.MappedBundle materializes entries from
+// the file on first touch, a decoded pipeline.Bundle restores every view
+// up front and indexes into the slices, and a System's dataset builds
+// views per platform on first use.
 //
 // View and Friends must return stable results: repeated calls for the
 // same account must be safe under concurrency (the mapped implementation
@@ -37,20 +36,32 @@ type LazySnapshot interface {
 	Username(id platform.ID, local int) (string, bool)
 }
 
-// LazyStore is the snapshot-backed half of the Source split: it answers
-// the same Views/RawPair/Impute/Faces contract as the dataset-backed
-// System, but from a bundle's precomputed state — account views,
-// top-friends adjacency slices and the face-matcher parameters — with no
-// dataset, no LDA and no raw behavior data at all. With views
-// snapshotted from the system a model was trained on, every answer is
-// bit-identical to the builder's. Account state is pulled from a
-// LazySnapshot one account at a time, so the store itself is O(platform
-// count) to build and adds nothing proportional to the snapshot's size:
-// over a mapped bundle, entries materialize only when queries ask.
+// Source is the declared type of serve.Engine.Sys and nothing else: the
+// feature-store calls the serving engine makes through that field. Its
+// one implementation is *LazyStore; it stays an interface only because
+// the benchmark harness type-asserts Engine.Sys back to *LazyStore.
+type Source interface {
+	NumAccounts(id platform.ID) int
+	Username(id platform.ID, local int) string
+	CacheSize() int
+	PairCacheStats() (hits, misses uint64)
+	ImputeTable() *ImputeTable
+	ImputeTableEnabled() bool
+	SetImputeTableEnabled(on bool)
+}
+
+// LazyStore is the one feature store: every model trains, packs and
+// serves through it. It answers RawPair, Impute and Friends from a
+// LazySnapshot — a bundle's precomputed views and top-friends slices, or
+// a System's live dataset — so a model scores bit-identically over the
+// system it was trained on and over any bundle packed from it. Account
+// state is pulled from the snapshot one account at a time, so the store
+// itself is O(platform count) to build and adds nothing proportional to
+// the snapshot's size: over a mapped bundle, entries materialize only
+// when queries ask.
 //
 // It is immutable after construction apart from the mutex-guarded pair
-// cache and the lazily-filled full-platform view slices (Views — a
-// compatibility path; the hot paths are per-account), so it is safe for
+// cache and the atomically swapped impute table, so it is safe for
 // concurrent queries.
 type LazyStore struct {
 	pipe   *features.Pipeline
@@ -68,17 +79,13 @@ type LazyStore struct {
 	// shard's slice plus its friend closure; queries touching anything
 	// else fail here, loudly, instead of scoring a zeroed view.
 	present map[platform.ID][]bool
-	pairs   pairCache
-	// tbl is the optional pack-time Eqn-18 table attached at restore
-	// time (before any queries, so the field needs no locking); see
-	// imputetable.go. Impute consults it first and the Model adopts it
-	// through the imputeTableCarrier upgrade in prepareServing.
-	tbl *ImputeTable
-
-	// viewsMu guards the full-platform materializations built by Views.
-	// Per-account paths (RawPair, Friends, Username) never take it.
-	viewsMu  sync.Mutex
-	viewsAll map[platform.ID][]*features.AccountView
+	pairs   pairMemo[features.PairVector]
+	// tbl is the optional pack-time Eqn-18 table (see imputetable.go) and
+	// tblOff its runtime off-switch — the one copy Impute, every Model
+	// scoring path and /healthz read. Neither ever changes a served bit:
+	// a hit only skips the live friend walk.
+	tbl    atomic.Pointer[ImputeTable]
+	tblOff atomic.Bool
 }
 
 var _ Source = (*LazyStore)(nil)
@@ -137,7 +144,7 @@ func (st *LazyStore) Platforms() []platform.ID {
 // packed with (imputation can use any topFriends up to this).
 func (st *LazyStore) FriendsK() int { return st.friendsK }
 
-// Faces exposes the restored face matcher.
+// Faces exposes the face matcher (blocking uses it).
 func (st *LazyStore) Faces() *vision.Matcher { return st.faces }
 
 // NumAccounts returns a platform's account count, -1 if the snapshot
@@ -170,35 +177,6 @@ func (st *LazyStore) checkPresent(id platform.ID, local int) error {
 	return fmt.Errorf("core: %s account %d is not packed in this shard — route it by the bundle's shard descriptor", id, local)
 }
 
-// Views materializes (and caches) a platform's full view slice. This is
-// the Source-compatibility path — it defeats laziness for that platform,
-// so serving code prefers the per-account accessors; the REPL and tests
-// are the expected callers.
-func (st *LazyStore) Views(id platform.ID) ([]*features.AccountView, error) {
-	n, err := st.numAccounts(id)
-	if err != nil {
-		return nil, err
-	}
-	st.viewsMu.Lock()
-	defer st.viewsMu.Unlock()
-	if vs, ok := st.viewsAll[id]; ok {
-		return vs, nil
-	}
-	vs := make([]*features.AccountView, n)
-	for i := range vs {
-		v, err := st.snap.View(id, i)
-		if err != nil {
-			return nil, err
-		}
-		vs[i] = v
-	}
-	if st.viewsAll == nil {
-		st.viewsAll = make(map[platform.ID][]*features.AccountView)
-	}
-	st.viewsAll[id] = vs
-	return vs, nil
-}
-
 // Username answers from the snapshot's header state without
 // materializing the view — the REPL's per-result lookup.
 func (st *LazyStore) Username(id platform.ID, local int) string {
@@ -206,9 +184,11 @@ func (st *LazyStore) Username(id platform.ID, local int) string {
 	return name
 }
 
-// RawPair returns the (cached) unimputed pair vector, materializing
-// exactly the two views it needs and computing it from them exactly as
-// the builder computes it from fresh ones.
+// RawPair returns the (cached) unimputed pair vector between account a
+// on platform pa and account b on platform pb, materializing exactly the
+// two views it needs. The similarity computation runs outside the cache
+// lock; when two goroutines race on an uncached pair both compute the
+// same deterministic vector and one write wins.
 func (st *LazyStore) RawPair(pa platform.ID, a int, pb platform.ID, b int) (features.PairVector, error) {
 	key := pairKey{pa, pb, a, b}
 	if pv, ok := st.pairs.lookup(key); ok {
@@ -244,23 +224,6 @@ func (st *LazyStore) RawPair(pa platform.ID, a int, pb platform.ID, b int) (feat
 	return pv, nil
 }
 
-// SetImputeTable attaches a pack-time Eqn-18 table (the bundle restore
-// path). Must be called before any queries — the store is otherwise
-// immutable and the field is read without locking.
-func (st *LazyStore) SetImputeTable(t *ImputeTable) { st.tbl = t }
-
-// ImputeTable returns the attached table, nil without one — the
-// imputeTableCarrier upgrade Model.prepareServing probes for.
-func (st *LazyStore) ImputeTable() *ImputeTable { return st.tbl }
-
-// Impute returns the pair vector with missing dimensions filled according
-// to the variant, consulting the pack-time table first and otherwise
-// resolving friends from the snapshot's adjacency slices (see
-// imputePairInto for the shared Eqn-18 implementation).
-func (st *LazyStore) Impute(pa platform.ID, a int, pb platform.ID, b int, v Variant, topFriends int) (linalg.Vector, error) {
-	return imputePair(st, st.tbl, pa, a, pb, b, v, topFriends)
-}
-
 // Friends returns the top-k prefix of an account's persisted friend
 // slice. The slices are stored in the live graph's rank order, so any
 // prefix up to friendsK equals what TopFriends would have returned.
@@ -288,8 +251,40 @@ func (st *LazyStore) Friends(id platform.ID, local, k int) ([]graph.Friend, erro
 	return f, nil
 }
 
-// LimitPairCache bounds the pair-vector cache (n ≤ 0 = unbounded); see
-// System.LimitPairCache for the serving rationale.
+// SetImputeTable attaches (or, with nil, detaches) the pack-time Eqn-18
+// table every imputation through this store consults.
+func (st *LazyStore) SetImputeTable(t *ImputeTable) { st.tbl.Store(t) }
+
+// ImputeTable returns the attached table, nil without one.
+func (st *LazyStore) ImputeTable() *ImputeTable { return st.tbl.Load() }
+
+// SetImputeTableEnabled toggles the attached table at runtime — the hook
+// the differential tests and the benchmark oracle compare table-backed
+// against live imputation with. Output is bit-identical either way; only
+// the work per missing-dimension candidate changes.
+func (st *LazyStore) SetImputeTableEnabled(on bool) { st.tblOff.Store(!on) }
+
+// ImputeTableEnabled reports whether a table is attached AND the runtime
+// toggle leaves it on (the state /healthz publishes).
+func (st *LazyStore) ImputeTableEnabled() bool { return st.servingTable() != nil }
+
+// servingTable returns the table imputation should consult — nil when
+// none is attached or SetImputeTableEnabled turned it off.
+func (st *LazyStore) servingTable() *ImputeTable {
+	if st.tblOff.Load() {
+		return nil
+	}
+	return st.tbl.Load()
+}
+
+// LimitPairCache bounds the pair-vector cache to at most n entries,
+// trimming immediately if it is already larger (n ≤ 0 restores the
+// default unbounded behavior). One-shot batch runs touch each pair a
+// bounded number of times and want everything cached, but a long-lived
+// serving process answering arbitrary queries would otherwise grow the
+// cache monotonically until OOM — the serve engine caps it at startup.
+// Eviction is arbitrary-entry, and correctness never depends on cache
+// contents.
 func (st *LazyStore) LimitPairCache(n int) { st.pairs.limit(n) }
 
 // CacheSize reports the number of cached pair vectors (diagnostics).

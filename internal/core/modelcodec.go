@@ -56,14 +56,14 @@ func (m *Model) Parts() (ModelParts, error) {
 	return p, nil
 }
 
-// ModelFromParts rebuilds a servable Model over any Source — a freshly
-// systemized dataset (System) or a snapshot store restored from a bundle
-// (LazyStore). src must present the same feature space the model was trained
-// on (same dataset, lexicons and feature config) for scores to be
-// meaningful; with an identical source the restored model is bit-exact.
-func ModelFromParts(src Source, p ModelParts) (*Model, error) {
-	if src == nil {
-		return nil, fmt.Errorf("core: ModelFromParts needs a source")
+// ModelFromParts rebuilds a servable Model over a feature store — a
+// freshly systemized dataset's (System.LazyStore) or one restored from a
+// bundle. The store must present the same feature space the model was
+// trained on (same dataset, lexicons and feature config) for scores to be
+// meaningful; over an identical one the restored model is bit-exact.
+func ModelFromParts(st *LazyStore, p ModelParts) (*Model, error) {
+	if st == nil {
+		return nil, fmt.Errorf("core: ModelFromParts needs a store")
 	}
 	if len(p.Xs) == 0 {
 		return nil, fmt.Errorf("core: model parts have no candidate vectors")
@@ -83,9 +83,9 @@ func ModelFromParts(src Source, p ModelParts) (*Model, error) {
 	default:
 		return nil, fmt.Errorf("core: unknown kernel kind %q", p.KernelKind)
 	}
-	m := &Model{src: src, cfg: p.Cfg, kern: kern, xs: p.Xs, alpha: p.Alpha, bias: p.Bias}
+	m := &Model{store: st, cfg: p.Cfg, kern: kern, xs: p.Xs, alpha: p.Alpha, bias: p.Bias}
 	m.Diag = p.Diag
-	m.prepareServing()
+	m.compactSupport()
 	return m, nil
 }
 

@@ -35,7 +35,7 @@ func TestModelCodecRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(blob, &decoded); err != nil {
 		t.Fatal(err)
 	}
-	m2, err := ModelFromParts(sys, decoded)
+	m2, err := ModelFromParts(sys.LazyStore, decoded)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,17 +78,17 @@ func TestModelFromPartsValidation(t *testing.T) {
 
 	bad := parts
 	bad.KernelKind = "spline"
-	if _, err := ModelFromParts(sys, bad); err == nil {
+	if _, err := ModelFromParts(sys.LazyStore, bad); err == nil {
 		t.Fatal("expected error for unknown kernel kind")
 	}
 	bad = parts
 	bad.Alpha = bad.Alpha[:len(bad.Alpha)-1]
-	if _, err := ModelFromParts(sys, bad); err == nil {
+	if _, err := ModelFromParts(sys.LazyStore, bad); err == nil {
 		t.Fatal("expected error for alpha/xs length mismatch")
 	}
 	bad = parts
 	bad.KernelSigma = 0
-	if _, err := ModelFromParts(sys, bad); err == nil {
+	if _, err := ModelFromParts(sys.LazyStore, bad); err == nil {
 		t.Fatal("expected error for zero rbf bandwidth")
 	}
 	if _, err := ModelFromParts(nil, parts); err == nil {

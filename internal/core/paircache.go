@@ -4,7 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"hydra/internal/features"
 	"hydra/internal/platform"
 )
 
@@ -13,83 +12,93 @@ type pairKey struct {
 	a, b   int
 }
 
-// pairCache is the mutex-guarded pair-vector memo shared by both Source
-// halves. Cached vectors are pure memos of a deterministic computation,
-// so eviction only ever costs a recompute — it never changes a result.
-// The zero value is ready to use.
-type pairCache struct {
+// pairMemo is the mutex-guarded per-pair memo behind every cache in this
+// package: the store's pair-vector cache, the prescreen's fold memo and
+// the per-batch friend-pair memo. Memoized values are pure functions of
+// the pair, so eviction only ever costs a recompute — it never changes a
+// result. The zero value is ready to use and unbounded.
+type pairMemo[V any] struct {
 	mu sync.Mutex
-	m  map[pairKey]features.PairVector
-	// cap, when positive, bounds the cache (see limit).
+	m  map[pairKey]V
+	// cap, when positive, bounds the memo (see limit).
 	cap int
-	// hits/misses count lookups since process start — imputation health
-	// for /metrics, atomic so stats reads never take the cache mutex.
+	// hits/misses count lookups since process start — imputation and
+	// prescreen health for /metrics, atomic so stats reads never take
+	// the mutex.
 	hits, misses atomic.Uint64
 }
 
-// lookup returns the cached vector for key, if present.
-func (c *pairCache) lookup(key pairKey) (features.PairVector, bool) {
+// lookup returns the memoized value for key, if present.
+func (c *pairMemo[V]) lookup(key pairKey) (V, bool) {
 	c.mu.Lock()
-	pv, ok := c.m[key]
+	v, ok := c.m[key]
 	c.mu.Unlock()
 	if ok {
 		c.hits.Add(1)
 	} else {
 		c.misses.Add(1)
 	}
-	return pv, ok
+	return v, ok
 }
 
 // stats reports the lookup counters since process start.
-func (c *pairCache) stats() (hits, misses uint64) {
+func (c *pairMemo[V]) stats() (hits, misses uint64) {
 	return c.hits.Load(), c.misses.Load()
 }
 
-// store memoizes one computed pair vector, evicting arbitrary entries
-// first if a cap is set. When two goroutines race on an uncached pair
-// both compute the same deterministic vector and one write wins.
-func (c *pairCache) store(key pairKey, pv features.PairVector) {
+// store memoizes one computed value, evicting arbitrary entries first if
+// a cap is set. When two goroutines race on a missing pair both compute
+// the same deterministic value and one write wins.
+func (c *pairMemo[V]) store(key pairKey, v V) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.m == nil {
-		c.m = make(map[pairKey]features.PairVector)
+		c.m = make(map[pairKey]V)
 	}
 	if _, exists := c.m[key]; !exists {
 		c.evictLocked(1)
 	}
-	c.m[key] = pv
+	c.m[key] = v
 }
 
-// evictLocked drops arbitrary cache entries until inserting `incoming`
-// new ones stays within the cap (no-op when uncapped).
-func (c *pairCache) evictLocked(incoming int) {
+// evictLocked drops arbitrary entries until inserting `incoming` new ones
+// stays within the cap (no-op when uncapped; a cap below incoming empties
+// the memo). This is the package's one eviction loop.
+func (c *pairMemo[V]) evictLocked(incoming int) {
 	if c.cap <= 0 {
 		return
 	}
-	for len(c.m) > c.cap-incoming {
-		evicted := false
-		for k := range c.m {
-			delete(c.m, k)
-			evicted = true
-			break
+	for k := range c.m {
+		if len(c.m) <= c.cap-incoming {
+			return
 		}
-		if !evicted {
-			return // cap smaller than incoming; nothing left to drop
-		}
+		delete(c.m, k)
 	}
 }
 
-// limit bounds the cache to at most n entries, trimming immediately if it
+// limit bounds the memo to at most n entries, trimming immediately if it
 // is already larger (n ≤ 0 restores the default unbounded behavior).
-func (c *pairCache) limit(n int) {
+func (c *pairMemo[V]) limit(n int) {
 	c.mu.Lock()
 	c.cap = n
 	c.evictLocked(0)
 	c.mu.Unlock()
 }
 
-// size reports the number of cached pair vectors.
-func (c *pairCache) size() int {
+// reset empties the memo, keeping the map's capacity — the per-batch
+// memo's warm path allocates nothing.
+func (c *pairMemo[V]) reset() {
+	c.mu.Lock()
+	if c.m == nil {
+		c.m = make(map[pairKey]V, 16)
+	} else {
+		clear(c.m)
+	}
+	c.mu.Unlock()
+}
+
+// size reports the number of memoized entries.
+func (c *pairMemo[V]) size() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.m)

@@ -26,8 +26,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"hydra/internal/linalg"
 	"hydra/internal/parallel"
@@ -306,48 +304,6 @@ func BuildPrescreen(p ModelParts, opts PrescreenOpts) (*PrescreenParts, error) {
 // values even across an adversarial sweep of the full pair space.
 const foldCacheEntries = 1 << 18
 
-// foldCache memoizes the certified fold value f̃ per account pair. For a
-// served model the fold is a pure function of the pair — the source
-// views are immutable and the prescreen is fixed at SetPrescreen — so a
-// memoized value IS the bits a fresh fold would produce, and eviction
-// only ever costs a recompute. Profiling after the pack-time impute
-// table landed showed the fold itself (one exp + full-dim SqDist per
-// bump per candidate, every candidate, every query) as the next top-k
-// floor; the memo collapses a warm query's tier-1 pass to one map hit
-// per candidate, and the two-tier lease then only materializes imputed
-// rows for candidates that actually reach the exact rescore.
-type foldCache struct {
-	mu sync.Mutex
-	m  map[pairKey]float64
-	// hits/misses count BeginTwoTier lookups since the prescreen was
-	// attached — atomic so stats reads never take the mutex.
-	hits, misses atomic.Uint64
-}
-
-func (fc *foldCache) evictLocked(incoming int) {
-	for len(fc.m) > foldCacheEntries-incoming {
-		evicted := false
-		for k := range fc.m {
-			delete(fc.m, k)
-			evicted = true
-			break
-		}
-		if !evicted {
-			return
-		}
-	}
-}
-
-func (fc *foldCache) stats() (hits, misses uint64) {
-	return fc.hits.Load(), fc.misses.Load()
-}
-
-func (fc *foldCache) size() int {
-	fc.mu.Lock()
-	defer fc.mu.Unlock()
-	return len(fc.m)
-}
-
 // PrescreenFoldStats reports the fold memo's hit/miss counters and
 // current size (all zero without a prescreen) — prescreen health for
 // /healthz and /metrics.
@@ -367,14 +323,28 @@ type prescreenState struct {
 	c, v   []float64
 	sigma2 float64
 	eps    float64
-	cache  foldCache
+	// cache is the fold memo: the certified fold value f̃ per account
+	// pair. For a served model the fold is a pure function of the pair —
+	// the source views are immutable and the prescreen is fixed at
+	// SetPrescreen — so a memoized value IS the bits a fresh fold would
+	// produce, and eviction only ever costs a recompute. Profiling after
+	// the pack-time impute table landed showed the fold itself (one exp +
+	// full-dim SqDist per bump per candidate, every candidate, every
+	// query) as the next top-k floor; the memo collapses a warm query's
+	// tier-1 pass to one map hit per candidate, and the two-tier lease
+	// then only materializes imputed rows for candidates that actually
+	// reach the exact rescore. Its counters count BeginTwoTier lookups
+	// since the prescreen was attached.
+	cache pairMemo[float64]
 }
 
 func newPrescreenState(p *PrescreenParts) *prescreenState {
-	return &prescreenState{
+	ps := &prescreenState{
 		parts: p, dim: p.Dim, c: p.C, v: p.V,
 		sigma2: 2 * p.Sigma * p.Sigma, eps: p.Eps,
 	}
+	ps.cache.cap = foldCacheEntries
+	return ps
 }
 
 // score evaluates the fold f̃(x) = bias + Σ v_j·exp(−‖c_j − x‖²/2σ²)
@@ -388,6 +358,22 @@ func (ps *prescreenState) score(x linalg.Vector, bias float64) float64 {
 		s += v * math.Exp(-linalg.SqDist(ps.c[j*d:(j+1)*d], x)/ps.sigma2)
 	}
 	return s
+}
+
+// foldInto writes the prescreen fold of rows[i] to out[i] — the one
+// prescreen fold, shared by BeginTwoTier (over its memo misses) and
+// PrescreenBatchInto (over every row). Each slot is a pure function of
+// its own row, so the values are bit-identical at any worker count.
+func (ps *prescreenState) foldInto(out []float64, rows []linalg.Vector, bias float64, workers int) {
+	if parallel.Workers(workers) == 1 || len(rows) <= 1 {
+		for i, x := range rows {
+			out[i] = ps.score(x, bias)
+		}
+		return
+	}
+	parallel.For(workers, len(rows), func(i int) {
+		out[i] = ps.score(rows[i], bias)
+	})
 }
 
 // SetPrescreen attaches validated prescreen parts to the model (the
@@ -479,15 +465,6 @@ func (m *Model) PrescreenBatchInto(pa platform.ID, pb platform.ID, pairs [][2]in
 	if err := m.imputeBatch(sc, rows, pa, pb, pairs, workers); err != nil {
 		return err
 	}
-	ps, bias := m.pre, m.bias
-	if w := parallel.Workers(workers); w == 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			out[i] = ps.score(rows[i], bias)
-		}
-		return nil
-	}
-	parallel.For(workers, n, func(i int) {
-		out[i] = ps.score(rows[i], bias)
-	})
+	m.pre.foldInto(out, rows, m.bias, workers)
 	return nil
 }

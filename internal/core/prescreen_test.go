@@ -120,7 +120,7 @@ func TestPrescreenBatchIntoMatchesState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := ModelFromParts(sys, parts)
+	m, err := ModelFromParts(sys.LazyStore, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestSetPrescreenRejectsNarrowProjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := ModelFromParts(sys, parts)
+	m, err := ModelFromParts(sys.LazyStore, parts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,8 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -38,25 +40,21 @@ func (v Variant) String() string {
 	return "HYDRA-Z"
 }
 
-// System is the dataset-backed half of the Source split: the trained
-// feature pipeline over a raw dataset, building per-account views lazily
-// and imputing through the live interaction graph. It is what training
-// runs against; a LazyStore answers the same Source contract from a
-// snapshot with no dataset. The view and pair caches are mutex-guarded, so a
-// System is safe for concurrent use — the parallel feature assembly,
-// evaluation and experiment sweeps all share one instance.
+// System is the training-side feature system: the feature pipeline
+// fitted over a raw dataset. It answers every feature query — RawPair,
+// Impute, Friends, Faces, the pair cache — as the embedded *LazyStore
+// over a live snapshot of its own dataset, so training, packing and
+// serving all read through one store type. Views are built per platform
+// on first use; the store's caches are mutex-guarded, so a System is safe
+// for concurrent use — the parallel feature assembly, evaluation and
+// experiment sweeps all share one instance.
 type System struct {
+	*LazyStore
 	DS   *platform.Dataset
 	Pipe *features.Pipeline
 
-	mu    sync.Mutex
-	views map[platform.ID][]*features.AccountView
-	pairs pairCache
-	faces *vision.Matcher
-	seed  int64
+	snap *datasetSnapshot
 }
-
-var _ Source = (*System)(nil)
 
 // NewSystem builds the pipeline (attribute importance from the provided
 // labeled profile pairs, LDA over the corpus) and prepares lazy view
@@ -66,51 +64,21 @@ func NewSystem(ds *platform.Dataset, labeled []attr.LabeledPair, lx features.Lex
 	if err != nil {
 		return nil, err
 	}
-	return &System{
-		DS:    ds,
-		Pipe:  pipe,
-		views: make(map[platform.ID][]*features.AccountView),
-		faces: vision.NewMatcher(cfg.Seed),
-		seed:  cfg.Seed,
-	}, nil
-}
-
-// Faces exposes the simulated face matcher (blocking uses it).
-func (s *System) Faces() *vision.Matcher { return s.faces }
-
-// Views returns (building on first use) the account views of a platform.
-// The build happens under the cache lock so concurrent callers get the
-// same slice and each view is constructed exactly once.
-func (s *System) Views(id platform.ID) ([]*features.AccountView, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.viewsLocked(id)
-}
-
-func (s *System) viewsLocked(id platform.ID) ([]*features.AccountView, error) {
-	if v, ok := s.views[id]; ok {
-		return v, nil
-	}
-	p, err := s.DS.Platform(id)
+	snap := newDatasetSnapshot(ds, pipe)
+	// The snapshot hands out each account's full friend ranking, so the
+	// store serves any imputation depth.
+	st, err := NewLazyStore(pipe, snap, math.MaxInt, vision.NewMatcher(cfg.Seed))
 	if err != nil {
 		return nil, err
 	}
-	views := make([]*features.AccountView, p.NumAccounts())
-	for i, acc := range p.Accounts {
-		views[i] = s.Pipe.BuildView(acc)
-	}
-	s.views[id] = views
-	return views, nil
+	return &System{LazyStore: st, DS: ds, Pipe: pipe, snap: snap}, nil
 }
 
-// NumAccounts returns a platform's account count straight from the
-// dataset (no views are built), -1 if the dataset lacks the platform.
-func (s *System) NumAccounts(id platform.ID) int {
-	p, err := s.DS.Platform(id)
-	if err != nil {
-		return -1
-	}
-	return p.NumAccounts()
+// Views returns (building on first use) the account views of a platform.
+// Concurrent callers get the same slice and each view is constructed
+// exactly once.
+func (s *System) Views(id platform.ID) ([]*features.AccountView, error) {
+	return s.snap.views(id)
 }
 
 // Embeddings returns the behavior embeddings x_i of all accounts on a
@@ -127,68 +95,109 @@ func (s *System) Embeddings(id platform.ID) ([]linalg.Vector, error) {
 	return out, nil
 }
 
-// RawPair returns the (cached) unimputed pair vector between account a on
-// platform pa and account b on platform pb. The similarity computation
-// itself runs outside the lock; when two goroutines race on an uncached
-// pair both compute the same deterministic vector and one write wins.
-func (s *System) RawPair(pa platform.ID, a int, pb platform.ID, b int) (features.PairVector, error) {
-	key := pairKey{pa, pb, a, b}
-	if pv, ok := s.pairs.lookup(key); ok {
-		return pv, nil
-	}
-	s.mu.Lock()
-	va, err := s.viewsLocked(pa)
-	if err != nil {
-		s.mu.Unlock()
-		return features.PairVector{}, err
-	}
-	vb, err := s.viewsLocked(pb)
-	if err != nil {
-		s.mu.Unlock()
-		return features.PairVector{}, err
-	}
-	s.mu.Unlock()
-	if err := checkPairRange(pa, a, pb, b, len(va), len(vb)); err != nil {
-		return features.PairVector{}, err
-	}
-	pv := s.Pipe.Pair(va[a], vb[b])
-	s.pairs.store(key, pv)
-	return pv, nil
+// datasetSnapshot is the LazySnapshot behind a System's store: the
+// dataset itself, with each platform's views built on first use and each
+// account's full TopFriends ranking cached, so the prefix any
+// Config.TopFriends asks for is exactly the live graph's answer. It is a
+// type of its own because its Friends(id, local) would collide with the
+// store's Friends(id, local, k) on System.
+type datasetSnapshot struct {
+	pipe  *features.Pipeline
+	plats []platform.ID
+	byID  map[platform.ID]*datasetPlatform // fixed at construction
 }
 
-// LimitPairCache bounds the pair-vector cache to at most n entries,
-// trimming immediately if it is already larger (n ≤ 0 restores the
-// default unbounded behavior). One-shot batch runs touch each pair a
-// bounded number of times and want everything cached, but a long-lived
-// serving process answering arbitrary queries would otherwise grow the
-// cache monotonically until OOM — the serve engine caps it at startup.
-// Eviction is arbitrary-entry, and correctness never depends on cache
-// contents.
-func (s *System) LimitPairCache(n int) { s.pairs.limit(n) }
-
-// Impute returns the pair vector with missing dimensions filled according
-// to the variant, resolving friends through the live interaction graph
-// (see imputePairInto for the shared Eqn-18 implementation).
-func (s *System) Impute(pa platform.ID, a int, pb platform.ID, b int, v Variant, topFriends int) (linalg.Vector, error) {
-	return imputePair(s, nil, pa, a, pb, b, v, topFriends)
+type datasetPlatform struct {
+	p                      *platform.Platform
+	viewsOnce, friendsOnce sync.Once
+	views                  []*features.AccountView
+	friends                [][]graph.Friend
 }
 
-// Friends reads the top-k most-interacting friends off the dataset's
-// live interaction graph.
-func (s *System) Friends(id platform.ID, local, k int) ([]graph.Friend, error) {
-	p, err := s.DS.Platform(id)
+func newDatasetSnapshot(ds *platform.Dataset, pipe *features.Pipeline) *datasetSnapshot {
+	s := &datasetSnapshot{pipe: pipe, byID: make(map[platform.ID]*datasetPlatform, len(ds.Platforms))}
+	for id, p := range ds.Platforms {
+		s.plats = append(s.plats, id)
+		s.byID[id] = &datasetPlatform{p: p}
+	}
+	sort.Slice(s.plats, func(i, j int) bool { return s.plats[i] < s.plats[j] })
+	return s
+}
+
+func (s *datasetSnapshot) Platforms() []platform.ID { return s.plats }
+
+func (s *datasetSnapshot) NumAccounts(id platform.ID) int {
+	if dp := s.byID[id]; dp != nil {
+		return dp.p.NumAccounts()
+	}
+	return -1
+}
+
+// account returns the entry of an account's platform, range-checking
+// local (the store checks first; this keeps the snapshot safe alone).
+func (s *datasetSnapshot) account(id platform.ID, local int) (*datasetPlatform, error) {
+	dp := s.byID[id]
+	if dp == nil {
+		return nil, fmt.Errorf("core: no platform %s in dataset", id)
+	}
+	if local < 0 || local >= dp.p.NumAccounts() {
+		return nil, fmt.Errorf("core: account %d out of range (%s has %d)", local, id, dp.p.NumAccounts())
+	}
+	return dp, nil
+}
+
+func (s *datasetSnapshot) views(id platform.ID) ([]*features.AccountView, error) {
+	dp := s.byID[id]
+	if dp == nil {
+		return nil, fmt.Errorf("core: no platform %s in dataset", id)
+	}
+	return dp.buildViews(s.pipe), nil
+}
+
+// buildViews returns the platform's views, building them on first use.
+func (dp *datasetPlatform) buildViews(pipe *features.Pipeline) []*features.AccountView {
+	dp.viewsOnce.Do(func() {
+		dp.views = make([]*features.AccountView, dp.p.NumAccounts())
+		for i, acc := range dp.p.Accounts {
+			dp.views[i] = pipe.BuildView(acc)
+		}
+	})
+	return dp.views
+}
+
+func (s *datasetSnapshot) View(id platform.ID, local int) (*features.AccountView, error) {
+	dp, err := s.account(id, local)
 	if err != nil {
 		return nil, err
 	}
-	return p.Graph.TopFriends(local, k), nil
+	return dp.buildViews(s.pipe)[local], nil
 }
 
-// CacheSize reports the number of cached pair vectors (diagnostics).
-func (s *System) CacheSize() int { return s.pairs.size() }
+// Friends returns the account's full friend ranking (descending
+// interaction weight, ties by ascending id), ranked for the whole
+// platform on first use.
+func (s *datasetSnapshot) Friends(id platform.ID, local int) ([]graph.Friend, error) {
+	dp, err := s.account(id, local)
+	if err != nil {
+		return nil, err
+	}
+	dp.friendsOnce.Do(func() {
+		g := dp.p.Graph
+		dp.friends = make([][]graph.Friend, dp.p.NumAccounts())
+		for u := range dp.friends {
+			dp.friends[u] = g.TopFriends(u, g.Degree(u))
+		}
+	})
+	return dp.friends[local], nil
+}
 
-// PairCacheStats reports the pair-cache hit/miss counters since process
-// start (imputation health for /metrics).
-func (s *System) PairCacheStats() (hits, misses uint64) { return s.pairs.stats() }
+func (s *datasetSnapshot) Username(id platform.ID, local int) (string, bool) {
+	dp, err := s.account(id, local)
+	if err != nil {
+		return "", false
+	}
+	return dp.p.Accounts[local].Profile.Username, true
+}
 
 // LabeledProfilePairs assembles attribute-importance training pairs from
 // ground truth: for the given persons, the true cross-platform profile pair

@@ -39,6 +39,14 @@ func TestRawPairOutOfRange(t *testing.T) {
 	if _, err := sys.RawPair("bogus", 0, platform.Facebook, 0); err == nil {
 		t.Fatal("expected unknown-platform error")
 	}
+	// Friends range-checks like every other store query (it used to
+	// panic inside the interaction graph).
+	n := sys.NumAccounts(platform.Twitter)
+	for _, local := range []int{n, -1} {
+		if _, err := sys.Friends(platform.Twitter, local, 3); err == nil {
+			t.Fatalf("expected out-of-range error from Friends(twitter, %d, 3)", local)
+		}
+	}
 }
 
 func TestViewsLazyAndStable(t *testing.T) {

@@ -11,7 +11,7 @@ package core
 // retained row IS the row a fresh ScoreBatchInto would rebuild, and the
 // kernel fold below runs the identical float sequence on it.
 //
-// With the fold memo (see foldCache) the lease goes one step further:
+// With the fold memo (prescreenState.cache) the lease goes one step further:
 // a candidate whose fold value is already memoized is not imputed at
 // BeginTwoTier at all — its leased row stays unmaterialized until an
 // exact rescore chunk actually needs it, and the pruned majority never
@@ -22,9 +22,7 @@ package core
 import (
 	"fmt"
 
-	"hydra/internal/kernel"
 	"hydra/internal/linalg"
-	"hydra/internal/parallel"
 	"hydra/internal/platform"
 )
 
@@ -63,9 +61,8 @@ func (m *Model) BeginTwoTier(t *TwoTier, pa platform.ID, pb platform.ID, pairs [
 	n := len(pairs)
 	sc := m.getScratch()
 	rows := sc.ensureRows(n)
-	rowOK := sc.ensureRowOK(n)
-	ps := m.pre
-	fc := &ps.cache
+	rowOK := grow(&sc.rowOK, n)
+	fc := &m.pre.cache
 	miss := sc.miss[:0]
 	fc.mu.Lock()
 	for i, p := range pairs {
@@ -83,38 +80,21 @@ func (m *Model) BeginTwoTier(t *TwoTier, pa platform.ID, pb platform.ID, pairs [
 	fc.misses.Add(uint64(len(miss)))
 
 	if len(miss) > 0 {
-		mp := sc.ensureMissPairs(len(miss))
-		mr := sc.ensureMissRows(len(miss))
-		for j, i := range miss {
-			mp[j] = pairs[i]
-			mr[j] = rows[i]
-		}
-		if err := m.imputeBatch(sc, mr, pa, pb, mp, workers); err != nil {
+		mr, err := m.imputeRows(sc, rows, rowOK, pa, pb, pairs, miss, workers)
+		if err != nil {
 			m.scratch.Put(sc)
 			return err
 		}
-		for j, i := range miss {
-			rows[i] = mr[j]
-			rowOK[i] = true
-		}
-		bias := m.bias
-		if w := parallel.Workers(workers); w == 1 || len(miss) <= 1 {
-			for _, i := range miss {
-				pre[i] = ps.score(rows[i], bias)
-			}
-		} else {
-			parallel.For(workers, len(miss), func(j int) {
-				i := miss[j]
-				pre[i] = ps.score(rows[i], bias)
-			})
-		}
+		mpre := grow(&sc.mpre, len(miss))
+		m.pre.foldInto(mpre, mr, m.bias, workers)
 		fc.mu.Lock()
 		if fc.m == nil {
 			fc.m = make(map[pairKey]float64, 1024)
 		}
 		fc.evictLocked(len(miss))
-		for _, i := range miss {
-			fc.m[pairKey{pa, pb, pairs[i][0], pairs[i][1]}] = pre[i]
+		for j, i := range miss {
+			pre[i] = mpre[j]
+			fc.m[pairKey{pa, pb, pairs[i][0], pairs[i][1]}] = mpre[j]
 		}
 		fc.mu.Unlock()
 	}
@@ -123,14 +103,36 @@ func (m *Model) BeginTwoTier(t *TwoTier, pa platform.ID, pb platform.ID, pairs [
 	return nil
 }
 
+// imputeRows materializes the leased rows idx: it gathers them into the
+// miss buffers so imputeBatch sees one contiguous batch, scatters the
+// imputed rows back and marks them materialized. The returned slice is
+// the gathered rows, entry j being rows[idx[j]].
+func (m *Model) imputeRows(sc *scoreScratch, rows []linalg.Vector, rowOK []bool,
+	pa, pb platform.ID, pairs [][2]int, idx []int, workers int) ([]linalg.Vector, error) {
+
+	mp := grow(&sc.mpairs, len(idx))
+	mr := grow(&sc.mrows, len(idx))
+	for j, i := range idx {
+		mp[j] = pairs[i]
+		mr[j] = rows[i]
+	}
+	if err := m.imputeBatch(sc, mr, pa, pb, mp, workers); err != nil {
+		return nil, err
+	}
+	for j, i := range idx {
+		rows[i] = mr[j]
+		rowOK[i] = true
+	}
+	return mr, nil
+}
+
 // ScoreSubset exactly scores the leased rows idx (indices into the
 // BeginTwoTier batch) into out, len(out) = len(idx), materializing any
-// rows the fold memo let BeginTwoTier skip. It runs the same blocked
-// kernel pass and α/bias fold as ScoreBatchInto — and each output slot
-// depends only on its own row, never on the batch around it — so the
-// values are bit-identical to what ScoreBatchInto would return for
-// those pairs, at any worker count and any chunking. These ARE the
-// served scores.
+// rows the fold memo let BeginTwoTier skip. It runs the same foldKernel
+// as ScoreBatchInto — and each output slot depends only on its own row,
+// never on the batch around it — so the values are bit-identical to what
+// ScoreBatchInto would return for those pairs, at any worker count and
+// any chunking. These ARE the served scores.
 func (t *TwoTier) ScoreSubset(idx []int, workers int, out []float64) error {
 	if t.sc == nil {
 		return fmt.Errorf("core: ScoreSubset outside a BeginTwoTier lease")
@@ -138,11 +140,9 @@ func (t *TwoTier) ScoreSubset(idx []int, workers int, out []float64) error {
 	if len(out) != len(idx) {
 		return fmt.Errorf("core: ScoreSubset got %d output slots for %d rows", len(out), len(idx))
 	}
-	n := len(idx)
-	if n == 0 {
+	if len(idx) == 0 {
 		return nil
 	}
-	m := t.m
 	miss := t.sc.miss[:0]
 	for _, id := range idx {
 		if id < 0 || id >= len(t.rows) {
@@ -154,35 +154,15 @@ func (t *TwoTier) ScoreSubset(idx []int, workers int, out []float64) error {
 	}
 	t.sc.miss = miss
 	if len(miss) > 0 {
-		mp := t.sc.ensureMissPairs(len(miss))
-		mr := t.sc.ensureMissRows(len(miss))
-		for j, id := range miss {
-			mp[j] = t.pairs[id]
-			mr[j] = t.rows[id]
-		}
-		if err := m.imputeBatch(t.sc, mr, t.pa, t.pb, mp, workers); err != nil {
+		if _, err := t.m.imputeRows(t.sc, t.rows, t.rowOK, t.pa, t.pb, t.pairs, miss, workers); err != nil {
 			return err
 		}
-		for j, id := range miss {
-			t.rows[id] = mr[j]
-			t.rowOK[id] = true
-		}
 	}
-	sub := t.sc.ensureSub(n)
+	sub := grow(&t.sc.sub, len(idx))
 	for i, id := range idx {
 		sub[i] = t.rows[id]
 	}
-	km := t.sc.ensureKmat(len(m.svXs), n)
-	kernel.CrossGramInto(m.kern, m.svXs, sub, km, workers)
-	for i := range out {
-		out[i] = m.bias
-	}
-	for j, a := range m.svAlpha {
-		row := km.Data[j*n : (j+1)*n]
-		for i, kv := range row {
-			out[i] += a * kv
-		}
-	}
+	t.m.foldKernel(t.sc, sub, workers, out)
 	return nil
 }
 

@@ -180,7 +180,7 @@ func (a *Artifact) Restore(ds *platform.Dataset) (*SystemState, *core.Model, err
 	if err != nil {
 		return nil, nil, err
 	}
-	m, err := core.ModelFromParts(st.Sys, a.Model)
+	m, err := core.ModelFromParts(st.Sys.LazyStore, a.Model)
 	if err != nil {
 		return nil, nil, err
 	}

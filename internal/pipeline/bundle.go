@@ -264,7 +264,7 @@ const prescreenSamplePairs = 16384
 // second result reports whether every serving pair was enumerated
 // exhaustively rather than sampled.
 func prescreenQueries(sys *core.System, a *Artifact, b *Bundle, workers int) ([]linalg.Vector, bool, error) {
-	m, err := core.ModelFromParts(sys, a.Model)
+	m, err := core.ModelFromParts(sys.LazyStore, a.Model)
 	if err != nil {
 		return nil, false, err
 	}
@@ -319,6 +319,9 @@ func bundlePlatforms(pairs [][2]platform.ID) []platform.ID {
 // restored once up front, friend slices shared with the bundle, each
 // accessor a map lookup and an index. The mapped counterpart is
 // MappedBundle, which materializes entries from the file on first touch.
+// Account counts come from the friend slices, which Store checks against
+// the views, so SplitBundle can run the friend closure over a friends-only
+// snapshot.
 type heapSnapshot struct {
 	plats   []platform.ID
 	views   map[platform.ID][]*features.AccountView
@@ -328,11 +331,11 @@ type heapSnapshot struct {
 func (s *heapSnapshot) Platforms() []platform.ID { return s.plats }
 
 func (s *heapSnapshot) NumAccounts(id platform.ID) int {
-	vs, ok := s.views[id]
+	fr, ok := s.friends[id]
 	if !ok {
 		return -1
 	}
-	return len(vs)
+	return len(fr)
 }
 
 func (s *heapSnapshot) View(id platform.ID, local int) (*features.AccountView, error) {
@@ -360,7 +363,7 @@ func (s *heapSnapshot) Username(id platform.ID, local int) (string, bool) {
 }
 
 // Store restores the bundle's query state into a snapshot-backed
-// core.LazyStore — the world-free half of the Source split — over an
+// core.LazyStore — the same store a System trains through — over an
 // in-memory snapshot of the bundle's views and friend slices. It rejects
 // a bundle whose friend slices are shallower than the packed model's
 // imputation depth (only reachable through a corrupted or hand-edited
@@ -385,15 +388,16 @@ func (b *Bundle) Store() (*core.LazyStore, error) {
 		}
 		snap.views[id] = vs
 	}
-	return newSnapshotStore(snap, b.Pipeline, b.FriendsK, b.Model.Cfg.ResolvedTopFriends(), b.Faces, b.PresentViews(), b.ImputeTable)
+	return newSnapshotStore(snap, b.Pipeline, b.FriendsK, b.Model.Cfg.ResolvedTopFriends(), b.Faces, b.Shard, b.ImputeTable)
 }
 
 // newSnapshotStore is the shared body of Bundle.Store and
 // MappedBundle.Store: the friend-depth gate, the query pipeline, the
-// lazy store over the snapshot, the shard restriction (present, nil for
-// an unsharded bundle) and the pack-time impute table.
+// lazy store over the snapshot, the shard restriction (the friend
+// closure of shard, nothing for an unsharded bundle) and the pack-time
+// impute table.
 func newSnapshotStore(snap core.LazySnapshot, parts features.PipelineParts, friendsK, need int, faces vision.Matcher,
-	present map[platform.ID][]bool, table *core.ImputeTableParts) (*core.LazyStore, error) {
+	shard *ShardDesc, table *core.ImputeTableParts) (*core.LazyStore, error) {
 
 	if friendsK < need {
 		return nil, fmt.Errorf("pipeline: bundle packs top-%d friends but its model imputes with top-%d — repack the bundle", friendsK, need)
@@ -409,7 +413,7 @@ func newSnapshotStore(snap core.LazySnapshot, parts features.PipelineParts, frie
 	// A sub-bundle of a sharded split carries only its slice of the
 	// B side (plus the friend closure); mark everything else absent so a
 	// mis-routed query fails loudly instead of scoring a zeroed view.
-	st.Restrict(present)
+	st.Restrict(friendClosure(shard, snap))
 	if table != nil {
 		tbl, err := core.ImputeTableFromParts(table)
 		if err != nil {

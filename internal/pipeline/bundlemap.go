@@ -493,43 +493,7 @@ func (mb *MappedBundle) LazyIndexes() ([]*blocking.Index, error) {
 // off the mapping — the same store, checks and shard restriction as
 // Bundle.Store, with entries materialized on first touch.
 func (mb *MappedBundle) Store() (*core.LazyStore, error) {
-	return newSnapshotStore(mb, mb.header.Pipeline, mb.header.FriendsK, mb.modelParts.Cfg.ResolvedTopFriends(), mb.header.Faces, mb.PresentViews(), mb.tableParts)
-}
-
-// PresentViews mirrors Bundle.PresentViews for a sharded sub-bundle: the
-// owned B-side accounts plus their friend closure. It materializes the
-// friend slices of owned accounts (they are about to be hot anyway);
-// unsharded bundles return nil without touching any section.
-func (mb *MappedBundle) PresentViews() map[platform.ID][]bool {
-	d := mb.header.Shard
-	if d == nil {
-		return nil
-	}
-	present := make(map[platform.ID][]bool, len(d.BSide))
-	for _, id := range d.BSide {
-		mf := mb.friends[id]
-		if mf == nil {
-			continue
-		}
-		p := make([]bool, len(mf.off))
-		for j := range p {
-			if d.ShardOf(id, j) != d.Index {
-				continue
-			}
-			p[j] = true
-			fr, err := mb.Friends(id, j)
-			if err != nil {
-				continue
-			}
-			for _, f := range fr {
-				if f.ID >= 0 && f.ID < len(p) {
-					p[f.ID] = true
-				}
-			}
-		}
-		present[id] = p
-	}
-	return present
+	return newSnapshotStore(mb, mb.header.Pipeline, mb.header.FriendsK, mb.modelParts.Cfg.ResolvedTopFriends(), mb.header.Faces, mb.header.Shard, mb.tableParts)
 }
 
 // ModelParts returns the model parts (slices may alias the mapping).

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"hydra/internal/features"
 	"hydra/internal/linalg"
 	"hydra/internal/platform"
 )
@@ -93,20 +94,17 @@ func TestOpenBundleMappedMatchesDecode(t *testing.T) {
 				t.Fatal("Pairs differs from the decoded bundle")
 			}
 			for _, id := range mb.Platforms() {
-				views, err := wantStore.Views(id)
-				if err != nil {
-					t.Fatal(err)
+				parts := want.Views[id]
+				if got := mb.NumAccounts(id); got != len(parts) {
+					t.Fatalf("%s: NumAccounts = %d, want %d", id, got, len(parts))
 				}
-				if got := mb.NumAccounts(id); got != len(views) {
-					t.Fatalf("%s: NumAccounts = %d, want %d", id, got, len(views))
-				}
-				for local := range views {
+				for local := range parts {
 					got, err := mb.View(id, local)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !reflect.DeepEqual(got, views[local]) {
-						t.Fatalf("%s[%d]: mapped view differs:\n%+v\nvs\n%+v", id, local, got, views[local])
+					if wv := features.RestoreView(parts[local], id, local); !reflect.DeepEqual(got, wv) {
+						t.Fatalf("%s[%d]: mapped view differs:\n%+v\nvs\n%+v", id, local, got, wv)
 					}
 					fr, err := mb.Friends(id, local)
 					if err != nil {

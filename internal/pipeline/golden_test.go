@@ -201,8 +201,11 @@ func checkBundleGolden(t *testing.T, b *Bundle, goldenName string) {
 	if store.FriendsK() != 3 {
 		t.Fatalf("restored store friendsK = %d", store.FriendsK())
 	}
-	if _, err := store.Views(platform.Twitter); err != nil {
+	if _, err := store.Friends(platform.Twitter, 0, 3); err != nil {
 		t.Fatal(err)
+	}
+	if name := store.Username(platform.Twitter, 0); name != "alice_tw" {
+		t.Fatalf("restored store username = %q", name)
 	}
 	if _, err := core.ModelFromParts(store, decoded.Model); err != nil {
 		t.Fatal(err)

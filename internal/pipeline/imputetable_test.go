@@ -33,7 +33,8 @@ func fixtureImputeTable() *core.ImputeTableParts {
 // TestBundleV3ImputeTableGoldenFormat pins the v3 bundle *with* the
 // optional trailing impute-table section (alongside the prescreen, so
 // the golden exercises the two-optional-sections ordering), and asserts
-// the decoded parts reach the restored store and model.
+// the decoded parts reach the restored store (the one copy the model
+// reads).
 func TestBundleV3ImputeTableGoldenFormat(t *testing.T) {
 	b := fixtureBundle()
 	b.Prescreen = fixturePrescreen()
@@ -55,12 +56,8 @@ func TestBundleV3ImputeTableGoldenFormat(t *testing.T) {
 	if tbl == nil || tbl.NumEntries() != 1 || tbl.K() != 3 {
 		t.Fatalf("decoded impute table did not attach to the restored store: %+v", tbl)
 	}
-	m, err := core.ModelFromParts(store, decoded.Model)
-	if err != nil {
+	if _, err := core.ModelFromParts(store, decoded.Model); err != nil {
 		t.Fatal(err)
-	}
-	if m.ImputeTable() == nil {
-		t.Fatal("restored model did not adopt the store's impute table")
 	}
 }
 

@@ -12,5 +12,3 @@ const mmapSupported = false
 func mmapFile(f *os.File, size int) ([]byte, func() error, error) {
 	return nil, nil, fmt.Errorf("pipeline: mmap is not supported on this platform")
 }
-
-func dropResident([]byte) {}

@@ -197,8 +197,10 @@ func SplitBundle(b *Bundle, count int, seed, generation uint64) ([]*Bundle, erro
 	sort.Slice(bSide, func(i, j int) bool { return bSide[i] < bSide[j] })
 
 	out := make([]*Bundle, count)
+	friends := &heapSnapshot{friends: b.Friends}
 	for i := range out {
 		desc := &ShardDesc{Generation: generation, Index: i, Count: count, Seed: seed, BSide: bSide}
+		present := friendClosure(desc, friends)
 		sb := *b // shallow copy: model, pipeline, faces, pairs shared
 		sb.Shard = desc
 		sb.Views = make(map[platform.ID][]features.ViewParts, len(b.Views))
@@ -210,7 +212,7 @@ func SplitBundle(b *Bundle, count int, seed, generation uint64) ([]*Bundle, erro
 				sb.Friends[id] = b.Friends[id]
 				continue
 			}
-			kept := shardKeeps(desc, id, b.Friends[id])
+			kept := present[id]
 			vs := make([]features.ViewParts, len(views))
 			fr := make([][]graph.Friend, len(views))
 			for j := range views {
@@ -243,52 +245,37 @@ func SplitBundle(b *Bundle, count int, seed, generation uint64) ([]*Bundle, erro
 	return out, nil
 }
 
-// shardKeeps marks the accounts of a restricted platform whose views a
-// sub-bundle must carry: the accounts the shard owns plus every friend
-// of an owned account (the Eqn-18 friend closure imputation reads).
-// Friend ids outside the view range — impossible in a well-formed
-// bundle — are ignored here and caught by the presence check at query
-// time.
-func shardKeeps(desc *ShardDesc, id platform.ID, friends [][]graph.Friend) []bool {
-	kept := make([]bool, len(friends))
-	for j := range friends {
-		if desc.ShardOf(id, j) != desc.Index {
-			continue
-		}
-		kept[j] = true
-		for _, f := range friends[j] {
-			if f.ID >= 0 && f.ID < len(kept) {
-				kept[f.ID] = true
-			}
-		}
-	}
-	return kept
-}
-
-// PresentViews reports, for each restricted platform, which accounts'
-// views this sub-bundle actually carries — the owned slice plus its
-// friend closure, recomputed from the shard descriptor and the retained
-// friend slices (the same closure SplitBundle packed, so no separate
-// presence table travels on the wire). Unsharded bundles return nil:
-// everything is present.
-func (b *Bundle) PresentViews() map[platform.ID][]bool {
-	if b.Shard == nil {
+// friendClosure is the one shard-presence rule: for each platform the
+// shard restricts, it marks the accounts whose views the sub-bundle
+// carries — the accounts it owns plus every friend of an owned account
+// (the Eqn-18 friend closure imputation reads). SplitBundle packs by it
+// and newSnapshotStore recomputes it from the shipped friend slices, so
+// no presence table travels on the wire. nil for an unsharded bundle:
+// everything is present. Friend ids outside the view range — impossible
+// in a well-formed bundle — are ignored here and caught by the presence
+// check at query time.
+func friendClosure(d *ShardDesc, snap core.LazySnapshot) map[platform.ID][]bool {
+	if d == nil {
 		return nil
 	}
-	present := make(map[platform.ID][]bool, len(b.Shard.BSide))
-	for _, id := range b.Shard.BSide {
-		views, ok := b.Views[id]
-		if !ok {
+	present := make(map[platform.ID][]bool, len(d.BSide))
+	for _, id := range d.BSide {
+		n := snap.NumAccounts(id)
+		if n < 0 {
 			continue
 		}
-		p := make([]bool, len(views))
-		for j := range views {
-			if b.Shard.ShardOf(id, j) != b.Shard.Index {
+		p := make([]bool, n)
+		for j := range p {
+			if d.ShardOf(id, j) != d.Index {
 				continue
 			}
 			p[j] = true
-			for _, f := range b.Friends[id][j] {
-				if f.ID >= 0 && f.ID < len(p) {
+			fr, err := snap.Friends(id, j)
+			if err != nil {
+				continue
+			}
+			for _, f := range fr {
+				if f.ID >= 0 && f.ID < n {
 					p[f.ID] = true
 				}
 			}

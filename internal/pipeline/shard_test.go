@@ -6,9 +6,12 @@ import (
 	"reflect"
 	"testing"
 
+	"hydra/internal/attr"
 	"hydra/internal/blocking"
+	"hydra/internal/core"
 	"hydra/internal/features"
 	"hydra/internal/graph"
+	"hydra/internal/linalg"
 	"hydra/internal/platform"
 )
 
@@ -120,7 +123,8 @@ func TestSplitBundleOwnershipPartition(t *testing.T) {
 	}
 
 	// Views: exactly the owned slice plus its friend closure is non-zero,
-	// and PresentViews reports the same set.
+	// and the friend closure recomputed from the shipped friend slices —
+	// what a restored store restricts by — reports the same set.
 	for i, sb := range subs {
 		want := make([]bool, 6)
 		for j := 0; j < 6; j++ {
@@ -132,9 +136,9 @@ func TestSplitBundleOwnershipPartition(t *testing.T) {
 				want[f.ID] = true
 			}
 		}
-		got := sb.PresentViews()[platform.Facebook]
+		got := friendClosure(sb.Shard, &heapSnapshot{friends: sb.Friends})[platform.Facebook]
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("shard %d PresentViews = %v, want %v", i, got, want)
+			t.Fatalf("shard %d friend closure = %v, want %v", i, got, want)
 		}
 		for j := 0; j < 6; j++ {
 			packed := sb.Views[platform.Facebook][j].Username != ""
@@ -261,7 +265,7 @@ func TestShardedBundleRoundTrip(t *testing.T) {
 		// The restored store must refuse absent accounts and serve
 		// present ones: pick one of each.
 		var owned, absent = -1, -1
-		present := decoded.PresentViews()[platform.Facebook]
+		present := friendClosure(decoded.Shard, &heapSnapshot{friends: decoded.Friends})[platform.Facebook]
 		for j, p := range present {
 			if p && owned < 0 && decoded.Shard.ShardOf(platform.Facebook, j) == i {
 				owned = j
@@ -307,5 +311,60 @@ func TestShardedBundleGoldenFormat(t *testing.T) {
 	}
 	if _, err := decoded.Store(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestShardFriendClosureBothBackings holds the one friend-closure rule to
+// both store backings: every shard of a 3-way split, opened decoded
+// (Bundle.Store) and mapped (OpenBundleMapped(...).Store), must give the
+// same serve-or-refuse verdict from Friends and RawPair for every B-side
+// account — serve exactly the accounts whose views SplitBundle packed.
+func TestShardFriendClosureBothBackings(t *testing.T) {
+	b := fixtureMultiBundle()
+	// Widen the importance model to every matched attribute so the
+	// fixture's views pair (the golden fixture's two attributes only
+	// round-trip, they do not span the pipeline's feature space).
+	b.Pipeline.Importance = &attr.Importance{Attrs: platform.MatchAttrs, Scores: make(linalg.Vector, len(platform.MatchAttrs))}
+	subs, err := SplitBundle(b, 3, testShardSeed, testShardGen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	verdicts := map[bool]int{}
+	for i, sb := range subs {
+		path := fmt.Sprintf("%s/shard%d.bin", dir, i)
+		if err := SaveBundle(path, sb); err != nil {
+			t.Fatal(err)
+		}
+		decoded, err := sb.Store()
+		if err != nil {
+			t.Fatal(err)
+		}
+		mb, err := OpenBundleMapped(path, MapOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mapped, err := mb.Store()
+		if err != nil {
+			mb.Close()
+			t.Fatal(err)
+		}
+		for j, v := range sb.Views[platform.Facebook] {
+			packed := v.Username != ""
+			verdicts[packed]++
+			for name, st := range map[string]*core.LazyStore{"decoded": decoded, "mapped": mapped} {
+				_, ferr := st.Friends(platform.Facebook, j, 3)
+				_, perr := st.RawPair(platform.Twitter, 0, platform.Facebook, j)
+				if (ferr == nil) != packed || (perr == nil) != packed {
+					t.Fatalf("shard %d %s: facebook %d Friends err=%v RawPair err=%v, view packed=%v", i, name, j, ferr, perr, packed)
+				}
+			}
+		}
+		if err := mb.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if verdicts[true] == 0 || verdicts[false] == 0 {
+		t.Fatalf("split exercised only one verdict: %v", verdicts)
 	}
 }

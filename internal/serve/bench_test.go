@@ -79,7 +79,7 @@ func BenchmarkServeTopKImputeTableOff(b *testing.B) {
 
 func benchTopKImputeTable(b *testing.B, on bool) {
 	e, pairs := benchEnv(b)
-	if e.beng.Model.ImputeTable() == nil {
+	if e.beng.Sys.ImputeTable() == nil {
 		b.Fatal("fixture bundle carries no impute table")
 	}
 	eng, err := NewEngineFromBundle(e.bundle, 0)

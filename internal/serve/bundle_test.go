@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"hydra/internal/core"
+	"hydra/internal/features"
 	"hydra/internal/pipeline"
 	"hydra/internal/platform"
 )
@@ -71,11 +72,7 @@ func TestServeBundleEquivalence(t *testing.T) {
 
 	// Top-k for every A-side account: the full ranked shard and a
 	// truncated prefix.
-	views, err := e.eng.Sys.Views(b.PA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for a := 0; a < len(views); a++ {
+	for a := 0; a < e.eng.NumAccounts(b.PA); a++ {
 		full, err := e.eng.TopK(b.PA, a, b.PB, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -134,9 +131,10 @@ func TestServeBundleREPLMatchesWorld(t *testing.T) {
 
 // TestServeBundleStoreShape sanity-checks the snapshot store the bundle
 // engine runs on — the same *core.LazyStore a mapped engine gets, over
-// the decoded bundle's in-memory snapshot: both platforms present,
-// friend slices cut at the model's TopFriends, and the ground-truth
-// person id scrubbed from every restored view.
+// the decoded bundle's in-memory snapshot: both platforms present with
+// the world's account counts, friend slices cut at the model's
+// TopFriends, and the ground-truth person id scrubbed from every view
+// the snapshot restores.
 func TestServeBundleStoreShape(t *testing.T) {
 	e := getEnv(t)
 	store, ok := e.beng.Sys.(*core.LazyStore)
@@ -151,21 +149,12 @@ func TestServeBundleStoreShape(t *testing.T) {
 		t.Fatalf("store friendsK = %d, want the default top-3", store.FriendsK())
 	}
 	for _, id := range wantPlats {
-		views, err := store.Views(id)
-		if err != nil {
-			t.Fatal(err)
+		parts := e.bundle.Views[id]
+		if n := e.beng.NumAccounts(id); n != len(parts) || e.eng.NumAccounts(id) != n {
+			t.Fatalf("%s: NumAccounts = %d (bundle) / %d (world), want %d", id, n, e.eng.NumAccounts(id), len(parts))
 		}
-		worldViews, err := e.eng.Sys.Views(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(views) != len(worldViews) {
-			t.Fatalf("%s: %d snapshot views vs %d world views", id, len(views), len(worldViews))
-		}
-		if n := e.beng.NumAccounts(id); n != len(views) || e.eng.NumAccounts(id) != n {
-			t.Fatalf("%s: NumAccounts = %d (bundle) / %d (world), want %d", id, n, e.eng.NumAccounts(id), len(views))
-		}
-		for i, v := range views {
+		for i := range parts {
+			v := features.RestoreView(parts[i], id, i)
 			if v.Acc.Person != -1 {
 				t.Fatalf("%s account %d: snapshot leaked person id %d", id, i, v.Acc.Person)
 			}

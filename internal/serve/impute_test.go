@@ -2,10 +2,12 @@ package serve
 
 import (
 	"bytes"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
 
+	"hydra/internal/core"
 	"hydra/internal/platform"
 )
 
@@ -20,7 +22,7 @@ func imputePair(t *testing.T, workers int) (on, off *Engine) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if on.Model.ImputeTable() == nil {
+	if on.Sys.ImputeTable() == nil {
 		t.Fatal("fixture bundle carries no impute table — pack-time build is broken")
 	}
 	off, err = NewEngineFromBundle(e.bundle, workers)
@@ -124,5 +126,54 @@ func TestImputeHealthCounters(t *testing.T) {
 	}
 	if oh.PairCacheSize == 0 && oh.PairCacheHits+oh.PairCacheMisses == 0 {
 		t.Fatalf("pair cache untouched after a top-k: %+v", oh)
+	}
+}
+
+// TestImputeTableDetachReachesEveryPath pins the table's one owner:
+// detaching it from the store takes it out of /healthz and out of the
+// batch path together — a ScoreBatch over missing-dimension candidates
+// returns the same bits through the live walk and never touches the
+// detached table again.
+func TestImputeTableDetachReachesEveryPath(t *testing.T) {
+	e := getEnv(t)
+	eng, err := NewEngineFromBundle(e.bundle, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := eng.Sys.(*core.LazyStore)
+	tbl := store.ImputeTable()
+	if tbl == nil {
+		t.Fatal("fixture bundle carries no impute table")
+	}
+	ix := e.bundle.Indexes[0]
+	var pairs [][2]int
+	for _, row := range ix.ByA {
+		for _, c := range row {
+			pairs = append(pairs, [2]int{c.A, c.B})
+		}
+	}
+	want, err := eng.ScoreBatch(ix.PA, ix.PB, pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits, _ := tbl.Stats()
+	if hits == 0 {
+		t.Fatal("the attached table was never hit — no missing-dimension candidates to compare")
+	}
+	store.SetImputeTable(nil)
+	if h := eng.ImputeHealth(); h.Enabled || h.TableEntries != 0 {
+		t.Fatalf("/healthz still reports the detached table: %+v", h)
+	}
+	got, err := eng.ScoreBatch(ix.PA, ix.PB, pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("pair %v: live score %x differs from the table-backed %x", pairs[i], math.Float64bits(got[i]), math.Float64bits(want[i]))
+		}
+	}
+	if after, _ := tbl.Stats(); after != hits {
+		t.Fatalf("the detached table was still consulted: hits %d -> %d", hits, after)
 	}
 }

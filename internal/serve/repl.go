@@ -90,23 +90,8 @@ func (e *Engine) serveLine(line string, w io.Writer) {
 			fmt.Fprintf(w, "error: %v\n", err)
 			return
 		}
-		// A bundle's LazyStore answers usernames through the usernamer
-		// upgrade, from the packed profile, without materializing the
-		// whole platform; a dataset-backed System reads them off its
-		// views — the same strings, since the bundle packed those views.
-		name := func(b int) string { return "" }
-		if un, ok := e.Sys.(usernamer); ok {
-			name = func(b int) string { return un.Username(pb, b) }
-		} else if views, err := e.Sys.Views(pb); err == nil {
-			name = func(b int) string {
-				if b >= 0 && b < len(views) {
-					return views[b].Acc.Profile.Username
-				}
-				return ""
-			}
-		}
 		for rank, sc := range res {
-			fmt.Fprintf(w, "%2d. b=%d score=%+.6f linked=%v %q\n", rank+1, sc.B, sc.Score, sc.Linked, name(sc.B))
+			fmt.Fprintf(w, "%2d. b=%d score=%+.6f linked=%v %q\n", rank+1, sc.B, sc.Score, sc.Linked, e.Sys.Username(pb, sc.B))
 		}
 	case "batch":
 		if len(f) < 4 {
@@ -139,10 +124,4 @@ func (e *Engine) serveLine(line string, w io.Writer) {
 	default:
 		fmt.Fprintf(w, "error: unknown command %q (score|link|topk|batch|pairs|quit)\n", f[0])
 	}
-}
-
-// usernamer is the optional Source upgrade core.LazyStore implements:
-// username lookups that bypass full-platform view materialization.
-type usernamer interface {
-	Username(id platform.ID, local int) string
 }

@@ -126,8 +126,9 @@ func (l *Local) TopKAppend(ctx context.Context, dst []serve.Scored, pa platform.
 }
 
 // HTTP is a backend over a hydra-serve HTTP endpoint. Transport
-// failures and 5xx responses count as replica failures (the router fails
-// over to another replica); 4xx responses are query errors and propagate
+// failures, 5xx responses and 429 (a replica shedding load past
+// -max-inflight) count as replica failures — the router fails over to
+// another replica; every other 4xx is a query error and propagates
 // as-is.
 type HTTP struct {
 	// URL is the base endpoint, e.g. "http://10.0.0.3:8080".
@@ -242,7 +243,7 @@ func (h *HTTP) do(req *http.Request, out any) error {
 			msg = e.Error
 		}
 		err := fmt.Errorf("router: %s %s: HTTP %d: %s", h.URL, req.URL.Path, resp.StatusCode, msg)
-		if resp.StatusCode >= 400 && resp.StatusCode < 500 {
+		if resp.StatusCode >= 400 && resp.StatusCode < 500 && resp.StatusCode != http.StatusTooManyRequests {
 			return queryError{err}
 		}
 		return err

@@ -1,6 +1,7 @@
 package router
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -457,5 +458,89 @@ func TestRouterAutoRefresh(t *testing.T) {
 	time.Sleep(30 * time.Millisecond)
 	if final := rounds.Load(); final != after {
 		t.Fatalf("auto-refresh kept probing after stop: %d -> %d", after, final)
+	}
+}
+
+// TestRouterShedReplicaFailsOver: a replica shedding load — 429 +
+// Retry-After, obs.Admission's answer past -max-inflight — is a replica
+// failure, not a query error. Over real HTTP backends, with the shedding
+// replica first in shard 0's ring, /topk and /score through the router
+// must answer 200, bit-identical to the unsplit engine (it used to pass
+// the 429 through as a 400), and the ring must move off the shedder.
+func TestRouterShedReplicaFailsOver(t *testing.T) {
+	e := getEnv(t)
+	_, engines := shardBackends(t, 2, 1)
+	live := make([]Backend, len(engines))
+	for i, eng := range engines {
+		srv := httptest.NewServer(eng.Handler())
+		defer srv.Close()
+		live[i] = &HTTP{URL: srv.URL}
+	}
+	health := engines[0].Handler()
+	shed := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if req.URL.Path == "/healthz" { // health always passes admission
+			health.ServeHTTP(w, req)
+			return
+		}
+		w.Header().Set("Retry-After", "1")
+		serve.HTTPError(w, http.StatusTooManyRequests, fmt.Errorf("overloaded"))
+	}))
+	defer shed.Close()
+	// A fresh router per query, so each one meets the shedder first.
+	front := func() (*Router, string) {
+		r := newRouter(t, [][]Backend{{&HTTP{URL: shed.URL}, live[0]}, {live[1]}})
+		srv := httptest.NewServer(r.Handler())
+		t.Cleanup(srv.Close)
+		return r, srv.URL
+	}
+	checkOK := func(r *Router, resp *http.Response, err error, out any) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s through a shedding replica: status %d, want 200", resp.Request.URL.Path, resp.StatusCode)
+		}
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			t.Fatal(err)
+		}
+		if got := r.pref[0].Load(); got != 1 {
+			t.Fatalf("preferred replica after the shed = %d, want 1", got)
+		}
+	}
+
+	r, url := front()
+	resp, err := http.Get(fmt.Sprintf("%s/topk?pa=%s&a=0&pb=%s&k=5", url, e.pair[0], e.pair[1]))
+	var topk TopKResult
+	checkOK(r, resp, err, &topk)
+	want, err := e.single.TopK(e.pair[0], 0, e.pair[1], 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if topk.Degraded || !reflect.DeepEqual(topk.Results, want) {
+		t.Fatalf("top-k through a shedding replica: degraded=%v rows %+v, want %+v", topk.Degraded, topk.Results, want)
+	}
+
+	pairs := make([][2]int, e.nB)
+	for b := range pairs {
+		pairs[b] = [2]int{0, b}
+	}
+	body, err := json.Marshal(map[string]any{"pa": e.pair[0], "pb": e.pair[1], "pairs": pairs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, url = front()
+	resp, err = http.Post(url+"/score", "application/json", bytes.NewReader(body))
+	var scored struct {
+		Scores []float64 `json:"scores"`
+	}
+	checkOK(r, resp, err, &scored)
+	wantScores, err := e.single.ScoreBatch(e.pair[0], e.pair[1], pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(scored.Scores, wantScores) {
+		t.Fatal("scores through a shedding replica differ from the unsplit engine")
 	}
 }

@@ -39,9 +39,9 @@ import (
 // immutable after construction apart from the source's internal caches
 // and the query-scratch pool, and safe for concurrent queries.
 type Engine struct {
-	// Sys is the feature source behind the model: the bundle's
-	// *core.LazyStore. (Tests also build engines over the dataset-backed
-	// core.System as the reference the bundle must match.)
+	// Sys is the feature store behind the model — always a
+	// *core.LazyStore (the bundle's, or in tests the world System's),
+	// declared as the core.Source the engine calls through.
 	Sys   core.Source
 	Model *core.Model
 	// Workers pins the per-query batch parallelism (≤ 0 = all cores).
@@ -124,8 +124,8 @@ func NewEngineFromBundle(b *pipeline.Bundle, workers int) (*Engine, error) {
 }
 
 // newEngine is the one engine constructor behind both bundle backings:
-// it caps the store's pair cache at DefaultPairCacheEntries (call
-// Sys.LimitPairCache to choose a different bound), restores the model
+// it caps the store's pair cache at DefaultPairCacheEntries (the
+// store's LimitPairCache chooses a different bound), restores the model
 // over the store, attaches the prescreen when the bundle carries one —
 // a bundle without it (older packers, non-RBF models) serves exact-only,
 // same outputs, no pruning — and checks every listed pair has its index.
@@ -537,7 +537,7 @@ func (e *Engine) PrescreenHealth() *PrescreenHealth {
 // prescreen toggle it never changes a served bit — the table is built
 // through the exact live accumulation, so turning it off only routes
 // missing-dimension candidates back through the per-query friend walk.
-func (e *Engine) SetImputeTableEnabled(on bool) { e.Model.SetImputeTableEnabled(on) }
+func (e *Engine) SetImputeTableEnabled(on bool) { e.Sys.SetImputeTableEnabled(on) }
 
 // ImputeHealth is the engine's imputation block on /healthz: the
 // pack-time table's size and hit/miss counters plus the pair-vector
@@ -556,25 +556,17 @@ type ImputeHealth struct {
 	PairCacheMisses uint64 `json:"pair_cache_misses"`
 }
 
-// pairCacheStatser is the optional Source upgrade both core.System and
-// core.LazyStore implement; the interface itself stays narrow.
-type pairCacheStatser interface {
-	PairCacheStats() (hits, misses uint64)
-}
-
 // ImputeHealth snapshots the imputation-layer counters.
 func (e *Engine) ImputeHealth() *ImputeHealth {
 	h := &ImputeHealth{
-		Enabled:       e.Model.ImputeTableEnabled(),
+		Enabled:       e.Sys.ImputeTableEnabled(),
 		PairCacheSize: e.Sys.CacheSize(),
 	}
-	if t := e.Model.ImputeTable(); t != nil {
+	if t := e.Sys.ImputeTable(); t != nil {
 		h.TableEntries = t.NumEntries()
 		h.TableHits, h.TableMisses = t.Stats()
 	}
-	if pc, ok := e.Sys.(pairCacheStatser); ok {
-		h.PairCacheHits, h.PairCacheMisses = pc.PairCacheStats()
-	}
+	h.PairCacheHits, h.PairCacheMisses = e.Sys.PairCacheStats()
 	return h
 }
 

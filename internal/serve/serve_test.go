@@ -49,7 +49,7 @@ func newWorldEngine(art *pipeline.Artifact, ds *platform.Dataset, workers int) (
 	}
 	st.Sys.LimitPairCache(DefaultPairCacheEntries)
 	e := &Engine{
-		Sys:     st.Sys,
+		Sys:     st.Sys.LazyStore,
 		Model:   model,
 		Workers: workers,
 		indexes: make(map[[2]platform.ID]*blocking.Index, len(art.Pairs)),
