@@ -41,7 +41,8 @@ test:
 # the tests' builder-backed reference, TestServe*, including the
 # hot-swap drills), the scatter-gather router (TestRouter*), the chaos
 # suite with its live-listener HTTP drill (TestChaos*), the two-tier
-# prescreen oracles (TestPrescreen*), the pack-time impute table vs
+# prescreen oracles (TestPrescreen*) and its fanned-out pack-time build
+# (TestBuildPrescreenWorkersBitIdentical), the pack-time impute table vs
 # live-path twins (TestImpute*), the racing first touches of per-view
 # derived state (TestPairConcurrentFirstTouch), the staged pipeline, the
 # parallel figure sweeps and the fanned-out synth generator
@@ -72,14 +73,18 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadBundle -fuzztime 10s ./internal/pipeline/
 	$(GO) test -run '^$$' -fuzz FuzzOpenBundleMapped -fuzztime 10s ./internal/pipeline/
 
-# bench-smoke runs every serve benchmark and the pair kernel's
-# (BenchmarkPair: first-touch and steady) once (-benchtime=1x) as part of
-# make ci — not for numbers (those come from `make bench`), but so the
-# microbenchmarks themselves (fixtures, pooled buffers, the v3 decode
-# path, the wide-shard exact vs two-tier prescreen pair, the derived
-# per-view state) cannot rot between perf PRs.
+# bench-smoke runs every serve benchmark, the pair kernel's
+# (BenchmarkPair: first-touch and steady) and the two training hot spots
+# (BenchmarkStructureBuild: Eqn 9's matrix over seeded synthetic graphs;
+# BenchmarkBuildPrescreen: the pack-time prescreen fit over trained parts
+# and a fixed query sample) once (-benchtime=1x) as part of make ci — not
+# for numbers (those come from `make bench`), but so the microbenchmarks
+# themselves (fixtures, pooled buffers, the v3 decode path, the
+# wide-shard exact vs two-tier prescreen pair, the derived per-view
+# state, the training fixtures) cannot rot between perf PRs.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Serve|Pair' -benchtime=1x ./internal/serve/ ./internal/features/
+	$(GO) test -run '^$$' -bench 'StructureBuild|BuildPrescreen' -benchtime=1x ./internal/structure/ ./internal/core/
 
 # bench runs the repository's benchmark: the five BENCHMARK.json
 # workloads over one fixed world, every answer checked bit for bit

@@ -46,7 +46,7 @@ func main() {
 		world       = flag.String("world", "", "world JSON the model was trained on (from hydra-gen)")
 		inBundle    = flag.String("bundle", "", "existing bundle to (re-)shard instead of packing from -model/-world")
 		out         = flag.String("o", "", "output bundle path (with -shards, the base name for name.shardK.ext files)")
-		workers     = flag.Int("workers", 0, "worker-pool size for the index rebuild; 0 = all cores (identical bundle at any setting)")
+		workers     = flag.Int("workers", 0, "worker-pool size for every pack pass (index, prescreen, impute table); 0 = all cores (identical bundle at any setting)")
 		shards      = flag.Int("shards", 1, "split the bundle into this many self-contained shards (1 = no split)")
 		seed        = flag.Uint64("hash-seed", 0, "seed of the consistent hash that assigns B-side accounts to shards")
 		generation  = flag.Uint64("generation", 1, "bundle generation stamped on each shard; hot swap requires strictly newer")

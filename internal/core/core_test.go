@@ -10,7 +10,7 @@ import (
 )
 
 // buildSystem creates a synthetic world and a trained System over it.
-func buildSystem(t *testing.T, persons int, plats []platform.ID, seed int64) (*synth.World, *System) {
+func buildSystem(t testing.TB, persons int, plats []platform.ID, seed int64) (*synth.World, *System) {
 	t.Helper()
 	w, err := synth.Generate(synth.DefaultConfig(persons, plats, seed))
 	if err != nil {
@@ -34,7 +34,7 @@ func buildSystem(t *testing.T, persons int, plats []platform.ID, seed int64) (*s
 	return w, sys
 }
 
-func buildTask(t *testing.T, sys *System, pa, pb platform.ID, opts LabelOpts) *Task {
+func buildTask(t testing.TB, sys *System, pa, pb platform.ID, opts LabelOpts) *Task {
 	t.Helper()
 	block, err := BuildBlock(sys, pa, pb, blocking.DefaultRules(), opts)
 	if err != nil {

@@ -121,6 +121,9 @@ func (p *PrescreenParts) Validate() error {
 // DefaultPrescreenSafety.
 type PrescreenOpts struct {
 	Safety float64
+	// Workers sizes the build's worker pool (≤ 0 = all cores); the parts
+	// are bit-identical at any setting.
+	Workers int
 	// Queries is a sample of query-time imputed pair vectors (see
 	// Model.ImputedPairRows) drawn from the bundle's serving cross
 	// product. The training candidates alone badly under-represent the
@@ -202,59 +205,84 @@ func BuildPrescreen(p ModelParts, opts PrescreenOpts) (*PrescreenParts, error) {
 		Safety: safety,
 	}
 	sigma2 := 2 * p.KernelSigma * p.KernelSigma
+	// Every per-point loop below writes only its own points' slots, and
+	// every sum runs over the points in ascending order on one goroutine,
+	// so the parts are bit-identical at any worker count.
+	workers := opts.Workers
 	// Exact decision values at every point, accumulated bias-first —
 	// the same float sequence Decision and the batched scorer run, so
 	// the certification below measures the gap against the value a
 	// query will actually compare with. Minus bias they double as the
 	// regression targets.
 	y := make([]float64, len(pts))
-	for i, x := range pts {
-		s := p.Bias
-		for j, a := range p.Alpha {
-			if a == 0 {
-				continue
+	forPoints(workers, len(pts), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			s := p.Bias
+			for j, a := range p.Alpha {
+				if a == 0 {
+					continue
+				}
+				s += a * math.Exp(-linalg.SqDist(p.Xs[j], pts[i])/sigma2)
 			}
-			s += a * math.Exp(-linalg.SqDist(p.Xs[j], x)/sigma2)
+			y[i] = s
 		}
-		y[i] = s
-	}
+	})
 	// Feature rows, computed once through the same SqDist/Exp the query
 	// fold runs, so the fit lives in exactly the query's float space.
 	feats := make([]float64, len(pts)*m)
-	for i, x := range pts {
-		z := feats[i*m : (i+1)*m]
-		for j := 0; j < m; j++ {
-			z[j] = math.Exp(-linalg.SqDist(centers[j*dim:(j+1)*dim], x) / sigma2)
+	forPoints(workers, len(pts), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			z := feats[i*m : (i+1)*m]
+			for j := 0; j < m; j++ {
+				z[j] = math.Exp(-linalg.SqDist(centers[j*dim:(j+1)*dim], pts[i]) / sigma2)
+			}
 		}
-	}
+	})
 	// Iteratively reweighted ridge solves of ΩZ·V ≈ Ω(y − bias): the
 	// first round is plain least squares; each following round weights
 	// every point by its squared residual, so the solve concentrates on
 	// the worst-fitted pairs — ε is a max, not an average, and minimax
-	// pressure is what shrinks it. All loops run in ascending point
+	// pressure is what shrinks it. All sums run in ascending point
 	// order and the normal equations are solved by Cholesky, so the
-	// build stays deterministic.
+	// build stays deterministic. The Gram triangle is accumulated in row
+	// bands of equal area, one band per worker: a band owns its rows of
+	// the Gram matrix and of the right-hand side outright.
 	weight := make([]float64, len(pts))
 	for i := range weight {
 		weight[i] = 1
 	}
+	bands := triangleBands(m, parallel.Workers(workers))
 	gram := linalg.NewMatrix(m, m)
 	for round := 0; round < prescreenIRLSRounds; round++ {
 		for i := range gram.Data {
 			gram.Data[i] = 0
 		}
 		rhs := linalg.NewVector(m)
+		parallel.For(workers, len(bands)-1, func(k int) {
+			lo, hi := bands[k], bands[k+1]
+			// A band-local right-hand side keeps the bands off each
+			// other's cache lines; each entry is the same ascending sum.
+			acc := make([]float64, hi-lo)
+			for i := range pts {
+				z := feats[i*m : (i+1)*m]
+				wi := weight[i]
+				for r := lo; r < hi; r++ {
+					zr := z[r]
+					acc[r-lo] += wi * zr * (y[i] - p.Bias)
+					row := gram.Row(r)
+					for c := 0; c <= r; c++ {
+						row[c] += wi * zr * z[c]
+					}
+				}
+			}
+			copy(rhs[lo:hi], acc)
+		})
 		trace := 0.0
 		for i := range pts {
 			z := feats[i*m : (i+1)*m]
 			wi := weight[i]
 			for r := 0; r < m; r++ {
 				zr := z[r]
-				rhs[r] += wi * zr * (y[i] - p.Bias)
-				row := gram.Row(r)
-				for c := 0; c <= r; c++ {
-					row[c] += wi * zr * z[c]
-				}
 				trace += wi * zr * zr
 			}
 		}
@@ -268,16 +296,19 @@ func BuildPrescreen(p ModelParts, opts PrescreenOpts) (*PrescreenParts, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: prescreen ridge solve: %w", err)
 		}
-		out.V = linalg.SolveCholesky(chol, rhs)
-		for i := range pts {
-			z := feats[i*m : (i+1)*m]
-			s := 0.0
-			for r := 0; r < m; r++ {
-				s += out.V[r] * z[r]
+		v := linalg.SolveCholesky(chol, rhs)
+		out.V = v
+		forPoints(workers, len(pts), func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				z := feats[i*m : (i+1)*m]
+				s := 0.0
+				for r := 0; r < m; r++ {
+					s += v[r] * z[r]
+				}
+				res := math.Abs(y[i]-p.Bias-s) + prescreenIRLSFloor
+				weight[i] = res * res
 			}
-			res := math.Abs(y[i]-p.Bias-s) + prescreenIRLSFloor
-			weight[i] = res * res
-		}
+		})
 	}
 
 	// Certify the margin over every point by literally running the
@@ -287,8 +318,14 @@ func BuildPrescreen(p ModelParts, opts PrescreenOpts) (*PrescreenParts, error) {
 	// factor, nudged up one ulp so a Safety = 1 exhaustive bound stays
 	// on the safe side of the last rounding.
 	ps := newPrescreenState(&out)
-	for i, x := range pts {
-		if gap := math.Abs(y[i] - ps.score(x, p.Bias)); gap > out.EpsRaw {
+	gaps := make([]float64, len(pts))
+	forPoints(workers, len(pts), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			gaps[i] = math.Abs(y[i] - ps.score(pts[i], p.Bias))
+		}
+	})
+	for _, gap := range gaps {
+		if gap > out.EpsRaw {
 			out.EpsRaw = gap
 		}
 	}
@@ -297,6 +334,40 @@ func BuildPrescreen(p ModelParts, opts PrescreenOpts) (*PrescreenParts, error) {
 		return nil, err
 	}
 	return &out, nil
+}
+
+// prescreenPointChunk is how many points one task of the build's
+// per-point loops covers: enough to amortize the hand-out, few enough to
+// balance the pool.
+const prescreenPointChunk = 64
+
+// forPoints runs fn over [0, n) in contiguous chunks on the worker pool.
+func forPoints(workers, n int, fn func(lo, hi int)) {
+	parallel.For(workers, (n+prescreenPointChunk-1)/prescreenPointChunk, func(c int) {
+		lo := c * prescreenPointChunk
+		fn(lo, min(lo+prescreenPointChunk, n))
+	})
+}
+
+// triangleBands splits the rows of an m×m lower triangle (row r holds
+// r+1 cells) into at most parts contiguous bands of about equal area. It
+// returns the band boundaries: band k covers rows [b[k], b[k+1]).
+func triangleBands(m, parts int) []int {
+	bounds := []int{0}
+	total := m * (m + 1) / 2
+	r, cells := 0, 0
+	for k := 1; k < parts; k++ {
+		for target := total * k / parts; r < m && cells+r+1 <= target; r++ {
+			cells += r + 1
+		}
+		if r > bounds[len(bounds)-1] {
+			bounds = append(bounds, r)
+		}
+	}
+	if m > bounds[len(bounds)-1] {
+		bounds = append(bounds, m)
+	}
+	return bounds
 }
 
 // foldCacheEntries bounds the per-model fold memo: at ~50 bytes per

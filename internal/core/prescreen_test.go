@@ -12,7 +12,7 @@ import (
 // trainedParts trains a small model through the real pipeline and
 // returns its serialized parts — the input BuildPrescreen sees at pack
 // time.
-func trainedParts(t *testing.T) (*System, *Task, ModelParts) {
+func trainedParts(t testing.TB) (*System, *Task, ModelParts) {
 	t.Helper()
 	const seed = 2
 	_, sys := buildSystem(t, 30, platform.EnglishPlatforms, seed)
@@ -65,6 +65,89 @@ func TestBuildPrescreenDeterministicAndCertified(t *testing.T) {
 	}
 	if worst > ps.EpsRaw {
 		t.Fatalf("observed error %g exceeds the measured EpsRaw %g", worst, ps.EpsRaw)
+	}
+}
+
+// prescreenQuerySample imputes about n pairs strided over the
+// twitter × facebook cross product — the shape of the packer's query
+// sample.
+func prescreenQuerySample(tb testing.TB, sys *System, parts ModelParts, n int) []linalg.Vector {
+	tb.Helper()
+	m, err := ModelFromParts(sys.LazyStore, parts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	na, nb := sys.NumAccounts(platform.Twitter), sys.NumAccounts(platform.Facebook)
+	step := max(1, na*nb/n)
+	var pairs [][2]int
+	for idx := 0; idx < na*nb; idx += step {
+		pairs = append(pairs, [2]int{idx / nb, idx % nb})
+	}
+	rows, err := m.ImputedPairRows(platform.Twitter, platform.Facebook, pairs, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return rows
+}
+
+// TestBuildPrescreenWorkersBitIdentical asserts the fanned-out build —
+// per-point loops on the pool, the Gram triangle in row bands — yields
+// the same parts, bit for bit, at 1, 2 and 4 workers (run under -race
+// by `make race`).
+func TestBuildPrescreenWorkersBitIdentical(t *testing.T) {
+	sys, _, parts := trainedParts(t)
+	qs := prescreenQuerySample(t, sys, parts, 1000)
+	var want *PrescreenParts
+	for _, workers := range []int{1, 2, 4} {
+		ps, err := BuildPrescreen(parts, PrescreenOpts{Queries: qs, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = ps
+			continue
+		}
+		if !reflect.DeepEqual(ps, want) || math.Float64bits(ps.EpsRaw) != math.Float64bits(want.EpsRaw) {
+			t.Fatalf("workers=%d: prescreen parts differ from workers=1 (ε %v vs %v)", workers, ps.EpsRaw, want.EpsRaw)
+		}
+		for j := range want.V {
+			if math.Float64bits(ps.V[j]) != math.Float64bits(want.V[j]) {
+				t.Fatalf("workers=%d: fitted weight %d is %v, want %v", workers, j, ps.V[j], want.V[j])
+			}
+		}
+	}
+}
+
+// TestTriangleBands asserts the Gram bands tile the rows in order and
+// split the triangle's cells about evenly.
+func TestTriangleBands(t *testing.T) {
+	for _, c := range []struct{ m, parts int }{{64, 1}, {64, 2}, {64, 4}, {3, 8}, {1, 2}, {0, 4}} {
+		b := triangleBands(c.m, c.parts)
+		if b[0] != 0 || b[len(b)-1] != c.m || len(b)-1 > c.parts {
+			t.Fatalf("triangleBands(%d, %d) = %v", c.m, c.parts, b)
+		}
+		area := func(k int) int { return b[k+1]*(b[k+1]+1)/2 - b[k]*(b[k]+1)/2 }
+		for k := 0; k+1 < len(b); k++ {
+			if b[k+1] <= b[k] {
+				t.Fatalf("triangleBands(%d, %d) = %v: empty or reversed band", c.m, c.parts, b)
+			}
+			if c.m >= 16*c.parts && math.Abs(float64(area(k))-float64(c.m*(c.m+1)/2)/float64(c.parts)) > float64(c.m) {
+				t.Fatalf("triangleBands(%d, %d) = %v: band %d holds %d cells", c.m, c.parts, b, k, area(k))
+			}
+		}
+	}
+}
+
+// BenchmarkBuildPrescreen times the pack-time prescreen build over a
+// trained model's parts plus a fixed 4 096-pair query sample.
+func BenchmarkBuildPrescreen(b *testing.B) {
+	sys, _, parts := trainedParts(b)
+	qs := prescreenQuerySample(b, sys, parts, 4096)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := BuildPrescreen(parts, PrescreenOpts{Queries: qs}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

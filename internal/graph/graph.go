@@ -1,5 +1,5 @@
 // Package graph implements the social-structure substrate of HYDRA: the
-// per-platform interaction graph, k-hop distances for the structure
+// per-platform interaction graph, k-hop neighbourhoods for the structure
 // consistency matrix (d_ij = (k_ij+1)² in Eqn 9) and the
 // interaction-weighted "core structure" (top-k most contacted friends,
 // Section 6.2/6.3).
@@ -120,38 +120,29 @@ func (g *Graph) TopFriends(u, k int) []Friend {
 	return fs
 }
 
-// HopDistance returns the number of intermediate users k_ij between u and v
-// (0 for direct friends, 1 for friend-of-friend, ...), capped at maxHops,
-// and ok=false if v is unreachable within maxHops. The paper's structure
-// distance is then d_ij = (k_ij + 1)².
-func (g *Graph) HopDistance(u, v, maxHops int) (int, bool) {
+// Hops returns, for every node v reachable from u through at most maxHops
+// intermediate users, the intermediate count k_uv (0 for direct friends, 1
+// for friend-of-friend, ...). u itself and unreachable nodes are absent.
+// The paper's structure distance is then d_uv = (k_uv + 1)². A BFS level
+// does not depend on the order its frontier is visited in, so the map is a
+// pure function of (g, u, maxHops).
+func (g *Graph) Hops(u, maxHops int) map[int]int {
 	g.check(u)
-	g.check(v)
-	if u == v {
-		return 0, true // same node: zero intermediates by convention
-	}
-	// BFS with depth cap. Depth = number of edges; intermediates = depth-1.
-	visited := make(map[int]bool, 64)
-	visited[u] = true
+	out := make(map[int]int)
 	frontier := []int{u}
-	for depth := 1; depth <= maxHops+1; depth++ {
+	// Depth = number of edges; intermediates = depth-1.
+	for depth := 1; depth <= maxHops+1 && len(frontier) > 0; depth++ {
 		var next []int
 		for _, x := range frontier {
 			for y := range g.adj[x] {
-				if visited[y] {
+				if _, seen := out[y]; seen || y == u {
 					continue
 				}
-				if y == v {
-					return depth - 1, true
-				}
-				visited[y] = true
+				out[y] = depth - 1
 				next = append(next, y)
 			}
 		}
-		if len(next) == 0 {
-			return 0, false
-		}
 		frontier = next
 	}
-	return 0, false
+	return out
 }

@@ -82,32 +82,35 @@ func TestHopDistance(t *testing.T) {
 		u, v, want int
 		ok         bool
 	}{
-		{0, 0, 0, true},
-		{0, 1, 0, true}, // direct friends: zero intermediates
+		{0, 0, 0, false}, // u itself is not in its own neighbourhood
+		{0, 1, 0, true},  // direct friends: zero intermediates
 		{0, 2, 1, true},
 		{0, 4, 3, true},
+		{2, 0, 1, true},
 	}
 	for _, c := range cases {
-		got, ok := g.HopDistance(c.u, c.v, 5)
+		got, ok := g.Hops(c.u, 5)[c.v]
 		if ok != c.ok || got != c.want {
-			t.Errorf("HopDistance(%d,%d) = %d,%v want %d,%v", c.u, c.v, got, ok, c.want, c.ok)
+			t.Errorf("Hops(%d)[%d] = %d,%v want %d,%v", c.u, c.v, got, ok, c.want, c.ok)
 		}
 	}
-	// Cap: 0 to 4 needs 3 intermediates; cap at 2 fails.
-	if _, ok := g.HopDistance(0, 4, 2); ok {
-		t.Fatal("hop cap not honored")
+	// Cap: 0 to 4 needs 3 intermediates; cap at 2 leaves it out.
+	if hops := g.Hops(0, 2); len(hops) != 3 || hops[3] != 2 {
+		t.Fatalf("Hops(0, 2) = %v, want nodes 1..3 only", hops)
 	}
 	// Disconnected.
 	g2 := New(3)
 	g2.AddEdge(0, 1, 1)
-	if _, ok := g2.HopDistance(0, 2, 5); ok {
+	if _, ok := g2.Hops(0, 5)[2]; ok {
 		t.Fatal("unreachable node reported reachable")
+	}
+	if len(g2.Hops(2, 5)) != 0 {
+		t.Fatal("an isolated node has a neighbourhood")
 	}
 }
 
-// Property: hop distance is symmetric and satisfies the triangle-ish bound
-// k(u,w) <= k(u,v)+k(v,w)+1 (intermediate counts compose with the shared
-// midpoint counted once).
+// Property: hop distance is symmetric — v is in u's neighbourhood exactly
+// when u is in v's, at the same intermediate count — at every cap.
 func TestHopDistanceSymmetryProperty(t *testing.T) {
 	f := func(seed uint8) bool {
 		rng := rand.New(rand.NewSource(int64(seed)))
@@ -117,8 +120,9 @@ func TestHopDistanceSymmetryProperty(t *testing.T) {
 			g.AddEdge(rng.Intn(n), rng.Intn(n), 1)
 		}
 		u, v := rng.Intn(n), rng.Intn(n)
-		duv, ok1 := g.HopDistance(u, v, n)
-		dvu, ok2 := g.HopDistance(v, u, n)
+		maxHops := rng.Intn(n)
+		duv, ok1 := g.Hops(u, maxHops)[v]
+		dvu, ok2 := g.Hops(v, maxHops)[u]
 		if ok1 != ok2 {
 			return false
 		}

@@ -109,8 +109,9 @@ type Bundle struct {
 // Bundle packs the fitted pipeline prefix into a self-contained serving
 // bundle: it snapshots every view, friend slice and candidate index the
 // artifact's recipes would otherwise rebuild from the world at serving
-// startup. workers pins the index-build parallelism (≤ 0 = all cores;
-// identical bundle at any setting).
+// startup. workers sizes the pool of every pack pass — index build,
+// prescreen sample and fit, impute table (≤ 0 = all cores; identical
+// bundle at any setting).
 func (f *FitState) Bundle(workers int) (*Bundle, error) {
 	art, err := f.Artifact()
 	if err != nil {
@@ -192,7 +193,7 @@ func packBundle(sys *core.System, ds *platform.Dataset, a *Artifact, workers int
 		if err != nil {
 			return nil, err
 		}
-		opts := core.PrescreenOpts{Queries: qs}
+		opts := core.PrescreenOpts{Queries: qs, Workers: workers}
 		if exhaustive {
 			// Every pair the bundle can ever be asked was certified, so
 			// the measured maximum IS the true maximum — no sampling gap
@@ -205,11 +206,17 @@ func packBundle(sys *core.System, ds *platform.Dataset, a *Artifact, workers int
 		}
 		b.Prescreen = ps
 	}
-	tbl, err := BuildBundleImputeTable(b, workers)
-	if err != nil {
-		return nil, err
+	// The table reads the same store the prescreen sample just imputed
+	// through, so every friend-pair vector that sample computed is a
+	// cache hit here. The bundle's views and friend slices are snapshots
+	// of this system's, so a restored store would record the same sums.
+	if wantsImputeTable(b) {
+		tbl, err := imputeTableOver(sys.LazyStore, b, workers)
+		if err != nil {
+			return nil, err
+		}
+		b.ImputeTable = tbl
 	}
-	b.ImputeTable = tbl
 	return b, nil
 }
 
@@ -217,13 +224,13 @@ func packBundle(sys *core.System, ds *platform.Dataset, a *Artifact, workers int
 // bundle's current index shards — every candidate pair the indexes can
 // present, imputed through the bundle's own restored Store so the
 // recorded sums are exactly what a serving store would compute live.
-// Exposed (rather than private to packBundle) so tooling that rewrites
-// a bundle's indexes — the bench harness widens them to the full cross
-// product — can rebuild the table to match. Returns nil for HYDRA-Z
-// models (zero-filled imputation never reads friends) and models
-// without support vectors; bit-identical output at any worker count.
+// packBundle builds the same table through the store it packed from;
+// this entry point serves tooling that holds only a bundle — the bench
+// harness times it on the packed bundle. Returns nil for HYDRA-Z models
+// (zero-filled imputation never reads friends) and models without
+// support vectors; bit-identical output at any worker count.
 func BuildBundleImputeTable(b *Bundle, workers int) (*core.ImputeTableParts, error) {
-	if b.Model.Cfg.Variant != core.HydraM || len(b.Model.Xs) == 0 {
+	if !wantsImputeTable(b) {
 		return nil, nil
 	}
 	c := *b
@@ -232,6 +239,19 @@ func BuildBundleImputeTable(b *Bundle, workers int) (*core.ImputeTableParts, err
 	if err != nil {
 		return nil, err
 	}
+	return imputeTableOver(st, b, workers)
+}
+
+// wantsImputeTable reports whether the bundle's model imputes from
+// friends at all: HYDRA-M with support vectors.
+func wantsImputeTable(b *Bundle) bool {
+	return b.Model.Cfg.Variant == core.HydraM && len(b.Model.Xs) > 0
+}
+
+// imputeTableOver is the one table build: every candidate pair of the
+// bundle's index shards, imputed through st, which must answer exactly
+// as a store restored from the bundle would.
+func imputeTableOver(st *core.LazyStore, b *Bundle, workers int) (*core.ImputeTableParts, error) {
 	dim := len(b.Model.Xs[0])
 	inputs := make([]core.ImputeTableInput, 0, len(b.Indexes))
 	for _, ix := range b.Indexes {

@@ -92,12 +92,14 @@ func TestBundleV3AbsentImputeTableReads(t *testing.T) {
 	}
 }
 
-// TestImputeTableBitIdenticalWorkers is the tentpole's correctness
-// property: over a trained, wire-round-tripped bundle, table-backed
-// imputation and scoring are bit-identical to the live path for every
-// index-shard candidate pair — and for a seeded random sample of
-// off-index pairs, which miss the table and exercise the fallback — at
-// workers 1 and 4 (run under -race by `make race`).
+// TestImputeTableBitIdenticalWorkers is the table's correctness
+// property: the table the packer builds through the training store
+// equals one built over the bundle's own restored store, and over a
+// trained, wire-round-tripped bundle, table-backed imputation and
+// scoring are bit-identical to the live path for every index-shard
+// candidate pair — and for a seeded random sample of off-index pairs,
+// which miss the table and exercise the fallback — at workers 1 and 4
+// (run under -race by `make race`).
 func TestImputeTableBitIdenticalWorkers(t *testing.T) {
 	const seed = 3
 	worldPath := writeWorld(t, 24, seed)
@@ -108,6 +110,15 @@ func TestImputeTableBitIdenticalWorkers(t *testing.T) {
 	}
 	if b.ImputeTable == nil {
 		t.Fatal("packed HYDRA-M bundle carries no impute table")
+	}
+	// The packer builds the table through the training system's store;
+	// a store freshly restored from the bundle must record the same one.
+	restored, err := BuildBundleImputeTable(b, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(restored, b.ImputeTable) {
+		t.Fatal("the packed impute table differs from one built over the restored bundle store")
 	}
 	var buf bytes.Buffer
 	if err := WriteBundle(&buf, b); err != nil {

@@ -21,8 +21,10 @@ const pinnedBundleSHA256 = "d67bc3a5be4c1a069378fe49e1d6b4039a1679ef3cd2c9c3da66
 // hash to a constant. Every pair vector, the trained model, the
 // certified prescreen margin and every Eqn-18 table sum feed the bytes,
 // so a last-bit drift anywhere in the feature layer fails here even
-// though every same-build identity test would still pass. After an
-// intentional model or format change, re-record the constant.
+// though every same-build identity test would still pass. The pack runs
+// at workers 0, 1 and 4: every pass on the pool must write the same
+// bytes. After an intentional model or format change, re-record the
+// constant.
 func TestPinnedBundleHash(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("the constant was recorded on amd64; other targets may fuse multiply-adds")
@@ -34,19 +36,21 @@ func TestPinnedBundleHash(t *testing.T) {
 		t.Fatal(err)
 	}
 	art.Rules.TopK = 64
-	b, err := BundleFromArtifact(art, fitted.DS, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Prescreen == nil || b.ImputeTable == nil {
-		t.Fatalf("pinned bundle must carry prescreen (%v) and impute table (%v)", b.Prescreen != nil, b.ImputeTable != nil)
-	}
-	h := sha256.New()
-	if err := WriteBundle(h, b); err != nil {
-		t.Fatal(err)
-	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != pinnedBundleSHA256 {
-		t.Fatalf("bundle hash %s, pinned %s", got, pinnedBundleSHA256)
+	for _, workers := range []int{0, 1, 4} {
+		b, err := BundleFromArtifact(art, fitted.DS, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.Prescreen == nil || b.ImputeTable == nil {
+			t.Fatalf("pinned bundle must carry prescreen (%v) and impute table (%v)", b.Prescreen != nil, b.ImputeTable != nil)
+		}
+		h := sha256.New()
+		if err := WriteBundle(h, b); err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != pinnedBundleSHA256 {
+			t.Fatalf("workers=%d: bundle hash %s, pinned %s", workers, got, pinnedBundleSHA256)
+		}
 	}
 }
 

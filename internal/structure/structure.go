@@ -65,10 +65,21 @@ func Build(cands []Candidate, embA, embB []linalg.Vector, gA, gB *graph.Graph, c
 	for a, c := range cands {
 		selfDist[a] = linalg.SqDist(embA[c.A], embB[c.B])
 	}
-	// Index candidates by A-side node for neighborhood joins.
+	// Index candidates by A-side node for neighborhood joins, and run one
+	// bounded BFS per distinct account on each side: a candidate pair's
+	// hop counts are then two map reads, however many candidates share
+	// an account.
 	byA := make(map[int][]int)
+	hopsA := make(map[int]map[int]int)
+	hopsB := make(map[int]map[int]int)
 	for idx, c := range cands {
 		byA[c.A] = append(byA[c.A], idx)
+		if _, ok := hopsA[c.A]; !ok {
+			hopsA[c.A] = gA.Hops(c.A, cfg.MaxHops)
+		}
+		if _, ok := hopsB[c.B]; !ok {
+			hopsB[c.B] = gB.Hops(c.B, cfg.MaxHops)
+		}
 	}
 
 	b := linalg.NewSparseBuilder(n, n)
@@ -78,8 +89,8 @@ func Build(cands []Candidate, embA, embB []linalg.Vector, gA, gB *graph.Graph, c
 		b.Set(a, a, expNeg(selfDist[a]/s1sq))
 		// Off-diagonal: only candidates whose A-side nodes are within
 		// MaxHops of ca.A can agree structurally.
-		nbrs := khopNeighborhood(gA, ca.A, cfg.MaxHops)
-		for j, kij := range nbrs {
+		nbrsB := hopsB[ca.B]
+		for j, kij := range hopsA[ca.A] {
 			for _, bIdx := range byA[j] {
 				if bIdx <= a {
 					continue // fill upper triangle, mirror below
@@ -92,7 +103,7 @@ func Build(cands []Candidate, embA, embB []linalg.Vector, gA, gB *graph.Graph, c
 				if cb.A == ca.A || cb.B == ca.B {
 					continue
 				}
-				kb, ok := gB.HopDistance(ca.B, cb.B, cfg.MaxHops)
+				kb, ok := nbrsB[cb.B]
 				if !ok {
 					continue
 				}
@@ -114,33 +125,6 @@ func Build(cands []Candidate, embA, embB []linalg.Vector, gA, gB *graph.Graph, c
 		}
 	}
 	return b.Build(), nil
-}
-
-// khopNeighborhood returns, for every node j reachable from u within
-// maxHops intermediate hops (excluding u itself), the intermediate count
-// k_uj. Direct friends have k=0.
-func khopNeighborhood(g *graph.Graph, u, maxHops int) map[int]int {
-	out := make(map[int]int)
-	visited := map[int]bool{u: true}
-	frontier := []int{u}
-	for depth := 1; depth <= maxHops+1; depth++ {
-		var next []int
-		for _, x := range frontier {
-			for _, y := range g.Neighbors(x) {
-				if visited[y] {
-					continue
-				}
-				visited[y] = true
-				out[y] = depth - 1
-				next = append(next, y)
-			}
-		}
-		frontier = next
-		if len(frontier) == 0 {
-			break
-		}
-	}
-	return out
 }
 
 func expNeg(x float64) float64 {

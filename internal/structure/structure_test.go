@@ -2,6 +2,8 @@ package structure
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -155,12 +157,14 @@ func TestLaplacianRowSumsZero(t *testing.T) {
 	}
 }
 
+// The k-hop neighbourhood Build joins candidates over: every node within
+// MaxHops intermediate hops of u, at its intermediate count, u excluded.
 func TestKhopNeighborhood(t *testing.T) {
 	g := graph.New(5)
 	g.AddEdge(0, 1, 1)
 	g.AddEdge(1, 2, 1)
 	g.AddEdge(2, 3, 1)
-	nbrs := khopNeighborhood(g, 0, 2)
+	nbrs := g.Hops(0, 2)
 	if nbrs[1] != 0 || nbrs[2] != 1 || nbrs[3] != 2 {
 		t.Fatalf("neighborhood = %v", nbrs)
 	}
@@ -169,6 +173,188 @@ func TestKhopNeighborhood(t *testing.T) {
 	}
 	if _, ok := nbrs[0]; ok {
 		t.Fatal("self in neighborhood")
+	}
+}
+
+// randomFixture builds two seeded random platforms of n nodes each, with
+// the last fifth of each side isolated, and a candidate list in which
+// every A account claims up to four B accounts and B accounts are
+// claimed by several A accounts — the conflicting assignments Build
+// must leave at zero affinity.
+func randomFixture(rng *rand.Rand, n, degree int) (cands []Candidate, embA, embB []linalg.Vector, gA, gB *graph.Graph) {
+	linked := n - n/5
+	randomGraph := func() *graph.Graph {
+		g := graph.New(n)
+		for k := 0; k < linked*degree/2; k++ {
+			g.AddEdge(rng.Intn(linked), rng.Intn(linked), 1+rng.Float64())
+		}
+		return g
+	}
+	gA, gB = randomGraph(), randomGraph()
+	emb := func() []linalg.Vector {
+		out := make([]linalg.Vector, n)
+		for i := range out {
+			out[i] = linalg.Vector{rng.Float64(), rng.Float64(), rng.Float64()}
+		}
+		return out
+	}
+	embA, embB = emb(), emb()
+	for a := 0; a < n; a++ {
+		for k := rng.Intn(5); k > 0; k-- {
+			cands = append(cands, Candidate{A: a, B: rng.Intn(n)})
+		}
+	}
+	return cands, embA, embB, gA, gB
+}
+
+// perPairBuild is Build as it was before neighbourhoods were shared: a
+// fresh A-side BFS per candidate and a fresh B-side BFS per joined
+// candidate pair, each over sorted neighbour lists. It is the reference
+// TestBuildMatchesPerPairBFS holds Build to.
+func perPairBuild(cands []Candidate, embA, embB []linalg.Vector, gA, gB *graph.Graph, cfg Config) *linalg.Sparse {
+	n := len(cands)
+	selfDist := make([]float64, n)
+	for a, c := range cands {
+		selfDist[a] = linalg.SqDist(embA[c.A], embB[c.B])
+	}
+	byA := make(map[int][]int)
+	for idx, c := range cands {
+		byA[c.A] = append(byA[c.A], idx)
+	}
+	b := linalg.NewSparseBuilder(n, n)
+	s1sq := cfg.Sigma1 * cfg.Sigma1
+	s2sq := cfg.Sigma2 * cfg.Sigma2
+	for a, ca := range cands {
+		b.Set(a, a, expNeg(selfDist[a]/s1sq))
+		for j, kij := range refNeighborhood(gA, ca.A, cfg.MaxHops) {
+			for _, bIdx := range byA[j] {
+				if bIdx <= a {
+					continue
+				}
+				cb := cands[bIdx]
+				if cb.A == ca.A || cb.B == ca.B {
+					continue
+				}
+				kb, ok := refHopDistance(gB, ca.B, cb.B, cfg.MaxHops)
+				if !ok {
+					continue
+				}
+				dij := float64(kij+1) * float64(kij+1)
+				dipjp := float64(kb+1) * float64(kb+1)
+				diff := dij - dipjp
+				structTerm := 1 - diff*diff/s2sq
+				if structTerm <= 0 {
+					continue
+				}
+				v := expNeg((selfDist[a]+selfDist[bIdx])/(2*s1sq)) * structTerm
+				if v <= 0 {
+					continue
+				}
+				b.Set(a, bIdx, v)
+				b.Set(bIdx, a, v)
+			}
+		}
+	}
+	return b.Build()
+}
+
+// refNeighborhood is the reference k-hop search: visited set, sorted
+// neighbour lists, level by level.
+func refNeighborhood(g *graph.Graph, u, maxHops int) map[int]int {
+	out := make(map[int]int)
+	visited := map[int]bool{u: true}
+	frontier := []int{u}
+	for depth := 1; depth <= maxHops+1 && len(frontier) > 0; depth++ {
+		var next []int
+		for _, x := range frontier {
+			for _, y := range g.Neighbors(x) {
+				if visited[y] {
+					continue
+				}
+				visited[y] = true
+				out[y] = depth - 1
+				next = append(next, y)
+			}
+		}
+		frontier = next
+	}
+	return out
+}
+
+// refHopDistance is the reference per-pair search: a BFS from u that
+// stops at the first level reaching v.
+func refHopDistance(g *graph.Graph, u, v, maxHops int) (int, bool) {
+	visited := map[int]bool{u: true}
+	frontier := []int{u}
+	for depth := 1; depth <= maxHops+1 && len(frontier) > 0; depth++ {
+		var next []int
+		for _, x := range frontier {
+			for _, y := range g.Neighbors(x) {
+				if visited[y] {
+					continue
+				}
+				if y == v {
+					return depth - 1, true
+				}
+				visited[y] = true
+				next = append(next, y)
+			}
+		}
+		frontier = next
+	}
+	return 0, false
+}
+
+// TestBuildMatchesPerPairBFS holds Build's shared per-account
+// neighbourhoods to the per-pair construction: on seeded random graphs
+// with isolated nodes, several candidates per account and conflicting
+// claims, at every hop cap and at bandwidths that both keep and clip the
+// structure term, the sparse matrix must be bit-identical.
+func TestBuildMatchesPerPairBFS(t *testing.T) {
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		cands, embA, embB, gA, gB := randomFixture(rng, 20+rng.Intn(40), 2+rng.Intn(4))
+		if len(cands) == 0 {
+			continue
+		}
+		for maxHops := 1; maxHops <= 3; maxHops++ {
+			for _, sigma2 := range []float64{2.9, 6, 40} {
+				cfg := Config{Sigma1: 0.5, Sigma2: sigma2, MaxHops: maxHops}
+				got, err := Build(cands, embA, embB, gA, gB, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := perPairBuild(cands, embA, embB, gA, gB, cfg)
+				if !reflect.DeepEqual(got.RowPtr, want.RowPtr) || !reflect.DeepEqual(got.ColIdx, want.ColIdx) {
+					t.Fatalf("seed %d hops %d σ₂ %g: sparsity pattern differs (%d vs %d entries)",
+						seed, maxHops, sigma2, got.NNZ(), want.NNZ())
+				}
+				for i := range want.Val {
+					if math.Float64bits(got.Val[i]) != math.Float64bits(want.Val[i]) {
+						t.Fatalf("seed %d hops %d σ₂ %g: entry %d is %v, want %v",
+							seed, maxHops, sigma2, i, got.Val[i], want.Val[i])
+					}
+				}
+				if seed == 1 && maxHops == 2 && sigma2 == 6 && got.NNZ() <= len(cands) {
+					t.Fatal("the fixture has no off-diagonal affinity — the comparison exercised nothing")
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkStructureBuild times Eqn 9's matrix over a seeded synthetic
+// platform pair: 200 accounts a side, ≈ 400 candidates, about the size of
+// the benchmark world's training block.
+func BenchmarkStructureBuild(b *testing.B) {
+	cands, embA, embB, gA, gB := randomFixture(rand.New(rand.NewSource(1)), 200, 8)
+	cfg := DefaultConfig()
+	cfg.Sigma1 = 0.5
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Build(cands, embA, embB, gA, gB, cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
