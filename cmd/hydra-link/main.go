@@ -7,10 +7,9 @@
 //	go run ./cmd/hydra-link  -in world.json -pa twitter -pb facebook -save-bundle bundle.bin
 //	go run ./cmd/hydra-serve -bundle bundle.bin
 //
-// -save-bundle writes what hydra-serve serves. -save-model writes the v1
-// model artifact instead — the small recipe file hydra-pack turns into a
-// bundle later, together with the world it was trained on; it is not a
-// serving input.
+// -save-bundle packs the fitted system straight into what hydra-serve
+// serves; it is the only way to make a bundle. hydra-pack then re-shards
+// or strips an existing bundle.
 package main
 
 import (
@@ -31,12 +30,11 @@ func main() {
 		seed       = flag.Int64("seed", 1, "model seed")
 		workers    = flag.Int("workers", 0, "worker-pool size for the pairwise hot paths; 0 = all cores, 1 = sequential — results are identical at any setting")
 		report     = flag.Bool("report", false, "print the feature-group weight report")
-		saveModel  = flag.String("save-model", "", "persist the trained model as a v1 artifact at this path — hydra-pack's input (with the world file) for packing a serving bundle later")
 		saveBundle = flag.String("save-bundle", "", "pack the trained model plus precomputed serving state into a self-contained bundle at this path (serve it with hydra-serve -bundle, no world file)")
 	)
 	flag.Parse()
 	if *in == "" {
-		fmt.Fprintln(os.Stderr, "usage: hydra-link -in world.json [-pa twitter -pb facebook] [-save-bundle bundle.bin] [-save-model model.json]")
+		fmt.Fprintln(os.Stderr, "usage: hydra-link -in world.json [-pa twitter -pb facebook] [-save-bundle bundle.bin]")
 		os.Exit(2)
 	}
 	err := pipeline.RunLink(pipeline.LinkOpts{
@@ -47,7 +45,6 @@ func main() {
 		Seed:       *seed,
 		Workers:    *workers,
 		Report:     *report,
-		SaveModel:  *saveModel,
 		SaveBundle: *saveBundle,
 	}, os.Stdout)
 	if err != nil {

@@ -1,31 +1,21 @@
-// Command hydra-pack converts a v1 model artifact (hydra-link
-// -save-model) plus the world file it was trained on into a
-// self-contained v3 serving bundle, offline — the only way an artifact
-// reaches a server, and the repack path for deployments still holding a
-// retired v2 JSON bundle:
+// Command hydra-pack rewrites an existing v3 serving bundle offline: it
+// splits it into shards for a scatter-gather deployment, or strips its
+// pack-time impute table. Bundles themselves come from one place, the
+// training run (hydra-link -save-bundle), which packs the fitted system
+// straight into the bundle:
 //
-//	go run ./cmd/hydra-pack  -model model.json -world world.json -o bundle.bin
-//	go run ./cmd/hydra-serve -bundle bundle.bin
+//	go run ./cmd/hydra-link  -in world.json -save-bundle bundle.bin
+//	go run ./cmd/hydra-pack  -bundle bundle.bin -shards 4 -generation 2 -o bundle.bin
 //
-// Packing rebuilds the feature system from the artifact's recipe once
-// (fingerprint-checked against the world), snapshots every account view,
-// top-friends slice and candidate index the serving engine queries, and
-// writes them as one versioned bundle. After that the world file — raw
-// posts, trajectories and ground truth included — no longer ships
-// anywhere. Every output file is written next to its target and renamed
-// over it, so packing over a bundle a server has mapped is safe; SIGHUP
-// the server afterwards.
-//
-// With -shards N the bundle is split into N self-contained sub-bundles
-// for a scatter-gather deployment: each holds the model and configs in
-// full plus the views, friends and index rows of the B-side accounts a
-// seeded consistent hash assigns to it (and the views of their friends,
-// which Eqn-18 imputation needs). Shard k lands next to -o as
-// name.shard0.ext … name.shardN-1.ext; serve each with hydra-serve and
-// front them with hydra-router. Re-shard an already-packed bundle with
-// -bundle instead of -model/-world:
-//
-//	go run ./cmd/hydra-pack -bundle bundle.bin -shards 4 -generation 2 -o bundle.bin
+// With -shards N the bundle is split into N self-contained sub-bundles:
+// each holds the model and configs in full plus the views, friends and
+// index rows of the B-side accounts a seeded consistent hash assigns to
+// it (and the views of their friends, which Eqn-18 imputation needs).
+// Shard k lands next to -o as name.shard0.ext … name.shardN-1.ext; serve
+// each with hydra-serve and front them with hydra-router. Every output
+// file is written next to its target and renamed over it, so packing
+// over a bundle a server has mapped is safe; SIGHUP the server
+// afterwards.
 package main
 
 import (
@@ -42,11 +32,8 @@ import (
 
 func main() {
 	var (
-		model       = flag.String("model", "", "model artifact JSON (from hydra-link -save-model)")
-		world       = flag.String("world", "", "world JSON the model was trained on (from hydra-gen)")
-		inBundle    = flag.String("bundle", "", "existing bundle to (re-)shard instead of packing from -model/-world")
+		inBundle    = flag.String("bundle", "", "existing bundle to re-shard or strip (from hydra-link -save-bundle)")
 		out         = flag.String("o", "", "output bundle path (with -shards, the base name for name.shardK.ext files)")
-		workers     = flag.Int("workers", 0, "worker-pool size for every pack pass (index, prescreen, impute table); 0 = all cores (identical bundle at any setting)")
 		shards      = flag.Int("shards", 1, "split the bundle into this many self-contained shards (1 = no split)")
 		seed        = flag.Uint64("hash-seed", 0, "seed of the consistent hash that assigns B-side accounts to shards")
 		generation  = flag.Uint64("generation", 1, "bundle generation stamped on each shard; hot swap requires strictly newer")
@@ -57,36 +44,14 @@ func main() {
 		fmt.Fprintf(os.Stderr, "hydra-pack: -impute-table must be on or off, got %q\n", *imputeTable)
 		os.Exit(2)
 	}
-	if *out == "" || (*inBundle == "" && (*model == "" || *world == "")) {
-		fmt.Fprintln(os.Stderr, "usage: hydra-pack -model model.json -world world.json -o bundle.bin [-shards N]")
-		fmt.Fprintln(os.Stderr, "       hydra-pack -bundle bundle.bin -shards N [-generation G] -o bundle.bin")
-		os.Exit(2)
-	}
-	if *inBundle != "" && (*model != "" || *world != "") {
-		fmt.Fprintln(os.Stderr, "hydra-pack: -bundle re-shards an existing bundle; do not combine it with -model/-world")
+	if *inBundle == "" || *out == "" {
+		fmt.Fprintln(os.Stderr, "usage: hydra-pack -bundle bundle.bin [-shards N] [-generation G] [-impute-table on|off] -o bundle.bin")
 		os.Exit(2)
 	}
 
-	var (
-		b   *pipeline.Bundle
-		err error
-	)
-	if *inBundle != "" {
-		if b, err = pipeline.LoadBundle(*inBundle); err != nil {
-			log.Fatal(err)
-		}
-	} else {
-		art, err := pipeline.LoadArtifact(*model)
-		if err != nil {
-			log.Fatal(err)
-		}
-		ds, err := pipeline.LoadWorldFile(*world)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if b, err = pipeline.BundleFromArtifact(art, ds, *workers); err != nil {
-			log.Fatal(err)
-		}
+	b, err := pipeline.LoadBundle(*inBundle)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	if *imputeTable == "off" {

@@ -239,7 +239,7 @@ func (st *LazyStore) Friends(id platform.ID, local, k int) ([]graph.Friend, erro
 		return nil, err
 	}
 	if k > st.friendsK {
-		return nil, fmt.Errorf("core: imputation wants top-%d friends but the snapshot stores top-%d — repack the bundle with a larger TopFriends", k, st.friendsK)
+		return nil, fmt.Errorf("core: imputation wants top-%d friends but the snapshot stores top-%d — pack a new bundle with hydra-link -save-bundle from the training world", k, st.friendsK)
 	}
 	f, err := st.snap.Friends(id, local)
 	if err != nil {

@@ -12,10 +12,11 @@ import (
 // trained Model is reduced to ModelParts — plain exported data that
 // marshals to JSON losslessly (Go's float64 encoding is shortest-uniquely-
 // identifying, so every coefficient round-trips bit-exact) — and rebuilt
-// with ModelFromParts against a freshly systemized dataset. The restored
-// model produces bit-identical Decision/Score/Link values because all of
-// its inputs (support vectors, duals, bias, kernel bandwidth, imputation
-// config) are carried verbatim rather than recomputed.
+// with ModelFromParts over a feature store: a bundle's, or a freshly
+// systemized dataset's. The restored model produces bit-identical
+// Decision/Score/Link values because all of its inputs (support vectors,
+// duals, bias, kernel bandwidth, imputation config) are carried verbatim
+// rather than recomputed.
 
 // Kernel kind identifiers used by ModelParts.
 const (

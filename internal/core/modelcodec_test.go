@@ -10,7 +10,7 @@ import (
 // TestModelCodecRoundTrip trains a model, reduces it to ModelParts,
 // round-trips the parts through JSON, rebuilds the model and asserts
 // bit-identical Score/Link on every candidate pair — the core half of the
-// artifact round-trip contract.
+// bundle round-trip contract.
 func TestModelCodecRoundTrip(t *testing.T) {
 	const seed = 2
 	_, sys := buildSystem(t, 40, platform.EnglishPlatforms, seed)

@@ -42,7 +42,6 @@ func naiveFactorize(a *Matrix) (*LU, error) {
 	for i := range perm {
 		perm[i] = i
 	}
-	sign := 1
 	for col := 0; col < n; col++ {
 		p := col
 		maxAbs := math.Abs(lu.At(col, col))
@@ -57,7 +56,6 @@ func naiveFactorize(a *Matrix) (*LU, error) {
 		if p != col {
 			swapRows(lu, p, col)
 			perm[p], perm[col] = perm[col], perm[p]
-			sign = -sign
 		}
 		pivot := lu.At(col, col)
 		for r := col + 1; r < n; r++ {
@@ -73,7 +71,7 @@ func naiveFactorize(a *Matrix) (*LU, error) {
 			}
 		}
 	}
-	return &LU{lu: lu, perm: perm, sign: sign}, nil
+	return &LU{lu: lu, perm: perm}, nil
 }
 
 // rndMatrix fills a rows×cols matrix with Gaussians, zeroing ~10% of the
@@ -155,9 +153,6 @@ func TestFactorizeWorkersDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameMatrix(t, "FactorizeWorkers factors", got.lu, ref.lu)
-		if got.sign != ref.sign {
-			t.Fatalf("sign %d vs %d", got.sign, ref.sign)
-		}
 		for i := range ref.perm {
 			if got.perm[i] != ref.perm[i] {
 				t.Fatalf("perm[%d] = %d, want %d", i, got.perm[i], ref.perm[i])

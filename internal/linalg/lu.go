@@ -14,7 +14,6 @@ import (
 type LU struct {
 	lu   *Matrix
 	perm []int
-	sign int
 }
 
 // luParallelMinRows is the smallest trailing submatrix FactorizeWorkers
@@ -31,7 +30,7 @@ func Factorize(a *Matrix) (*LU, error) { return FactorizeWorkers(a, 1) }
 // cores). Determinism: the pivot search, row swap and pivot value are
 // fixed before the fan-out, every eliminated row is owned by exactly one
 // task, and each row update reads only the frozen pivot row — so the
-// factors, permutation and sign are bit-identical at any worker count.
+// factors and permutation are bit-identical at any worker count.
 func FactorizeWorkers(a *Matrix, workers int) (*LU, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("linalg: LU of non-square %dx%d matrix", a.Rows, a.Cols)
@@ -60,7 +59,6 @@ func factorizeInPlace(lu *Matrix, workers int) (*LU, error) {
 	for i := range perm {
 		perm[i] = i
 	}
-	sign := 1
 	w := parallel.Workers(workers)
 	// elimOne eliminates row r against pivot row `col`: computes and
 	// stores the multiplier, then subtracts f·rowC from the trailing row.
@@ -133,7 +131,6 @@ func factorizeInPlace(lu *Matrix, workers int) (*LU, error) {
 		if p != col {
 			swapRows(lu, p, col)
 			perm[p], perm[col] = perm[col], perm[p]
-			sign = -sign
 		}
 		pivot := lu.Data[col*n+col]
 		rows := n - col - 1
@@ -157,7 +154,7 @@ func factorizeInPlace(lu *Matrix, workers int) (*LU, error) {
 			})
 		}
 	}
-	return &LU{lu: lu, perm: perm, sign: sign}, nil
+	return &LU{lu: lu, perm: perm}, nil
 }
 
 func swapRows(m *Matrix, i, j int) {

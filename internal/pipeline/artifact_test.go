@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -77,66 +76,10 @@ func fitWorld(t *testing.T, worldPath string, seed int64, workers int) *FitState
 	return fitted
 }
 
-// TestArtifactRoundTrip is the persistence contract: encode → file →
-// decode → Restore against a freshly loaded world produces bit-identical
-// Score and Link for every candidate pair — no retraining, a brand-new
-// System, and still the same bits.
-func TestArtifactRoundTrip(t *testing.T) {
-	const seed = 3
-	worldPath := writeWorld(t, 40, seed)
-	fitted := fitWorld(t, worldPath, seed, 0)
-	trained := fitted.Linker.Model()
-
-	art, err := fitted.Artifact()
-	if err != nil {
-		t.Fatal(err)
-	}
-	artPath := filepath.Join(t.TempDir(), "model.json")
-	if err := SaveArtifact(artPath, art); err != nil {
-		t.Fatal(err)
-	}
-
-	// Serving side: fresh artifact, fresh world, fresh system.
-	art2, err := LoadArtifact(artPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds2, err := LoadWorldFile(worldPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, restored, err := art2.Restore(ds2)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	b := fitted.Task.Blocks[0]
-	if len(b.Cands) == 0 {
-		t.Fatal("no candidates to compare")
-	}
-	for _, c := range b.Cands {
-		s1, err := trained.Score(b.PA, c.A, b.PB, c.B)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s2, err := restored.Score(b.PA, c.A, b.PB, c.B)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s1 != s2 {
-			t.Fatalf("restored score differs for (%d,%d): %v vs %v", c.A, c.B, s1, s2)
-		}
-		l1, _ := trained.Link(b.PA, c.A, b.PB, c.B)
-		l2, _ := restored.Link(b.PA, c.A, b.PB, c.B)
-		if l1 != l2 {
-			t.Fatalf("restored link decision differs for (%d,%d)", c.A, c.B)
-		}
-	}
-}
-
-// TestArtifactWorldMismatch asserts Restore refuses a world file other
-// than the one the artifact was trained on — the coefficients are only
-// meaningful over the original accounts.
+// TestArtifactWorldMismatch asserts BundleFromArtifact refuses any
+// dataset other than the one the artifact was fitted on — the
+// coefficients are only meaningful over the original accounts — even a
+// same-size world or a fresh load of the training world file.
 func TestArtifactWorldMismatch(t *testing.T) {
 	const seed = 3
 	worldPath := writeWorld(t, 24, seed)
@@ -145,42 +88,20 @@ func TestArtifactWorldMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	otherPath := writeWorld(t, 24, seed+1) // same size, different seed
-	other, err := LoadWorldFile(otherPath)
-	if err != nil {
-		t.Fatal(err)
+	for _, path := range []string{writeWorld(t, 24, seed+1), worldPath} {
+		other, err := LoadWorldFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := BundleFromArtifact(art, other, 1); err == nil || !strings.Contains(err.Error(), "fitted on") {
+			t.Fatalf("packing over %s: want the foreign dataset refused, got %v", path, err)
+		}
 	}
-	if _, _, err := art.Restore(other); err == nil {
-		t.Fatal("expected error restoring against a different world")
-	} else if !strings.Contains(err.Error(), "does not match") {
-		t.Fatalf("want world-mismatch error, got: %v", err)
+	if _, err := BundleFromArtifact(&Artifact{}, fitted.DS, 1); err == nil {
+		t.Fatal("want an artifact with no fitted system refused")
 	}
-	// The original world still restores.
-	same, err := LoadWorldFile(worldPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := art.Restore(same); err != nil {
-		t.Fatalf("restore against the training world failed: %v", err)
-	}
-}
-
-// TestArtifactVersionMismatch asserts a reader rejects artifacts written
-// at any other version instead of reinterpreting raw coefficients.
-func TestArtifactVersionMismatch(t *testing.T) {
-	if _, err := ReadArtifact(strings.NewReader(`{"version": 99}`)); err == nil {
-		t.Fatal("expected error for future artifact version")
-	} else if !strings.Contains(err.Error(), "version 99") {
-		t.Fatalf("want version in error, got: %v", err)
-	}
-	if _, err := ReadArtifact(strings.NewReader(`{"model":{}}`)); err == nil {
-		t.Fatal("expected error for missing version")
-	}
-	if _, err := ReadArtifact(strings.NewReader(`not json`)); err == nil {
-		t.Fatal("expected error for garbage input")
-	}
-	// Writers refuse to stamp a stale version too.
-	if err := WriteArtifact(io.Discard, &Artifact{Version: 0}); err == nil {
-		t.Fatal("expected error writing version-0 artifact")
+	// The fitted dataset still packs.
+	if _, err := BundleFromArtifact(art, fitted.DS, 1); err != nil {
+		t.Fatalf("packing over the training dataset failed: %v", err)
 	}
 }

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"fmt"
+	"hash/fnv"
 	"io"
 	"os"
 	"sort"
@@ -16,12 +17,13 @@ import (
 )
 
 // BundleVersion is the one bundle wire version this build reads and
-// writes. It continues the artifact's version line: the artifact is
-// format v1; format v2 was an all-JSON bundle, retired — no packer has
-// written it since v3 landed, and a v2 file is refused with a pointer
-// to hydra-pack; format v3 keeps a JSON header for the small structured
-// state and carries the bulky numeric sections — account views,
-// top-friends slices, index shards, support vectors — as
+// writes, and the bundle is the one wire format a trained model has.
+// Format v1 was a JSON model artifact whose recipes rebuilt the system
+// over its world file, and format v2 an all-JSON bundle; both are
+// retired, and both readers refuse any JSON document with a pointer to
+// hydra-link -save-bundle. Format v3 keeps a JSON header for the small
+// structured state and carries the bulky numeric sections — account
+// views, top-friends slices, index shards, support vectors — as
 // length-prefixed binary sections (see bundlebin.go). Every other
 // version is rejected outright at both ends of the wire — the bundle
 // carries raw model coefficients and precomputed views, and a silent
@@ -30,9 +32,8 @@ const BundleVersion = 3
 
 // Bundle is a self-contained serving unit: everything `hydra-serve`
 // needs to answer score/link/top-k/batch queries, with no world file and
-// no feature retraining. Where the v1 Artifact persists *recipes* (feature
-// config + lexicons + labeled persons) that rebuild query state from the
-// raw dataset, the bundle persists the query state itself:
+// no feature retraining. It persists the query state of the fitted
+// system itself, not the recipes that built it:
 //
 //   - the query-only pipeline parts (feature config, observation span,
 //     learned attribute importance) that Pair evaluation needs,
@@ -45,15 +46,15 @@ const BundleVersion = 3
 //   - the per-A-side blocking.Index shards top-k queries score against.
 //
 // All floats are stored as raw IEEE-754 bits, so a bundle-backed engine
-// is bit-identical to the builder-backed system it was packed from over
-// the bundle's serving surface: every platform appearing in Pairs.
-// Platforms the artifact never served (possible when the training world
-// had more than the serving pairs) are deliberately not packed — bundle
-// and builder agree on every in-surface query and both reject
-// out-of-surface platforms, though with different error text (the
-// snapshot says "not in snapshot", the builder reports a dataset miss).
+// is bit-identical to the fitted system it was packed from over the
+// bundle's serving surface: every platform appearing in Pairs.
+// Platforms outside Pairs (possible when the training world had more
+// than the serving pairs) are deliberately not packed — bundle and
+// system agree on every in-surface query and both reject out-of-surface
+// platforms, though with different error text (the snapshot says "not
+// in snapshot", the system reports a dataset miss).
 //
-// Bundle is the decoded, in-memory form: what the packers assemble,
+// Bundle is the decoded, in-memory form: what packBundle assembles,
 // SplitBundle and TiledBundle rewrite, and ReadBundle returns. The wire
 // layout lives in bundlebin.go.
 type Bundle struct {
@@ -100,41 +101,59 @@ type Bundle struct {
 	// the bundle carries the whole candidate space.
 	Shard *ShardDesc
 
-	// Provenance: the training world's identity, carried over from the
-	// artifact for operability (a bundle never needs the world again).
+	// Provenance: the training world's identity, recorded at pack time
+	// for operability (a bundle never needs the world again).
 	WorldPersons     int
 	WorldFingerprint string
 }
 
+// Artifact is the pack recipe of a fitted system: the model parts from
+// Fit and the serving pairs and blocking rules from Block. It lives in
+// memory only and packs over the system that made it; a caller may
+// adjust Rules (the index width, say) before packing.
+type Artifact struct {
+	Model core.ModelParts
+	Pairs [][2]platform.ID
+	Rules blocking.Rules
+
+	fit *FitState
+}
+
+// Artifact snapshots the fitted pipeline prefix as a pack recipe.
+func (f *FitState) Artifact() (*Artifact, error) {
+	parts, err := f.Linker.Model().Parts()
+	if err != nil {
+		return nil, err
+	}
+	return &Artifact{Model: parts, Pairs: f.BlockState.Opts.Pairs, Rules: f.BlockState.Opts.Rules, fit: f}, nil
+}
+
 // Bundle packs the fitted pipeline prefix into a self-contained serving
-// bundle: it snapshots every view, friend slice and candidate index the
-// artifact's recipes would otherwise rebuild from the world at serving
-// startup. workers sizes the pool of every pack pass — index build,
-// prescreen sample and fit, impute table (≤ 0 = all cores; identical
-// bundle at any setting).
+// bundle with the recipe unchanged. workers sizes the pool of every pack
+// pass — index build, prescreen sample and fit, impute table (≤ 0 = all
+// cores; identical bundle at any setting).
 func (f *FitState) Bundle(workers int) (*Bundle, error) {
 	art, err := f.Artifact()
 	if err != nil {
 		return nil, err
 	}
-	return packBundle(f.Sys, f.DS, art, workers)
+	return BundleFromArtifact(art, f.DS, workers)
 }
 
-// BundleFromArtifact converts an existing v1 artifact plus its training
-// world into a current-format bundle offline — the cmd/hydra-pack path. The world
-// must be the one the artifact was trained on (fingerprint-checked by
-// Restore); the resulting bundle then replaces both files.
+// BundleFromArtifact packs the artifact over the fitted system that made
+// it. ds must be that system's dataset: the model's coefficients are
+// meaningless over any other accounts.
 func BundleFromArtifact(a *Artifact, ds *platform.Dataset, workers int) (*Bundle, error) {
-	st, _, err := a.Restore(ds)
-	if err != nil {
-		return nil, err
+	if a.fit == nil || ds != a.fit.DS {
+		return nil, fmt.Errorf("pipeline: the artifact packs only over the dataset it was fitted on")
 	}
-	return packBundle(st.Sys, ds, a, workers)
+	return packBundle(a, workers)
 }
 
-// packBundle snapshots the system's query state for the artifact's
-// serving surface.
-func packBundle(sys *core.System, ds *platform.Dataset, a *Artifact, workers int) (*Bundle, error) {
+// packBundle snapshots the fitted system's query state for the
+// artifact's serving surface.
+func packBundle(a *Artifact, workers int) (*Bundle, error) {
+	sys, ds := a.fit.Sys, a.fit.DS
 	b := &Bundle{
 		Version:  BundleVersion,
 		Pipeline: sys.Pipe.Parts(),
@@ -145,9 +164,12 @@ func packBundle(sys *core.System, ds *platform.Dataset, a *Artifact, workers int
 		Model:    a.Model,
 		Pairs:    a.Pairs,
 
-		WorldPersons:     a.WorldPersons,
-		WorldFingerprint: a.WorldFingerprint,
+		WorldPersons:     ds.NumPersons(),
+		WorldFingerprint: worldFingerprint(ds),
 	}
+	// The runtime-only Cfg.Workers knob is zeroed, as IndexParts zeroes
+	// Rules.Workers, so the bytes do not depend on the training host.
+	b.Model.Cfg.Workers = 0
 	for _, id := range bundlePlatforms(a.Pairs) {
 		views, err := sys.Views(id)
 		if err != nil {
@@ -335,6 +357,23 @@ func bundlePlatforms(pairs [][2]platform.ID) []platform.ID {
 	return out
 }
 
+// worldFingerprint is a cheap content fingerprint of a dataset, recorded
+// in the bundle as provenance: platform ids, account counts, and every
+// account's (person, username) pair, in deterministic order. It is
+// O(accounts) to compute, tells regenerated, reseeded or resized worlds
+// apart, and does not depend on JSON formatting.
+func worldFingerprint(ds *platform.Dataset) string {
+	h := fnv.New64a()
+	for _, id := range sortedPlatformIDs(ds.Platforms) {
+		p := ds.Platforms[id]
+		fmt.Fprintf(h, "%s:%d;", id, len(p.Accounts))
+		for _, acc := range p.Accounts {
+			fmt.Fprintf(h, "%d,%s|", acc.Person, acc.Profile.Username)
+		}
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
 // heapSnapshot is the core.LazySnapshot of a decoded bundle: every view
 // restored once up front, friend slices shared with the bundle, each
 // accessor a map lookup and an index. The mapped counterpart is
@@ -420,7 +459,7 @@ func newSnapshotStore(snap core.LazySnapshot, parts features.PipelineParts, frie
 	shard *ShardDesc, table *core.ImputeTableParts) (*core.LazyStore, error) {
 
 	if friendsK < need {
-		return nil, fmt.Errorf("pipeline: bundle packs top-%d friends but its model imputes with top-%d — repack the bundle", friendsK, need)
+		return nil, fmt.Errorf("pipeline: bundle packs top-%d friends but its model imputes with top-%d — pack a new bundle with hydra-link -save-bundle from the training world", friendsK, need)
 	}
 	pipe, err := features.PipelineFromParts(parts)
 	if err != nil {
@@ -484,8 +523,8 @@ func SaveBundle(path string, b *Bundle) error {
 
 // ReadBundle decodes a v3 bundle and rejects everything else: version
 // mismatches, bytes past the last announced section, and JSON documents
-// — a retired v2 bundle, or a v1 artifact fed to the bundle reader —
-// which fail here instead of serving from half-empty state.
+// — a retired v1 model artifact or v2 bundle — which fail here instead
+// of serving from half-empty state.
 func ReadBundle(r io.Reader) (*Bundle, error) {
 	return readBundleV3(r)
 }

@@ -56,14 +56,14 @@ const bundleMagic = "HYB3"
 
 // checkMagic refuses a file that does not open with the v3 magic — the
 // one gate both readers share. A JSON document gets its own message:
-// it is a retired v2 bundle (or a v1 artifact fed to the wrong reader),
-// and the way forward is a repack, not a hex dump.
+// it is a retired v1 model artifact or v2 bundle, and the way forward is
+// a new bundle from the training world, not a hex dump.
 func checkMagic(head []byte) error {
 	if string(head) == bundleMagic {
 		return nil
 	}
 	if len(head) > 0 && head[0] == '{' {
-		return fmt.Errorf("pipeline: JSON document, not a v%d bundle — JSON bundles are no longer read; repack with hydra-pack from the model artifact and its world", BundleVersion)
+		return fmt.Errorf("pipeline: JSON document, not a v%d bundle — JSON files are no longer read; pack one with hydra-link -save-bundle from the training world", BundleVersion)
 	}
 	return fmt.Errorf("pipeline: bad bundle magic %q", head)
 }
@@ -119,7 +119,7 @@ type prescreenMetaV3 struct {
 // readers share, like checkMagic.
 func (hp *prescreenMetaV3) parts(w, b, c, v linalg.Vector) (*core.PrescreenParts, error) {
 	if hp.RFF != 0 || len(w) != 0 || len(b) != 0 {
-		return nil, fmt.Errorf("pipeline: v%d prescreen carries a random-Fourier block (rff=%d) — that basis is no longer read; repack with hydra-pack from the model artifact and its world", BundleVersion, hp.RFF)
+		return nil, fmt.Errorf("pipeline: v%d prescreen carries a random-Fourier block (rff=%d) — that basis is no longer read; pack a new bundle with hydra-link -save-bundle from the training world", BundleVersion, hp.RFF)
 	}
 	p := &core.PrescreenParts{
 		Features: hp.Features, Dim: hp.Dim, Seed: hp.Seed,

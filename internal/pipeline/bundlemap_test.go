@@ -201,16 +201,21 @@ func TestOpenBundleMappedTruncationGates(t *testing.T) {
 
 // TestBundleReadersAgree feeds the streaming decoder and the mapped
 // reader the same files — each golden intact and mutated, plus a v2 JSON
-// document — and asserts they return the same verdict. The two parse
-// the format independently (the benchmark's oracle depends on that), so
-// what counts as a valid file is pinned here rather than by sharing code.
+// bundle and a v1 model artifact — and asserts they return the same
+// verdict, and for every refused JSON or Fourier-block input the same
+// message. The two parse the format independently (the benchmark's
+// oracle depends on that), so what counts as a valid file is pinned here
+// rather than by sharing code.
 func TestBundleReadersAgree(t *testing.T) {
 	type input struct {
 		name   string
 		data   []byte
 		accept bool
 	}
-	inputs := []input{{"v2-json", []byte(legacyJSONBundle), false}}
+	inputs := []input{
+		{"v2-json", []byte(legacyJSONBundle), false},
+		{"v1-artifact", []byte(`{"version":1,"model":{}}`), false},
+	}
 	for _, name := range goldenBundles {
 		raw, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
@@ -259,13 +264,13 @@ func TestBundleReadersAgree(t *testing.T) {
 		if (streamErr == nil) != in.accept || (mappedErr == nil) != in.accept {
 			t.Errorf("%s: want accept=%v, ReadBundle err=%v, OpenBundleMapped err=%v", in.name, in.accept, streamErr, mappedErr)
 		}
-		if in.name == "v2-json" || strings.HasSuffix(in.name, "/rff-2") {
+		if in.name == "v2-json" || in.name == "v1-artifact" || strings.HasSuffix(in.name, "/rff-2") {
 			for _, err := range []error{streamErr, mappedErr} {
-				if err == nil || !strings.Contains(err.Error(), "repack with hydra-pack") {
-					t.Errorf("%s: refusal does not point at hydra-pack: %v", in.name, err)
+				if err == nil || !strings.Contains(err.Error(), "hydra-link -save-bundle") {
+					t.Errorf("%s: refusal does not point at hydra-link -save-bundle: %v", in.name, err)
 				}
 			}
-			if strings.HasSuffix(in.name, "/rff-2") && (streamErr == nil || mappedErr == nil || streamErr.Error() != mappedErr.Error()) {
+			if streamErr == nil || mappedErr == nil || streamErr.Error() != mappedErr.Error() {
 				t.Errorf("%s: readers refuse with different messages: %v vs %v", in.name, streamErr, mappedErr)
 			}
 		}

@@ -9,7 +9,8 @@ import (
 
 // legacyJSONBundle is a cut-down retired v2 all-JSON bundle — what a
 // deployment that never repacked still has on disk. Both readers must
-// refuse it (and every truncation of it) with the hydra-pack pointer.
+// refuse it (and every truncation of it) with the pointer to
+// hydra-link -save-bundle.
 const legacyJSONBundle = `{"version":2,"pipeline":{"cfg":{"topics":4}},"views":{"twitter":[{"username":"alice_tw","embedding":[0.25,0.75]}]},"friends":{"twitter":[[]]},"friends_k":3}`
 
 // fuzzSeeds loads the golden bundles plus truncations of each — the

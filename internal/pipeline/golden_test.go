@@ -17,21 +17,20 @@ import (
 	"hydra/internal/linalg"
 	"hydra/internal/platform"
 	"hydra/internal/temporal"
-	"hydra/internal/topic"
 	"hydra/internal/vision"
 )
 
-// The golden-file tests pin the two wire formats byte for byte: the v1
-// model artifact and the v3 binary-section bundle. The fixtures are
-// hand-built (no training involved), so these tests fail on codec drift
-// — a renamed JSON key, a dropped field, a changed version constant —
-// and on nothing else. An accidental change here would corrupt every
-// deployed model, so the failure mode is CI red, not silent
-// misdecoding. After an *intentional* format change, regenerate with:
+// The golden-file tests pin the one wire format, the v3 binary-section
+// bundle, byte for byte. The fixtures are hand-built (no training
+// involved), so these tests fail on codec drift — a renamed JSON key, a
+// dropped field, a changed version constant — and on nothing else. An
+// accidental change here would corrupt every deployed model, so the
+// failure mode is CI red, not silent misdecoding. After an *intentional*
+// format change, regenerate with:
 //
 //	go test ./internal/pipeline/ -run Golden -update
 //
-// and bump the relevant version constant.
+// and bump BundleVersion.
 
 var update = flag.Bool("update", false, "rewrite the golden format fixtures")
 
@@ -69,24 +68,6 @@ func fixtureModelParts() core.ModelParts {
 
 func fixtureRules() blocking.Rules {
 	return blocking.Rules{TopK: 2, MinScore: 0.75, PreMatchJW: 0.9, PreMatchAttrs: 2, PreMatchFace: 0.85}
-}
-
-func fixtureArtifact() *Artifact {
-	return &Artifact{
-		Version:      ArtifactVersion,
-		FeatCfg:      fixtureFeatCfg(),
-		Genre:        map[string]string{"gmusick0": "music", "gsportsk1": "sports"},
-		Sentiment:    map[string]topic.AVPoint{"shappyw0": {Arousal: 0.5, Valence: 0.75}},
-		LabelPA:      platform.Twitter,
-		LabelPB:      platform.Facebook,
-		LabelPersons: []int{0, 1},
-		Model:        fixtureModelParts(),
-		Pairs:        [][2]platform.ID{{platform.Twitter, platform.Facebook}},
-		Rules:        fixtureRules(),
-
-		WorldPersons:     2,
-		WorldFingerprint: "00000000deadbeef",
-	}
 }
 
 func fixtureBundle() *Bundle {
@@ -161,22 +142,6 @@ func checkGolden(t *testing.T, name string, encode func(*bytes.Buffer) error) []
 		t.Fatalf("%s drifted from the golden bytes — if the format change is intentional, bump the version constant and rerun with -update", name)
 	}
 	return want
-}
-
-// TestArtifactGoldenFormat pins artifact v1: the writer's bytes and the
-// reader's decode of the checked-in fixture.
-func TestArtifactGoldenFormat(t *testing.T) {
-	art := fixtureArtifact()
-	golden := checkGolden(t, "artifact_v1.golden.json", func(buf *bytes.Buffer) error {
-		return WriteArtifact(buf, art)
-	})
-	decoded, err := ReadArtifact(bytes.NewReader(golden))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(decoded, art) {
-		t.Fatalf("decoded golden artifact differs from fixture:\n%+v\nvs\n%+v", decoded, art)
-	}
 }
 
 // checkBundleGolden pins one bundle wire format: golden bytes, decode

@@ -26,10 +26,6 @@ type LinkOpts struct {
 	Workers int
 	// Report prints the feature-group weight report.
 	Report bool
-	// SaveModel, when non-empty, persists the trained model as an
-	// artifact at this path — hydra-pack's input, together with the
-	// world file, for packing a serving bundle later.
-	SaveModel string
 	// SaveBundle, when non-empty, packs the trained model plus all
 	// precomputed serving state into a self-contained bundle at this
 	// path — hydra-serve -bundle then needs no world file at all.
@@ -95,16 +91,6 @@ func RunLink(o LinkOpts, stdout io.Writer) error {
 		fmt.Fprint(stdout, core.FormatGroupWeights(gws))
 	}
 
-	if o.SaveModel != "" {
-		art, err := fitted.Artifact()
-		if err != nil {
-			return err
-		}
-		if err := SaveArtifact(o.SaveModel, art); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "saved model artifact to %s\n", o.SaveModel)
-	}
 	if o.SaveBundle != "" {
 		bundle, err := fitted.Bundle(o.Workers)
 		if err != nil {

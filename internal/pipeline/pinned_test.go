@@ -21,8 +21,9 @@ const pinnedBundleSHA256 = "d67bc3a5be4c1a069378fe49e1d6b4039a1679ef3cd2c9c3da66
 // hash to a constant. Every pair vector, the trained model, the
 // certified prescreen margin and every Eqn-18 table sum feed the bytes,
 // so a last-bit drift anywhere in the feature layer fails here even
-// though every same-build identity test would still pass. The pack runs
-// at workers 0, 1 and 4: every pass on the pool must write the same
+// though every same-build identity test would still pass. The fit runs
+// at workers 0 and 4 and each pack at workers 0, 1 and 4: neither the
+// training host's worker count nor any pass on the pool may reach the
 // bytes. After an intentional model or format change, re-record the
 // constant.
 func TestPinnedBundleHash(t *testing.T) {
@@ -30,26 +31,29 @@ func TestPinnedBundleHash(t *testing.T) {
 		t.Skip("the constant was recorded on amd64; other targets may fuse multiply-adds")
 	}
 	const seed = 1
-	fitted := fitWorld(t, writeWorld(t, 20, seed), seed, 0)
-	art, err := fitted.Artifact()
-	if err != nil {
-		t.Fatal(err)
-	}
-	art.Rules.TopK = 64
-	for _, workers := range []int{0, 1, 4} {
-		b, err := BundleFromArtifact(art, fitted.DS, workers)
+	worldPath := writeWorld(t, 20, seed)
+	for _, fitWorkers := range []int{0, 4} {
+		fitted := fitWorld(t, worldPath, seed, fitWorkers)
+		art, err := fitted.Artifact()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if b.Prescreen == nil || b.ImputeTable == nil {
-			t.Fatalf("pinned bundle must carry prescreen (%v) and impute table (%v)", b.Prescreen != nil, b.ImputeTable != nil)
-		}
-		h := sha256.New()
-		if err := WriteBundle(h, b); err != nil {
-			t.Fatal(err)
-		}
-		if got := hex.EncodeToString(h.Sum(nil)); got != pinnedBundleSHA256 {
-			t.Fatalf("workers=%d: bundle hash %s, pinned %s", workers, got, pinnedBundleSHA256)
+		art.Rules.TopK = 64
+		for _, workers := range []int{0, 1, 4} {
+			b, err := BundleFromArtifact(art, fitted.DS, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b.Prescreen == nil || b.ImputeTable == nil {
+				t.Fatalf("pinned bundle must carry prescreen (%v) and impute table (%v)", b.Prescreen != nil, b.ImputeTable != nil)
+			}
+			h := sha256.New()
+			if err := WriteBundle(h, b); err != nil {
+				t.Fatal(err)
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != pinnedBundleSHA256 {
+				t.Fatalf("fit workers=%d, pack workers=%d: bundle hash %s, pinned %s", fitWorkers, workers, got, pinnedBundleSHA256)
+			}
 		}
 	}
 }

@@ -1,9 +1,9 @@
 // Package pipeline stages HYDRA's end-to-end flow — Load → Systemize →
 // Block → Fit → Evaluate — as explicit steps, each producing a value the
 // next stage consumes. The cmd binaries and the experiment harness all run
-// these stages instead of hand-rolling the same setup, and any prefix of
-// the chain can be snapshotted: a FitState reduces to a versioned Artifact
-// (see artifact.go) that a serving process restores without retraining.
+// these stages instead of hand-rolling the same setup. A FitState packs
+// straight into a Bundle (see bundle.go), the one wire format: a serving
+// process reads it with no world file and no retraining.
 //
 // Every stage is deterministic at any worker count: the hot paths
 // underneath (blocking, feature assembly, kernel matrices, the dual solve,
@@ -41,9 +41,9 @@ func LoadWorldFile(path string) (*platform.Dataset, error) {
 	return LoadWorld(f)
 }
 
-// SystemizeOpts is the recipe for stage Systemize. It is plain data — the
-// model artifact persists it verbatim so a serving process can rebuild the
-// identical System from the same world file.
+// SystemizeOpts is the recipe for stage Systemize. It is plain data, kept
+// on SystemState, and the same recipe over the same dataset rebuilds an
+// identical System.
 type SystemizeOpts struct {
 	// LabelPA/LabelPB and LabelPersons define the labeled profile pairs
 	// that train attribute importance: the true cross-platform pair of

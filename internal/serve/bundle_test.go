@@ -185,8 +185,8 @@ func TestServeBundleVersionGate(t *testing.T) {
 	if err := pipeline.WriteBundle(&buf, &bad); err == nil {
 		t.Fatal("expected write rejection for the retired JSON version 2")
 	}
-	if _, err := pipeline.ReadBundle(strings.NewReader(`{"version":2,"views":{}}`)); err == nil || !strings.Contains(err.Error(), "repack with hydra-pack") {
-		t.Fatalf("expected a v2 JSON bundle to be refused with the hydra-pack pointer, got %v", err)
+	if _, err := pipeline.ReadBundle(strings.NewReader(`{"version":2,"views":{}}`)); err == nil || !strings.Contains(err.Error(), "hydra-link -save-bundle") {
+		t.Fatalf("expected a v2 JSON bundle to be refused with the hydra-link -save-bundle pointer, got %v", err)
 	}
 	// A tampered version stamp inside a v3 binary header is rejected.
 	buf.Reset()
@@ -197,13 +197,10 @@ func TestServeBundleVersionGate(t *testing.T) {
 	if _, err := pipeline.ReadBundle(bytes.NewReader(raw)); err == nil {
 		t.Fatal("expected read rejection for a tampered v3 header version")
 	}
-	// A v1 artifact fed to the bundle reader must be rejected too.
-	var abuf bytes.Buffer
-	if err := pipeline.WriteArtifact(&abuf, e.art); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pipeline.ReadBundle(&abuf); err == nil {
-		t.Fatal("expected the bundle reader to reject a v1 artifact")
+	// A retired v1 model artifact fed to the bundle reader is refused the
+	// same way.
+	if _, err := pipeline.ReadBundle(strings.NewReader(`{"version":1,"model":{}}`)); err == nil || !strings.Contains(err.Error(), "hydra-link -save-bundle") {
+		t.Fatalf("expected a v1 artifact to be refused with the hydra-link -save-bundle pointer, got %v", err)
 	}
 	// A bundle whose friend slices are shallower than the model's
 	// imputation depth must fail at load time, not on the first query.

@@ -18,32 +18,41 @@ import (
 )
 
 // testEnv is the shared serving fixture: a model trained through the
-// staged pipeline, round-tripped through the artifact codec and restored
-// over its world into the builder-backed reference engine — built once
+// staged pipeline, its parts rebuilt over an independent Systemize of
+// its world into the builder-backed reference engine — built once
 // because training dominates test time. The same fit is also packed into
 // a bundle (round-tripped through the bundle codec) and restored into a
 // second, world-free engine, so every test can diff what ships against
 // the system it was packed from.
 type testEnv struct {
-	eng     *Engine // reference: artifact + dataset (newWorldEngine)
+	eng     *Engine // reference: model parts + re-systemized dataset (newWorldEngine)
 	beng    *Engine // snapshot-backed: bundle only
 	trained *core.Model
 	task    *core.Task
-	art     *pipeline.Artifact
 	bundle  *pipeline.Bundle
 	// The serialized bundle, so the cold-start benchmarks pay the decode
 	// a real process start pays.
 	bundleBytes []byte
 }
 
-// newWorldEngine is the builder-backed reference engine: it restores the
-// artifact over the world dataset it was trained on — rebuilding the
-// feature pipeline and the candidate indexes from raw data — so the
+// newWorldEngine is the builder-backed reference engine: it rebuilds the
+// fit's feature system from raw data — a second Systemize of the same
+// dataset with the same recipe, not the shared fitted system — loads the
+// trained model parts over it and rebuilds the candidate indexes, so the
 // identity tests can hold every bundle-backed engine to the answers of
-// the system the bundle was packed from. The product no longer serves
-// this way; it lives here as the tests' oracle.
-func newWorldEngine(art *pipeline.Artifact, ds *platform.Dataset, workers int) (*Engine, error) {
-	st, model, err := art.Restore(ds)
+// an independent rebuild of the system the bundle was packed from. The
+// product does not serve this way; it lives here as the tests' oracle.
+func newWorldEngine(fitted *pipeline.FitState, workers int) (*Engine, error) {
+	art, err := fitted.Artifact()
+	if err != nil {
+		return nil, err
+	}
+	ds := fitted.DS
+	st, err := pipeline.Systemize(ds, fitted.SystemState.Opts)
+	if err != nil {
+		return nil, err
+	}
+	model, err := core.ModelFromParts(st.Sys.LazyStore, art.Model)
 	if err != nil {
 		return nil, err
 	}
@@ -120,19 +129,7 @@ func buildEnv() (testEnv, error) {
 	if err != nil {
 		return testEnv{}, err
 	}
-	art, err := fitted.Artifact()
-	if err != nil {
-		return testEnv{}, err
-	}
-	var buf bytes.Buffer
-	if err := pipeline.WriteArtifact(&buf, art); err != nil {
-		return testEnv{}, err
-	}
-	art2, err := pipeline.ReadArtifact(&buf)
-	if err != nil {
-		return testEnv{}, err
-	}
-	eng, err := newWorldEngine(art2, w.Dataset, 0)
+	eng, err := newWorldEngine(fitted, 0)
 	if err != nil {
 		return testEnv{}, err
 	}
@@ -158,7 +155,6 @@ func buildEnv() (testEnv, error) {
 		beng:        beng,
 		trained:     fitted.Linker.Model(),
 		task:        blocked.Task,
-		art:         art2,
 		bundle:      bundle2,
 		bundleBytes: bundleBytes,
 	}, nil

@@ -31,11 +31,6 @@ func ValidDays(days int) error {
 	return nil
 }
 
-// Stamped is any event carrying a timestamp.
-type Stamped interface {
-	When() time.Time
-}
-
 // Range is a closed-open time interval [Start, End).
 type Range struct {
 	Start, End time.Time

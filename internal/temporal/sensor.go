@@ -17,9 +17,6 @@ type Event struct {
 	MediaID uint64 // content fingerprint; 0 when not a media event
 }
 
-// When implements Stamped.
-func (e Event) When() time.Time { return e.Time }
-
 // Stream is one account's event stream prepared for window scans — the
 // per-user half of Figure 6: the events in chronological order, stamped
 // in int64 nanoseconds, with the per-event terms the sensors would
