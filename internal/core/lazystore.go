@@ -19,8 +19,11 @@ import (
 // views per platform on first use.
 //
 // View and Friends must return stable results: repeated calls for the
-// same account must be safe under concurrency (the mapped implementation
-// caches the first materialization behind an atomic pointer).
+// same account must be safe under concurrency and return equal values,
+// though not always the same pointer — the mapped implementation keeps
+// a bounded set of decoded views and decodes an evicted one again on its
+// next touch. Nothing may depend on view identity; state derived from a
+// view rides on it and is rebuilt with it.
 type LazySnapshot interface {
 	// Platforms lists the snapshotted platform ids in sorted order.
 	Platforms() []platform.ID

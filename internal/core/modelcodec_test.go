@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"math"
 	"testing"
 
 	"hydra/internal/platform"
@@ -97,7 +98,9 @@ func TestModelFromPartsValidation(t *testing.T) {
 }
 
 // TestLimitPairCacheBoundsAndPreservesScores asserts the serve-side cache
-// cap keeps the pair cache bounded without changing a single score.
+// cap keeps the pair cache bounded without changing a single score — at
+// caps below 8, where an eighth of the cap is zero and batch eviction
+// must still drop at least one entry per insert, and above.
 func TestLimitPairCacheBoundsAndPreservesScores(t *testing.T) {
 	const seed = 6
 	_, sys := buildSystem(t, 30, platform.EnglishPlatforms, seed)
@@ -114,19 +117,23 @@ func TestLimitPairCacheBoundsAndPreservesScores(t *testing.T) {
 		}
 	}
 
-	const cap = 16
-	sys.LimitPairCache(cap)
-	for round := 0; round < 2; round++ {
-		for i, c := range b.Cands {
-			got, err := m.Score(b.PA, c.A, b.PB, c.B)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want[i] {
-				t.Fatalf("round %d: capped-cache score %d differs: %v vs %v", round, i, got, want[i])
-			}
-			if n := sys.CacheSize(); n > cap {
-				t.Fatalf("cache grew to %d entries past the cap %d", n, cap)
+	for _, cap := range []int{1, 2, 3, 4, 5, 6, 7, 16, 100} {
+		sys.LimitPairCache(cap)
+		if n := sys.CacheSize(); n > cap {
+			t.Fatalf("LimitPairCache(%d) left %d entries", cap, n)
+		}
+		for round := 0; round < 2; round++ {
+			for i, c := range b.Cands {
+				got, err := m.Score(b.PA, c.A, b.PB, c.B)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(got) != math.Float64bits(want[i]) {
+					t.Fatalf("cap %d round %d: capped-cache score %d differs: %v vs %v", cap, round, i, got, want[i])
+				}
+				if n := sys.CacheSize(); n > cap {
+					t.Fatalf("cache grew to %d entries past the cap %d", n, cap)
+				}
 			}
 		}
 	}

@@ -61,15 +61,19 @@ func (c *pairMemo[V]) store(key pairKey, v V) {
 	c.m[key] = v
 }
 
-// evictLocked drops arbitrary entries until inserting `incoming` new ones
-// stays within the cap (no-op when uncapped; a cap below incoming empties
-// the memo). This is the package's one eviction loop.
+// evictLocked makes room for `incoming` new entries under the cap
+// (no-op when uncapped or when they fit; a cap below incoming empties the
+// memo). A full memo drops arbitrary entries in a batch — at least
+// incoming and at least an eighth of the cap — so a serving cache at its
+// cap starts one map iteration per cap/8 inserts, not one per insert.
+// This is the package's one eviction loop.
 func (c *pairMemo[V]) evictLocked(incoming int) {
-	if c.cap <= 0 {
+	if c.cap <= 0 || len(c.m)+incoming <= c.cap {
 		return
 	}
+	keep := c.cap - max(incoming, c.cap/8)
 	for k := range c.m {
-		if len(c.m) <= c.cap-incoming {
+		if len(c.m) <= keep {
 			return
 		}
 		delete(c.m, k)

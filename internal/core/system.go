@@ -16,6 +16,7 @@ import (
 	"hydra/internal/features"
 	"hydra/internal/graph"
 	"hydra/internal/linalg"
+	"hydra/internal/parallel"
 	"hydra/internal/platform"
 	"hydra/internal/vision"
 )
@@ -155,12 +156,14 @@ func (s *datasetSnapshot) views(id platform.ID) ([]*features.AccountView, error)
 }
 
 // buildViews returns the platform's views, building them on first use.
+// Every other caller waits on the Once meanwhile, so the build fans out
+// over all cores; BuildView is a pure function of pipeline and account,
+// and each view lands in its own slot.
 func (dp *datasetPlatform) buildViews(pipe *features.Pipeline) []*features.AccountView {
 	dp.viewsOnce.Do(func() {
-		dp.views = make([]*features.AccountView, dp.p.NumAccounts())
-		for i, acc := range dp.p.Accounts {
-			dp.views[i] = pipe.BuildView(acc)
-		}
+		dp.views = parallel.Map(0, dp.p.NumAccounts(), func(i int) *features.AccountView {
+			return pipe.BuildView(dp.p.Accounts[i])
+		})
 	})
 	return dp.views
 }

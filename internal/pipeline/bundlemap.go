@@ -12,6 +12,13 @@ package pipeline
 // therefore O(header + offsets) instead of O(bundle), and resident
 // memory tracks the working set, not the file.
 //
+// Decoded views are the bulk of that memory (a view plus its derived
+// state is ≈ 9 KB on the benchmark's world), so they alone are bounded:
+// at most maxResidentViews stay cached, and a second-chance (CLOCK)
+// sweep drops the least recently touched once a first touch crosses the
+// cap. Friend slices and index rows are small and stay cached for the
+// life of the mapping.
+//
 // Lifetime: anything materialized from the mapping may alias it, so the
 // mapping must outlive every reader. Close unmaps; callers (the serve
 // engine) must drain in-flight queries first — see serve.Engine.Retire.
@@ -23,6 +30,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"sync"
 	"sync/atomic"
 
 	"hydra/internal/blocking"
@@ -32,6 +40,13 @@ import (
 	"hydra/internal/linalg"
 	"hydra/internal/platform"
 )
+
+// maxResidentViews caps the decoded views one mapped bundle keeps. A
+// 64-candidate top-k touches about 260 views (the candidates plus both
+// sides' imputation friends), so the cap holds the working sets of
+// several concurrent requests — ≈ 30 MB of decoded views — while a
+// 50k-account bundle no longer keeps every view it ever decoded.
+const maxResidentViews = 4096
 
 // MapOptions tunes OpenBundleMapped.
 type MapOptions struct {
@@ -83,19 +98,36 @@ type MappedBundle struct {
 	friends map[platform.ID]*mappedFriends
 	indexes []*mappedIndex
 
+	// viewSlots holds every platform's view cache in one array (each
+	// mappedViews owns a window of it), so one CLOCK hand sweeps them
+	// all. viewCap bounds the resident count (maxResidentViews; tests
+	// lower it); sweepMu serializes sweeps and guards hand.
+	viewSlots []viewSlot
+	viewCap   int
+	sweepMu   sync.Mutex
+	hand      int
+
 	aliased, copied                atomic.Uint64
 	resViews, resFriends, resRows  atomic.Int64
 	totalViews, totalFriends, rows int
 }
 
 // mappedViews is one platform's slice of the view section: the header
-// metas, each account's byte offset into the section, and a per-account
-// cache filled on first touch.
+// metas, each account's byte offset into the section, and its window of
+// the bundle's view slots.
 type mappedViews struct {
 	metas []viewMetaV3
 	buf   []byte
 	off   []int
-	cache []atomic.Pointer[features.AccountView]
+	slots []viewSlot
+}
+
+// viewSlot caches one account's decoded view while it is resident. ref
+// is the CLOCK reference bit: set by every touch, cleared by a passing
+// sweep, which drops the view if the bit is still clear next time round.
+type viewSlot struct {
+	v   atomic.Pointer[features.AccountView]
+	ref atomic.Bool
 }
 
 type mappedFriends struct {
@@ -128,7 +160,7 @@ func OpenBundleMapped(path string, opts MapOptions) (*MappedBundle, error) {
 	if err != nil {
 		return nil, err
 	}
-	mb := &MappedBundle{noAlias: opts.NoZeroCopy}
+	mb := &MappedBundle{noAlias: opts.NoZeroCopy, viewCap: maxResidentViews}
 	if size := st.Size(); !opts.NoMmap && mmapSupported && size > 0 && size <= math.MaxInt {
 		if data, unmap, err := mmapFile(f, int(size)); err == nil {
 			mb.data, mb.unmap, mb.mapped = data, unmap, true
@@ -293,6 +325,11 @@ func (mb *MappedBundle) decodeImputeTable(buf []byte) error {
 func (mb *MappedBundle) scanViews(buf []byte) error {
 	mb.plats = sortedPlatformIDs(mb.header.Views)
 	mb.views = make(map[platform.ID]*mappedViews, len(mb.plats))
+	nslots := 0
+	for _, metas := range mb.header.Views {
+		nslots += len(metas)
+	}
+	mb.viewSlots = make([]viewSlot, nslots)
 	r := mb.reader(buf)
 	for _, id := range mb.plats {
 		metas := mb.header.Views[id]
@@ -307,7 +344,7 @@ func (mb *MappedBundle) scanViews(buf []byte) error {
 			metas: metas,
 			buf:   buf,
 			off:   make([]int, nv),
-			cache: make([]atomic.Pointer[features.AccountView], nv),
+			slots: mb.viewSlots[mb.totalViews : mb.totalViews+nv],
 		}
 		for i := 0; i < nv && r.err == nil; i++ {
 			mv.off[i] = r.off
@@ -373,9 +410,12 @@ func (mb *MappedBundle) scanIndexes(buf []byte) error {
 	return r.finish("index section")
 }
 
-// View materializes (and caches) one account view. Concurrent first
-// touches race benignly: decode is deterministic, and the CAS keeps one
-// canonical pointer.
+// View materializes (and caches, while resident) one account view.
+// Concurrent first touches race benignly: decode is deterministic, and
+// the CAS publishes one pointer. An evicted view is only dropped —
+// callers still holding it keep using it — and the next touch decodes
+// the same bits again, so repeated calls return equal views, not always
+// the same pointer.
 func (mb *MappedBundle) View(id platform.ID, local int) (*features.AccountView, error) {
 	mv := mb.views[id]
 	if mv == nil {
@@ -384,7 +424,11 @@ func (mb *MappedBundle) View(id platform.ID, local int) (*features.AccountView, 
 	if local < 0 || local >= len(mv.off) {
 		return nil, fmt.Errorf("pipeline: account %d out of range (%s mapped bundle has %d)", local, id, len(mv.off))
 	}
-	if v := mv.cache[local].Load(); v != nil {
+	s := &mv.slots[local]
+	if v := s.v.Load(); v != nil {
+		if !s.ref.Load() {
+			s.ref.Store(true)
+		}
 		return v, nil
 	}
 	r := mb.readerAt(mv.buf, mv.off[local])
@@ -399,12 +443,49 @@ func (mb *MappedBundle) View(id platform.ID, local int) (*features.AccountView, 
 		return nil, fmt.Errorf("pipeline: decode mapped view %s/%d: %w", id, local, r.err)
 	}
 	v := features.RestoreView(parts, id, local)
-	if mv.cache[local].CompareAndSwap(nil, v) {
-		mb.resViews.Add(1)
-	} else {
-		v = mv.cache[local].Load()
+	// The bit goes up before the pointer is published, so a sweep never
+	// finds a fresh view unreferenced.
+	s.ref.Store(true)
+	if !s.v.CompareAndSwap(nil, v) {
+		if w := s.v.Load(); w != nil {
+			v = w
+		}
+		return v, nil
+	}
+	if mb.resViews.Add(1) > int64(mb.viewCap) {
+		mb.evictViews()
 	}
 	return v, nil
+}
+
+// evictViews runs when a first touch has pushed the resident count over
+// the cap: it sweeps down to cap − cap/8, so the next sweep is an eighth
+// of the cap's first touches away. Goroutines that crossed the cap while
+// another was sweeping wait for it and find nothing left to do.
+func (mb *MappedBundle) evictViews() {
+	mb.sweepMu.Lock()
+	defer mb.sweepMu.Unlock()
+	if mb.resViews.Load() <= int64(mb.viewCap) {
+		return
+	}
+	target := int64(mb.viewCap - mb.viewCap/8)
+	for mb.resViews.Load() > target {
+		s := &mb.viewSlots[mb.hand]
+		if mb.hand++; mb.hand == len(mb.viewSlots) {
+			mb.hand = 0
+		}
+		v := s.v.Load()
+		if v == nil {
+			continue
+		}
+		if s.ref.Load() {
+			s.ref.Store(false) // second chance
+			continue
+		}
+		if s.v.CompareAndSwap(v, nil) {
+			mb.resViews.Add(-1)
+		}
+	}
 }
 
 // Friends materializes (and caches) one account's top-friends slice.

@@ -4,13 +4,19 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"unsafe"
 
+	"hydra/internal/blocking"
+	"hydra/internal/core"
 	"hydra/internal/features"
 	"hydra/internal/linalg"
 	"hydra/internal/platform"
@@ -151,6 +157,178 @@ func TestOpenBundleMappedMatchesDecode(t *testing.T) {
 			if tc.opts.NoZeroCopy && st.AliasedVecs != 0 {
 				t.Fatalf("NoZeroCopy still aliased %d vectors", st.AliasedVecs)
 			}
+		})
+	}
+}
+
+// TestMappedViewEvictionConcurrent holds the bounded view cache to its
+// two promises with the cap lowered to a few views, so almost every
+// touch of a trained bundle evicts or re-decodes: residency never passes
+// the cap once the goroutines that crossed it have swept, and eviction
+// never changes a bit — every view equals the decoded bundle's, and
+// scores and top-k rankings for every A account equal Bundle.Store's
+// (run under -race by `make race`).
+func TestMappedViewEvictionConcurrent(t *testing.T) {
+	const (
+		seed       = 3
+		viewCap    = 6
+		goroutines = 4
+	)
+	fitted := fitWorld(t, writeWorld(t, 24, seed), seed, 0)
+	b, err := fitted.Bundle(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "bundle.bin")
+	if err := SaveBundle(path, b); err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := LoadBundle(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mb, err := OpenBundleMapped(path, MapOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mb.Close()
+	mb.viewCap = viewCap
+
+	type account struct {
+		id    platform.ID
+		local int
+	}
+	var all []account
+	for _, id := range mb.Platforms() {
+		for local := range decoded.Views[id] {
+			all = append(all, account{id, local})
+		}
+	}
+	if len(all) < 4*viewCap {
+		t.Fatalf("%d views barely exceed the cap of %d — the test would evict nothing", len(all), viewCap)
+	}
+	// inParallel runs fn on every goroutine, each with its own seeded
+	// permutation of n items, and reports the first failure.
+	inParallel := func(n int, fn func(i int) error) {
+		t.Helper()
+		var wg sync.WaitGroup
+		errs := make(chan error, goroutines)
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for _, i := range rand.New(rand.NewSource(int64(g))).Perm(n) {
+					if err := fn(i); err != nil {
+						errs <- err
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+		if n := mb.Stats().ResidentViews; n > viewCap {
+			t.Fatalf("%d views resident after every sweep finished, cap %d", n, viewCap)
+		}
+	}
+
+	// Every view, from every goroutine: each touch returns the decoded
+	// bundle's view, and at any instant at most one first touch per
+	// goroutine can be in flight past the cap.
+	for round := 0; round < 2; round++ {
+		inParallel(len(all), func(i int) error {
+			acc := all[i]
+			got, err := mb.View(acc.id, acc.local)
+			if err != nil {
+				return err
+			}
+			if want := features.RestoreView(decoded.Views[acc.id][acc.local], acc.id, acc.local); !reflect.DeepEqual(got, want) {
+				return fmt.Errorf("%s[%d]: view differs from the decoded bundle's", acc.id, acc.local)
+			}
+			if n := mb.Stats().ResidentViews; n > viewCap+goroutines {
+				return fmt.Errorf("%d views resident, cap %d with %d goroutines", n, viewCap, goroutines)
+			}
+			return nil
+		})
+	}
+	resident := 0
+	for i := range mb.viewSlots {
+		if mb.viewSlots[i].v.Load() != nil {
+			resident++
+		}
+	}
+	if st := mb.Stats(); resident != st.ResidentViews {
+		t.Fatalf("%d slots hold a view, the counter says %d", resident, st.ResidentViews)
+	}
+
+	// Scores and rankings over every index row. The impute tables are off
+	// on both sides, so every missing dimension walks the friends' views.
+	scorer := func(st *core.LazyStore, parts core.ModelParts) *core.Model {
+		t.Helper()
+		st.SetImputeTableEnabled(false)
+		m, err := core.ModelFromParts(st, parts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	mappedStore, err := mb.Store()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantStore, err := decoded.Store()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapped, want := scorer(mappedStore, mb.ModelParts()), scorer(wantStore, decoded.Model)
+	ranked := func(m *core.Model, ix blocking.IndexParts, a int) ([]string, error) {
+		row := ix.ByA[a]
+		pairs := make([][2]int, len(row))
+		for j, c := range row {
+			pairs[j] = [2]int{c.A, c.B}
+		}
+		scores := make([]float64, len(row))
+		if err := m.ScoreBatchInto(ix.PA, ix.PB, pairs, 1, scores); err != nil {
+			return nil, err
+		}
+		order := make([]int, len(row))
+		for j := range order {
+			order[j] = j
+		}
+		sort.SliceStable(order, func(x, y int) bool {
+			sx, sy := scores[order[x]], scores[order[y]]
+			return sx > sy || (sx == sy && row[order[x]].B < row[order[y]].B)
+		})
+		out := make([]string, 0, len(row)+1)
+		for _, j := range order {
+			out = append(out, fmt.Sprintf("%d:%x", row[j].B, math.Float64bits(scores[j])))
+		}
+		if len(row) > 0 {
+			s, err := m.Score(ix.PA, a, ix.PB, row[0].B)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, fmt.Sprintf("score:%x", math.Float64bits(s)))
+		}
+		return out, nil
+	}
+	for _, ix := range decoded.Indexes {
+		inParallel(len(ix.ByA), func(a int) error {
+			got, err := ranked(mapped, ix, a)
+			if err != nil {
+				return err
+			}
+			wantRank, err := ranked(want, ix, a)
+			if err != nil {
+				return err
+			}
+			if !reflect.DeepEqual(got, wantRank) {
+				return fmt.Errorf("%s/%d -> %s: mapped answers %v, decoded bundle %v", ix.PA, a, ix.PB, got, wantRank)
+			}
+			return nil
 		})
 	}
 }

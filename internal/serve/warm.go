@@ -18,7 +18,10 @@ import (
 // limit caps how many A-side accounts are warmed per platform pair
 // (spread from account 0 upward; ≤ 0 warms every account). Capping
 // matters for out-of-RAM mapped engines, where full prewarming would
-// fault in the entire working set that lazy mapping exists to avoid.
+// fault in the entire working set that lazy mapping exists to avoid —
+// and a mapped bundle keeps only a bounded set of decoded views anyway,
+// so prewarming more accounts than that set holds leaves just the last
+// ones warm.
 func (e *Engine) Prewarm(limit int) error {
 	var dst []Scored
 	for _, pp := range e.Pairs() {

@@ -330,23 +330,36 @@ func (cfg MultiResolutionConfig) Validate() error {
 // left alone where they produced none (missing information). cfg must
 // have passed Validate.
 //
-// The output layout is sensor-major: [s0w0, s0w1, ..., s1w0, ...].
+// The output layout is sensor-major: [s0w0, s0w1, ..., s1w0, ...]. Every
+// sensor sees the same windows, so each window size is scanned once and
+// every sensor's pool is fed in window order — the order, and therefore
+// the bits, of one scan per sensor.
 func (cfg MultiResolutionConfig) MatchInto(sensors []Sensor, a, b Stream, x []float64, mask []bool) {
+	var stack [4]pool // the pair pipeline runs two sensors
+	pools := stack[:]
+	if len(sensors) > len(stack) {
+		pools = make([]pool, len(sensors))
+	}
+	pools = pools[:len(sensors)]
 	nw := len(cfg.WindowsDays)
-	for si, sensor := range sensors {
-		for wi, days := range cfg.WindowsDays {
-			p := pool{q: cfg.Q, mean: cfg.MeanPooling}
-			ws := newWindowScan(a, b, time.Duration(days)*Day)
-			for ea, eb, ok := ws.next(); ok; ea, eb, ok = ws.next() {
+	for wi, days := range cfg.WindowsDays {
+		for si := range pools {
+			pools[si] = pool{q: cfg.Q, mean: cfg.MeanPooling}
+		}
+		ws := newWindowScan(a, b, time.Duration(days)*Day)
+		for ea, eb, ok := ws.next(); ok; ea, eb, ok = ws.next() {
+			for si, sensor := range sensors {
 				if v := sensor.stimulate(ea, eb); v >= 0 {
-					p.add(v)
+					pools[si].add(v)
 				}
 			}
-			if p.n == 0 {
+		}
+		for si := range pools {
+			if pools[si].n == 0 {
 				continue
 			}
 			idx := si*nw + wi
-			x[idx] = Sigmoid(p.value(), cfg.Lambda)
+			x[idx] = Sigmoid(pools[si].value(), cfg.Lambda)
 			mask[idx] = true
 		}
 	}

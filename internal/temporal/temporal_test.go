@@ -2,6 +2,7 @@ package temporal
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -373,6 +374,86 @@ func TestMultiResolutionMatch(t *testing.T) {
 	}
 	if !anyObserved {
 		t.Fatal("expected at least one observed dimension")
+	}
+}
+
+// matchPerSensor is MatchInto as it was before the windows were shared:
+// one scan per sensor per window size. It is the reference the shared
+// scan must reproduce bit for bit.
+func matchPerSensor(cfg MultiResolutionConfig, sensors []Sensor, a, b Stream, x []float64, mask []bool) {
+	nw := len(cfg.WindowsDays)
+	for si, sensor := range sensors {
+		for wi, days := range cfg.WindowsDays {
+			p := pool{q: cfg.Q, mean: cfg.MeanPooling}
+			ws := newWindowScan(a, b, time.Duration(days)*Day)
+			for ea, eb, ok := ws.next(); ok; ea, eb, ok = ws.next() {
+				if v := sensor.stimulate(ea, eb); v >= 0 {
+					p.add(v)
+				}
+			}
+			if p.n == 0 {
+				continue
+			}
+			idx := si*nw + wi
+			x[idx] = Sigmoid(p.value(), cfg.Lambda)
+			mask[idx] = true
+		}
+	}
+}
+
+// randomEvents draws n events over 60 days: location check-ins around a
+// few shared places and media postings from a small fingerprint pool, so
+// windows both match and miss, with some timestamps repeated exactly.
+func randomEvents(rng *rand.Rand, n int) []Event {
+	evs := make([]Event, n)
+	for i := range evs {
+		at := time.Duration(rng.Int63n(int64(60 * Day)))
+		if i > 0 && rng.Intn(8) == 0 {
+			at = evs[i-1].Time.Sub(t0)
+		}
+		evs[i].Time = t0.Add(at)
+		if rng.Intn(2) == 0 {
+			evs[i].MediaID = uint64(1 + rng.Intn(6))
+		} else {
+			evs[i].Lat = 30 + float64(rng.Intn(3)) + rng.Float64()*0.05
+			evs[i].Lon = 110 + float64(rng.Intn(3)) + rng.Float64()*0.05
+		}
+	}
+	return evs
+}
+
+// TestMatchIntoSharedScanBitIdentical: one window scan feeding every
+// sensor writes exactly the x and mask bits of one scan per sensor, over
+// seeded random streams, both pooling modes, and a sensor bank larger
+// than MatchInto's stack buffer.
+func TestMatchIntoSharedScanBitIdentical(t *testing.T) {
+	banks := [][]Sensor{
+		{LocationSensor{SigmaKm: 5}, MediaSensor{}},
+		{MediaSensor{}, LocationSensor{SigmaKm: 50}, LocationSensor{}, MediaSensor{}, LocationSensor{SigmaKm: 1}},
+	}
+	cfgs := []MultiResolutionConfig{
+		DefaultMultiResolutionConfig(),
+		{WindowsDays: []int{1, 3, 7}, Q: 2, Lambda: 3, MeanPooling: true},
+	}
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 300; trial++ {
+		a := NewStream(randomEvents(rng, rng.Intn(40)))
+		b := NewStream(randomEvents(rng, rng.Intn(40)))
+		for _, sensors := range banks {
+			for _, cfg := range cfgs {
+				n := len(sensors) * len(cfg.WindowsDays)
+				x, mask := make([]float64, n), make([]bool, n)
+				wx, wmask := make([]float64, n), make([]bool, n)
+				cfg.MatchInto(sensors, a, b, x, mask)
+				matchPerSensor(cfg, sensors, a, b, wx, wmask)
+				for i := range x {
+					if math.Float64bits(x[i]) != math.Float64bits(wx[i]) || mask[i] != wmask[i] {
+						t.Fatalf("trial %d, %d sensors, windows %v: dim %d = %v/%v, per-sensor scan %v/%v",
+							trial, len(sensors), cfg.WindowsDays, i, x[i], mask[i], wx[i], wmask[i])
+					}
+				}
+			}
+		}
 	}
 }
 
