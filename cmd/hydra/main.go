@@ -45,6 +45,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	variantID, err := resolveVariant(*variant)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Printf("generating %d-person world on %d platforms (seed %d)...\n", *persons, len(plats), *seed)
 	world, err := synth.Generate(synth.DefaultConfig(*persons, plats, *seed))
@@ -100,9 +104,7 @@ func main() {
 	}
 	cfg.P = *p
 	cfg.Workers = *workers
-	if *variant == "z" {
-		cfg.Variant = core.HydraZ
-	}
+	cfg.Variant = variantID
 
 	fmt.Printf("training %s (γ_L=%g, γ_M=%g, p=%g)...\n", cfg.Variant, cfg.GammaL, cfg.GammaM, cfg.P)
 	fitted, err := pipeline.Fit(blocked, cfg)
@@ -145,6 +147,18 @@ func main() {
 		}
 	}
 	os.Exit(0)
+}
+
+// resolveVariant maps the -variant flag to the missing-data variant.
+func resolveVariant(name string) (core.Variant, error) {
+	switch name {
+	case "m":
+		return core.HydraM, nil
+	case "z":
+		return core.HydraZ, nil
+	default:
+		return 0, fmt.Errorf("unknown variant %q (want m or z)", name)
+	}
 }
 
 // resolveDataset maps the flag value to platforms and linkage pairs.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"hydra/internal/blocking"
@@ -64,6 +65,26 @@ func TestTrainValidation(t *testing.T) {
 		LabelOpts{LabelFraction: 0, NegPerPos: 0, UsePreMatched: false, Seed: 1})
 	if _, err := Train(sys, unlabeled, DefaultConfig(1)); err == nil {
 		t.Fatal("expected error for unlabeled task")
+	}
+}
+
+func TestBuildBlockRejectsBadLabelOpts(t *testing.T) {
+	_, sys := buildSystem(t, 30, platform.EnglishPlatforms, 2)
+	for _, opts := range []LabelOpts{
+		{LabelFraction: 1.5, NegPerPos: 2},
+		{LabelFraction: -0.5, NegPerPos: 2},
+		{LabelFraction: math.NaN(), NegPerPos: 2},
+		{LabelFraction: 0.3, NegPerPos: -1},
+	} {
+		if _, err := BuildBlock(sys, platform.Twitter, platform.Facebook, blocking.DefaultRules(), opts); err == nil {
+			t.Fatalf("BuildBlock accepted %+v", opts)
+		}
+	}
+	for _, frac := range []float64{0, 1} {
+		if _, err := BuildBlock(sys, platform.Twitter, platform.Facebook, blocking.DefaultRules(),
+			LabelOpts{LabelFraction: frac, NegPerPos: 0}); err != nil {
+			t.Fatalf("fraction %g refused: %v", frac, err)
+		}
 	}
 }
 

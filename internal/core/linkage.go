@@ -37,6 +37,12 @@ func DefaultLabelOpts(seed int64) LabelOpts {
 // BuildBlock generates the candidate pairs for a platform pair and attaches
 // labels per opts.
 func BuildBlock(sys *System, pa, pb platform.ID, rules blocking.Rules, opts LabelOpts) (*Block, error) {
+	if !(opts.LabelFraction >= 0 && opts.LabelFraction <= 1) {
+		return nil, fmt.Errorf("core: label fraction %g outside [0, 1]", opts.LabelFraction)
+	}
+	if opts.NegPerPos < 0 {
+		return nil, fmt.Errorf("core: negative NegPerPos %d", opts.NegPerPos)
+	}
 	platA, err := sys.DS.Platform(pa)
 	if err != nil {
 		return nil, err

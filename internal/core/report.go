@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 
-	"hydra/internal/admm"
 	"hydra/internal/linalg"
 )
 
@@ -18,12 +17,12 @@ type GroupWeight struct {
 	Share  float64 // Weight / Σ Weight
 }
 
-// FeatureGroupReport fits an l2-regularized linear model on the task's
-// labeled pairs and reports how the weight mass distributes over the
-// feature groups (attr / face / username / topic / genre / sentiment /
-// style / mr). It quantifies which behavioral modality carries the linkage
-// signal on a given dataset — the diagnostic counterpart of the paper's
-// attribute-importance learning.
+// FeatureGroupReport fits the ridge model min ‖Xw − y‖² + ‖w‖² exactly on
+// the task's labeled pairs and reports how the weight mass distributes
+// over the feature groups (attr / face / username / topic / genre /
+// sentiment / style / mr). It quantifies which behavioral modality
+// carries the linkage signal on a given dataset — the diagnostic
+// counterpart of the paper's attribute-importance learning.
 func FeatureGroupReport(sys *System, task *Task, variant Variant) ([]GroupWeight, error) {
 	var xs []linalg.Vector
 	var ys []float64
@@ -41,24 +40,20 @@ func FeatureGroupReport(sys *System, task *Task, variant Variant) ([]GroupWeight
 	if len(xs) == 0 {
 		return nil, fmt.Errorf("core: FeatureGroupReport needs labeled pairs")
 	}
-	shards, err := admm.Split(xs, ys, 4)
-	if err != nil {
-		return nil, err
-	}
-	res, err := admm.Solve(shards, len(xs[0]), admm.Opts{Lambda: 1, MaxIter: 300, Tol: 1e-7})
+	w, err := solveRidge(xs, ys, 1)
 	if err != nil {
 		return nil, err
 	}
 	groups := sys.Pipe.FeatureGroups()
-	if len(groups) != len(res.W) {
-		return nil, fmt.Errorf("core: weight dim %d != feature dim %d", len(res.W), len(groups))
+	if len(groups) != len(w) {
+		return nil, fmt.Errorf("core: weight dim %d != feature dim %d", len(w), len(groups))
 	}
 	acc := make(map[string]float64)
 	var total float64
 	for d, g := range groups {
-		w := math.Abs(res.W[d])
-		acc[g] += w
-		total += w
+		a := math.Abs(w[d])
+		acc[g] += a
+		total += a
 	}
 	out := make([]GroupWeight, 0, len(acc))
 	for g, w := range acc {
@@ -75,6 +70,31 @@ func FeatureGroupReport(sys *System, task *Task, variant Variant) ([]GroupWeight
 		return out[i].Group < out[j].Group
 	})
 	return out, nil
+}
+
+// solveRidge returns the exact minimizer of ‖Xw − y‖² + λ‖w‖². It
+// accumulates the normal equations (XᵀX + λI)w = Xᵀy over the rows in
+// ascending order and solves them by Cholesky, as the prescreen's ridge
+// fit does.
+func solveRidge(xs []linalg.Vector, ys []float64, lambda float64) (linalg.Vector, error) {
+	dim := len(xs[0])
+	gram := linalg.NewMatrix(dim, dim)
+	rhs := linalg.NewVector(dim)
+	for r, x := range xs {
+		for i, xi := range x {
+			rhs[i] += xi * ys[r]
+			row := gram.Row(i)
+			for j, xj := range x {
+				row[j] += xi * xj
+			}
+		}
+	}
+	gram.AddDiag(lambda)
+	chol, err := gram.Cholesky(0)
+	if err != nil {
+		return nil, fmt.Errorf("core: ridge solve: %w", err)
+	}
+	return linalg.SolveCholesky(chol, rhs), nil
 }
 
 // FormatGroupWeights renders the report as an aligned text table.

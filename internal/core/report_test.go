@@ -1,9 +1,11 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
+	"hydra/internal/linalg"
 	"hydra/internal/platform"
 )
 
@@ -50,5 +52,50 @@ func TestFeatureGroupReportNoLabels(t *testing.T) {
 		LabelOpts{LabelFraction: 0, Seed: 26})
 	if _, err := FeatureGroupReport(sys, task, HydraZ); err == nil {
 		t.Fatal("expected error without labels")
+	}
+}
+
+// TestFeatureGroupReportSolvesRidge pins the report to its objective,
+// min ‖Xw − y‖² + ‖w‖²: it rebuilds the labeled rows, solves the normal
+// equations independently (XᵀX by matrix product, LU instead of the
+// report's Cholesky) and requires every group weight to agree.
+func TestFeatureGroupReportSolvesRidge(t *testing.T) {
+	_, sys := buildSystem(t, 50, platform.EnglishPlatforms, 25)
+	task := buildTask(t, sys, platform.Twitter, platform.Facebook, DefaultLabelOpts(25))
+	gws, err := FeatureGroupReport(sys, task, HydraM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows [][]float64
+	var ys []float64
+	for _, b := range task.Blocks {
+		for _, ci := range b.SortedLabelIndices() {
+			c := b.Cands[ci]
+			x, err := sys.Impute(b.PA, c.A, b.PB, c.B, HydraM, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows = append(rows, x)
+			ys = append(ys, b.Labels[ci])
+		}
+	}
+	x := linalg.NewMatrixFrom(rows)
+	xt := x.T()
+	lu, err := linalg.Factorize(xt.Mul(x).AddDiag(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := lu.Solve(xt.MulVec(ys))
+	want := map[string]float64{}
+	for d, g := range sys.Pipe.FeatureGroups() {
+		want[g] += math.Abs(w[d])
+	}
+	if len(gws) != len(want) {
+		t.Fatalf("report has %d groups, want %d", len(gws), len(want))
+	}
+	for _, g := range gws {
+		if math.Abs(g.Weight-want[g.Group]) > 1e-9*want[g.Group] {
+			t.Errorf("group %s: weight %.12g, ridge solution %.12g", g.Group, g.Weight, want[g.Group])
+		}
 	}
 }

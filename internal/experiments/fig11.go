@@ -49,7 +49,7 @@ func Figure11(cfg Config) (*Result, error) {
 		for fi, frac := range fractions {
 			tasks[fi] = subsampleUnlabeled(full, frac, cfg.Seed)
 		}
-		runGrid(st.sys, cfg, res, ds.name, fractions, tasks)
+		runGrid(st.sys, cfg, res, ds.name+"/", fractions, tasks)
 	}
 	res.Note("paper shape: baselines do much worse than with labels (Fig 9); HYDRA survives the unlabeled regime")
 	return res, nil

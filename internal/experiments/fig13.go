@@ -12,9 +12,8 @@ import (
 // paper observes an overall performance drop (different writing styles and
 // social circles) with HYDRA still dominating the baselines.
 //
-// The (fraction × method) grid fans out over the worker pool like the
-// fig8–fig12 sweeps, with index-ordered collection so the result table is
-// identical to the sequential loop at any worker count.
+// The (fraction × method) grid is runGrid's, as in figures 9 and 11, with
+// no dataset prefix on the series names.
 func Figure13(cfg Config) (*Result, error) {
 	st, err := newSetup(setupOpts{
 		persons:   cfg.persons(90),
@@ -47,24 +46,7 @@ func Figure13(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	names := allLinkers(cfg.Seed, 1)
-	nLinkers := len(names)
-	inner := innerWorkers(len(fractions)*nLinkers, cfg)
-	outs := parallel.Map(cfg.Workers, len(fractions)*nLinkers, func(i int) runResult {
-		fi, li := i/nLinkers, i%nLinkers
-		linker := allLinkers(cfg.Seed, inner)[li]
-		return runPoint(st.sys, linker, tasks[fi], inner)
-	})
-	for fi, frac := range fractions {
-		for li := 0; li < nLinkers; li++ {
-			out := outs[fi*nLinkers+li]
-			if out.err != nil {
-				res.Note("%s at frac %.2f failed: %v", names[li].Name(), frac, out.err)
-				continue
-			}
-			res.AddPoint(names[li].Name(), frac, out.conf.Precision(), out.conf.Recall(), out.secs)
-		}
-	}
+	runGrid(st.sys, cfg, res, "", fractions, tasks)
 	res.Note("paper shape: obvious performance drop vs single-culture linkage, HYDRA still best")
 	return res, nil
 }

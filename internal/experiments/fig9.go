@@ -61,7 +61,7 @@ func Figure9(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		runGrid(st.sys, cfg, res, ds.name, fractions, tasks)
+		runGrid(st.sys, cfg, res, ds.name+"/", fractions, tasks)
 	}
 	res.Note("paper shape: all methods improve with labels; HYDRA improves fastest and dominates; English > Chinese")
 	return res, nil

@@ -194,8 +194,9 @@ func innerWorkers(points int, cfg Config) int {
 
 // runGrid fans out the (task × method) grid shared by the labeled- and
 // unlabeled-sweep figures and appends rows and failure notes to res in
-// grid order — identical output at any worker count.
-func runGrid(sys *core.System, cfg Config, res *Result, dsName string, xs []float64, tasks []*core.Task) {
+// grid order — identical output at any worker count. prefix starts every
+// series name and note ("english/" names the dataset, "" none).
+func runGrid(sys *core.System, cfg Config, res *Result, prefix string, xs []float64, tasks []*core.Task) {
 	names := allLinkers(cfg.Seed, 1)
 	nLinkers := len(names)
 	inner := innerWorkers(len(xs)*nLinkers, cfg)
@@ -208,10 +209,10 @@ func runGrid(sys *core.System, cfg Config, res *Result, dsName string, xs []floa
 		for li := 0; li < nLinkers; li++ {
 			out := outs[fi*nLinkers+li]
 			if out.err != nil {
-				res.Note("%s/%s at frac %.2f failed: %v", dsName, names[li].Name(), x, out.err)
+				res.Note("%s%s at frac %.2f failed: %v", prefix, names[li].Name(), x, out.err)
 				continue
 			}
-			res.AddPoint(dsName+"/"+names[li].Name(), x, out.conf.Precision(), out.conf.Recall(), out.secs)
+			res.AddPoint(prefix+names[li].Name(), x, out.conf.Precision(), out.conf.Recall(), out.secs)
 		}
 	}
 }

@@ -154,21 +154,3 @@ func SolveCholesky(l *Matrix, b Vector) Vector {
 	}
 	return x
 }
-
-// Solve solves m x = b for symmetric positive-definite m via Cholesky,
-// retrying with growing diagonal jitter when the factorization fails.
-func (m *Matrix) Solve(b Vector) (Vector, error) {
-	jitter := 0.0
-	for attempt := 0; attempt < 6; attempt++ {
-		l, err := m.Cholesky(jitter)
-		if err == nil {
-			return SolveCholesky(l, b), nil
-		}
-		if jitter == 0 {
-			jitter = 1e-10
-		} else {
-			jitter *= 100
-		}
-	}
-	return nil, fmt.Errorf("linalg: Solve failed for %dx%d matrix even with jitter", m.Rows, m.Cols)
-}

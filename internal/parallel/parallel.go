@@ -1,12 +1,12 @@
 // Package parallel provides the shared worker-pool primitives behind
 // HYDRA's hot paths: kernel Gram/CrossGram construction, blocking
 // candidate scoring, per-candidate feature assembly, the blocked dense
-// linear algebra of internal/linalg (Mul/LU), the ADMM shard solves, grid
-// search and the experiment
-// sweeps. All helpers take an explicit worker count (0 or negative resolves
-// to runtime.GOMAXPROCS(0)) and guarantee deterministic, index-ordered
-// results: every output slot is addressed by its input index, so the
-// answer is bit-for-bit identical whether one worker or many ran the loop.
+// linear algebra of internal/linalg (Mul/LU), the prescreen build, grid
+// search and the experiment sweeps. All helpers take an explicit worker
+// count (0 or negative resolves to runtime.GOMAXPROCS(0)) and guarantee
+// deterministic, index-ordered results: every output slot is addressed by
+// its input index, so the answer is bit-for-bit identical whether one
+// worker or many ran the loop.
 // Callers keep any RNG state per task (seeded from the task index), never
 // shared across goroutines.
 package parallel
