@@ -44,9 +44,10 @@ test:
 # prescreen oracles (TestPrescreen*) and its fanned-out pack-time build
 # (TestBuildPrescreenWorkersBitIdentical), the pack-time impute table vs
 # live-path twins (TestImpute*), the racing first touches of per-view
-# derived state (TestPairConcurrentFirstTouch), the staged pipeline, the
-# parallel figure sweeps and the fanned-out synth generator
-# (*Workers*/*Determinism* tests) all match the filter.
+# derived state (TestPairConcurrentFirstTouch), a mapped bundle's view
+# evictions and page drops under concurrent decodes (TestMapped*Concurrent),
+# the staged pipeline, the parallel figure sweeps and the fanned-out
+# synth generator (*Workers*/*Determinism* tests) all match the filter.
 # Allocation-budget tests are deliberately named outside it: the race
 # runtime inflates AllocsPerRun.
 race:
@@ -67,24 +68,29 @@ chaos:
 
 # fuzz-smoke gives each native fuzz target a short budget on top of the
 # checked-in corpus, inside make ci because the readers decide which
-# files a server accepts — long runs are manual
+# files a server accepts, and the world decoder which files training
+# accepts — long runs are manual
 # (`go test -fuzz FuzzReadBundle -fuzztime 10m ./internal/pipeline/`).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadBundle -fuzztime 10s ./internal/pipeline/
 	$(GO) test -run '^$$' -fuzz FuzzOpenBundleMapped -fuzztime 10s ./internal/pipeline/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeWorld -fuzztime 10s ./internal/platform/
 
 # bench-smoke runs every serve benchmark, the pair kernel's
-# (BenchmarkPair: first-touch and steady) and the two training hot spots
+# (BenchmarkPair: first-touch and steady), the two training hot spots
 # (BenchmarkStructureBuild: Eqn 9's matrix over seeded synthetic graphs;
 # BenchmarkBuildPrescreen: the pack-time prescreen fit over trained parts
-# and a fixed query sample) once (-benchtime=1x) as part of make ci — not
-# for numbers (those come from `make bench`), but so the microbenchmarks
-# themselves (fixtures, pooled buffers, the v3 decode path, the
-# wide-shard exact vs two-tier prescreen pair, the derived per-view
-# state, the training fixtures) cannot rot between perf PRs.
+# and a fixed query sample) and the price of a mapped view's page drop
+# (BenchmarkMappedViewRedecode: a view decoded from dropped vs resident
+# pages) once (-benchtime=1x) as part of make ci — not for numbers
+# (those come from `make bench`), but so the microbenchmarks themselves
+# (fixtures, pooled buffers, the v3 decode path, the wide-shard exact vs
+# two-tier prescreen pair, the derived per-view state, the training
+# fixtures) cannot rot between perf PRs.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Serve|Pair' -benchtime=1x ./internal/serve/ ./internal/features/
 	$(GO) test -run '^$$' -bench 'StructureBuild|BuildPrescreen' -benchtime=1x ./internal/structure/ ./internal/core/
+	$(GO) test -run '^$$' -bench 'MappedViewRedecode' -benchtime=1x ./internal/pipeline/
 
 # bench runs the repository's benchmark: the five BENCHMARK.json
 # workloads over one fixed world, every answer checked bit for bit

@@ -6,22 +6,38 @@ package pipeline
 // section is exposed as a lazy view: account views, friend slices and
 // index rows are located by a cheap skip-scan at open time (offsets
 // only — no allocation proportional to payload) and materialized on
-// first touch. Vector payloads that land 8-byte aligned on a
-// little-endian host are reinterpreted in place (see aliasFloat64s);
-// everything else copy-decodes to the identical bits. Cold start is
-// therefore O(header + offsets) instead of O(bundle), and resident
-// memory tracks the working set, not the file.
+// first touch. Cold start is therefore O(header + offsets) instead of
+// O(bundle).
 //
-// Decoded views are the bulk of that memory (a view plus its derived
-// state is ≈ 9 KB on the benchmark's world), so they alone are bounded:
-// at most maxResidentViews stay cached, and a second-chance (CLOCK)
-// sweep drops the least recently touched once a first touch crosses the
-// cap. Friend slices and index rows are small and stay cached for the
-// life of the mapping.
+// Two things bound resident memory, one per kind of page:
 //
-// Lifetime: anything materialized from the mapping may alias it, so the
-// mapping must outlive every reader. Close unmaps; callers (the serve
-// engine) must drain in-flight queries first — see serve.Engine.Retire.
+//   - Heap: decoded views are the bulk of it (a view plus its derived
+//     state is ≈ 9 KB on the benchmark's world), so they alone are
+//     capped: at most maxResidentViews stay cached, and a second-chance
+//     (CLOCK) sweep drops the least recently touched once a first touch
+//     crosses the cap. Friend slices and index rows are small and stay
+//     cached for the life of the mapping.
+//   - File pages: every read of the mapping faults pages in, and the
+//     kernel can map far more than the bytes read (≈ 300 KB for a
+//     one-byte read on linux 6.x), so a window of scattered first
+//     touches would otherwise leave the whole file resident. Views,
+//     friend slices and index rows therefore always copy-decode —
+//     nothing materialized from those three sections needs the file
+//     again — and their pages are handed back (dropLazy): by the
+//     open-time skip-scan every scanDropStep bytes, and after every
+//     sweep batch (viewCap/8) of first-touch view decodes. Dropped pages
+//     re-fault from the page cache with identical bytes, so no answer
+//     can change.
+//
+// The model, prescreen and impute-table sections are decoded once at
+// open, and their vectors alias the mapping where the host byte order
+// and the payload's 8-byte alignment allow (see aliasFloat64s); their
+// pages are never handed back.
+//
+// Lifetime: the model, prescreen and impute-table vectors may alias the
+// mapping, so it must outlive every reader. Close unmaps; callers (the
+// serve engine) must drain in-flight queries first — see
+// serve.Engine.Retire.
 
 import (
 	"encoding/binary"
@@ -48,17 +64,26 @@ import (
 // 50k-account bundle no longer keeps every view it ever decoded.
 const maxResidentViews = 4096
 
+// scanDropStep is how far the open-time skip-scan reads past the pages
+// it has handed back, and so the scan's own peak residency.
+const scanDropStep = 16 << 20
+
+// pageSize is the granularity pages are handed back at.
+var pageSize = os.Getpagesize()
+
 // MapOptions tunes OpenBundleMapped.
 type MapOptions struct {
 	// NoMmap skips the memory map and reads the whole file into heap
 	// memory instead. Sections still decode lazily; only the backing
-	// storage changes. This is also the silent fallback when the
+	// storage changes, and nothing is ever handed back (the copy is
+	// anonymous memory). This is also the silent fallback when the
 	// platform cannot mmap.
 	NoMmap bool
 
-	// NoZeroCopy forces every vector to copy-decode instead of aliasing
-	// the mapping. Bit-identical output either way; this exists for the
-	// equivalence tests and as an operational escape hatch.
+	// NoZeroCopy forces the model, prescreen and impute-table vectors to
+	// copy-decode instead of aliasing the mapping. Views never alias it,
+	// with or without this. Bit-identical output either way; this exists
+	// for the equivalence tests and as an operational escape hatch.
 	NoZeroCopy bool
 }
 
@@ -106,6 +131,14 @@ type MappedBundle struct {
 	viewCap   int
 	sweepMu   sync.Mutex
 	hand      int
+
+	// lazyLo and lazyHi bound the page-aligned interior of the view,
+	// friend and index sections (file offsets): the pages dropLazy may
+	// hand back. viewDecodes counts first-touch view decodes, which pace
+	// the drops; scanDropAt is where the open-time scan next drops.
+	lazyLo, lazyHi int
+	viewDecodes    atomic.Int64
+	scanDropAt     int
 
 	aliased, copied                atomic.Uint64
 	resViews, resFriends, resRows  atomic.Int64
@@ -177,12 +210,10 @@ func OpenBundleMapped(path string, opts MapOptions) (*MappedBundle, error) {
 		mb.Close()
 		return nil, err
 	}
-	if mb.mapped {
-		// The skip-scan just streamed through every page once; give the
-		// residency back so cold-start RSS is O(header + offset tables),
-		// not O(bundle). Queries fault back exactly what they touch.
-		dropResident(mb.data)
-	}
+	// The skip-scan handed its pages back a step at a time; give back its
+	// last partial step too, so cold-start RSS is O(header + offset
+	// tables + the aliased sections), not O(bundle).
+	mb.dropLazy(len(mb.data))
 	return mb, nil
 }
 
@@ -228,12 +259,23 @@ func (mb *MappedBundle) open() error {
 		return err
 	}
 
-	var secs [4][]byte
-	for i, what := range []string{"model section", "view section", "friend section", "index section"} {
+	modelBuf, err := block("model section")
+	if err != nil {
+		return err
+	}
+	// The view, friend and index sections are contiguous, and nothing
+	// materialized from them aliases the mapping: their page-aligned
+	// interior is what dropLazy may hand back.
+	lazyStart := off
+	var secs [3][]byte
+	for i, what := range []string{"view section", "friend section", "index section"} {
 		if secs[i], err = block(what); err != nil {
 			return err
 		}
 	}
+	mb.lazyLo = (lazyStart + pageSize - 1) &^ (pageSize - 1)
+	mb.lazyHi = off &^ (pageSize - 1)
+	mb.scanDropAt = lazyStart + scanDropStep
 	var prescreenBuf, tableBuf []byte
 	if mb.header.Prescreen != nil {
 		if prescreenBuf, err = block("prescreen section"); err != nil {
@@ -249,7 +291,7 @@ func (mb *MappedBundle) open() error {
 		return fmt.Errorf("pipeline: v3 bundle has %d trailing bytes — corrupt bundle", len(data)-off)
 	}
 
-	if err := mb.decodeModel(secs[0]); err != nil {
+	if err := mb.decodeModel(modelBuf); err != nil {
 		return err
 	}
 	if err := mb.decodePrescreen(prescreenBuf); err != nil {
@@ -258,13 +300,25 @@ func (mb *MappedBundle) open() error {
 	if err := mb.decodeImputeTable(tableBuf); err != nil {
 		return err
 	}
-	if err := mb.scanViews(secs[1]); err != nil {
+	if err := mb.scanViews(secs[0]); err != nil {
 		return err
 	}
-	if err := mb.scanFriends(secs[2]); err != nil {
+	if err := mb.scanFriends(secs[1]); err != nil {
 		return err
 	}
-	return mb.scanIndexes(secs[3])
+	return mb.scanIndexes(secs[2])
+}
+
+// dropLazy hands back the resident pages of the lazy sections' interior
+// that lie wholly before file offset end. Those pages re-fault from the
+// page cache with identical bytes, so this only trims residency. It
+// never runs on a heap copy, where MADV_DONTNEED would zero-fill the
+// bytes instead.
+func (mb *MappedBundle) dropLazy(end int) {
+	end = min(end&^(pageSize-1), mb.lazyHi)
+	if mb.mapped && end > mb.lazyLo {
+		dropResident(mb.data[mb.lazyLo:end])
+	}
 }
 
 func (mb *MappedBundle) decodeModel(buf []byte) error {
@@ -354,6 +408,7 @@ func (mb *MappedBundle) scanViews(buf []byte) error {
 			r.skipVecs()    // genre dists
 			r.skipVecs()    // sentiment dists
 			r.skipSlice(8)  // embedding
+			r.scanned()
 		}
 		mb.views[id] = mv
 		mb.totalViews += nv
@@ -380,6 +435,7 @@ func (mb *MappedBundle) scanFriends(buf []byte) error {
 		for i := 0; i < nf && r.err == nil; i++ {
 			mf.off[i] = r.off
 			r.skipSlice(16)
+			r.scanned()
 		}
 		mb.friends[id] = mf
 		mb.totalFriends += nf
@@ -402,6 +458,7 @@ func (mb *MappedBundle) scanIndexes(buf []byte) error {
 					r.take(17 * m)
 					mi.rowLen[i] = m
 				}
+				r.scanned()
 			}
 			mb.rows += nrows
 		}
@@ -452,15 +509,25 @@ func (mb *MappedBundle) View(id platform.ID, local int) (*features.AccountView, 
 		}
 		return v, nil
 	}
+	// The decode faulted in far more of the file than it read, and the
+	// view no longer needs any of it: every sweep batch of first touches,
+	// hand the lazy sections' pages back.
+	if mb.viewDecodes.Add(1)%mb.sweepBatch() == 0 {
+		mb.dropLazy(len(mb.data))
+	}
 	if mb.resViews.Add(1) > int64(mb.viewCap) {
 		mb.evictViews()
 	}
 	return v, nil
 }
 
+// sweepBatch is how many views a sweep evicts, an eighth of the cap, and
+// so how many first touches apart sweeps — and page drops — run.
+func (mb *MappedBundle) sweepBatch() int64 { return int64(max(mb.viewCap/8, 1)) }
+
 // evictViews runs when a first touch has pushed the resident count over
-// the cap: it sweeps down to cap − cap/8, so the next sweep is an eighth
-// of the cap's first touches away. Goroutines that crossed the cap while
+// the cap: it sweeps down to cap − sweepBatch, so the next sweep is a
+// batch of first touches away. Goroutines that crossed the cap while
 // another was sweeping wait for it and find nothing left to do.
 func (mb *MappedBundle) evictViews() {
 	mb.sweepMu.Lock()
@@ -468,7 +535,7 @@ func (mb *MappedBundle) evictViews() {
 	if mb.resViews.Load() <= int64(mb.viewCap) {
 		return
 	}
-	target := int64(mb.viewCap - mb.viewCap/8)
+	target := int64(mb.viewCap) - mb.sweepBatch()
 	for mb.resViews.Load() > target {
 		s := &mb.viewSlots[mb.hand]
 		if mb.hand++; mb.hand == len(mb.viewSlots) {
@@ -627,21 +694,23 @@ func (mb *MappedBundle) Close() error {
 // point into the mapping and share its lifetime.
 type mapReader struct {
 	binSection
-	mb *MappedBundle
+	mb       *MappedBundle
+	copyVecs bool // copy-decode even where aliasing is legal
 }
 
+// reader reads a section decoded at open, whose vectors may alias.
 func (mb *MappedBundle) reader(buf []byte) *mapReader {
-	return &mapReader{binSection: binSection{buf: buf}, mb: mb}
+	return &mapReader{binSection: binSection{buf: buf}, mb: mb, copyVecs: mb.noAlias}
 }
 
+// readerAt reads one lazy entry (a view, friend slice or index row),
+// which always copy-decodes so that its pages can be handed back.
 func (mb *MappedBundle) readerAt(buf []byte, off int) *mapReader {
-	r := mb.reader(buf)
-	r.off = off
-	return r
+	return &mapReader{binSection: binSection{buf: buf, off: off}, mb: mb, copyVecs: true}
 }
 
 // vec decodes one vector, aliasing the payload in place when the host
-// byte order, alignment and options allow, copy-decoding otherwise.
+// byte order, alignment and reader allow, copy-decoding otherwise.
 // Shadowing binSection.vec is deliberate; vecs below re-dispatches to
 // this method.
 func (r *mapReader) vec() linalg.Vector {
@@ -653,7 +722,7 @@ func (r *mapReader) vec() linalg.Vector {
 	if r.err != nil {
 		return nil
 	}
-	if !r.mb.noAlias {
+	if !r.copyVecs {
 		if v, ok := aliasFloat64s(p, n); ok {
 			r.mb.aliased.Add(1)
 			return v
@@ -714,6 +783,19 @@ func (r *mapReader) skipVecs() {
 	}
 	for i := 0; i < n; i++ {
 		r.skipSlice(8)
+	}
+}
+
+// scanned runs after each entry of an open-time skip-scan: once the scan
+// is scanDropStep past its last drop, it hands back what it has read,
+// so open's own peak residency is one step, not the file.
+func (r *mapReader) scanned() {
+	// r.buf is a two-index subslice of the mapping, so the capacity it
+	// lost is its file offset.
+	pos := cap(r.mb.data) - cap(r.buf) + r.off
+	if pos >= r.mb.scanDropAt {
+		r.mb.dropLazy(pos)
+		r.mb.scanDropAt = pos + scanDropStep
 	}
 }
 

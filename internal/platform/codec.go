@@ -111,7 +111,10 @@ func Encode(w io.Writer, d *Dataset) error {
 	return enc.Encode(wd)
 }
 
-// Decode reads a dataset previously written by Encode.
+// Decode reads a dataset previously written by Encode. A world file is
+// input: an edge whose endpoint is not one of its platform's accounts,
+// or whose weight is negative, is refused with an error naming the
+// platform and the edge's index.
 func Decode(r io.Reader) (*Dataset, error) {
 	var wd wireDataset
 	if err := json.NewDecoder(r).Decode(&wd); err != nil {
@@ -141,7 +144,13 @@ func Decode(r io.Reader) (*Dataset, error) {
 			}
 			p.Accounts = append(p.Accounts, acc)
 		}
-		for _, e := range wp.Edges {
+		for j, e := range wp.Edges {
+			if n := len(wp.Accounts); e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
+				return nil, fmt.Errorf("platform: edge %d of %s joins accounts %d and %d, outside [0,%d)", j, wp.ID, e.U, e.V, n)
+			}
+			if e.W < 0 {
+				return nil, fmt.Errorf("platform: edge %d of %s has negative weight %v", j, wp.ID, e.W)
+			}
 			p.Graph.AddEdge(e.U, e.V, e.W)
 		}
 		if err := d.AddPlatform(p); err != nil {
