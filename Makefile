@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet cross build test race chaos fuzz-smoke bench bench-smoke figures
+.PHONY: ci fmt vet cross build test race chaos fuzz-smoke bench bench-smoke figures lines
 
 ci: fmt vet cross build test chaos bench-smoke fuzz-smoke
 
@@ -102,3 +102,10 @@ bench:
 # figures regenerates every figure table (the full experiment suite).
 figures:
 	$(GO) run ./cmd/hydra-bench
+
+# lines prints the Go line counts outside bench/, all files and then
+# non-test files, over what git tracks (stage new files first). A deletion
+# change quotes its before and after.
+lines:
+	@git ls-files '*.go' ':!:bench/' | xargs cat | wc -l | xargs printf 'go outside bench/: %7d lines\n'
+	@git ls-files '*.go' ':!:bench/' ':!:*_test.go' | xargs cat | wc -l | xargs printf '  non-test:        %7d lines\n'

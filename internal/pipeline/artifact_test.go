@@ -43,6 +43,16 @@ func fitWorld(t *testing.T, worldPath string, seed int64, workers int) *FitState
 	if err != nil {
 		t.Fatal(err)
 	}
+	fitted, err := fitDataset(ds, seed, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fitted
+}
+
+// fitDataset runs Systemize → Block → Fit on a loaded dataset with the
+// cmd defaults (and a shortened LDA).
+func fitDataset(ds *platform.Dataset, seed int64, workers int) (*FitState, error) {
 	lx := synth.BuildLexicons(8, 40)
 	fcfg := features.DefaultConfig(seed)
 	fcfg.LDAIterations = 25
@@ -55,7 +65,7 @@ func fitWorld(t *testing.T, worldPath string, seed int64, workers int) *FitState
 		FeatCfg:      fcfg,
 	})
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	rules := blocking.DefaultRules()
 	rules.Workers = workers
@@ -65,15 +75,11 @@ func fitWorld(t *testing.T, worldPath string, seed int64, workers int) *FitState
 		Label: core.LabelOpts{LabelFraction: 0.3, NegPerPos: 2, UsePreMatched: true, Seed: seed},
 	})
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	hcfg := core.DefaultConfig(seed)
 	hcfg.Workers = workers
-	fitted, err := Fit(blocked, hcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return fitted
+	return Fit(blocked, hcfg)
 }
 
 // TestArtifactWorldMismatch asserts BundleFromArtifact refuses any

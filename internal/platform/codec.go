@@ -112,20 +112,37 @@ func Encode(w io.Writer, d *Dataset) error {
 }
 
 // Decode reads a dataset previously written by Encode. A world file is
-// input: an edge whose endpoint is not one of its platform's accounts,
-// or whose weight is negative, is refused with an error naming the
-// platform and the edge's index.
+// input, and Decode refuses what no generator writes: a span that does not
+// end after it starts; an account whose person already has an account on
+// its platform; an event whose latitude or longitude is off the globe; an
+// edge whose endpoint is not one of its platform's accounts, or whose
+// weight is negative. Each error names the platform and the index.
 func Decode(r io.Reader) (*Dataset, error) {
 	var wd wireDataset
 	if err := json.NewDecoder(r).Decode(&wd); err != nil {
 		return nil, fmt.Errorf("platform: decode dataset: %w", err)
 	}
-	d := NewDataset(temporal.Range{Start: wd.SpanStart, End: wd.SpanEnd})
+	span := temporal.Range{Start: wd.SpanStart, End: wd.SpanEnd}
+	if !span.Valid() {
+		return nil, fmt.Errorf("platform: span_end %s is not after span_start %s",
+			wd.SpanEnd.Format(time.RFC3339), wd.SpanStart.Format(time.RFC3339))
+	}
+	d := NewDataset(span)
 	for _, wp := range wd.Platforms {
 		p := &Platform{ID: wp.ID, Graph: graph.New(len(wp.Accounts))}
+		owner := make(map[int]int, len(wp.Accounts)) // person -> account index
 		for i, wa := range wp.Accounts {
 			if wa.Local != i {
 				return nil, fmt.Errorf("platform: account %d of %s has local id %d", i, wp.ID, wa.Local)
+			}
+			if j, dup := owner[wa.Person]; dup {
+				return nil, fmt.Errorf("platform: accounts %d and %d of %s both belong to person %d", j, i, wp.ID, wa.Person)
+			}
+			owner[wa.Person] = i
+			for k, ev := range wa.Events {
+				if ev.Lat < -90 || ev.Lat > 90 || ev.Lon < -180 || ev.Lon > 180 {
+					return nil, fmt.Errorf("platform: event %d of account %d of %s is at (%v, %v), off the globe", k, i, wp.ID, ev.Lat, ev.Lon)
+				}
 			}
 			acc := &Account{
 				Platform: wp.ID,

@@ -2,6 +2,7 @@ package platform_test
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -19,9 +20,36 @@ var badEdgeWorlds = []struct{ name, edge, want string }{
 	{"negative-weight", `{"U":0,"V":0,"W":-0.5}`, "edge 0 of twitter has negative weight -0.5"},
 }
 
-func oneAccountWorld(edge string) string {
-	return `{"span_start":"2012-06-01T00:00:00Z","span_end":"2013-06-01T00:00:00Z","platforms":[` +
-		`{"id":"twitter","accounts":[{"local":0,"person":0,"username":"a"}],"edges":[` + edge + `]}]}`
+const (
+	validSpan   = `"span_start":"2012-06-01T00:00:00Z","span_end":"2013-06-01T00:00:00Z"`
+	oneAccount  = `{"local":0,"person":0,"username":"a"}`
+	eventsAt    = `{"local":0,"person":0,"username":"a","events":[{"time":"2012-07-01T00:00:00Z","lat":%v,"lon":%v}]}`
+	twoAccounts = `{"local":0,"person":3,"username":"a"},{"local":1,"person":%d,"username":"b"}`
+)
+
+// twitterWorld is a one-platform world file.
+func twitterWorld(span, accounts, edges string) string {
+	return `{` + span + `,"platforms":[{"id":"twitter","accounts":[` + accounts + `],"edges":[` + edges + `]}]}`
+}
+
+func oneAccountWorld(edge string) string { return twitterWorld(validSpan, oneAccount, edge) }
+
+// badWorlds are worlds no generator writes. Each would otherwise train
+// without complaint: a latitude of 1e6 moves F1, and a second account of
+// one person replaces the first in the ground truth.
+var badWorlds = []struct{ name, world, want string }{
+	{"span-swapped", twitterWorld(`"span_start":"2013-06-01T00:00:00Z","span_end":"2012-06-01T00:00:00Z"`, oneAccount, ""),
+		"span_end 2012-06-01T00:00:00Z is not after span_start 2013-06-01T00:00:00Z"},
+	{"span-empty", twitterWorld(`"span_start":"2012-06-01T00:00:00Z","span_end":"2012-06-01T00:00:00Z"`, oneAccount, ""),
+		"is not after span_start"},
+	{"latitude-off-globe", twitterWorld(validSpan, fmt.Sprintf(eventsAt, 1e6, 0), ""),
+		"event 0 of account 0 of twitter is at (1e+06, 0), off the globe"},
+	{"latitude-below-pole", twitterWorld(validSpan, fmt.Sprintf(eventsAt, -90.5, 0), ""),
+		"event 0 of account 0 of twitter is at (-90.5, 0)"},
+	{"longitude-off-globe", twitterWorld(validSpan, fmt.Sprintf(eventsAt, 0, 180.5), ""),
+		"event 0 of account 0 of twitter is at (0, 180.5)"},
+	{"duplicate-person", twitterWorld(validSpan, fmt.Sprintf(twoAccounts, 3), ""),
+		"accounts 0 and 1 of twitter both belong to person 3"},
 }
 
 func TestDecodeRefusesBadEdges(t *testing.T) {
@@ -40,11 +68,33 @@ func TestDecodeRefusesBadEdges(t *testing.T) {
 	}
 }
 
-// genWorld is what `hydra-gen -persons n -seed seed` writes.
+func TestDecodeRefusesBadWorlds(t *testing.T) {
+	for _, tc := range badWorlds {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := platform.Decode(strings.NewReader(tc.world))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Decode = %v, want an error containing %q", err, tc.want)
+			}
+		})
+	}
+	// The edges of each check still decode: the poles, the antimeridian
+	// and two persons with one account each.
+	for _, ok := range []string{
+		twitterWorld(validSpan, fmt.Sprintf(eventsAt, 90, -180), ""),
+		twitterWorld(validSpan, fmt.Sprintf(eventsAt, -90, 180), ""),
+		twitterWorld(validSpan, fmt.Sprintf(twoAccounts, 4), ""),
+	} {
+		if _, err := platform.Decode(strings.NewReader(ok)); err != nil {
+			t.Fatalf("valid world refused: %v\n%s", err, ok)
+		}
+	}
+}
+
+// genWorld is what `hydra-gen -dataset all -persons n -seed seed` writes.
 func genWorld(tb testing.TB, n int, seed int64) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
-	if err := synth.GenerateStream(synth.DefaultConfig(n, platform.EnglishPlatforms, seed), &buf); err != nil {
+	if err := synth.GenerateStream(synth.DefaultConfig(n, platform.AllPlatforms, seed), &buf); err != nil {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()
@@ -62,10 +112,11 @@ func reencode(data []byte) ([]byte, error) {
 }
 
 // TestGeneratedWorldsRoundTrip holds Decode's checks to what hydra-gen
-// writes: seeds 1–3 decode and re-encode to the same bytes.
+// writes: seeds 1–3 of a 40-person world on every platform decode and
+// re-encode to the same bytes.
 func TestGeneratedWorldsRoundTrip(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
-		raw := genWorld(t, 12, seed)
+		raw := genWorld(t, 40, seed)
 		got, err := reencode(raw)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -85,9 +136,12 @@ func FuzzDecodeWorld(f *testing.F) {
 	for _, tc := range badEdgeWorlds {
 		f.Add([]byte(oneAccountWorld(tc.edge)))
 	}
-	f.Add([]byte(`{"platforms":[{"id":"twitter","accounts":[{"local":1}]}]}`))
-	f.Add([]byte(`{"platforms":[{"id":"twitter"},{"id":"twitter"}]}`))
+	f.Add([]byte(`{` + validSpan + `,"platforms":[{"id":"twitter","accounts":[{"local":1}]}]}`))
+	f.Add([]byte(`{` + validSpan + `,"platforms":[{"id":"twitter"},{"id":"twitter"}]}`))
 	f.Add([]byte{})
+	for _, tc := range badWorlds {
+		f.Add([]byte(tc.world))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d, err := platform.Decode(bytes.NewReader(data))
 		if err != nil {

@@ -150,17 +150,29 @@ func subRNG(seed int64, tag uint64, parts ...uint64) *rand.Rand {
 	return rand.New(rand.NewSource(int64(h & 0x7FFFFFFFFFFFFFFF)))
 }
 
+// validate refuses a configuration Generate and GenerateStream cannot
+// honour.
+func (cfg Config) validate() error {
+	if cfg.Persons <= 0 {
+		return fmt.Errorf("synth: Persons must be positive, got %d", cfg.Persons)
+	}
+	if len(cfg.Platforms) < 2 {
+		return fmt.Errorf("synth: need at least 2 platforms, got %d", len(cfg.Platforms))
+	}
+	if !cfg.Span.Valid() {
+		return fmt.Errorf("synth: invalid time span")
+	}
+	if !(cfg.MissingScale >= 0) { // also refuses NaN
+		return fmt.Errorf("synth: MissingScale must be non-negative, got %v", cfg.MissingScale)
+	}
+	return nil
+}
+
 // Generate builds the world, fanning the per-person and per-account work
 // over cfg.Workers (≤ 0 = all cores; identical world at any setting).
 func Generate(cfg Config) (*World, error) {
-	if cfg.Persons <= 0 {
-		return nil, fmt.Errorf("synth: Persons must be positive, got %d", cfg.Persons)
-	}
-	if len(cfg.Platforms) < 2 {
-		return nil, fmt.Errorf("synth: need at least 2 platforms, got %d", len(cfg.Platforms))
-	}
-	if !cfg.Span.Valid() {
-		return nil, fmt.Errorf("synth: invalid time span")
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	lx := BuildLexicons(cfg.Topics, cfg.WordsPerTopic)
 

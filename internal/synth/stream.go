@@ -1,7 +1,6 @@
 package synth
 
 import (
-	"fmt"
 	"io"
 
 	"hydra/internal/graph"
@@ -24,14 +23,8 @@ const streamChunk = 1024
 // count — every account still comes from its own (platform, person)
 // seeded stream, so chunking changes nothing.
 func GenerateStream(cfg Config, w io.Writer) error {
-	if cfg.Persons <= 0 {
-		return fmt.Errorf("synth: Persons must be positive, got %d", cfg.Persons)
-	}
-	if len(cfg.Platforms) < 2 {
-		return fmt.Errorf("synth: need at least 2 platforms, got %d", len(cfg.Platforms))
-	}
-	if !cfg.Span.Valid() {
-		return fmt.Errorf("synth: invalid time span")
+	if err := cfg.validate(); err != nil {
+		return err
 	}
 	lx := BuildLexicons(cfg.Topics, cfg.WordsPerTopic)
 

@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"io"
 	"math"
 	"math/rand"
 	"strings"
@@ -30,6 +31,27 @@ func TestGenerateValidation(t *testing.T) {
 	cfg.Span.End = cfg.Span.Start
 	if _, err := Generate(cfg); err == nil {
 		t.Fatal("expected error for empty span")
+	}
+}
+
+// TestGenerateRefusesBadMissingScale: a negative or NaN scale would write
+// a world with no missing attributes, as if it were valid. Both
+// generators refuse it.
+func TestGenerateRefusesBadMissingScale(t *testing.T) {
+	for _, scale := range []float64{-1, math.NaN()} {
+		cfg := DefaultConfig(10, platform.EnglishPlatforms, 1)
+		cfg.MissingScale = scale
+		if _, err := Generate(cfg); err == nil || !strings.Contains(err.Error(), "MissingScale") {
+			t.Fatalf("Generate(MissingScale=%v) = %v, want a MissingScale error", scale, err)
+		}
+		if err := GenerateStream(cfg, io.Discard); err == nil || !strings.Contains(err.Error(), "MissingScale") {
+			t.Fatalf("GenerateStream(MissingScale=%v) = %v, want a MissingScale error", scale, err)
+		}
+	}
+	cfg := DefaultConfig(10, platform.EnglishPlatforms, 1)
+	cfg.MissingScale = 0 // no attribute ever missing is a valid world
+	if _, err := Generate(cfg); err != nil {
+		t.Fatal(err)
 	}
 }
 
