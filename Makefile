@@ -44,8 +44,10 @@ test:
 # prescreen oracles (TestPrescreen*) and its fanned-out pack-time build
 # (TestBuildPrescreenWorkersBitIdentical), the pack-time impute table vs
 # live-path twins (TestImpute*), the racing first touches of per-view
-# derived state (TestPairConcurrentFirstTouch), a mapped bundle's view
-# evictions and page drops under concurrent decodes (TestMapped*Concurrent),
+# derived state (TestPairConcurrentFirstTouch), the capped pair cache's
+# second-touch admission (TestPairCacheAdmissionConcurrent), a mapped
+# bundle's view evictions and page drops under concurrent decodes
+# (TestMapped*Concurrent),
 # the staged pipeline, the parallel figure sweeps and the fanned-out
 # synth generator (*Workers*/*Determinism* tests) all match the filter.
 # Allocation-budget tests are deliberately named outside it: the race
@@ -76,7 +78,10 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzOpenBundleMapped -fuzztime 10s ./internal/pipeline/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeWorld -fuzztime 10s ./internal/platform/
 
-# bench-smoke runs every serve benchmark, the pair kernel's
+# bench-smoke runs every serve benchmark (among them
+# BenchmarkServeTopKColdSweep, which reports the pair cache's
+# cache-entries and the live-heap-MB after a cold sweep over a small
+# tile), the pair kernel's
 # (BenchmarkPair: first-touch and steady), the two training hot spots
 # (BenchmarkStructureBuild: Eqn 9's matrix over seeded synthetic graphs;
 # BenchmarkBuildPrescreen: the pack-time prescreen fit over trained parts

@@ -47,7 +47,8 @@ type Source interface {
 	NumAccounts(id platform.ID) int
 	Username(id platform.ID, local int) string
 	CacheSize() int
-	PairCacheStats() (hits, misses uint64)
+	PairCacheStats() (hits, misses, declined uint64)
+	WarmPairCache(fn func() error) error
 	ImputeTable() *ImputeTable
 	ImputeTableEnabled() bool
 	SetImputeTableEnabled(on bool)
@@ -191,7 +192,8 @@ func (st *LazyStore) Username(id platform.ID, local int) string {
 // on platform pa and account b on platform pb, materializing exactly the
 // two views it needs. The similarity computation runs outside the cache
 // lock; when two goroutines race on an uncached pair both compute the
-// same deterministic vector and one write wins.
+// same deterministic vector and one write wins. A capped cache stores a
+// computed vector only on the pair's second miss (see LimitPairCache).
 func (st *LazyStore) RawPair(pa platform.ID, a int, pb platform.ID, b int) (features.PairVector, error) {
 	key := pairKey{pa, pb, a, b}
 	if pv, ok := st.pairs.lookup(key); ok {
@@ -223,7 +225,9 @@ func (st *LazyStore) RawPair(pa platform.ID, a int, pb platform.ID, b int) (feat
 		return features.PairVector{}, err
 	}
 	pv := st.pipe.Pair(va, vb)
-	st.pairs.store(key, pv)
+	if st.pairs.admit(key) {
+		st.pairs.store(key, pv)
+	}
 	return pv, nil
 }
 
@@ -281,18 +285,34 @@ func (st *LazyStore) servingTable() *ImputeTable {
 }
 
 // LimitPairCache bounds the pair-vector cache to at most n entries,
-// trimming immediately if it is already larger (n ≤ 0 restores the
-// default unbounded behavior). One-shot batch runs touch each pair a
-// bounded number of times and want everything cached, but a long-lived
-// serving process answering arbitrary queries would otherwise grow the
-// cache monotonically until OOM — the serve engine caps it at startup.
-// Eviction is arbitrary-entry, and correctness never depends on cache
-// contents.
+// trimming immediately if it is already larger, and makes it admit a
+// vector only on the pair's second miss: the first miss computes and
+// returns the vector without storing it, and writes the pair's
+// fingerprint into a table of n slots (8 bytes each, allocated by the
+// first miss that needs them). n ≤ 0 restores the default: unbounded,
+// every vector stored on first miss. One-shot batch runs touch each
+// pair a bounded number of times and want everything cached, but a
+// long-lived serving process answering arbitrary queries would
+// otherwise grow the cache monotonically until OOM, and on a working set
+// that does not fit would fill it with pairs it never reads again — the
+// serve engine caps it at startup. Eviction is arbitrary-entry, and
+// correctness never depends on cache contents.
 func (st *LazyStore) LimitPairCache(n int) { st.pairs.limit(n) }
+
+// WarmPairCache runs fn with the pair cache storing every vector it
+// computes on first miss, as an uncapped cache would (the cap still
+// holds) — the serving engine's Prewarm, which promises the queries after
+// it a warm cache.
+func (st *LazyStore) WarmPairCache(fn func() error) error {
+	st.pairs.warming.Add(1)
+	defer st.pairs.warming.Add(-1)
+	return fn()
+}
 
 // CacheSize reports the number of cached pair vectors (diagnostics).
 func (st *LazyStore) CacheSize() int { return st.pairs.size() }
 
-// PairCacheStats reports the pair-cache hit/miss counters since process
-// start (imputation health for /metrics).
-func (st *LazyStore) PairCacheStats() (hits, misses uint64) { return st.pairs.stats() }
+// PairCacheStats reports the pair-cache counters since process start:
+// lookups that hit and missed, and the misses whose vector a capped cache
+// declined to store (imputation health for /metrics).
+func (st *LazyStore) PairCacheStats() (hits, misses, declined uint64) { return st.pairs.stats() }

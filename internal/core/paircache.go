@@ -12,20 +12,52 @@ type pairKey struct {
 	a, b   int
 }
 
+// fingerprint hashes the key (64-bit FNV-1a over its platform ids and
+// account ids) for a memo's doorkeeper. Deterministic, so which pairs a
+// capped memo admits is a function of the query stream alone.
+func (k pairKey) fingerprint() uint64 {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	for _, s := range [2]platform.ID{k.pa, k.pb} {
+		for i := 0; i < len(s); i++ {
+			h = (h ^ uint64(s[i])) * prime
+		}
+	}
+	for _, n := range [2]int{k.a, k.b} {
+		for v, i := uint64(n), 0; i < 8; v, i = v>>8, i+1 {
+			h = (h ^ v&0xff) * prime
+		}
+	}
+	return h
+}
+
+// doorkeeper is a capped memo's admission filter: one slot per cache
+// entry, direct-mapped, each holding the fingerprint of the last key
+// declined there.
+type doorkeeper []atomic.Uint64
+
 // pairMemo is the mutex-guarded per-pair memo behind every cache in this
 // package: the store's pair-vector cache, the prescreen's fold memo and
 // the per-batch friend-pair memo. Memoized values are pure functions of
-// the pair, so eviction only ever costs a recompute — it never changes a
-// result. The zero value is ready to use and unbounded.
+// the pair, so eviction — or declining to store a value at all — only
+// ever costs a recompute; it never changes a result. The zero value is
+// ready to use, unbounded, and admits every value it is offered.
 type pairMemo[V any] struct {
 	mu sync.Mutex
 	m  map[pairKey]V
 	// cap, when positive, bounds the memo (see limit).
 	cap int
-	// hits/misses count lookups since process start — imputation and
-	// prescreen health for /metrics, atomic so stats reads never take
-	// the mutex.
-	hits, misses atomic.Uint64
+	// doorSlots, when positive, makes the memo admit a key only on its
+	// second miss (see admit), through door: a doorkeeper of that many
+	// slots, allocated by the first miss that consults it. limit sets
+	// both. warming, while positive, admits every key anyway.
+	doorSlots atomic.Int64
+	door      atomic.Pointer[doorkeeper]
+	warming   atomic.Int32
+	// hits/misses count lookups since process start, declined the misses
+	// whose value admit turned away — imputation and prescreen health for
+	// /metrics, atomic so stats reads never take the mutex.
+	hits, misses, declined atomic.Uint64
 }
 
 // lookup returns the memoized value for key, if present.
@@ -41,9 +73,54 @@ func (c *pairMemo[V]) lookup(key pairKey) (V, bool) {
 	return v, ok
 }
 
-// stats reports the lookup counters since process start.
-func (c *pairMemo[V]) stats() (hits, misses uint64) {
-	return c.hits.Load(), c.misses.Load()
+// stats reports the lookup and admission counters since process start.
+func (c *pairMemo[V]) stats() (hits, misses, declined uint64) {
+	return c.hits.Load(), c.misses.Load(), c.declined.Load()
+}
+
+// admit reports whether a value just computed for a missed key should be
+// stored. Without a doorkeeper, or while warming, every key is admitted.
+// Behind one a key is admitted on its second miss: the first writes its
+// fingerprint to the key's slot and is declined, so a pair computed once
+// and never asked for again — almost every friend pair of an Eqn-18 walk
+// on a cold workload — costs no entry. A colliding key overwrites the
+// slot, which only delays an admission.
+func (c *pairMemo[V]) admit(key pairKey) bool {
+	if c.doorSlots.Load() == 0 || c.warming.Load() > 0 {
+		return true
+	}
+	d := c.door.Load()
+	if d == nil {
+		if d = c.openDoor(); d == nil {
+			return true
+		}
+	}
+	fp := key.fingerprint()
+	slot := &(*d)[(fp^fp>>32)%uint64(len(*d))]
+	if slot.Load() == fp {
+		return true
+	}
+	slot.Store(fp)
+	c.declined.Add(1)
+	return false
+}
+
+// openDoor allocates the doorkeeper limit sized, once — so a serving
+// engine whose prewarm left it nothing to miss never pays for the table
+// — and returns it, nil if the memo has been uncapped since.
+func (c *pairMemo[V]) openDoor() *doorkeeper {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if d := c.door.Load(); d != nil {
+		return d
+	}
+	n := c.doorSlots.Load()
+	if n == 0 {
+		return nil
+	}
+	d := make(doorkeeper, n)
+	c.door.Store(&d)
+	return &d
 }
 
 // store memoizes one computed value, evicting arbitrary entries first if
@@ -81,11 +158,14 @@ func (c *pairMemo[V]) evictLocked(incoming int) {
 }
 
 // limit bounds the memo to at most n entries, trimming immediately if it
-// is already larger (n ≤ 0 restores the default unbounded behavior).
+// is already larger, and puts a doorkeeper of n slots in front of it
+// (n ≤ 0 restores the default: unbounded, admitting on first miss).
 func (c *pairMemo[V]) limit(n int) {
 	c.mu.Lock()
 	c.cap = n
 	c.evictLocked(0)
+	c.doorSlots.Store(int64(max(n, 0)))
+	c.door.Store(nil)
 	c.mu.Unlock()
 }
 

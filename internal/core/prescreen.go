@@ -382,7 +382,7 @@ func (m *Model) PrescreenFoldStats() (hits, misses uint64, size int) {
 	if m.pre == nil {
 		return 0, 0, 0
 	}
-	h, mi := m.pre.cache.stats()
+	h, mi, _ := m.pre.cache.stats()
 	return h, mi, m.pre.cache.size()
 }
 

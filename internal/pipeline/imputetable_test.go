@@ -198,7 +198,7 @@ func TestImputeTableBitIdenticalWorkers(t *testing.T) {
 	if hits == 0 {
 		t.Fatal("the table was never hit — the property test exercised nothing")
 	}
-	if h, m := stWith.PairCacheStats(); h+m == 0 {
+	if h, m, _ := stWith.PairCacheStats(); h+m == 0 {
 		t.Fatal("pair cache counters never moved")
 	}
 }

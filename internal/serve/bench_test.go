@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"hydra/internal/pipeline"
@@ -96,6 +97,37 @@ func benchTopKImputeTable(b *testing.B, on bool) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkServeTopKColdSweep runs the cold tier in miniature: per op, a
+// fresh engine over a 4 096-account tile (built outside the timer)
+// answers 64 top-ks on distinct A accounts, nothing warmed. Besides the
+// time it reports what the pair cache kept — cache-entries, the cached
+// vector count after the last sweep, and live-heap-MB, the heap after a
+// GC with that engine still live — the in-package instrument for the
+// serving cache's admission rule.
+func BenchmarkServeTopKColdSweep(b *testing.B) {
+	tiled := coldTile(b, 4096, 32)
+	as := coldAccounts(4096, 64)
+	var eng *Engine
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		var err error
+		if eng, err = NewEngineFromBundle(tiled, 1); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		sweep(b, eng, as)
+	}
+	b.StopTimer()
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	b.ReportMetric(float64(eng.Sys.CacheSize()), "cache-entries")
+	b.ReportMetric(float64(ms.HeapAlloc)/(1<<20), "live-heap-MB")
+	runtime.KeepAlive(eng)
 }
 
 // BenchmarkServeBatch measures batched score throughput over the whole

@@ -50,6 +50,8 @@ func (e *Engine) WriteMetrics(w io.Writer) {
 	f = obs.NewFamily(w, "hydra_impute_pair_cache_lookups_total", "counter", "Pair-vector cache lookups by result.")
 	f.Sample(ih.PairCacheHits, "result", "hit")
 	f.Sample(ih.PairCacheMisses, "result", "miss")
+	obs.NewFamily(w, "hydra_impute_pair_cache_declined_total", "counter", "Pair vectors computed on a cache miss but not stored: a capped cache admits a pair on its second miss.").
+		Sample(ih.PairCacheDeclined)
 
 	if ms := e.MappedStats(); ms != nil {
 		obs.NewFamily(w, "hydra_bundle_mapped", "gauge", "Whether the serving bundle is memory-mapped (0 = heap copy fallback).").

@@ -96,12 +96,16 @@ const prescreenMinSlack = 8
 const prescreenRescoreChunk = 16
 
 // DefaultPairCacheEntries bounds the store's pair-vector cache in a
-// serving process (≈ 500 bytes per entry; this cap keeps a long-lived
-// server around 35 MB of cache even under an adversarial query sweep of
-// the full pair space). An entry saves one features.Pair, some 15 µs
-// between views that have been paired before, so the cache earns its
-// memory on a working set that fits and only costs it — the entries and
-// the garbage their eviction leaves — on one that does not.
+// serving process (≈ 920 bytes per entry, map slot and vector; this cap
+// keeps a long-lived server under ≈ 60 MB of cache even under an
+// adversarial query sweep of the full pair space). A capped cache stores
+// a vector only on its pair's second miss, which a table of one 8-byte
+// fingerprint per entry (512 KB here) remembers, so a working set that
+// does not fit — a cold top-k's Eqn-18 walk computes ≈ 250 friend pairs
+// it will not ask for again — leaves the cache near empty instead of
+// full. An entry saves one features.Pair, some 15 µs between views that
+// have been paired before, so the cache earns its memory on pairs that
+// come back and costs one recompute on each pair's second touch.
 const DefaultPairCacheEntries = 1 << 16
 
 // NewEngineFromBundle serves a bundle already decoded in memory: every
@@ -554,6 +558,9 @@ type ImputeHealth struct {
 	PairCacheSize   int    `json:"pair_cache_size"`
 	PairCacheHits   uint64 `json:"pair_cache_hits"`
 	PairCacheMisses uint64 `json:"pair_cache_misses"`
+	// PairCacheDeclined counts the misses whose vector the capped cache
+	// computed but did not store (a pair's first touch).
+	PairCacheDeclined uint64 `json:"pair_cache_declined"`
 }
 
 // ImputeHealth snapshots the imputation-layer counters.
@@ -566,7 +573,7 @@ func (e *Engine) ImputeHealth() *ImputeHealth {
 		h.TableEntries = t.NumEntries()
 		h.TableHits, h.TableMisses = t.Stats()
 	}
-	h.PairCacheHits, h.PairCacheMisses = e.Sys.PairCacheStats()
+	h.PairCacheHits, h.PairCacheMisses, h.PairCacheDeclined = e.Sys.PairCacheStats()
 	return h
 }
 

@@ -89,11 +89,11 @@ var (
 	envErr  error
 )
 
-func getEnv(t *testing.T) testEnv {
-	t.Helper()
+func getEnv(tb testing.TB) testEnv {
+	tb.Helper()
 	envOnce.Do(func() { env, envErr = buildEnv() })
 	if envErr != nil {
-		t.Fatal(envErr)
+		tb.Fatal(envErr)
 	}
 	return env
 }
