@@ -4,11 +4,13 @@
 //
 //	go run ./cmd/hydra-gen -persons 200 -dataset all -o world.json
 //
-// Accounts stream to the output as they render, so a world larger than
-// memory can be written. Generation fans out over the -workers pool: every random draw comes
-// from a per-person or per-platform seeded stream, so the emitted world
-// is byte-identical at any worker count (pinned by the synth package's
-// workers test).
+// The whole world is generated in memory (synth.Generate), then encoded
+// (platform.Encode); the output file is created only once generation has
+// accepted the configuration, so a refused run leaves an existing file as
+// it was. Generation fans out over the -workers pool: every random draw
+// comes from a per-person or per-platform seeded stream, so the emitted
+// world is byte-identical at any worker count (pinned by the synth
+// package's workers test).
 package main
 
 import (
@@ -49,24 +51,28 @@ func main() {
 	cfg.MissingScale = *missing
 	cfg.Workers = *workers
 
-	var w *os.File = os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		w = f
+	world, err := synth.Generate(cfg)
+	if err != nil {
+		log.Fatal(err)
 	}
 
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if err := synth.GenerateStream(cfg, bw); err != nil {
+	f := os.Stdout
+	if *out != "" {
+		if f, err = os.Create(*out); err != nil {
+			log.Fatal(err)
+		}
+	}
+	bw := bufio.NewWriterSize(f, 1<<20)
+	if err := platform.Encode(bw, world.Dataset); err != nil {
 		log.Fatal(err)
 	}
 	if err := bw.Flush(); err != nil {
 		log.Fatal(err)
 	}
 	if *out != "" {
+		if err := f.Close(); err != nil {
+			log.Fatal(err)
+		}
 		fmt.Fprintf(os.Stderr, "wrote %d persons × %d platforms to %s\n",
 			*persons, len(plats), *out)
 	}

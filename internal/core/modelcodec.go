@@ -18,11 +18,9 @@ import (
 // duals, bias, kernel bandwidth, imputation config) are carried verbatim
 // rather than recomputed.
 
-// Kernel kind identifiers used by ModelParts.
-const (
-	KernelRBF    = "rbf"
-	KernelLinear = "linear"
-)
+// KernelRBF is the one kernel kind ModelParts carries: Train always fits
+// an RBF.
+const KernelRBF = "rbf"
 
 // ModelParts is the serializable state of a trained Model: everything
 // Decision/Score/Link needs, and nothing tied to the training process.
@@ -46,14 +44,11 @@ type ModelParts struct {
 // Parts extracts the serializable state of the model.
 func (m *Model) Parts() (ModelParts, error) {
 	p := ModelParts{Cfg: m.cfg, Xs: m.xs, Alpha: m.alpha, Bias: m.bias, Diag: m.Diag}
-	switch k := m.kern.(type) {
-	case kernel.RBF:
-		p.KernelKind, p.KernelSigma = KernelRBF, k.Sigma
-	case kernel.Linear:
-		p.KernelKind = KernelLinear
-	default:
+	k, ok := m.kern.(kernel.RBF)
+	if !ok {
 		return ModelParts{}, fmt.Errorf("core: kernel %s has no codec", m.kern.Name())
 	}
+	p.KernelKind, p.KernelSigma = KernelRBF, k.Sigma
 	return p, nil
 }
 
@@ -72,19 +67,13 @@ func ModelFromParts(st *LazyStore, p ModelParts) (*Model, error) {
 	if len(p.Alpha) != len(p.Xs) {
 		return nil, fmt.Errorf("core: %d dual coefficients for %d candidate vectors", len(p.Alpha), len(p.Xs))
 	}
-	var kern kernel.Func
-	switch p.KernelKind {
-	case KernelRBF:
-		if p.KernelSigma <= 0 {
-			return nil, fmt.Errorf("core: rbf model parts need a positive bandwidth, got %g", p.KernelSigma)
-		}
-		kern = kernel.NewRBF(p.KernelSigma)
-	case KernelLinear:
-		kern = kernel.Linear{}
-	default:
+	if p.KernelKind != KernelRBF {
 		return nil, fmt.Errorf("core: unknown kernel kind %q", p.KernelKind)
 	}
-	m := &Model{store: st, cfg: p.Cfg, kern: kern, xs: p.Xs, alpha: p.Alpha, bias: p.Bias}
+	if p.KernelSigma <= 0 {
+		return nil, fmt.Errorf("core: rbf model parts need a positive bandwidth, got %g", p.KernelSigma)
+	}
+	m := &Model{store: st, cfg: p.Cfg, kern: kernel.NewRBF(p.KernelSigma), xs: p.Xs, alpha: p.Alpha, bias: p.Bias}
 	m.Diag = p.Diag
 	m.compactSupport()
 	return m, nil

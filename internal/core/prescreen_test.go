@@ -156,7 +156,7 @@ func BenchmarkBuildPrescreen(b *testing.B) {
 func TestBuildPrescreenRejectsNonRBF(t *testing.T) {
 	_, _, parts := trainedParts(t)
 	bad := parts
-	bad.KernelKind = KernelLinear
+	bad.KernelKind = "linear"
 	bad.KernelSigma = 0
 	if _, err := BuildPrescreen(bad, PrescreenOpts{}); err == nil {
 		t.Fatal("expected error for a linear-kernel model")

@@ -55,7 +55,7 @@ func TestOddWorldsTrainOrRefuse(t *testing.T) {
 			if err := platform.Encode(&buf, w.Dataset); err != nil {
 				t.Fatal(err)
 			}
-			ds, err := LoadWorld(&buf)
+			ds, err := platform.Decode(&buf)
 			if err != nil {
 				t.Fatalf("odd world does not decode: %v", err)
 			}

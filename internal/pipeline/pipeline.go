@@ -13,7 +13,6 @@ package pipeline
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"sort"
 
@@ -24,21 +23,15 @@ import (
 	"hydra/internal/platform"
 )
 
-// LoadWorld decodes a dataset previously written by hydra-gen (stage Load
-// for the file-based workflow; in-memory worlds skip straight to
-// Systemize).
-func LoadWorld(r io.Reader) (*platform.Dataset, error) {
-	return platform.Decode(r)
-}
-
-// LoadWorldFile is LoadWorld over a file path.
+// LoadWorldFile decodes a world file written by hydra-gen (stage Load for
+// the file-based workflow; in-memory worlds skip straight to Systemize).
 func LoadWorldFile(path string) (*platform.Dataset, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return LoadWorld(f)
+	return platform.Decode(f)
 }
 
 // SystemizeOpts is the recipe for stage Systemize. It is plain data, kept

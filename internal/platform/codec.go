@@ -52,8 +52,7 @@ type wireDataset struct {
 	Platforms []wirePlatform `json:"platforms"`
 }
 
-// renderAccount flattens one account into its wire form — shared by
-// Encode and StreamEncoder so the two serialization paths cannot drift.
+// renderAccount flattens one account into its wire form.
 func renderAccount(acc *Account) wireAccount {
 	wa := wireAccount{
 		Local:    acc.Local,
@@ -71,22 +70,6 @@ func renderAccount(acc *Account) wireAccount {
 	return wa
 }
 
-// forEachWireEdge visits a platform graph's edges in the canonical wire
-// order (ascending u, then adjacency order, u < v once per edge) —
-// shared by Encode and StreamEncoder.
-func forEachWireEdge(g *graph.Graph, fn func(wireEdge) error) error {
-	for u := 0; u < g.Len(); u++ {
-		for _, v := range g.Neighbors(u) {
-			if u < v {
-				if err := fn(wireEdge{U: u, V: v, W: g.Weight(u, v)}); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
-}
-
 // Encode writes the dataset as JSON to w.
 func Encode(w io.Writer, d *Dataset) error {
 	wd := wireDataset{SpanStart: d.Span.Start, SpanEnd: d.Span.End}
@@ -101,10 +84,14 @@ func Encode(w io.Writer, d *Dataset) error {
 		for _, acc := range p.Accounts {
 			wp.Accounts = append(wp.Accounts, renderAccount(acc))
 		}
-		forEachWireEdge(p.Graph, func(e wireEdge) error {
-			wp.Edges = append(wp.Edges, e)
-			return nil
-		})
+		// Edges in ascending u, then adjacency order, once each (u < v).
+		for u := 0; u < p.Graph.Len(); u++ {
+			for _, v := range p.Graph.Neighbors(u) {
+				if u < v {
+					wp.Edges = append(wp.Edges, wireEdge{U: u, V: v, W: p.Graph.Weight(u, v)})
+				}
+			}
+		}
 		wd.Platforms = append(wd.Platforms, wp)
 	}
 	enc := json.NewEncoder(w)

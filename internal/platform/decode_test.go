@@ -2,6 +2,7 @@ package platform_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"strings"
 	"testing"
@@ -93,11 +94,29 @@ func TestDecodeRefusesBadWorlds(t *testing.T) {
 // genWorld is what `hydra-gen -dataset all -persons n -seed seed` writes.
 func genWorld(tb testing.TB, n int, seed int64) []byte {
 	tb.Helper()
+	w, err := synth.Generate(synth.DefaultConfig(n, platform.AllPlatforms, seed))
+	if err != nil {
+		tb.Fatal(err)
+	}
 	var buf bytes.Buffer
-	if err := synth.GenerateStream(synth.DefaultConfig(n, platform.AllPlatforms, seed), &buf); err != nil {
+	if err := platform.Encode(&buf, w.Dataset); err != nil {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// pinnedWorldSHA256 is sha256 of genWorld(40, 1): a 40-person world on
+// all seven platforms, as hydra-gen writes it.
+const pinnedWorldSHA256 = "f1f5018255f4b30a31efa9f53dfaa97b1bbd39b7dd4c249f3c724948227eecd4"
+
+// TestPinnedWorldHash holds the generator and the encoder to the bytes
+// they wrote when the hash was recorded. No training runs, so a drift on
+// any platform — a changed draw, field or edge order — fails here.
+func TestPinnedWorldHash(t *testing.T) {
+	got := fmt.Sprintf("%x", sha256.Sum256(genWorld(t, 40, 1)))
+	if got != pinnedWorldSHA256 {
+		t.Fatalf("world sha256 = %s, want %s", got, pinnedWorldSHA256)
+	}
 }
 
 // reencode decodes a world and encodes it again.

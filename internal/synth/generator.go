@@ -150,8 +150,7 @@ func subRNG(seed int64, tag uint64, parts ...uint64) *rand.Rand {
 	return rand.New(rand.NewSource(int64(h & 0x7FFFFFFFFFFFFFFF)))
 }
 
-// validate refuses a configuration Generate and GenerateStream cannot
-// honour.
+// validate refuses a configuration Generate cannot honour.
 func (cfg Config) validate() error {
 	if cfg.Persons <= 0 {
 		return fmt.Errorf("synth: Persons must be positive, got %d", cfg.Persons)
@@ -195,11 +194,7 @@ func Generate(cfg Config) (*World, error) {
 	// 4. Project each platform (accounts fan out inside).
 	ds := platform.NewDataset(cfg.Span)
 	for pi, pid := range cfg.Platforms {
-		p, err := projectPlatform(pid, pi, persons, real, tilts[pid], lx, cfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := ds.AddPlatform(p); err != nil {
+		if err := ds.AddPlatform(projectPlatform(pid, pi, persons, real, tilts[pid], lx, cfg)); err != nil {
 			return nil, err
 		}
 	}
@@ -261,7 +256,7 @@ func realWorldGraph(persons []*Person, cfg Config) *graph.Graph {
 // permutation and the friendship projection keep their own platform-level
 // streams, so the platform is identical at any worker count.
 func projectPlatform(pid platform.ID, pIdx int, persons []*Person,
-	real *graph.Graph, tilt linalg.Vector, lx *Lexicons, cfg Config) (*platform.Platform, error) {
+	real *graph.Graph, tilt linalg.Vector, lx *Lexicons, cfg Config) *platform.Platform {
 
 	n := len(persons)
 	lang := string(platform.LangOf(pid))
@@ -284,13 +279,12 @@ func projectPlatform(pid platform.ID, pIdx int, persons []*Person,
 	})
 
 	projectEdges(pIdx, localOf, real, cfg, p.Graph)
-	return p, nil
+	return p
 }
 
 // renderAccount draws one person's account on one platform from its own
-// (platform, person) seeded stream — the per-entity unit both Generate
-// and GenerateStream fan out over, so the two paths render identical
-// accounts in any order.
+// (platform, person) seeded stream — the per-entity unit Generate fans
+// out over, so accounts render identically in any order.
 func renderAccount(pid platform.ID, pIdx, person, local int, pe *Person,
 	tilt linalg.Vector, lx *Lexicons, cfg Config, lang string, corruption float64) *platform.Account {
 
@@ -313,8 +307,7 @@ func renderAccount(pid platform.ID, pIdx, person, local int, pe *Person,
 }
 
 // projectEdges materializes the real-world friendships on one platform
-// into g (local ids) from the platform's sequential edge stream —
-// shared by Generate and GenerateStream.
+// into g (local ids) from the platform's sequential edge stream.
 func projectEdges(pIdx int, localOf []int, real *graph.Graph, cfg Config, g *graph.Graph) {
 	n := len(localOf)
 	rng := subRNG(cfg.Seed, streamEdges, uint64(pIdx))

@@ -1,7 +1,6 @@
 package synth
 
 import (
-	"io"
 	"math"
 	"math/rand"
 	"strings"
@@ -35,17 +34,14 @@ func TestGenerateValidation(t *testing.T) {
 }
 
 // TestGenerateRefusesBadMissingScale: a negative or NaN scale would write
-// a world with no missing attributes, as if it were valid. Both
-// generators refuse it.
+// a world with no missing attributes, as if it were valid. Generate
+// refuses it.
 func TestGenerateRefusesBadMissingScale(t *testing.T) {
 	for _, scale := range []float64{-1, math.NaN()} {
 		cfg := DefaultConfig(10, platform.EnglishPlatforms, 1)
 		cfg.MissingScale = scale
 		if _, err := Generate(cfg); err == nil || !strings.Contains(err.Error(), "MissingScale") {
 			t.Fatalf("Generate(MissingScale=%v) = %v, want a MissingScale error", scale, err)
-		}
-		if err := GenerateStream(cfg, io.Discard); err == nil || !strings.Contains(err.Error(), "MissingScale") {
-			t.Fatalf("GenerateStream(MissingScale=%v) = %v, want a MissingScale error", scale, err)
 		}
 	}
 	cfg := DefaultConfig(10, platform.EnglishPlatforms, 1)

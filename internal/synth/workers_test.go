@@ -35,10 +35,10 @@ func TestGenerateWorkersByteIdentical(t *testing.T) {
 	}
 }
 
-// TestGenerateStreamsIndependent guards the stream separation: bumping
+// TestSeededStreamsIndependent guards the stream separation: bumping
 // the seed must change the world (no degenerate stream mixing), and two
 // persons' streams must differ within one seed.
-func TestGenerateStreamsIndependent(t *testing.T) {
+func TestSeededStreamsIndependent(t *testing.T) {
 	a := subRNG(7, streamPerson, 0).Int63()
 	b := subRNG(7, streamPerson, 1).Int63()
 	c := subRNG(8, streamPerson, 0).Int63()
