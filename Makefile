@@ -43,9 +43,12 @@ test:
 # suite with its live-listener HTTP drill (TestChaos*), the two-tier
 # prescreen oracles (TestPrescreen*) and its fanned-out pack-time build
 # (TestBuildPrescreenWorkersBitIdentical), the pack-time impute table vs
-# live-path twins (TestImpute*), the racing first touches of per-view
-# derived state (TestPairConcurrentFirstTouch), the capped pair cache's
-# second-touch admission (TestPairCacheAdmissionConcurrent), a mapped
+# live-path twins (TestImpute*), the cold Eqn-18 plan's partial friend
+# pairs vs an uncapped engine, inline and fanned out
+# (TestColdImputePlanWorkersBitIdentical) and its lowest-index batch
+# error (TestScoreBatchLowestErrorWorkers), the racing first touches of
+# per-view derived state (TestPairConcurrentFirstTouch), the capped pair
+# cache's second-touch admission (TestPairCacheAdmissionConcurrent), a mapped
 # bundle's view evictions and page drops under concurrent decodes
 # (TestMapped*Concurrent),
 # the staged pipeline, the parallel figure sweeps and the fanned-out
@@ -82,7 +85,8 @@ fuzz-smoke:
 # BenchmarkServeTopKColdSweep, which reports the pair cache's
 # cache-entries and the live-heap-MB after a cold sweep over a small
 # tile), the pair kernel's
-# (BenchmarkPair: first-touch and steady), the two training hot spots
+# (BenchmarkPair: first-touch, steady, and missing-only — the selector a
+# cold Eqn-18 friend pair computes under), the two training hot spots
 # (BenchmarkStructureBuild: Eqn 9's matrix over seeded synthetic graphs;
 # BenchmarkBuildPrescreen: the pack-time prescreen fit over trained parts
 # and a fixed query sample) and the price of a mapped view's page drop

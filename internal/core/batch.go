@@ -7,14 +7,14 @@ package core
 // loop walks contiguous memory instead of chasing per-candidate slices.
 //
 // Queries then run through ScoreBatchInto: the whole batch is imputed
-// into reusable per-row feature buffers through the store's one
-// imputation walk (with friend-pair raw vectors memoized across the
-// batch), and foldKernel evaluates all kernel values into a pooled
-// matrix with the blocked kernel.CrossGramInto workers and folds α and
-// the bias per column. Every op runs in the exact order the scalar
-// Decision loop used, so scores are bit-identical to the per-pair path
-// at any worker count. All scratch (feature rows, the kernel matrix, the
-// Eqn-18 accumulator, the friend-pair memo) recycles through a
+// into reusable per-row feature buffers by one planned Eqn-18 walk (each
+// distinct friend pair computed once, over just the dimensions its
+// candidates left missing), and foldKernel evaluates all kernel values
+// into a pooled matrix with the blocked kernel.CrossGramInto workers and
+// folds α and the bias per column. Every op runs in the exact order the
+// scalar Decision loop used, so scores are bit-identical to the per-pair
+// path at any worker count. All scratch (feature rows, the kernel
+// matrix, the Eqn-18 accumulator, the walk's plan) recycles through a
 // sync.Pool, so a warm single-worker Score/ScoreBatchInto allocates
 // nothing.
 
@@ -70,12 +70,12 @@ func (m *Model) NumSupport() int { return len(m.svAlpha) }
 // largest query seen and stays, so a warm server's steady state
 // allocates nothing.
 type scoreScratch struct {
-	imp   imputeScratch                 // Eqn-18 accumulator (single-worker impute)
-	rows  []linalg.Vector               // per-row imputed feature buffers
-	sub   []linalg.Vector               // row-header views for subset rescoring
-	kdata []float64                     // backing array of the kernel value matrix
-	km    linalg.Matrix                 // header over kdata, reshaped per query
-	memo  pairMemo[features.PairVector] // friend-pair raw vectors, reset per batch
+	imp   imputeScratch   // single-pair Eqn-18 buffers
+	plan  imputePlan      // a batch's Eqn-18 walk
+	rows  []linalg.Vector // per-row imputed feature buffers
+	sub   []linalg.Vector // row-header views for subset rescoring
+	kdata []float64       // backing array of the kernel value matrix
+	km    linalg.Matrix   // header over kdata, reshaped per query
 
 	// The two-tier lazy-impute buffers: which leased rows are
 	// materialized, and the gather slots for the subset that is not yet
@@ -178,50 +178,166 @@ func (m *Model) foldKernel(sc *scoreScratch, rows []linalg.Vector, workers int, 
 	}
 }
 
+// imputePlan is a batch's Eqn-18 walk, planned before any friend pair is
+// computed: per candidate its head (imputeHead) and the slots of its
+// friend pairs in walk order, and per distinct friend pair — a slot —
+// its ids, its want (the union of the missing masks of the candidates
+// that read it) and its vector. Every buffer is pooled scratch that grows
+// to the largest batch seen, the index map included (cleared, not
+// reallocated), so a warm batch allocates nothing.
+type imputePlan struct {
+	cands []planCand
+	dim   int
+	index map[[2]int]int32 // friend pair (fa, fb) → slot
+	pairs [][2]int         // slot → friend pair
+	refs  []int32          // the candidates' slot lists, back to back
+	wants []bool           // slot-major, dim each
+	xs    []float64        // slot-major: a declined friend pair's values
+	masks []bool           // and mask
+	vecs  []features.PairVector
+	errs  []error
+}
+
+// planCand is one candidate's share of the plan: its head's error or
+// pending walk, and refs[lo:hi], the slots of its friend pairs.
+type planCand struct {
+	err    error
+	w      pendingWalk
+	lo, hi int
+}
+
 // imputeBatch fills rows[i] with the imputed feature vector of pairs[i]
-// through the store's imputation walk, memoizing friend-pair raw vectors
-// across the batch. With one worker it runs inline on pooled scratch (no
-// goroutines, no closures — zero allocations); with more it fans
-// contiguous chunks over the pool, each chunk with its own accumulator,
-// and reports the lowest-index error.
+// and returns the lowest-index pair's error, as a sequential loop of
+// imputeInto would. It runs as a plan: (1) every candidate's head — raw
+// vector, one impute-table lookup, friend lists — over the worker pool;
+// (2) the distinct friend pairs of the candidates left pending, each
+// wanting the union of their missing dimensions; (3) those friend pairs
+// over the same pool, each computed once and, unless the pair cache
+// stores it, over its want only; (4) every pending candidate's sums, added in
+// imputeInto's order — friendsA-major, friendsB-minor — with its step,
+// so the bits are the single-pair walk's. A batch with nothing pending
+// skips (3). With one worker everything runs inline, with no goroutines
+// or closures.
 func (m *Model) imputeBatch(sc *scoreScratch, rows []linalg.Vector, pa, pb platform.ID, pairs [][2]int, workers int) error {
 	n := len(pairs)
-	memo := &sc.memo
-	memo.reset()
-	w := parallel.Workers(workers)
-	if w > n {
-		w = n
-	}
+	pl := &sc.plan
+	pl.cands = grow(&pl.cands, n)
+	defer pl.release(n)
+	w := min(parallel.Workers(workers), n)
 	if w == 1 {
 		for i := range pairs {
-			x, err := m.store.imputeInto(rows[i][:0], &sc.imp, memo,
-				pa, pairs[i][0], pb, pairs[i][1], m.cfg.Variant, m.cfg.TopFriends)
-			if err != nil {
+			if !m.planHead(pl, rows, pa, pb, pairs, i) {
+				break
+			}
+		}
+	} else {
+		parallel.For(w, n, func(i int) { m.planHead(pl, rows, pa, pb, pairs, i) })
+	}
+	stop := pl.collect(n)
+	pl.compute(m.store, pa, pb, w)
+	for i := 0; i < stop; i++ {
+		c := &pl.cands[i]
+		if c.w.fa == nil {
+			continue
+		}
+		sums := sc.imp.zeroSums(pl.dim)
+		for _, j := range pl.refs[c.lo:c.hi] {
+			if err := pl.errs[j]; err != nil {
 				return err
 			}
-			rows[i] = x
+			addObserved(sums, pl.vecs[j])
 		}
-		return nil
+		fillMissing(rows[i], c.w.mask, sums, float64(len(c.w.fa)*len(c.w.fb)))
 	}
-	errs := parallel.MapChunks(w, n, func(lo, hi int) []error {
-		var isc imputeScratch
-		for i := lo; i < hi; i++ {
-			x, err := m.store.imputeInto(rows[i][:0], &isc, memo,
-				pa, pairs[i][0], pb, pairs[i][1], m.cfg.Variant, m.cfg.TopFriends)
-			if err != nil {
-				// First error of the chunk wins; chunks are contiguous
-				// and scanned in order below, so the reported error is
-				// the lowest-index one — what a sequential loop hits.
-				return []error{err}
-			}
-			rows[i] = x
-		}
-		return nil
-	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+	if stop < n {
+		return pl.cands[stop].err
 	}
 	return nil
+}
+
+// planHead runs candidate i's head into rows[i] and the plan, reporting
+// whether it succeeded.
+func (m *Model) planHead(pl *imputePlan, rows []linalg.Vector, pa, pb platform.ID, pairs [][2]int, i int) bool {
+	x, w, err := m.store.imputeHead(rows[i][:0], pa, pairs[i][0], pb, pairs[i][1], m.cfg.Variant, m.cfg.TopFriends)
+	rows[i] = x
+	pl.cands[i] = planCand{err: err, w: w}
+	return err == nil
+}
+
+// collect registers the friend pairs of the pending candidates before
+// the first failed one, whose index it returns (n when none failed),
+// giving each distinct pair a slot whose want gathers the missing
+// dimensions of every candidate that reads it.
+func (pl *imputePlan) collect(n int) int {
+	if pl.index == nil {
+		pl.index = make(map[[2]int]int32)
+	}
+	clear(pl.index)
+	pl.pairs, pl.refs, pl.wants = pl.pairs[:0], pl.refs[:0], pl.wants[:0]
+	for i := 0; i < n; i++ {
+		c := &pl.cands[i]
+		if c.err != nil {
+			return i
+		}
+		if c.w.fa == nil {
+			continue
+		}
+		pl.dim = len(c.w.mask)
+		c.lo = len(pl.refs)
+		for _, f := range c.w.fa {
+			for _, g := range c.w.fb {
+				key := [2]int{f.ID, g.ID}
+				j, ok := pl.index[key]
+				if !ok {
+					j = int32(len(pl.pairs))
+					pl.index[key] = j
+					pl.pairs = append(pl.pairs, key)
+					pl.wants = append(pl.wants, make([]bool, pl.dim)...)
+				}
+				pl.refs = append(pl.refs, j)
+				want := pl.wants[int(j)*pl.dim:][:pl.dim]
+				for d, m := range c.w.mask {
+					want[d] = want[d] || !m
+				}
+			}
+		}
+		c.hi = len(pl.refs)
+	}
+	return n
+}
+
+// compute resolves every slot's friend pair on up to w workers — the
+// batch's own fan-out, so a batch of one stays inline — each into its
+// own stretch of the arena when the pair cache declines it.
+func (pl *imputePlan) compute(st *LazyStore, pa, pb platform.ID, w int) {
+	nf := len(pl.pairs)
+	if nf == 0 {
+		return
+	}
+	pl.xs = grow(&pl.xs, nf*pl.dim)
+	pl.masks = grow(&pl.masks, nf*pl.dim)
+	pl.vecs = grow(&pl.vecs, nf)
+	pl.errs = grow(&pl.errs, nf)
+	if w = min(w, nf); w == 1 {
+		for j := range nf {
+			pl.pair(st, pa, pb, j)
+		}
+	} else {
+		parallel.For(w, nf, func(j int) { pl.pair(st, pa, pb, j) })
+	}
+}
+
+// pair resolves slot j.
+func (pl *imputePlan) pair(st *LazyStore, pa, pb platform.ID, j int) {
+	lo, hi := j*pl.dim, (j+1)*pl.dim
+	buf := features.PairVector{X: pl.xs[lo:hi:hi], Mask: pl.masks[lo:hi:hi]}
+	pl.vecs[j], pl.errs[j] = st.rawPair(pa, pl.pairs[j][0], pb, pl.pairs[j][1], pl.wants[lo:hi], buf)
+}
+
+// release drops the plan's references into the pair cache and the
+// friend slices, so pooled scratch keeps no evicted vector alive.
+func (pl *imputePlan) release(n int) {
+	clear(pl.cands[:n])
+	clear(pl.vecs[:len(pl.pairs)])
+	clear(pl.errs[:len(pl.pairs)])
 }

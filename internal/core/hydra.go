@@ -504,7 +504,7 @@ func (m *Model) Decision(x linalg.Vector) float64 {
 func (m *Model) Score(pa platform.ID, a int, pb platform.ID, b int) (float64, error) {
 	sc := m.getScratch()
 	defer m.scratch.Put(sc)
-	x, err := m.store.imputeInto(sc.single(), &sc.imp, nil, pa, a, pb, b, m.cfg.Variant, m.cfg.TopFriends)
+	x, err := m.store.imputeInto(sc.single(), &sc.imp, pa, a, pb, b, m.cfg.Variant, m.cfg.TopFriends)
 	if err != nil {
 		return 0, err
 	}

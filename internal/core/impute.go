@@ -4,25 +4,27 @@ import (
 	"fmt"
 
 	"hydra/internal/features"
+	"hydra/internal/graph"
 	"hydra/internal/linalg"
 	"hydra/internal/platform"
 )
 
-// imputeScratch holds the reusable buffers of pair imputation: the
-// Eqn-18 per-dimension accumulator. The zero value is ready to use; the
-// serving fast path recycles instances through a pool so a warm query
-// allocates nothing.
+// imputeScratch holds the reusable buffers of single-pair imputation:
+// the Eqn-18 per-dimension accumulator, the pair's missing mask as a
+// friend-pair selector, and the vector a declined friend pair is computed
+// into. The zero value is ready to use; the serving fast path recycles
+// instances through a pool so a warm query allocates nothing.
 type imputeScratch struct {
-	sums linalg.Vector
+	sums []float64
+	want []bool
+	fx   []float64
+	fm   []bool
 }
 
 // zeroSums returns the accumulator resized to dim and zeroed.
 func (sc *imputeScratch) zeroSums(dim int) linalg.Vector {
-	sums := sc.sums[:0]
-	for d := 0; d < dim; d++ {
-		sums = append(sums, 0)
-	}
-	sc.sums = sums
+	sums := grow(&sc.sums, dim)
+	clear(sums)
 	return sums
 }
 
@@ -30,116 +32,144 @@ func (sc *imputeScratch) zeroSums(dim int) linalg.Vector {
 // to the variant (HYDRA-M's Eqn 18 or HYDRA-Z's zeros); see imputeInto.
 func (st *LazyStore) Impute(pa platform.ID, a int, pb platform.ID, b int, v Variant, topFriends int) (linalg.Vector, error) {
 	var sc imputeScratch
-	return st.imputeInto(nil, &sc, nil, pa, a, pb, b, v, topFriends)
+	return st.imputeInto(nil, &sc, pa, a, pb, b, v, topFriends)
 }
 
-// imputeInto is the one imputation walk: Impute and every Model scoring
-// path run it, and BuildImputeTable runs its friendPairSums. When the
-// store's impute table is enabled and keyed at the same topFriends depth,
-// a pair with missing dimensions is filled from the table's precomputed
-// sums instead of the live friend walk — bit-identical by construction,
-// since the table was accumulated by the same friendPairSums. memo, when
-// non-nil, memoizes friend-pair raw vectors across one batch. The imputed
-// vector is appended to dst[:0] (pass nil to allocate a fresh,
-// caller-owned vector) and returned, possibly regrown. topFriends is the
-// core-structure size (the paper uses the top-3 most-interacting friends
-// on each side); when fewer friends exist the average runs over the pairs
-// that do (the natural generalization of Eqn 18's fixed /9).
-func (st *LazyStore) imputeInto(dst linalg.Vector, sc *imputeScratch, memo *pairMemo[features.PairVector],
+// imputeInto is the single-pair imputation walk, which Impute and
+// Model.Score run; a batch runs the same steps as a plan (imputeBatch).
+// Its friend pairs are computed over the pair's missing dimensions only
+// — all the walk reads of them — unless the pair cache stores them. The
+// imputed vector is appended to dst[:0] (pass nil to allocate a fresh,
+// caller-owned vector) and returned, possibly regrown.
+func (st *LazyStore) imputeInto(dst linalg.Vector, sc *imputeScratch,
 	pa platform.ID, a int, pb platform.ID, b int, v Variant, topFriends int) (linalg.Vector, error) {
 
-	pv, err := st.RawPair(pa, a, pb, b)
+	x, w, err := st.imputeHead(dst, pa, a, pb, b, v, topFriends)
+	if err != nil || w.fa == nil {
+		return x, err
+	}
+	dim := len(x)
+	want := grow(&sc.want, dim)
+	for d, m := range w.mask {
+		want[d] = !m
+	}
+	buf := features.PairVector{X: grow(&sc.fx, dim), Mask: grow(&sc.fm, dim)}
+	sums := sc.zeroSums(dim)
+	count, err := st.friendPairSums(sums, w.fa, w.fb, want, buf, pa, pb)
 	if err != nil {
 		return nil, err
 	}
+	fillMissing(x, w.mask, sums, count)
+	return x, nil
+}
+
+// pendingWalk is what imputeHead leaves to the live Eqn-18 walk: the
+// pair's observation mask, whose false entries are the dimensions to
+// fill, and both sides' top friends. A zero value means nothing is left.
+type pendingWalk struct {
+	mask   []bool
+	fa, fb []graph.Friend
+}
+
+// imputeHead runs the part of one pair's imputation that needs no friend
+// pair: the raw vector, appended to dst[:0] as x, then — for HYDRA-M and
+// a pair with missing dimensions — one impute-table lookup, whose hit
+// fills x from the table's sums, and on a miss the two friend lists. A
+// side with no friends is the "no social context" verdict: the missing
+// dimensions stay zero. Otherwise the friend-pair walk is returned
+// pending. The table is keyed at one topFriends depth and dimensionality;
+// a query at another bypasses it.
+func (st *LazyStore) imputeHead(dst linalg.Vector, pa platform.ID, a int, pb platform.ID, b int,
+	v Variant, topFriends int) (linalg.Vector, pendingWalk, error) {
+
+	pv, err := st.RawPair(pa, a, pb, b)
+	if err != nil {
+		return nil, pendingWalk{}, err
+	}
 	x := append(dst[:0], pv.X...)
 	if v == HydraZ || !hasMissing(pv.Mask) {
-		return x, nil // HYDRA-Z: missing dims are already zero
+		return x, pendingWalk{}, nil // HYDRA-Z: missing dims are already zero
 	}
 	if topFriends <= 0 {
 		topFriends = DefaultTopFriends
 	}
-	var sums linalg.Vector
-	var count float64
-	hit := false
 	if tbl := st.servingTable(); tbl != nil && tbl.k == topFriends && tbl.dim == len(x) {
-		sums, count, hit = tbl.lookup(pa, a, pb, b)
-	}
-	if !hit {
-		sums = sc.zeroSums(len(x))
-		if count, err = st.friendPairSums(sums, memo, pa, a, pb, b, topFriends); err != nil {
-			return nil, err
+		if sums, count, hit := tbl.lookup(pa, a, pb, b); hit {
+			fillMissing(x, pv.Mask, sums, count)
+			return x, pendingWalk{}, nil
 		}
 	}
-	// count 0 is the "no social context" verdict: the missing dimensions
-	// stay zero.
-	if count != 0 {
-		for d := range x {
-			if !pv.Mask[d] {
-				x[d] = sums[d] / count
-			}
-		}
+	fa, fb, err := st.friendLists(pa, a, pb, b, topFriends)
+	if err != nil || fa == nil {
+		return x, pendingWalk{}, err
 	}
-	return x, nil
+	return x, pendingWalk{mask: pv.Mask, fa: fa, fb: fb}, nil
 }
 
-// friendPairSums accumulates the Eqn-18 numerator of pair (a, b) into the
-// zeroed sums — every top-k friend pair's raw vector, friend pairs
-// missing a dimension contributing zero to it, as the paper prescribes —
-// and returns the divisor |F_a|·|F_b|, 0 when either side has no friends.
-// This is THE accumulation loop: the live walk and the pack-time
-// BuildImputeTable both run it, which is what makes a table-backed impute
-// bit-identical to a live one rather than merely close.
-func (st *LazyStore) friendPairSums(sums linalg.Vector, memo *pairMemo[features.PairVector],
-	pa platform.ID, a int, pb platform.ID, b int, k int) (float64, error) {
+// friendLists resolves both sides' top-k friends for Eqn 18, nil when
+// either side has none.
+func (st *LazyStore) friendLists(pa platform.ID, a int, pb platform.ID, b int, k int) (fa, fb []graph.Friend, err error) {
+	if fa, err = st.Friends(pa, a, k); err != nil {
+		return nil, nil, err
+	}
+	if fb, err = st.Friends(pb, b, k); err != nil {
+		return nil, nil, err
+	}
+	if len(fa) == 0 || len(fb) == 0 {
+		return nil, nil, nil
+	}
+	return fa, fb, nil
+}
 
-	friendsA, err := st.Friends(pa, a, k)
-	if err != nil {
-		return 0, err
+// fillMissing writes Eqn 18's mean into x's missing dimensions: sums[d]
+// over the friend-pair count. Count 0 is the "no social context"
+// verdict: they stay zero. The table-backed and the live imputation both
+// fill through it, with the one expression.
+func fillMissing(x linalg.Vector, mask []bool, sums linalg.Vector, count float64) {
+	if count == 0 {
+		return
 	}
-	friendsB, err := st.Friends(pb, b, k)
-	if err != nil {
-		return 0, err
+	for d := range x {
+		if !mask[d] {
+			x[d] = sums[d] / count
+		}
 	}
-	if len(friendsA) == 0 || len(friendsB) == 0 {
-		return 0, nil
-	}
-	for _, fa := range friendsA {
-		for _, fb := range friendsB {
-			fpv, err := st.friendPair(memo, pa, fa.ID, pb, fb.ID)
+}
+
+// friendPairSums accumulates the Eqn-18 numerator over the friend lists
+// fa × fb of a pair on (pa, pb) into the zeroed sums and returns the
+// divisor |F_a|·|F_b|. Each friend pair is resolved through rawPair with
+// selector want — nil computes every dimension, which the pack-time
+// BuildImputeTable needs for sums over all of them — into buf when it is
+// computed partially, and is added with addObserved, friendsA-major and
+// friendsB-minor. The batch plan adds its friend pairs in the same order
+// with the same helper, and BuildImputeTable runs this loop, which is
+// what makes a table-backed impute bit-identical to a live one rather
+// than merely close.
+func (st *LazyStore) friendPairSums(sums linalg.Vector, fa, fb []graph.Friend, want []bool, buf features.PairVector,
+	pa, pb platform.ID) (float64, error) {
+
+	for _, f := range fa {
+		for _, g := range fb {
+			fpv, err := st.rawPair(pa, f.ID, pb, g.ID, want, buf)
 			if err != nil {
 				return 0, err
 			}
-			for d := range sums {
-				if fpv.Mask[d] {
-					sums[d] += fpv.X[d]
-				}
-			}
+			addObserved(sums, fpv)
 		}
 	}
-	return float64(len(friendsA) * len(friendsB)), nil
+	return float64(len(fa) * len(fb)), nil
 }
 
-// friendPair resolves one friend-pair raw vector, through the per-batch
-// memo when there is one. A top-k query's candidates share the A side —
-// so they share its top friends — and neighboring B candidates overlap
-// in theirs, so the same friend pair is requested many times per query;
-// the memo answers the repeats without re-contending on the store's
-// global pair cache.
-func (st *LazyStore) friendPair(memo *pairMemo[features.PairVector], pa platform.ID, a int, pb platform.ID, b int) (features.PairVector, error) {
-	if memo == nil {
-		return st.RawPair(pa, a, pb, b)
+// addObserved adds one friend pair's observed dimensions into the Eqn-18
+// sums — a friend pair missing a dimension contributes zero to it, as the
+// paper prescribes. It is the one accumulation step of every walk.
+func addObserved(sums linalg.Vector, fpv features.PairVector) {
+	for d := range sums {
+		if fpv.Mask[d] {
+			sums[d] += fpv.X[d]
+		}
 	}
-	key := pairKey{pa, pb, a, b}
-	if pv, ok := memo.lookup(key); ok {
-		return pv, nil
-	}
-	pv, err := st.RawPair(pa, a, pb, b)
-	if err != nil {
-		return features.PairVector{}, err
-	}
-	memo.store(key, pv)
-	return pv, nil
 }
 
 // hasMissing reports whether a pair vector's mask leaves any dimension

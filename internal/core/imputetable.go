@@ -13,11 +13,11 @@ package core
 // resolution, no friend-pair features, no cache traffic.
 //
 // Bit-exactness is by construction, not by tolerance: BuildImputeTable
-// accumulates each entry's sums with friendPairSums — the same helper
-// the live walk in imputeInto runs, in the same float order — and
-// imputeInto fills x[d] = sums[d]/count from either source with the one
-// expression, so a table-backed impute returns the exact bits the live
-// path would.
+// accumulates each entry's sums with friendPairSums — the loop the live
+// single-pair walk runs, and the order and addObserved step the batch
+// plan runs — and fillMissing fills x[d] = sums[d]/count from either
+// source with the one expression, so a table-backed impute returns the
+// exact bits the live path would.
 // Entries are keyed at the packed topFriends K; a query at any other K,
 // a pair outside the table, or a model without one falls back to the
 // live path, mirroring how the prescreen section degrades to exact-only.
@@ -27,6 +27,7 @@ import (
 	"math"
 	"sync/atomic"
 
+	"hydra/internal/features"
 	"hydra/internal/linalg"
 	"hydra/internal/parallel"
 	"hydra/internal/platform"
@@ -236,7 +237,11 @@ func BuildImputeTable(st *LazyStore, topFriends, dim, workers int, inputs []Impu
 			// context" verdict, recorded with zero sums so serving skips
 			// even the friend resolution.
 			sums := make(linalg.Vector, dim)
-			count, err := st.friendPairSums(sums, nil, in.PA, a, in.PB, b, topFriends)
+			fa, fb, err := st.friendLists(in.PA, a, in.PB, b, topFriends)
+			if err != nil {
+				return err
+			}
+			count, err := st.friendPairSums(sums, fa, fb, nil, features.PairVector{}, in.PA, in.PB)
 			if err != nil {
 				return err
 			}

@@ -194,7 +194,20 @@ func (st *LazyStore) Username(id platform.ID, local int) string {
 // lock; when two goroutines race on an uncached pair both compute the
 // same deterministic vector and one write wins. A capped cache stores a
 // computed vector only on the pair's second miss (see LimitPairCache).
+// The vector is always whole; the Eqn-18 walk reads its friend pairs
+// through rawPair, which computes a declined one partially.
 func (st *LazyStore) RawPair(pa platform.ID, a int, pb platform.ID, b int) (features.PairVector, error) {
+	return st.rawPair(pa, a, pb, b, nil, features.PairVector{})
+}
+
+// rawPair is RawPair for a caller that reads only the dimensions want
+// selects (nil: all of them). The cache decides admission before the
+// computation: a cached pair is returned whole, a pair the cache admits
+// is computed whole and stored, and only a pair it declines is computed
+// over just the wanted dimensions, into buf (X and Mask of length Dim),
+// which is returned and never stored — the cache's contents are what
+// RawPair alone would leave.
+func (st *LazyStore) rawPair(pa platform.ID, a int, pb platform.ID, b int, want []bool, buf features.PairVector) (features.PairVector, error) {
 	key := pairKey{pa, pb, a, b}
 	if pv, ok := st.pairs.lookup(key); ok {
 		return pv, nil
@@ -224,11 +237,15 @@ func (st *LazyStore) RawPair(pa platform.ID, a int, pb platform.ID, b int) (feat
 	if err != nil {
 		return features.PairVector{}, err
 	}
-	pv := st.pipe.Pair(va, vb)
-	if st.pairs.admit(key) {
-		st.pairs.store(key, pv)
+	if admit := st.pairs.admit(key); admit || want == nil {
+		pv := st.pipe.Pair(va, vb)
+		if admit {
+			st.pairs.store(key, pv)
+		}
+		return pv, nil
 	}
-	return pv, nil
+	st.pipe.PairInto(va, vb, buf.X, buf.Mask, want)
+	return buf, nil
 }
 
 // Friends returns the top-k prefix of an account's persisted friend

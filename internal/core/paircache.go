@@ -36,10 +36,11 @@ func (k pairKey) fingerprint() uint64 {
 // declined there.
 type doorkeeper []atomic.Uint64
 
-// pairMemo is the mutex-guarded per-pair memo behind every cache in this
-// package: the store's pair-vector cache, the prescreen's fold memo and
-// the per-batch friend-pair memo. Memoized values are pure functions of
-// the pair, so eviction — or declining to store a value at all — only
+// pairMemo is the mutex-guarded per-pair memo behind both caches in this
+// package: the store's pair-vector cache and the prescreen's fold memo.
+// (A batch's friend pairs need no memo of their own: the Eqn-18 plan
+// computes each distinct one once.) Memoized values are pure functions
+// of the pair, so eviction — or declining to store a value at all — only
 // ever costs a recompute; it never changes a result. The zero value is
 // ready to use, unbounded, and admits every value it is offered.
 type pairMemo[V any] struct {
@@ -78,13 +79,15 @@ func (c *pairMemo[V]) stats() (hits, misses, declined uint64) {
 	return c.hits.Load(), c.misses.Load(), c.declined.Load()
 }
 
-// admit reports whether a value just computed for a missed key should be
-// stored. Without a doorkeeper, or while warming, every key is admitted.
-// Behind one a key is admitted on its second miss: the first writes its
-// fingerprint to the key's slot and is declined, so a pair computed once
-// and never asked for again — almost every friend pair of an Eqn-18 walk
-// on a cold workload — costs no entry. A colliding key overwrites the
-// slot, which only delays an admission.
+// admit reports whether the value for a missed key should be stored; the
+// pair cache asks before computing it, so that a declined friend pair
+// can be computed over only the dimensions its walk reads. Without a
+// doorkeeper, or while warming, every key is admitted. Behind one a key
+// is admitted on its second miss: the first writes its fingerprint to
+// the key's slot and is declined, so a pair computed once and never
+// asked for again — almost every friend pair of an Eqn-18 walk on a cold
+// workload — costs no entry. A colliding key overwrites the slot, which
+// only delays an admission.
 func (c *pairMemo[V]) admit(key pairKey) bool {
 	if c.doorSlots.Load() == 0 || c.warming.Load() > 0 {
 		return true
@@ -166,18 +169,6 @@ func (c *pairMemo[V]) limit(n int) {
 	c.evictLocked(0)
 	c.doorSlots.Store(int64(max(n, 0)))
 	c.door.Store(nil)
-	c.mu.Unlock()
-}
-
-// reset empties the memo, keeping the map's capacity — the per-batch
-// memo's warm path allocates nothing.
-func (c *pairMemo[V]) reset() {
-	c.mu.Lock()
-	if c.m == nil {
-		c.m = make(map[pairKey]V, 16)
-	} else {
-		clear(c.m)
-	}
 	c.mu.Unlock()
 }
 

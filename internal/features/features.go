@@ -461,7 +461,7 @@ func (pv PairVector) ObservedFraction() float64 {
 // not enforce it). It is PairInto with storage the caller owns.
 func (p *Pipeline) Pair(a, b *AccountView) PairVector {
 	pv := PairVector{X: linalg.NewVector(p.Dim()), Mask: make([]bool, p.Dim())}
-	p.PairInto(a, b, pv.X, pv.Mask)
+	p.PairInto(a, b, pv.X, pv.Mask, nil)
 	return pv
 }
 
@@ -469,47 +469,73 @@ func (p *Pipeline) Pair(a, b *AccountView) PairVector {
 // length Dim; whatever they held is overwritten. Everything that depends
 // on one account only is read from the views' derived state, so once
 // both views have been paired before, a call allocates nothing.
-func (p *Pipeline) PairInto(a, b *AccountView, x linalg.Vector, mask []bool) {
+//
+// want, when non-nil (length Dim), selects the dimensions to compute:
+// the rest come back zero and unobserved, and a feature block none of
+// whose dimensions is wanted is not computed at all — the attributes,
+// the face match, the username and style terms, every bucket scale of
+// Figure 5 and every search window of Figure 6. No dimension depends on
+// another, so a wanted one carries the bits a full call gives it. nil
+// wants every dimension.
+func (p *Pipeline) PairInto(a, b *AccountView, x linalg.Vector, mask []bool, want []bool) {
 	dim := p.Dim()
-	if len(x) != dim || len(mask) != dim {
-		panic(fmt.Sprintf("features: PairInto into %d values and %d mask entries, pipeline has %d dims", len(x), len(mask), dim))
+	if len(x) != dim || len(mask) != dim || want != nil && len(want) != dim {
+		panic(fmt.Sprintf("features: PairInto into %d values, %d mask and %d want entries, pipeline has %d dims",
+			len(x), len(mask), len(want), dim))
 	}
-	da, db := p.derive(a), p.derive(b)
 	clear(x)
 	clear(mask)
 	idx := 0
 
-	// 1. Attributes.
-	p.importance.PairFeaturesInto(&a.Acc.Profile, &b.Acc.Profile, x, mask)
-	idx += len(p.importance.Attrs)
+	// 1. Attributes, as one block: cleared below where not wanted.
+	n := len(p.importance.Attrs)
+	if anyWanted(want, idx, idx+n) {
+		p.importance.PairFeaturesInto(&a.Acc.Profile, &b.Acc.Profile, x, mask)
+		for d := idx; d < idx+n; d++ {
+			if !wanted(want, d) {
+				x[d], mask[d] = 0, false
+			}
+		}
+	}
+	idx += n
 
 	// 2. Face.
-	if score, ok := p.faces.Match(a.Acc.Profile.AvatarID, b.Acc.Profile.AvatarID); ok {
-		x[idx] = score
-		mask[idx] = true
+	if wanted(want, idx) {
+		if score, ok := p.faces.Match(a.Acc.Profile.AvatarID, b.Acc.Profile.AvatarID); ok {
+			x[idx] = score
+			mask[idx] = true
+		}
 	}
 	idx++
 
 	// 3. Username similarity (always observed).
 	ua, ub := a.Acc.Profile.Username, b.Acc.Profile.Username
-	x[idx] = text.JaroWinkler(ua, ub)
-	mask[idx] = true
+	if wanted(want, idx) {
+		x[idx] = text.JaroWinkler(ua, ub)
+		mask[idx] = true
+	}
 	idx++
-	x[idx] = text.UsernameOverlap(ua, ub)
-	mask[idx] = true
+	if wanted(want, idx) {
+		x[idx] = text.UsernameOverlap(ua, ub)
+		mask[idx] = true
+	}
 	idx++
 
 	// 4-6. Multi-scale distribution similarities. A family whose length
 	// disagrees with PostTimes on either side comes back unobserved.
 	famsA := [...][]linalg.Vector{a.TopicDists, a.GenreDists, a.SentDists}
 	famsB := [...][]linalg.Vector{b.TopicDists, b.GenreDists, b.SentDists}
-	da.posts.SimilarityInto(&db.posts, famsA[:], famsB[:], p.topicSim, x[idx:], mask[idx:])
-	idx += len(famsA) * len(p.cfg.ScalesDays)
+	n = len(famsA) * len(p.cfg.ScalesDays)
+	if anyWanted(want, idx, idx+n) {
+		da, db := p.derive(a), p.derive(b)
+		da.posts.SimilarityInto(&db.posts, famsA[:], famsB[:], p.topicSim, x[idx:], mask[idx:], wantSlice(want, idx, idx+n))
+	}
+	idx += n
 
 	// 7. Style: S_lea = #matched / k for k in StyleKs (Eqn 4). Missing when
 	// either account has no unique words at all (no posts).
 	for _, k := range p.cfg.StyleKs {
-		if len(a.Unique) > 0 && len(b.Unique) > 0 {
+		if wanted(want, idx) && len(a.Unique) > 0 && len(b.Unique) > 0 {
 			x[idx] = styleSim(a.Unique, b.Unique, k)
 			mask[idx] = true
 		}
@@ -517,12 +543,32 @@ func (p *Pipeline) PairInto(a, b *AccountView, x linalg.Vector, mask []bool) {
 	}
 
 	// 8. Multi-resolution behavior matching.
-	p.cfg.MR.MatchInto(p.sensors, da.events, db.events, x[idx:], mask[idx:])
-	idx += len(p.sensors) * len(p.cfg.MR.WindowsDays)
+	n = len(p.sensors) * len(p.cfg.MR.WindowsDays)
+	if anyWanted(want, idx, idx+n) {
+		da, db := p.derive(a), p.derive(b)
+		p.cfg.MR.MatchInto(p.sensors, da.events, db.events, x[idx:], mask[idx:], wantSlice(want, idx, idx+n))
+	}
+	idx += n
 
 	if idx != dim {
 		panic(fmt.Sprintf("features: assembled %d dims, expected %d", idx, dim))
 	}
+}
+
+// wanted reports whether dimension d is selected by want (nil: all are).
+func wanted(want []bool, d int) bool { return want == nil || want[d] }
+
+// anyWanted reports whether any dimension in [lo, hi) is selected.
+func anyWanted(want []bool, lo, hi int) bool {
+	return want == nil || slices.Contains(want[lo:hi], true)
+}
+
+// wantSlice is want[lo:hi], nil when want is.
+func wantSlice(want []bool, lo, hi int) []bool {
+	if want == nil {
+		return nil
+	}
+	return want[lo:hi]
 }
 
 // styleSim computes Eqn 4 over the k most unique words of each side: how

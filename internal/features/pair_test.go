@@ -1,8 +1,12 @@
 package features
 
 import (
+	"fmt"
 	"math"
+	"math/rand/v2"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -81,7 +85,7 @@ func TestPairMatchesReference(t *testing.T) {
 				for d := range mask {
 					mask[d] = true
 				}
-				c.pipe.PairInto(a, b, x, mask)
+				c.pipe.PairInto(a, b, x, mask, nil)
 				requireSamePair(t, c.name, c.pipe, PairVector{X: x, Mask: mask}, want)
 				for d, m := range want.Mask {
 					observed[d] = observed[d] || m
@@ -262,7 +266,7 @@ func TestPairIntoSteadyStateAllocs(t *testing.T) {
 	sweep := func() {
 		for _, a := range as {
 			for _, b := range bs {
-				p.PairInto(a, b, x, mask)
+				p.PairInto(a, b, x, mask, nil)
 			}
 		}
 	}
@@ -344,7 +348,9 @@ func TestConfigValidation(t *testing.T) {
 // BenchmarkPair measures the pair kernel both ways it is paid for:
 // first-touch derives both views inside the timed call (the cold serving
 // path's first sight of an account), steady pairs views already derived
-// (every later partner).
+// (every later partner). missing-only is steady under the want of a
+// typical cold Eqn-18 candidate — the face, the 1-day bucket scale and
+// every search window — which is all a declined friend pair computes.
 func BenchmarkPair(b *testing.B) {
 	w, p := worldAndPipeline(b, 40, 1)
 	as := platformViews(b, p, w.Dataset, platform.Twitter)
@@ -358,20 +364,103 @@ func BenchmarkPair(b *testing.B) {
 			va := RestoreView(SnapshotView(as[i%len(as)]), platform.Twitter, 0)
 			vb := RestoreView(SnapshotView(bs[(i*7)%len(bs)]), platform.Facebook, 0)
 			b.StartTimer()
-			p.PairInto(va, vb, x, mask)
+			p.PairInto(va, vb, x, mask, nil)
 		}
 	})
 	b.Run("steady", func(b *testing.B) {
 		for _, a := range as {
-			p.PairInto(a, bs[0], x, mask)
+			p.PairInto(a, bs[0], x, mask, nil)
 		}
 		for _, v := range bs {
-			p.PairInto(as[0], v, x, mask)
+			p.PairInto(as[0], v, x, mask, nil)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			p.PairInto(as[i%len(as)], bs[(i*7)%len(bs)], x, mask)
+			p.PairInto(as[i%len(as)], bs[(i*7)%len(bs)], x, mask, nil)
 		}
 	})
+	b.Run("missing-only", func(b *testing.B) {
+		want := make([]bool, p.Dim())
+		for d, name := range p.names {
+			want[d] = name == "face" || p.groups[d] == "mr" || strings.HasSuffix(name, ":1d")
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			p.PairInto(as[i%len(as)], bs[(i*7)%len(bs)], x, mask, want)
+		}
+	})
+}
+
+// TestPairWantIntoMatchesPairInto holds PairInto's selector exact: every
+// cross-platform pair of a 40-person world, under a nil and an empty
+// want, each single dimension, each feature group, each bucket scale and
+// each search window, and 50 seeded random wants, must give every wanted
+// dimension the bits and mask of a full PairInto and every other one
+// 0/false. The buffers start dirty, so a dimension a selector forgets to
+// clear shows up.
+func TestPairWantIntoMatchesPairInto(t *testing.T) {
+	w, p := worldAndPipeline(t, 40, 3)
+	tw := platformViews(t, p, w.Dataset, platform.Twitter)
+	fb := platformViews(t, p, w.Dataset, platform.Facebook)
+	dim := p.Dim()
+	wants := [][]bool{nil, make([]bool, dim)}
+	sel := func(pick func(d int) bool) []bool {
+		want := make([]bool, dim)
+		for d := range want {
+			want[d] = pick(d)
+		}
+		return want
+	}
+	for d := 0; d < dim; d++ {
+		wants = append(wants, sel(func(e int) bool { return e == d }))
+	}
+	for _, g := range slices.Compact(slices.Clone(p.groups)) {
+		wants = append(wants, sel(func(d int) bool { return p.groups[d] == g }))
+	}
+	scaleOf := func(groups []string, days int) []bool { // one scale or window, every family or sensor
+		return sel(func(d int) bool {
+			return slices.Contains(groups, p.groups[d]) && strings.HasSuffix(p.names[d], fmt.Sprintf(":%dd", days))
+		})
+	}
+	for _, days := range p.cfg.ScalesDays {
+		wants = append(wants, scaleOf([]string{"topic", "genre", "sentiment"}, days))
+	}
+	for _, days := range p.cfg.MR.WindowsDays {
+		wants = append(wants, scaleOf([]string{"mr"}, days))
+	}
+	rng := rand.New(rand.NewPCG(7, 11))
+	for k := 0; k < 50; k++ {
+		density := rng.Float64()
+		wants = append(wants, sel(func(int) bool { return rng.Float64() < density }))
+	}
+
+	x, mask := linalg.NewVector(dim), make([]bool, dim)
+	pairs := 0
+	for _, side := range [][2][]*AccountView{{tw, fb}, {fb, tw}} {
+		for _, a := range side[0] {
+			for _, b := range side[1] {
+				full := p.Pair(a, b)
+				for wi, want := range wants {
+					x.Fill(math.NaN())
+					for d := range mask {
+						mask[d] = true
+					}
+					p.PairInto(a, b, x, mask, want)
+					for d := range x {
+						wx, wm := 0.0, false
+						if want == nil || want[d] {
+							wx, wm = full.X[d], full.Mask[d]
+						}
+						if math.Float64bits(x[d]) != math.Float64bits(wx) || mask[d] != wm {
+							t.Fatalf("want #%d: %s = %v/%v, want %v/%v", wi, p.names[d], x[d], mask[d], wx, wm)
+						}
+					}
+				}
+				pairs++
+			}
+		}
+	}
+	t.Logf("%d pairs × %d wants", pairs, len(wants))
 }

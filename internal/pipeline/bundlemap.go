@@ -736,16 +736,61 @@ func (r *mapReader) vec() linalg.Vector {
 	return v
 }
 
+// vecs decodes a vector list. A copy-decoded list takes one allocation
+// for all its values: a first pass over the length headers sizes the
+// backing array, and each vector is a full slice expression of it, so
+// none can append into its neighbour. A list whose headers do not fit
+// the section is decoded vector by vector, which fails where it always
+// did.
 func (r *mapReader) vecs() []linalg.Vector {
 	n, ok := r.sliceLen()
 	if !ok || r.err != nil {
 		return nil
 	}
 	vs := make([]linalg.Vector, n)
-	for i := range vs {
-		vs[i] = r.vec()
+	total, fits := 0, false
+	if r.copyVecs {
+		total, fits = r.sizeVecs(n)
 	}
+	if !fits {
+		for i := range vs {
+			vs[i] = r.vec()
+		}
+		return vs
+	}
+	backing := make([]float64, total)
+	copied := 0
+	for i := range vs {
+		m, ok := r.sliceLen()
+		if !ok {
+			continue // absent stays nil
+		}
+		p := r.take(8 * m)
+		v := backing[:m:m]
+		backing = backing[m:]
+		for j := range v {
+			v[j] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*j:]))
+		}
+		vs[i] = v
+		copied++
+	}
+	r.mb.copied.Add(uint64(copied))
 	return vs
+}
+
+// sizeVecs sums the lengths of the next n vectors without consuming
+// them, reporting whether all n fit the section.
+func (r *mapReader) sizeVecs(n int) (total int, fits bool) {
+	start := r.off
+	for i := 0; i < n && r.err == nil; i++ {
+		if m, ok := r.sliceLen(); ok {
+			total += m
+			r.take(8 * m)
+		}
+	}
+	fits = r.err == nil
+	r.off, r.err = start, nil
+	return total, fits
 }
 
 func (r *mapReader) candidates() []blocking.Candidate {

@@ -146,7 +146,12 @@ var meanPool = sync.Pool{New: func() any { return new([2][meanScratch]float64) }
 // as is every scale of a family whose length differs from its timeline's
 // on either side. Buckets are visited in ascending order, so each average
 // is summed in the order a bucket-by-bucket walk would sum it.
-func (a *Timeline) SimilarityInto(b *Timeline, famsA, famsB [][]linalg.Vector, sim Similarity, x []float64, mask []bool) {
+//
+// want, when non-nil, selects entries in x's layout: an entry it leaves
+// out comes back missing, its bucket means are never formed, and a scale
+// with no selected entry is not walked at all. Scales and families share
+// no state, so a selected entry carries the bits of a full call.
+func (a *Timeline) SimilarityInto(b *Timeline, famsA, famsB [][]linalg.Vector, sim Similarity, x []float64, mask []bool, want []bool) {
 	scales := len(a.scalesDays)
 	clear(x[:len(famsA)*scales])
 	clear(mask[:len(famsA)*scales])
@@ -154,11 +159,19 @@ func (a *Timeline) SimilarityInto(b *Timeline, famsA, famsB [][]linalg.Vector, s
 		return
 	}
 	usable := func(f int) bool { return len(famsA[f]) == len(a.at) && len(famsB[f]) == len(b.at) }
+	on := func(f, si int) bool { return usable(f) && (want == nil || want[f*scales+si]) }
 	scratch := meanPool.Get().(*[2][meanScratch]float64)
 	defer meanPool.Put(scratch)
 	bufA, bufB := &scratch[0], &scratch[1]
 	ma, mb := len(a.order)/scales, len(b.order)/scales
 	for si, days := range a.scalesDays {
+		walk := false
+		for f := range famsA {
+			walk = walk || on(f, si)
+		}
+		if !walk {
+			continue
+		}
 		scale := int64(days) * int64(Day)
 		oa, ob := a.order[si*ma:][:ma], b.order[si*mb:][:mb]
 		matched := 0
@@ -172,7 +185,7 @@ func (a *Timeline) SimilarityInto(b *Timeline, famsA, famsB [][]linalg.Vector, s
 			default:
 				na, nb := a.run(oa, ba*scale, scale), b.run(ob, bb*scale, scale)
 				for f := range famsA {
-					if usable(f) {
+					if on(f, si) {
 						x[f*scales+si] += sim(meanInto(bufA, famsA[f], oa[:na]), meanInto(bufB, famsB[f], ob[:nb]))
 					}
 				}
@@ -184,7 +197,7 @@ func (a *Timeline) SimilarityInto(b *Timeline, famsA, famsB [][]linalg.Vector, s
 			continue
 		}
 		for f := range famsA {
-			if usable(f) {
+			if on(f, si) {
 				x[f*scales+si] /= float64(matched)
 				mask[f*scales+si] = true
 			}

@@ -76,7 +76,7 @@ func TestMultiScaleSimilarityAllMissing(t *testing.T) {
 	a := NewTimeline(r, []int{1, 8, 32}, []time.Time{t0.Add(Day)})
 	b := NewTimeline(r, []int{1, 8, 32}, nil)
 	vec, mask := []float64{9, 9, 9}, []bool{true, true, true}
-	a.SimilarityInto(&b, [][]linalg.Vector{{{1, 0}}}, [][]linalg.Vector{nil}, dot, vec, mask)
+	a.SimilarityInto(&b, [][]linalg.Vector{{{1, 0}}}, [][]linalg.Vector{nil}, dot, vec, mask, nil)
 	for i := range mask {
 		if mask[i] || vec[i] != 0 {
 			t.Fatal("empty counterpart must yield all-missing features")

@@ -334,7 +334,13 @@ func (cfg MultiResolutionConfig) Validate() error {
 // sensor sees the same windows, so each window size is scanned once and
 // every sensor's pool is fed in window order — the order, and therefore
 // the bits, of one scan per sensor.
-func (cfg MultiResolutionConfig) MatchInto(sensors []Sensor, a, b Stream, x []float64, mask []bool) {
+//
+// want, when non-nil, selects entries in x's layout: a sensor it leaves
+// out of a window is never stimulated there and its entry is left alone,
+// and a window with no selected sensor is not scanned at all. Windows
+// and sensors share no state, so a selected entry carries the bits of a
+// full call.
+func (cfg MultiResolutionConfig) MatchInto(sensors []Sensor, a, b Stream, x []float64, mask []bool, want []bool) {
 	var stack [4]pool // the pair pipeline runs two sensors
 	pools := stack[:]
 	if len(sensors) > len(stack) {
@@ -342,13 +348,22 @@ func (cfg MultiResolutionConfig) MatchInto(sensors []Sensor, a, b Stream, x []fl
 	}
 	pools = pools[:len(sensors)]
 	nw := len(cfg.WindowsDays)
+	on := func(si, wi int) bool { return want == nil || want[si*nw+wi] }
 	for wi, days := range cfg.WindowsDays {
+		scan := false
 		for si := range pools {
 			pools[si] = pool{q: cfg.Q, mean: cfg.MeanPooling}
+			scan = scan || on(si, wi)
+		}
+		if !scan {
+			continue
 		}
 		ws := newWindowScan(a, b, time.Duration(days)*Day)
 		for ea, eb, ok := ws.next(); ok; ea, eb, ok = ws.next() {
 			for si, sensor := range sensors {
+				if !on(si, wi) {
+					continue
+				}
 				if v := sensor.stimulate(ea, eb); v >= 0 {
 					pools[si].add(v)
 				}

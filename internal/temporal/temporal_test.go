@@ -63,7 +63,7 @@ func bucketMeans(r Range, days int, times []time.Time, dists []linalg.Vector) []
 			unit := linalg.NewVector(len(dists[0]))
 			unit[d] = 1
 			x, mask := []float64{0}, []bool{false}
-			tl.SimilarityInto(&probe, [][]linalg.Vector{dists}, [][]linalg.Vector{{unit}}, dot, x, mask)
+			tl.SimilarityInto(&probe, [][]linalg.Vector{dists}, [][]linalg.Vector{{unit}}, dot, x, mask, nil)
 			if mask[0] {
 				if out[bkt] == nil {
 					out[bkt] = linalg.NewVector(len(dists[0]))
@@ -98,7 +98,7 @@ func TestAggregateDistributionsMismatch(t *testing.T) {
 	tl := NewTimeline(r30(), []int{1}, []time.Time{t0})
 	fams := [][]linalg.Vector{nil, {{1}}}
 	x, mask := []float64{9, 9}, []bool{true, true}
-	tl.SimilarityInto(&tl, fams, fams, dot, x, mask)
+	tl.SimilarityInto(&tl, fams, fams, dot, x, mask, nil)
 	if mask[0] || x[0] != 0 {
 		t.Fatalf("a family with 1 time but 0 distributions must be missing, got %v %v", x[0], mask[0])
 	}
@@ -160,7 +160,7 @@ func newDaily(r Range, dists ...linalg.Vector) daily {
 // similarity is the one-scale, one-family form of SimilarityInto.
 func similarity(a, b daily) (float64, bool) {
 	x, mask := []float64{0}, []bool{false}
-	a.tl.SimilarityInto(&b.tl, [][]linalg.Vector{a.dists}, [][]linalg.Vector{b.dists}, dot, x, mask)
+	a.tl.SimilarityInto(&b.tl, [][]linalg.Vector{a.dists}, [][]linalg.Vector{b.dists}, dot, x, mask, nil)
 	return x[0], mask[0]
 }
 
@@ -199,7 +199,7 @@ func TestMultiScaleSimilarity(t *testing.T) {
 	dists := [][]linalg.Vector{{{0.5, 0.5}, {0.5, 0.5}}}
 	a, b := NewTimeline(r, []int{1, 16}, timesA), NewTimeline(r, []int{1, 16}, timesB)
 	vec, mask := make([]float64, 2), make([]bool, 2)
-	a.SimilarityInto(&b, dists, dists, dot, vec, mask)
+	a.SimilarityInto(&b, dists, dists, dot, vec, mask, nil)
 	if !mask[0] || !mask[1] {
 		t.Fatalf("both scales should be observed: %v", mask)
 	}
@@ -246,7 +246,7 @@ func sensorSignals(s Sensor, a, b []Event, window time.Duration) []float64 {
 func match(sensors []Sensor, cfg MultiResolutionConfig, a, b []Event) ([]float64, []bool) {
 	n := len(sensors) * len(cfg.WindowsDays)
 	vec, mask := make([]float64, n), make([]bool, n)
-	cfg.MatchInto(sensors, NewStream(a), NewStream(b), vec, mask)
+	cfg.MatchInto(sensors, NewStream(a), NewStream(b), vec, mask, nil)
 	return vec, mask
 }
 
@@ -444,7 +444,7 @@ func TestMatchIntoSharedScanBitIdentical(t *testing.T) {
 				n := len(sensors) * len(cfg.WindowsDays)
 				x, mask := make([]float64, n), make([]bool, n)
 				wx, wmask := make([]float64, n), make([]bool, n)
-				cfg.MatchInto(sensors, a, b, x, mask)
+				cfg.MatchInto(sensors, a, b, x, mask, nil)
 				matchPerSensor(cfg, sensors, a, b, wx, wmask)
 				for i := range x {
 					if math.Float64bits(x[i]) != math.Float64bits(wx[i]) || mask[i] != wmask[i] {
