@@ -66,6 +66,8 @@ race:
 # degraded — plus the router's own failover, breaker, hedge and budget
 # tests, all under the race detector: both packages walk the one
 # failover iterator, and a race there is a wrong answer under load.
+# internal/faults is test-only: the injector, its HTTP and backend
+# wrappers and the suite are all _test.go files, so no binary links them.
 # Deterministic — a failure replays with
 # `go test -race -run Chaos ./internal/faults/`.
 chaos:

@@ -54,6 +54,12 @@ func main() {
 		defaultBudget   = flag.Duration("default-budget", 0, "end-to-end deadline budget applied to requests without an "+`X-Hydra-Deadline-Ms`+" header (0 = unbudgeted)")
 	)
 	flag.Parse()
+	// The startup probe's deadline is built from this value, so a
+	// non-positive one would expire before the first shard answered.
+	if *timeout <= 0 {
+		fmt.Fprintf(os.Stderr, "hydra-router: -timeout must be positive, got %v\n", *timeout)
+		os.Exit(2)
+	}
 	if *shardsFlag == "" {
 		fmt.Fprintln(os.Stderr, "usage: hydra-router -shards http://host:8081,http://host:8082[,...] [-http :8080]")
 		fmt.Fprintln(os.Stderr, "       replicas of one shard: -shards 'http://a:8081|http://b:8081,...'")

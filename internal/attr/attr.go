@@ -21,16 +21,6 @@ type Importance struct {
 	Scores linalg.Vector // normalized, sums to 1
 }
 
-// Score returns the importance of attribute name (0 if unknown).
-func (im *Importance) Score(name platform.AttrName) float64 {
-	for i, a := range im.Attrs {
-		if a == name {
-			return im.Scores[i]
-		}
-	}
-	return 0
-}
-
 // LabeledPair is a pair of profiles with a ground-truth same-person label.
 type LabeledPair struct {
 	A, B     *platform.Profile

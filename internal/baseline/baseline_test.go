@@ -44,7 +44,7 @@ func evalLinker(t *testing.T, sys *core.System, l core.Linker, task *core.Task) 
 	if err := l.Fit(sys, task); err != nil {
 		t.Fatalf("%s Fit: %v", l.Name(), err)
 	}
-	conf, err := core.EvaluateLinker(sys, l, task.Blocks)
+	conf, err := core.EvaluateLinkerWorkers(sys, l, task.Blocks, 0)
 	if err != nil {
 		t.Fatalf("%s evaluate: %v", l.Name(), err)
 	}

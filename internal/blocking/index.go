@@ -102,15 +102,6 @@ func (ix *Index) NumShards() int {
 	return len(ix.byA)
 }
 
-// Len returns the total candidate count across all shards.
-func (ix *Index) Len() int {
-	n := 0
-	for _, s := range ix.ShardSizes() {
-		n += s
-	}
-	return n
-}
-
 // ShardSizes returns every shard's candidate count, indexed by A-side
 // account. On a lazy index this reads the length table — no shard
 // materializes. The returned slice is freshly allocated.

@@ -99,7 +99,7 @@ func TestTrainAndEvaluateEnglish(t *testing.T) {
 	if err := linker.Fit(sys, task); err != nil {
 		t.Fatal(err)
 	}
-	conf, err := EvaluateLinker(sys, linker, task.Blocks)
+	conf, err := EvaluateLinkerWorkers(sys, linker, task.Blocks, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestHydraMBeatsHydraZUnderMissingness(t *testing.T) {
 		if err := linker.Fit(sys, task); err != nil {
 			t.Fatal(err)
 		}
-		conf, err := EvaluateLinker(sys, linker, task.Blocks)
+		conf, err := EvaluateLinkerWorkers(sys, linker, task.Blocks, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,7 +208,7 @@ func TestTrainWithPGreaterThanOne(t *testing.T) {
 	if m.Diag.EffGammaM == cfg.GammaM {
 		t.Log("effective gamma unchanged (objectives balanced); acceptable")
 	}
-	conf, err := EvaluateLinker(sys, linker, task.Blocks)
+	conf, err := EvaluateLinkerWorkers(sys, linker, task.Blocks, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestMultiPlatformTask(t *testing.T) {
 	if err := linker.Fit(sys, task); err != nil {
 		t.Fatal(err)
 	}
-	conf, err := EvaluateLinker(sys, linker, task.Blocks)
+	conf, err := EvaluateLinkerWorkers(sys, linker, task.Blocks, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

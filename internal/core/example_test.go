@@ -45,7 +45,7 @@ func ExampleHydraLinker() {
 		log.Fatal(err)
 	}
 
-	conf, err := core.EvaluateLinker(sys, hydra, task.Blocks)
+	conf, err := core.EvaluateLinkerWorkers(sys, hydra, task.Blocks, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

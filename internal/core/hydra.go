@@ -511,12 +511,3 @@ func (m *Model) Score(pa platform.ID, a int, pb platform.ID, b int) (float64, er
 	sc.setSingle(x)
 	return m.Decision(x), nil
 }
-
-// Link decides whether the pair is the same natural person (f(x) > 0).
-func (m *Model) Link(pa platform.ID, a int, pb platform.ID, b int) (bool, error) {
-	s, err := m.Score(pa, a, pb, b)
-	if err != nil {
-		return false, err
-	}
-	return s > 0, nil
-}

@@ -151,10 +151,6 @@ func ImputeTableFromParts(p *ImputeTableParts) (*ImputeTable, error) {
 	return t, nil
 }
 
-// K returns the topFriends depth the sums were accumulated at; lookups
-// at any other depth must bypass the table.
-func (t *ImputeTable) K() int { return t.k }
-
 // NumEntries reports the indexed entry count.
 func (t *ImputeTable) NumEntries() int { return len(t.counts) }
 

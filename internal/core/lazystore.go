@@ -144,10 +144,6 @@ func (st *LazyStore) Platforms() []platform.ID {
 	return append([]platform.ID(nil), st.plats...)
 }
 
-// FriendsK returns the per-account friend-slice depth the snapshot was
-// packed with (imputation can use any topFriends up to this).
-func (st *LazyStore) FriendsK() int { return st.friendsK }
-
 // Faces exposes the face matcher (blocking uses it).
 func (st *LazyStore) Faces() *vision.Matcher { return st.faces }
 

@@ -117,7 +117,7 @@ type Linker interface {
 	Fit(sys *System, task *Task) error
 	// PairScore returns a real-valued linkage score (higher = more likely
 	// the same person); the decision threshold is 0. Implementations must
-	// be safe for concurrent calls after Fit — EvaluateLinker scores
+	// be safe for concurrent calls after Fit — EvaluateLinkerWorkers scores
 	// candidates in parallel. (All in-repo linkers are read-only after
 	// Fit apart from the mutex-guarded System caches.)
 	PairScore(pa platform.ID, a int, pb platform.ID, b int) (float64, error)
@@ -153,18 +153,13 @@ func (h *HydraLinker) PairScore(pa platform.ID, a int, pb platform.ID, b int) (f
 // Model exposes the trained model (nil before Fit).
 func (h *HydraLinker) Model() *Model { return h.model }
 
-// EvaluateLinker scores every candidate of every block with the linker and
-// compares decisions (score > 0) against ground truth. Blocking misses —
-// true pairs that never became candidates — are charged as false negatives,
-// implementing the paper's recall definition. Scoring runs on all cores;
-// use EvaluateLinkerWorkers to pin the parallelism.
-func EvaluateLinker(sys *System, l Linker, blocks []*Block) (metrics.Confusion, error) {
-	return EvaluateLinkerWorkers(sys, l, blocks, 0)
-}
-
-// EvaluateLinkerWorkers is EvaluateLinker with a pinned worker count
-// (≤ 0 = all cores). Each candidate's decision is written to its own
-// index, so the confusion counts are identical at any worker count.
+// EvaluateLinkerWorkers scores every candidate of every block with the
+// linker on the given worker count (≤ 0 = all cores) and compares
+// decisions (score > 0) against ground truth. Blocking misses — true pairs
+// that never became candidates — are charged as false negatives,
+// implementing the paper's recall definition. Each candidate's decision is
+// written to its own index, so the confusion counts are identical at any
+// worker count.
 func EvaluateLinkerWorkers(sys *System, l Linker, blocks []*Block, workers int) (metrics.Confusion, error) {
 	var total metrics.Confusion
 	for _, b := range blocks {

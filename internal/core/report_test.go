@@ -79,9 +79,15 @@ func TestFeatureGroupReportSolvesRidge(t *testing.T) {
 			ys = append(ys, b.Labels[ci])
 		}
 	}
-	x := linalg.NewMatrixFrom(rows)
-	xt := x.T()
-	lu, err := linalg.Factorize(xt.Mul(x).AddDiag(1))
+	x := linalg.NewMatrix(len(rows), len(rows[0]))
+	xt := linalg.NewMatrix(len(rows[0]), len(rows))
+	for i, row := range rows {
+		for d, v := range row {
+			x.Set(i, d, v)
+			xt.Set(d, i, v)
+		}
+	}
+	lu, err := linalg.FactorizeInPlaceWorkers(xt.MulWorkers(x, 1).AddDiag(1), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -128,15 +128,6 @@ func TestModelScoreOutOfRange(t *testing.T) {
 	if _, err := m.Score(platform.Twitter, 999, platform.Facebook, 0); err == nil {
 		t.Fatal("expected out-of-range score error")
 	}
-	// Link wraps Score.
-	if _, err := m.Link(platform.Twitter, 999, platform.Facebook, 0); err == nil {
-		t.Fatal("expected out-of-range link error")
-	}
-	ok, err := m.Link(platform.Twitter, 0, platform.Facebook, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = ok
 }
 
 func TestHydraLinkerUnfitted(t *testing.T) {

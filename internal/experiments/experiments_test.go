@@ -169,3 +169,28 @@ func TestFigure2aComboKey(t *testing.T) {
 		t.Fatalf("combo = %q", got)
 	}
 }
+
+// SeriesByName returns the named series, or nil.
+func (r *Result) SeriesByName(name string) *Series {
+	for _, s := range r.Series {
+		if s.Name == name {
+			return s
+		}
+	}
+	return nil
+}
+
+// MeanF1 returns the mean F1 of a series (diagnostic for shape tests).
+func (s *Series) MeanF1() float64 {
+	if s == nil || len(s.X) == 0 {
+		return 0
+	}
+	var acc float64
+	for i := range s.X {
+		p, r := s.Precision[i], s.Recall[i]
+		if p+r > 0 {
+			acc += 2 * p * r / (p + r)
+		}
+	}
+	return acc / float64(len(s.X))
+}

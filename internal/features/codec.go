@@ -35,7 +35,7 @@ func (p *Pipeline) Parts() PipelineParts {
 }
 
 // PipelineFromParts rebuilds a query-only pipeline: Pair, Dim,
-// FeatureNames, FeatureGroups and Importance behave exactly as on the
+// FeatureGroups, Importance and Explain behave exactly as on the
 // trained original, but BuildView panics — a restored pipeline pairs
 // snapshotted views, it does not construct new ones.
 func PipelineFromParts(parts PipelineParts) (*Pipeline, error) {

@@ -254,9 +254,6 @@ func (p *Pipeline) buildNames() {
 // Dim returns the feature dimension D.
 func (p *Pipeline) Dim() int { return len(p.names) }
 
-// FeatureNames returns the ordered feature names.
-func (p *Pipeline) FeatureNames() []string { return p.names }
-
 // FeatureGroups returns the group label of each feature dimension.
 func (p *Pipeline) FeatureGroups() []string { return p.groups }
 
@@ -440,20 +437,6 @@ func meanDist(dists []linalg.Vector, dim int) linalg.Vector {
 type PairVector struct {
 	X    linalg.Vector
 	Mask []bool
-}
-
-// ObservedFraction returns the share of observed dimensions.
-func (pv PairVector) ObservedFraction() float64 {
-	if len(pv.Mask) == 0 {
-		return 0
-	}
-	n := 0
-	for _, m := range pv.Mask {
-		if m {
-			n++
-		}
-	}
-	return float64(n) / float64(len(pv.Mask))
 }
 
 // Pair computes the full heterogeneous similarity vector between two

@@ -2,9 +2,11 @@ package features
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"hydra/internal/attr"
+	"hydra/internal/linalg"
 	"hydra/internal/platform"
 	"hydra/internal/synth"
 )
@@ -46,7 +48,7 @@ func TestPipelineDim(t *testing.T) {
 	if p.Dim() != want {
 		t.Fatalf("Dim = %d, want %d", p.Dim(), want)
 	}
-	if len(p.FeatureNames()) != want || len(p.FeatureGroups()) != want {
+	if len(p.names) != want || len(p.FeatureGroups()) != want {
 		t.Fatal("names/groups length mismatch")
 	}
 }
@@ -65,13 +67,13 @@ func TestPairVectorSanity(t *testing.T) {
 	}
 	for i := range pv.X {
 		if math.IsNaN(pv.X[i]) || math.IsInf(pv.X[i], 0) {
-			t.Fatalf("feature %s is %v", p.FeatureNames()[i], pv.X[i])
+			t.Fatalf("feature %s is %v", p.names[i], pv.X[i])
 		}
 		if !pv.Mask[i] && pv.X[i] != 0 {
-			t.Fatalf("missing feature %s has nonzero value", p.FeatureNames()[i])
+			t.Fatalf("missing feature %s has nonzero value", p.names[i])
 		}
 	}
-	if pv.ObservedFraction() == 0 {
+	if !slices.Contains(pv.Mask, true) {
 		t.Fatal("no observed features at all")
 	}
 }
@@ -139,8 +141,8 @@ func TestEmbeddingSimilarForSamePerson(t *testing.T) {
 		if len(tw.Accounts[a].Posts) < 3 || len(fb.Accounts[b].Posts) < 3 || len(fb.Accounts[c].Posts) < 3 {
 			continue
 		}
-		sameDist += va.Embedding.Sub(vb.Embedding).Norm()
-		diffDist += va.Embedding.Sub(vc.Embedding).Norm()
+		sameDist += math.Sqrt(linalg.SqDist(va.Embedding, vb.Embedding))
+		diffDist += math.Sqrt(linalg.SqDist(va.Embedding, vc.Embedding))
 		count++
 	}
 	if count == 0 {

@@ -346,15 +346,34 @@ type refDistSeries struct {
 	Buckets []linalg.Vector
 }
 
+func refNumBuckets(r temporal.Range, scale time.Duration) int {
+	if !r.Valid() || scale <= 0 {
+		return 0
+	}
+	d := r.Duration()
+	n := int(d / scale)
+	if d%scale != 0 {
+		n++
+	}
+	return n
+}
+
+func refBucketOf(r temporal.Range, t time.Time, scale time.Duration) int {
+	if !r.Contains(t) {
+		return -1
+	}
+	return int(t.Sub(r.Start) / scale)
+}
+
 func refAggregateDistributions(r temporal.Range, scale time.Duration, times []time.Time, dists []linalg.Vector) (refDistSeries, error) {
 	if len(times) != len(dists) {
 		return refDistSeries{}, fmt.Errorf("temporal: %d times but %d distributions", len(times), len(dists))
 	}
-	n := r.NumBuckets(scale)
+	n := refNumBuckets(r, scale)
 	out := refDistSeries{Scale: scale, Buckets: make([]linalg.Vector, n)}
 	counts := make([]int, n)
 	for i, t := range times {
-		b := r.BucketOf(t, scale)
+		b := refBucketOf(r, t, scale)
 		if b < 0 {
 			continue
 		}

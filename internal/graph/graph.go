@@ -45,14 +45,6 @@ func (g *Graph) AddEdge(u, v int, w float64) {
 	g.adj[v][u] += w
 }
 
-// HasEdge reports whether the edge (u,v) exists.
-func (g *Graph) HasEdge(u, v int) bool {
-	g.check(u)
-	g.check(v)
-	_, ok := g.adj[u][v]
-	return ok
-}
-
 // Weight returns the weight of edge (u,v), 0 if absent.
 func (g *Graph) Weight(u, v int) float64 {
 	g.check(u)
@@ -75,15 +67,6 @@ func (g *Graph) Neighbors(u int) []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// NumEdges returns the number of undirected edges.
-func (g *Graph) NumEdges() int {
-	total := 0
-	for _, m := range g.adj {
-		total += len(m)
-	}
-	return total / 2
 }
 
 func (g *Graph) check(u int) {

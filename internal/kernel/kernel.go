@@ -113,19 +113,14 @@ func (HistogramIntersection) Eval(x, y linalg.Vector) float64 {
 // Name implements Func.
 func (HistogramIntersection) Name() string { return "histintersect" }
 
-// Gram computes the full kernel matrix K[i][j] = k(xs[i], xs[j]) using all
-// available cores (see GramWorkers).
-func Gram(k Func, xs []linalg.Vector) *linalg.Matrix {
-	return GramWorkers(k, xs, 0)
-}
-
-// GramWorkers computes the Gram matrix with a pinned worker count (≤ 0 =
-// all cores). Rows are distributed dynamically because row i only computes
-// the upper triangle j ≥ i and fills both halves — row costs shrink
-// linearly, so static chunking would leave late workers idle. Every cell
-// is written exactly once (cell (i,j), j > i, belongs to row i alone), and
-// each K(i,j) is evaluated independently, so the result is bit-for-bit
-// identical at any worker count.
+// GramWorkers computes the full kernel matrix K[i][j] = k(xs[i], xs[j])
+// on the given worker count (≤ 0 = all cores). Rows are distributed
+// dynamically because row i only computes the upper triangle j ≥ i and
+// fills both halves — row costs shrink linearly, so static chunking would
+// leave late workers idle. Every cell is written exactly once (cell (i,j),
+// j > i, belongs to row i alone), and each K(i,j) is evaluated
+// independently, so the result is bit-for-bit identical at any worker
+// count.
 func GramWorkers(k Func, xs []linalg.Vector, workers int) *linalg.Matrix {
 	n := len(xs)
 	m := linalg.NewMatrix(n, n)
@@ -139,27 +134,14 @@ func GramWorkers(k Func, xs []linalg.Vector, workers int) *linalg.Matrix {
 	return m
 }
 
-// CrossGram computes the rectangular kernel matrix K[i][j] = k(as[i], bs[j])
-// using all available cores (see CrossGramWorkers).
-func CrossGram(k Func, as, bs []linalg.Vector) *linalg.Matrix {
-	return CrossGramWorkers(k, as, bs, 0)
-}
-
-// CrossGramWorkers computes the cross-Gram matrix with a pinned worker
-// count (≤ 0 = all cores), parallelized by row.
-func CrossGramWorkers(k Func, as, bs []linalg.Vector, workers int) *linalg.Matrix {
-	m := linalg.NewMatrix(len(as), len(bs))
-	CrossGramInto(k, as, bs, m, workers)
-	return m
-}
-
-// CrossGramInto is CrossGramWorkers writing into a caller-provided matrix
-// of shape len(as)×len(bs) — the serving fast path calls it every query
-// with a pooled matrix, so the steady state allocates nothing. Cell (i,j)
-// is k.Eval(as[i], bs[j]), each evaluated independently and written to its
-// own slot, so the contents are bit-identical at any worker count; with
-// one worker the loop runs inline on the calling goroutine (no closure,
-// no goroutines — zero allocations).
+// CrossGramInto writes the rectangular kernel matrix K[i][j] =
+// k(as[i], bs[j]) into a caller-provided matrix of shape len(as)×len(bs),
+// parallelized by row on the given worker count (≤ 0 = all cores) — the
+// serving fast path calls it every query with a pooled matrix, so the
+// steady state allocates nothing. Cell (i,j) is evaluated independently
+// and written to its own slot, so the contents are bit-identical at any
+// worker count; with one worker the loop runs inline on the calling
+// goroutine (no closure, no goroutines — zero allocations).
 func CrossGramInto(k Func, as, bs []linalg.Vector, out *linalg.Matrix, workers int) {
 	if out.Rows != len(as) || out.Cols != len(bs) {
 		panic(fmt.Sprintf("kernel: CrossGramInto shape mismatch: out %dx%d for %dx%d gram",
@@ -202,9 +184,8 @@ type Cache struct {
 	k  Func
 	xs []linalg.Vector
 
-	mu           sync.Mutex
-	rows         map[int]linalg.Vector
-	hits, misses int
+	mu   sync.Mutex
+	rows map[int]linalg.Vector
 }
 
 // NewCache returns a row cache for kernel k over samples xs.
@@ -218,14 +199,11 @@ func NewCache(k Func, xs []linalg.Vector) *Cache {
 func (c *Cache) Row(i int) linalg.Vector {
 	c.mu.Lock()
 	if r, ok := c.rows[i]; ok {
-		c.hits++
 		c.mu.Unlock()
 		return r
 	}
-	// Count the miss now (misses = rows computed, racing duplicates
-	// included) and evaluate outside the lock: a kernel row is O(n·d)
-	// work that would otherwise serialize every concurrent caller.
-	c.misses++
+	// Evaluate outside the lock: a kernel row is O(n·d) work that would
+	// otherwise serialize every concurrent caller.
 	c.mu.Unlock()
 	r := linalg.NewVector(len(c.xs))
 	xi := c.xs[i]
@@ -241,18 +219,3 @@ func (c *Cache) Row(i int) linalg.Vector {
 	c.mu.Unlock()
 	return r
 }
-
-// At returns k(x_i, x_j) going through the row cache.
-func (c *Cache) At(i, j int) float64 { return c.Row(i)[j] }
-
-// Stats reports cache hits and misses (for efficiency experiments). Misses
-// count computed rows, so sequential callers see hits+misses equal to the
-// number of Row calls; concurrent same-row races can add extra misses.
-func (c *Cache) Stats() (hits, misses int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
-}
-
-// Len returns the number of cached samples.
-func (c *Cache) Len() int { return len(c.xs) }

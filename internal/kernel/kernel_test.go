@@ -84,7 +84,7 @@ func TestGramSymmetry(t *testing.T) {
 	for i := range xs {
 		xs[i] = linalg.Vector{rng.NormFloat64(), rng.NormFloat64()}
 	}
-	g := Gram(NewRBF(1.5), xs)
+	g := GramWorkers(NewRBF(1.5), xs, 0)
 	for i := range xs {
 		for j := range xs {
 			if math.Abs(g.At(i, j)-g.At(j, i)) > 1e-12 {
@@ -100,7 +100,7 @@ func TestGramSymmetry(t *testing.T) {
 func TestCrossGram(t *testing.T) {
 	as := []linalg.Vector{{1, 0}}
 	bs := []linalg.Vector{{1, 0}, {0, 1}}
-	m := CrossGram(Linear{}, as, bs)
+	m := crossGram(Linear{}, as, bs, 0)
 	if m.Rows != 1 || m.Cols != 2 || m.At(0, 0) != 1 || m.At(0, 1) != 0 {
 		t.Fatalf("CrossGram = %+v", m)
 	}
@@ -109,16 +109,12 @@ func TestCrossGram(t *testing.T) {
 func TestCache(t *testing.T) {
 	xs := []linalg.Vector{{0}, {1}, {2}}
 	c := NewCache(Linear{}, xs)
-	if c.Len() != 3 {
-		t.Fatal("len")
+	r := c.Row(1)
+	if len(r) != 3 || r[2] != 2 {
+		t.Fatalf("Row(1) = %v", r)
 	}
-	if got := c.At(1, 2); got != 2 {
-		t.Fatalf("At = %v", got)
-	}
-	c.Row(1) // hit
-	hits, misses := c.Stats()
-	if hits != 1 || misses != 1 {
-		t.Fatalf("stats = %d/%d, want 1/1", hits, misses)
+	if again := c.Row(1); &again[0] != &r[0] {
+		t.Fatal("a second Row(1) recomputed the row instead of hitting the cache")
 	}
 }
 
@@ -161,7 +157,7 @@ func TestLinearGramPSDProperty(t *testing.T) {
 		for i := range xs {
 			xs[i] = linalg.Vector{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
 		}
-		g := Gram(Linear{}, xs)
+		g := GramWorkers(Linear{}, xs, 0)
 		v := linalg.NewVector(n)
 		for i := range v {
 			v[i] = rng.NormFloat64()

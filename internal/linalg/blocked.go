@@ -4,8 +4,8 @@
 // 15–17: the L·K product, the LU factorization of A and the multi-RHS
 // solve for Z = A⁻¹JᵀY) dominates wall-clock once the pairwise stages run
 // in parallel. This file provides the cache-blocked, row-parallel kernels
-// behind Matrix.Mul, Matrix.MulVec and Matrix.T, with an explicit worker
-// knob (MulWorkers, MulVecWorkers, TWorkers) driven by internal/parallel.
+// MulWorkers and MulVecWorkers (behind Matrix.MulVec), with an explicit
+// worker knob driven by internal/parallel.
 //
 // Determinism contract. Floating-point addition is not associative, so the
 // tiling is chosen to never reorder an accumulation:
@@ -22,10 +22,11 @@
 //     partitioned into disjoint blocks), so there are no write races and
 //     no merge step.
 //
-// Consequently Mul/MulVec/T return bit-for-bit identical results at any
+// Consequently both kernels return bit-for-bit identical results at any
 // worker count — the same contract internal/parallel established for the
 // pairwise stages — and also reproduce the pre-tiling serial loops exactly
-// (same per-element operation order, including the a==0 skip in Mul).
+// (same per-element operation order, including the a==0 skip in
+// MulWorkers).
 package linalg
 
 import (
@@ -47,15 +48,11 @@ const (
 	// each row is an independent dot product, so the only tuning concern
 	// is task granularity.
 	vecRowBlock = 64
-	// transTile is the square tile of the blocked transpose: source reads
-	// are row-major while destination writes stride by Rows, so confining
-	// both to a 64×64 tile (32 KiB) keeps the write target cache-resident.
-	transTile = 64
 )
 
 // MulWorkers returns m*n, computed by the blocked kernel with the given
 // worker count (≤ 0 = all cores). The result is bit-identical at any
-// worker count; Mul is MulWorkers with one worker.
+// worker count.
 //
 // Inner-kernel shape: for each output row and k-tile, the nonzero A
 // entries are gathered once in ascending k order (structural zeros —
@@ -149,30 +146,6 @@ func (m *Matrix) MulVecWorkers(v Vector, workers int) Vector {
 				s += x * v[j]
 			}
 			out[i] = s
-		}
-	})
-	return out
-}
-
-// TWorkers returns the transpose, copied tile-by-tile with source row
-// strips handed to parallel workers (≤ 0 = all cores). A transpose has no
-// arithmetic, so determinism is trivial; the tiling exists purely to keep
-// the strided destination writes inside a cache-resident tile. T is
-// TWorkers with one worker.
-func (m *Matrix) TWorkers(workers int) *Matrix {
-	out := NewMatrix(m.Cols, m.Rows)
-	strips := (m.Rows + transTile - 1) / transTile
-	parallel.For(workers, strips, func(s int) {
-		i0 := s * transTile
-		i1 := min(i0+transTile, m.Rows)
-		for j0 := 0; j0 < m.Cols; j0 += transTile {
-			j1 := min(j0+transTile, m.Cols)
-			for i := i0; i < i1; i++ {
-				row := m.Data[i*m.Cols : (i+1)*m.Cols]
-				for j := j0; j < j1; j++ {
-					out.Data[j*m.Rows+i] = row[j]
-				}
-			}
 		}
 	})
 	return out

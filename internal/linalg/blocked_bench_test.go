@@ -58,14 +58,14 @@ func BenchmarkFactorize(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("n=%d/w1", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := FactorizeWorkers(a, 1); err != nil {
+				if _, err := FactorizeInPlaceWorkers(a.Clone(), 1); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 		b.Run(fmt.Sprintf("n=%d/w4", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := FactorizeWorkers(a, 4); err != nil {
+				if _, err := FactorizeInPlaceWorkers(a.Clone(), 4); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -76,7 +76,7 @@ func BenchmarkFactorize(b *testing.B) {
 func BenchmarkSolveMatrix(b *testing.B) {
 	for _, n := range benchSizes {
 		a := benchMatrix(4, n, n).AddDiag(4)
-		f, err := Factorize(a)
+		f, err := FactorizeInPlaceWorkers(a, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -106,7 +106,6 @@ func TestMulWorkersDeterminism(t *testing.T) {
 	a := rndMatrix(rng, 137, 201)
 	b := rndMatrix(rng, 201, 149)
 	ref := naiveMul(a, b)
-	sameMatrix(t, "Mul(serial) vs naive", a.Mul(b), ref)
 	for _, w := range []int{1, 2, 3, 8} {
 		sameMatrix(t, "MulWorkers", a.MulWorkers(b, w), ref)
 	}
@@ -127,17 +126,6 @@ func TestMulVecWorkersDeterminism(t *testing.T) {
 	}
 }
 
-func TestTransposeWorkersDeterminism(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	m := rndMatrix(rng, 131, 77)
-	ref := m.T()
-	for _, w := range []int{2, 8} {
-		sameMatrix(t, "TWorkers", m.TWorkers(w), ref)
-	}
-	// Round trip.
-	sameMatrix(t, "T∘T", ref.TWorkers(4), m)
-}
-
 // n=200 exceeds luParallelMinRows, so the first hundred columns of the
 // 8-worker run genuinely fan out.
 func TestFactorizeWorkersDeterminism(t *testing.T) {
@@ -148,25 +136,23 @@ func TestFactorizeWorkersDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, w := range []int{1, 2, 8} {
-		got, err := FactorizeWorkers(a, w)
+		got, err := FactorizeInPlaceWorkers(a.Clone(), w)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameMatrix(t, "FactorizeWorkers factors", got.lu, ref.lu)
+		sameMatrix(t, "FactorizeInPlaceWorkers factors", got.lu, ref.lu)
 		for i := range ref.perm {
 			if got.perm[i] != ref.perm[i] {
 				t.Fatalf("perm[%d] = %d, want %d", i, got.perm[i], ref.perm[i])
 			}
 		}
 	}
-	// The in-place variant must produce the same factors while consuming
-	// its (scratch) input.
+	// The factors overwrite the (scratch) input.
 	scratch := a.Clone()
 	inPlace, err := FactorizeInPlaceWorkers(scratch, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameMatrix(t, "FactorizeInPlaceWorkers factors", inPlace.lu, ref.lu)
 	if inPlace.lu != scratch {
 		t.Fatal("FactorizeInPlaceWorkers did not factor in place")
 	}
@@ -175,9 +161,8 @@ func TestFactorizeWorkersDeterminism(t *testing.T) {
 	// worker counts and accurately vs the known x.
 	x := randVec(rng, 200)
 	rhs := a.MulVec(x)
-	f8, _ := FactorizeWorkers(a, 8)
-	if got := f8.Solve(rhs); got.Sub(x).Norm() > 1e-6 {
-		t.Fatalf("parallel-factor solve residual too large: %v", got.Sub(x).Norm())
+	if got := inPlace.Solve(rhs); math.Sqrt(SqDist(got, x)) > 1e-6 {
+		t.Fatalf("parallel-factor solve residual too large: %v", math.Sqrt(SqDist(got, x)))
 	}
 }
 
@@ -186,11 +171,11 @@ func TestSolveMatrixWorkersDeterminism(t *testing.T) {
 	n, nrhs := 150, 37
 	a := rndMatrix(rng, n, n).AddDiag(6) // keep well-conditioned
 	b := rndMatrix(rng, n, nrhs)
-	f, err := FactorizeWorkers(a, 4)
+	f, err := FactorizeInPlaceWorkers(a.Clone(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := f.SolveMatrix(b)
+	ref := f.SolveMatrixWorkers(b, 1)
 	for _, w := range []int{2, 5, 8} {
 		sameMatrix(t, "SolveMatrixWorkers", f.SolveMatrixWorkers(b, w), ref)
 	}

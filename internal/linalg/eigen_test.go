@@ -8,7 +8,7 @@ import (
 )
 
 func TestPowerIterationDiagonal(t *testing.T) {
-	m := NewMatrixFrom([][]float64{{5, 0, 0}, {0, 2, 0}, {0, 0, 1}})
+	m := &Matrix{Rows: 3, Cols: 3, Data: []float64{5, 0, 0, 0, 2, 0, 0, 0, 1}}
 	lambda, v, err := PowerIteration(m, 3, PowerIterOpts{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -27,9 +27,9 @@ func TestPowerIterationDiagonal(t *testing.T) {
 func TestPowerIterationSymmetric(t *testing.T) {
 	// A = Q diag(4,1) Qᵀ with known Q (rotation by 30°).
 	c, s := math.Cos(math.Pi/6), math.Sin(math.Pi/6)
-	q := NewMatrixFrom([][]float64{{c, -s}, {s, c}})
-	d := NewMatrixFrom([][]float64{{4, 0}, {0, 1}})
-	a := q.Mul(d).Mul(q.T())
+	q := &Matrix{Rows: 2, Cols: 2, Data: []float64{c, -s, s, c}}
+	d := &Matrix{Rows: 2, Cols: 2, Data: []float64{4, 0, 0, 1}}
+	a := q.MulWorkers(d, 1).MulWorkers(transpose(q), 1)
 	lambda, v, err := PowerIteration(a, 2, PowerIterOpts{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +83,7 @@ func TestPowerIterationDominanceProperty(t *testing.T) {
 		for i := range b.Data {
 			b.Data[i] = rng.NormFloat64()
 		}
-		a := b.Mul(b.T()) // PSD -> dominant eigenvalue is max Rayleigh quotient
+		a := b.MulWorkers(transpose(b), 1) // PSD -> dominant eigenvalue is max Rayleigh quotient
 		lambda, _, err := PowerIteration(a, n, PowerIterOpts{Seed: int64(seed), MaxIter: 5000, Tol: 1e-12})
 		if err != nil {
 			return false

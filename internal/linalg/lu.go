@@ -16,34 +16,21 @@ type LU struct {
 	perm []int
 }
 
-// luParallelMinRows is the smallest trailing submatrix FactorizeWorkers
-// fans out: below it the per-column barrier costs more than the update.
+// luParallelMinRows is the smallest trailing submatrix
+// FactorizeInPlaceWorkers fans out: below it the per-column barrier costs
+// more than the update.
 const luParallelMinRows = 96
 
-// Factorize computes the LU decomposition of a (a is not modified).
-// Singular matrices (pivot below tiny) return an error. Factorize is
-// FactorizeWorkers with one worker; both produce identical factors.
-func Factorize(a *Matrix) (*LU, error) { return FactorizeWorkers(a, 1) }
-
-// FactorizeWorkers is Factorize with the trailing-submatrix update of each
-// elimination column fanned out over the given worker count (≤ 0 = all
-// cores). Determinism: the pivot search, row swap and pivot value are
-// fixed before the fan-out, every eliminated row is owned by exactly one
-// task, and each row update reads only the frozen pivot row — so the
-// factors and permutation are bit-identical at any worker count.
-func FactorizeWorkers(a *Matrix, workers int) (*LU, error) {
-	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("linalg: LU of non-square %dx%d matrix", a.Rows, a.Cols)
-	}
-	return factorizeInPlace(a.Clone(), workers)
-}
-
-// FactorizeInPlaceWorkers is FactorizeWorkers without the defensive copy:
-// it consumes a, overwriting it with the packed L/U factors (a must not be
-// used afterwards). Callers that build A as a throwaway scratch matrix —
-// the reweight rounds rebuilding A from the hoisted L·K product — save an
-// n×n allocation and copy per call; the factors are bit-identical to
-// FactorizeWorkers on the same input.
+// FactorizeInPlaceWorkers computes the LU decomposition of a, consuming a:
+// it is overwritten with the packed L/U factors and must not be used
+// afterwards (the reweight rounds rebuild A from the hoisted L·K product
+// as a throwaway scratch matrix). Singular matrices (pivot below tiny)
+// return an error. The trailing-submatrix update of each elimination
+// column fans out over the given worker count (≤ 0 = all cores).
+// Determinism: the pivot search, row swap and pivot value are fixed before
+// the fan-out, every eliminated row is owned by exactly one task, and each
+// row update reads only the frozen pivot row — so the factors and
+// permutation are bit-identical at any worker count.
 func FactorizeInPlaceWorkers(a *Matrix, workers int) (*LU, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("linalg: LU of non-square %dx%d matrix", a.Rows, a.Cols)
@@ -197,19 +184,16 @@ func (f *LU) Solve(b Vector) Vector {
 	return x
 }
 
-// SolveMatrix solves A X = B column-wise, where B is n×m. It is
-// SolveMatrixWorkers with one worker; both produce identical solutions.
-func (f *LU) SolveMatrix(b *Matrix) *Matrix { return f.SolveMatrixWorkers(b, 1) }
-
-// SolveMatrixWorkers solves A X = B with the independent right-hand-side
-// columns distributed over the given worker count (≤ 0 = all cores). The
-// columns are split into contiguous chunks, one scratch vector per chunk
-// (not a shared buffer), and every column's substitution runs exactly as
-// in the one-RHS Solve — so X is bit-identical at any worker count.
+// SolveMatrixWorkers solves A X = B column-wise, where B is n×m, with the
+// independent right-hand-side columns distributed over the given worker
+// count (≤ 0 = all cores). The columns are split into contiguous chunks,
+// one scratch vector per chunk (not a shared buffer), and every column's
+// substitution runs exactly as in the one-RHS Solve — so X is
+// bit-identical at any worker count.
 func (f *LU) SolveMatrixWorkers(b *Matrix, workers int) *Matrix {
 	n := f.lu.Rows
 	if b.Rows != n {
-		panic(fmt.Sprintf("linalg: LU SolveMatrix rows %d, want %d", b.Rows, n))
+		panic(fmt.Sprintf("linalg: LU SolveMatrixWorkers rows %d, want %d", b.Rows, n))
 	}
 	out := NewMatrix(n, b.Cols)
 	chunks := parallel.Workers(workers)

@@ -8,40 +8,40 @@ import (
 )
 
 func TestLUSolve(t *testing.T) {
-	a := NewMatrixFrom([][]float64{
-		{2, 1, -1},
-		{-3, -1, 2},
-		{-2, 1, 2},
-	})
-	f, err := Factorize(a)
+	a := &Matrix{Rows: 3, Cols: 3, Data: []float64{
+		2, 1, -1,
+		-3, -1, 2,
+		-2, 1, 2,
+	}}
+	f, err := FactorizeInPlaceWorkers(a.Clone(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Known system with solution (2, 3, -1).
 	x := f.Solve(Vector{8, -11, -3})
 	want := Vector{2, 3, -1}
-	if x.Sub(want).Norm() > 1e-10 {
+	if math.Sqrt(SqDist(x, want)) > 1e-10 {
 		t.Fatalf("LU solve = %v, want %v", x, want)
 	}
 }
 
 func TestLUNonSquare(t *testing.T) {
-	if _, err := Factorize(NewMatrix(2, 3)); err == nil {
+	if _, err := FactorizeInPlaceWorkers(NewMatrix(2, 3), 1); err == nil {
 		t.Fatal("expected error on non-square matrix")
 	}
 }
 
 func TestLUSingular(t *testing.T) {
-	a := NewMatrixFrom([][]float64{{1, 2}, {2, 4}})
-	if _, err := Factorize(a); err == nil {
+	a := &Matrix{Rows: 2, Cols: 2, Data: []float64{1, 2, 2, 4}}
+	if _, err := FactorizeInPlaceWorkers(a.Clone(), 1); err == nil {
 		t.Fatal("expected error on singular matrix")
 	}
 }
 
 func TestLUNeedsPivoting(t *testing.T) {
 	// Zero on the leading diagonal forces a row swap.
-	a := NewMatrixFrom([][]float64{{0, 1}, {1, 0}})
-	f, err := Factorize(a)
+	a := &Matrix{Rows: 2, Cols: 2, Data: []float64{0, 1, 1, 0}}
+	f, err := FactorizeInPlaceWorkers(a.Clone(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,13 +59,13 @@ func TestLUSolveMatrix(t *testing.T) {
 		a.Data[i] = rng.NormFloat64()
 	}
 	a.AddDiag(3)
-	f, err := Factorize(a)
+	f, err := FactorizeInPlaceWorkers(a.Clone(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A * X = A (so X should be I).
-	x := f.SolveMatrix(a)
-	id := Identity(n)
+	x := f.SolveMatrixWorkers(a, 1)
+	id := NewMatrix(n, n).AddDiag(1)
 	for i := range x.Data {
 		if math.Abs(x.Data[i]-id.Data[i]) > 1e-9 {
 			t.Fatalf("A⁻¹A != I at %d: %v", i, x.Data[i])
@@ -84,13 +84,13 @@ func TestLUSolveProperty(t *testing.T) {
 			a.Data[i] = rng.NormFloat64()
 		}
 		a.AddDiag(5) // keep well-conditioned
-		lu, err := Factorize(a)
+		lu, err := FactorizeInPlaceWorkers(a.Clone(), 1)
 		if err != nil {
 			return false
 		}
 		x := randVec(rng, n)
 		got := lu.Solve(a.MulVec(x))
-		return got.Sub(x).Norm() < 1e-8
+		return math.Sqrt(SqDist(got, x)) < 1e-8
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

@@ -19,32 +19,6 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// NewMatrixFrom builds a matrix from a slice of rows (deep copied).
-func NewMatrixFrom(rows [][]float64) *Matrix {
-	r := len(rows)
-	if r == 0 {
-		return NewMatrix(0, 0)
-	}
-	c := len(rows[0])
-	m := NewMatrix(r, c)
-	for i, row := range rows {
-		if len(row) != c {
-			panic(fmt.Sprintf("linalg: ragged rows: row %d has %d cols, want %d", i, len(row), c))
-		}
-		copy(m.Data[i*c:(i+1)*c], row)
-	}
-	return m
-}
-
-// Identity returns the n-by-n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
 // At returns element (i,j).
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
@@ -64,18 +38,9 @@ func (m *Matrix) Clone() *Matrix {
 	return out
 }
 
-// T returns the transpose of m as a new matrix (single-threaded; see
-// TWorkers in blocked.go for the parallel variant).
-func (m *Matrix) T() *Matrix { return m.TWorkers(1) }
-
 // MulVec returns m*v as a new vector (single-threaded; see MulVecWorkers
 // in blocked.go for the parallel variant — both are bit-identical).
 func (m *Matrix) MulVec(v Vector) Vector { return m.MulVecWorkers(v, 1) }
-
-// Mul returns m*n as a new matrix (single-threaded; see MulWorkers in
-// blocked.go for the parallel variant — the blocked kernel reproduces the
-// classic row-sweep bit-for-bit at any worker count).
-func (m *Matrix) Mul(n *Matrix) *Matrix { return m.MulWorkers(n, 1) }
 
 // ScaleInPlace multiplies every entry by a and returns m.
 func (m *Matrix) ScaleInPlace(a float64) *Matrix {

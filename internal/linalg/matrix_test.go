@@ -8,7 +8,7 @@ import (
 )
 
 func TestMatrixBasics(t *testing.T) {
-	m := NewMatrixFrom([][]float64{{1, 2}, {3, 4}})
+	m := &Matrix{Rows: 2, Cols: 2, Data: []float64{1, 2, 3, 4}}
 	if m.At(0, 1) != 2 || m.At(1, 0) != 3 {
 		t.Fatalf("At wrong: %+v", m)
 	}
@@ -26,27 +26,18 @@ func TestMatrixBasics(t *testing.T) {
 	}
 }
 
-func TestMatrixRaggedPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on ragged rows")
-		}
-	}()
-	NewMatrixFrom([][]float64{{1, 2}, {3}})
-}
-
 func TestIdentityMulVec(t *testing.T) {
-	id := Identity(3)
+	id := NewMatrix(3, 3).AddDiag(1)
 	v := Vector{1, 2, 3}
 	got := id.MulVec(v)
-	if got.Sub(v).Norm() != 0 {
+	if SqDist(got, v) != 0 {
 		t.Fatalf("I*v = %v", got)
 	}
 }
 
 func TestMatrixTranspose(t *testing.T) {
-	m := NewMatrixFrom([][]float64{{1, 2, 3}, {4, 5, 6}})
-	tr := m.T()
+	m := &Matrix{Rows: 2, Cols: 3, Data: []float64{1, 2, 3, 4, 5, 6}}
+	tr := transpose(m)
 	if tr.Rows != 3 || tr.Cols != 2 {
 		t.Fatalf("T shape %dx%d", tr.Rows, tr.Cols)
 	}
@@ -56,10 +47,10 @@ func TestMatrixTranspose(t *testing.T) {
 }
 
 func TestMatrixMul(t *testing.T) {
-	a := NewMatrixFrom([][]float64{{1, 2}, {3, 4}})
-	b := NewMatrixFrom([][]float64{{5, 6}, {7, 8}})
-	c := a.Mul(b)
-	want := NewMatrixFrom([][]float64{{19, 22}, {43, 50}})
+	a := &Matrix{Rows: 2, Cols: 2, Data: []float64{1, 2, 3, 4}}
+	b := &Matrix{Rows: 2, Cols: 2, Data: []float64{5, 6, 7, 8}}
+	c := a.MulWorkers(b, 1)
+	want := &Matrix{Rows: 2, Cols: 2, Data: []float64{19, 22, 43, 50}}
 	for i := range c.Data {
 		if c.Data[i] != want.Data[i] {
 			t.Fatalf("Mul = %+v, want %+v", c, want)
@@ -68,7 +59,7 @@ func TestMatrixMul(t *testing.T) {
 }
 
 func TestAddScaleDiag(t *testing.T) {
-	m := Identity(2)
+	m := NewMatrix(2, 2).AddDiag(1)
 	m.ScaleInPlace(0.5)
 	if m.At(1, 1) != 0.5 {
 		t.Fatal("ScaleInPlace failed")
@@ -87,20 +78,20 @@ func TestCholeskySolve(t *testing.T) {
 	for i := range b.Data {
 		b.Data[i] = rng.NormFloat64()
 	}
-	a := b.Mul(b.T()).AddDiag(1)
+	a := b.MulWorkers(transpose(b), 1).AddDiag(1)
 	x := randVec(rng, n)
 	rhs := a.MulVec(x)
 	l, err := a.Cholesky(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := SolveCholesky(l, rhs); got.Sub(x).Norm() > 1e-8 {
-		t.Fatalf("SolveCholesky residual too large: %v", got.Sub(x).Norm())
+	if got := SolveCholesky(l, rhs); math.Sqrt(SqDist(got, x)) > 1e-8 {
+		t.Fatalf("SolveCholesky residual too large: %v", math.Sqrt(SqDist(got, x)))
 	}
 }
 
 func TestCholeskyFailsOnIndefinite(t *testing.T) {
-	m := NewMatrixFrom([][]float64{{0, 1}, {1, 0}}) // indefinite
+	m := &Matrix{Rows: 2, Cols: 2, Data: []float64{0, 1, 1, 0}} // indefinite
 	if _, err := m.Cholesky(0); err == nil {
 		t.Fatal("expected Cholesky failure on indefinite matrix")
 	}
@@ -122,8 +113,8 @@ func TestTransposeOfProductProperty(t *testing.T) {
 		for i := range b.Data {
 			b.Data[i] = r.NormFloat64()
 		}
-		lhs := a.Mul(b).T()
-		rhs := b.T().Mul(a.T())
+		lhs := transpose(a.MulWorkers(b, 1))
+		rhs := transpose(b).MulWorkers(transpose(a), 1)
 		for i := range lhs.Data {
 			if math.Abs(lhs.Data[i]-rhs.Data[i]) > 1e-10 {
 				return false
@@ -145,12 +136,12 @@ func TestCholeskyReconstructionProperty(t *testing.T) {
 		for i := range b.Data {
 			b.Data[i] = rng.NormFloat64()
 		}
-		a := b.Mul(b.T()).AddDiag(0.5)
+		a := b.MulWorkers(transpose(b), 1).AddDiag(0.5)
 		l, err := a.Cholesky(0)
 		if err != nil {
 			return false
 		}
-		rec := l.Mul(l.T())
+		rec := l.MulWorkers(transpose(l), 1)
 		for i := range rec.Data {
 			if math.Abs(rec.Data[i]-a.Data[i]) > 1e-8 {
 				return false
@@ -161,4 +152,15 @@ func TestCholeskyReconstructionProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// transpose returns mᵀ; the tests build symmetric and SPD matrices with it.
+func transpose(m *Matrix) *Matrix {
+	out := NewMatrix(m.Cols, m.Rows)
+	for i := 0; i < m.Rows; i++ {
+		for j := 0; j < m.Cols; j++ {
+			out.Set(j, i, m.At(i, j))
+		}
+	}
+	return out
 }

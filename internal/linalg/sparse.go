@@ -16,7 +16,7 @@ type Sparse struct {
 }
 
 // SparseBuilder accumulates coordinate-format entries and compiles them to
-// CSR. Duplicate (i,j) entries are summed.
+// CSR.
 type SparseBuilder struct {
 	rows, cols int
 	entries    map[[2]int]float64
@@ -25,17 +25,6 @@ type SparseBuilder struct {
 // NewSparseBuilder returns a builder for a rows-by-cols sparse matrix.
 func NewSparseBuilder(rows, cols int) *SparseBuilder {
 	return &SparseBuilder{rows: rows, cols: cols, entries: make(map[[2]int]float64)}
-}
-
-// Add accumulates v into entry (i,j).
-func (b *SparseBuilder) Add(i, j int, v float64) {
-	if i < 0 || i >= b.rows || j < 0 || j >= b.cols {
-		panic(fmt.Sprintf("linalg: sparse index (%d,%d) out of %dx%d", i, j, b.rows, b.cols))
-	}
-	if v == 0 {
-		return
-	}
-	b.entries[[2]int{i, j}] += v
 }
 
 // Set overwrites entry (i,j) with v.
@@ -49,9 +38,6 @@ func (b *SparseBuilder) Set(i, j int, v float64) {
 	}
 	b.entries[[2]int{i, j}] = v
 }
-
-// NNZ returns the number of stored entries so far.
-func (b *SparseBuilder) NNZ() int { return len(b.entries) }
 
 // Build compiles the accumulated entries into a CSR matrix.
 func (b *SparseBuilder) Build() *Sparse {
@@ -89,16 +75,6 @@ func (b *SparseBuilder) Build() *Sparse {
 
 // NNZ returns the number of stored non-zeros.
 func (s *Sparse) NNZ() int { return len(s.Val) }
-
-// At returns entry (i,j) (O(log nnz_row) binary search).
-func (s *Sparse) At(i, j int) float64 {
-	lo, hi := s.RowPtr[i], s.RowPtr[i+1]
-	idx := sort.SearchInts(s.ColIdx[lo:hi], j) + lo
-	if idx < hi && s.ColIdx[idx] == j {
-		return s.Val[idx]
-	}
-	return 0
-}
 
 // MulVec returns s*v as a new vector.
 func (s *Sparse) MulVec(v Vector) Vector {

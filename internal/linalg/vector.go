@@ -60,30 +60,6 @@ func (v Vector) AddScaled(a float64, w Vector) Vector {
 	return v
 }
 
-// Sub returns v-w as a new vector.
-func (v Vector) Sub(w Vector) Vector {
-	if len(v) != len(w) {
-		panic(fmt.Sprintf("linalg: Sub length mismatch %d vs %d", len(v), len(w)))
-	}
-	out := make(Vector, len(v))
-	for i := range v {
-		out[i] = v[i] - w[i]
-	}
-	return out
-}
-
-// Add returns v+w as a new vector.
-func (v Vector) Add(w Vector) Vector {
-	if len(v) != len(w) {
-		panic(fmt.Sprintf("linalg: Add length mismatch %d vs %d", len(v), len(w)))
-	}
-	out := make(Vector, len(v))
-	for i := range v {
-		out[i] = v[i] + w[i]
-	}
-	return out
-}
-
 // Normalize scales v to unit Euclidean norm in place and returns v.
 // A zero vector is left unchanged.
 func (v Vector) Normalize() Vector {
@@ -103,30 +79,11 @@ func (v Vector) Sum() float64 {
 	return s
 }
 
-// Mean returns the arithmetic mean of v, or 0 for an empty vector.
-func (v Vector) Mean() float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	return v.Sum() / float64(len(v))
-}
-
 // Max returns the maximum entry and its index; (-Inf, -1) for empty v.
 func (v Vector) Max() (float64, int) {
 	best, idx := math.Inf(-1), -1
 	for i, x := range v {
 		if x > best {
-			best, idx = x, i
-		}
-	}
-	return best, idx
-}
-
-// Min returns the minimum entry and its index; (+Inf, -1) for empty v.
-func (v Vector) Min() (float64, int) {
-	best, idx := math.Inf(1), -1
-	for i, x := range v {
-		if x < best {
 			best, idx = x, i
 		}
 	}

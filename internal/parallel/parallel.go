@@ -1,5 +1,5 @@
 // Package parallel provides the shared worker-pool primitives behind
-// HYDRA's hot paths: kernel Gram/CrossGram construction, blocking
+// HYDRA's hot paths: kernel Gram and cross-Gram construction, blocking
 // candidate scoring, per-candidate feature assembly, the blocked dense
 // linear algebra of internal/linalg (Mul/LU), the prescreen build, grid
 // search and the experiment sweeps. All helpers take an explicit worker

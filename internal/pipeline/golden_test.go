@@ -163,11 +163,11 @@ func checkBundleGolden(t *testing.T, b *Bundle, goldenName string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if store.FriendsK() != 3 {
-		t.Fatalf("restored store friendsK = %d", store.FriendsK())
-	}
 	if _, err := store.Friends(platform.Twitter, 0, 3); err != nil {
 		t.Fatal(err)
+	}
+	if _, err := store.Friends(platform.Twitter, 0, 4); err == nil {
+		t.Fatal("restored store serves friends beyond its packed top-3")
 	}
 	if name := store.Username(platform.Twitter, 0); name != "alice_tw" {
 		t.Fatalf("restored store username = %q", name)

@@ -53,7 +53,7 @@ func TestBundleV3ImputeTableGoldenFormat(t *testing.T) {
 		t.Fatal(err)
 	}
 	tbl := store.ImputeTable()
-	if tbl == nil || tbl.NumEntries() != 1 || tbl.K() != 3 {
+	if tbl == nil || tbl.NumEntries() != 1 {
 		t.Fatalf("decoded impute table did not attach to the restored store: %+v", tbl)
 	}
 	if _, err := core.ModelFromParts(store, decoded.Model); err != nil {

@@ -101,17 +101,6 @@ func (p *Profile) Attr(name AttrName) (string, bool) {
 	return v, true
 }
 
-// MissingCount returns how many of the six core attributes are missing.
-func (p *Profile) MissingCount() int {
-	n := 0
-	for _, a := range CoreAttrs {
-		if _, ok := p.Attr(a); !ok {
-			n++
-		}
-	}
-	return n
-}
-
 // MissingSet returns the sorted names of missing core attributes.
 func (p *Profile) MissingSet() []AttrName {
 	var out []AttrName

@@ -62,9 +62,6 @@ func TestProfileMissing(t *testing.T) {
 		t.Fatal("absent key should count as missing")
 	}
 	// Six core attrs; gender and birth present -> 4 missing.
-	if got := p.MissingCount(); got != 4 {
-		t.Fatalf("MissingCount = %d, want 4", got)
-	}
 	ms := p.MissingSet()
 	if len(ms) != 4 {
 		t.Fatalf("MissingSet = %v", ms)

@@ -272,12 +272,3 @@ func bias(y, beta, grad []float64, c float64) float64 {
 	}
 	return (ub + lb) / 2
 }
-
-// Dense adapts a row-major square [][]float64 to the Matrix interface.
-type Dense [][]float64
-
-// At implements Matrix.
-func (d Dense) At(i, j int) float64 { return d[i][j] }
-
-// N implements Matrix.
-func (d Dense) N() int { return len(d) }

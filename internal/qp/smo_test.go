@@ -326,3 +326,12 @@ func TestObjectiveAndBiasHelpers(t *testing.T) {
 		t.Fatalf("objective = %v", got)
 	}
 }
+
+// Dense adapts a row-major square [][]float64 to the Matrix interface.
+type Dense [][]float64
+
+// At implements Matrix.
+func (d Dense) At(i, j int) float64 { return d[i][j] }
+
+// N implements Matrix.
+func (d Dense) N() int { return len(d) }

@@ -145,8 +145,8 @@ func TestServeBundleStoreShape(t *testing.T) {
 	if !reflect.DeepEqual(store.Platforms(), wantPlats) {
 		t.Fatalf("store platforms = %v", store.Platforms())
 	}
-	if store.FriendsK() != 3 {
-		t.Fatalf("store friendsK = %d, want the default top-3", store.FriendsK())
+	if _, err := store.Friends(platform.Twitter, 0, 3); err != nil {
+		t.Fatalf("store refuses the default top-3 friends: %v", err)
 	}
 	for _, id := range wantPlats {
 		parts := e.bundle.Views[id]
@@ -165,7 +165,7 @@ func TestServeBundleStoreShape(t *testing.T) {
 	}
 	// Imputation deeper than the packed slices must fail loudly, not
 	// silently average over a truncated core structure.
-	if _, err := store.Impute(platform.Twitter, 0, platform.Facebook, 0, core.HydraM, store.FriendsK()+1); err == nil {
+	if _, err := store.Impute(platform.Twitter, 0, platform.Facebook, 0, core.HydraM, 4); err == nil {
 		t.Fatal("expected error imputing beyond the packed friend depth")
 	}
 }

@@ -412,25 +412,6 @@ func (r *Router) noteGen(si int, gen uint64) {
 	r.mu.Unlock()
 }
 
-// Score returns the decision value for one pair, routed to the shard
-// owning the B-side account, plus the bundle generation that answered.
-func (r *Router) Score(ctx context.Context, pa platform.ID, a int, pb platform.ID, b int) (float64, uint64, error) {
-	scores, gen, err := r.ScoreBatch(ctx, pa, pb, [][2]int{{a, b}})
-	if err != nil {
-		return 0, 0, err
-	}
-	return scores[0], gen, nil
-}
-
-// Link decides whether the pair is the same natural person (score > 0).
-func (r *Router) Link(ctx context.Context, pa platform.ID, a int, pb platform.ID, b int) (bool, float64, uint64, error) {
-	s, gen, err := r.Score(ctx, pa, a, pb, b)
-	if err != nil {
-		return false, 0, 0, err
-	}
-	return s > 0, s, gen, nil
-}
-
 // ScoreBatch scores a batch of pairs, scattering each pair to the shard
 // owning its B-side account and reassembling the scores in input order.
 // The whole batch is answered by one bundle generation: if a hot swap

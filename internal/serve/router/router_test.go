@@ -184,9 +184,9 @@ func TestRouterShardUnionEquivalence(t *testing.T) {
 			t.Fatalf("n=%d: batch scores differ from single engine", n)
 		}
 
-		// Single-pair score and link spot checks.
+		// Single-pair spot checks: a batch of one, as /score sends it.
 		for _, p := range [][2]int{{0, 0}, {1, e.nB - 1}, {e.nA - 1, e.nB / 2}} {
-			s, _, err := r.Score(ctx, e.pair[0], p[0], e.pair[1], p[1])
+			s, _, err := r.ScoreBatch(ctx, e.pair[0], e.pair[1], [][2]int{p})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -194,20 +194,13 @@ func TestRouterShardUnionEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if s != ws {
-				t.Fatalf("n=%d score(%v) = %v, single %v", n, p, s, ws)
-			}
-			linked, ls, _, err := r.Link(ctx, e.pair[0], p[0], e.pair[1], p[1])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if linked != (ws > 0) || ls != ws {
-				t.Fatalf("n=%d link(%v) = (%v,%v), want (%v,%v)", n, p, linked, ls, ws > 0, ws)
+			if s[0] != ws {
+				t.Fatalf("n=%d score(%v) = %v, single %v", n, p, s[0], ws)
 			}
 		}
 
 		// Query errors propagate as query errors, not shard failures.
-		if _, _, err := r.Score(ctx, e.pair[0], 0, e.pair[1], e.nB+100); err == nil || !IsQueryError(err) {
+		if _, _, err := r.ScoreBatch(ctx, e.pair[0], e.pair[1], [][2]int{{0, e.nB + 100}}); err == nil || !IsQueryError(err) {
 			t.Fatalf("n=%d: out-of-range score returned %v, want query error", n, err)
 		}
 	}

@@ -32,13 +32,6 @@ type Config struct {
 	MaxHops int
 }
 
-// DefaultConfig returns the calibrated bandwidths. σ₂ = 6 keeps agreement
-// between equal or adjacent hop distances (d ∈ {1,4,9} ⇒ |Δd| ∈ {0,3,5,8})
-// but rejects the direct-friend vs two-hop mismatch.
-func DefaultConfig() Config {
-	return Config{Sigma1: 0.1, Sigma2: 6, MaxHops: 2}
-}
-
 // Build constructs the structure-consistency matrix M over the candidate
 // list. embA[i] / embB[i′] are the per-account behavior embeddings x_i used
 // in the Gaussian affinities; gA and gB are the two platforms' interaction

@@ -60,7 +60,7 @@ func TestBuildDiagonal(t *testing.T) {
 	}
 	// Identical embeddings: M(a,a) = exp(0) = 1.
 	for a := 0; a < 3; a++ {
-		if got := m.At(a, a); math.Abs(got-1) > 1e-12 {
+		if got := m.Dense().At(a, a); math.Abs(got-1) > 1e-12 {
 			t.Fatalf("M(%d,%d) = %v, want 1", a, a, got)
 		}
 	}
@@ -76,18 +76,18 @@ func TestBuildAgreementLinks(t *testing.T) {
 	// hop distances -> strong agreement links.
 	for a := 0; a < 3; a++ {
 		for b := a + 1; b < 3; b++ {
-			if m.At(a, b) <= 0 {
+			if m.Dense().At(a, b) <= 0 {
 				t.Fatalf("expected agreement link between true pairs %d,%d", a, b)
 			}
-			if math.Abs(m.At(a, b)-m.At(b, a)) > 1e-12 {
+			if math.Abs(m.Dense().At(a, b)-m.Dense().At(b, a)) > 1e-12 {
 				t.Fatal("M not symmetric")
 			}
 		}
 	}
 	// The impostor candidate (index 3) has no A-side edges: no agreement.
 	for b := 0; b < 3; b++ {
-		if m.At(3, b) != 0 {
-			t.Fatalf("impostor should have no agreement links, got M(3,%d)=%v", b, m.At(3, b))
+		if m.Dense().At(3, b) != 0 {
+			t.Fatalf("impostor should have no agreement links, got M(3,%d)=%v", b, m.Dense().At(3, b))
 		}
 	}
 }
@@ -130,8 +130,8 @@ func TestStructTermFiltersInconsistentDistances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.At(0, 1) != 0 {
-		t.Fatalf("inconsistent pair should have 0 affinity, got %v", m.At(0, 1))
+	if m.Dense().At(0, 1) != 0 {
+		t.Fatalf("inconsistent pair should have 0 affinity, got %v", m.Dense().At(0, 1))
 	}
 	// With a larger σ₂ the link appears.
 	cfg.Sigma2 = 10
@@ -139,7 +139,7 @@ func TestStructTermFiltersInconsistentDistances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.At(0, 1) <= 0 {
+	if m.Dense().At(0, 1) <= 0 {
 		t.Fatal("consistent-enough pair should have positive affinity")
 	}
 }
@@ -381,12 +381,13 @@ func TestBuildMatrixProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for i := 0; i < m.RowsN; i++ {
-			if d := m.At(i, i); d < 0 || d > 1 {
+		md := m.Dense()
+		for i := 0; i < md.Rows; i++ {
+			if d := md.At(i, i); d < 0 || d > 1 {
 				return false
 			}
-			for j := 0; j < m.ColsN; j++ {
-				if m.At(i, j) < 0 || math.Abs(m.At(i, j)-m.At(j, i)) > 1e-12 {
+			for j := 0; j < md.Cols; j++ {
+				if md.At(i, j) < 0 || math.Abs(md.At(i, j)-md.At(j, i)) > 1e-12 {
 					return false
 				}
 			}
@@ -396,4 +397,11 @@ func TestBuildMatrixProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// DefaultConfig returns the calibrated bandwidths. σ₂ = 6 keeps agreement
+// between equal or adjacent hop distances (d ∈ {1,4,9} ⇒ |Δd| ∈ {0,3,5,8})
+// but rejects the direct-friend vs two-hop mismatch.
+func DefaultConfig() Config {
+	return Config{Sigma1: 0.1, Sigma2: 6, MaxHops: 2}
 }

@@ -97,9 +97,6 @@ func Train(xs []linalg.Vector, ys []float64, k kernel.Func, opts Opts) (*Model, 
 	return m, nil
 }
 
-// NumSVs returns the number of support vectors.
-func (m *Model) NumSVs() int { return len(m.svX) }
-
 // Decision returns the raw decision value f(x) = Σ β_i y_i K(x_i, x) + b.
 func (m *Model) Decision(x linalg.Vector) float64 {
 	s := m.bias
@@ -107,12 +104,4 @@ func (m *Model) Decision(x linalg.Vector) float64 {
 		s += m.svCoeff[i] * m.kernelFn.Eval(sv, x)
 	}
 	return s
-}
-
-// Predict returns +1 or −1.
-func (m *Model) Predict(x linalg.Vector) float64 {
-	if m.Decision(x) >= 0 {
-		return 1
-	}
-	return -1
 }

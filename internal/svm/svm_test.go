@@ -48,15 +48,15 @@ func TestTrainLinearSeparable(t *testing.T) {
 	}
 	correct := 0
 	for i := range xs {
-		if m.Predict(xs[i]) == ys[i] {
+		if (m.Decision(xs[i]) >= 0) == (ys[i] > 0) {
 			correct++
 		}
 	}
 	if float64(correct)/float64(len(xs)) < 0.97 {
 		t.Fatalf("training accuracy %d/%d", correct, len(xs))
 	}
-	if m.NumSVs() == 0 || m.NumSVs() == len(xs) {
-		t.Fatalf("suspicious SV count %d", m.NumSVs())
+	if len(m.svX) == 0 || len(m.svX) == len(xs) {
+		t.Fatalf("suspicious SV count %d", len(m.svX))
 	}
 }
 
@@ -80,7 +80,7 @@ func TestTrainRBFNonlinear(t *testing.T) {
 	}
 	correct := 0
 	for i := range xs {
-		if m.Predict(xs[i]) == ys[i] {
+		if (m.Decision(xs[i]) >= 0) == (ys[i] > 0) {
 			correct++
 		}
 	}
@@ -98,7 +98,7 @@ func TestGeneralization(t *testing.T) {
 	testX, testY := gaussianBlobs(200, 2.5, 99)
 	correct := 0
 	for i := range testX {
-		if m.Predict(testX[i]) == testY[i] {
+		if (m.Decision(testX[i]) >= 0) == (testY[i] > 0) {
 			correct++
 		}
 	}
@@ -114,7 +114,7 @@ func TestMarginSVsOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.NumSVs() > len(xs)/2 {
-		t.Fatalf("too many SVs for wide-margin problem: %d", m.NumSVs())
+	if len(m.svX) > len(xs)/2 {
+		t.Fatalf("too many SVs for wide-margin problem: %d", len(m.svX))
 	}
 }

@@ -64,7 +64,11 @@ func TestGenerateStructure(t *testing.T) {
 		if p.NumAccounts() != 60 {
 			t.Fatalf("%s accounts = %d", pid, p.NumAccounts())
 		}
-		if p.Graph.NumEdges() == 0 {
+		degrees := 0
+		for u := 0; u < p.Graph.Len(); u++ {
+			degrees += p.Graph.Degree(u)
+		}
+		if degrees == 0 {
 			t.Fatalf("%s has empty social graph", pid)
 		}
 		// Every account's Person must round-trip through the dataset map.
@@ -125,7 +129,7 @@ func TestMissingnessRegime(t *testing.T) {
 	p, _ := w.Dataset.Platform(platform.Twitter)
 	missing2, full := 0, 0
 	for _, acc := range p.Accounts {
-		mc := acc.Profile.MissingCount()
+		mc := len(acc.Profile.MissingSet())
 		if mc >= 2 {
 			missing2++
 		}

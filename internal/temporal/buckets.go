@@ -42,29 +42,6 @@ func (r Range) Valid() bool { return r.End.After(r.Start) }
 // Duration returns End - Start.
 func (r Range) Duration() time.Duration { return r.End.Sub(r.Start) }
 
-// NumBuckets returns the number of buckets of the given scale covering r
-// (the final partial bucket counts).
-func (r Range) NumBuckets(scale time.Duration) int {
-	if !r.Valid() || scale <= 0 {
-		return 0
-	}
-	d := r.Duration()
-	n := int(d / scale)
-	if d%scale != 0 {
-		n++
-	}
-	return n
-}
-
-// BucketOf returns the bucket index of t within r at the given scale, or
-// -1 if t lies outside r.
-func (r Range) BucketOf(t time.Time, scale time.Duration) int {
-	if !r.Contains(t) {
-		return -1
-	}
-	return int(t.Sub(r.Start) / scale)
-}
-
 // Contains reports whether t lies within r.
 func (r Range) Contains(t time.Time) bool { return !t.Before(r.Start) && t.Before(r.End) }
 

@@ -209,14 +209,9 @@ func (ws *windowScan) cut(st Stream, last uint64) (in, rest Stream) {
 
 func toRad(deg float64) float64 { return deg * math.Pi / 180 }
 
-// HaversineKm returns the great-circle distance between two lat/lon points
-// in kilometers.
-func HaversineKm(lat1, lon1, lat2, lon2 float64) float64 {
-	return haversineKm(lat2-lat1, lon2-lon1, math.Cos(toRad(lat1)), math.Cos(toRad(lat2)))
-}
-
-// haversineKm is HaversineKm over the coordinate differences in degrees
-// and the cosines of the two latitudes, which depend on one point each.
+// haversineKm returns the great-circle distance in kilometers between two
+// lat/lon points, given their coordinate differences in degrees and the
+// cosines of the two latitudes, which depend on one point each.
 func haversineKm(dLatDeg, dLonDeg, cosLat1, cosLat2 float64) float64 {
 	const earthRadiusKm = 6371
 	sinLat := math.Sin(toRad(dLatDeg) / 2)
@@ -254,31 +249,6 @@ func (p *pool) value() float64 {
 	default:
 		return math.Pow(p.acc/float64(p.n), 1/p.q)
 	}
-}
-
-// LqPool aggregates stimulation signals with the lq-norm pooling of Eqn 5:
-// S = (1/N · Σ s_iᵠ)^(1/q). q → ∞ approaches max pooling; q must be ≥ 1.
-func LqPool(signals []float64, q float64) (float64, error) {
-	if !(q >= 1) {
-		return 0, fmt.Errorf("temporal: lq pooling requires q >= 1, got %g", q)
-	}
-	p := pool{q: q}
-	for _, s := range signals {
-		if s < 0 {
-			return 0, fmt.Errorf("temporal: negative stimulation signal %g", s)
-		}
-		p.add(s)
-	}
-	return p.value(), nil
-}
-
-// MeanPool is the ablation alternative to LqPool (plain averaging).
-func MeanPool(signals []float64) float64 {
-	p := pool{mean: true}
-	for _, s := range signals {
-		p.add(s)
-	}
-	return p.value()
 }
 
 // Sigmoid is the nonlinear transformation Ŝ = 1/(1+e^{-λS}) of Section 5.4.

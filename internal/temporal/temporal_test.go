@@ -3,6 +3,7 @@ package temporal
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -220,11 +221,11 @@ func TestSimilarityLongDistributions(t *testing.T) {
 
 func TestHaversine(t *testing.T) {
 	// Beijing to Shanghai ≈ 1067 km.
-	got := HaversineKm(39.9042, 116.4074, 31.2304, 121.4737)
+	got := haversineKm(31.2304-39.9042, 121.4737-116.4074, math.Cos(toRad(39.9042)), math.Cos(toRad(31.2304)))
 	if math.Abs(got-1067) > 25 {
 		t.Fatalf("Haversine = %v km, want ≈1067", got)
 	}
-	if HaversineKm(10, 20, 10, 20) != 0 {
+	if haversineKm(0, 0, math.Cos(toRad(10)), math.Cos(toRad(10))) != 0 {
 		t.Fatal("same point should be 0 km")
 	}
 }
@@ -304,37 +305,46 @@ func TestMediaSensor(t *testing.T) {
 	}
 }
 
+// pooled feeds signals through p, as MatchInto does for one sensor and
+// window.
+func pooled(p pool, signals []float64) float64 {
+	for _, s := range signals {
+		p.add(s)
+	}
+	return p.value()
+}
+
 func TestLqPool(t *testing.T) {
 	// q=1 is the mean.
-	v, err := LqPool([]float64{0.2, 0.4}, 1)
-	if err != nil || math.Abs(v-0.3) > 1e-12 {
-		t.Fatalf("LqPool q=1 = %v, %v", v, err)
+	if v := pooled(pool{q: 1}, []float64{0.2, 0.4}); math.Abs(v-0.3) > 1e-12 {
+		t.Fatalf("lq pool q=1 = %v", v)
 	}
 	// Large q approaches max.
-	v, err = LqPool([]float64{0.1, 0.9}, 64)
-	if err != nil {
-		t.Fatal(err)
+	if v := pooled(pool{q: 64}, []float64{0.1, 0.9}); v < 0.85 {
+		t.Fatalf("lq pool q=64 = %v, want ≈0.9", v)
 	}
-	if v < 0.85 {
-		t.Fatalf("LqPool q=64 = %v, want ≈0.9", v)
-	}
-	if _, err := LqPool([]float64{1}, 0.5); err == nil {
+	cfg := DefaultMultiResolutionConfig()
+	cfg.Q = 0.5
+	if err := cfg.Validate(); err == nil {
 		t.Fatal("expected error for q<1")
 	}
-	if _, err := LqPool([]float64{-1}, 2); err == nil {
-		t.Fatal("expected error for negative signal")
+	// A negative stimulation means "nothing to read" (here: no media event
+	// on one side): it is never pooled, so the window stays missing.
+	loc, media := mkEvents([]time.Duration{Day}, 39.9, 116.4, 0), mkEvents([]time.Duration{Day}, 0, 0, 7)
+	if _, mask := match([]Sensor{MediaSensor{}}, DefaultMultiResolutionConfig(), media, loc); slices.Contains(mask, true) {
+		t.Fatalf("negative stimulations were pooled: mask %v", mask)
 	}
-	if v, _ := LqPool(nil, 2); v != 0 {
+	if v := pooled(pool{q: 2}, nil); v != 0 {
 		t.Fatal("empty pool should be 0")
 	}
 }
 
 func TestMeanPool(t *testing.T) {
-	if MeanPool(nil) != 0 {
+	if pooled(pool{mean: true}, nil) != 0 {
 		t.Fatal("empty mean pool")
 	}
-	if got := MeanPool([]float64{1, 2, 3}); got != 2 {
-		t.Fatalf("MeanPool = %v", got)
+	if got := pooled(pool{mean: true}, []float64{1, 2, 3}); got != 2 {
+		t.Fatalf("mean pool = %v", got)
 	}
 }
 
@@ -474,14 +484,10 @@ func TestMultiResolutionMatchDisjointStreams(t *testing.T) {
 func TestLqPoolBoundsProperty(t *testing.T) {
 	f := func(a, b, c uint8) bool {
 		sig := []float64{float64(a) / 255, float64(b) / 255, float64(c) / 255}
-		mean := MeanPool(sig)
+		mean := pooled(pool{mean: true}, sig)
 		maxv := math.Max(sig[0], math.Max(sig[1], sig[2]))
 		for _, q := range []float64{1, 2, 4, 8, 32} {
-			v, err := LqPool(sig, q)
-			if err != nil {
-				return false
-			}
-			if v < mean-1e-9 || v > maxv+1e-9 {
+			if v := pooled(pool{q: q}, sig); v < mean-1e-9 || v > maxv+1e-9 {
 				return false
 			}
 		}

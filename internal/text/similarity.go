@@ -167,13 +167,9 @@ func NGramJaccard(a, b string, n int) float64 {
 	return float64(inter) / float64(union)
 }
 
-// LongestCommonSubstring returns the length (in runes) of the longest common
-// substring of a and b. Username-overlap filtering uses this to detect
-// partial overlap such as "Adele" inside "Adele_xiaonuan".
-func LongestCommonSubstring(a, b string) int {
-	return longestCommonSubstring([]rune(a), []rune(b))
-}
-
+// longestCommonSubstring returns the length of the longest common substring
+// of ra and rb. Username-overlap filtering uses this to detect partial
+// overlap such as "Adele" inside "Adele_xiaonuan".
 func longestCommonSubstring(ra, rb []rune) int {
 	if len(ra) == 0 || len(rb) == 0 {
 		return 0
@@ -205,8 +201,8 @@ func longestCommonSubstring(ra, rb []rune) int {
 	return best
 }
 
-// UsernameOverlap returns LongestCommonSubstring normalized by the shorter
-// username's length, in [0,1].
+// UsernameOverlap returns the longest common substring's length normalized
+// by the shorter username's length, in [0,1].
 func UsernameOverlap(a, b string) float64 {
 	ra, rb := []rune(a), []rune(b)
 	la, lb := len(ra), len(rb)

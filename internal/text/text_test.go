@@ -158,10 +158,10 @@ func TestNGramJaccard(t *testing.T) {
 }
 
 func TestLongestCommonSubstring(t *testing.T) {
-	if got := LongestCommonSubstring("adele_nuannuan", "masuwen_adele"); got != 5 {
+	if got := longestCommonSubstring([]rune("adele_nuannuan"), []rune("masuwen_adele")); got != 5 {
 		t.Fatalf("LCS = %d, want 5", got)
 	}
-	if LongestCommonSubstring("", "abc") != 0 {
+	if longestCommonSubstring(nil, []rune("abc")) != 0 {
 		t.Fatal("empty LCS")
 	}
 }

