@@ -22,8 +22,9 @@ vet:
 	$(GO) vet ./...
 
 # cross vets every package under the three builds this host never
-# compiles: darwin (mmap without Madvise — resident_other.go), windows
-# (the heap-copy fallback, mmap_other.go) and big-endian s390x (the
+# compiles: darwin (mmap_unix.go on another kernel), windows (no mmap,
+# mmap_other.go: the model sections are read into heap, the account
+# entries through the same reads as everywhere) and big-endian s390x (the
 # aliasFloat64s refusal path). Offline, installed toolchain only.
 cross:
 	GOOS=darwin GOARCH=arm64 $(GO) vet ./...
@@ -49,8 +50,8 @@ test:
 # error (TestScoreBatchLowestErrorWorkers), the racing first touches of
 # per-view derived state (TestPairConcurrentFirstTouch), the capped pair
 # cache's second-touch admission (TestPairCacheAdmissionConcurrent), a mapped
-# bundle's view evictions and page drops under concurrent decodes
-# (TestMapped*Concurrent),
+# bundle's view evictions and entry reads into pooled scratch under
+# concurrent decodes (TestMapped*Concurrent),
 # the staged pipeline, the parallel figure sweeps and the fanned-out
 # synth generator (*Workers*/*Determinism* tests) all match the filter.
 # Allocation-budget tests are deliberately named outside it: the race
@@ -91,9 +92,9 @@ fuzz-smoke:
 # cold Eqn-18 friend pair computes under), the two training hot spots
 # (BenchmarkStructureBuild: Eqn 9's matrix over seeded synthetic graphs;
 # BenchmarkBuildPrescreen: the pack-time prescreen fit over trained parts
-# and a fixed query sample) and the price of a mapped view's page drop
-# (BenchmarkMappedViewRedecode: a view decoded from dropped vs resident
-# pages) once (-benchtime=1x) as part of make ci — not for numbers
+# and a fixed query sample) and the price of re-decoding an evicted view
+# (BenchmarkMappedViewRedecode: one entry read and its copy-decode)
+# once (-benchtime=1x) as part of make ci — not for numbers
 # (those come from `make bench`), but so the microbenchmarks themselves
 # (fixtures, pooled buffers, the v3 decode path, the wide-shard exact vs
 # two-tier prescreen pair, the derived per-view state, the training

@@ -147,10 +147,11 @@ func main() {
 	fmt.Fprintln(os.Stderr, "drained; bye")
 }
 
-// loadBundleEngine maps a bundle file and builds its engine — startup
-// and every SIGHUP swap go through the same path. Sections stay lazy;
-// where the platform cannot mmap, OpenBundleMapped serves the same
-// reader off a heap copy of the file.
+// loadBundleEngine opens a bundle file and builds its engine — startup
+// and every SIGHUP swap go through the same path. Account entries are
+// read from the file on first touch and the model sections are mapped;
+// where the platform cannot mmap, OpenBundleMapped reads the model
+// sections into heap instead.
 func loadBundleEngine(path string, workers int) (*serve.Engine, error) {
 	mb, err := pipeline.OpenBundleMapped(path, pipeline.MapOptions{})
 	if err != nil {

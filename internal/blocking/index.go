@@ -32,16 +32,17 @@ type Index struct {
 	// Lazy backing: rowLens holds every shard's length (sizing and
 	// fan-out stats without materialization), fetch materializes one
 	// shard. fetch must be safe for concurrent callers and return stable
-	// results; nil fetch means the index is eager.
+	// results, or an error when the shard cannot be read; nil fetch means
+	// the index is eager.
 	rowLens []int
-	fetch   func(a int) []Candidate
+	fetch   func(a int) ([]Candidate, error)
 }
 
 // LazyIndex builds an index whose rows materialize on first touch:
 // rowLens pins every shard's candidate count up front, fetch resolves a
-// shard when a query actually lands on it. Validation mirrors
-// IndexFromParts.
-func LazyIndex(pa, pb platform.ID, rules Rules, rowLens []int, fetch func(a int) []Candidate) (*Index, error) {
+// shard when a query actually lands on it, and its error is Candidates'.
+// Validation mirrors IndexFromParts.
+func LazyIndex(pa, pb platform.ID, rules Rules, rowLens []int, fetch func(a int) ([]Candidate, error)) (*Index, error) {
 	if pa == "" || pb == "" {
 		return nil, fmt.Errorf("blocking: index parts missing platform pair (%q, %q)", pa, pb)
 	}
@@ -89,7 +90,7 @@ func (ix *Index) Candidates(a int) ([]Candidate, error) {
 		return nil, fmt.Errorf("blocking: account %d out of range (%s has %d accounts)", a, ix.PA, ix.NumShards())
 	}
 	if ix.fetch != nil {
-		return ix.fetch(a), nil
+		return ix.fetch(a)
 	}
 	return ix.byA[a], nil
 }

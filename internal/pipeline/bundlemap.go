@@ -1,43 +1,37 @@
 package pipeline
 
 // Out-of-RAM serving: OpenBundleMapped reads a v3 bundle without
-// decoding it. The file is memory-mapped (read-only, shared), only the
-// JSON header is parsed eagerly, and each length-prefixed binary
-// section is exposed as a lazy view: account views, friend slices and
-// index rows are located by a cheap skip-scan at open time (offsets
-// only — no allocation proportional to payload) and materialized on
-// first touch. Cold start is therefore O(header + offsets) instead of
-// O(bundle).
+// decoding it. Only the JSON header is parsed eagerly, and each
+// length-prefixed binary section is exposed as a lazy view: account
+// views, friend slices and index rows are located by a cheap skip-scan
+// at open time (offsets only — no allocation proportional to payload)
+// and materialized on first touch. Cold start is therefore
+// O(header + offsets) instead of O(bundle).
 //
-// Two things bound resident memory, one per kind of page:
+// The three account sections (views, friend slices, index rows) are
+// never mapped. The skip-scan reads them with ReadAt through one reusable
+// chunk, and a first touch reads exactly its entry's bytes into pooled
+// scratch and copy-decodes them. So their file pages stay in the page
+// cache and never count toward the process's resident set, and a read
+// that comes up short (a file rewritten in place, a closed bundle) is an
+// error, not a fault.
 //
-//   - Heap: decoded views are the bulk of it (a view plus its derived
-//     state is ≈ 9 KB on the benchmark's world), so they alone are
-//     capped: at most maxResidentViews stay cached, and a second-chance
-//     (CLOCK) sweep drops the least recently touched once a first touch
-//     crosses the cap. Friend slices and index rows are small and stay
-//     cached for the life of the mapping.
-//   - File pages: every read of the mapping faults pages in, and the
-//     kernel can map far more than the bytes read (≈ 300 KB for a
-//     one-byte read on linux 6.x), so a window of scattered first
-//     touches would otherwise leave the whole file resident. Views,
-//     friend slices and index rows therefore always copy-decode —
-//     nothing materialized from those three sections needs the file
-//     again — and their pages are handed back (dropLazy): by the
-//     open-time skip-scan every scanDropStep bytes, and after every
-//     sweep batch (viewCap/8) of first-touch view decodes. Dropped pages
-//     re-fault from the page cache with identical bytes, so no answer
-//     can change.
+// What stays resident is the decoded heap, and decoded views are the
+// bulk of it (a view plus its derived state is ≈ 9 KB on the
+// benchmark's world), so they alone are capped: at most
+// maxResidentViews stay cached, and a second-chance (CLOCK) sweep drops
+// the least recently touched once a first touch crosses the cap. Friend
+// slices and index rows are small and stay cached for the life of the
+// bundle.
 //
 // The model, prescreen and impute-table sections are decoded once at
 // open, and their vectors alias the mapping where the host byte order
-// and the payload's 8-byte alignment allow (see aliasFloat64s); their
-// pages are never handed back.
+// and the payload's 8-byte alignment allow (see aliasFloat64s).
 //
 // Lifetime: the model, prescreen and impute-table vectors may alias the
-// mapping, so it must outlive every reader. Close unmaps; callers (the
-// serve engine) must drain in-flight queries first — see
-// serve.Engine.Retire.
+// mapping, so it must outlive every reader. Close unmaps and closes the
+// file; callers (the serve engine) must drain in-flight queries first —
+// see serve.Engine.Retire.
 
 import (
 	"encoding/binary"
@@ -57,27 +51,23 @@ import (
 	"hydra/internal/platform"
 )
 
-// maxResidentViews caps the decoded views one mapped bundle keeps. A
+// maxResidentViews caps the decoded views one bundle keeps. A
 // 64-candidate top-k touches about 260 views (the candidates plus both
-// sides' imputation friends), so the cap holds the working sets of
-// several concurrent requests — ≈ 30 MB of decoded views — while a
-// 50k-account bundle no longer keeps every view it ever decoded.
-const maxResidentViews = 4096
+// sides' imputation friends), so the cap holds about four requests'
+// working sets — ≈ 9 MB of decoded views — while a 50k-account bundle no
+// longer keeps every view it ever decoded.
+const maxResidentViews = 1024
 
-// scanDropStep is how far the open-time skip-scan reads past the pages
-// it has handed back, and so the scan's own peak residency.
-const scanDropStep = 16 << 20
-
-// pageSize is the granularity pages are handed back at.
-var pageSize = os.Getpagesize()
+// scanChunk is how many bytes of an account section the open-time
+// skip-scan reads at a time, and so the scan's own residency.
+const scanChunk = 1 << 20
 
 // MapOptions tunes OpenBundleMapped.
 type MapOptions struct {
-	// NoMmap skips the memory map and reads the whole file into heap
-	// memory instead. Sections still decode lazily; only the backing
-	// storage changes, and nothing is ever handed back (the copy is
-	// anonymous memory). This is also the silent fallback when the
-	// platform cannot mmap.
+	// NoMmap skips the memory map: the sections decoded at open (header,
+	// model, prescreen, impute table) are read into heap memory instead.
+	// Account entries are read from the file either way. This is also the
+	// silent fallback when the platform cannot mmap.
 	NoMmap bool
 
 	// NoZeroCopy forces the model, prescreen and impute-table vectors to
@@ -103,12 +93,13 @@ type MappedStats struct {
 }
 
 // MappedBundle is a v3 bundle opened without decoding: header parsed,
-// sections mapped, payloads materialized on first touch. It implements
+// model sections mapped, account entries read on first touch. It implements
 // core.LazySnapshot, so core.NewLazyStore can serve straight off it.
 type MappedBundle struct {
-	data    []byte
+	f       *os.File
+	size    int
+	data    []byte // the mapping; nil on the heap fallback
 	unmap   func() error
-	mapped  bool
 	noAlias bool
 	closed  atomic.Bool
 
@@ -132,25 +123,16 @@ type MappedBundle struct {
 	sweepMu   sync.Mutex
 	hand      int
 
-	// lazyLo and lazyHi bound the page-aligned interior of the view,
-	// friend and index sections (file offsets): the pages dropLazy may
-	// hand back. viewDecodes counts first-touch view decodes, which pace
-	// the drops; scanDropAt is where the open-time scan next drops.
-	lazyLo, lazyHi int
-	viewDecodes    atomic.Int64
-	scanDropAt     int
-
 	aliased, copied                atomic.Uint64
 	resViews, resFriends, resRows  atomic.Int64
 	totalViews, totalFriends, rows int
 }
 
 // mappedViews is one platform's slice of the view section: the header
-// metas, each account's byte offset into the section, and its window of
-// the bundle's view slots.
+// metas, where each account's entry lies in the file (entry i is bytes
+// off[i] to off[i+1]), and its window of the bundle's view slots.
 type mappedViews struct {
 	metas []viewMetaV3
-	buf   []byte
 	off   []int
 	slots []viewSlot
 }
@@ -163,8 +145,9 @@ type viewSlot struct {
 	ref atomic.Bool
 }
 
+// mappedFriends and mappedIndex locate their entries like mappedViews:
+// entry i is file bytes off[i] to off[i+1].
 type mappedFriends struct {
-	buf   []byte
 	off   []int
 	cache []atomic.Pointer[[]graph.Friend]
 }
@@ -172,76 +155,90 @@ type mappedFriends struct {
 type mappedIndex struct {
 	mb     *MappedBundle
 	meta   indexMetaV3
-	buf    []byte
 	rowOff []int
 	rowLen []int
 	cache  []atomic.Pointer[[]blocking.Candidate]
 }
 
-// OpenBundleMapped opens a v3 bundle lazily. The returned bundle holds an
-// OS mapping until Close; nothing materialized from it may be used
-// afterwards. The mapping is shared with the file, so a served bundle
-// must only ever be replaced by rename (as SaveBundle does), never
-// rewritten in place.
+// OpenBundleMapped opens a v3 bundle lazily. The returned bundle holds
+// the file open, and an OS mapping of it, until Close; nothing
+// materialized from it may be used afterwards. The mapping is shared
+// with the file, so a served bundle must only ever be replaced by rename
+// (as SaveBundle does), never rewritten in place.
 func OpenBundleMapped(path string, opts MapOptions) (*MappedBundle, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
 	st, err := f.Stat()
 	if err != nil {
+		f.Close()
 		return nil, err
 	}
-	mb := &MappedBundle{noAlias: opts.NoZeroCopy, viewCap: maxResidentViews}
-	if size := st.Size(); !opts.NoMmap && mmapSupported && size > 0 && size <= math.MaxInt {
-		if data, unmap, err := mmapFile(f, int(size)); err == nil {
-			mb.data, mb.unmap, mb.mapped = data, unmap, true
-		}
+	size := st.Size()
+	if size > math.MaxInt {
+		f.Close()
+		return nil, fmt.Errorf("pipeline: bundle %s is %d bytes, more than this build can address", path, size)
 	}
-	if mb.data == nil {
-		data, err := io.ReadAll(f)
-		if err != nil {
-			return nil, err
+	mb := &MappedBundle{f: f, size: int(size), noAlias: opts.NoZeroCopy, viewCap: maxResidentViews}
+	if !opts.NoMmap && mmapSupported && size > 0 {
+		if data, unmap, err := mmapFile(f, int(size)); err == nil {
+			mb.data, mb.unmap = data, unmap
 		}
-		mb.data = data
 	}
 	if err := mb.open(); err != nil {
 		mb.Close()
 		return nil, err
 	}
-	// The skip-scan handed its pages back a step at a time; give back its
-	// last partial step too, so cold-start RSS is O(header + offset
-	// tables + the aliased sections), not O(bundle).
-	mb.dropLazy(len(mb.data))
 	return mb, nil
 }
 
 // open parses the header, bounds-checks every section against the file
 // size, eagerly decodes the small sections (model, prescreen, impute
 // table — their vectors alias the mapping where possible) and skip-scans
-// the bulky ones (views, friends, indexes) into per-entry offset tables.
+// the account sections (views, friends, indexes) into per-entry offset
+// tables.
 func (mb *MappedBundle) open() error {
-	data := mb.data
-	if err := checkMagic(data[:min(len(data), len(bundleMagic))]); err != nil {
+	head, err := mb.section(0, min(mb.size, len(bundleMagic)))
+	if err != nil {
+		return fmt.Errorf("pipeline: read bundle magic: %w", err)
+	}
+	if err := checkMagic(head); err != nil {
 		return err
 	}
 	off := len(bundleMagic)
-	block := func(what string) ([]byte, error) {
-		if len(data)-off < 8 {
-			return nil, fmt.Errorf("pipeline: read v3 %s length: file truncated at byte %d", what, off)
+	// frame reads the next block's length prefix and checks the block
+	// against the file, returning where the block's bytes lie.
+	frame := func(what string) (lo, n int, err error) {
+		if mb.size-off < 8 {
+			return 0, 0, fmt.Errorf("pipeline: read v3 %s length: file truncated at byte %d", what, off)
 		}
-		n := binary.LittleEndian.Uint64(data[off:])
+		var p [8]byte
+		if err := readFull(mb.f, p[:], off); err != nil {
+			return 0, 0, fmt.Errorf("pipeline: read v3 %s length: %w", what, err)
+		}
+		u := binary.LittleEndian.Uint64(p[:])
 		off += 8
 		const maxSection = 1 << 33
-		if n > maxSection {
-			return nil, fmt.Errorf("pipeline: v3 %s claims %d bytes — corrupt bundle", what, n)
+		if u > maxSection {
+			return 0, 0, fmt.Errorf("pipeline: v3 %s claims %d bytes — corrupt bundle", what, u)
 		}
-		if int(n) > len(data)-off {
-			return nil, fmt.Errorf("pipeline: v3 %s wants %d bytes, file has %d left — truncated bundle", what, n, len(data)-off)
+		if int(u) > mb.size-off {
+			return 0, 0, fmt.Errorf("pipeline: v3 %s wants %d bytes, file has %d left — truncated bundle", what, u, mb.size-off)
 		}
-		p := data[off : off+int(n)]
-		off += int(n)
+		lo, n = off, int(u)
+		off += n
+		return lo, n, nil
+	}
+	block := func(what string) ([]byte, error) {
+		lo, n, err := frame(what)
+		if err != nil {
+			return nil, err
+		}
+		p, err := mb.section(lo, n)
+		if err != nil {
+			return nil, fmt.Errorf("pipeline: read v3 %s: %w", what, err)
+		}
 		return p, nil
 	}
 
@@ -263,19 +260,17 @@ func (mb *MappedBundle) open() error {
 	if err != nil {
 		return err
 	}
-	// The view, friend and index sections are contiguous, and nothing
-	// materialized from them aliases the mapping: their page-aligned
-	// interior is what dropLazy may hand back.
-	lazyStart := off
-	var secs [3][]byte
+	// The account sections are only located here; the scans below read
+	// them through one chunk.
+	chunk := make([]byte, 0, min(scanChunk, mb.size))
+	var secs [3]sectionScan
 	for i, what := range []string{"view section", "friend section", "index section"} {
-		if secs[i], err = block(what); err != nil {
+		lo, n, err := frame(what)
+		if err != nil {
 			return err
 		}
+		secs[i] = sectionScan{f: mb.f, lo: lo, hi: lo + n, off: lo, base: lo, chunk: chunk}
 	}
-	mb.lazyLo = (lazyStart + pageSize - 1) &^ (pageSize - 1)
-	mb.lazyHi = off &^ (pageSize - 1)
-	mb.scanDropAt = lazyStart + scanDropStep
 	var prescreenBuf, tableBuf []byte
 	if mb.header.Prescreen != nil {
 		if prescreenBuf, err = block("prescreen section"); err != nil {
@@ -287,8 +282,8 @@ func (mb *MappedBundle) open() error {
 			return err
 		}
 	}
-	if off != len(data) {
-		return fmt.Errorf("pipeline: v3 bundle has %d trailing bytes — corrupt bundle", len(data)-off)
+	if off != mb.size {
+		return fmt.Errorf("pipeline: v3 bundle has %d trailing bytes — corrupt bundle", mb.size-off)
 	}
 
 	if err := mb.decodeModel(modelBuf); err != nil {
@@ -300,25 +295,38 @@ func (mb *MappedBundle) open() error {
 	if err := mb.decodeImputeTable(tableBuf); err != nil {
 		return err
 	}
-	if err := mb.scanViews(secs[0]); err != nil {
+	if err := mb.scanViews(&secs[0]); err != nil {
 		return err
 	}
-	if err := mb.scanFriends(secs[1]); err != nil {
+	if err := mb.scanFriends(&secs[1]); err != nil {
 		return err
 	}
-	return mb.scanIndexes(secs[2])
+	return mb.scanIndexes(&secs[2])
 }
 
-// dropLazy hands back the resident pages of the lazy sections' interior
-// that lie wholly before file offset end. Those pages re-fault from the
-// page cache with identical bytes, so this only trims residency. It
-// never runs on a heap copy, where MADV_DONTNEED would zero-fill the
-// bytes instead.
-func (mb *MappedBundle) dropLazy(end int) {
-	end = min(end&^(pageSize-1), mb.lazyHi)
-	if mb.mapped && end > mb.lazyLo {
-		dropResident(mb.data[mb.lazyLo:end])
+// section returns file bytes [lo, lo+n) of a section decoded at open: a
+// slice of the mapping, or on the heap fallback a copy placed at the
+// file's offset mod 8, so the same vectors alias either way.
+func (mb *MappedBundle) section(lo, n int) ([]byte, error) {
+	if mb.data != nil {
+		return mb.data[lo : lo+n], nil
 	}
+	pad := lo % 8
+	p := make([]byte, pad+n)[pad:]
+	return p, readFull(mb.f, p, lo)
+}
+
+// readFull reads exactly len(p) bytes at file offset off; coming up short
+// is an error.
+func readFull(f io.ReaderAt, p []byte, off int) error {
+	n, err := f.ReadAt(p, int64(off))
+	if n == len(p) {
+		return nil
+	}
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 func (mb *MappedBundle) decodeModel(buf []byte) error {
@@ -376,7 +384,7 @@ func (mb *MappedBundle) decodeImputeTable(buf []byte) error {
 	return t.Validate()
 }
 
-func (mb *MappedBundle) scanViews(buf []byte) error {
+func (mb *MappedBundle) scanViews(s *sectionScan) error {
 	mb.plats = sortedPlatformIDs(mb.header.Views)
 	mb.views = make(map[platform.ID]*mappedViews, len(mb.plats))
 	nslots := 0
@@ -384,11 +392,10 @@ func (mb *MappedBundle) scanViews(buf []byte) error {
 		nslots += len(metas)
 	}
 	mb.viewSlots = make([]viewSlot, nslots)
-	r := mb.reader(buf)
 	for _, id := range mb.plats {
 		metas := mb.header.Views[id]
-		nv := int(r.u32())
-		if r.err != nil {
+		nv := int(s.u32())
+		if s.err != nil {
 			break
 		}
 		if nv != len(metas) {
@@ -396,76 +403,95 @@ func (mb *MappedBundle) scanViews(buf []byte) error {
 		}
 		mv := &mappedViews{
 			metas: metas,
-			buf:   buf,
-			off:   make([]int, nv),
+			off:   make([]int, nv+1),
 			slots: mb.viewSlots[mb.totalViews : mb.totalViews+nv],
 		}
-		for i := 0; i < nv && r.err == nil; i++ {
-			mv.off[i] = r.off
-			r.skipSlice(32) // events
-			r.skipSlice(8)  // post times
-			r.skipVecs()    // topic dists
-			r.skipVecs()    // genre dists
-			r.skipVecs()    // sentiment dists
-			r.skipSlice(8)  // embedding
-			r.scanned()
+		for i := 0; i < nv && s.err == nil; i++ {
+			mv.off[i] = s.off
+			s.skipSlice(32) // events
+			s.skipSlice(8)  // post times
+			s.skipVecs()    // topic dists
+			s.skipVecs()    // genre dists
+			s.skipVecs()    // sentiment dists
+			s.skipSlice(8)  // embedding
 		}
+		mv.off[nv] = s.off
 		mb.views[id] = mv
 		mb.totalViews += nv
 	}
-	return r.finish("view section")
+	return s.finish("view section")
 }
 
-func (mb *MappedBundle) scanFriends(buf []byte) error {
+func (mb *MappedBundle) scanFriends(s *sectionScan) error {
 	mb.friends = make(map[platform.ID]*mappedFriends, len(mb.plats))
-	r := mb.reader(buf)
 	for _, id := range mb.plats {
-		nf := int(r.u32())
-		if r.err != nil {
+		nf := int(s.u32())
+		if s.err != nil {
 			break
 		}
-		if nv := len(mb.views[id].off); nf != nv {
+		if nv := len(mb.views[id].metas); nf != nv {
 			return fmt.Errorf("pipeline: v3 friend section has %d accounts for %s, view section has %d", nf, id, nv)
 		}
 		mf := &mappedFriends{
-			buf:   buf,
-			off:   make([]int, nf),
+			off:   make([]int, nf+1),
 			cache: make([]atomic.Pointer[[]graph.Friend], nf),
 		}
-		for i := 0; i < nf && r.err == nil; i++ {
-			mf.off[i] = r.off
-			r.skipSlice(16)
-			r.scanned()
+		for i := 0; i < nf && s.err == nil; i++ {
+			mf.off[i] = s.off
+			s.skipSlice(16)
 		}
+		mf.off[nf] = s.off
 		mb.friends[id] = mf
 		mb.totalFriends += nf
 	}
-	return r.finish("friend section")
+	return s.finish("friend section")
 }
 
-func (mb *MappedBundle) scanIndexes(buf []byte) error {
-	r := mb.reader(buf)
+func (mb *MappedBundle) scanIndexes(s *sectionScan) error {
 	for _, meta := range mb.header.Indexes {
-		mi := &mappedIndex{mb: mb, meta: meta, buf: buf}
-		nrows, ok := r.sliceLen()
-		if ok && r.err == nil {
-			mi.rowOff = make([]int, nrows)
+		mi := &mappedIndex{mb: mb, meta: meta}
+		nrows, ok := s.sliceLen()
+		if ok && s.err == nil {
+			mi.rowOff = make([]int, nrows+1)
 			mi.rowLen = make([]int, nrows)
 			mi.cache = make([]atomic.Pointer[[]blocking.Candidate], nrows)
-			for i := 0; i < nrows && r.err == nil; i++ {
-				mi.rowOff[i] = r.off
-				if m, ok := r.sliceLen(); ok {
-					r.take(17 * m)
-					mi.rowLen[i] = m
-				}
-				r.scanned()
+			for i := 0; i < nrows && s.err == nil; i++ {
+				mi.rowOff[i] = s.off
+				mi.rowLen[i] = s.skipSlice(17)
 			}
+			mi.rowOff[nrows] = s.off
 			mb.rows += nrows
 		}
 		mb.indexes = append(mb.indexes, mi)
 	}
-	return r.finish("index section")
+	return s.finish("index section")
 }
+
+// readEntry reads one account entry, file bytes [lo, hi), into pooled
+// scratch and hands it to decode, which must copy everything it keeps:
+// the scratch goes back to the pool on return. A short read — the file
+// truncated or rewritten in place, or the bundle closed — is an error, and
+// so is an entry the decode does not consume exactly.
+func (mb *MappedBundle) readEntry(lo, hi int, decode func(r *mapReader)) error {
+	p := entryScratch.Get().(*[]byte)
+	defer entryScratch.Put(p)
+	if cap(*p) < hi-lo {
+		*p = make([]byte, hi-lo)
+	}
+	buf := (*p)[:hi-lo]
+	if err := readFull(mb.f, buf, lo); err != nil {
+		return err
+	}
+	r := &mapReader{binSection: binSection{buf: buf}, mb: mb, copyVecs: true}
+	decode(r)
+	if r.err == nil && r.off != len(buf) {
+		return fmt.Errorf("entry has %d trailing bytes", len(buf)-r.off)
+	}
+	return r.err
+}
+
+// entryScratch pools the buffers readEntry reads into.
+var entryScratch = sync.Pool{New: func() any { return new([]byte) }}
 
 // View materializes (and caches, while resident) one account view.
 // Concurrent first touches race benignly: decode is deterministic, and
@@ -478,8 +504,8 @@ func (mb *MappedBundle) View(id platform.ID, local int) (*features.AccountView, 
 	if mv == nil {
 		return nil, fmt.Errorf("pipeline: platform %s not in mapped bundle", id)
 	}
-	if local < 0 || local >= len(mv.off) {
-		return nil, fmt.Errorf("pipeline: account %d out of range (%s mapped bundle has %d)", local, id, len(mv.off))
+	if local < 0 || local >= len(mv.metas) {
+		return nil, fmt.Errorf("pipeline: account %d out of range (%s mapped bundle has %d)", local, id, len(mv.metas))
 	}
 	s := &mv.slots[local]
 	if v := s.v.Load(); v != nil {
@@ -488,16 +514,18 @@ func (mb *MappedBundle) View(id platform.ID, local int) (*features.AccountView, 
 		}
 		return v, nil
 	}
-	r := mb.readerAt(mv.buf, mv.off[local])
 	meta := &mv.metas[local]
-	parts := features.ViewParts{
-		Username: meta.Username, Attrs: meta.Attrs, AvatarID: meta.AvatarID, Unique: meta.Unique,
-		Events: r.events(), PostTimes: r.times(),
-		TopicDists: r.vecs(), GenreDists: r.vecs(), SentDists: r.vecs(),
-		Embedding: r.vec(),
-	}
-	if r.err != nil {
-		return nil, fmt.Errorf("pipeline: decode mapped view %s/%d: %w", id, local, r.err)
+	var parts features.ViewParts
+	err := mb.readEntry(mv.off[local], mv.off[local+1], func(r *mapReader) {
+		parts = features.ViewParts{
+			Username: meta.Username, Attrs: meta.Attrs, AvatarID: meta.AvatarID, Unique: meta.Unique,
+			Events: r.events(), PostTimes: r.times(),
+			TopicDists: r.vecs(), GenreDists: r.vecs(), SentDists: r.vecs(),
+			Embedding: r.vec(),
+		}
+	})
+	if err != nil {
+		return nil, fmt.Errorf("pipeline: decode mapped view %s/%d: %w", id, local, err)
 	}
 	v := features.RestoreView(parts, id, local)
 	// The bit goes up before the pointer is published, so a sweep never
@@ -509,12 +537,6 @@ func (mb *MappedBundle) View(id platform.ID, local int) (*features.AccountView, 
 		}
 		return v, nil
 	}
-	// The decode faulted in far more of the file than it read, and the
-	// view no longer needs any of it: every sweep batch of first touches,
-	// hand the lazy sections' pages back.
-	if mb.viewDecodes.Add(1)%mb.sweepBatch() == 0 {
-		mb.dropLazy(len(mb.data))
-	}
 	if mb.resViews.Add(1) > int64(mb.viewCap) {
 		mb.evictViews()
 	}
@@ -522,7 +544,7 @@ func (mb *MappedBundle) View(id platform.ID, local int) (*features.AccountView, 
 }
 
 // sweepBatch is how many views a sweep evicts, an eighth of the cap, and
-// so how many first touches apart sweeps — and page drops — run.
+// so how many first touches apart sweeps run.
 func (mb *MappedBundle) sweepBatch() int64 { return int64(max(mb.viewCap/8, 1)) }
 
 // evictViews runs when a first touch has pushed the resident count over
@@ -561,16 +583,15 @@ func (mb *MappedBundle) Friends(id platform.ID, local int) ([]graph.Friend, erro
 	if mf == nil {
 		return nil, fmt.Errorf("pipeline: platform %s not in mapped bundle", id)
 	}
-	if local < 0 || local >= len(mf.off) {
-		return nil, fmt.Errorf("pipeline: account %d out of range (%s mapped bundle has %d)", local, id, len(mf.off))
+	if local < 0 || local >= len(mf.cache) {
+		return nil, fmt.Errorf("pipeline: account %d out of range (%s mapped bundle has %d)", local, id, len(mf.cache))
 	}
 	if p := mf.cache[local].Load(); p != nil {
 		return *p, nil
 	}
-	r := mb.readerAt(mf.buf, mf.off[local])
-	fr := r.friends()
-	if r.err != nil {
-		return nil, fmt.Errorf("pipeline: decode mapped friends %s/%d: %w", id, local, r.err)
+	var fr []graph.Friend
+	if err := mb.readEntry(mf.off[local], mf.off[local+1], func(r *mapReader) { fr = r.friends() }); err != nil {
+		return nil, fmt.Errorf("pipeline: decode mapped friends %s/%d: %w", id, local, err)
 	}
 	p := &fr
 	if mf.cache[local].CompareAndSwap(nil, p) {
@@ -601,18 +622,16 @@ func (mb *MappedBundle) NumAccounts(id platform.ID) int {
 	if mv == nil {
 		return -1
 	}
-	return len(mv.off)
+	return len(mv.metas)
 }
 
-func (mi *mappedIndex) fetch(a int) []blocking.Candidate {
+func (mi *mappedIndex) fetch(a int) ([]blocking.Candidate, error) {
 	if p := mi.cache[a].Load(); p != nil {
-		return *p
+		return *p, nil
 	}
-	r := mi.mb.readerAt(mi.buf, mi.rowOff[a])
-	row := r.candidates()
-	if r.err != nil {
-		// Unreachable: the open-time scan walked this exact row.
-		return nil
+	var row []blocking.Candidate
+	if err := mi.mb.readEntry(mi.rowOff[a], mi.rowOff[a+1], func(r *mapReader) { row = r.candidates() }); err != nil {
+		return nil, fmt.Errorf("pipeline: decode mapped index row %s/%d: %w", mi.meta.PA, a, err)
 	}
 	p := &row
 	if mi.cache[a].CompareAndSwap(nil, p) {
@@ -620,7 +639,7 @@ func (mi *mappedIndex) fetch(a int) []blocking.Candidate {
 	} else {
 		p = mi.cache[a].Load()
 	}
-	return *p
+	return *p, nil
 }
 
 // LazyIndexes builds one lazily-materializing blocking.Index per packed
@@ -638,7 +657,7 @@ func (mb *MappedBundle) LazyIndexes() ([]*blocking.Index, error) {
 }
 
 // Store restores the mapped bundle into a core.LazyStore served straight
-// off the mapping — the same store, checks and shard restriction as
+// off the file — the same store, checks and shard restriction as
 // Bundle.Store, with entries materialized on first touch.
 func (mb *MappedBundle) Store() (*core.LazyStore, error) {
 	return newSnapshotStore(mb, mb.header.Pipeline, mb.header.FriendsK, mb.modelParts.Cfg.ResolvedTopFriends(), mb.header.Faces, mb.header.Shard, mb.tableParts)
@@ -659,8 +678,8 @@ func (mb *MappedBundle) Pairs() [][2]platform.ID { return mb.header.Pairs }
 // Stats snapshots what has been materialized so far.
 func (mb *MappedBundle) Stats() MappedStats {
 	return MappedStats{
-		Mapped:          mb.mapped,
-		Bytes:           len(mb.data),
+		Mapped:          mb.data != nil,
+		Bytes:           mb.size,
 		AliasedVecs:     mb.aliased.Load(),
 		CopiedVecs:      mb.copied.Load(),
 		ResidentViews:   int(mb.resViews.Load()),
@@ -673,25 +692,30 @@ func (mb *MappedBundle) Stats() MappedStats {
 }
 
 // Mapped reports whether the bundle is backed by an OS memory map.
-func (mb *MappedBundle) Mapped() bool { return mb.mapped }
+func (mb *MappedBundle) Mapped() bool { return mb.data != nil }
 
-// Close unmaps the file. Everything materialized from the bundle —
-// views, vectors, the engine serving off it — must be out of use first;
-// the serve tier guarantees that by draining in-flight requests before
-// closing. Idempotent.
+// Close unmaps and closes the file. Everything materialized from the
+// bundle — views, vectors, the engine serving off it — must be out of use
+// first; the serve tier guarantees that by draining in-flight requests
+// before closing. An entry first touched afterwards fails to read.
+// Idempotent.
 func (mb *MappedBundle) Close() error {
 	if mb.closed.Swap(true) {
 		return nil
 	}
+	var err error
 	if mb.unmap != nil {
-		return mb.unmap()
+		err = mb.unmap()
 	}
-	return nil
+	if cerr := mb.f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
-// mapReader reads one section of the mapping: binSection's primitives
-// plus alias-aware vector decoding and skip-scanning. Aliased vectors
-// point into the mapping and share its lifetime.
+// mapReader reads a section decoded at open, or one account entry:
+// binSection's primitives plus alias-aware vector decoding. Aliased
+// vectors point into the mapping and share its lifetime.
 type mapReader struct {
 	binSection
 	mb       *MappedBundle
@@ -701,12 +725,6 @@ type mapReader struct {
 // reader reads a section decoded at open, whose vectors may alias.
 func (mb *MappedBundle) reader(buf []byte) *mapReader {
 	return &mapReader{binSection: binSection{buf: buf}, mb: mb, copyVecs: mb.noAlias}
-}
-
-// readerAt reads one lazy entry (a view, friend slice or index row),
-// which always copy-decodes so that its pages can be handed back.
-func (mb *MappedBundle) readerAt(buf []byte, off int) *mapReader {
-	return &mapReader{binSection: binSection{buf: buf, off: off}, mb: mb, copyVecs: true}
 }
 
 // vec decodes one vector, aliasing the payload in place when the host
@@ -810,40 +828,6 @@ func (r *mapReader) candidates() []blocking.Candidate {
 	return row
 }
 
-// skipSlice advances past one presence-prefixed slice of fixed-width
-// elements, returning its element count.
-func (r *mapReader) skipSlice(elemSize int) int {
-	n, ok := r.sliceLen()
-	if !ok || r.err != nil {
-		return 0
-	}
-	r.take(elemSize * n)
-	return n
-}
-
-func (r *mapReader) skipVecs() {
-	n, ok := r.sliceLen()
-	if !ok || r.err != nil {
-		return
-	}
-	for i := 0; i < n; i++ {
-		r.skipSlice(8)
-	}
-}
-
-// scanned runs after each entry of an open-time skip-scan: once the scan
-// is scanDropStep past its last drop, it hands back what it has read,
-// so open's own peak residency is one step, not the file.
-func (r *mapReader) scanned() {
-	// r.buf is a two-index subslice of the mapping, so the capacity it
-	// lost is its file offset.
-	pos := cap(r.mb.data) - cap(r.buf) + r.off
-	if pos >= r.mb.scanDropAt {
-		r.mb.dropLazy(pos)
-		r.mb.scanDropAt = pos + scanDropStep
-	}
-}
-
 // finish reports a stuck decode error or trailing bytes, matching the
 // eager reader's corruption diagnostics.
 func (r *mapReader) finish(what string) error {
@@ -852,6 +836,138 @@ func (r *mapReader) finish(what string) error {
 	}
 	if r.off != len(r.buf) {
 		return fmt.Errorf("pipeline: v3 %s has %d trailing bytes — corrupt bundle", what, len(r.buf)-r.off)
+	}
+	return nil
+}
+
+// sectionScan skip-scans one account section, file bytes [lo, hi),
+// through a reusable chunk filled by ReadAt, so the scan neither maps nor
+// keeps the section. The cursor is a file offset, and bounds are checked
+// against the section, not the chunk: a corrupt length fails exactly as
+// it would over the whole section, and skipping a payload reads nothing.
+// Only length prefixes are read, and one that runs past the chunk starts
+// the next chunk where it starts.
+type sectionScan struct {
+	f      io.ReaderAt
+	lo, hi int
+	off    int
+	chunk  []byte // file bytes [base, base+len(chunk))
+	base   int
+	err    error
+}
+
+func (s *sectionScan) fail(err error) {
+	if s.err == nil {
+		s.err = err
+	}
+}
+
+// fits reports whether n more bytes lie inside the section, failing the
+// scan with binSection.take's diagnostic when they do not.
+func (s *sectionScan) fits(n int) bool {
+	if s.err != nil {
+		return false
+	}
+	if n > s.hi-s.off {
+		s.fail(fmt.Errorf("section truncated at byte %d (want %d more)", s.off-s.lo, n))
+		return false
+	}
+	return true
+}
+
+func (s *sectionScan) skip(n int) {
+	if s.fits(n) {
+		s.off += n
+	}
+}
+
+// take returns the next n bytes of a length prefix, refilling the chunk
+// from the cursor when they are not all in it.
+func (s *sectionScan) take(n int) []byte {
+	if !s.fits(n) {
+		return nil
+	}
+	if s.off+n > s.base+len(s.chunk) {
+		s.base, s.chunk = s.off, s.chunk[:min(cap(s.chunk), s.hi-s.off)]
+		if err := readFull(s.f, s.chunk, s.base); err != nil {
+			s.fail(err)
+			return nil
+		}
+	}
+	p := s.chunk[s.off-s.base:][:n]
+	s.off += n
+	return p
+}
+
+func (s *sectionScan) u8() uint8 {
+	p := s.take(1)
+	if p == nil {
+		return 0
+	}
+	return p[0]
+}
+
+func (s *sectionScan) u32() uint32 {
+	p := s.take(4)
+	if p == nil {
+		return 0
+	}
+	return binary.LittleEndian.Uint32(p)
+}
+
+// sliceLen is binSection.sliceLen over the section: ok is false for nil,
+// and a length beyond the section's remaining bytes is corruption. A
+// prefix wholly inside the chunk, as nearly all are, is read in place:
+// the scan reads a prefix for every vector of every view.
+func (s *sectionScan) sliceLen() (n int, ok bool) {
+	if i := s.off - s.base; s.err == nil && i+5 <= len(s.chunk) {
+		if s.chunk[i] == 0 {
+			s.off++
+			return 0, false
+		}
+		n = int(binary.LittleEndian.Uint32(s.chunk[i+1:]))
+		s.off += 5
+	} else {
+		if s.u8() == 0 {
+			return 0, false
+		}
+		n = int(s.u32())
+	}
+	if s.err == nil && n > s.hi-s.off {
+		s.fail(fmt.Errorf("slice of %d elements at byte %d exceeds section size %d", n, s.off-s.lo, s.hi-s.lo))
+		return 0, false
+	}
+	return n, true
+}
+
+// skipSlice advances past one presence-prefixed slice of fixed-width
+// elements, returning its element count.
+func (s *sectionScan) skipSlice(elemSize int) int {
+	n, ok := s.sliceLen()
+	if !ok || s.err != nil {
+		return 0
+	}
+	s.skip(elemSize * n)
+	return n
+}
+
+func (s *sectionScan) skipVecs() {
+	n, ok := s.sliceLen()
+	if !ok || s.err != nil {
+		return
+	}
+	for i := 0; i < n; i++ {
+		s.skipSlice(8)
+	}
+}
+
+// finish is mapReader.finish over the section.
+func (s *sectionScan) finish(what string) error {
+	if s.err != nil {
+		return fmt.Errorf("pipeline: decode v3 %s: %w", what, s.err)
+	}
+	if s.off != s.hi {
+		return fmt.Errorf("pipeline: v3 %s has %d trailing bytes — corrupt bundle", what, s.hi-s.off)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"os"
@@ -137,14 +138,41 @@ func mappingRss(t *testing.T, data []byte) int {
 	return 0
 }
 
-// TestMappedViewsHandFilePagesBack touches every view of a ≥ 16 MB tile
-// and holds the mapping's own resident set under half the file the
-// whole way: views copy-decode, and the lazy sections' pages go back
-// every sweep batch of first touches, so residency follows the batch,
-// not the file.
-func TestMappedViewsHandFilePagesBack(t *testing.T) {
+// accountSectionBytes walks the length-prefixed blocks of the bundle at
+// path and returns how many bytes its three account sections (views,
+// friend slices, index rows — blocks 2 to 4) take, length prefixes
+// included.
+func accountSectionBytes(t *testing.T, path string) int {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for i, off := 0, len(bundleMagic); off < len(raw); i++ {
+		size := 8 + int(binary.LittleEndian.Uint64(raw[off:]))
+		if i >= 2 && i <= 4 {
+			n += size
+		}
+		off += size
+	}
+	return n
+}
+
+// faultAround is linux's default fault-around window: a read fault on a
+// file mapping also maps the neighbouring pages of its 64 KB window that
+// the page cache holds, so touching the last page before the account
+// sections can map up to a window of them without reading them.
+const faultAround = 64 << 10
+
+// TestMappedAccountSectionsNeverResident opens a ≥ 16 MB tile and touches
+// every view, friend slice and index row of it. The account sections are
+// read, never mapped, so the mapping's own resident set stays within the
+// bytes of the other sections plus one fault-around window each side of
+// the account sections after open, and touching every entry adds nothing.
+func TestMappedAccountSectionsNeverResident(t *testing.T) {
 	if runtime.GOOS != "linux" {
-		t.Skip("only linux hands mapped pages back")
+		t.Skip("reads the mapping's Rss from /proc/self/smaps")
 	}
 	path, want := fatTileFile(t, 1100)
 	mb, err := OpenBundleMapped(path, MapOptions{})
@@ -155,21 +183,54 @@ func TestMappedViewsHandFilePagesBack(t *testing.T) {
 	if !mb.Mapped() || len(mb.data) < 16<<20 {
 		t.Fatalf("want a mapped tile of ≥ 16 MB, got mapped=%v, %d bytes", mb.Mapped(), len(mb.data))
 	}
-	aliasedAtOpen := mb.Stats().AliasedVecs
-	peak := mappingRss(t, mb.data)
-	touchEveryView(t, mb, want, func() { peak = max(peak, mappingRss(t, mb.data)) })
-	t.Logf("mapping's peak Rss %d KB of a %d KB file", peak>>10, len(mb.data)>>10)
-	if half := len(mb.data) / 2; peak >= half {
-		t.Fatalf("mapping resident %d bytes while touching every view of a %d-byte file, want < %d", peak, len(mb.data), half)
+	other := len(mb.data) - accountSectionBytes(t, path)
+	atOpen := mappingRss(t, mb.data)
+	if limit := other + 2*faultAround; atOpen > limit {
+		t.Fatalf("after open: mapping resident %d bytes of a %d-byte file, want ≤ %d (the other sections' %d plus two fault-around windows)", atOpen, len(mb.data), limit, other)
 	}
+	check := func(when string) {
+		t.Helper()
+		if rss := mappingRss(t, mb.data); rss > atOpen {
+			t.Fatalf("%s: mapping resident %d bytes, %d after open — an entry read faulted the file in", when, rss, atOpen)
+		}
+	}
+	aliasedAtOpen := mb.Stats().AliasedVecs
+	touchEveryView(t, mb, want, func() { check("while touching views") })
+	for _, id := range mb.Platforms() {
+		for local := range want.Views[id] {
+			if _, err := mb.Friends(id, local); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ixs, err := mb.LazyIndexes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ixs) == 0 {
+		t.Fatal("tile has no index to touch")
+	}
+	for i, ix := range ixs {
+		for a := 0; a < ix.NumShards(); a++ {
+			row, err := ix.Candidates(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(rowBits(row), rowBits(want.Indexes[i].ByA[a])) {
+				t.Fatalf("index %d row %d differs from the decoded bundle's", i, a)
+			}
+		}
+	}
+	check("after touching every entry")
+	t.Logf("mapping resident %d KB of a %d KB file; other sections %d KB", mappingRss(t, mb.data)>>10, len(mb.data)>>10, other>>10)
 	if got := mb.Stats().AliasedVecs; got != aliasedAtOpen {
-		t.Fatalf("views aliased %d vectors of the mapping", got-aliasedAtOpen)
+		t.Fatalf("entries aliased %d vectors", got-aliasedAtOpen)
 	}
 }
 
 // TestHeapFallbackTouchKeepsBytes runs the same touch over the heap
-// copy: pages are never handed back there (MADV_DONTNEED would zero-fill
-// anonymous memory), so every view still decodes to the file's bits.
+// fallback, which reads entries through the same path: every view still
+// decodes to the file's bits.
 func TestHeapFallbackTouchKeepsBytes(t *testing.T) {
 	path, want := fatTileFile(t, 1100)
 	mb, err := OpenBundleMapped(path, MapOptions{NoMmap: true})
@@ -181,17 +242,14 @@ func TestHeapFallbackTouchKeepsBytes(t *testing.T) {
 		t.Fatal("NoMmap bundle reports a mapping")
 	}
 	touchEveryView(t, mb, want, nil)
-	if n := mb.viewDecodes.Load(); n < 2*mb.sweepBatch() {
-		t.Fatalf("%d first touches never reached a drop point (every %d)", n, mb.sweepBatch())
-	}
 }
 
-// TestMappedPageDropConcurrent decodes views, friend slices and index
-// rows from several goroutines with the view cap lowered so far that
-// every first-touch view decode hands the lazy sections' pages back
-// while other goroutines read them. Every value must equal
-// Bundle.Store's bit for bit (run under -race by `make race`).
-func TestMappedPageDropConcurrent(t *testing.T) {
+// TestMappedEntryReadsConcurrent reads views, friend slices and index
+// rows from several goroutines, sharing the pooled read scratch, with the
+// view cap lowered so far that most view touches evict and read again.
+// Every value must equal Bundle.Store's bit for bit (run under -race by
+// `make race`).
+func TestMappedEntryReadsConcurrent(t *testing.T) {
 	const (
 		seed       = 3
 		viewCap    = 8
@@ -220,9 +278,6 @@ func TestMappedPageDropConcurrent(t *testing.T) {
 	}
 	defer mb.Close()
 	mb.viewCap = viewCap
-	if mb.lazyHi-mb.lazyLo < 4*pageSize {
-		t.Fatalf("lazy interior spans %d bytes — nothing worth dropping", mb.lazyHi-mb.lazyLo)
-	}
 	ixs, err := mb.LazyIndexes()
 	if err != nil {
 		t.Fatal(err)
@@ -298,44 +353,30 @@ func TestMappedPageDropConcurrent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n, views := mb.viewDecodes.Load(), int64(mb.totalViews); n < views {
-		t.Fatalf("%d first-touch decodes over %d views — the cap evicted nothing, so nothing was dropped mid-read", n, views)
-	}
 }
 
-// BenchmarkMappedViewRedecode prices the re-fault a page drop costs: it
-// decodes one view again and again, from a mapping whose pages were just
-// handed back and from one whose pages stayed resident.
+// BenchmarkMappedViewRedecode prices the re-decode an evicted view
+// costs: one entry read into pooled scratch and its copy-decode.
 func BenchmarkMappedViewRedecode(b *testing.B) {
 	path, _ := fatTileFile(b, 1100)
-	for _, tc := range []struct {
-		name string
-		drop bool
-	}{{"dropped", true}, {"resident", false}} {
-		b.Run(tc.name, func(b *testing.B) {
-			mb, err := OpenBundleMapped(path, MapOptions{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer mb.Close()
-			mb.viewCap = 1 << 30 // no sweeps, no paced drops: only this loop's
-			id := mb.Platforms()[0]
-			local := mb.NumAccounts(id) / 2 // well inside the lazy interior
-			slot := &mb.views[id].slots[local]
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				if slot.v.Swap(nil) != nil {
-					mb.resViews.Add(-1)
-				}
-				if tc.drop {
-					mb.dropLazy(len(mb.data))
-				}
-				b.StartTimer()
-				if _, err := mb.View(id, local); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	mb, err := OpenBundleMapped(path, MapOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer mb.Close()
+	id := mb.Platforms()[0]
+	local := mb.NumAccounts(id) / 2
+	slot := &mb.views[id].slots[local]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if slot.v.Swap(nil) != nil {
+			mb.resViews.Add(-1)
+		}
+		b.StartTimer()
+		if _, err := mb.View(id, local); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

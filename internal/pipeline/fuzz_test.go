@@ -61,9 +61,10 @@ func FuzzReadBundle(f *testing.F) {
 	})
 }
 
-// FuzzOpenBundleMapped drives the zero-copy mapped reader's header and
-// section bounds checks over arbitrary file contents: open must error
-// or the mapped bundle must materialize and close cleanly.
+// FuzzOpenBundleMapped drives the mapped reader's header and section
+// bounds checks, its chunked skip-scan and its entry reads over arbitrary
+// file contents: open must error or the bundle's views, friend slices and
+// index rows must materialize (or refuse) and close cleanly.
 func FuzzOpenBundleMapped(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -84,6 +85,14 @@ func FuzzOpenBundleMapped(f *testing.F) {
 				_, _ = mb.View(p, local)
 				_, _ = mb.Friends(p, local)
 				_, _ = mb.Username(p, local)
+			}
+		}
+		if ixs, err := mb.LazyIndexes(); err == nil {
+			for _, ix := range ixs {
+				n := ix.NumShards()
+				for _, a := range []int{0, n - 1, n} {
+					_, _ = ix.Candidates(a)
+				}
 			}
 		}
 		if sd := mb.Shard(); sd != nil {

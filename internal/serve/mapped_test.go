@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"hydra/internal/pipeline"
+	"hydra/internal/platform"
 )
 
 // mappedEngine opens the shared fixture bundle through the mapped path
@@ -184,5 +186,81 @@ func TestMappedEngineConcurrentQueries(t *testing.T) {
 	}
 	if st := eng.MappedStats(); st == nil || st.ResidentViews == 0 {
 		t.Fatalf("mapped stats missing after load: %+v", st)
+	}
+}
+
+// TestMappedShortReadsAreErrors cuts a served bundle's file in place just
+// past its model section — against the replace-by-rename rule — and
+// requires every account read to fail with an error: a view, a friend
+// slice, an index row and a top-k over them. An index row that cannot be
+// read must never pass for an empty one. Then it closes an intact bundle
+// and requires the same of it: on a mapping, both used to fault.
+func TestMappedShortReadsAreErrors(t *testing.T) {
+	e := getEnv(t)
+	b := e.task.Blocks[0]
+	raw := e.bundleBytes
+	const magic = "HYB3"
+	if string(raw[:len(magic)]) != magic {
+		t.Fatalf("fixture bundle opens with %q, not the v3 magic", raw[:len(magic)])
+	}
+	cut := len(magic)
+	for block := 0; block < 2; block++ { // header, model
+		cut += 8 + int(binary.LittleEndian.Uint64(raw[cut:]))
+	}
+
+	path := filepath.Join(t.TempDir(), "bundle.bin")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mb, err := pipeline.OpenBundleMapped(path, pipeline.MapOptions{NoMmap: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngineFromMapped(mb, 0)
+	if err != nil {
+		mb.Close()
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	if err := os.Truncate(path, int64(cut)); err != nil {
+		t.Fatal(err)
+	}
+	accountReadsFail(t, "truncated", mb, b.PA)
+	if _, err := eng.TopK(b.PA, 1, b.PB, 5); err == nil {
+		t.Error("truncated: TopK answered off a file that no longer holds its accounts")
+	}
+
+	intact := filepath.Join(t.TempDir(), "intact.bin")
+	if err := os.WriteFile(intact, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	closed, err := pipeline.OpenBundleMapped(intact, pipeline.MapOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := closed.Close(); err != nil {
+		t.Fatal(err)
+	}
+	accountReadsFail(t, "closed", closed, b.PA)
+}
+
+// accountReadsFail requires mb's first view and friend slice on p, and the
+// first row of every index, to fail to read.
+func accountReadsFail(t *testing.T, what string, mb *pipeline.MappedBundle, p platform.ID) {
+	t.Helper()
+	if v, err := mb.View(p, 0); err == nil {
+		t.Errorf("%s: View returned %v, want an error", what, v)
+	}
+	if fr, err := mb.Friends(p, 0); err == nil {
+		t.Errorf("%s: Friends returned %v, want an error", what, fr)
+	}
+	ixs, err := mb.LazyIndexes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ix := range ixs {
+		if row, err := ix.Candidates(0); err == nil {
+			t.Errorf("%s: %s → %s Candidates returned %d candidates, want an error", what, ix.PA, ix.PB, len(row))
+		}
 	}
 }
