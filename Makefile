@@ -3,12 +3,15 @@
 # `make ci` is the gate: it refuses unformatted files, vets, builds and
 # tests every package, vets the cross-compiled builds (`make cross`),
 # runs the chaos suite, runs every serve benchmark once, and gives the
-# bundle readers' fuzz targets a short budget.
-# `make bench` is the repository's one benchmark (bench/, BENCHMARK.json).
+# bundle reader's fuzz targets (the reader against the reference
+# decoder, and the mapped open) and the world decoder's a short budget.
+# `make bench` is the repository's one benchmark (bench/, BENCHMARK.json);
+# `make ab REV=<rev>` is how a change claims or disclaims a difference on
+# it.
 
 GO ?= go
 
-.PHONY: ci fmt vet cross build test race chaos fuzz-smoke bench bench-smoke figures lines
+.PHONY: ci fmt vet cross build test race chaos fuzz-smoke bench bench-smoke ab figures lines
 
 ci: fmt vet cross build test chaos bench-smoke fuzz-smoke
 
@@ -75,12 +78,14 @@ chaos:
 	$(GO) test -race -run 'Faults|Chaos|Router|Hedge|Breaker' -count=1 ./internal/faults/ ./internal/serve/router/
 
 # fuzz-smoke gives each native fuzz target a short budget on top of the
-# checked-in corpus, inside make ci because the readers decide which
-# files a server accepts, and the world decoder which files training
-# accepts — long runs are manual
-# (`go test -fuzz FuzzReadBundle -fuzztime 10m ./internal/pipeline/`).
+# checked-in corpus, inside make ci because the bundle reader decides
+# which files a server accepts, and the world decoder which files
+# training accepts. FuzzReadersAgree holds ReadBundle to the tests'
+# reference decoder (same verdict, equal bundles, a clean round trip);
+# FuzzOpenBundleMapped drives the lazy open and entry reads. Long runs
+# are manual (`go test -fuzz FuzzReadersAgree -fuzztime 10m ./internal/pipeline/`).
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzReadBundle -fuzztime 10s ./internal/pipeline/
+	$(GO) test -run '^$$' -fuzz FuzzReadersAgree -fuzztime 10s ./internal/pipeline/
 	$(GO) test -run '^$$' -fuzz FuzzOpenBundleMapped -fuzztime 10s ./internal/pipeline/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeWorld -fuzztime 10s ./internal/platform/
 
@@ -110,6 +115,19 @@ bench-smoke:
 # (--workload, --seed, --seconds, --trace, -repeat).
 bench:
 	bash bench/run.sh
+
+# ab compares this working tree (B) with the commit REV (A) on the
+# benchmark without touching bench/: PAIRS alternating pairs (A B B A …)
+# of `bash bench/run.sh --seed i --seconds 10` — the workload W, or full
+# sets when W is empty — each side built from its own copy in $$TMPDIR,
+# then per (workload, metric) the median B/A ratio, the pairs that
+# favoured B and a verdict against BENCHMARK.json's bound. Exits 1 on a
+# breach, 3 when a workload has no result on one side. A full-set run
+# of 6 pairs takes about 16 minutes on two cores; see scripts/ab.sh.
+PAIRS ?= 6
+ab:
+	@test -n "$(REV)" || { echo 'usage: make ab REV=<rev> [W=<workload>] [PAIRS=6]' >&2; exit 2; }
+	bash scripts/ab.sh "$(REV)" "$(W)" "$(PAIRS)"
 
 # figures regenerates every figure table (the full experiment suite).
 figures:

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"bytes"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -20,7 +21,7 @@ import (
 // writes, and the bundle is the one wire format a trained model has.
 // Format v1 was a JSON model artifact whose recipes rebuilt the system
 // over its world file, and format v2 an all-JSON bundle; both are
-// retired, and both readers refuse any JSON document with a pointer to
+// retired, and the reader refuses any JSON document with a pointer to
 // hydra-link -save-bundle. Format v3 keeps a JSON header for the small
 // structured state and carries the bulky numeric sections — account
 // views, top-friends slices, index shards, support vectors — as
@@ -55,8 +56,9 @@ const BundleVersion = 3
 // in snapshot", the system reports a dataset miss).
 //
 // Bundle is the decoded, in-memory form: what packBundle assembles,
-// SplitBundle and TiledBundle rewrite, and ReadBundle returns. The wire
-// layout lives in bundlebin.go.
+// SplitBundle and TiledBundle rewrite, and ReadBundle copy-decodes out of
+// the reader OpenBundleMapped serves from. The wire layout lives in
+// bundlebin.go, the reader in bundlemap.go.
 type Bundle struct {
 	Version int
 
@@ -376,8 +378,9 @@ func worldFingerprint(ds *platform.Dataset) string {
 
 // heapSnapshot is the core.LazySnapshot of a decoded bundle: every view
 // restored once up front, friend slices shared with the bundle, each
-// accessor a map lookup and an index. The mapped counterpart is
-// MappedBundle, which materializes entries from the file on first touch.
+// accessor a map lookup and an index. The other snapshot is MappedBundle
+// itself, which materializes entries from the file on first touch; a
+// decoded bundle is the same entries, decoded by that reader all at once.
 // Account counts come from the friend slices, which Store checks against
 // the views, so SplitBundle can run the friend closure over a friends-only
 // snapshot.
@@ -524,17 +527,24 @@ func SaveBundle(path string, b *Bundle) error {
 // ReadBundle decodes a v3 bundle and rejects everything else: version
 // mismatches, bytes past the last announced section, and JSON documents
 // — a retired v1 model artifact or v2 bundle — which fail here instead
-// of serving from half-empty state.
-func ReadBundle(r io.Reader) (*Bundle, error) {
-	return readBundleV3(r)
+// of serving from half-empty state. It parses with the reader
+// OpenBundleMapped serves from, run over data, and copy-decodes every
+// entry: the bundle shares no memory with data. data also stands in for
+// the mapping, so the sections decoded at open are read in place rather
+// than copied first.
+func ReadBundle(data []byte) (*Bundle, error) {
+	mb := &MappedBundle{f: bytes.NewReader(data), data: data, size: len(data), noAlias: true}
+	if err := mb.open(); err != nil {
+		return nil, err
+	}
+	return mb.bundle()
 }
 
 // LoadBundle reads a bundle from a file.
 func LoadBundle(path string) (*Bundle, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return ReadBundle(f)
+	return ReadBundle(data)
 }

@@ -1,14 +1,14 @@
 package pipeline
 
-// Bundle format v3: the binary-section encoding behind WriteBundle and
-// ReadBundle. At serving scale a bundle's bulk is numeric — account
-// views (temporal events, post times, topic / genre / sentiment
-// distributions, embeddings), top-friends slices, index shards and the
-// model's support vectors — and JSON spends ~20 text bytes plus parsing
-// per float64 where 8 raw bytes round-trip the exact bits for free. v3
-// therefore splits the file:
+// Bundle format v3: the binary-section encoding WriteBundle writes and
+// the one reader in bundlemap.go parses. At serving scale a bundle's
+// bulk is numeric — account views (temporal events, post times, topic /
+// genre / sentiment distributions, embeddings), top-friends slices,
+// index shards and the model's support vectors — and JSON spends ~20
+// text bytes plus parsing per float64 where 8 raw bytes round-trip the
+// exact bits for free. v3 therefore splits the file:
 //
-//	"HYB3"                         4-byte magic (both readers check it)
+//	"HYB3"                         4-byte magic (checkMagic)
 //	u64 header length              little-endian
 //	header JSON                    everything small or stringly: the
 //	                               pipeline parts, per-view profile
@@ -21,7 +21,7 @@ package pipeline
 //	0–2 × (u64 length | payload)   optional sections the header
 //	                               announces: prescreen, impute table
 //
-// The file ends with the last announced section; both readers refuse
+// The file ends with the last announced section; the reader refuses
 // trailing bytes. All integers are little-endian and fixed width; floats
 // are raw IEEE-754 bits (bit-exact by construction). Slices are written
 // with a presence byte before the count so nil and empty survive the
@@ -31,7 +31,6 @@ package pipeline
 // TestBundleV3GoldenFormat.
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -54,8 +53,9 @@ import (
 // as the first bytes of a JSON document.
 const bundleMagic = "HYB3"
 
-// checkMagic refuses a file that does not open with the v3 magic — the
-// one gate both readers share. A JSON document gets its own message:
+// checkMagic refuses a file that does not open with the v3 magic, for
+// the reader and for the tests' reference decoder, so both refuse in the
+// same words. A JSON document gets its own message:
 // it is a retired v1 model artifact or v2 bundle, and the way forward is
 // a new bundle from the training world, not a hex dump.
 func checkMagic(head []byte) error {
@@ -115,8 +115,8 @@ type prescreenMetaV3 struct {
 }
 
 // parts assembles the prescreen from the header scalars and the
-// section's four vectors, refusing a Fourier block — the gate both
-// readers share, like checkMagic.
+// section's four vectors, refusing a Fourier block — shared with the
+// tests' reference decoder, like checkMagic.
 func (hp *prescreenMetaV3) parts(w, b, c, v linalg.Vector) (*core.PrescreenParts, error) {
 	if hp.RFF != 0 || len(w) != 0 || len(b) != 0 {
 		return nil, fmt.Errorf("pipeline: v%d prescreen carries a random-Fourier block (rff=%d) — that basis is no longer read; pack a new bundle with hydra-link -save-bundle from the training world", BundleVersion, hp.RFF)
@@ -305,189 +305,6 @@ func writeBundleV3(w io.Writer, b *Bundle) error {
 	return nil
 }
 
-// readBundleV3 decodes magic + header + sections back into a Bundle.
-func readBundleV3(r io.Reader) (*Bundle, error) {
-	magic := make([]byte, len(bundleMagic))
-	n, err := io.ReadFull(r, magic)
-	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
-		return nil, fmt.Errorf("pipeline: read bundle magic: %w", err)
-	}
-	if err := checkMagic(magic[:n]); err != nil { // a short file fails here
-		return nil, err
-	}
-	readBlock := func(what string) ([]byte, error) {
-		var lenBuf [8]byte
-		if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-			return nil, fmt.Errorf("pipeline: read v3 %s length: %w", what, err)
-		}
-		n := binary.LittleEndian.Uint64(lenBuf[:])
-		const maxSection = 1 << 33 // 8 GiB: far above any real bundle, far below a length-corruption OOM
-		if n > maxSection {
-			return nil, fmt.Errorf("pipeline: v3 %s claims %d bytes — corrupt bundle", what, n)
-		}
-		// Allocate at most a chunk before bytes actually arrive: a
-		// corrupt length on a short file must fail at EOF, not OOM on
-		// the upfront make (a 25-byte input can claim a 4 GiB section).
-		const upfront = 1 << 26 // 64 MiB
-		if n <= upfront {
-			p := make([]byte, n)
-			if _, err := io.ReadFull(r, p); err != nil {
-				return nil, fmt.Errorf("pipeline: read v3 %s: %w", what, err)
-			}
-			return p, nil
-		}
-		var buf bytes.Buffer
-		buf.Grow(upfront)
-		if m, err := io.CopyN(&buf, r, int64(n)); err != nil {
-			return nil, fmt.Errorf("pipeline: read v3 %s: %w (got %d of %d bytes)", what, err, m, n)
-		}
-		return buf.Bytes(), nil
-	}
-	headerJSON, err := readBlock("header")
-	if err != nil {
-		return nil, err
-	}
-	var header bundleHeaderV3
-	if err := json.Unmarshal(headerJSON, &header); err != nil {
-		return nil, fmt.Errorf("pipeline: decode v3 header: %w", err)
-	}
-	if header.Version != BundleVersion {
-		return nil, fmt.Errorf("pipeline: binary bundle version %d, this build reads version %d", header.Version, BundleVersion)
-	}
-	if err := header.Shard.Validate(); err != nil {
-		return nil, err
-	}
-	var secs [4]binSection
-	for i, what := range []string{"model section", "view section", "friend section", "index section"} {
-		p, err := readBlock(what)
-		if err != nil {
-			return nil, err
-		}
-		secs[i] = binSection{buf: p}
-	}
-	model, views, friends, indexes := &secs[0], &secs[1], &secs[2], &secs[3]
-
-	b := &Bundle{
-		Version:  header.Version,
-		Pipeline: header.Pipeline,
-		Views:    make(map[platform.ID][]features.ViewParts, len(header.Views)),
-		Friends:  make(map[platform.ID][][]graph.Friend, len(header.Views)),
-		FriendsK: header.FriendsK,
-		Faces:    header.Faces,
-		Model: core.ModelParts{
-			Cfg:         header.Model.Cfg,
-			KernelKind:  header.Model.KernelKind,
-			KernelSigma: header.Model.KernelSigma,
-			Bias:        header.Model.Bias,
-			Diag:        header.Model.Diag,
-		},
-		Pairs:            header.Pairs,
-		Shard:            header.Shard,
-		WorldPersons:     header.WorldPersons,
-		WorldFingerprint: header.WorldFingerprint,
-	}
-	b.Model.Xs = model.vecs()
-	b.Model.Alpha = model.vec()
-
-	for _, id := range sortedPlatformIDs(header.Views) {
-		metas := header.Views[id]
-		nv := int(views.u32())
-		if nv != len(metas) {
-			return nil, fmt.Errorf("pipeline: v3 view section has %d accounts for %s, header lists %d", nv, id, len(metas))
-		}
-		vs := make([]features.ViewParts, nv)
-		for i := 0; i < nv; i++ {
-			vs[i] = features.ViewParts{
-				Username:   metas[i].Username,
-				Attrs:      metas[i].Attrs,
-				AvatarID:   metas[i].AvatarID,
-				Unique:     metas[i].Unique,
-				Events:     views.events(),
-				PostTimes:  views.times(),
-				TopicDists: views.vecs(),
-				GenreDists: views.vecs(),
-				SentDists:  views.vecs(),
-				Embedding:  views.vec(),
-			}
-		}
-		b.Views[id] = vs
-		nf := int(friends.u32())
-		if nf != nv {
-			return nil, fmt.Errorf("pipeline: v3 friend section has %d accounts for %s, view section has %d", nf, id, nv)
-		}
-		frs := make([][]graph.Friend, nf)
-		for i := 0; i < nf; i++ {
-			frs[i] = friends.friends()
-		}
-		b.Friends[id] = frs
-	}
-	for _, meta := range header.Indexes {
-		b.Indexes = append(b.Indexes, blocking.IndexParts{
-			PA: meta.PA, PB: meta.PB, Rules: meta.Rules, ByA: indexes.shards(),
-		})
-	}
-	secList := []*binSection{model, views, friends, indexes}
-	if hp := header.Prescreen; hp != nil {
-		p, err := readBlock("prescreen section")
-		if err != nil {
-			return nil, err
-		}
-		prescreen := &binSection{buf: p}
-		w, ph, c, v := prescreen.vec(), prescreen.vec(), prescreen.vec(), prescreen.vec()
-		if prescreen.err == nil { // a torn section is reported below, with the others
-			if b.Prescreen, err = hp.parts(w, ph, c, v); err != nil {
-				return nil, err
-			}
-		}
-		secList = append(secList, prescreen)
-	}
-	if ht := header.ImputeTable; ht != nil {
-		p, err := readBlock("impute-table section")
-		if err != nil {
-			return nil, err
-		}
-		table := &binSection{buf: p}
-		t := &core.ImputeTableParts{K: ht.K, Dim: ht.Dim}
-		for _, pm := range ht.Pairs {
-			pp := core.ImputeTablePairParts{
-				PA: pm.PA, PB: pm.PB,
-				A: table.i32s(), B: table.i32s(),
-				Counts: table.vec(), Sums: table.vec(),
-			}
-			if table.err == nil && len(pp.A) != pm.Entries {
-				return nil, fmt.Errorf("pipeline: v3 impute-table section has %d entries for %s/%s, header lists %d",
-					len(pp.A), pm.PA, pm.PB, pm.Entries)
-			}
-			t.Pairs = append(t.Pairs, pp)
-		}
-		b.ImputeTable = t
-		secList = append(secList, table)
-	}
-	// The mapped reader refuses bytes past the last announced section;
-	// the two readers must agree on what a valid file is.
-	if extra, err := io.Copy(io.Discard, r); err != nil {
-		return nil, fmt.Errorf("pipeline: read v3 bundle tail: %w", err)
-	} else if extra != 0 {
-		return nil, fmt.Errorf("pipeline: v3 bundle has %d trailing bytes — corrupt bundle", extra)
-	}
-	for i, sec := range secList {
-		if sec.err != nil {
-			return nil, fmt.Errorf("pipeline: decode v3 section %d: %w", i, sec.err)
-		}
-		if sec.off != len(sec.buf) {
-			return nil, fmt.Errorf("pipeline: v3 section %d has %d trailing bytes — corrupt bundle", i, len(sec.buf)-sec.off)
-		}
-	}
-	if b.ImputeTable != nil {
-		// Same load-time shape check for the impute table, so corruption
-		// fails here instead of mis-filling a feature vector later.
-		if err := b.ImputeTable.Validate(); err != nil {
-			return nil, err
-		}
-	}
-	return b, nil
-}
-
 // sortedPlatformIDs returns a platform-keyed map's ids in sorted order —
 // the order the binary sections are laid out in, and the same order the
 // JSON header's map keys marshal in, so writer and reader agree without
@@ -502,9 +319,9 @@ func sortedPlatformIDs[T any](m map[platform.ID]T) []platform.ID {
 }
 
 // binSection is a little-endian, length-prefixed binary buffer: the
-// writer appends, the reader consumes from off. The first error sticks;
-// readers return zero values after it so decode loops stay simple and
-// the caller checks err once at the end.
+// writer appends, and mapReader, which embeds it, consumes from off. The
+// first error sticks; readers return zero values after it so decode
+// loops stay simple and the caller checks err once at the end.
 type binSection struct {
 	buf []byte
 	off int
@@ -664,30 +481,6 @@ func (s *binSection) sliceLen() (n int, ok bool) {
 	return n, true
 }
 
-func (s *binSection) vec() linalg.Vector {
-	n, ok := s.sliceLen()
-	if !ok || s.err != nil {
-		return nil
-	}
-	v := make(linalg.Vector, n)
-	for i := range v {
-		v[i] = s.f64()
-	}
-	return v
-}
-
-func (s *binSection) vecs() []linalg.Vector {
-	n, ok := s.sliceLen()
-	if !ok || s.err != nil {
-		return nil
-	}
-	vs := make([]linalg.Vector, n)
-	for i := range vs {
-		vs[i] = s.vec()
-	}
-	return vs
-}
-
 func (s *binSection) times() []time.Time {
 	n, ok := s.sliceLen()
 	if !ok || s.err != nil {
@@ -739,29 +532,4 @@ func (s *binSection) i32s() []int32 {
 		vs[i] = int32(s.u32())
 	}
 	return vs
-}
-
-func (s *binSection) shards() [][]blocking.Candidate {
-	n, ok := s.sliceLen()
-	if !ok || s.err != nil {
-		return nil
-	}
-	byA := make([][]blocking.Candidate, n)
-	for i := range byA {
-		m, ok := s.sliceLen()
-		if !ok || s.err != nil {
-			continue
-		}
-		shard := make([]blocking.Candidate, m)
-		for j := range shard {
-			shard[j] = blocking.Candidate{
-				A:          int(s.u32()),
-				B:          int(s.u32()),
-				Score:      s.f64(),
-				PreMatched: s.u8() == 1,
-			}
-		}
-		byA[i] = shard
-	}
-	return byA
 }

@@ -1,7 +1,10 @@
 package pipeline
 
-// Out-of-RAM serving: OpenBundleMapped reads a v3 bundle without
-// decoding it. Only the JSON header is parsed eagerly, and each
+// The one v3 parser. OpenBundleMapped reads a bundle without decoding
+// it, for out-of-RAM serving; ReadBundle and LoadBundle run the same open
+// over an in-memory copy and then copy-decode every entry into a Bundle
+// (MappedBundle.bundle), so every consumer shares one set of refusals.
+// Only the JSON header is parsed eagerly, and each
 // length-prefixed binary section is exposed as a lazy view: account
 // views, friend slices and index rows are located by a cheap skip-scan
 // at open time (offsets only — no allocation proportional to payload)
@@ -69,12 +72,6 @@ type MapOptions struct {
 	// Account entries are read from the file either way. This is also the
 	// silent fallback when the platform cannot mmap.
 	NoMmap bool
-
-	// NoZeroCopy forces the model, prescreen and impute-table vectors to
-	// copy-decode instead of aliasing the mapping. Views never alias it,
-	// with or without this. Bit-identical output either way; this exists
-	// for the equivalence tests and as an operational escape hatch.
-	NoZeroCopy bool
 }
 
 // MappedStats reports what a mapped bundle has materialized so far.
@@ -96,11 +93,11 @@ type MappedStats struct {
 // model sections mapped, account entries read on first touch. It implements
 // core.LazySnapshot, so core.NewLazyStore can serve straight off it.
 type MappedBundle struct {
-	f       *os.File
+	f       io.ReaderAt // the file, closed by Close; or ReadBundle's bytes
 	size    int
-	data    []byte // the mapping; nil on the heap fallback
+	data    []byte // the mapping, or ReadBundle's bytes; nil on the heap fallback
 	unmap   func() error
-	noAlias bool
+	noAlias bool // copy-decode every vector: set by ReadBundle, never served
 	closed  atomic.Bool
 
 	header bundleHeaderV3
@@ -180,7 +177,7 @@ func OpenBundleMapped(path string, opts MapOptions) (*MappedBundle, error) {
 		f.Close()
 		return nil, fmt.Errorf("pipeline: bundle %s is %d bytes, more than this build can address", path, size)
 	}
-	mb := &MappedBundle{f: f, size: int(size), noAlias: opts.NoZeroCopy, viewCap: maxResidentViews}
+	mb := &MappedBundle{f: f, size: int(size), viewCap: maxResidentViews}
 	if !opts.NoMmap && mmapSupported && size > 0 {
 		if data, unmap, err := mmapFile(f, int(size)); err == nil {
 			mb.data, mb.unmap = data, unmap
@@ -197,7 +194,8 @@ func OpenBundleMapped(path string, opts MapOptions) (*MappedBundle, error) {
 // size, eagerly decodes the small sections (model, prescreen, impute
 // table — their vectors alias the mapping where possible) and skip-scans
 // the account sections (views, friends, indexes) into per-entry offset
-// tables.
+// tables. It reads only through mb.f, mb.size and, when set, mb.data, so
+// it opens a file (OpenBundleMapped) and a byte slice (ReadBundle) alike.
 func (mb *MappedBundle) open() error {
 	head, err := mb.section(0, min(mb.size, len(bundleMagic)))
 	if err != nil {
@@ -514,18 +512,9 @@ func (mb *MappedBundle) View(id platform.ID, local int) (*features.AccountView, 
 		}
 		return v, nil
 	}
-	meta := &mv.metas[local]
-	var parts features.ViewParts
-	err := mb.readEntry(mv.off[local], mv.off[local+1], func(r *mapReader) {
-		parts = features.ViewParts{
-			Username: meta.Username, Attrs: meta.Attrs, AvatarID: meta.AvatarID, Unique: meta.Unique,
-			Events: r.events(), PostTimes: r.times(),
-			TopicDists: r.vecs(), GenreDists: r.vecs(), SentDists: r.vecs(),
-			Embedding: r.vec(),
-		}
-	})
+	parts, err := mb.viewParts(id, local)
 	if err != nil {
-		return nil, fmt.Errorf("pipeline: decode mapped view %s/%d: %w", id, local, err)
+		return nil, err
 	}
 	v := features.RestoreView(parts, id, local)
 	// The bit goes up before the pointer is published, so a sweep never
@@ -541,6 +530,26 @@ func (mb *MappedBundle) View(id platform.ID, local int) (*features.AccountView, 
 		mb.evictViews()
 	}
 	return v, nil
+}
+
+// viewParts reads and copy-decodes one account's view entry: the one
+// view decode, shared by View and bundle. local must be in range.
+func (mb *MappedBundle) viewParts(id platform.ID, local int) (features.ViewParts, error) {
+	mv := mb.views[id]
+	meta := &mv.metas[local]
+	var parts features.ViewParts
+	err := mb.readEntry(mv.off[local], mv.off[local+1], func(r *mapReader) {
+		parts = features.ViewParts{
+			Username: meta.Username, Attrs: meta.Attrs, AvatarID: meta.AvatarID, Unique: meta.Unique,
+			Events: r.events(), PostTimes: r.times(),
+			TopicDists: r.vecs(), GenreDists: r.vecs(), SentDists: r.vecs(),
+			Embedding: r.vec(),
+		}
+	})
+	if err != nil {
+		return features.ViewParts{}, fmt.Errorf("pipeline: decode v3 view %s/%d: %w", id, local, err)
+	}
+	return parts, nil
 }
 
 // sweepBatch is how many views a sweep evicts, an eighth of the cap, and
@@ -591,7 +600,7 @@ func (mb *MappedBundle) Friends(id platform.ID, local int) ([]graph.Friend, erro
 	}
 	var fr []graph.Friend
 	if err := mb.readEntry(mf.off[local], mf.off[local+1], func(r *mapReader) { fr = r.friends() }); err != nil {
-		return nil, fmt.Errorf("pipeline: decode mapped friends %s/%d: %w", id, local, err)
+		return nil, fmt.Errorf("pipeline: decode v3 friends %s/%d: %w", id, local, err)
 	}
 	p := &fr
 	if mf.cache[local].CompareAndSwap(nil, p) {
@@ -631,7 +640,7 @@ func (mi *mappedIndex) fetch(a int) ([]blocking.Candidate, error) {
 	}
 	var row []blocking.Candidate
 	if err := mi.mb.readEntry(mi.rowOff[a], mi.rowOff[a+1], func(r *mapReader) { row = r.candidates() }); err != nil {
-		return nil, fmt.Errorf("pipeline: decode mapped index row %s/%d: %w", mi.meta.PA, a, err)
+		return nil, fmt.Errorf("pipeline: decode v3 index row %s/%d: %w", mi.meta.PA, a, err)
 	}
 	p := &row
 	if mi.cache[a].CompareAndSwap(nil, p) {
@@ -661,6 +670,58 @@ func (mb *MappedBundle) LazyIndexes() ([]*blocking.Index, error) {
 // Bundle.Store, with entries materialized on first touch.
 func (mb *MappedBundle) Store() (*core.LazyStore, error) {
 	return newSnapshotStore(mb, mb.header.Pipeline, mb.header.FriendsK, mb.modelParts.Cfg.ResolvedTopFriends(), mb.header.Faces, mb.header.Shard, mb.tableParts)
+}
+
+// bundle copy-decodes the whole bundle: the header, the sections decoded
+// at open, and every view, friend slice and index row through the entry
+// decodes the lazy accessors use (views without their cache: a Bundle
+// holds parts, not restored views). It is ReadBundle's second half;
+// opened with noAlias, the result shares no bytes with its source.
+func (mb *MappedBundle) bundle() (*Bundle, error) {
+	h := &mb.header
+	b := &Bundle{
+		Version:          h.Version,
+		Pipeline:         h.Pipeline,
+		Views:            make(map[platform.ID][]features.ViewParts, len(mb.plats)),
+		Friends:          make(map[platform.ID][][]graph.Friend, len(mb.plats)),
+		FriendsK:         h.FriendsK,
+		Faces:            h.Faces,
+		Model:            mb.modelParts,
+		Prescreen:        mb.prescreenParts,
+		ImputeTable:      mb.tableParts,
+		Pairs:            h.Pairs,
+		Shard:            h.Shard,
+		WorldPersons:     h.WorldPersons,
+		WorldFingerprint: h.WorldFingerprint,
+	}
+	for _, id := range mb.plats {
+		vs := make([]features.ViewParts, mb.NumAccounts(id))
+		frs := make([][]graph.Friend, len(vs))
+		for i := range vs {
+			var err error
+			if vs[i], err = mb.viewParts(id, i); err != nil {
+				return nil, err
+			}
+			if frs[i], err = mb.Friends(id, i); err != nil {
+				return nil, err
+			}
+		}
+		b.Views[id], b.Friends[id] = vs, frs
+	}
+	for _, mi := range mb.indexes {
+		var byA [][]blocking.Candidate
+		if mi.rowOff != nil { // nil: the section stored an absent row list
+			byA = make([][]blocking.Candidate, len(mi.rowLen))
+		}
+		for a := range byA {
+			var err error
+			if byA[a], err = mi.fetch(a); err != nil {
+				return nil, err
+			}
+		}
+		b.Indexes = append(b.Indexes, blocking.IndexParts{PA: mi.meta.PA, PB: mi.meta.PB, Rules: mi.meta.Rules, ByA: byA})
+	}
+	return b, nil
 }
 
 // ModelParts returns the model parts (slices may alias the mapping).
@@ -707,8 +768,10 @@ func (mb *MappedBundle) Close() error {
 	if mb.unmap != nil {
 		err = mb.unmap()
 	}
-	if cerr := mb.f.Close(); err == nil {
-		err = cerr
+	if c, ok := mb.f.(io.Closer); ok {
+		if cerr := c.Close(); err == nil {
+			err = cerr
+		}
 	}
 	return err
 }
@@ -828,8 +891,8 @@ func (r *mapReader) candidates() []blocking.Candidate {
 	return row
 }
 
-// finish reports a stuck decode error or trailing bytes, matching the
-// eager reader's corruption diagnostics.
+// finish reports a stuck decode error or trailing bytes, in the words
+// sectionScan.finish uses for the account sections.
 func (r *mapReader) finish(what string) error {
 	if r.err != nil {
 		return fmt.Errorf("pipeline: decode v3 %s: %w", what, r.err)

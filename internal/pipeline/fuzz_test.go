@@ -8,7 +8,7 @@ import (
 )
 
 // legacyJSONBundle is a cut-down retired v2 all-JSON bundle — what a
-// deployment that never repacked still has on disk. Both readers must
+// deployment that never repacked still has on disk. Every reader must
 // refuse it (and every truncation of it) with the pointer to
 // hydra-link -save-bundle.
 const legacyJSONBundle = `{"version":2,"pipeline":{"cfg":{"topics":4}},"views":{"twitter":[{"username":"alice_tw","embedding":[0.25,0.75]}]},"friends":{"twitter":[[]]},"friends_k":3}`
@@ -37,22 +37,51 @@ func fuzzSeeds(f *testing.F) {
 	f.Add([]byte{})
 }
 
-// FuzzReadBundle hammers the streaming reader with arbitrary bytes: it
-// must reject garbage with an error — never panic, never hang — and
-// anything it accepts must re-serialize.
-func FuzzReadBundle(f *testing.F) {
+// FuzzReadersAgree runs the reference decoder (refdecode_test.go) and
+// ReadBundle over arbitrary bytes. They must give one verdict — garbage
+// refused with an error, never a panic or a hang — and decode an
+// accepted input to equal bundles. An accepted bundle must survive a
+// WriteBundle → ReadBundle round trip, and its Store must refuse or
+// succeed, never panic.
+//
+// Bundles are compared by what WriteBundle makes of them: the writer is
+// deterministic (sorted platform ids, presence bytes that keep nil and
+// empty apart, floats as raw bits), so equal bytes are equal bundles,
+// with a NaN the fuzzer writes into a vector equal to itself.
+func FuzzReadersAgree(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		b, err := ReadBundle(bytes.NewReader(data))
+		ref, refErr := readBundleV3(bytes.NewReader(data))
+		b, err := ReadBundle(data)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("verdicts differ: reference err=%v, ReadBundle err=%v", refErr, err)
+		}
 		if err != nil {
 			return
 		}
-		// Accepted input: the bundle must survive a round trip — a
-		// parse that produces an unwritable bundle means the reader
-		// validated less than the writer guarantees.
-		var buf bytes.Buffer
+		// An accepted bundle that does not write, or does not read back as
+		// itself, means the reader validated less than the writer
+		// guarantees.
+		var buf, refBuf bytes.Buffer
 		if err := WriteBundle(&buf, b); err != nil {
 			t.Fatalf("accepted bundle does not re-serialize: %v", err)
+		}
+		if err := WriteBundle(&refBuf, ref); err != nil {
+			t.Fatalf("reference bundle does not re-serialize: %v", err)
+		}
+		if !bytes.Equal(buf.Bytes(), refBuf.Bytes()) {
+			t.Fatal("ReadBundle decodes differently from the reference")
+		}
+		back, err := ReadBundle(buf.Bytes())
+		if err != nil {
+			t.Fatalf("re-serialized bundle is refused: %v", err)
+		}
+		var backBuf bytes.Buffer
+		if err := WriteBundle(&backBuf, back); err != nil {
+			t.Fatalf("round-tripped bundle does not re-serialize: %v", err)
+		}
+		if !bytes.Equal(backBuf.Bytes(), buf.Bytes()) {
+			t.Fatal("bundle changes in a WriteBundle → ReadBundle round trip")
 		}
 		// What every caller does next. A header the reader let through
 		// may still carry a feature config no pipeline can run; the store
@@ -99,7 +128,7 @@ func FuzzOpenBundleMapped(f *testing.F) {
 			_ = sd.Validate()
 		}
 		_ = mb.Stats()
-		_, _ = mb.Store() // as in FuzzReadBundle: refuse, never panic
+		_, _ = mb.Store() // as in FuzzReadersAgree: refuse, never panic
 		mb.Close()
 	})
 }

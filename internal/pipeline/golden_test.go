@@ -152,7 +152,7 @@ func checkBundleGolden(t *testing.T, b *Bundle, goldenName string) {
 	golden := checkGolden(t, goldenName, func(buf *bytes.Buffer) error {
 		return WriteBundle(buf, b)
 	})
-	decoded, err := ReadBundle(bytes.NewReader(golden))
+	decoded, err := ReadBundle(golden)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestBundleV3PrescreenGoldenFormat(t *testing.T) {
 	if err := WriteBundle(&buf, b); err != nil {
 		t.Fatal(err)
 	}
-	decoded, err := ReadBundle(&buf)
+	decoded, err := ReadBundle(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

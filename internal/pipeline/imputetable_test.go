@@ -44,7 +44,7 @@ func TestBundleV3ImputeTableGoldenFormat(t *testing.T) {
 	if err := WriteBundle(&buf, b); err != nil {
 		t.Fatal(err)
 	}
-	decoded, err := ReadBundle(&buf)
+	decoded, err := ReadBundle(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestBundleV3AbsentImputeTableReads(t *testing.T) {
 	if err := WriteBundle(&buf, b); err != nil {
 		t.Fatal(err)
 	}
-	decoded, err := ReadBundle(&buf)
+	decoded, err := ReadBundle(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestImputeTableBitIdenticalWorkers(t *testing.T) {
 	if err := WriteBundle(&buf, b); err != nil {
 		t.Fatal(err)
 	}
-	decoded, err := ReadBundle(&buf)
+	decoded, err := ReadBundle(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,7 +69,7 @@ func TestDamagedFeatureConfigRefused(t *testing.T) {
 	if err := WriteBundle(&buf, b); err != nil {
 		t.Fatal(err)
 	}
-	decoded, err := ReadBundle(bytes.NewReader(buf.Bytes()))
+	decoded, err := ReadBundle(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -236,7 +236,7 @@ func TestShardDescGates(t *testing.T) {
 	}
 	mutated := append([]byte(nil), raw...)
 	copy(mutated[idx:], []byte(`"count":0`))
-	if _, err := ReadBundle(bytes.NewReader(mutated)); err == nil {
+	if _, err := ReadBundle(mutated); err == nil {
 		t.Error("v3 read accepted shard count 0")
 	}
 }
@@ -251,7 +251,7 @@ func TestShardedBundleRoundTrip(t *testing.T) {
 		if err := WriteBundle(&buf, sb); err != nil {
 			t.Fatal(err)
 		}
-		decoded, err := ReadBundle(&buf)
+		decoded, err := ReadBundle(buf.Bytes())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -302,7 +302,7 @@ func TestShardedBundleGoldenFormat(t *testing.T) {
 	golden := checkGolden(t, "bundle_v3_shard0.golden.bin", func(buf *bytes.Buffer) error {
 		return WriteBundle(buf, sb)
 	})
-	decoded, err := ReadBundle(bytes.NewReader(golden))
+	decoded, err := ReadBundle(golden)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,7 +72,7 @@ func TestTiledBundleShape(t *testing.T) {
 	if err := WriteBundle(&buf, tb); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadBundle(bytes.NewReader(buf.Bytes()))
+	back, err := ReadBundle(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"runtime"
 	"testing"
 
@@ -153,7 +152,7 @@ func BenchmarkServeBundleDecodeV3(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pipeline.ReadBundle(bytes.NewReader(e.bundleBytes)); err != nil {
+		if _, err := pipeline.ReadBundle(e.bundleBytes); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -166,7 +165,7 @@ func BenchmarkBundleColdStartBundle(b *testing.B) {
 	e, _ := benchEnv(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bundle, err := pipeline.ReadBundle(bytes.NewReader(e.bundleBytes))
+		bundle, err := pipeline.ReadBundle(e.bundleBytes)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -185,7 +185,7 @@ func TestServeBundleVersionGate(t *testing.T) {
 	if err := pipeline.WriteBundle(&buf, &bad); err == nil {
 		t.Fatal("expected write rejection for the retired JSON version 2")
 	}
-	if _, err := pipeline.ReadBundle(strings.NewReader(`{"version":2,"views":{}}`)); err == nil || !strings.Contains(err.Error(), "hydra-link -save-bundle") {
+	if _, err := pipeline.ReadBundle([]byte(`{"version":2,"views":{}}`)); err == nil || !strings.Contains(err.Error(), "hydra-link -save-bundle") {
 		t.Fatalf("expected a v2 JSON bundle to be refused with the hydra-link -save-bundle pointer, got %v", err)
 	}
 	// A tampered version stamp inside a v3 binary header is rejected.
@@ -194,12 +194,12 @@ func TestServeBundleVersionGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := bytes.Replace(buf.Bytes(), []byte(`"version":3`), []byte(`"version":9`), 1)
-	if _, err := pipeline.ReadBundle(bytes.NewReader(raw)); err == nil {
+	if _, err := pipeline.ReadBundle(raw); err == nil {
 		t.Fatal("expected read rejection for a tampered v3 header version")
 	}
 	// A retired v1 model artifact fed to the bundle reader is refused the
 	// same way.
-	if _, err := pipeline.ReadBundle(strings.NewReader(`{"version":1,"model":{}}`)); err == nil || !strings.Contains(err.Error(), "hydra-link -save-bundle") {
+	if _, err := pipeline.ReadBundle([]byte(`{"version":1,"model":{}}`)); err == nil || !strings.Contains(err.Error(), "hydra-link -save-bundle") {
 		t.Fatalf("expected a v1 artifact to be refused with the hydra-link -save-bundle pointer, got %v", err)
 	}
 	// A bundle whose friend slices are shallower than the model's

@@ -71,7 +71,6 @@ func TestMappedEngineServesIdenticalREPL(t *testing.T) {
 		opts pipeline.MapOptions
 	}{
 		{"mapped", pipeline.MapOptions{}},
-		{"mapped-nozerocopy", pipeline.MapOptions{NoZeroCopy: true}},
 		{"heap-fallback", pipeline.MapOptions{NoMmap: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -261,7 +261,7 @@ func TestPrescreenlessBundleServesExactOnly(t *testing.T) {
 	if err := pipeline.WriteBundle(&buf, stripped); err != nil {
 		t.Fatal(err)
 	}
-	decoded, err := pipeline.ReadBundle(&buf)
+	decoded, err := pipeline.ReadBundle(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

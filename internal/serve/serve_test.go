@@ -142,7 +142,7 @@ func buildEnv() (testEnv, error) {
 		return testEnv{}, err
 	}
 	bundleBytes := append([]byte(nil), bbuf.Bytes()...)
-	bundle2, err := pipeline.ReadBundle(&bbuf)
+	bundle2, err := pipeline.ReadBundle(bbuf.Bytes())
 	if err != nil {
 		return testEnv{}, err
 	}
