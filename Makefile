@@ -54,9 +54,11 @@ test:
 # per-view derived state (TestPairConcurrentFirstTouch), the capped pair
 # cache's second-touch admission (TestPairCacheAdmissionConcurrent), a mapped
 # bundle's view evictions and entry reads into pooled scratch under
-# concurrent decodes (TestMapped*Concurrent),
-# the staged pipeline, the parallel figure sweeps and the fanned-out
-# synth generator (*Workers*/*Determinism* tests) all match the filter.
+# concurrent decodes (TestMapped*Concurrent), every figure's one sweep
+# at 1 and 4 workers against its golden tables
+# (TestFiguresMatchGoldenAtAnyWorkers), the staged pipeline and the
+# fanned-out synth generator (*Workers*/*Determinism* tests) all match
+# the filter.
 # Allocation-budget tests are deliberately named outside it: the race
 # runtime inflates AllocsPerRun.
 race:
@@ -121,8 +123,11 @@ bench:
 # of `bash bench/run.sh --seed i --seconds 10` — the workload W, or full
 # sets when W is empty — each side built from its own copy in $$TMPDIR,
 # then per (workload, metric) the median B/A ratio, the pairs that
-# favoured B and a verdict against BENCHMARK.json's bound. Exits 1 on a
-# breach, 3 when a workload has no result on one side. A full-set run
+# favoured B, A's spread (interquartile range over median, from 4 pairs)
+# and a verdict against BENCHMARK.json's bound: BREACH, or unresolved
+# when A's spread exceeds the bound and not every B run beats every A
+# run, or ok. Exits 1 on a breach, 3 when a workload has no result on
+# one side. A full-set run
 # of 6 pairs takes about 16 minutes on two cores; see scripts/ab.sh.
 PAIRS ?= 6
 ab:

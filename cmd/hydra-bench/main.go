@@ -5,94 +5,61 @@
 //	go run ./cmd/hydra-bench -only fig9,fig15 # a subset
 //	go run ./cmd/hydra-bench -scale 0.5       # smaller worlds, faster
 //	go run ./cmd/hydra-bench -workers 1       # pin the pool (sequential)
+//
+// The figures and their -only keys are experiments.Figures; an unknown key
+// is refused with exit status 2.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
+	"slices"
 	"strings"
 	"time"
 
 	"hydra/internal/experiments"
 )
 
-type driver struct {
-	key string
-	run func(experiments.Config) (*experiments.Result, error)
-}
-
 func main() {
+	keys := make([]string, len(experiments.Figures))
+	for i, f := range experiments.Figures {
+		keys[i] = f.Key
+	}
 	var (
 		scale   = flag.Float64("scale", 1, "world-size multiplier")
 		seed    = flag.Int64("seed", 7, "suite seed")
 		workers = flag.Int("workers", 0, "worker-pool size for sweep points and pairwise hot paths; 0 = all cores, 1 = sequential — figures are identical at any setting")
-		only    = flag.String("only", "", "comma-separated subset: fig2a,fig8,fig9,fig10,fig11,fig12,fig13,fig14,fig15,ablations")
+		only    = flag.String("only", "", "comma-separated subset: "+strings.Join(keys, ","))
 	)
 	flag.Parse()
 	cfg := experiments.Config{Scale: *scale, Seed: *seed, Workers: *workers}
 
-	drivers := []driver{
-		{"fig2a", func(c experiments.Config) (*experiments.Result, error) {
-			_, res, err := experiments.Figure2a(c)
-			return res, err
-		}},
-		{"fig8", experiments.Figure8},
-		{"fig9", experiments.Figure9},
-		{"fig10", experiments.Figure10},
-		{"fig11", experiments.Figure11},
-		{"fig12", experiments.Figure12},
-		{"fig13", experiments.Figure13},
-		{"fig14", experiments.Figure14},
-		{"fig15", experiments.Figure15},
-		{"ablations", runAblations},
-	}
-
 	want := map[string]bool{}
 	if *only != "" {
 		for _, k := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(k)] = true
+			k = strings.TrimSpace(k)
+			if !slices.Contains(keys, k) {
+				fmt.Fprintf(os.Stderr, "hydra-bench: unknown -only key %q (want some of %s)\n", k, strings.Join(keys, ","))
+				os.Exit(2)
+			}
+			want[k] = true
 		}
 	}
 
 	start := time.Now()
-	for _, d := range drivers {
-		if len(want) > 0 && !want[d.key] {
+	for _, f := range experiments.Figures {
+		if len(want) > 0 && !want[f.Key] {
 			continue
 		}
 		t0 := time.Now()
-		res, err := d.run(cfg)
+		res, err := f.Run(cfg)
 		if err != nil {
-			log.Fatalf("%s: %v", d.key, err)
+			log.Fatalf("%s: %v", f.Key, err)
 		}
 		fmt.Print(res.Format())
-		fmt.Printf("(%s finished in %.1fs)\n\n", d.key, time.Since(t0).Seconds())
+		fmt.Printf("(%s finished in %.1fs)\n\n", f.Key, time.Since(t0).Seconds())
 	}
 	fmt.Printf("suite complete in %.1fs\n", time.Since(start).Seconds())
-}
-
-// runAblations runs the four design-choice ablations and merges them into
-// one printable result block.
-func runAblations(cfg experiments.Config) (*experiments.Result, error) {
-	merged := &experiments.Result{Figure: "Ablations", Title: "design-choice ablations", XLabel: "labeled-frac"}
-	for _, ab := range []func(experiments.Config) (*experiments.Result, error){
-		experiments.AblationStructure,
-		experiments.AblationPooling,
-		experiments.AblationMultiScale,
-		experiments.AblationTopicKernel,
-	} {
-		res, err := ab(cfg)
-		if err != nil {
-			return nil, err
-		}
-		for _, s := range res.Series {
-			for i := range s.X {
-				merged.AddPoint(res.Figure+"/"+s.Name, s.X[i], s.Precision[i], s.Recall[i], s.TimeSec[i])
-			}
-		}
-		for _, n := range res.Notes {
-			merged.Note("%s: %s", res.Figure, n)
-		}
-	}
-	return merged, nil
 }

@@ -35,19 +35,12 @@ func main() {
 	)
 	flag.Parse()
 
-	var plats []platform.ID
-	switch *dataset {
-	case "english":
-		plats = platform.EnglishPlatforms
-	case "chinese":
-		plats = platform.ChinesePlatforms
-	case "all":
-		plats = platform.AllPlatforms
-	default:
-		log.Fatalf("unknown dataset %q", *dataset)
+	set, err := platform.SetNamed(*dataset)
+	if err != nil {
+		log.Fatal(err)
 	}
 
-	cfg := synth.DefaultConfig(*persons, plats, *seed)
+	cfg := synth.DefaultConfig(*persons, set.Platforms, *seed)
 	cfg.MissingScale = *missing
 	cfg.Workers = *workers
 
@@ -74,6 +67,6 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "wrote %d persons × %d platforms to %s\n",
-			*persons, len(plats), *out)
+			*persons, len(set.Platforms), *out)
 	}
 }

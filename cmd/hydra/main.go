@@ -41,7 +41,7 @@ func main() {
 	)
 	flag.Parse()
 
-	plats, pairs, err := resolveDataset(*dataset)
+	set, err := platform.SetNamed(*dataset)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -50,23 +50,17 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("generating %d-person world on %d platforms (seed %d)...\n", *persons, len(plats), *seed)
-	world, err := synth.Generate(synth.DefaultConfig(*persons, plats, *seed))
+	fmt.Printf("generating %d-person world on %d platforms (seed %d)...\n", *persons, len(set.Platforms), *seed)
+	world, err := synth.Generate(synth.DefaultConfig(*persons, set.Platforms, *seed))
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Println("training feature pipeline (attribute importance, LDA, lexicon models)...")
-	// The labeled half is persons 0..persons/2-1 by construction (the
-	// generator numbers persons densely), not a map-order sample.
-	var people []int
-	for i := 0; i < *persons/2; i++ {
-		people = append(people, i)
-	}
 	sysState, err := pipeline.Systemize(world.Dataset, pipeline.SystemizeOpts{
-		LabelPA:      plats[0],
-		LabelPB:      plats[1],
-		LabelPersons: people,
+		LabelPA:      set.Platforms[0],
+		LabelPB:      set.Platforms[1],
+		LabelPersons: pipeline.LabeledHalf(world.Dataset),
 		Lexicons:     features.Lexicons{Genre: world.Lexicons.Genre, Sentiment: world.Lexicons.Sentiment},
 		FeatCfg:      features.DefaultConfig(*seed),
 	})
@@ -78,14 +72,14 @@ func main() {
 	rules := blocking.DefaultRules()
 	rules.Workers = *workers
 	blocked, err := pipeline.Block(sysState, pipeline.BlockOpts{
-		Pairs: pairs,
+		Pairs: set.Pairs,
 		Rules: rules,
 		Label: core.LabelOpts{LabelFraction: *labelFrac, NegPerPos: 2, UsePreMatched: true, Seed: *seed},
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	for i, pp := range pairs {
+	for i, pp := range set.Pairs {
 		st := blocked.Stats[i]
 		fmt.Printf("  %s × %s: %d candidates (%d pre-matched at %.0f%% precision), %d/%d true pairs kept\n",
 			pp[0], pp[1], st.NumCandidates, st.NumPreMatched, 100*st.PrePrecision,
@@ -158,27 +152,5 @@ func resolveVariant(name string) (core.Variant, error) {
 		return core.HydraZ, nil
 	default:
 		return 0, fmt.Errorf("unknown variant %q (want m or z)", name)
-	}
-}
-
-// resolveDataset maps the flag value to platforms and linkage pairs.
-func resolveDataset(name string) ([]platform.ID, [][2]platform.ID, error) {
-	switch name {
-	case "english":
-		return platform.EnglishPlatforms, [][2]platform.ID{
-			{platform.Twitter, platform.Facebook},
-		}, nil
-	case "chinese":
-		return platform.ChinesePlatforms, [][2]platform.ID{
-			{platform.SinaWeibo, platform.TencentWeibo},
-			{platform.Renren, platform.Kaixin},
-		}, nil
-	case "all":
-		return platform.AllPlatforms, [][2]platform.ID{
-			{platform.SinaWeibo, platform.Twitter},
-			{platform.Renren, platform.Facebook},
-		}, nil
-	default:
-		return nil, nil, fmt.Errorf("unknown dataset %q (want english, chinese or all)", name)
 	}
 }

@@ -18,14 +18,3 @@ func TestResolveVariant(t *testing.T) {
 		}
 	}
 }
-
-func TestResolveDataset(t *testing.T) {
-	for name, pairs := range map[string]int{"english": 1, "chinese": 2, "all": 2} {
-		if plats, got, err := resolveDataset(name); err != nil || len(got) != pairs || len(plats) < 2 {
-			t.Fatalf("resolveDataset(%q) = %d platforms, %d pairs, %v", name, len(plats), len(got), err)
-		}
-	}
-	if _, _, err := resolveDataset("klingon"); err == nil {
-		t.Fatal("unknown dataset accepted")
-	}
-}

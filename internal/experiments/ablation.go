@@ -8,17 +8,37 @@ import (
 	"hydra/internal/synth"
 )
 
+// Ablations runs the four design-choice ablations and merges them into
+// one printable result block.
+func Ablations(cfg Config) (*Result, error) {
+	merged := &Result{Figure: "Ablations", Title: "design-choice ablations", XLabel: "labeled-frac"}
+	for _, ab := range []func(Config) (*Result, error){
+		AblationStructure,
+		AblationPooling,
+		AblationMultiScale,
+		AblationTopicKernel,
+	} {
+		res, err := ab(cfg)
+		if err != nil {
+			return nil, err
+		}
+		for _, s := range res.Series {
+			for i := range s.X {
+				merged.AddPoint(res.Figure+"/"+s.Name, s.X[i], s.Precision[i], s.Recall[i], s.TimeSec[i])
+			}
+		}
+		for _, n := range res.Notes {
+			merged.Note("%s: %s", res.Figure, n)
+		}
+	}
+	return merged, nil
+}
+
 // AblationStructure measures HYDRA with and without the structure
 // consistency objective (γ_M = 0) across label budgets — isolating the
-// contribution of Section 6.2. The (fraction × mode) grid fans out over
-// the worker pool with index-ordered collection, like the figure sweeps.
+// contribution of Section 6.2.
 func AblationStructure(cfg Config) (*Result, error) {
-	st, err := newSetup(setupOpts{
-		persons:   cfg.persons(90),
-		platforms: platform.EnglishPlatforms,
-		seed:      cfg.Seed,
-		workers:   cfg.Workers,
-	})
+	st, err := newSetup(setupOpts{set: platform.Sets[0], persons: cfg.persons(90), seed: cfg.Seed})
 	if err != nil {
 		return nil, err
 	}
@@ -28,39 +48,17 @@ func AblationStructure(cfg Config) (*Result, error) {
 		XLabel: "labeled-frac",
 	}
 	fractions := []float64{0.08, 0.15, 0.3, 0.5}
-	modes := []struct {
-		name   string
-		gammaM float64
-	}{{"with-structure", core.DefaultConfig(cfg.Seed).GammaM}, {"no-structure", 0}}
-
-	pinned := *st
-	pinned.workers = parallel.Inner(len(fractions), cfg.Workers)
-	tasks, err := parallel.MapErr(cfg.Workers, len(fractions), func(fi int) (*core.Task, error) {
-		opts := core.LabelOpts{LabelFraction: fractions[fi], NegPerPos: 2, UsePreMatched: false, Seed: cfg.Seed}
-		return pinned.task(platform.Twitter, platform.Facebook, opts)
-	})
+	tasks, err := st.fractionTasks(cfg, fractions, core.LabelOpts{NegPerPos: 2, UsePreMatched: false, Seed: cfg.Seed})
 	if err != nil {
 		return nil, err
 	}
-	inner := innerWorkers(len(fractions)*len(modes), cfg)
-	outs := parallel.Map(cfg.Workers, len(fractions)*len(modes), func(i int) runResult {
-		fi, mi := i/len(modes), i%len(modes)
-		hcfg := cfg.hydraConfig()
-		hcfg.GammaM = modes[mi].gammaM
-		hcfg.Workers = inner
-		linker := &core.HydraLinker{Cfg: hcfg}
-		return runPoint(st.sys, linker, tasks[fi], inner)
-	})
+	var runs []run
 	for fi, frac := range fractions {
-		for mi, mode := range modes {
-			out := outs[fi*len(modes)+mi]
-			if out.err != nil {
-				res.Note("%s at frac %.2f failed: %v", mode.name, frac, out.err)
-				continue
-			}
-			res.AddPoint(mode.name, frac, out.conf.Precision(), out.conf.Recall(), out.secs)
-		}
+		runs = append(runs,
+			run{"with-structure", frac, st.sys, tasks[fi], cfg.hydra(nil)},
+			run{"no-structure", frac, st.sys, tasks[fi], cfg.hydra(func(h *core.Config) { h.GammaM = 0 })})
 	}
+	cfg.sweep(res, runs)
 	res.Note("expected: structure helps most at small label budgets")
 	return res, nil
 }
@@ -97,74 +95,38 @@ func AblationTopicKernel(cfg Config) (*Result, error) {
 
 // featureAblation runs HYDRA with a toggled feature-pipeline option over
 // the same world and reports both curves. The two toggled systems build
-// in parallel (each owns an LDA train), then the (system × fraction)
-// points — block construction plus train/eval — fan out over the pool;
-// collection is index-ordered, so the output matches the sequential
-// loops at any worker count.
+// in parallel (each owns an LDA train).
 func featureAblation(cfg Config, figID, title string,
 	toggle func(*features.Config, bool), onName, offName string) (*Result, error) {
 
-	persons := cfg.persons(80)
-	w, err := synth.Generate(synth.DefaultConfig(persons, platform.EnglishPlatforms, cfg.Seed))
+	english := platform.Sets[0]
+	w, err := synth.Generate(synth.DefaultConfig(cfg.persons(80), english.Platforms, cfg.Seed))
 	if err != nil {
 		return nil, err
 	}
-	var people []int
-	for p := 0; p < persons/2; p++ {
-		people = append(people, p)
-	}
-	labeled := core.LabeledProfilePairs(w.Dataset, platform.Twitter, platform.Facebook, people)
-	res := &Result{Figure: figID, Title: title, XLabel: "labeled-frac"}
-
-	toggles := []bool{true, false}
-	fractions := []float64{0.2, 0.4}
-	systems, err := parallel.MapErr(cfg.Workers, len(toggles), func(ti int) (*core.System, error) {
+	names := []string{onName, offName}
+	setups, err := parallel.MapErr(cfg.Workers, len(names), func(i int) (*setup, error) {
 		fcfg := features.DefaultConfig(cfg.Seed)
 		fcfg.LDAIterations = 25
 		fcfg.MaxLDADocs = 2000
-		toggle(&fcfg, toggles[ti])
-		return core.NewSystem(w.Dataset, labeled, features.Lexicons{
-			Genre: w.Lexicons.Genre, Sentiment: w.Lexicons.Sentiment,
-		}, fcfg)
+		toggle(&fcfg, i == 0)
+		return systemize(w, english, fcfg)
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	type pointOut struct {
-		run      runResult
-		buildErr error
-	}
-	inner := innerWorkers(len(toggles)*len(fractions), cfg)
-	outs := parallel.Map(cfg.Workers, len(toggles)*len(fractions), func(i int) pointOut {
-		ti, fi := i/len(fractions), i%len(fractions)
-		opts := core.LabelOpts{LabelFraction: fractions[fi], NegPerPos: 2, UsePreMatched: false, Seed: cfg.Seed}
-		block, err := core.BuildBlock(systems[ti], platform.Twitter, platform.Facebook, rulesFor(inner), opts)
+	fractions := []float64{0.2, 0.4}
+	var runs []run
+	for i, st := range setups {
+		tasks, err := st.fractionTasks(cfg, fractions, core.LabelOpts{NegPerPos: 2, UsePreMatched: false, Seed: cfg.Seed})
 		if err != nil {
-			return pointOut{buildErr: err}
-		}
-		task := &core.Task{Blocks: []*core.Block{block}}
-		hcfg := cfg.hydraConfig()
-		hcfg.Workers = inner
-		linker := &core.HydraLinker{Cfg: hcfg}
-		return pointOut{run: runPoint(systems[ti], linker, task, inner)}
-	})
-	for ti, on := range toggles {
-		name := onName
-		if !on {
-			name = offName
+			return nil, err
 		}
 		for fi, frac := range fractions {
-			out := outs[ti*len(fractions)+fi]
-			if out.buildErr != nil {
-				return nil, out.buildErr
-			}
-			if out.run.err != nil {
-				res.Note("%s at frac %.2f failed: %v", name, frac, out.run.err)
-				continue
-			}
-			res.AddPoint(name, frac, out.run.conf.Precision(), out.run.conf.Recall(), out.run.secs)
+			runs = append(runs, run{names[i], frac, st.sys, tasks[fi], cfg.hydra(nil)})
 		}
 	}
+	res := &Result{Figure: figID, Title: title, XLabel: "labeled-frac"}
+	cfg.sweep(res, runs)
 	return res, nil
 }

@@ -43,26 +43,31 @@ func TestResultAddPointAndFormat(t *testing.T) {
 }
 
 func TestFigure2a(t *testing.T) {
-	stats, res, err := Figure2a(smallCfg())
+	res, err := Figure2a(smallCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(stats) == 0 {
-		t.Fatal("no stats")
+	if len(res.Series) == 0 {
+		t.Fatal("no combinations")
 	}
+	// Each combination is one point: x missing attributes, precision the
+	// share of users.
 	var total, atLeast2 float64
-	for _, st := range stats {
-		total += st.Percent
-		if st.NumMissing >= 2 {
-			atLeast2 += st.Percent
+	for _, s := range res.Series {
+		if len(s.X) != 1 {
+			t.Fatalf("combination %q has %d points", s.Name, len(s.X))
+		}
+		total += s.Precision[0]
+		if s.X[0] >= 2 {
+			atLeast2 += s.Precision[0]
 		}
 	}
-	if total < 99.9 || total > 100.1 {
-		t.Fatalf("percentages sum to %v", total)
+	if total < 0.999 || total > 1.001 {
+		t.Fatalf("shares sum to %v", total)
 	}
 	// The paper's regime: most users missing at least two attributes.
-	if atLeast2 < 60 {
-		t.Fatalf("missing≥2 = %v%%, want the paper's ≥2 regime", atLeast2)
+	if atLeast2 < 0.6 {
+		t.Fatalf("missing≥2 = %v, want the paper's ≥2 regime", atLeast2)
 	}
 	if len(res.Notes) != 2 {
 		t.Fatalf("notes = %v", res.Notes)
@@ -120,11 +125,11 @@ func TestAblationStructureShape(t *testing.T) {
 
 func TestSubsampleUnlabeledKeepsLabels(t *testing.T) {
 	cfg := smallCfg()
-	st, err := newSetup(setupOpts{persons: 40, platforms: platform.EnglishPlatforms, seed: cfg.Seed})
+	st, err := newSetup(setupOpts{set: platform.Sets[0], persons: 40, seed: cfg.Seed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := st.task(platform.Twitter, platform.Facebook, core.DefaultLabelOpts(cfg.Seed))
+	full, err := st.task(core.DefaultLabelOpts(cfg.Seed), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,16 +173,6 @@ func TestFigure2aComboKey(t *testing.T) {
 	if got != "birth,job" {
 		t.Fatalf("combo = %q", got)
 	}
-}
-
-// SeriesByName returns the named series, or nil.
-func (r *Result) SeriesByName(name string) *Series {
-	for _, s := range r.Series {
-		if s.Name == name {
-			return s
-		}
-	}
-	return nil
 }
 
 // MeanF1 returns the mean F1 of a series (diagnostic for shape tests).

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"hydra/internal/core"
-	"hydra/internal/parallel"
 	"hydra/internal/platform"
 )
 
@@ -12,19 +11,14 @@ import (
 // optimum (best precision at p=6, best recall at p=5): moderate p balances
 // the objectives, large p over-weights the dominant objective and overfits.
 func Figure10(cfg Config) (*Result, error) {
-	st, err := newSetup(setupOpts{
-		persons:   cfg.persons(90),
-		platforms: platform.EnglishPlatforms,
-		seed:      cfg.Seed,
-		workers:   cfg.Workers,
-	})
+	st, err := newSetup(setupOpts{set: platform.Sets[0], persons: cfg.persons(90), seed: cfg.Seed})
 	if err != nil {
 		return nil, err
 	}
 	// Labeled:unlabeled at 1:5 means a labeled fraction around 1/6 of
 	// candidates; LabelFraction 0.15 with NegPerPos 1 approximates it.
 	opts := core.LabelOpts{LabelFraction: 0.15, NegPerPos: 1, UsePreMatched: false, Seed: cfg.Seed}
-	task, err := st.task(platform.Twitter, platform.Facebook, opts)
+	task, err := st.task(opts, cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -33,34 +27,16 @@ func Figure10(cfg Config) (*Result, error) {
 		Title:  "Precision and recall w.r.t. p (labeled:unlabeled = 1:5)",
 		XLabel: "p",
 	}
-	// The ten p settings are independent full train/eval runs: fan out,
-	// then assemble the series in p order.
-	inner := innerWorkers(10, cfg)
-	outs := parallel.Map(cfg.Workers, 10, func(i int) runResult {
-		hcfg := cfg.hydraConfig()
-		hcfg.Workers = inner
-		hcfg.P = float64(i + 1)
-		hcfg.ReweightIters = 3
-		return runPoint(st.sys, &core.HydraLinker{Cfg: hcfg}, task, inner)
-	})
-	bestPrecP, bestPrec := 0.0, -1.0
-	bestRecP, bestRec := 0.0, -1.0
-	for i, out := range outs {
-		p := i + 1
-		if out.err != nil {
-			res.Note("p=%d failed: %v", p, out.err)
-			continue
-		}
-		conf := out.conf
-		res.AddPoint("HYDRA-M", float64(p), conf.Precision(), conf.Recall(), out.secs)
-		if conf.Precision() > bestPrec {
-			bestPrec, bestPrecP = conf.Precision(), float64(p)
-		}
-		if conf.Recall() > bestRec {
-			bestRec, bestRecP = conf.Recall(), float64(p)
-		}
+	var runs []run
+	for p := 1.0; p <= 10; p++ {
+		runs = append(runs, run{"HYDRA-M", p, st.sys, task,
+			cfg.hydra(func(h *core.Config) { h.P, h.ReweightIters = p, 3 })})
 	}
-	res.Note("best precision %.3f at p=%g; best recall %.3f at p=%g (paper: p=6 and p=5)",
-		bestPrec, bestPrecP, bestRec, bestRecP)
+	cfg.sweep(res, runs)
+	if s := res.SeriesByName("HYDRA-M"); s != nil {
+		precP, prec := best(s.X, s.Precision)
+		recP, rec := best(s.X, s.Recall)
+		res.Note("best precision %.3f at p=%g; best recall %.3f at p=%g (paper: p=6 and p=5)", prec, precP, rec, recP)
+	}
 	return res, nil
 }

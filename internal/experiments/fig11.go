@@ -18,39 +18,26 @@ func Figure11(cfg Config) (*Result, error) {
 		Title:  "Performance w.r.t. number of unlabeled pairs",
 		XLabel: "unlabeled-frac",
 	}
-	datasets := []struct {
-		name  string
-		plats []platform.ID
-		pairs [][2]platform.ID
-	}{
-		{"english", platform.EnglishPlatforms, englishPairs},
-		{"chinese", platform.ChinesePlatforms, chinesePairs},
-	}
 	fractions := []float64{0.2, 0.4, 0.6, 0.8, 1.0}
-	for _, ds := range datasets {
-		st, err := newSetup(setupOpts{
-			persons:   cfg.persons(100),
-			platforms: ds.plats,
-			seed:      cfg.Seed,
-			workers:   cfg.Workers,
-		})
+	var runs []run
+	for _, set := range platform.Sets[:2] {
+		st, err := newSetup(setupOpts{set: set, persons: cfg.persons(100), seed: cfg.Seed})
 		if err != nil {
 			return nil, err
 		}
 		// Small fixed label budget; unlabeled candidates subsampled per x.
 		opts := core.LabelOpts{LabelFraction: 0.08, NegPerPos: 1, UsePreMatched: false, Seed: cfg.Seed}
-		full, err := st.multiTask(ds.pairs, opts)
+		full, err := st.task(opts, cfg.Workers)
 		if err != nil {
 			return nil, err
 		}
-		// Subsampling is deterministic per fraction, so each (fraction ×
-		// method) grid point is an independent full train/eval run.
 		tasks := make([]*core.Task, len(fractions))
 		for fi, frac := range fractions {
 			tasks[fi] = subsampleUnlabeled(full, frac, cfg.Seed)
 		}
-		runGrid(st.sys, cfg, res, ds.name+"/", fractions, tasks)
+		runs = append(runs, cfg.lineup(set.Name+"/", st.sys, fractions, tasks)...)
 	}
+	cfg.sweep(res, runs)
 	res.Note("paper shape: baselines do much worse than with labels (Fig 9); HYDRA survives the unlabeled regime")
 	return res, nil
 }

@@ -2,9 +2,10 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 
 	"hydra/internal/core"
-	"hydra/internal/parallel"
 	"hydra/internal/platform"
 )
 
@@ -19,115 +20,64 @@ func Figure12(cfg Config) (*Result, error) {
 		Title:  "Performance w.r.t. number of social communities",
 		XLabel: "#communities",
 	}
-	datasets := []struct {
-		name  string
-		plats []platform.ID
-		pa    platform.ID
-		pb    platform.ID
-	}{
-		{"english", platform.EnglishPlatforms, platform.Twitter, platform.Facebook},
-		{"chinese", platform.ChinesePlatforms, platform.SinaWeibo, platform.Renren},
-	}
-	for _, ds := range datasets {
-		st, err := newSetup(setupOpts{
-			persons:     cfg.persons(120),
-			platforms:   ds.plats,
-			seed:        cfg.Seed,
-			workers:     cfg.Workers,
-			communities: 5,
-		})
+	// Each dataset links one pair of its own here, not the table's.
+	pairs := [][2]platform.ID{{platform.Twitter, platform.Facebook}, {platform.SinaWeibo, platform.Renren}}
+	var runs []run
+	for i, set := range platform.Sets[:2] {
+		set.Pairs = pairs[i : i+1]
+		st, err := newSetup(setupOpts{set: set, persons: cfg.persons(120), seed: cfg.Seed, communities: 5})
 		if err != nil {
 			return nil, err
 		}
-		// Group persons by their planted community, largest first.
-		byComm := make(map[int][]int)
+		// Order the planted communities by size, largest first (ties by id).
+		size := make(map[int]int)
+		commOf := make(map[int]int)
 		for _, pe := range st.world.Persons {
-			byComm[pe.Community] = append(byComm[pe.Community], pe.ID)
+			size[pe.Community]++
+			commOf[pe.ID] = pe.Community
 		}
-		order := make([]int, 0, len(byComm))
-		for comm := range byComm {
+		order := make([]int, 0, len(size))
+		for comm := range size {
 			order = append(order, comm)
 		}
-		// Sort by size descending (stable by id).
-		for i := 0; i < len(order); i++ {
-			for j := i + 1; j < len(order); j++ {
-				si, sj := len(byComm[order[i]]), len(byComm[order[j]])
-				if sj > si || (sj == si && order[j] < order[i]) {
-					order[i], order[j] = order[j], order[i]
-				}
+		sort.Slice(order, func(i, j int) bool {
+			if si, sj := size[order[i]], size[order[j]]; si != sj {
+				return si > sj
 			}
-		}
+			return order[i] < order[j]
+		})
 		if len(order) < 3 {
 			return nil, fmt.Errorf("experiments: only %d communities planted", len(order))
 		}
 		opts := core.LabelOpts{LabelFraction: 0.3, NegPerPos: 2, UsePreMatched: false, Seed: cfg.Seed}
-		full, err := st.task(ds.pa, ds.pb, opts)
+		full, err := st.task(opts, cfg.Workers)
 		if err != nil {
 			return nil, err
 		}
 		block := full.Blocks[0]
-		platA, _ := st.sys.DS.Platform(ds.pa)
-
-		// Membership of each A-side account's person.
-		commOf := make(map[int]int)
-		for _, pe := range st.world.Persons {
-			commOf[pe.ID] = pe.Community
-		}
-		// Eval set: candidates whose A-side persons are in the top-2
-		// communities (the paper's C_A × C_B test set).
-		inEval := func(c int) bool {
-			person := platA.Account(c).Person
-			return commOf[person] == order[0] || commOf[person] == order[1]
-		}
-
-		// Each k is an independent full train/eval run on its own task
-		// subset; fan the points out and assemble them in k order.
-		maxK := len(order)
-		if maxK > 5 {
-			maxK = 5
-		}
-		inner := innerWorkers(maxK, cfg)
-		outs := parallel.Map(cfg.Workers, maxK, func(i int) runResult {
-			k := i + 1
-			// Keep: eval-community candidates always; others only when
-			// their community is among the first k (incremental structure).
-			task := &core.Task{}
+		platA, _ := st.sys.DS.Platform(block.PA)
+		for k := 1; k <= min(len(order), 5); k++ {
+			// Eval-community candidates (the paper's C_A × C_B test set,
+			// the two largest communities) always stay, with their labels;
+			// others only when their community is among the first k
+			// (incremental structure).
 			nb := &core.Block{PA: block.PA, PB: block.PB, Labels: make(map[int]float64)}
 			for ci, c := range block.Cands {
-				person := platA.Account(c.A).Person
-				comm := commOf[person]
-				keep := inEval(c.A) || (k > 2 && allowedIn(order[:k], comm))
-				if !keep {
+				comm := commOf[platA.Account(c.A).Person]
+				inEval := comm == order[0] || comm == order[1]
+				if !inEval && (k <= 2 || !slices.Contains(order[:k], comm)) {
 					continue
 				}
-				if y, lab := block.Labels[ci]; lab && inEval(c.A) {
+				if y, lab := block.Labels[ci]; lab && inEval {
 					nb.Labels[len(nb.Cands)] = y
 				}
 				nb.Cands = append(nb.Cands, c)
 			}
-			task.Blocks = []*core.Block{nb}
-			hcfg := cfg.hydraConfig()
-			hcfg.Workers = inner
-			return runPoint(st.sys, &core.HydraLinker{Cfg: hcfg}, task, inner)
-		})
-		for i, out := range outs {
-			k := i + 1
-			if out.err != nil {
-				res.Note("%s k=%d failed: %v", ds.name, k, out.err)
-				continue
-			}
-			res.AddPoint(ds.name+"/HYDRA-M", float64(k), out.conf.Precision(), out.conf.Recall(), out.secs)
+			task := &core.Task{Blocks: []*core.Block{nb}}
+			runs = append(runs, run{set.Name + "/HYDRA-M", float64(k), st.sys, task, cfg.hydra(nil)})
 		}
 	}
+	cfg.sweep(res, runs)
 	res.Note("paper shape: added communities improve results; effect stronger on Chinese platforms")
 	return res, nil
-}
-
-func allowedIn(comms []int, c int) bool {
-	for _, x := range comms {
-		if x == c {
-			return true
-		}
-	}
-	return false
 }

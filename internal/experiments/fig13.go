@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"hydra/internal/core"
-	"hydra/internal/parallel"
 	"hydra/internal/platform"
 )
 
@@ -11,23 +10,10 @@ import (
 // to English-platform accounts over the full seven-platform world. The
 // paper observes an overall performance drop (different writing styles and
 // social circles) with HYDRA still dominating the baselines.
-//
-// The (fraction × method) grid is runGrid's, as in figures 9 and 11, with
-// no dataset prefix on the series names.
 func Figure13(cfg Config) (*Result, error) {
-	st, err := newSetup(setupOpts{
-		persons:   cfg.persons(90),
-		platforms: platform.AllPlatforms,
-		seed:      cfg.Seed,
-		workers:   cfg.Workers,
-	})
+	st, err := newSetup(setupOpts{set: platform.Sets[2], persons: cfg.persons(90), seed: cfg.Seed})
 	if err != nil {
 		return nil, err
-	}
-	// Cross-cultural pairs: Chinese × English platforms.
-	pairs := [][2]platform.ID{
-		{platform.SinaWeibo, platform.Twitter},
-		{platform.Renren, platform.Facebook},
 	}
 	res := &Result{
 		Figure: "Figure 13",
@@ -35,18 +21,11 @@ func Figure13(cfg Config) (*Result, error) {
 		XLabel: "labeled-frac",
 	}
 	fractions := []float64{0.2, 0.35, 0.5}
-	// Per-fraction tasks first (each deterministic from its seed), with
-	// the nested blocking fan-out pinned to stay within the pool budget.
-	pinned := *st
-	pinned.workers = parallel.Inner(len(fractions), cfg.Workers)
-	tasks, err := parallel.MapErr(cfg.Workers, len(fractions), func(fi int) (*core.Task, error) {
-		opts := core.LabelOpts{LabelFraction: fractions[fi], NegPerPos: 2, UsePreMatched: true, Seed: cfg.Seed}
-		return pinned.multiTask(pairs, opts)
-	})
+	tasks, err := st.fractionTasks(cfg, fractions, core.LabelOpts{NegPerPos: 2, UsePreMatched: true, Seed: cfg.Seed})
 	if err != nil {
 		return nil, err
 	}
-	runGrid(st.sys, cfg, res, "", fractions, tasks)
+	cfg.sweep(res, cfg.lineup("", st.sys, fractions, tasks))
 	res.Note("paper shape: obvious performance drop vs single-culture linkage, HYDRA still best")
 	return res, nil
 }

@@ -1,55 +1,27 @@
 package experiments
 
-import (
-	"hydra/internal/core"
-	"hydra/internal/platform"
-)
+import "hydra/internal/core"
 
 // Figure14 reproduces the efficiency evaluation: total execution time
-// versus the number of users, Chinese and English datasets, all methods.
+// versus the number of users, English and Chinese datasets, all methods.
 // The paper's observations: HYDRA's runtime grows sublinearly (warm starts,
 // sparse structure matrix, shrinking); Alias-Disamb is slowest (its
 // self-generated training set yields a huge QP); SVM-B and SMaSh are
-// cheaper than HYDRA.
+// cheaper than HYDRA. The worlds build in parallel, but each run is timed
+// alone on the whole pool.
 func Figure14(cfg Config) (*Result, error) {
 	res := &Result{
 		Figure: "Figure 14",
 		Title:  "Efficiency: total execution time vs number of users",
 		XLabel: "#users",
 	}
-	datasets := []struct {
-		name  string
-		plats []platform.ID
-		pairs [][2]platform.ID
-	}{
-		{"english", platform.EnglishPlatforms, englishPairs},
-		{"chinese", platform.ChinesePlatforms, chinesePairs},
+	cells, err := cfg.cells([]int{40, 70, 100, 130}, 0)
+	if err != nil {
+		return nil, err
 	}
-	sizes := []int{40, 70, 100, 130}
-	for _, ds := range datasets {
-		for _, size := range sizes {
-			st, err := newSetup(setupOpts{
-				persons:   cfg.persons(size),
-				platforms: ds.plats,
-				seed:      cfg.Seed + int64(size),
-				workers:   cfg.Workers,
-			})
-			if err != nil {
-				return nil, err
-			}
-			task, err := st.multiTask(ds.pairs, core.DefaultLabelOpts(cfg.Seed))
-			if err != nil {
-				return nil, err
-			}
-			for _, linker := range allLinkers(cfg.Seed, cfg.Workers) {
-				conf, secs, err := runLinker(st.sys, linker, task, cfg.Workers)
-				if err != nil {
-					res.Note("%s/%s at %d users failed: %v", ds.name, linker.Name(), size, err)
-					continue
-				}
-				res.AddPoint(ds.name+"/"+linker.Name(), float64(cfg.persons(size)),
-					conf.Precision(), conf.Recall(), secs)
-			}
+	for _, c := range cells {
+		for _, r := range cfg.lineup(c.set.Name+"/", c.st.sys, []float64{float64(c.persons)}, []*core.Task{c.task}) {
+			cfg.sweep(res, []run{r})
 		}
 	}
 	res.Note("paper shape: Alias-Disamb slowest; SVM-B/SMaSh cheaper than HYDRA; HYDRA's growth flattens with scale")

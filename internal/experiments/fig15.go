@@ -1,95 +1,30 @@
 package experiments
 
-import (
-	"hydra/internal/core"
-	"hydra/internal/parallel"
-	"hydra/internal/platform"
-)
+import "hydra/internal/core"
 
 // Figure15 reproduces the sensitivity evaluation: HYDRA-M versus HYDRA-Z
 // under missing information across dataset sizes, for both datasets. The
 // paper: both variants achieve high precision and recall, with HYDRA-M
 // consistently on top — the friend-based imputation (Eqn 18) beats zero
 // filling.
-//
-// Each (dataset, size) cell owns a fresh world, so the cells — world
-// generation, systemization and task build included — fan out over the
-// worker pool, then the (cell × variant) train/eval grid fans out again;
-// index-ordered collection keeps the table identical to the sequential
-// loops at any worker count.
 func Figure15(cfg Config) (*Result, error) {
 	res := &Result{
 		Figure: "Figure 15",
 		Title:  "Sensitivity to missing data: HYDRA-M vs HYDRA-Z",
 		XLabel: "#users",
 	}
-	datasets := []struct {
-		name  string
-		plats []platform.ID
-		pairs [][2]platform.ID
-	}{
-		{"english", platform.EnglishPlatforms, englishPairs},
-		{"chinese", platform.ChinesePlatforms, chinesePairs},
-	}
-	sizes := []int{50, 80, 110}
-	variants := []core.Variant{core.HydraM, core.HydraZ}
-
-	type cellSpec struct {
-		dsIdx, size int
-	}
-	var cells []cellSpec
-	for di := range datasets {
-		for _, size := range sizes {
-			cells = append(cells, cellSpec{dsIdx: di, size: size})
-		}
-	}
-	type cellState struct {
-		st   *setup
-		task *core.Task
-	}
-	cellWorkers := parallel.Inner(len(cells), cfg.Workers)
-	states, err := parallel.MapErr(cfg.Workers, len(cells), func(ci int) (cellState, error) {
-		c := cells[ci]
-		st, err := newSetup(setupOpts{
-			persons:      cfg.persons(c.size),
-			platforms:    datasets[c.dsIdx].plats,
-			seed:         cfg.Seed + int64(c.size),
-			workers:      cellWorkers,
-			missingScale: 1.25, // stressed missing-information regime
-		})
-		if err != nil {
-			return cellState{}, err
-		}
-		task, err := st.multiTask(datasets[c.dsIdx].pairs, core.DefaultLabelOpts(cfg.Seed))
-		if err != nil {
-			return cellState{}, err
-		}
-		return cellState{st: st, task: task}, nil
-	})
+	cells, err := cfg.cells([]int{50, 80, 110}, 1.25) // a stressed missing-information regime
 	if err != nil {
 		return nil, err
 	}
-
-	inner := innerWorkers(len(cells)*len(variants), cfg)
-	outs := parallel.Map(cfg.Workers, len(cells)*len(variants), func(i int) runResult {
-		ci, vi := i/len(variants), i%len(variants)
-		hcfg := cfg.hydraConfig()
-		hcfg.Variant = variants[vi]
-		hcfg.Workers = inner
-		linker := &core.HydraLinker{Cfg: hcfg}
-		return runPoint(states[ci].st.sys, linker, states[ci].task, inner)
-	})
-	for ci, c := range cells {
-		for vi, variant := range variants {
-			out := outs[ci*len(variants)+vi]
-			if out.err != nil {
-				res.Note("%s/%s at %d users failed: %v", datasets[c.dsIdx].name, variant, c.size, out.err)
-				continue
-			}
-			res.AddPoint(datasets[c.dsIdx].name+"/"+variant.String(), float64(cfg.persons(c.size)),
-				out.conf.Precision(), out.conf.Recall(), out.secs)
+	var runs []run
+	for _, c := range cells {
+		for _, v := range []core.Variant{core.HydraM, core.HydraZ} {
+			runs = append(runs, run{c.set.Name + "/" + v.String(), float64(c.persons), c.st.sys, c.task,
+				cfg.hydra(func(h *core.Config) { h.Variant = v })})
 		}
 	}
+	cfg.sweep(res, runs)
 	res.Note("paper shape: both variants strong; HYDRA-M ≥ HYDRA-Z throughout")
 	return res, nil
 }

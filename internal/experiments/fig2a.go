@@ -8,69 +8,55 @@ import (
 	"hydra/internal/synth"
 )
 
-// MissingStat is one bar of Figure 2(a): a missing-attribute combination
-// and the percentage of users exhibiting it.
-type MissingStat struct {
-	Combination string
-	NumMissing  int
-	Percent     float64
-}
-
 // Figure2a reproduces the missing-information statistics of Figure 2(a):
 // the distribution of users over missing-profile-attribute combinations
 // across the seven platforms. The paper's headline numbers: at least 80% of
 // users miss ≥2 of the six core attributes; merely ~5% have all filled.
-func Figure2a(cfg Config) ([]MissingStat, *Result, error) {
-	persons := cfg.persons(300)
-	w, err := synth.Generate(synth.DefaultConfig(persons, platform.AllPlatforms, cfg.Seed))
+// Each combination is one series with a single point: x is the number of
+// attributes missing, and the precision column carries the users' share.
+func Figure2a(cfg Config) (*Result, error) {
+	w, err := synth.Generate(synth.DefaultConfig(cfg.persons(300), platform.AllPlatforms, cfg.Seed))
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	counts := make(map[string]int)
+	numMissing := make(map[string]int)
 	total := 0
 	for _, p := range w.Dataset.Platforms {
 		for _, acc := range p.Accounts {
-			key := comboKey(acc.Profile.MissingSet())
+			missing := acc.Profile.MissingSet()
+			key := comboKey(missing)
 			counts[key]++
+			numMissing[key] = len(missing)
 			total++
 		}
 	}
-	var stats []MissingStat
-	for key, n := range counts {
-		nm := 0
-		if key != "none missing" {
-			nm = strings.Count(key, ",") + 1
-			if key == "missing all" {
-				nm = len(platform.CoreAttrs)
-			}
-		}
-		stats = append(stats, MissingStat{
-			Combination: key,
-			NumMissing:  nm,
-			Percent:     100 * float64(n) / float64(total),
-		})
+	combos := make([]string, 0, len(counts))
+	for key := range counts {
+		combos = append(combos, key)
 	}
-	sort.Slice(stats, func(i, j int) bool {
-		if stats[i].NumMissing != stats[j].NumMissing {
-			return stats[i].NumMissing < stats[j].NumMissing
+	sort.Slice(combos, func(i, j int) bool {
+		if ni, nj := numMissing[combos[i]], numMissing[combos[j]]; ni != nj {
+			return ni < nj
 		}
-		return stats[i].Combination < stats[j].Combination
+		return combos[i] < combos[j]
 	})
 
 	res := &Result{Figure: "Figure 2(a)", Title: "Missing information statistics", XLabel: "#missing"}
 	var atLeast2, full float64
-	for _, st := range stats {
-		res.AddPoint(st.Combination, float64(st.NumMissing), st.Percent/100, 0, 0)
-		if st.NumMissing >= 2 {
-			atLeast2 += st.Percent
+	for _, key := range combos {
+		percent := 100 * float64(counts[key]) / float64(total)
+		res.AddPoint(key, float64(numMissing[key]), percent/100, 0, 0)
+		if numMissing[key] >= 2 {
+			atLeast2 += percent
 		}
-		if st.NumMissing == 0 {
-			full = st.Percent
+		if numMissing[key] == 0 {
+			full = percent
 		}
 	}
 	res.Note("users missing ≥2 attributes: %.1f%% (paper: ≥80%%)", atLeast2)
 	res.Note("users with all attributes: %.1f%% (paper: ~5%%)", full)
-	return stats, res, nil
+	return res, nil
 }
 
 // comboKey renders a missing set in the paper's Figure 2(a) labeling.

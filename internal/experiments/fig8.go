@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"hydra/internal/core"
-	"hydra/internal/parallel"
 	"hydra/internal/platform"
 )
 
@@ -16,16 +15,11 @@ import (
 func Figure8(cfg Config) (*Result, error) {
 	gammas := []float64{1e-6, 1e-3, 1, 1e3, 1e6}
 	ps := []float64{1, 2, 3, 4}
-	st, err := newSetup(setupOpts{
-		persons:   cfg.persons(70),
-		platforms: platform.EnglishPlatforms,
-		seed:      cfg.Seed,
-		workers:   cfg.Workers,
-	})
+	st, err := newSetup(setupOpts{set: platform.Sets[0], persons: cfg.persons(70), seed: cfg.Seed})
 	if err != nil {
 		return nil, err
 	}
-	task, err := st.task(platform.Twitter, platform.Facebook, core.DefaultLabelOpts(cfg.Seed))
+	task, err := st.task(core.DefaultLabelOpts(cfg.Seed), cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -34,50 +28,22 @@ func Figure8(cfg Config) (*Result, error) {
 		Title:  "Performance vs (γ_L, γ_M) under p = 1..4",
 		XLabel: "cell(γL-major)",
 	}
-	// Every (p, γ_L, γ_M) cell is an independent full train/eval run; fan
-	// them all out and assemble the table in grid order afterwards.
-	type cell struct {
-		p, gl, gm float64
-		gi, gj    int
-	}
-	var cells []cell
+	var runs []run
 	for _, p := range ps {
 		for gi, gl := range gammas {
 			for gj, gm := range gammas {
-				cells = append(cells, cell{p: p, gl: gl, gm: gm, gi: gi, gj: gj})
+				runs = append(runs, run{fmt.Sprintf("p=%g", p), float64(gi*len(gammas) + gj), st.sys, task,
+					cfg.hydra(func(h *core.Config) { h.GammaL, h.GammaM, h.P, h.ReweightIters = gl, gm, p, 2 })})
 			}
 		}
 	}
-	inner := innerWorkers(len(cells), cfg)
-	outs := parallel.Map(cfg.Workers, len(cells), func(i int) runResult {
-		c := cells[i]
-		hcfg := cfg.hydraConfig()
-		hcfg.Workers = inner
-		hcfg.GammaL, hcfg.GammaM, hcfg.P = c.gl, c.gm, c.p
-		hcfg.ReweightIters = 2
-		return runPoint(st.sys, &core.HydraLinker{Cfg: hcfg}, task, inner)
-	})
+	cfg.sweep(res, runs)
 	for _, p := range ps {
-		bestPrec, bestCell := -1.0, ""
-		for j, cj := range cells {
-			if cj.p != p {
-				continue
-			}
-			x := float64(cj.gi*len(gammas) + cj.gj)
-			if outs[j].err != nil {
-				// Extreme corners can be numerically infeasible; record
-				// a zero cell rather than aborting the sweep.
-				res.AddPoint(fmt.Sprintf("p=%g", p), x, 0, 0, 0)
-				continue
-			}
-			res.AddPoint(fmt.Sprintf("p=%g", p), x,
-				outs[j].conf.Precision(), outs[j].conf.Recall(), outs[j].secs)
-			if outs[j].conf.Precision() > bestPrec {
-				bestPrec = outs[j].conf.Precision()
-				bestCell = fmt.Sprintf("γL=%g, γM=%g", cj.gl, cj.gm)
-			}
+		if s := res.SeriesByName(fmt.Sprintf("p=%g", p)); s != nil {
+			x, prec := best(s.X, s.Precision)
+			cell := int(x)
+			res.Note("p=%g: best precision %.3f at γL=%g, γM=%g", p, prec, gammas[cell/len(gammas)], gammas[cell%len(gammas)])
 		}
-		res.Note("p=%g: best precision %.3f at %s", p, bestPrec, bestCell)
 	}
 	res.Note("paper: different p settings lead to different optimal (γ_M, γ_L)")
 	return res, nil

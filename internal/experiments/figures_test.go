@@ -1,8 +1,108 @@
 package experiments
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/figures.golden")
+
+// timeColumn is a table row's last column, the wall-clock time(s).
+var timeColumn = regexp.MustCompile(` +\S+$`)
+
+// untimed drops the time(s) column from a figure's table: the only column
+// that differs between runs.
+func untimed(table string) string {
+	lines := strings.Split(strings.TrimSuffix(table, "\n"), "\n")
+	for i, l := range lines {
+		if !strings.HasPrefix(l, "== ") && !strings.HasPrefix(l, "note: ") {
+			lines[i] = timeColumn.ReplaceAllString(l, "")
+		}
+	}
+	return strings.Join(lines, "\n") + "\n"
+}
+
+// TestFiguresMatchGoldenAtAnyWorkers runs every figure of the suite, in
+// Figures order, at one worker and at four, and holds both to the same
+// checked-in tables: every series, x, precision, recall and note, byte for
+// byte. The golden is hydra-bench -scale 0.25 -seed 7 without its timings;
+// rewrite it after an intended change with
+//
+//	go test ./internal/experiments/ -run Golden -update
+func TestFiguresMatchGoldenAtAnyWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two full figure suites")
+	}
+	path := filepath.Join("testdata", "figures.golden")
+	for _, workers := range []int{1, 4} {
+		var got strings.Builder
+		for _, f := range Figures {
+			res, err := f.Run(Config{Scale: 0.25, Seed: 7, Workers: workers})
+			if err != nil {
+				t.Fatalf("%s at %d workers: %v", f.Key, workers, err)
+			}
+			got.WriteString(untimed(res.Format()))
+		}
+		if *update && workers == 1 {
+			if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%v (run with -update to create it)", err)
+		}
+		gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+		for i := range min(len(gotLines), len(wantLines)) {
+			if gotLines[i] != wantLines[i] {
+				t.Fatalf("%d workers: line %d is\n  %s\nwant\n  %s", workers, i+1, gotLines[i], wantLines[i])
+			}
+		}
+		if len(gotLines) != len(wantLines) {
+			t.Fatalf("%d workers: %d lines, want %d", workers, len(gotLines), len(wantLines))
+		}
+	}
+}
+
+// sameAtOneAndFourWorkers runs one driver at one worker and at four and
+// holds the two untimed tables equal, at a seed the golden does not use.
+func sameAtOneAndFourWorkers(t *testing.T, name string, run func(Config) (*Result, error), seed int64) {
+	t.Helper()
+	var tables [2]string
+	for i, workers := range []int{1, 4} {
+		res, err := run(Config{Scale: 0.25, Seed: seed, Workers: workers})
+		if err != nil {
+			t.Fatalf("%s at %d workers: %v", name, workers, err)
+		}
+		tables[i] = untimed(res.Format())
+	}
+	if tables[0] != tables[1] {
+		t.Fatalf("%s differs between 1 and 4 workers:\n1 worker:\n%s\n4 workers:\n%s", name, tables[0], tables[1])
+	}
+}
+
+// TestFigureWorkersDeterminism asserts that a parallel Figure 10 sweep
+// produces the same figure as the sequential one.
+func TestFigureWorkersDeterminism(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full figure run")
+	}
+	sameAtOneAndFourWorkers(t, "Figure 10", Figure10, 3)
+}
+
+// TestAblationWorkersDeterminism asserts the same of the structure
+// ablation's (fraction × mode) grid and the pooling ablation's system build.
+func TestAblationWorkersDeterminism(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full ablation run")
+	}
+	sameAtOneAndFourWorkers(t, "structure ablation", AblationStructure, 5)
+	sameAtOneAndFourWorkers(t, "pooling ablation", AblationPooling, 5)
+}
 
 // tinyCfg shrinks worlds to the minimum the drivers support.
 func tinyCfg() Config { return Config{Scale: 0.35, Seed: 7} }

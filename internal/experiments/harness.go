@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"hydra/internal/baseline"
 	"hydra/internal/blocking"
 	"hydra/internal/core"
@@ -25,23 +23,9 @@ type Config struct {
 	Seed int64
 	// Workers pins the parallelism of the sweep fan-out and of every
 	// pairwise hot path underneath (blocking, feature assembly, Gram,
-	// evaluation). ≤ 0 uses all cores. Each sweep point keeps its own
-	// seeded RNGs, so any setting produces identical figures.
+	// evaluation). ≤ 0 uses all cores. Each run keeps its own seeded
+	// RNGs, so any setting produces identical figures.
 	Workers int
-}
-
-// hydraConfig is core.DefaultConfig with the suite's worker pin applied.
-func (c Config) hydraConfig() core.Config {
-	hcfg := core.DefaultConfig(c.Seed)
-	hcfg.Workers = c.Workers
-	return hcfg
-}
-
-// rulesFor is the blocking filter with a worker pin applied.
-func rulesFor(workers int) blocking.Rules {
-	r := blocking.DefaultRules()
-	r.Workers = workers
-	return r
 }
 
 func (c Config) persons(base int) int {
@@ -55,79 +39,149 @@ func (c Config) persons(base int) int {
 	return n
 }
 
-// setup is a prepared world + systemized pipeline state, shared across the
-// x-axis points of a figure so that the expensive preprocessing (LDA,
-// views) happens once. The System is safe for concurrent use, so sweep
-// points run against one setup in parallel.
+// run is one train/eval point of a figure: the linker that linker builds
+// for a given inner-worker pin is fitted on task over sys, and its
+// precision and recall are recorded at x on series.
+type run struct {
+	series string
+	x      float64
+	sys    *core.System
+	task   *core.Task
+	linker func(workers int) core.Linker
+}
+
+// sweep fits and evaluates runs over the worker pool and records their
+// points on res in run order, so a figure is identical at any worker
+// count. Each run's hot paths are pinned by parallel.Inner, which keeps
+// the sweep within the pool. A failed run becomes one note. The seconds
+// of a run are wall-clock fit+evaluate (the paper's total execution
+// time); in a sweep of several runs they are measured under contention
+// from sibling runs, so Figure 14, the efficiency figure, sweeps its runs
+// one at a time on the whole pool.
+func (c Config) sweep(res *Result, runs []run) {
+	type outcome struct {
+		conf metrics.Confusion
+		secs float64
+		err  error
+	}
+	inner := parallel.Inner(len(runs), c.Workers)
+	outs := parallel.Map(c.Workers, len(runs), func(i int) outcome {
+		r := runs[i]
+		l := r.linker(inner)
+		timer := metrics.NewTimer()
+		if err := l.Fit(r.sys, r.task); err != nil {
+			return outcome{err: err}
+		}
+		conf, err := core.EvaluateLinkerWorkers(r.sys, l, r.task.Blocks, inner)
+		return outcome{conf: conf, secs: timer.Seconds(), err: err}
+	})
+	for i, r := range runs {
+		if out := outs[i]; out.err != nil {
+			res.Note("%s at %s=%g failed: %v", r.series, res.XLabel, r.x, out.err)
+		} else {
+			res.AddPoint(r.series, r.x, out.conf.Precision(), out.conf.Recall(), out.secs)
+		}
+	}
+}
+
+// hydra builds HYDRA under the suite's seed with set applied (nil for the
+// defaults) and the run's worker pin.
+func (c Config) hydra(set func(*core.Config)) func(workers int) core.Linker {
+	return func(workers int) core.Linker {
+		hcfg := core.DefaultConfig(c.Seed)
+		if set != nil {
+			set(&hcfg)
+		}
+		hcfg.Workers = workers
+		return &core.HydraLinker{Cfg: hcfg}
+	}
+}
+
+// lineup returns one run per (x, method) of the paper's lineup — HYDRA-M
+// plus the four baselines — x-major, fitting tasks[i] at xs[i]. prefix
+// starts every series name ("english/" names the dataset, "" none).
+func (c Config) lineup(prefix string, sys *core.System, xs []float64, tasks []*core.Task) []run {
+	methods := []func(int) core.Linker{
+		c.hydra(nil),
+		func(int) core.Linker { return &baseline.MOBIUS{} },
+		func(int) core.Linker { return &baseline.SVMB{} },
+		func(int) core.Linker { return &baseline.AliasDisamb{} },
+		func(int) core.Linker { return &baseline.SMaSh{} },
+	}
+	var runs []run
+	for i, x := range xs {
+		for _, m := range methods {
+			runs = append(runs, run{prefix + m(1).Name(), x, sys, tasks[i], m})
+		}
+	}
+	return runs
+}
+
+// setup is a generated world and its systemized pipeline state, shared by
+// the runs of a figure so that the expensive preprocessing (LDA, views)
+// happens once. The System is safe for concurrent use, so runs against
+// one setup sweep in parallel.
 type setup struct {
-	world   *synth.World
-	state   *pipeline.SystemState
-	sys     *core.System
-	workers int
+	world *synth.World
+	state *pipeline.SystemState
+	sys   *core.System
+	pairs [][2]platform.ID
 }
 
 // setupOpts customizes world generation per experiment.
 type setupOpts struct {
+	set          platform.Set
 	persons      int
-	platforms    []platform.ID
 	seed         int64
-	workers      int
 	missingScale float64
 	communities  int
-	synthMutate  func(*synth.Config)
 }
 
-// newSetup builds the world and runs the pipeline's Systemize stage over
-// it (the Load stage is the in-memory generator here).
+// newSetup generates the world and runs the pipeline's Systemize stage
+// over it (the Load stage is the in-memory generator here).
 func newSetup(o setupOpts) (*setup, error) {
-	cfg := synth.DefaultConfig(o.persons, o.platforms, o.seed)
+	cfg := synth.DefaultConfig(o.persons, o.set.Platforms, o.seed)
 	if o.missingScale > 0 {
 		cfg.MissingScale = o.missingScale
 	}
 	if o.communities > 0 {
 		cfg.Communities = o.communities
 	}
-	if o.synthMutate != nil {
-		o.synthMutate(&cfg)
-	}
 	w, err := synth.Generate(cfg)
 	if err != nil {
 		return nil, err
 	}
-	// The labeled half is persons 0..persons/2-1 by construction (the
-	// generator numbers persons densely).
-	var people []int
-	for p := 0; p < o.persons/2; p++ {
-		people = append(people, p)
-	}
 	fcfg := features.DefaultConfig(o.seed)
 	fcfg.LDAIterations = 25
 	fcfg.MaxLDADocs = 2500
+	return systemize(w, o.set, fcfg)
+}
+
+// systemize trains the feature pipeline over w, with the labeled half of
+// the persons on the set's first two platforms, for linking set's pairs.
+func systemize(w *synth.World, set platform.Set, fcfg features.Config) (*setup, error) {
 	state, err := pipeline.Systemize(w.Dataset, pipeline.SystemizeOpts{
-		LabelPA:      o.platforms[0],
-		LabelPB:      o.platforms[1],
-		LabelPersons: people,
+		LabelPA:      set.Platforms[0],
+		LabelPB:      set.Platforms[1],
+		LabelPersons: pipeline.LabeledHalf(w.Dataset),
 		Lexicons:     features.Lexicons{Genre: w.Lexicons.Genre, Sentiment: w.Lexicons.Sentiment},
 		FeatCfg:      fcfg,
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &setup{world: w, state: state, sys: state.Sys, workers: o.workers}, nil
+	return &setup{world: w, state: state, sys: state.Sys, pairs: set.Pairs}, nil
 }
 
-// task builds a single-block task between two platforms via the pipeline's
-// Block stage.
-func (s *setup) task(pa, pb platform.ID, opts core.LabelOpts) (*core.Task, error) {
-	return s.multiTask([][2]platform.ID{{pa, pb}}, opts)
-}
-
-// multiTask builds a multi-block task over several platform pairs; pair i
-// draws its label sample at seed+i.
-func (s *setup) multiTask(pairs [][2]platform.ID, opts core.LabelOpts) (*core.Task, error) {
+// task blocks the setup's pairs into one task via the pipeline's Block
+// stage, with the blocking scan pinned to workers; pair i draws its label
+// sample at opts.Seed+i.
+func (s *setup) task(opts core.LabelOpts, workers int) (*core.Task, error) {
+	rules := blocking.DefaultRules()
+	rules.Workers = workers
 	blocked, err := pipeline.Block(s.state, pipeline.BlockOpts{
-		Pairs:      pairs,
-		Rules:      rulesFor(s.workers),
+		Pairs:      s.pairs,
+		Rules:      rules,
 		Label:      opts,
 		SeedStride: 1,
 	})
@@ -137,82 +191,54 @@ func (s *setup) multiTask(pairs [][2]platform.ID, opts core.LabelOpts) (*core.Ta
 	return blocked.Task, nil
 }
 
-// allLinkers returns the paper's method lineup: HYDRA-M plus the four
-// baselines. workers pins HYDRA's internal parallelism.
-func allLinkers(seed int64, workers int) []core.Linker {
-	hcfg := core.DefaultConfig(seed)
-	hcfg.Workers = workers
-	return []core.Linker{
-		&core.HydraLinker{Cfg: hcfg},
-		&baseline.MOBIUS{},
-		&baseline.SVMB{},
-		&baseline.AliasDisamb{},
-		&baseline.SMaSh{},
-	}
-}
-
-// runLinker fits and evaluates one method, returning its confusion and the
-// wall-clock seconds of fit+evaluate (the paper's total execution time).
-// workers pins the evaluation parallelism (≤ 0 = all cores). Inside a
-// parallel sweep the seconds are measured under core contention from
-// sibling points, so the time(s) column of fig8–fig12 is indicative only;
-// Figure 14, the efficiency figure, deliberately runs its points
-// sequentially to keep its timings uncontended.
-func runLinker(sys *core.System, l core.Linker, task *core.Task, workers int) (metrics.Confusion, float64, error) {
-	timer := metrics.NewTimer()
-	if err := l.Fit(sys, task); err != nil {
-		return metrics.Confusion{}, 0, fmt.Errorf("%s: %w", l.Name(), err)
-	}
-	conf, err := core.EvaluateLinkerWorkers(sys, l, task.Blocks, workers)
-	if err != nil {
-		return metrics.Confusion{}, 0, fmt.Errorf("%s: %w", l.Name(), err)
-	}
-	return conf, timer.Seconds(), nil
-}
-
-// runResult is one sweep point's outcome, collected index-ordered by the
-// parallel figure sweeps so that result tables and notes are assembled in
-// the same order as the sequential loops they replace.
-type runResult struct {
-	conf metrics.Confusion
-	secs float64
-	err  error
-}
-
-// runPoint runs one train/eval sweep point and wraps the outcome.
-func runPoint(sys *core.System, l core.Linker, task *core.Task, workers int) runResult {
-	conf, secs, err := runLinker(sys, l, task, workers)
-	return runResult{conf: conf, secs: secs, err: err}
-}
-
-// innerWorkers picks the worker pin for the hot paths inside a parallel
-// sweep (see parallel.Inner: covering fan-outs pin to one worker, smaller
-// ones split the pool). Results are identical either way.
-func innerWorkers(points int, cfg Config) int {
-	return parallel.Inner(points, cfg.Workers)
-}
-
-// runGrid fans out the (task × method) grid shared by the labeled- and
-// unlabeled-sweep figures and appends rows and failure notes to res in
-// grid order — identical output at any worker count. prefix starts every
-// series name and note ("english/" names the dataset, "" none).
-func runGrid(sys *core.System, cfg Config, res *Result, prefix string, xs []float64, tasks []*core.Task) {
-	names := allLinkers(cfg.Seed, 1)
-	nLinkers := len(names)
-	inner := innerWorkers(len(xs)*nLinkers, cfg)
-	outs := parallel.Map(cfg.Workers, len(xs)*nLinkers, func(i int) runResult {
-		fi, li := i/nLinkers, i%nLinkers
-		linker := allLinkers(cfg.Seed, inner)[li]
-		return runPoint(sys, linker, tasks[fi], inner)
+// fractionTasks builds one task per labeled fraction, opts otherwise, in
+// parallel; each build's blocking scan is pinned so the stage stays within
+// the pool (see parallel.Inner).
+func (s *setup) fractionTasks(cfg Config, fractions []float64, opts core.LabelOpts) ([]*core.Task, error) {
+	inner := parallel.Inner(len(fractions), cfg.Workers)
+	return parallel.MapErr(cfg.Workers, len(fractions), func(i int) (*core.Task, error) {
+		o := opts
+		o.LabelFraction = fractions[i]
+		return s.task(o, inner)
 	})
-	for fi, x := range xs {
-		for li := 0; li < nLinkers; li++ {
-			out := outs[fi*nLinkers+li]
-			if out.err != nil {
-				res.Note("%s%s at frac %.2f failed: %v", prefix, names[li].Name(), x, out.err)
-				continue
-			}
-			res.AddPoint(prefix+names[li].Name(), x, out.conf.Precision(), out.conf.Recall(), out.secs)
+}
+
+// cell is one (dataset, size) world of Figures 14 and 15 with its task.
+type cell struct {
+	set     platform.Set
+	persons int // the world's size, the figures' x
+	st      *setup
+	task    *core.Task
+}
+
+// cells builds a fresh world and default-labeled task per (English or
+// Chinese dataset, size), seeded at Seed+size, all in parallel.
+func (c Config) cells(sizes []int, missingScale float64) ([]cell, error) {
+	n := 2 * len(sizes)
+	inner := parallel.Inner(n, c.Workers)
+	return parallel.MapErr(c.Workers, n, func(i int) (cell, error) {
+		set, size := platform.Sets[i/len(sizes)], sizes[i%len(sizes)]
+		st, err := newSetup(setupOpts{
+			set:          set,
+			persons:      c.persons(size),
+			seed:         c.Seed + int64(size),
+			missingScale: missingScale,
+		})
+		if err != nil {
+			return cell{}, err
+		}
+		task, err := st.task(core.DefaultLabelOpts(c.Seed), inner)
+		return cell{set, c.persons(size), st, task}, err
+	})
+}
+
+// best returns the first x at which vals peaks along xs, and the peak.
+func best(xs, vals []float64) (x, peak float64) {
+	peak = -1
+	for i, v := range vals {
+		if v > peak {
+			x, peak = xs[i], v
 		}
 	}
+	return x, peak
 }

@@ -35,6 +35,36 @@ var EnglishPlatforms = []ID{Twitter, Facebook}
 // AllPlatforms is the union used in the Figure-13 cross-cultural experiment.
 var AllPlatforms = []ID{SinaWeibo, TencentWeibo, Renren, Douban, Kaixin, Twitter, Facebook}
 
+// Set is one dataset of the evaluation: the platforms a world is generated
+// on and the platform pairs linked across them.
+type Set struct {
+	Name      string
+	Platforms []ID
+	Pairs     [][2]ID
+}
+
+// Sets are the datasets cmd/hydra, hydra-gen and the §7 figures run on, in
+// this order: English, Chinese, and the cross-cultural union. The paper
+// trains across all five Chinese platforms; two representative pairs keep
+// the laptop-scale runtime bounded while preserving the multi-pair
+// structure (Eqn 14's block-diagonal M). The union's pairs link Chinese to
+// English accounts (Figure 13).
+var Sets = []Set{
+	{"english", EnglishPlatforms, [][2]ID{{Twitter, Facebook}}},
+	{"chinese", ChinesePlatforms, [][2]ID{{SinaWeibo, TencentWeibo}, {Renren, Kaixin}}},
+	{"all", AllPlatforms, [][2]ID{{SinaWeibo, Twitter}, {Renren, Facebook}}},
+}
+
+// SetNamed returns the dataset called name.
+func SetNamed(name string) (Set, error) {
+	for _, s := range Sets {
+		if s.Name == name {
+			return s, nil
+		}
+	}
+	return Set{}, fmt.Errorf("unknown dataset %q (want english, chinese or all)", name)
+}
+
 // Lang is the dominant language of a platform.
 type Lang string
 

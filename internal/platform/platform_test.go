@@ -2,6 +2,8 @@ package platform
 
 import (
 	"bytes"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -156,5 +158,35 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 func TestDecodeRejectsGarbage(t *testing.T) {
 	if _, err := Decode(bytes.NewBufferString("{not json")); err == nil {
 		t.Fatal("expected decode error")
+	}
+}
+
+func TestSetNamed(t *testing.T) {
+	want := []struct {
+		name  string
+		pairs int
+	}{{"english", 1}, {"chinese", 2}, {"all", 2}}
+	if len(Sets) != len(want) {
+		t.Fatalf("%d datasets, want %d", len(Sets), len(want))
+	}
+	for i, w := range want {
+		// The figures index Sets by position, so the order is pinned too.
+		if Sets[i].Name != w.name {
+			t.Fatalf("Sets[%d] = %q, want %q", i, Sets[i].Name, w.name)
+		}
+		s, err := SetNamed(w.name)
+		if err != nil || s.Name != w.name || len(s.Pairs) != w.pairs || len(s.Platforms) < 2 {
+			t.Fatalf("SetNamed(%q) = %+v, %v; want %d pairs", w.name, s, err, w.pairs)
+		}
+		for _, pair := range s.Pairs {
+			for _, id := range pair {
+				if !slices.Contains(s.Platforms, id) {
+					t.Fatalf("%s pairs %s, which is not one of its platforms", w.name, id)
+				}
+			}
+		}
+	}
+	if _, err := SetNamed("klingon"); err == nil || !strings.Contains(err.Error(), "want english, chinese or all") {
+		t.Fatalf("unknown dataset: err = %v", err)
 	}
 }

@@ -22,11 +22,15 @@
 # For each (workload, end-to-end metric) of BENCHMARK.json it prints the
 # median over the pairs of B/A, how many pairs favoured B (by the
 # metric's direction; ties are counted apart), how much worse B's median
-# ratio is than 1, the metric's bound, and a verdict: BREACH when the
-# median is worse than the bound. A workload where B fails a larger share
-# of its operations than A is a BREACH too, and one that either side
-# printed no result for is MISSING. Exits 1 on a breach, 3 on a missing
-# result, 2 on a usage error.
+# ratio is than 1, A's spread (the interquartile range of A's runs over
+# their median; – under 4 pairs), the metric's bound, and a verdict:
+# BREACH when the median is worse than the bound; otherwise unresolved
+# when A's spread exceeds the bound, unless every B run reads better than
+# every A run, because then the runs cannot tell a change within the bound
+# from noise; otherwise ok. A workload where B fails a larger share of its
+# operations than A is a BREACH too, and one that either side printed no
+# result for is MISSING. Exits 1 on a breach, 3 on a missing result, 2 on
+# a usage error; unresolved does not change the exit status.
 # Needs bash, git, tar, jq and go.
 set -euo pipefail
 
@@ -98,8 +102,9 @@ for ((i = 1; i <= pairs; i++)); do
 done
 
 report=$(jq -rs --slurpfile spec BENCHMARK.json --arg only "$workload" '
-	def median: sort | length as $n
-		| if $n == 0 then null elif $n % 2 == 1 then .[($n - 1) / 2] else (.[$n / 2 - 1] + .[$n / 2]) / 2 end;
+	def quantile($q): sort | length as $n | ($q * ($n - 1)) as $h | ($h | floor) as $lo
+		| if $n == 0 then null else .[$lo] + ($h - $lo) * (.[[$lo + 1, $n - 1] | min] - .[$lo]) end;
+	def median: quantile(0.5);
 	. as $runs
 	| $spec[0].workloads[].name | select($only == "" or . == $only) | . as $w
 	| [$runs[] | select(.workload == $w)] as $r
@@ -111,24 +116,35 @@ report=$(jq -rs --slurpfile spec BENCHMARK.json --arg only "$workload" '
 			| (side("A"; $p) | .metrics[$m.name].value?) as $a
 			| (side("B"; $p) | .metrics[$m.name].value?) as $b
 			| select($a != null and $b != null)
-			| {ratio: (if $a == $b then 1 elif $a == 0 then infinite else $b / $a end),
+			| {a: $a, b: $b, ratio: (if $a == $b then 1 elif $a == 0 then infinite else $b / $a end),
 			   better: (if $m.better == "lower" then $b < $a else $b > $a end),
 			   tie: ($a == $b)}] as $pr
 		| select($pr | length > 0)
 		| ($pr | map(.ratio) | median) as $med
 		| (if $m.better == "lower" then $med - 1 else 1 - $med end) as $worse
+		| ($pr | map(.a)) as $av
+		| ($av | median) as $amed
+		| (($av | quantile(0.75)) - ($av | quantile(0.25))) as $iqr
+		| (if $pr | length < 4 then null elif $amed == 0 then (if $iqr == 0 then 0 else infinite end)
+		   else $iqr / ($amed | fabs) end) as $spread
+		| (if $m.better == "lower" then ($pr | map(.b) | max) < ($av | min)
+		   else ($pr | map(.b) | min) > ($av | max) end) as $clear
 		| [$w, $m.name, ($med * 10000 | round / 10000),
 		   "\($pr | map(select(.better)) | length)/\($pr | length)",
 		   ($pr | map(select(.tie)) | length),
-		   "\($worse * 1000 | round / 10)%", "\($m.bound * 100)%",
-		   (if $worse > $m.bound then "BREACH" else "ok" end)]
+		   "\($worse * 1000 | round / 10)%",
+		   (if $spread == null then "–" else "\($spread * 1000 | round / 10)%" end),
+		   "\($m.bound * 100)%",
+		   (if $worse > $m.bound then "BREACH"
+		    elif $spread != null and $spread > $m.bound and ($clear | not) then "unresolved"
+		    else "ok" end)]
 	),
 	(
 		def share($s): [$r[] | select(.side == $s) | .out]
 			| {runs: length, f: (map(.failed // 0) | add // 0), n: (map(.attempted // 0) | add // 0)};
 		share("A") as $a | share("B") as $b
 		| [$w, "failed", "A \($a.f)/\($a.n)", "B \($b.f)/\($b.n)", "",
-		   "", "",
+		   "", "", "",
 		   (if $a.runs == 0 or $b.runs == 0 then "MISSING"
 		    elif $b.n == 0 or ($a.n > 0 and $b.f * $a.n > $a.f * $b.n) or ($a.n == 0 and $b.f > 0) then "BREACH"
 		    else "ok" end)]
@@ -136,9 +152,9 @@ report=$(jq -rs --slurpfile spec BENCHMARK.json --arg only "$workload" '
 	| @tsv' "$tmp/results.jsonl")
 
 {
-	printf 'workload\tmetric\tmedian B/A\tB better\tties\tB worse by\tbound\tverdict\n'
+	printf 'workload\tmetric\tmedian B/A\tB better\tties\tB worse by\tA spread\tbound\tverdict\n'
 	printf '%s\n' "$report"
-} | awk -F'\t' '{ printf "%-13s %-15s %12s %9s %5s %11s %6s  %s\n", $1, $2, $3, $4, $5, $6, $7, $8 }'
+} | awk -F'\t' '{ printf "%-13s %-15s %12s %9s %5s %11s %9s %6s  %s\n", $1, $2, $3, $4, $5, $6, $7, $8, $9 }'
 
 if grep -q 'MISSING' <<<"$report"; then
 	echo "ab: at least one workload has no result on one side" >&2
