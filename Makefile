@@ -48,13 +48,17 @@ test:
 # prescreen oracles (TestPrescreen*) and its fanned-out pack-time build
 # (TestBuildPrescreenWorkersBitIdentical), the pack-time impute table vs
 # live-path twins (TestImpute*), the cold Eqn-18 plan's partial friend
-# pairs vs an uncapped engine, inline and fanned out
-# (TestColdImputePlanWorkersBitIdentical) and its lowest-index batch
-# error (TestScoreBatchLowestErrorWorkers), the racing first touches of
+# pairs vs the single-pair reference walk, inline and fanned out
+# (TestColdImputePlanWorkersBitIdentical), its lowest-index batch error
+# (TestScoreBatchLowestErrorWorkers) and training's planned imputation
+# vs the same reference at 1 and 4 workers
+# (TestTrainImputeMatchesReferenceWorkers), the racing first touches of
 # per-view derived state (TestPairConcurrentFirstTouch), the capped pair
 # cache's second-touch admission (TestPairCacheAdmissionConcurrent), a mapped
 # bundle's view evictions and entry reads into pooled scratch under
-# concurrent decodes (TestMapped*Concurrent), every figure's one sweep
+# concurrent decodes (TestMapped*Concurrent), the request middleware's
+# closed endpoint label set under invented paths from several goroutines
+# (TestMiddlewareUnknownPathsConcurrent), every figure's one sweep
 # at 1 and 4 workers against its golden tables
 # (TestFiguresMatchGoldenAtAnyWorkers), the staged pipeline and the
 # fanned-out synth generator (*Workers*/*Determinism* tests) all match

@@ -1,21 +1,20 @@
 package core
 
 import (
+	"math"
 	"testing"
 
+	"hydra/internal/blocking"
 	"hydra/internal/platform"
 )
 
-// referenceScore is the pre-fast-path scalar serving path, kept verbatim
-// as the bit-exactness oracle: impute through the store, then walk the
-// FULL candidate expansion skipping α=0 entries per call — exactly what
-// Model.Score did before support compaction and batching.
+// referenceScore is the scalar serving path, kept as the bit-exactness
+// oracle: impute by the single-pair reference walk, then walk the FULL
+// candidate expansion skipping α=0 entries per call, with no support
+// compaction, batching or plan.
 func referenceScore(t *testing.T, m *Model, pa platform.ID, a int, pb platform.ID, b int) float64 {
 	t.Helper()
-	x, err := m.store.Impute(pa, a, pb, b, m.cfg.Variant, m.cfg.TopFriends)
-	if err != nil {
-		t.Fatal(err)
-	}
+	x := mustReferenceImpute(t, m.store, pa, a, pb, b, m.cfg.Variant, m.cfg.TopFriends)
 	s := m.bias
 	for j, xj := range m.xs {
 		if m.alpha[j] == 0 {
@@ -136,6 +135,67 @@ func TestCompactionZeroedDualsBitExact(t *testing.T) {
 		}
 		if got != want {
 			t.Fatalf("compacted score (%d,%d) = %v, reference %v", c.A, c.B, got, want)
+		}
+	}
+}
+
+// TestTrainImputeMatchesReferenceWorkers holds Train's planned batch
+// imputation to the single-pair reference walk for every candidate, on
+// an uncapped System store, at one and four workers, under HYDRA-M and
+// HYDRA-Z. The block is extended with candidates whose A side has no
+// friends at all, the "no social context" verdict: their missing
+// dimensions must stay zero in both.
+func TestTrainImputeMatchesReferenceWorkers(t *testing.T) {
+	const seed = 20
+	w, sys := buildSystem(t, 30, platform.EnglishPlatforms, seed)
+	base := buildTask(t, sys, platform.Twitter, platform.Facebook, DefaultLabelOpts(seed))
+	blk := base.Blocks[0]
+	tw, _ := w.Dataset.Platform(platform.Twitter)
+	iso := -1
+	for a := 0; a < tw.NumAccounts() && iso < 0; a++ {
+		if tw.Graph.Degree(a) == 0 {
+			iso = a
+		}
+	}
+	if iso < 0 {
+		t.Fatal("fixture has no friendless twitter account; pick a different seed")
+	}
+	cands := append([]blocking.Candidate(nil), blk.Cands...)
+	friendless := 0
+	for b := 0; b < 8; b++ {
+		cands = append(cands, blocking.Candidate{A: iso, B: b})
+		pv, err := sys.RawPair(platform.Twitter, iso, platform.Facebook, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hasMissing(pv.Mask) {
+			friendless++
+		}
+	}
+	if friendless == 0 {
+		t.Fatal("no friendless candidate has a missing dimension; the no-friends verdict went untested")
+	}
+	task := &Task{Blocks: []*Block{{PA: blk.PA, PB: blk.PB, Cands: cands, Labels: blk.Labels}}}
+	for _, v := range []Variant{HydraM, HydraZ} {
+		for _, workers := range []int{1, 4} {
+			cfg := DefaultConfig(seed)
+			cfg.Variant, cfg.Workers = v, workers
+			m, err := Train(sys, task, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(m.xs) != len(cands) {
+				t.Fatalf("%s workers=%d: %d trained vectors for %d candidates", v, workers, len(m.xs), len(cands))
+			}
+			for i, c := range cands {
+				want := mustReferenceImpute(t, sys.LazyStore, blk.PA, c.A, blk.PB, c.B, v, cfg.TopFriends)
+				for d := range want {
+					if math.Float64bits(m.xs[i][d]) != math.Float64bits(want[d]) {
+						t.Fatalf("%s workers=%d: candidate %d (%d,%d) dim %d = %v, reference %v",
+							v, workers, i, c.A, c.B, d, m.xs[i][d], want[d])
+					}
+				}
+			}
 		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"hydra/internal/kernel"
 	"hydra/internal/linalg"
 	"hydra/internal/moo"
-	"hydra/internal/parallel"
 	"hydra/internal/platform"
 	"hydra/internal/qp"
 	"hydra/internal/structure"
@@ -189,30 +188,21 @@ func Train(sys *System, task *Task, cfg Config) (*Model, error) {
 		return nil, fmt.Errorf("core: no labeled pairs; F_D is undefined")
 	}
 
-	// 1. Assemble imputed feature vectors (in parallel — each candidate's
-	// imputation is independent and written to its own index) and label
+	// 1. Impute the feature vectors, each block's candidates as one
+	// planned batch (bit-identical at any worker count), and label
 	// bookkeeping (sequential, order-dependent).
-	type imputeJob struct {
-		b *Block
-		c blocking.Candidate
-	}
-	jobs := make([]imputeJob, 0, n)
+	xs := make([]linalg.Vector, 0, n)
+	var pl imputePlan
 	for _, b := range task.Blocks {
-		for _, c := range b.Cands {
-			jobs = append(jobs, imputeJob{b: b, c: c})
+		pairs := make([][2]int, len(b.Cands))
+		for i, c := range b.Cands {
+			pairs[i] = [2]int{c.A, c.B}
 		}
-	}
-	xs := make([]linalg.Vector, n)
-	if err := parallel.ForErr(cfg.Workers, n, func(i int) error {
-		j := jobs[i]
-		x, err := sys.Impute(j.b.PA, j.c.A, j.b.PB, j.c.B, cfg.Variant, cfg.TopFriends)
+		rows, err := sys.imputePairs(&pl, b.PA, b.PB, pairs, cfg.Variant, cfg.TopFriends, cfg.Workers)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		xs[i] = x
-		return nil
-	}); err != nil {
-		return nil, err
+		xs = append(xs, rows...)
 	}
 	var labeledIdx []int
 	var labels []float64
@@ -482,32 +472,4 @@ func medianDistance(xs []linalg.Vector) float64 {
 	}
 	sort.Float64s(ds)
 	return ds[len(ds)/2]
-}
-
-// Decision evaluates the linkage function f(x) = Σ α_j K(x_j, x) + b on an
-// already-imputed feature vector. It walks the compacted, densely packed
-// support set in ascending candidate order — the same float addition
-// sequence as the pre-compaction loop that skipped α=0 entries per call,
-// so the value is bit-identical.
-func (m *Model) Decision(x linalg.Vector) float64 {
-	s := m.bias
-	for j, xj := range m.svXs {
-		s += m.svAlpha[j] * m.kern.Eval(xj, x)
-	}
-	return s
-}
-
-// Score computes the decision value for an account pair, applying the
-// model's imputation variant. It is the batch fast path at batch size
-// one: imputation and the kernel fold run on pooled scratch, so a warm
-// Score allocates nothing.
-func (m *Model) Score(pa platform.ID, a int, pb platform.ID, b int) (float64, error) {
-	sc := m.getScratch()
-	defer m.scratch.Put(sc)
-	x, err := m.store.imputeInto(sc.single(), &sc.imp, pa, a, pb, b, m.cfg.Variant, m.cfg.TopFriends)
-	if err != nil {
-		return 0, err
-	}
-	sc.setSingle(x)
-	return m.Decision(x), nil
 }

@@ -6,61 +6,202 @@ import (
 	"hydra/internal/features"
 	"hydra/internal/graph"
 	"hydra/internal/linalg"
+	"hydra/internal/parallel"
 	"hydra/internal/platform"
 )
 
-// imputeScratch holds the reusable buffers of single-pair imputation:
-// the Eqn-18 per-dimension accumulator, the pair's missing mask as a
-// friend-pair selector, and the vector a declined friend pair is computed
-// into. The zero value is ready to use; the serving fast path recycles
-// instances through a pool so a warm query allocates nothing.
-type imputeScratch struct {
-	sums []float64
-	want []bool
-	fx   []float64
-	fm   []bool
-}
-
-// zeroSums returns the accumulator resized to dim and zeroed.
-func (sc *imputeScratch) zeroSums(dim int) linalg.Vector {
-	sums := grow(&sc.sums, dim)
-	clear(sums)
-	return sums
-}
-
 // Impute returns the pair vector with missing dimensions filled according
-// to the variant (HYDRA-M's Eqn 18 or HYDRA-Z's zeros); see imputeInto.
+// to the variant (HYDRA-M's Eqn 18 or HYDRA-Z's zeros): the planned walk
+// (imputeBatch) over one pair, into a fresh, caller-owned vector.
 func (st *LazyStore) Impute(pa platform.ID, a int, pb platform.ID, b int, v Variant, topFriends int) (linalg.Vector, error) {
-	var sc imputeScratch
-	return st.imputeInto(nil, &sc, pa, a, pb, b, v, topFriends)
-}
-
-// imputeInto is the single-pair imputation walk, which Impute and
-// Model.Score run; a batch runs the same steps as a plan (imputeBatch).
-// Its friend pairs are computed over the pair's missing dimensions only
-// — all the walk reads of them — unless the pair cache stores them. The
-// imputed vector is appended to dst[:0] (pass nil to allocate a fresh,
-// caller-owned vector) and returned, possibly regrown.
-func (st *LazyStore) imputeInto(dst linalg.Vector, sc *imputeScratch,
-	pa platform.ID, a int, pb platform.ID, b int, v Variant, topFriends int) (linalg.Vector, error) {
-
-	x, w, err := st.imputeHead(dst, pa, a, pb, b, v, topFriends)
-	if err != nil || w.fa == nil {
-		return x, err
-	}
-	dim := len(x)
-	want := grow(&sc.want, dim)
-	for d, m := range w.mask {
-		want[d] = !m
-	}
-	buf := features.PairVector{X: grow(&sc.fx, dim), Mask: grow(&sc.fm, dim)}
-	sums := sc.zeroSums(dim)
-	count, err := st.friendPairSums(sums, w.fa, w.fb, want, buf, pa, pb)
+	var pl imputePlan
+	rows, err := st.imputePairs(&pl, pa, pb, [][2]int{{a, b}}, v, topFriends, 1)
 	if err != nil {
 		return nil, err
 	}
-	fillMissing(x, w.mask, sums, count)
-	return x, nil
+	return rows[0], nil
+}
+
+// imputePairs returns the imputed vectors of pairs on (pa, pb), each
+// fresh and caller-owned, as one planned batch on pl (see imputeBatch).
+func (st *LazyStore) imputePairs(pl *imputePlan, pa, pb platform.ID, pairs [][2]int, v Variant, topFriends, workers int) ([]linalg.Vector, error) {
+	rows := make([]linalg.Vector, len(pairs))
+	if err := st.imputeBatch(pl, rows, pa, pb, pairs, v, topFriends, workers); err != nil {
+		return nil, err
+	}
+	return rows, nil
+}
+
+// imputePlan is the one Eqn-18 walk for query pairs, planned before any
+// friend pair is computed: per candidate its head (imputeHead) and the
+// slots of its friend pairs in walk order, and per distinct friend pair —
+// a slot — its ids, its want (the union of the missing masks of the
+// candidates that read it) and its vector. Every buffer is scratch that
+// grows to the largest batch seen, the index map included (cleared, not
+// reallocated), so a plan the serving path recycles allocates nothing
+// when warm.
+type imputePlan struct {
+	cands []planCand
+	dim   int
+	index map[[2]int]int32 // friend pair (fa, fb) → slot
+	pairs [][2]int         // slot → friend pair
+	refs  []int32          // the candidates' slot lists, back to back
+	wants []bool           // slot-major, dim each
+	xs    []float64        // slot-major: a declined friend pair's values
+	masks []bool           // and mask
+	vecs  []features.PairVector
+	errs  []error
+	sums  []float64 // one candidate's Eqn-18 accumulator
+}
+
+// planCand is one candidate's share of the plan: its head's error or
+// pending walk, and refs[lo:hi], the slots of its friend pairs.
+type planCand struct {
+	err    error
+	w      pendingWalk
+	lo, hi int
+}
+
+// imputeBatch fills rows[i] with the imputed feature vector of pairs[i]
+// under variant v at friend depth topFriends, appending to rows[i][:0]
+// (a nil row gets a fresh vector), and returns the lowest-index pair's
+// error, as a sequential loop would. It runs as a plan on pl: (1) every
+// candidate's head — raw vector, one impute-table lookup, friend lists —
+// over the worker pool; (2) the distinct friend pairs of the candidates
+// left pending, each wanting the union of their missing dimensions; (3)
+// those friend pairs over the same pool, each computed once and, unless
+// the pair cache stores it, over its want only; (4) every pending
+// candidate's sums, added friendsA-major, friendsB-minor with
+// addObserved — BuildImputeTable's order and step, so a table hit and a
+// live walk give the same bits. A batch with nothing pending skips (3).
+// With one worker everything runs inline, with no goroutines or
+// closures.
+func (st *LazyStore) imputeBatch(pl *imputePlan, rows []linalg.Vector, pa, pb platform.ID, pairs [][2]int,
+	v Variant, topFriends, workers int) error {
+
+	n := len(pairs)
+	pl.cands = grow(&pl.cands, n)
+	defer pl.release(n)
+	w := min(parallel.Workers(workers), n)
+	if w == 1 {
+		for i := range pairs {
+			if !st.planHead(pl, rows, pa, pb, pairs, v, topFriends, i) {
+				break
+			}
+		}
+	} else {
+		parallel.For(w, n, func(i int) { st.planHead(pl, rows, pa, pb, pairs, v, topFriends, i) })
+	}
+	stop := pl.collect(n)
+	pl.compute(st, pa, pb, w)
+	for i := 0; i < stop; i++ {
+		c := &pl.cands[i]
+		if c.w.fa == nil {
+			continue
+		}
+		sums := grow(&pl.sums, pl.dim)
+		clear(sums)
+		for _, j := range pl.refs[c.lo:c.hi] {
+			if err := pl.errs[j]; err != nil {
+				return err
+			}
+			addObserved(sums, pl.vecs[j])
+		}
+		fillMissing(rows[i], c.w.mask, sums, float64(len(c.w.fa)*len(c.w.fb)))
+	}
+	if stop < n {
+		return pl.cands[stop].err
+	}
+	return nil
+}
+
+// planHead runs candidate i's head into rows[i] and the plan, reporting
+// whether it succeeded.
+func (st *LazyStore) planHead(pl *imputePlan, rows []linalg.Vector, pa, pb platform.ID, pairs [][2]int,
+	v Variant, topFriends, i int) bool {
+
+	x, w, err := st.imputeHead(rows[i][:0], pa, pairs[i][0], pb, pairs[i][1], v, topFriends)
+	rows[i] = x
+	pl.cands[i] = planCand{err: err, w: w}
+	return err == nil
+}
+
+// collect registers the friend pairs of the pending candidates before
+// the first failed one, whose index it returns (n when none failed),
+// giving each distinct pair a slot whose want gathers the missing
+// dimensions of every candidate that reads it.
+func (pl *imputePlan) collect(n int) int {
+	if pl.index == nil {
+		pl.index = make(map[[2]int]int32)
+	}
+	clear(pl.index)
+	pl.pairs, pl.refs, pl.wants = pl.pairs[:0], pl.refs[:0], pl.wants[:0]
+	for i := 0; i < n; i++ {
+		c := &pl.cands[i]
+		if c.err != nil {
+			return i
+		}
+		if c.w.fa == nil {
+			continue
+		}
+		pl.dim = len(c.w.mask)
+		c.lo = len(pl.refs)
+		for _, f := range c.w.fa {
+			for _, g := range c.w.fb {
+				key := [2]int{f.ID, g.ID}
+				j, ok := pl.index[key]
+				if !ok {
+					j = int32(len(pl.pairs))
+					pl.index[key] = j
+					pl.pairs = append(pl.pairs, key)
+					pl.wants = append(pl.wants, make([]bool, pl.dim)...)
+				}
+				pl.refs = append(pl.refs, j)
+				want := pl.wants[int(j)*pl.dim:][:pl.dim]
+				for d, m := range c.w.mask {
+					want[d] = want[d] || !m
+				}
+			}
+		}
+		c.hi = len(pl.refs)
+	}
+	return n
+}
+
+// compute resolves every slot's friend pair on up to w workers — the
+// batch's own fan-out, so a batch of one stays inline — each into its
+// own stretch of the arena when the pair cache declines it.
+func (pl *imputePlan) compute(st *LazyStore, pa, pb platform.ID, w int) {
+	nf := len(pl.pairs)
+	if nf == 0 {
+		return
+	}
+	pl.xs = grow(&pl.xs, nf*pl.dim)
+	pl.masks = grow(&pl.masks, nf*pl.dim)
+	pl.vecs = grow(&pl.vecs, nf)
+	pl.errs = grow(&pl.errs, nf)
+	if w = min(w, nf); w == 1 {
+		for j := range nf {
+			pl.pair(st, pa, pb, j)
+		}
+	} else {
+		parallel.For(w, nf, func(j int) { pl.pair(st, pa, pb, j) })
+	}
+}
+
+// pair resolves slot j.
+func (pl *imputePlan) pair(st *LazyStore, pa, pb platform.ID, j int) {
+	lo, hi := j*pl.dim, (j+1)*pl.dim
+	buf := features.PairVector{X: pl.xs[lo:hi:hi], Mask: pl.masks[lo:hi:hi]}
+	pl.vecs[j], pl.errs[j] = st.rawPair(pa, pl.pairs[j][0], pb, pl.pairs[j][1], pl.wants[lo:hi], buf)
+}
+
+// release drops the plan's references into the pair cache and the
+// friend slices, so recycled scratch keeps no evicted vector alive.
+func (pl *imputePlan) release(n int) {
+	clear(pl.cands[:n])
+	clear(pl.vecs[:len(pl.pairs)])
+	clear(pl.errs[:len(pl.pairs)])
 }
 
 // pendingWalk is what imputeHead leaves to the live Eqn-18 walk: the
@@ -138,20 +279,16 @@ func fillMissing(x linalg.Vector, mask []bool, sums linalg.Vector, count float64
 
 // friendPairSums accumulates the Eqn-18 numerator over the friend lists
 // fa × fb of a pair on (pa, pb) into the zeroed sums and returns the
-// divisor |F_a|·|F_b|. Each friend pair is resolved through rawPair with
-// selector want — nil computes every dimension, which the pack-time
-// BuildImputeTable needs for sums over all of them — into buf when it is
-// computed partially, and is added with addObserved, friendsA-major and
-// friendsB-minor. The batch plan adds its friend pairs in the same order
-// with the same helper, and BuildImputeTable runs this loop, which is
+// divisor |F_a|·|F_b|: the pack-time BuildImputeTable's loop, which
+// needs sums over every dimension, so each friend pair is resolved whole
+// through RawPair. It adds them with addObserved, friendsA-major and
+// friendsB-minor — the order and step of the plan's own sums — which is
 // what makes a table-backed impute bit-identical to a live one rather
 // than merely close.
-func (st *LazyStore) friendPairSums(sums linalg.Vector, fa, fb []graph.Friend, want []bool, buf features.PairVector,
-	pa, pb platform.ID) (float64, error) {
-
+func (st *LazyStore) friendPairSums(sums linalg.Vector, fa, fb []graph.Friend, pa, pb platform.ID) (float64, error) {
 	for _, f := range fa {
 		for _, g := range fb {
-			fpv, err := st.rawPair(pa, f.ID, pb, g.ID, want, buf)
+			fpv, err := st.RawPair(pa, f.ID, pb, g.ID)
 			if err != nil {
 				return 0, err
 			}

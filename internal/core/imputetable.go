@@ -13,11 +13,11 @@ package core
 // resolution, no friend-pair features, no cache traffic.
 //
 // Bit-exactness is by construction, not by tolerance: BuildImputeTable
-// accumulates each entry's sums with friendPairSums — the loop the live
-// single-pair walk runs, and the order and addObserved step the batch
-// plan runs — and fillMissing fills x[d] = sums[d]/count from either
-// source with the one expression, so a table-backed impute returns the
-// exact bits the live path would.
+// accumulates each entry's sums with friendPairSums, which adds the
+// friend pairs in the order and with the addObserved step of the live
+// plan (imputeBatch), and fillMissing fills x[d] = sums[d]/count from
+// either source with the one expression, so a table-backed impute
+// returns the exact bits the live path would.
 // Entries are keyed at the packed topFriends K; a query at any other K,
 // a pair outside the table, or a model without one falls back to the
 // live path, mirroring how the prescreen section degrades to exact-only.
@@ -27,7 +27,6 @@ import (
 	"math"
 	"sync/atomic"
 
-	"hydra/internal/features"
 	"hydra/internal/linalg"
 	"hydra/internal/parallel"
 	"hydra/internal/platform"
@@ -190,7 +189,7 @@ type ImputeTableInput struct {
 // at friend depth topFriends over dimensionality dim. Candidates whose
 // raw vector is complete get no entry — the live path's mask scan
 // already short-circuits them before any friend work. The accumulation
-// runs friendPairSums, the exact float sequence of the live walk, so a
+// runs friendPairSums, the exact float sequence of the live plan, so a
 // table-backed impute is bit-identical by construction. The build
 // parallelizes over candidates (workers ≤ 0 = all cores) with each
 // entry written to its own slot, so the output is identical at any
@@ -237,7 +236,7 @@ func BuildImputeTable(st *LazyStore, topFriends, dim, workers int, inputs []Impu
 			if err != nil {
 				return err
 			}
-			count, err := st.friendPairSums(sums, fa, fb, nil, features.PairVector{}, in.PA, in.PB)
+			count, err := st.friendPairSums(sums, fa, fb, in.PA, in.PB)
 			if err != nil {
 				return err
 			}

@@ -8,13 +8,13 @@ import (
 	"hydra/internal/platform"
 )
 
-// The model codec splits Train from Decision/Score across processes: a
+// The model codec splits Train from Score/Link across processes: a
 // trained Model is reduced to ModelParts — plain exported data that
 // marshals to JSON losslessly (Go's float64 encoding is shortest-uniquely-
 // identifying, so every coefficient round-trips bit-exact) — and rebuilt
 // with ModelFromParts over a feature store: a bundle's, or a freshly
 // systemized dataset's. The restored model produces bit-identical
-// Decision/Score/Link values because all of its inputs (support vectors,
+// Score/Link values because all of its inputs (support vectors,
 // duals, bias, kernel bandwidth, imputation config) are carried verbatim
 // rather than recomputed.
 
@@ -23,7 +23,7 @@ import (
 const KernelRBF = "rbf"
 
 // ModelParts is the serializable state of a trained Model: everything
-// Decision/Score/Link needs, and nothing tied to the training process.
+// Score/Link needs, and nothing tied to the training process.
 type ModelParts struct {
 	// Cfg is the training configuration; Score needs Variant and
 	// TopFriends, the rest is kept for provenance.

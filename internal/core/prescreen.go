@@ -210,7 +210,7 @@ func BuildPrescreen(p ModelParts, opts PrescreenOpts) (*PrescreenParts, error) {
 	// so the parts are bit-identical at any worker count.
 	workers := opts.Workers
 	// Exact decision values at every point, accumulated bias-first —
-	// the same float sequence Decision and the batched scorer run, so
+	// the same float sequence as the exact fold (foldKernel), so
 	// the certification below measures the gap against the value a
 	// query will actually compare with. Minus bias they double as the
 	// regression targets.
@@ -502,7 +502,7 @@ func (m *Model) ImputedPairRows(pa platform.ID, pb platform.ID, pairs [][2]int, 
 	sc := m.getScratch()
 	defer m.scratch.Put(sc)
 	rows := sc.ensureRows(n)
-	if err := m.imputeBatch(sc, rows, pa, pb, pairs, workers); err != nil {
+	if err := m.impute(sc, rows, pa, pb, pairs, workers); err != nil {
 		return nil, err
 	}
 	out := make([]linalg.Vector, n)
@@ -533,7 +533,7 @@ func (m *Model) PrescreenBatchInto(pa platform.ID, pb platform.ID, pairs [][2]in
 	sc := m.getScratch()
 	defer m.scratch.Put(sc)
 	rows := sc.ensureRows(n)
-	if err := m.imputeBatch(sc, rows, pa, pb, pairs, workers); err != nil {
+	if err := m.impute(sc, rows, pa, pb, pairs, workers); err != nil {
 		return err
 	}
 	m.pre.foldInto(out, rows, m.bias, workers)

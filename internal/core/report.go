@@ -26,16 +26,19 @@ type GroupWeight struct {
 func FeatureGroupReport(sys *System, task *Task, variant Variant) ([]GroupWeight, error) {
 	var xs []linalg.Vector
 	var ys []float64
+	var pl imputePlan
 	for _, b := range task.Blocks {
-		for _, ci := range b.SortedLabelIndices() {
-			c := b.Cands[ci]
-			x, err := sys.Impute(b.PA, c.A, b.PB, c.B, variant, 3)
-			if err != nil {
-				return nil, err
-			}
-			xs = append(xs, x)
+		idx := b.SortedLabelIndices()
+		pairs := make([][2]int, len(idx))
+		for i, ci := range idx {
+			pairs[i] = [2]int{b.Cands[ci].A, b.Cands[ci].B}
 			ys = append(ys, b.Labels[ci])
 		}
+		rows, err := sys.imputePairs(&pl, b.PA, b.PB, pairs, variant, 3, 1)
+		if err != nil {
+			return nil, err
+		}
+		xs = append(xs, rows...)
 	}
 	if len(xs) == 0 {
 		return nil, fmt.Errorf("core: FeatureGroupReport needs labeled pairs")

@@ -116,7 +116,7 @@ func (m *Model) imputeRows(sc *scoreScratch, rows []linalg.Vector, rowOK []bool,
 		mp[j] = pairs[i]
 		mr[j] = rows[i]
 	}
-	if err := m.imputeBatch(sc, mr, pa, pb, mp, workers); err != nil {
+	if err := m.impute(sc, mr, pa, pb, mp, workers); err != nil {
 		return nil, err
 	}
 	for j, i := range idx {

@@ -9,10 +9,9 @@ import (
 	"hydra/internal/serve/router"
 )
 
-// Backend wraps a router.Backend with scripted faults. It deliberately
-// does NOT implement router.TopKAppender even when the inner backend
-// does: a faulty replica must exercise the router's timed network path
-// (per-attempt timeouts, hedging), not the in-process fast path.
+// Backend wraps a router.Backend with scripted faults: each call first
+// applies what the injector decides for its target (an error, a hang
+// or added latency), then delegates to the inner backend.
 type Backend struct {
 	Inner  router.Backend
 	Inj    *Injector

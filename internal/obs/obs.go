@@ -155,10 +155,23 @@ type requestLog struct {
 	Endpoint string  `json:"endpoint"`
 }
 
+// endpointLabel maps a request path to its endpoint label: the path
+// itself for the serving front-end's routes (serve.FrontEnd) and
+// /metrics, "other" for any other path. Both servers mount the front-end
+// at "/", so a client can send any path; labelling by the raw path would
+// give each one it invents a permanent series and histogram.
+func endpointLabel(path string) string {
+	switch path {
+	case "/healthz", "/score", "/link", "/topk", "/metrics":
+		return path
+	}
+	return "other"
+}
+
 // Middleware wraps an HTTP handler with metrics collection and, when
 // logs is non-nil, one JSON log line per request. The endpoint label is
-// the request path, which for the serving tier's fixed mux is a closed
-// set (no cardinality explosion).
+// one of a closed set (see endpointLabel), so the page stays bounded
+// whatever paths clients send; the log line keeps the raw path.
 func Middleware(next http.Handler, m *Metrics, logs io.Writer) http.Handler {
 	var logMu sync.Mutex
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -166,7 +179,7 @@ func Middleware(next http.Handler, m *Metrics, logs io.Writer) http.Handler {
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		next.ServeHTTP(rec, r)
 		d := time.Since(start)
-		endpoint := r.URL.Path
+		endpoint := endpointLabel(r.URL.Path)
 		if m != nil {
 			m.Observe(endpoint, d, rec.status)
 		}

@@ -3,10 +3,12 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -59,7 +61,7 @@ func TestMiddlewareMetricsAndLogs(t *testing.T) {
 	var logBuf bytes.Buffer
 	h := Middleware(inner, m, &logBuf)
 
-	for _, path := range []string{"/ok", "/ok", "/bad"} {
+	for _, path := range []string{"/score", "/score", "/bad"} {
 		req := httptest.NewRequest(http.MethodGet, path, nil)
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
@@ -68,11 +70,11 @@ func TestMiddlewareMetricsAndLogs(t *testing.T) {
 	var buf bytes.Buffer
 	m.Render(&buf)
 	out := buf.String()
-	if !strings.Contains(out, `hydra_requests_total{endpoint="/ok"} 2`) {
-		t.Errorf("middleware did not count /ok requests:\n%s", out)
+	if !strings.Contains(out, `hydra_requests_total{endpoint="/score"} 2`) {
+		t.Errorf("middleware did not count /score requests:\n%s", out)
 	}
-	if !strings.Contains(out, `hydra_request_errors_total{endpoint="/bad"} 1`) {
-		t.Errorf("middleware did not count /bad error:\n%s", out)
+	if !strings.Contains(out, `hydra_request_errors_total{endpoint="other"} 1`) {
+		t.Errorf("middleware did not count the unknown path's error under other:\n%s", out)
 	}
 
 	lines := strings.Split(strings.TrimSpace(logBuf.String()), "\n")
@@ -80,16 +82,17 @@ func TestMiddlewareMetricsAndLogs(t *testing.T) {
 		t.Fatalf("want 3 log lines, got %d: %q", len(lines), logBuf.String())
 	}
 	var last struct {
-		Method string  `json:"method"`
-		Path   string  `json:"path"`
-		Status int     `json:"status"`
-		Millis float64 `json:"ms"`
-		Time   string  `json:"time"`
+		Method   string  `json:"method"`
+		Path     string  `json:"path"`
+		Status   int     `json:"status"`
+		Millis   float64 `json:"ms"`
+		Time     string  `json:"time"`
+		Endpoint string  `json:"endpoint"`
 	}
 	if err := json.Unmarshal([]byte(lines[2]), &last); err != nil {
 		t.Fatalf("log line is not JSON: %v: %q", err, lines[2])
 	}
-	if last.Method != "GET" || last.Path != "/bad" || last.Status != http.StatusBadRequest {
+	if last.Method != "GET" || last.Path != "/bad" || last.Status != http.StatusBadRequest || last.Endpoint != "other" {
 		t.Errorf("log line fields wrong: %+v", last)
 	}
 	if _, err := time.Parse(time.RFC3339Nano, last.Time); err != nil {
@@ -150,5 +153,51 @@ func TestMetricsHandler(t *testing.T) {
 	}
 	if !strings.Contains(rec.Body.String(), "hydra_requests_total") {
 		t.Errorf("handler body missing metrics:\n%s", rec.Body.String())
+	}
+}
+
+// TestMiddlewareUnknownPathsConcurrent sends 1 000 distinct invented
+// paths from eight goroutines, between requests to the known routes: the
+// page must keep one series per known endpoint plus "other", which counts
+// every invented path.
+func TestMiddlewareUnknownPathsConcurrent(t *testing.T) {
+	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/score" && r.URL.Path != "/topk" {
+			http.NotFound(w, r)
+		}
+	})
+	m := NewMetrics()
+	h := Middleware(inner, m, nil)
+	const workers, perWorker = 8, 125
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				for _, path := range []string{fmt.Sprintf("/x%d", g*perWorker+i), "/score", "/topk"} {
+					h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, path, nil))
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	var buf bytes.Buffer
+	m.Render(&buf)
+	out := buf.String()
+	if n := strings.Count(out, "hydra_requests_total{"); n != 3 {
+		t.Fatalf("%d request-count series after %d invented paths, want 3 (/score, /topk, other):\n%s",
+			n, workers*perWorker, out)
+	}
+	for _, want := range []string{
+		`hydra_requests_total{endpoint="other"} 1000`,
+		`hydra_request_errors_total{endpoint="other"} 1000`,
+		`hydra_requests_total{endpoint="/score"} 1000`,
+		`hydra_requests_total{endpoint="/topk"} 1000`,
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("page missing %q:\n%s", want, out)
+		}
 	}
 }

@@ -46,16 +46,6 @@ type Backend interface {
 	TopK(ctx context.Context, pa platform.ID, a int, pb platform.ID, k int) ([]serve.Scored, uint64, error)
 }
 
-// TopKAppender is the allocation-free upgrade of Backend.TopK: results
-// append into a caller-recycled buffer instead of a fresh slice. Only
-// in-process backends implement it — the call is synchronous and never
-// blocks on I/O, so the router also skips the per-attempt timeout
-// context (and its allocations) for these; context cancellation is
-// still honored between failover attempts.
-type TopKAppender interface {
-	TopKAppend(ctx context.Context, dst []serve.Scored, pa platform.ID, a int, pb platform.ID, k int) ([]serve.Scored, uint64, error)
-}
-
 // queryError marks an error as belonging to the query itself (bad
 // platform, out-of-range account, mis-routed pair) rather than to the
 // replica that reported it: retrying another replica would return the
@@ -77,8 +67,8 @@ func IsQueryError(err error) bool {
 // pinning it for the call exactly as the HTTP front-end does (serve.Pin),
 // so a hot swap cannot unmap a mapped engine under an in-flight query.
 // It is how the router tests its scatter-gather against real engines
-// without network plumbing, and how one process can serve all shards of
-// a small deployment.
+// without network plumbing. The router treats it like any other
+// backend: its top-k attempts are timed and hedged as HTTP ones are.
 type Local struct {
 	Src serve.EngineSource
 	// Label names the backend in errors ("local-0" style).
@@ -110,17 +100,11 @@ func (l *Local) ScoreBatch(ctx context.Context, pa, pb platform.ID, pairs [][2]i
 }
 
 func (l *Local) TopK(ctx context.Context, pa platform.ID, a int, pb platform.ID, k int) ([]serve.Scored, uint64, error) {
-	return l.TopKAppend(ctx, nil, pa, a, pb, k)
-}
-
-// TopKAppend implements TopKAppender: the engine's own append form does
-// the work, so a warm query with a recycled dst allocates nothing.
-func (l *Local) TopKAppend(ctx context.Context, dst []serve.Scored, pa platform.ID, a int, pb platform.ID, k int) ([]serve.Scored, uint64, error) {
 	eng, gen := serve.Pin(l.Src)
 	defer eng.Release()
-	res, err := eng.TopKAppend(dst, pa, a, pb, k)
+	res, err := eng.TopK(pa, a, pb, k)
 	if err != nil {
-		return res, gen, queryError{err}
+		return nil, gen, queryError{err}
 	}
 	return res, gen, nil
 }

@@ -7,8 +7,8 @@ import (
 )
 
 // breaker is one replica's circuit breaker. The classic three-state
-// machine, all-atomic so the zero-alloc scatter path pays one atomic
-// load per replica check:
+// machine, all-atomic so the scatter pays one atomic load per replica
+// check and never takes a lock:
 //
 //   - closed: calls flow; BreakerThreshold consecutive failures trip it
 //     open.

@@ -10,15 +10,13 @@ import (
 	"hydra/internal/serve"
 )
 
-// Tied hedged requests for the network top-k scatter: when a replica
-// has not answered after the hedge delay, the same query is fired at a
-// backup replica and the first success wins — the loser's context is
-// cancelled and its outcome is abandoned so it cannot poison the
-// winner's breaker bookkeeping. Only non-TopKAppender (network)
-// backends hedge: an in-process call cannot straggle on I/O, and the
-// zero-alloc scatter guarantee would not survive timers and channels.
+// Tied hedged requests for the top-k scatter: when a replica has not
+// answered after the hedge delay, the same query is fired at a backup
+// replica and the first success wins — the loser's context is cancelled
+// and its outcome is abandoned so it cannot poison the winner's breaker
+// bookkeeping. Every top-k attempt runs this way, whatever the backend.
 
-// latWindow is a shard's ring of recent successful network-attempt
+// latWindow is a shard's ring of recent successful top-k attempt
 // latencies; its p99 drives the adaptive hedge delay ("hedge only when
 // this attempt is already slower than almost everything we've seen").
 type latWindow struct {
@@ -57,7 +55,7 @@ func (w *latWindow) p99() time.Duration {
 	return s[idx]
 }
 
-// hedgeDelay is how long a shard's network attempt may run before the
+// hedgeDelay is how long a shard's top-k attempt may run before the
 // backup fires: a fixed Options.HedgeAfter when set, otherwise the
 // shard's observed p99 clamped to [hedgeMin, timeout/2], falling back
 // to timeout/4 before enough samples exist.
@@ -80,17 +78,16 @@ type hedgeFlight struct {
 	ab     *atomic.Bool
 }
 
-// timedTopK runs one network top-k attempt against reps[idx] with the
+// timedTopK runs one top-k attempt against reps[idx] with the
 // per-attempt timeout (capped by the deadline budget), hedging to the
 // next breaker-closed replica after the hedge delay. It owns breaker
 // and latency bookkeeping for the calls it fires, counts each in the
-// walk's attempts, and on success copies the winner into j.res/j.gen
-// and returns the winning replica index. The returned error is already
-// wrapped with the replica name (unless it is a query error, which
-// propagates untouched).
+// walk's attempts, and on success stores the winner's answer in
+// j.res/j.gen and returns the winning replica index. The returned error
+// is already wrapped with the replica name (unless it is a query error,
+// which propagates untouched).
 func (r *Router) timedTopK(j *topkJob, idx int, w *walk) (int, error) {
-	// Copies, not w: the flights below outlive this call, and a walk
-	// they captured would move to the heap on the in-process path too.
+	// Copies, not w: the flights below can outlive this call.
 	reps, budgetT, hasBudget := w.reps, w.budgetT, w.hasBudget
 	type outcome struct {
 		idx int
@@ -102,27 +99,24 @@ func (r *Router) timedTopK(j *topkJob, idx int, w *walk) (int, error) {
 	launch := func(i int) hedgeFlight {
 		cctx, cancel := r.attemptCtx(j.ctx, budgetT, hasBudget)
 		ab := &atomic.Bool{}
-		// The flight reads the query from copies, never from j: the job is
-		// pooled, and a flight that lost (or was left behind by a
-		// cancelled request) can still be running when the next query
-		// rewrites j's fields.
-		si, pa, a, pb, k := j.si, j.pa, j.a, j.pb, j.k
+		// A flight reads only j's query fields, which nothing writes once
+		// the fan-out has built the job.
 		go func() {
 			defer cancel()
 			t0 := time.Now()
-			res, gen, err := reps[i].TopK(cctx, pa, a, pb, k)
+			res, gen, err := reps[i].TopK(cctx, j.pa, j.a, j.pb, j.k)
 			dur := time.Since(t0)
 			if ab.Load() {
 				return // abandoned: the winner already answered and cancelled us
 			}
 			switch {
 			case err == nil:
-				r.breakers[si][i].success()
-				r.lats[si].record(dur)
+				r.breakers[j.si][i].success()
+				r.lats[j.si].record(dur)
 			case IsQueryError(err):
-				r.breakers[si][i].success() // the replica answered; the query is at fault
+				r.breakers[j.si][i].success() // the replica answered; the query is at fault
 			default:
-				r.breakerFailure(si, i)
+				r.breakerFailure(j.si, i)
 			}
 			ch <- outcome{idx: i, res: res, gen: gen, err: err}
 		}()
@@ -177,8 +171,7 @@ func (r *Router) timedTopK(j *topkJob, idx int, w *walk) (int, error) {
 				loser = back
 			}
 			if oc.err == nil {
-				j.res = append(j.res[:0], oc.res...)
-				j.gen = oc.gen
+				j.res, j.gen = oc.res, oc.gen
 				if hedged {
 					if oc.idx == backup {
 						r.robust.hedgeWon.Add(1)

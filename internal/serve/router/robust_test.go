@@ -53,8 +53,7 @@ func (c *countingBackend) TopK(ctx context.Context, pa platform.ID, a int, pb pl
 }
 
 // slowBackend delays every query before delegating — a straggling
-// replica. It intentionally does not implement TopKAppender, so the
-// router treats it as a network replica (timed attempts, hedging).
+// replica.
 type slowBackend struct {
 	name  string
 	inner Backend
@@ -90,19 +89,6 @@ func (s *slowBackend) TopK(ctx context.Context, pa platform.ID, a int, pb platfo
 		return nil, 0, err
 	}
 	return s.inner.TopK(ctx, pa, a, pb, k)
-}
-
-// netBackend strips the TopKAppender fast path off an in-process
-// backend, forcing the router's timed/hedged network path.
-type netBackend struct{ inner Backend }
-
-func (n *netBackend) Name() string                               { return n.inner.Name() }
-func (n *netBackend) Health(ctx context.Context) (Health, error) { return n.inner.Health(ctx) }
-func (n *netBackend) ScoreBatch(ctx context.Context, pa, pb platform.ID, pairs [][2]int) ([]float64, uint64, error) {
-	return n.inner.ScoreBatch(ctx, pa, pb, pairs)
-}
-func (n *netBackend) TopK(ctx context.Context, pa platform.ID, a int, pb platform.ID, k int) ([]serve.Scored, uint64, error) {
-	return n.inner.TopK(ctx, pa, a, pb, k)
 }
 
 // TestBreakerCapsDeadShardTraffic hard-downs every replica of one shard
@@ -245,13 +231,15 @@ func TestBreakerHalfOpenProbeRecovers(t *testing.T) {
 // TestHedgeStragglerFirstAnswerWins pairs a straggling replica with a
 // fast one: the hedge must fire after the configured delay, the fast
 // backup's answer must win (bit-identical to the single engine), the
-// straggler must be cancelled, and the counters must say so.
+// straggler must be cancelled, the counters must say so, and the winner
+// must become the shard's preferred replica, where the next query's
+// first attempt goes.
 func TestHedgeStragglerFirstAnswerWins(t *testing.T) {
 	e := getEnv(t)
 	ctx := context.Background()
 	shards, engines := shardBackends(t, 1, 1)
 	slow := &slowBackend{name: "slow", inner: shards[0][0], delay: 30 * time.Second}
-	fast := &netBackend{inner: &Local{Src: engines[0], Label: "fast"}}
+	fast := &Local{Src: engines[0], Label: "fast"}
 	r, err := New([][]Backend{{slow, fast}}, Options{HedgeAfter: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
@@ -281,14 +269,23 @@ func TestHedgeStragglerFirstAnswerWins(t *testing.T) {
 		t.Fatalf("hedge counters: fired=%d won=%d cancelled=%d, want all > 0",
 			st.HedgeFired, st.HedgeWon, st.HedgeCancelled)
 	}
-	// The winner becomes the preferred replica: the next query goes to
-	// the fast one directly, no hedge needed.
-	fired := st.HedgeFired
-	if res2, err := r.TopK(ctx, e.pair[0], 1, e.pair[1], 5); err != nil || res2.Degraded {
+	// The winner becomes the preferred replica, so the next query's
+	// first attempt goes to the fast one. Read off the walk itself, not
+	// the hedge counter: whether the fast replica answers inside the
+	// hedge delay is a race against the timer.
+	if got := r.pref[0].Load(); got != 1 {
+		t.Fatalf("preferred replica = %d after the fast backup won, want 1", got)
+	}
+	w := r.newWalk(ctx, 0)
+	if idx, err := w.next(); err != nil || idx != 1 {
+		t.Fatalf("next query's first attempt goes to replica %d (err %v), want the fast replica 1", idx, err)
+	}
+	res2, err := r.TopK(ctx, e.pair[0], 1, e.pair[1], 5)
+	if err != nil || res2.Degraded {
 		t.Fatalf("post-hedge query: err=%v res=%+v", err, res2)
 	}
-	if got := r.RobustStats().HedgeFired; got != fired {
-		t.Fatalf("preferred replica not updated: hedge fired again (%d -> %d)", fired, got)
+	if want2, _ := e.single.TopK(e.pair[0], 1, e.pair[1], 5); !reflect.DeepEqual(res2.Results, want2) {
+		t.Fatal("post-hedge answer differs from single engine")
 	}
 }
 

@@ -52,13 +52,11 @@ type Options struct {
 	// to breakerMaxOpen).
 	BreakerThreshold int
 	BreakerOpenFor   time.Duration
-	// HedgeAfter is the tied-hedged-request delay for network top-k
+	// HedgeAfter is the tied-hedged-request delay for the top-k
 	// scatter: after this long without a primary answer, the same query
 	// is fired at a backup replica and the first answer wins (the loser
 	// is cancelled). 0 (the default) adapts the delay to the shard's
-	// observed p99 attempt latency; negative disables hedging. Shards
-	// with in-process replicas never hedge (the call cannot straggle on
-	// I/O, and hedging would cost the zero-alloc path its guarantee).
+	// observed p99 attempt latency; negative disables hedging.
 	HedgeAfter time.Duration
 	// DefaultBudget, when positive, is the end-to-end deadline budget
 	// the HTTP front-end applies to requests that carry no deadline
@@ -131,13 +129,9 @@ type Router struct {
 	// on every query.
 	pref []atomic.Int32
 
-	// gather pools the top-k scatter/merge state (see topkGather) so the
-	// warm fan-out path allocates nothing.
-	gather sync.Pool
-
 	// breakers[si][ri] gates shard si's replica ri (see breaker.go).
 	breakers [][]breaker
-	// lats[si] is the shard's recent successful network-attempt latency
+	// lats[si] is the shard's recent successful top-k attempt latency
 	// window, feeding the adaptive hedge delay.
 	lats   []latWindow
 	robust robustCounters
@@ -293,8 +287,7 @@ func (r *Router) shardFor(pb platform.ID, b int) (int, error) {
 // exponential backoff between passes, bounded by the per-request retry
 // budget. Replicas whose circuit breaker is open are skipped without
 // paying a call or an attempt; if a whole pass admits nothing, the shard
-// fails fast. A plain struct on the caller's stack: the warm scatter
-// path walks it without allocating.
+// fails fast.
 type walk struct {
 	r           *Router
 	ctx         context.Context
@@ -493,56 +486,24 @@ type TopKResult struct {
 	FailedShards []int `json:"failed_shards,omitempty"`
 }
 
-// topkJob is one shard's slot in a pooled top-k fan-out: the query, the
-// shard's reusable answer buffer, and the outcome. run is the job's
-// goroutine body, bound once when the gather is built: spawning a method
-// goroutine (go r.runTopKJob(&jobs[si])) boxes the argument on every
-// scatter — one allocation per shard per query — while `go j.run()`
-// launches a funcval that already exists, so the warm scatter allocates
-// nothing.
+// topkJob is one shard's slot in a top-k fan-out: the query and the
+// shard's outcome.
 type topkJob struct {
-	ctx   context.Context
-	owner *topkGather // the gather whose WaitGroup the job signals
-	run   func()      // () => r.runTopKJob(job), prebound at gather build
-	pa    platform.ID
-	pb    platform.ID
-	a     int
-	k     int
-	si    int
-	res   []serve.Scored // reused across queries; only its storage persists
-	gen   uint64
-	err   error
+	ctx context.Context
+	pa  platform.ID
+	pb  platform.ID
+	a   int
+	k   int
+	si  int
+	res []serve.Scored
+	gen uint64
+	err error
 }
-
-// topkGather is the pooled scatter/merge state of one top-k fan-out:
-// per-shard job slots (each keeping its answer buffer), the generation
-// list, and a reusable sorter over the merged rows. One gather serves
-// one query at a time; the pool recycles them across queries so the
-// warm scatter-gather path allocates nothing.
-type topkGather struct {
-	jobs   []topkJob
-	wg     sync.WaitGroup
-	gens   []uint64
-	sorter mergeSorter
-}
-
-// mergeSorter sorts the merged rows by the engine's exact (score
-// descending, B ascending) order — a pooled sort.Interface, because a
-// sort.Slice closure would allocate on every query.
-type mergeSorter struct{ s []serve.Scored }
-
-func (ms *mergeSorter) Len() int           { return len(ms.s) }
-func (ms *mergeSorter) Swap(i, j int)      { ms.s[i], ms.s[j] = ms.s[j], ms.s[i] }
-func (ms *mergeSorter) Less(i, j int) bool { return serve.ScoredLess(ms.s[i], ms.s[j]) }
 
 // runTopKJob answers one shard's slice of a top-k fan-out over the same
-// failover walk as callShard, stepped inline so the hot path carries no
-// per-query closures: in-process TopKAppender backends append into the
-// job's recycled buffer and skip the timeout context entirely (the call
-// cannot block on I/O); network backends go through timedTopK, which
-// adds tied hedging and does its flights' breaker bookkeeping itself.
+// failover walk as callShard, each attempt through timedTopK, which adds
+// tied hedging and does its flights' breaker bookkeeping itself.
 func (r *Router) runTopKJob(j *topkJob) {
-	defer j.owner.wg.Done()
 	w := r.newWalk(j.ctx, j.si)
 	for {
 		idx, err := w.next()
@@ -550,25 +511,14 @@ func (r *Router) runTopKJob(j *topkJob) {
 			j.err = err
 			return
 		}
-		if ta, ok := w.reps[idx].(TopKAppender); ok {
-			w.attempts++
-			j.res, j.gen, err = ta.TopKAppend(j.ctx, j.res[:0], j.pa, j.a, j.pb, j.k)
-			if !w.settle(idx, err) {
-				continue
-			}
-		} else {
-			var winner int
-			winner, err = r.timedTopK(j, idx, &w)
-			switch {
-			case err == nil:
-				r.pref[j.si].Store(int32(winner))
-			case !IsQueryError(err):
-				w.lastErr = err
-				continue
-			}
-		}
-		if err == nil {
+		winner, err := r.timedTopK(j, idx, &w)
+		switch {
+		case err == nil:
+			r.pref[j.si].Store(int32(winner))
 			r.noteGen(j.si, j.gen)
+		case !IsQueryError(err):
+			w.lastErr = err
+			continue
 		}
 		j.err = err
 		return
@@ -582,41 +532,31 @@ func (r *Router) TopK(ctx context.Context, pa platform.ID, a int, pb platform.ID
 }
 
 // TopKAppend is TopK appending the merged rows into dst (which may be
-// nil) — the allocation-free form the HTTP front-end recycles buffers
-// through. Every live shard ranks its own slice and the router merges
-// the heaps with the engine's exact (score desc, B asc) tie-break —
+// nil). Every live shard ranks its own slice and the router merges the
+// rows with the engine's exact (score desc, B asc) tie-break —
 // bit-identical to a single engine over the unsplit bundle when all
 // shards answer. k ≤ 0 returns the full merged ranking. One bundle
-// generation answers the whole fan-out: a scatter straddling a hot
-// swap is re-fanned-out, and if generations still differ (a rolling
-// swap in progress), the answer comes from the newest-generation
-// shards alone, with the stale ones flagged in FailedShards — a
-// response never mixes generations. A shard that stays down after
-// replica failover likewise makes the response Degraded instead of an
-// error. The scatter state (per-shard answer buffers, generation list,
-// merge sorter) comes from a pool, so a warm query with a recycled dst
-// allocates nothing on the all-shards-healthy path.
+// generation answers the whole fan-out: a scatter straddling a hot swap
+// is re-fanned-out, and if generations still differ (a rolling swap in
+// progress), the answer comes from the newest-generation shards alone,
+// with the stale ones flagged in FailedShards — a response never mixes
+// generations. A shard that stays down after replica failover likewise
+// makes the response Degraded instead of an error.
 func (r *Router) TopKAppend(ctx context.Context, dst []serve.Scored, pa platform.ID, a int, pb platform.ID, k int) (TopKResult, error) {
-	g, _ := r.gather.Get().(*topkGather)
-	if g == nil {
-		g = &topkGather{jobs: make([]topkJob, len(r.shards))}
-		for si := range g.jobs {
-			j := &g.jobs[si]
-			j.run = func() { r.runTopKJob(j) }
-		}
-	}
-	defer r.gather.Put(g)
 	for attempt := 0; ; attempt++ {
-		jobs := g.jobs
-		g.wg.Add(len(jobs))
+		jobs := make([]topkJob, len(r.shards))
+		var wg sync.WaitGroup
 		for si := range jobs {
 			j := &jobs[si]
-			j.ctx, j.pa, j.a, j.pb, j.k, j.si = ctx, pa, a, pb, k, si
-			j.owner = g
-			go j.run()
+			*j = topkJob{ctx: ctx, pa: pa, a: a, pb: pb, k: k, si: si}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				r.runTopKJob(j)
+			}()
 		}
-		g.wg.Wait()
-		gens := g.gens[:0]
+		wg.Wait()
+		var gens []uint64
 		for i := range jobs {
 			if jobs[i].err != nil {
 				if IsQueryError(jobs[i].err) {
@@ -626,7 +566,6 @@ func (r *Router) TopKAppend(ctx context.Context, dst []serve.Scored, pa platform
 			}
 			gens = append(gens, jobs[i].gen)
 		}
-		g.gens = gens
 		if len(gens) == 0 {
 			var firstErr error
 			for i := range jobs {
@@ -649,7 +588,7 @@ func (r *Router) TopKAppend(ctx context.Context, dst []serve.Scored, pa platform
 			}
 		}
 		merged := dst[:0]
-		var failed []int // allocated only on the degraded path
+		var failed []int
 		for si := range jobs {
 			if jobs[si].err != nil || jobs[si].gen != target {
 				failed = append(failed, si)
@@ -657,9 +596,7 @@ func (r *Router) TopKAppend(ctx context.Context, dst []serve.Scored, pa platform
 			}
 			merged = append(merged, jobs[si].res...)
 		}
-		g.sorter.s = merged
-		sort.Sort(&g.sorter)
-		g.sorter.s = nil
+		sort.Slice(merged, func(i, j int) bool { return serve.ScoredLess(merged[i], merged[j]) })
 		if k > 0 && len(merged) > k {
 			merged = merged[:k]
 		}

@@ -654,41 +654,6 @@ func TestRouterRelaysImputeHealth(t *testing.T) {
 	}
 }
 
-// TestScatterGatherSteadyStateAllocs pins the pooled scatter/merge
-// path: a warm top-k fan-out over in-process shards, appending into a
-// recycled result buffer, allocates nothing at all. The spawn loop
-// launches prebound per-job closures (`go j.run()`), so not even the
-// goroutine-argument box survives; answer buffers, generation list,
-// merge sorter, and timeout contexts are pooled or elided. (Named
-// outside the race filter on purpose: the race runtime inflates
-// AllocsPerRun.)
-func TestScatterGatherSteadyStateAllocs(t *testing.T) {
-	e := getEnv(t)
-	shards, _ := shardBackends(t, 4, 1)
-	r := newRouter(t, shards)
-	ctx := context.Background()
-	var dst []serve.Scored
-	for i := 0; i < 8; i++ { // warm the pools and the shard engines
-		res, err := r.TopKAppend(ctx, dst[:0], e.pair[0], i%e.nA, e.pair[1], 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Degraded {
-			t.Fatalf("degraded response from healthy shards: %+v", res)
-		}
-		dst = res.Results
-	}
-	if avg := testing.AllocsPerRun(200, func() {
-		res, err := r.TopKAppend(ctx, dst[:0], e.pair[0], 3, e.pair[1], 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dst = res.Results
-	}); avg > 0 {
-		t.Fatalf("warm scatter-gather top-k allocates %.1f allocs/op, want 0", avg)
-	}
-}
-
 // retiredFirst is an EngineSource caught mid-swap: its first Current
 // yields the generation that has just been retired, every later one the
 // live engine — the window Swappable leaves between a caller's pointer
@@ -735,8 +700,8 @@ func TestRouterLocalPinsEngine(t *testing.T) {
 			_, gen, err := l.ScoreBatch(ctx, e.pair[0], e.pair[1], [][2]int{{0, want[0].B}})
 			return gen, err
 		},
-		"TopKAppend": func(l *Local) (uint64, error) {
-			got, gen, err := l.TopKAppend(ctx, nil, e.pair[0], 0, e.pair[1], 5)
+		"TopK": func(l *Local) (uint64, error) {
+			got, gen, err := l.TopK(ctx, e.pair[0], 0, e.pair[1], 5)
 			if err == nil && !reflect.DeepEqual(got, want) {
 				err = fmt.Errorf("rows %v, want the live engine's %v", got, want)
 			}
