@@ -43,7 +43,10 @@ test:
 # race exercises the worker-pool and serving concurrency paths under the
 # race detector — the serving engines (in-memory and mapped bundles and
 # the tests' builder-backed reference, TestServe*, including the
-# hot-swap drills), the scatter-gather router (TestRouter*), the chaos
+# hot-swap drills), the scatter-gather router (TestRouter*), its one
+# attempt path's hedged and unhedged flights (TestHedge*: a hedge loser
+# answering after its call returned must leave the returned rows alone)
+# and breakers (TestBreaker*), the chaos
 # suite with its live-listener HTTP drill (TestChaos*), the two-tier
 # prescreen oracles (TestPrescreen*) and its fanned-out pack-time build
 # (TestBuildPrescreenWorkersBitIdentical), the pack-time impute table vs
@@ -74,8 +77,11 @@ race:
 # real HTTP listeners) against the hardened router, every answer
 # asserted byte-identical to the fault-free single engine or truthfully
 # degraded — plus the router's own failover, breaker, hedge and budget
-# tests, all under the race detector: both packages walk the one
-# failover iterator, and a race there is a wrong answer under load.
+# tests (among them the half-open wedge and deterministic score-batch
+# error regressions), all under the race detector: every routed call in
+# both packages steps the one attempt path (router.call: the failover
+# walk, one flight per attempt, a hedged second flight for top-k), and a
+# race there is a wrong answer under load.
 # internal/faults is test-only: the injector, its HTTP and backend
 # wrappers and the suite are all _test.go files, so no binary links them.
 # Deterministic — a failure replays with
@@ -88,12 +94,15 @@ chaos:
 # which files a server accepts, and the world decoder which files
 # training accepts. FuzzReadersAgree holds ReadBundle to the tests'
 # reference decoder (same verdict, equal bundles, a clean round trip);
-# FuzzOpenBundleMapped drives the lazy open and entry reads. Long runs
+# FuzzOpenBundleMapped drives the lazy open and entry reads. Each new
+# interesting input is minimized for at most 100 runs: at the default
+# (60 s per input) a fresh fuzz cache spends the whole 10 s minimizing,
+# and FuzzReadersAgree made ≈ 1.2 k execs instead of ≈ 100 k. Long runs
 # are manual (`go test -fuzz FuzzReadersAgree -fuzztime 10m ./internal/pipeline/`).
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzReadersAgree -fuzztime 10s ./internal/pipeline/
-	$(GO) test -run '^$$' -fuzz FuzzOpenBundleMapped -fuzztime 10s ./internal/pipeline/
-	$(GO) test -run '^$$' -fuzz FuzzDecodeWorld -fuzztime 10s ./internal/platform/
+	$(GO) test -run '^$$' -fuzz FuzzReadersAgree -fuzztime 10s -fuzzminimizetime 100x ./internal/pipeline/
+	$(GO) test -run '^$$' -fuzz FuzzOpenBundleMapped -fuzztime 10s -fuzzminimizetime 100x ./internal/pipeline/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeWorld -fuzztime 10s -fuzzminimizetime 100x ./internal/platform/
 
 # bench-smoke runs every serve benchmark (among them
 # BenchmarkServeTopKColdSweep, which reports the pair cache's

@@ -50,7 +50,7 @@ func main() {
 		logRequests     = flag.Bool("log-requests", false, "write one JSON log line per HTTP request to stderr")
 		drainTimeout    = flag.Duration("drain-timeout", 30*time.Second, "how long in-flight requests get to finish on SIGINT/SIGTERM")
 		refreshInterval = flag.Duration("refresh-interval", 30*time.Second, "re-probe the serving set in the background on this jittered interval so recovered replicas rejoin without SIGHUP (0 disables; SIGHUP stays the forced path)")
-		hedgeAfter      = flag.Duration("hedge-after", 0, "tied hedged top-k requests: fire the backup replica after this delay (0 = adaptive p99-based, negative disables)")
+		hedgeAfter      = flag.Duration("hedge-after", 0, "tied hedged top-k requests: fire the backup replica after this delay (0 = adaptive, from the slowest recent attempt; negative disables)")
 		defaultBudget   = flag.Duration("default-budget", 0, "end-to-end deadline budget applied to requests without an "+`X-Hydra-Deadline-Ms`+" header (0 = unbudgeted)")
 	)
 	flag.Parse()

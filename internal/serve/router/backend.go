@@ -59,6 +59,9 @@ func (q queryError) Unwrap() error { return q.err }
 // IsQueryError reports whether err came from the query itself rather
 // than a replica failure (see queryError).
 func IsQueryError(err error) bool {
+	if err == nil {
+		return false // before q, which escapes: the common case allocates nothing
+	}
 	var q queryError
 	return errors.As(err, &q)
 }

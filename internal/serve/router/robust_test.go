@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -539,5 +540,258 @@ func TestRouterShedReplicaFailsOver(t *testing.T) {
 	}
 	if !reflect.DeepEqual(scored.Scores, wantScores) {
 		t.Fatal("scores through a shedding replica differ from the unsplit engine")
+	}
+}
+
+// TestBreakerSpentBudgetLeavesNoHalfOpenWedge is the half-open wedge
+// regression: a walk whose retry budget is spent must not claim a
+// breaker's half-open probe slot it can no longer fire. Replica 1 was
+// the preferred replica and tripped; replica 0 stays down and takes
+// 250 ms to fail, long enough for replica 1's open window (≤ 100 ms) to
+// run out. With a budget of one attempt, the walk that failed on replica 0
+// used to step onto replica 1, claim its probe slot, and return
+// "retry budget exhausted" — leaving it half-open for good, so every
+// later call failed fast although replica 1 was healthy.
+func TestBreakerSpentBudgetLeavesNoHalfOpenWedge(t *testing.T) {
+	e := getEnv(t)
+	ctx := context.Background()
+	shards, _ := shardBackends(t, 1, 1)
+	down := &slowBackend{name: "down-0", inner: &countingBackend{name: "dead-0"}, delay: 250 * time.Millisecond}
+	healthy := &countingBackend{name: "up-1", inner: shards[0][0]}
+	healthy.up.Store(true)
+	r, err := New([][]Backend{{down, healthy}}, Options{
+		MaxAttempts:      1,
+		BreakerThreshold: 1,
+		BreakerOpenFor:   100 * time.Millisecond,
+		HedgeAfter:       -1,
+		BackoffBase:      time.Microsecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.pref[0].Store(1)
+	r.breakerFailure(0, 1)
+	if _, err := r.TopK(ctx, e.pair[0], 0, e.pair[1], 5); err == nil || !strings.Contains(err.Error(), "retry budget exhausted") {
+		t.Fatalf("call over a down replica and a tripped one: err = %v, want retry budget exhausted", err)
+	}
+
+	want, _ := e.single.TopK(e.pair[0], 0, e.pair[1], 5)
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		res, err := r.TopK(ctx, e.pair[0], 0, e.pair[1], 5)
+		if err == nil {
+			if !reflect.DeepEqual(res.Results, want) {
+				t.Fatal("answer after recovery differs from the single engine")
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("healthy replica never readmitted (breaker %q): %v", r.breakers[0][1].stateName(), err)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := r.breakers[0][1].stateName(); got != "closed" {
+		t.Fatalf("healthy replica's breaker = %q after it answered, want closed", got)
+	}
+}
+
+// TestBreakerHalfOpenProbeIsNeverHedged: a top-k attempt that holds a
+// replica's half-open probe slot is not hedged. Abandoning the probe to
+// a faster backup would leave the slow but healthy replica half-open
+// for good; instead the probe answers and closes its breaker.
+func TestBreakerHalfOpenProbeIsNeverHedged(t *testing.T) {
+	e := getEnv(t)
+	ctx := context.Background()
+	shards, engines := shardBackends(t, 1, 1)
+	slow := &slowBackend{name: "slow-0", inner: shards[0][0], delay: 20 * time.Millisecond}
+	fast := &Local{Src: engines[0], Label: "fast-1"}
+	r, err := New([][]Backend{{slow, fast}}, Options{
+		BreakerThreshold: 1,
+		BreakerOpenFor:   time.Millisecond,
+		HedgeAfter:       time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.breakerFailure(0, 0)
+	time.Sleep(5 * time.Millisecond) // past the open window: the next call is the probe
+	res, err := r.TopK(ctx, e.pair[0], 0, e.pair[1], 5)
+	if err != nil || res.Degraded {
+		t.Fatalf("probe call: err=%v res=%+v", err, res)
+	}
+	if want, _ := e.single.TopK(e.pair[0], 0, e.pair[1], 5); !reflect.DeepEqual(res.Results, want) {
+		t.Fatal("probe answer differs from the single engine")
+	}
+	if st := r.RobustStats(); st.HedgeFired != 0 {
+		t.Fatalf("half-open probe was hedged %d times", st.HedgeFired)
+	}
+	if got := r.breakers[0][0].stateName(); got != "closed" {
+		t.Fatalf("slow replica's breaker = %q after its probe answered, want closed", got)
+	}
+}
+
+// TestRouterScoreBatchQueryErrorWins: a batch with a bad pair on one
+// shard and a fail-fast shard elsewhere answers 400 every time. The
+// fail-fast error comes back at once and the query error 2 ms later,
+// but which shard finished first must not pick the status: the query
+// error wins, as it does for top-k, and the fail-fast shard being the
+// lower one does not change that.
+func TestRouterScoreBatchQueryErrorWins(t *testing.T) {
+	e := getEnv(t)
+	shards, engines := shardBackends(t, 2, 1)
+	desc := engines[0].ShardDesc()
+	dead := &countingBackend{name: "dead-0", inner: shards[0][0]}
+	dead.up.Store(true) // up for Refresh, down after
+	shards[0] = []Backend{dead}
+	shards[1] = []Backend{&slowBackend{name: "slow-1", inner: shards[1][0], delay: 2 * time.Millisecond}}
+	r, err := New(shards, Options{BreakerThreshold: 1, BreakerOpenFor: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Refresh(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	dead.up.Store(false)
+	r.breakerFailure(0, 0) // every replica of shard 0 behind an open breaker
+	refreshCalls := dead.calls.Load()
+
+	b0, b1 := -1, -1
+	for b := 0; b < e.nB; b++ {
+		switch desc.ShardOf(e.pair[1], b) {
+		case 0:
+			b0 = b
+		case 1:
+			b1 = b
+		}
+	}
+	if b0 < 0 || b1 < 0 {
+		t.Fatal("split left a shard without B accounts")
+	}
+	body, err := json.Marshal(map[string]any{"pa": e.pair[0], "pb": e.pair[1],
+		"pairs": [][2]int{{0, b0}, {e.nA + 1000, b1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := r.Handler()
+	for run := 0; run < 50; run++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/score", bytes.NewReader(body)))
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("run %d: status %d (%s), want 400 for the bad pair", run, rec.Code, rec.Body)
+		}
+	}
+	if got := dead.calls.Load() - refreshCalls; got != 0 {
+		t.Fatalf("the open breaker let %d calls through", got)
+	}
+}
+
+// slowProbe is a slowBackend whose health check straggles too.
+type slowProbe struct{ *slowBackend }
+
+func (s slowProbe) Health(ctx context.Context) (Health, error) {
+	if err := s.wait(ctx); err != nil {
+		return Health{}, err
+	}
+	return s.inner.Health(ctx)
+}
+
+// TestHedgeNeverFiresForProbeOrScoreBatch: health probes and score
+// batches fly one flight per attempt. Against a slow primary with a 1 ms
+// hedge delay, Refresh, Status and ScoreBatch all wait for the primary:
+// the backup sees no call, no hedge fires, and the latency window that
+// adapts the top-k hedge delay gets no sample. A top-k on the same
+// router does hedge, so the setup would show one.
+func TestHedgeNeverFiresForProbeOrScoreBatch(t *testing.T) {
+	e := getEnv(t)
+	ctx := context.Background()
+	shards, _ := shardBackends(t, 1, 1)
+	slow := slowProbe{&slowBackend{name: "slow-0", inner: shards[0][0], delay: 20 * time.Millisecond}}
+	backup := &countingBackend{name: "backup-1", inner: shards[0][0]}
+	backup.up.Store(true)
+	r, err := New([][]Backend{{slow, backup}}, Options{HedgeAfter: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Refresh(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if st := r.Status(ctx); !st[0].Healthy {
+		t.Fatalf("status: %+v", st[0])
+	}
+	pairs := [][2]int{{0, 0}, {1, 1}}
+	got, _, err := r.ScoreBatch(ctx, e.pair[0], e.pair[1], pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := e.single.ScoreBatch(e.pair[0], e.pair[1], pairs); !reflect.DeepEqual(got, want) {
+		t.Fatal("scores differ from the single engine")
+	}
+	if st := r.RobustStats(); st.HedgeFired != 0 {
+		t.Fatalf("probes and score batches fired %d hedges", st.HedgeFired)
+	}
+	if n := backup.calls.Load(); n != 0 {
+		t.Fatalf("backup saw %d calls from probes and score batches", n)
+	}
+	r.lats[0].mu.Lock()
+	samples := r.lats[0].n
+	r.lats[0].mu.Unlock()
+	if samples != 0 {
+		t.Fatalf("probes and score batches left %d samples in the hedge window", samples)
+	}
+
+	if _, err := r.TopK(ctx, e.pair[0], 0, e.pair[1], 5); err != nil {
+		t.Fatal(err)
+	}
+	if st := r.RobustStats(); st.HedgeFired == 0 {
+		t.Fatal("top-k against the same slow primary did not hedge")
+	}
+}
+
+// lateBackend answers top-k after a fixed delay whatever its context
+// says, with rows no engine would return, and closes done as it
+// returns: a losing flight that finishes after its call has.
+type lateBackend struct {
+	Backend
+	delay time.Duration
+	done  chan struct{}
+}
+
+func (l *lateBackend) TopK(ctx context.Context, pa platform.ID, a int, pb platform.ID, k int) ([]serve.Scored, uint64, error) {
+	defer close(l.done)
+	time.Sleep(l.delay)
+	return []serve.Scored{{B: -1, Score: 42}}, 1, nil
+}
+
+// TestHedgeLateLoserLeavesRowsUntouched: a hedged top-k returns the
+// backup's rows; the primary, which ignores its cancellation and
+// answers 30 ms later, must change nothing the call returned — not the
+// rows, not the preferred replica. Under make race this also proves the
+// late flight touches no memory the caller reads.
+func TestHedgeLateLoserLeavesRowsUntouched(t *testing.T) {
+	e := getEnv(t)
+	ctx := context.Background()
+	shards, engines := shardBackends(t, 1, 1)
+	late := &lateBackend{Backend: shards[0][0], delay: 30 * time.Millisecond, done: make(chan struct{})}
+	fast := &Local{Src: engines[0], Label: "fast-1"}
+	r, err := New([][]Backend{{late, fast}}, Options{HedgeAfter: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := r.TopK(ctx, e.pair[0], 0, e.pair[1], 5)
+	if err != nil || res.Degraded {
+		t.Fatalf("hedged call: err=%v res=%+v", err, res)
+	}
+	kept := append([]serve.Scored(nil), res.Results...)
+	<-late.done
+	time.Sleep(10 * time.Millisecond) // the late flight's send lands after its backend returns
+	want, _ := e.single.TopK(e.pair[0], 0, e.pair[1], 5)
+	if !reflect.DeepEqual(res.Results, want) || !reflect.DeepEqual(res.Results, kept) {
+		t.Fatalf("rows after the late loser answered: %+v, want %+v", res.Results, want)
+	}
+	if got := r.pref[0].Load(); got != 1 {
+		t.Fatalf("preferred replica = %d after the late loser answered, want the backup 1", got)
+	}
+	if st := r.RobustStats(); st.HedgeWon == 0 || st.HedgeCancelled == 0 {
+		t.Fatalf("hedge counters: won=%d cancelled=%d, want both > 0", st.HedgeWon, st.HedgeCancelled)
 	}
 }

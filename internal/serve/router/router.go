@@ -28,6 +28,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hydra/internal/parallel"
 	"hydra/internal/pipeline"
 	"hydra/internal/platform"
 	"hydra/internal/serve"
@@ -55,8 +56,8 @@ type Options struct {
 	// HedgeAfter is the tied-hedged-request delay for the top-k
 	// scatter: after this long without a primary answer, the same query
 	// is fired at a backup replica and the first answer wins (the loser
-	// is cancelled). 0 (the default) adapts the delay to the shard's
-	// observed p99 attempt latency; negative disables hedging.
+	// is cancelled). 0 (the default) adapts the delay to the slowest of
+	// the shard's recent top-k attempts; negative disables hedging.
 	HedgeAfter time.Duration
 	// DefaultBudget, when positive, is the end-to-end deadline budget
 	// the HTTP front-end applies to requests that carry no deadline
@@ -142,7 +143,6 @@ type Router struct {
 	// the router degenerates to a proxy with failover.
 	topo  *pipeline.ShardDesc
 	pairs [][2]platform.ID
-	gens  []uint64 // last generation each shard reported (Refresh/queries)
 	// health is each shard's last successful probe (zero before the
 	// first), which WriteMetrics republishes as per-shard gauges.
 	health []Health
@@ -168,7 +168,6 @@ func New(shards [][]Backend, opts Options) (*Router, error) {
 		shards:   shards,
 		opts:     opts,
 		pref:     make([]atomic.Int32, len(shards)),
-		gens:     make([]uint64, len(shards)),
 		health:   make([]Health, len(shards)),
 		breakers: breakers,
 		lats:     make([]latWindow, len(shards)),
@@ -182,47 +181,37 @@ func (r *Router) NumShards() int { return len(r.shards) }
 // answer for /metrics — startup refresh, SIGHUP, the background
 // re-probe and every /healthz all come through here.
 func (r *Router) probe(ctx context.Context, si int) (Health, error) {
-	var h Health
-	err := r.callShard(ctx, si, func(cctx context.Context, b Backend) (err error) {
-		h, err = b.Health(cctx)
-		return err
+	ans := call(ctx, r, si, false, func(cctx context.Context, b Backend) (Health, uint64, error) {
+		h, err := b.Health(cctx)
+		return h, h.Generation, err
 	})
-	if err == nil {
+	if ans.err == nil {
 		r.mu.Lock()
-		r.health[si] = h
+		r.health[si] = ans.v
 		r.mu.Unlock()
 	}
-	return h, err
+	return ans.v, ans.err
 }
 
 // Refresh health-checks every shard and verifies the set is coherent:
 // every shard slot answers with the matching shard index, and all agree
 // on the split (count, hash seed, restricted platforms). Generations may
 // legitimately differ mid-rolling-swap; per-query generation pinning
-// handles that, so Refresh records them without failing. Must succeed
+// handles that, so Refresh does not compare them. Must succeed
 // once before the router serves; call again (e.g. on SIGHUP) to re-probe
 // after a swap or topology repair.
 func (r *Router) Refresh(ctx context.Context) error {
-	healths := make([]Health, len(r.shards))
-	errs := make([]error, len(r.shards))
-	var wg sync.WaitGroup
-	for i := range r.shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			healths[i], errs[i] = r.probe(ctx, i)
-		}(i)
-	}
-	wg.Wait()
+	n := len(r.shards)
+	healths := make([]Health, n)
+	errs := make([]error, n)
+	parallel.For(n, n, func(i int) { healths[i], errs[i] = r.probe(ctx, i) })
 	for i, err := range errs {
 		if err != nil {
 			return fmt.Errorf("router: shard %d unreachable: %w", i, err)
 		}
 	}
 	var topo *pipeline.ShardDesc
-	gens := make([]uint64, len(r.shards))
 	for i, h := range healths {
-		gens[i] = h.Generation
 		d := h.Shard
 		if d == nil {
 			if len(r.shards) > 1 {
@@ -247,7 +236,6 @@ func (r *Router) Refresh(ctx context.Context) error {
 	r.mu.Lock()
 	r.topo = topo
 	r.pairs = healths[0].Pairs
-	r.gens = gens
 	r.mu.Unlock()
 	return nil
 }
@@ -312,9 +300,10 @@ func (r *Router) newWalk(ctx context.Context, si int) walk {
 
 // next returns the next replica to attempt, or the error the walk ends
 // with: context cancelled, deadline or retry budget exhausted, every
-// breaker open, or the shard down after `rings` passes. The caller fires
-// the attempt, counts it in attempts and settles its outcome before
-// calling next again.
+// breaker open, or the shard down after `rings` passes. The retry budget
+// is checked before a breaker is consulted: a half-open breaker's allow
+// claims its one probe slot, and a walk that could not then fire the
+// probe would leave the replica half-open for good.
 func (w *walk) next() (int, error) {
 	for ; w.pass < rings; w.pass, w.off, w.admitted = w.pass+1, 0, 0 {
 		if w.pass > 0 && w.off == 0 && !w.r.backoffWait(w.ctx, w.pass, w.budgetT, w.hasBudget) {
@@ -329,16 +318,16 @@ func (w *walk) next() (int, error) {
 				return -1, w.exhausted(fmt.Errorf("router: shard %d: deadline budget exhausted after %d attempts: %w",
 					w.si, w.attempts, afterErr(w.lastErr)))
 			}
+			if w.attempts >= w.maxAttempts {
+				return -1, w.exhausted(fmt.Errorf("router: shard %d: retry budget exhausted (%d attempts): %w",
+					w.si, w.attempts, afterErr(w.lastErr)))
+			}
 			idx := (w.start + w.off) % len(w.reps)
 			w.off++
 			if !w.r.breakerAllow(w.si, idx) {
 				w.r.robust.failFast.Add(1)
 				w.lastErr = fmt.Errorf("%s: circuit breaker open", w.reps[idx].Name())
 				continue
-			}
-			if w.attempts >= w.maxAttempts {
-				return -1, w.exhausted(fmt.Errorf("router: shard %d: retry budget exhausted (%d attempts): %w",
-					w.si, w.attempts, afterErr(w.lastErr)))
 			}
 			w.admitted++
 			return idx, nil
@@ -357,52 +346,139 @@ func (w *walk) exhausted(err error) error {
 	return err
 }
 
-// settle books one synchronous attempt's outcome on the replica's
-// breaker and reports whether the walk ends with it: an answer does (the
-// replica becomes the preferred one) and so does a query error (see
-// queryError — another replica would answer the same); a replica failure
-// is remembered and the walk goes on.
-func (w *walk) settle(idx int, err error) bool {
+// book is the one place a flight's outcome is booked: an answer makes
+// its replica the preferred one and, on a hedged call, adds a sample to
+// the shard's latency window; an answer or a query error (the replica
+// answered; see queryError) closes the replica's breaker, and anything
+// else is a breaker failure.
+func (w *walk) book(idx int, err error, dur time.Duration, hedge bool) {
 	switch {
 	case err == nil:
 		w.r.pref[w.si].Store(int32(idx))
+		if hedge {
+			w.r.lats[w.si].record(dur)
+		}
 		fallthrough
 	case IsQueryError(err):
-		w.r.breakers[w.si][idx].success() // the replica answered; a query error is the query's fault
-		return true
+		w.r.breakers[w.si][idx].success()
+	default:
+		w.r.breakerFailure(w.si, idx)
 	}
-	w.r.breakerFailure(w.si, idx)
-	w.lastErr = fmt.Errorf("%s: %w", w.reps[idx].Name(), err)
-	return false
 }
 
-// callShard runs fn against shard si's replicas until one answers, each
-// attempt under its own timeout (capped by the deadline budget); see
-// walk for the failover discipline.
-func (r *Router) callShard(ctx context.Context, si int, fn func(context.Context, Backend) error) error {
+// answer is what one shard call returned: the value, the bundle
+// generation that answered, the error — and one shard's slot in a
+// fan-out.
+type answer[T any] struct {
+	v   T
+	gen uint64
+	err error
+}
+
+// flight is one replica call's outcome, sent by the goroutine that made
+// it. The value travels with the outcome, so only the answer an attempt
+// ends with is ever read; an abandoned flight writes nowhere but its
+// attempt's buffered channel.
+type flight[T any] struct {
+	answer[T]
+	idx int
+	dur time.Duration
+}
+
+// call runs fn against shard si's replicas until one answers, stepping
+// the walk one attempt at a time: an answer or a query error ends the
+// call (another replica would return the same query error), a replica
+// failure moves the walk on. hedge ties a slow attempt to a backup
+// flight (TopKAppend); probes and score batches fly one flight per
+// attempt and leave the hedge window alone. Replica failures come back
+// wrapped with the replica's name, query errors untouched.
+func call[T any](ctx context.Context, r *Router, si int, hedge bool, fn func(context.Context, Backend) (T, uint64, error)) answer[T] {
 	w := r.newWalk(ctx, si)
 	for {
 		idx, err := w.next()
 		if err != nil {
-			return err
+			return answer[T]{err: err}
 		}
-		w.attempts++
-		cctx, cancel := r.attemptCtx(ctx, w.budgetT, w.hasBudget)
-		err = fn(cctx, w.reps[idx])
-		cancel()
-		if w.settle(idx, err) {
-			return err
+		ans := attempt(&w, idx, hedge, fn)
+		if ans.err == nil || IsQueryError(ans.err) {
+			return ans
 		}
+		w.lastErr = ans.err
 	}
 }
 
-// noteGen records the freshest generation a shard has been seen serving.
-func (r *Router) noteGen(si int, gen uint64) {
-	r.mu.Lock()
-	if gen > r.gens[si] {
-		r.gens[si] = gen
+// attempt flies fn at replica idx under its own attemptCtx (the
+// per-attempt timeout, capped by the deadline budget) and returns the
+// outcome that ends the attempt: the first answer or query error, else,
+// once every flight has failed, the first failure. With hedge set and a
+// backup available (walk.backup), the same call is flown at the backup
+// after the hedge delay and the first answer wins; the loser is
+// cancelled and abandoned unbooked, so a cancellation it did not earn
+// never reaches its breaker.
+func attempt[T any](w *walk, idx int, hedge bool, fn func(context.Context, Backend) (T, uint64, error)) answer[T] {
+	r := w.r
+	out := make(chan flight[T], 2)
+	var cancels [2]context.CancelFunc
+	flown := 0
+	defer func() {
+		for _, cancel := range cancels[:flown] {
+			cancel()
+		}
+	}()
+	fly := func(i int) {
+		w.attempts++
+		cctx, cancel := r.attemptCtx(w.ctx, w.budgetT, w.hasBudget)
+		cancels[flown] = cancel
+		flown++
+		b := w.reps[i]
+		go func() {
+			defer cancel()
+			t0 := time.Now()
+			v, gen, err := fn(cctx, b)
+			out <- flight[T]{answer[T]{v, gen, err}, i, time.Since(t0)}
+		}()
 	}
-	r.mu.Unlock()
+
+	fly(idx)
+	backup := -1
+	var hedgeC <-chan time.Time
+	if hedge {
+		if backup = w.backup(idx); backup >= 0 {
+			t := time.NewTimer(r.hedgeDelay(w.si))
+			defer t.Stop()
+			hedgeC = t.C
+		}
+	}
+	hedged := false
+	var firstErr error
+	for inFlight := 1; inFlight > 0; {
+		select {
+		case <-hedgeC:
+			hedgeC, hedged = nil, true
+			r.robust.hedgeFired.Add(1)
+			fly(backup)
+			inFlight++
+		case f := <-out:
+			inFlight--
+			w.book(f.idx, f.err, f.dur, hedge)
+			if f.err == nil || IsQueryError(f.err) {
+				if f.err == nil && hedged {
+					if f.idx == backup {
+						r.robust.hedgeWon.Add(1)
+					}
+					if inFlight > 0 {
+						r.robust.hedgeCancelled.Add(1)
+					}
+				}
+				return f.answer
+			}
+			if firstErr == nil {
+				firstErr = fmt.Errorf("%s: %w", w.reps[f.idx].Name(), f.err)
+			}
+			hedgeC = nil // down to one flight or none: no further hedging
+		}
+	}
+	return answer[T]{err: firstErr}
 }
 
 // ScoreBatch scores a batch of pairs, scattering each pair to the shard
@@ -415,7 +491,7 @@ func (r *Router) ScoreBatch(ctx context.Context, pa, pb platform.ID, pairs [][2]
 	if len(pairs) == 0 {
 		return nil, 0, fmt.Errorf("router: empty batch")
 	}
-	groups := make(map[int][]int) // shard -> indexes into pairs
+	groups := make([][]int, len(r.shards)) // shard -> indexes into pairs
 	for i, p := range pairs {
 		si, err := r.shardFor(pb, p[1])
 		if err != nil {
@@ -423,55 +499,63 @@ func (r *Router) ScoreBatch(ctx context.Context, pa, pb platform.ID, pairs [][2]
 		}
 		groups[si] = append(groups[si], i)
 	}
-	var lastGens []uint64
-	for attempt := 0; attempt < 2; attempt++ {
-		scores := make([]float64, len(pairs))
-		gens := make([]uint64, 0, len(groups))
-		var genMu sync.Mutex
-		var wg sync.WaitGroup
-		errs := make([]error, 0, len(groups))
-		for si, idxs := range groups {
-			wg.Add(1)
-			go func(si int, idxs []int) {
-				defer wg.Done()
-				sub := make([][2]int, len(idxs))
-				for j, i := range idxs {
-					sub[j] = pairs[i]
-				}
-				err := r.callShard(ctx, si, func(cctx context.Context, b Backend) error {
-					ss, gen, err := b.ScoreBatch(cctx, pa, pb, sub)
-					if err != nil {
-						return err
-					}
-					if len(ss) != len(sub) {
-						return fmt.Errorf("%d scores for %d pairs", len(ss), len(sub))
-					}
-					for j, i := range idxs {
-						scores[i] = ss[j]
-					}
-					genMu.Lock()
-					gens = append(gens, gen)
-					genMu.Unlock()
-					r.noteGen(si, gen)
-					return nil
-				})
-				if err != nil {
-					genMu.Lock()
-					errs = append(errs, err)
-					genMu.Unlock()
-				}
-			}(si, idxs)
+	var owners []int // the shards the batch touches, ascending
+	for si, idxs := range groups {
+		if len(idxs) > 0 {
+			owners = append(owners, si)
 		}
-		wg.Wait()
-		if len(errs) > 0 {
-			return nil, 0, errs[0]
+	}
+	var gens []uint64
+	for round := 0; round < 2; round++ {
+		ans := make([]answer[[]float64], len(owners))
+		parallel.For(len(owners), len(owners), func(o int) {
+			idxs := groups[owners[o]]
+			sub := make([][2]int, len(idxs))
+			for j, i := range idxs {
+				sub[j] = pairs[i]
+			}
+			ans[o] = call(ctx, r, owners[o], false, func(cctx context.Context, b Backend) ([]float64, uint64, error) {
+				ss, gen, err := b.ScoreBatch(cctx, pa, pb, sub)
+				if err == nil && len(ss) != len(sub) {
+					err = fmt.Errorf("%d scores for %d pairs", len(ss), len(sub))
+				}
+				return ss, gen, err
+			})
+		})
+		if err := shardError(ans); err != nil {
+			return nil, 0, err
+		}
+		gens = gens[:0]
+		for _, s := range ans {
+			gens = append(gens, s.gen)
 		}
 		if uniform(gens) {
+			scores := make([]float64, len(pairs))
+			for o, s := range ans {
+				for j, i := range groups[owners[o]] {
+					scores[i] = s.v[j]
+				}
+			}
 			return scores, gens[0], nil
 		}
-		lastGens = gens
 	}
-	return nil, 0, fmt.Errorf("router: batch straddled concurrent bundle swaps (generations %v) — retry", lastGens)
+	return nil, 0, fmt.Errorf("router: batch straddled concurrent bundle swaps (generations %v) — retry", gens)
+}
+
+// shardError is the error a fan-out answers with, whichever shard
+// finished first: the first query error in shard order (the query's
+// fault, however the other shards fared), else the lowest shard's error.
+func shardError[T any](ans []answer[T]) error {
+	var first error
+	for _, s := range ans {
+		if IsQueryError(s.err) {
+			return s.err
+		}
+		if first == nil {
+			first = s.err
+		}
+	}
+	return first
 }
 
 // TopKResult is a scatter-gather top-k answer. Degraded marks a partial
@@ -484,45 +568,6 @@ type TopKResult struct {
 	Degraded   bool           `json:"degraded,omitempty"`
 	// FailedShards lists the down shards of a degraded response.
 	FailedShards []int `json:"failed_shards,omitempty"`
-}
-
-// topkJob is one shard's slot in a top-k fan-out: the query and the
-// shard's outcome.
-type topkJob struct {
-	ctx context.Context
-	pa  platform.ID
-	pb  platform.ID
-	a   int
-	k   int
-	si  int
-	res []serve.Scored
-	gen uint64
-	err error
-}
-
-// runTopKJob answers one shard's slice of a top-k fan-out over the same
-// failover walk as callShard, each attempt through timedTopK, which adds
-// tied hedging and does its flights' breaker bookkeeping itself.
-func (r *Router) runTopKJob(j *topkJob) {
-	w := r.newWalk(j.ctx, j.si)
-	for {
-		idx, err := w.next()
-		if err != nil {
-			j.err = err
-			return
-		}
-		winner, err := r.timedTopK(j, idx, &w)
-		switch {
-		case err == nil:
-			r.pref[j.si].Store(int32(winner))
-			r.noteGen(j.si, j.gen)
-		case !IsQueryError(err):
-			w.lastErr = err
-			continue
-		}
-		j.err = err
-		return
-	}
 }
 
 // TopK returns account a's k best-scoring B-side candidates across the
@@ -543,40 +588,26 @@ func (r *Router) TopK(ctx context.Context, pa platform.ID, a int, pb platform.ID
 // generations. A shard that stays down after replica failover likewise
 // makes the response Degraded instead of an error.
 func (r *Router) TopKAppend(ctx context.Context, dst []serve.Scored, pa platform.ID, a int, pb platform.ID, k int) (TopKResult, error) {
-	for attempt := 0; ; attempt++ {
-		jobs := make([]topkJob, len(r.shards))
-		var wg sync.WaitGroup
-		for si := range jobs {
-			j := &jobs[si]
-			*j = topkJob{ctx: ctx, pa: pa, a: a, pb: pb, k: k, si: si}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				r.runTopKJob(j)
-			}()
+	n := len(r.shards)
+	topk := func(cctx context.Context, b Backend) ([]serve.Scored, uint64, error) {
+		return b.TopK(cctx, pa, a, pb, k)
+	}
+	for round := 0; ; round++ {
+		ans := make([]answer[[]serve.Scored], n)
+		parallel.For(n, n, func(si int) { ans[si] = call(ctx, r, si, true, topk) })
+		if err := shardError(ans); IsQueryError(err) {
+			return TopKResult{}, err
 		}
-		wg.Wait()
 		var gens []uint64
-		for i := range jobs {
-			if jobs[i].err != nil {
-				if IsQueryError(jobs[i].err) {
-					return TopKResult{}, jobs[i].err
-				}
-				continue
+		for _, s := range ans {
+			if s.err == nil {
+				gens = append(gens, s.gen)
 			}
-			gens = append(gens, jobs[i].gen)
 		}
 		if len(gens) == 0 {
-			var firstErr error
-			for i := range jobs {
-				if jobs[i].err != nil {
-					firstErr = jobs[i].err
-					break
-				}
-			}
-			return TopKResult{}, fmt.Errorf("router: all %d shards down: %w", len(r.shards), firstErr)
+			return TopKResult{}, fmt.Errorf("router: all %d shards down: %w", n, shardError(ans))
 		}
-		if !uniform(gens) && attempt == 0 {
+		if !uniform(gens) && round == 0 {
 			continue // swap landed mid-scatter; re-fan-out on the new generation
 		}
 		// Merge the newest generation's answers; anything older (a rolling
@@ -589,12 +620,12 @@ func (r *Router) TopKAppend(ctx context.Context, dst []serve.Scored, pa platform
 		}
 		merged := dst[:0]
 		var failed []int
-		for si := range jobs {
-			if jobs[si].err != nil || jobs[si].gen != target {
+		for si, s := range ans {
+			if s.err != nil || s.gen != target {
 				failed = append(failed, si)
 				continue
 			}
-			merged = append(merged, jobs[si].res...)
+			merged = append(merged, s.v...)
 		}
 		sort.Slice(merged, func(i, j int) bool { return serve.ScoredLess(merged[i], merged[j]) })
 		if k > 0 && len(merged) > k {
@@ -628,21 +659,15 @@ type ShardStatus struct {
 // per-shard health — the router /healthz body.
 func (r *Router) Status(ctx context.Context) []ShardStatus {
 	out := make([]ShardStatus, len(r.shards))
-	var wg sync.WaitGroup
-	for si := range r.shards {
-		wg.Add(1)
-		go func(si int) {
-			defer wg.Done()
-			st := ShardStatus{Shard: si, Replicas: len(r.shards[si])}
-			if h, err := r.probe(ctx, si); err != nil {
-				st.Error = err.Error()
-			} else {
-				st.Healthy, st.Generation, st.Prescreen, st.Impute = h.OK, h.Generation, h.Prescreen, h.Impute
-			}
-			out[si] = st
-		}(si)
-	}
-	wg.Wait()
+	parallel.For(len(out), len(out), func(si int) {
+		st := ShardStatus{Shard: si, Replicas: len(r.shards[si])}
+		if h, err := r.probe(ctx, si); err != nil {
+			st.Error = err.Error()
+		} else {
+			st.Healthy, st.Generation, st.Prescreen, st.Impute = h.OK, h.Generation, h.Prescreen, h.Impute
+		}
+		out[si] = st
+	})
 	return out
 }
 
