@@ -46,10 +46,15 @@ test:
 # hot-swap drills), the scatter-gather router (TestRouter*), its one
 # attempt path's hedged and unhedged flights (TestHedge*: a hedge loser
 # answering after its call returned must leave the returned rows alone)
-# and breakers (TestBreaker*), the chaos
+# and breakers (TestBreaker*, among them a caller's own cancellation
+# booked as no replica failure, TestBreakerCallerCancellationIsNotAReplicaFailure,
+# and a cancelled half-open probe handing its slot back,
+# TestBreakerCancelledProbeHandsBackSlot), the chaos
 # suite with its live-listener HTTP drill (TestChaos*), the two-tier
-# prescreen oracles (TestPrescreen*) and its fanned-out pack-time build
-# (TestBuildPrescreenWorkersBitIdentical), the pack-time impute table vs
+# prescreen oracles (TestPrescreen*, among them the certificate over
+# every index pair of five seeded worlds and of both shards of their
+# 2-way splits, TestPrescreenCertifiesIndexPairs) and its fanned-out
+# pack-time build (TestBuildPrescreenWorkersBitIdentical), the pack-time impute table vs
 # live-path twins (TestImpute*), the cold Eqn-18 plan's partial friend
 # pairs vs the single-pair reference walk, inline and fanned out
 # (TestColdImputePlanWorkersBitIdentical), its lowest-index batch error

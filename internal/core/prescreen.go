@@ -10,21 +10,24 @@ package core
 // lives in the span of such bumps, so 64 of them fit it tightly at the
 // cost of one dim-length pass each.
 //
-// The approximation never decides anything. At build time the maximum
-// prescreen error is measured over every training candidate plus the
-// packer's sample of actual query-space imputed vectors — exhaustive
-// for bundles whose serving cross product fits the sample cap — and
-// inflated by a safety factor into the certified margin ε; a top-k
-// query then only uses f̃ to *skip* candidates provably outside the
-// running k-th best (f̃ < kth − ε ⇒ f < kth), and the survivors are
-// rescored by the exact batched kernel, which alone produces output.
-// Scores, rankings and tie-breaks therefore stay bit-identical to the
-// exact-only engine by construction — see serve.Engine.TopKAppend and
-// the TestPrescreenBitExact / property oracles.
+// The approximation never decides anything. A top-k query only uses f̃
+// to *skip* index-row candidates provably outside the running k-th best
+// (f̃ < kth − ε ⇒ f < kth), and the survivors are rescored by the exact
+// batched kernel, which alone produces output. So the margin only has to
+// hold on the pairs a query can skip: the (a, c.B) pairs of the bundle's
+// index rows. The packer hands BuildPrescreen exactly those pairs, and ε
+// is the maximum |f − f̃| measured over all of them through the serving
+// fold, nudged up one ulp — a certificate over every prunable pair, with
+// no sample and no safety factor. A split bundle's shards own subsets of
+// those rows, so the certificate holds per shard. Scores, rankings and
+// tie-breaks therefore stay bit-identical to the exact-only engine by
+// construction — see serve.Engine.TopKAppend and the TestPrescreen…
+// oracles.
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"hydra/internal/linalg"
@@ -37,14 +40,6 @@ import (
 // support-set cost it replaces, large enough that the empirical margin
 // ε still prunes.
 const prescreenFeatures = 64
-
-// DefaultPrescreenSafety inflates the empirically measured maximum
-// error into the certified margin ε when the packer could only SAMPLE
-// the query cross product: the factor covers the pairs the sample did
-// not contain. A packer that enumerated the cross product exhaustively
-// passes Safety = 1 — the measured maximum then IS the true maximum
-// over every query the bundle can be asked.
-const DefaultPrescreenSafety = 2
 
 // prescreenSeedMix offsets Config.Seed into the seed the v3 prescreen
 // header records. Nothing draws from it any more (it seeded the retired
@@ -87,8 +82,10 @@ type PrescreenParts struct {
 	// f̃(x) = bias + Σ_j V[j]·exp(−‖C_j − x‖² / 2σ²).
 	V linalg.Vector `json:"v"`
 	// EpsRaw is the maximum |f − f̃| measured at build time over every
-	// training candidate and query-space sample; Eps = EpsRaw·Safety is
-	// the certified margin queries prune with.
+	// index-row pair the bundle's top-k can prune, and Eps, one ulp
+	// above it, the certified margin queries prune with. Safety is
+	// always 1: the v3 header still records the factor that once
+	// inflated a sampled maximum.
 	EpsRaw float64 `json:"eps_raw"`
 	Safety float64 `json:"safety"`
 	Eps    float64 `json:"eps"`
@@ -117,31 +114,27 @@ func (p *PrescreenParts) Validate() error {
 	return nil
 }
 
-// PrescreenOpts tunes BuildPrescreen; a zero Safety selects
-// DefaultPrescreenSafety.
+// PrescreenOpts tunes BuildPrescreen.
 type PrescreenOpts struct {
-	Safety float64
 	// Workers sizes the build's worker pool (≤ 0 = all cores); the parts
 	// are bit-identical at any setting.
 	Workers int
-	// Queries is a sample of query-time imputed pair vectors (see
-	// Model.ImputedPairRows) drawn from the bundle's serving cross
-	// product. The training candidates alone badly under-represent the
-	// query distribution — arbitrary pairs impute into regions no
-	// labeled candidate occupies, and a prescreen fitted and certified
-	// only on candidates measures an ε many times too small out there.
-	// Every sample joins both the fit and the certification; a packer
-	// that could not enumerate the cross product exhaustively covers
-	// the unsampled remainder with Safety > 1.
+	// Queries is the certification set: the query-time imputed vector
+	// (see Model.ImputedPairRows) of every pair the two-tier top-k can
+	// prune — every (a, c.B) of every index row the bundle serves. They
+	// join the training candidates in the fit, since arbitrary pairs
+	// impute into regions no labeled candidate occupies, and they alone
+	// set EpsRaw: a pair outside them is never pruned, so its error
+	// bounds nothing. An empty set is refused.
 	Queries []linalg.Vector
 }
 
 // BuildPrescreen builds the approximate prescreen for a trained RBF
 // model from its serialized parts: it takes the highest-|α| support
 // vectors as reduced-set centers, fits the decision vector by
-// iteratively reweighted ridge regression, and certifies the margin ε
-// empirically over every training candidate plus every supplied
-// query-space sample. The build is a pure function of (parts, opts) —
+// iteratively reweighted ridge regression over every training candidate
+// and every certified pair, and certifies the margin ε over the certified
+// pairs (opts.Queries). The build is a pure function of (parts, opts) —
 // packing the same model twice yields byte-identical prescreen
 // sections. Non-RBF models have no bandwidthed bumps; they serve
 // exact-only.
@@ -155,12 +148,11 @@ func BuildPrescreen(p ModelParts, opts PrescreenOpts) (*PrescreenParts, error) {
 	if len(p.Xs) == 0 || len(p.Alpha) != len(p.Xs) {
 		return nil, fmt.Errorf("core: prescreen got %d duals for %d candidate vectors", len(p.Alpha), len(p.Xs))
 	}
-	safety := opts.Safety
-	if safety <= 0 {
-		safety = DefaultPrescreenSafety
+	if len(opts.Queries) == 0 {
+		return nil, fmt.Errorf("core: prescreen has no index pairs to certify")
 	}
-	// The point set the fit and certification run over: every training
-	// candidate, then every query-space sample.
+	// The point set the fit runs over: every training candidate, then
+	// every certified pair, which starts at pts[len(p.Xs)].
 	pts := make([]linalg.Vector, 0, len(p.Xs)+len(opts.Queries))
 	pts = append(pts, p.Xs...)
 	pts = append(pts, opts.Queries...)
@@ -202,7 +194,7 @@ func BuildPrescreen(p ModelParts, opts PrescreenOpts) (*PrescreenParts, error) {
 	out := PrescreenParts{
 		Features: m, Dim: dim, Seed: p.Cfg.Seed + prescreenSeedMix,
 		C: centers, Sigma: p.KernelSigma,
-		Safety: safety,
+		Safety: 1,
 	}
 	sigma2 := 2 * p.KernelSigma * p.KernelSigma
 	// Every per-point loop below writes only its own points' slots, and
@@ -311,25 +303,21 @@ func BuildPrescreen(p ModelParts, opts PrescreenOpts) (*PrescreenParts, error) {
 		})
 	}
 
-	// Certify the margin over every point by literally running the
-	// query fold (not the cached feature rows — any divergence between
-	// the two would void the bound, so the measurement uses the serving
-	// code path). ε is the worst observed gap inflated by the safety
-	// factor, nudged up one ulp so a Safety = 1 exhaustive bound stays
-	// on the safe side of the last rounding.
+	// Certify the margin over every certified pair by literally running
+	// the query fold (not the cached feature rows — any divergence
+	// between the two would void the bound, so the measurement uses the
+	// serving code path). ε is the worst observed gap nudged up one ulp,
+	// so the bound stays on the safe side of the last rounding.
 	ps := newPrescreenState(&out)
-	gaps := make([]float64, len(pts))
-	forPoints(workers, len(pts), func(lo, hi int) {
+	nx := len(p.Xs)
+	gaps := make([]float64, len(pts)-nx)
+	forPoints(workers, len(gaps), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			gaps[i] = math.Abs(y[i] - ps.score(pts[i], p.Bias))
+			gaps[i] = math.Abs(y[nx+i] - ps.score(pts[nx+i], p.Bias))
 		}
 	})
-	for _, gap := range gaps {
-		if gap > out.EpsRaw {
-			out.EpsRaw = gap
-		}
-	}
-	out.Eps = math.Nextafter(out.EpsRaw*safety, math.Inf(1))
+	out.EpsRaw = slices.Max(gaps)
+	out.Eps = math.Nextafter(out.EpsRaw, math.Inf(1))
 	if err := out.Validate(); err != nil {
 		return nil, err
 	}
@@ -489,9 +477,9 @@ func (m *Model) PrescreenEps() float64 {
 
 // ImputedPairRows returns one copy of the imputed feature vector per
 // account pair — exactly the x every scoring path (exact batch, single
-// pair, prescreen fold) evaluates for that pair. The packer samples the
-// serving cross product through this to fit and certify the prescreen
-// over the true query distribution instead of only the training
+// pair, prescreen fold) evaluates for that pair. The packer imputes
+// every index-row pair through this to fit and certify the prescreen
+// over the pairs a top-k can prune instead of only the training
 // candidates. Imputation is a pure per-pair function, so the rows are
 // bit-identical at any worker count.
 func (m *Model) ImputedPairRows(pa platform.ID, pb platform.ID, pairs [][2]int, workers int) ([]linalg.Vector, error) {

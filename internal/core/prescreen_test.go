@@ -28,30 +28,52 @@ func trainedParts(t testing.TB) (*System, *Task, ModelParts) {
 	return sys, task, parts
 }
 
+// blockRows imputes every candidate pair of the task's first block —
+// the shape of a packed index's rows, the set a pack certifies over.
+func blockRows(tb testing.TB, sys *System, task *Task, parts ModelParts) []linalg.Vector {
+	tb.Helper()
+	m, err := ModelFromParts(sys.LazyStore, parts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	b := task.Blocks[0]
+	pairs := make([][2]int, len(b.Cands))
+	for i, c := range b.Cands {
+		pairs[i] = [2]int{c.A, c.B}
+	}
+	rows, err := m.ImputedPairRows(b.PA, b.PB, pairs, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return rows
+}
+
 // TestBuildPrescreenDeterministicAndCertified asserts the build is a
 // pure function of its inputs (two builds are deep-equal, so packed
-// bundles stay byte-reproducible) and that the certified margin really
-// bounds the prescreen error on every training candidate.
+// bundles stay byte-reproducible), that the certified margin bounds the
+// prescreen error on every certified pair, and that EpsRaw is exactly
+// the largest of those errors: safety 1, nothing sampled.
 func TestBuildPrescreenDeterministicAndCertified(t *testing.T) {
-	_, _, parts := trainedParts(t)
-	ps, err := BuildPrescreen(parts, PrescreenOpts{})
+	sys, task, parts := trainedParts(t)
+	qs := blockRows(t, sys, task, parts)
+	ps, err := BuildPrescreen(parts, PrescreenOpts{Queries: qs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps2, err := BuildPrescreen(parts, PrescreenOpts{})
+	ps2, err := BuildPrescreen(parts, PrescreenOpts{Queries: qs})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(ps, ps2) {
 		t.Fatal("two builds from the same parts differ")
 	}
-	if ps.Eps <= 0 || ps.Eps < ps.EpsRaw {
-		t.Fatalf("margin ε=%g (raw %g) is not a usable certified bound", ps.Eps, ps.EpsRaw)
+	if ps.Safety != 1 || ps.Eps != math.Nextafter(ps.EpsRaw, math.Inf(1)) {
+		t.Fatalf("margin ε=%g (raw %g, safety %g) is not the measured maximum one ulp up", ps.Eps, ps.EpsRaw, ps.Safety)
 	}
 	state := newPrescreenState(ps)
 	sigma2 := 2 * parts.KernelSigma * parts.KernelSigma
 	worst := 0.0
-	for _, x := range parts.Xs {
+	for _, x := range qs {
 		exact := parts.Bias
 		for j, a := range parts.Alpha {
 			if a == 0 {
@@ -59,18 +81,26 @@ func TestBuildPrescreenDeterministicAndCertified(t *testing.T) {
 			}
 			exact += a * math.Exp(-linalg.SqDist(parts.Xs[j], x)/sigma2)
 		}
-		if gap := math.Abs(exact - state.score(x, parts.Bias)); gap > worst {
-			worst = gap
-		}
+		worst = max(worst, math.Abs(exact-state.score(x, parts.Bias)))
 	}
-	if worst > ps.EpsRaw {
-		t.Fatalf("observed error %g exceeds the measured EpsRaw %g", worst, ps.EpsRaw)
+	if worst != ps.EpsRaw {
+		t.Fatalf("largest certified-pair error %g, measured EpsRaw %g", worst, ps.EpsRaw)
+	}
+}
+
+// TestBuildPrescreenRefusesEmptyCertificationSet asserts a build with no
+// pairs to certify fails instead of recording a margin that bounds
+// nothing.
+func TestBuildPrescreenRefusesEmptyCertificationSet(t *testing.T) {
+	_, _, parts := trainedParts(t)
+	if _, err := BuildPrescreen(parts, PrescreenOpts{}); err == nil {
+		t.Fatal("expected an error for an empty certification set")
 	}
 }
 
 // prescreenQuerySample imputes about n pairs strided over the
-// twitter × facebook cross product — the shape of the packer's query
-// sample.
+// twitter × facebook cross product: a certification set of any chosen
+// size.
 func prescreenQuerySample(tb testing.TB, sys *System, parts ModelParts, n int) []linalg.Vector {
 	tb.Helper()
 	m, err := ModelFromParts(sys.LazyStore, parts)
@@ -139,7 +169,7 @@ func TestTriangleBands(t *testing.T) {
 }
 
 // BenchmarkBuildPrescreen times the pack-time prescreen build over a
-// trained model's parts plus a fixed 4 096-pair query sample.
+// trained model's parts plus a fixed 4 096-pair certification set.
 func BenchmarkBuildPrescreen(b *testing.B) {
 	sys, _, parts := trainedParts(b)
 	qs := prescreenQuerySample(b, sys, parts, 4096)
@@ -154,11 +184,12 @@ func BenchmarkBuildPrescreen(b *testing.B) {
 // TestBuildPrescreenRejectsNonRBF asserts non-RBF models serve
 // exact-only rather than getting an uncertifiable prescreen.
 func TestBuildPrescreenRejectsNonRBF(t *testing.T) {
-	_, _, parts := trainedParts(t)
+	sys, task, parts := trainedParts(t)
+	qs := blockRows(t, sys, task, parts)
 	bad := parts
 	bad.KernelKind = "linear"
 	bad.KernelSigma = 0
-	if _, err := BuildPrescreen(bad, PrescreenOpts{}); err == nil {
+	if _, err := BuildPrescreen(bad, PrescreenOpts{Queries: qs}); err == nil {
 		t.Fatal("expected error for a linear-kernel model")
 	}
 }
@@ -166,8 +197,8 @@ func TestBuildPrescreenRejectsNonRBF(t *testing.T) {
 // TestPrescreenPartsValidate asserts tampered parts are rejected before
 // they can mis-prune.
 func TestPrescreenPartsValidate(t *testing.T) {
-	_, _, parts := trainedParts(t)
-	ps, err := BuildPrescreen(parts, PrescreenOpts{})
+	sys, task, parts := trainedParts(t)
+	ps, err := BuildPrescreen(parts, PrescreenOpts{Queries: blockRows(t, sys, task, parts)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,10 +227,11 @@ func TestPrescreenPartsValidate(t *testing.T) {
 // TestPrescreenBatchIntoMatchesState asserts the batched prescreen path
 // equals the scalar fold on the imputed vectors, at 1 and 4 workers —
 // the determinism the two-tier rescore order relies on — and that the
-// margin holds on real query pairs, not just training candidates.
+// margin holds on the pairs it was certified over, not just training
+// candidates.
 func TestPrescreenBatchIntoMatchesState(t *testing.T) {
 	sys, task, parts := trainedParts(t)
-	ps, err := BuildPrescreen(parts, PrescreenOpts{})
+	ps, err := BuildPrescreen(parts, PrescreenOpts{Queries: blockRows(t, sys, task, parts)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,8 +281,8 @@ func TestPrescreenBatchIntoMatchesState(t *testing.T) {
 // than the model's feature space is refused — it would silently ignore
 // trailing features and void the certified margin.
 func TestSetPrescreenRejectsNarrowProjection(t *testing.T) {
-	sys, _, parts := trainedParts(t)
-	ps, err := BuildPrescreen(parts, PrescreenOpts{})
+	sys, task, parts := trainedParts(t)
+	ps, err := BuildPrescreen(parts, PrescreenOpts{Queries: blockRows(t, sys, task, parts)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -132,7 +132,7 @@ func (f *FitState) Artifact() (*Artifact, error) {
 
 // Bundle packs the fitted pipeline prefix into a self-contained serving
 // bundle with the recipe unchanged. workers sizes the pool of every pack
-// pass — index build, prescreen sample and fit, impute table (≤ 0 = all
+// pass — index build, prescreen fit and certificate, impute table (≤ 0 = all
 // cores; identical bundle at any setting).
 func (f *FitState) Bundle(workers int) (*Bundle, error) {
 	art, err := f.Artifact()
@@ -213,25 +213,18 @@ func packBundle(a *Artifact, workers int) (*Bundle, error) {
 		b.Indexes = append(b.Indexes, ix.Parts())
 	}
 	if a.Model.KernelKind == core.KernelRBF {
-		qs, exhaustive, err := prescreenQueries(sys, a, b, workers)
+		qs, err := prescreenQueries(sys, a, b, workers)
 		if err != nil {
 			return nil, err
 		}
-		opts := core.PrescreenOpts{Queries: qs, Workers: workers}
-		if exhaustive {
-			// Every pair the bundle can ever be asked was certified, so
-			// the measured maximum IS the true maximum — no sampling gap
-			// is left for a safety factor to cover.
-			opts.Safety = 1
-		}
-		ps, err := core.BuildPrescreen(a.Model, opts)
+		ps, err := core.BuildPrescreen(a.Model, core.PrescreenOpts{Queries: qs, Workers: workers})
 		if err != nil {
 			return nil, err
 		}
 		b.Prescreen = ps
 	}
-	// The table reads the same store the prescreen sample just imputed
-	// through, so every friend-pair vector that sample computed is a
+	// The table covers the index pairs the prescreen just imputed through
+	// the same store, so every friend-pair vector they computed is a
 	// cache hit here. The bundle's views and friend slices are snapshots
 	// of this system's, so a restored store would record the same sums.
 	if wantsImputeTable(b) {
@@ -279,68 +272,41 @@ func imputeTableOver(st *core.LazyStore, b *Bundle, workers int) (*core.ImputeTa
 	dim := len(b.Model.Xs[0])
 	inputs := make([]core.ImputeTableInput, 0, len(b.Indexes))
 	for _, ix := range b.Indexes {
-		in := core.ImputeTableInput{PA: ix.PA, PB: ix.PB}
-		for _, row := range ix.ByA {
-			for _, cand := range row {
-				in.Pairs = append(in.Pairs, [2]int{cand.A, cand.B})
-			}
-		}
-		inputs = append(inputs, in)
+		inputs = append(inputs, core.ImputeTableInput{PA: ix.PA, PB: ix.PB, Pairs: indexPairs(ix)})
 	}
 	return core.BuildImputeTable(st, b.FriendsK, dim, workers, inputs)
 }
 
-// prescreenSamplePairs caps, per serving platform pair, how many pairs
-// of the query cross product the prescreen build fits and certifies
-// over. Strided over the na×nb grid, so the sample stays deterministic
-// and spreads evenly across both account axes. Worlds whose cross
-// products fit under the cap are enumerated exhaustively, which makes
-// the certified margin exact (Safety = 1); the cap only exists to keep
-// pack time bounded on very large worlds.
-const prescreenSamplePairs = 16384
-
-// prescreenQueries samples the bundle's serving cross product — every
-// (a, b) a query may present, not just the blocked training candidates —
-// and imputes each sampled pair exactly as the serving scorer will.
-// core.BuildPrescreen fits and certifies the margin over the sample;
-// without this, ε is measured only where training candidates live and
-// undershoots the real query-space error several times over. The
-// second result reports whether every serving pair was enumerated
-// exhaustively rather than sampled.
-func prescreenQueries(sys *core.System, a *Artifact, b *Bundle, workers int) ([]linalg.Vector, bool, error) {
+// prescreenQueries imputes every pair the bundle's top-k can prune —
+// each (a, c.B) of each index row — exactly as the serving scorer will.
+// core.BuildPrescreen fits over them and the training candidates, and
+// certifies the margin over them alone: the two-tier top-k never prunes
+// any other pair.
+func prescreenQueries(sys *core.System, a *Artifact, b *Bundle, workers int) ([]linalg.Vector, error) {
 	m, err := core.ModelFromParts(sys.LazyStore, a.Model)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	var qs []linalg.Vector
-	exhaustive := true
-	seen := make(map[[2]platform.ID]bool, len(a.Pairs))
-	for _, pp := range a.Pairs {
-		if seen[pp] {
-			continue
-		}
-		seen[pp] = true
-		na, nb := len(b.Views[pp[0]]), len(b.Views[pp[1]])
-		total := na * nb
-		if total == 0 {
-			continue
-		}
-		step := 1
-		if total > prescreenSamplePairs {
-			step = (total + prescreenSamplePairs - 1) / prescreenSamplePairs
-			exhaustive = false
-		}
-		sample := make([][2]int, 0, (total+step-1)/step)
-		for idx := 0; idx < total; idx += step {
-			sample = append(sample, [2]int{idx / nb, idx % nb})
-		}
-		rows, err := m.ImputedPairRows(pp[0], pp[1], sample, workers)
+	for _, ix := range b.Indexes {
+		rows, err := m.ImputedPairRows(ix.PA, ix.PB, indexPairs(ix), workers)
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		qs = append(qs, rows...)
 	}
-	return qs, exhaustive, nil
+	return qs, nil
+}
+
+// indexPairs lists every (a, c.B) of the index's rows, row by row.
+func indexPairs(ix blocking.IndexParts) [][2]int {
+	var pairs [][2]int
+	for _, row := range ix.ByA {
+		for _, c := range row {
+			pairs = append(pairs, [2]int{c.A, c.B})
+		}
+	}
+	return pairs
 }
 
 // bundlePlatforms lists every platform appearing on either side of the

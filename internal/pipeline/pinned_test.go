@@ -13,7 +13,7 @@ import (
 // pinnedBundleSHA256 was recorded on the parent of the PR that moved the
 // per-account work out of features.Pair, before any product file was
 // edited.
-const pinnedBundleSHA256 = "d67bc3a5be4c1a069378fe49e1d6b4039a1679ef3cd2c9c3da668994d869fb3a"
+const pinnedBundleSHA256 = "47b9e8f95efa8e60f99029b115a2ea2434a3099a39b8fc102dffa4cacfd2d4a6"
 
 // TestPinnedBundleHash pins "the model did not change" across commits:
 // Systemize → Block → Fit → BundleFromArtifact (64-wide index, prescreen

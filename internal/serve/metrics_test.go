@@ -50,7 +50,7 @@ type scriptedRequest struct{ method, target, body, deadline string }
 func TestServeMetricsGolden(t *testing.T) {
 	e := getEnv(t)
 	var buf bytes.Buffer
-	if err := pipeline.WriteBundle(&buf, wideBundle(e.bundle)); err != nil {
+	if err := pipeline.WriteBundle(&buf, e.wide); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "wide.bin")

@@ -2,9 +2,12 @@ package serve
 
 import (
 	"bytes"
+	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -21,41 +24,42 @@ import (
 // output to the exact engine — not approximately equal, identical — so
 // every test here diffs the prescreen engine against an exact-only twin:
 // row-by-row over the full k/worker grid, and byte-by-byte over the REPL
-// and HTTP front-ends. The candidate indexes are widened to the full
-// cross product first: the blocking rules leave shards of ~3 candidates
-// where a k=5 query has nothing to prune, and an unengaged prescreen
-// would make every assertion vacuous (TestPrescreenBitExact checks it
-// actually engaged).
+// and HTTP front-ends. The fixtures pack their indexes over the full
+// cross product: the default blocking rules leave shards of ~3
+// candidates where a k=5 query has nothing to prune, and an unengaged
+// prescreen would make every assertion vacuous (TestPrescreenBitExact
+// checks it actually engaged). The index is widened at pack time, not
+// after: the certificate covers exactly the index rows the bundle was
+// packed with.
 
-// wideBundle returns a copy of the bundle whose indexes hold the full
-// A×B cross product — production-shaped shards for the pruning path.
-func wideBundle(b *pipeline.Bundle) *pipeline.Bundle {
-	c := *b
-	c.Indexes = make([]blocking.IndexParts, len(b.Indexes))
-	for i, ix := range b.Indexes {
-		na := len(b.Views[ix.PA])
-		nb := len(b.Views[ix.PB])
-		byA := make([][]blocking.Candidate, na)
-		for a := 0; a < na; a++ {
-			shard := make([]blocking.Candidate, nb)
-			for bb := 0; bb < nb; bb++ {
-				shard[bb] = blocking.Candidate{A: a, B: bb}
-			}
-			byA[a] = shard
-		}
-		c.Indexes[i] = blocking.IndexParts{PA: ix.PA, PB: ix.PB, Rules: ix.Rules, ByA: byA}
+// widePack packs the fit with topK candidates per index row, or with
+// every B-side account in every row when topK ≤ 0 — production-shaped
+// shards for the pruning path, and the certificate over all of them.
+func widePack(fitted *pipeline.FitState, topK int) (*pipeline.Bundle, error) {
+	art, err := fitted.Artifact()
+	if err != nil {
+		return nil, err
 	}
-	return &c
+	art.Rules.TopK = topK
+	if topK <= 0 {
+		for _, pp := range art.Pairs {
+			pb, err := fitted.DS.Platform(pp[1])
+			if err != nil {
+				return nil, err
+			}
+			art.Rules.TopK = max(art.Rules.TopK, pb.NumAccounts())
+		}
+	}
+	return pipeline.BundleFromArtifact(art, fitted.DS, 0)
 }
 
-// widePair returns two engines over the wide index at the given worker
+// widePair returns two engines over a wide bundle at the given worker
 // count: one with the bundle's prescreen active, one forced exact-only.
-func widePair(t testing.TB, b *pipeline.Bundle, workers int) (pre, exact *Engine) {
+func widePair(t testing.TB, wb *pipeline.Bundle, workers int) (pre, exact *Engine) {
 	t.Helper()
-	if b.Prescreen == nil {
+	if wb.Prescreen == nil {
 		t.Fatal("bundle carries no prescreen — packBundle should have built one for an RBF model")
 	}
-	wb := wideBundle(b)
 	pre, err := NewEngineFromBundle(wb, workers)
 	if err != nil {
 		t.Fatal(err)
@@ -74,8 +78,8 @@ func widePair(t testing.TB, b *pipeline.Bundle, workers int) (pre, exact *Engine
 func TestPrescreenBitExact(t *testing.T) {
 	e := getEnv(t)
 	for _, workers := range []int{1, 4} {
-		pre, exact := widePair(t, e.bundle, workers)
-		na := len(e.bundle.Views[platform.Twitter])
+		pre, exact := widePair(t, e.wide, workers)
+		na := len(e.wide.Views[platform.Twitter])
 		for _, k := range []int{1, 5} {
 			for a := 0; a < na; a++ {
 				got, err := pre.TopK(platform.Twitter, a, platform.Facebook, k)
@@ -109,7 +113,7 @@ func TestPrescreenBitExact(t *testing.T) {
 	}
 
 	// REPL byte-diff: the same command script through both engines.
-	pre, exact := widePair(t, e.bundle, 1)
+	pre, exact := widePair(t, e.wide, 1)
 	script := []string{"pairs"}
 	for a := 0; a < 6; a++ {
 		script = append(script,
@@ -170,7 +174,10 @@ func httpGet(t *testing.T, url string) []byte {
 // rescore chunking is fixed, not worker-derived). Runs under make race.
 func TestPrescreenNeverPrunesTopK(t *testing.T) {
 	for _, seed := range []int64{11, 29} {
-		bundle := propertyBundle(t, seed)
+		bundle, err := widePack(propertyFit(t, seed), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
 		na := len(bundle.Views[platform.Twitter])
 		nb := len(bundle.Views[platform.Facebook])
 		var survivors [2]uint64
@@ -209,9 +216,9 @@ func TestPrescreenNeverPrunesTopK(t *testing.T) {
 	}
 }
 
-// propertyBundle trains a small world end to end and returns its packed
-// bundle — one randomized instance of the property test's universe.
-func propertyBundle(t *testing.T, seed int64) *pipeline.Bundle {
+// propertyFit trains a small world end to end — one randomized instance
+// of the property tests' universe.
+func propertyFit(t *testing.T, seed int64) *pipeline.FitState {
 	t.Helper()
 	w, err := synth.Generate(synth.DefaultConfig(24, platform.EnglishPlatforms, seed))
 	if err != nil {
@@ -242,11 +249,98 @@ func propertyBundle(t *testing.T, seed int64) *pipeline.Bundle {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bundle, err := fitted.Bundle(0)
-	if err != nil {
-		t.Fatal(err)
+	return fitted
+}
+
+// TestPrescreenCertifiesIndexPairs holds the certificate to what it
+// claims over five seeded worlds, each packed twice: with the default
+// 3-wide index rows and with 16-wide ones (a real index, not the cross
+// product). |f − f̃| ≤ ε on every index pair, and the largest gap equals
+// the recorded EpsRaw — the margin is measured over exactly these pairs,
+// through the serving fold. The two-tier top-k equals the exact one on
+// every row at k ∈ {1, 5, row − 8}, and it prunes on the 16-wide rows.
+// The same holds on both shard engines of a 2-way split, whose rows are
+// subsets of the packed ones.
+func TestPrescreenCertifiesIndexPairs(t *testing.T) {
+	for _, seed := range []int64{11, 29, 3, 5, 17} {
+		fitted := propertyFit(t, seed)
+		for _, width := range []int{3, 16} {
+			b, err := widePack(fitted, width)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ps := b.Prescreen
+			if ps == nil || ps.Safety != 1 || ps.Eps != math.Nextafter(ps.EpsRaw, math.Inf(1)) {
+				t.Fatalf("seed=%d width=%d: prescreen %+v is not a safety-1 certificate", seed, width, ps)
+			}
+			shards, err := pipeline.SplitBundle(b, 2, uint64(seed), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, sb := range append([]*pipeline.Bundle{b}, shards...) {
+				name := fmt.Sprintf("seed=%d width=%d bundle=%d", seed, width, i)
+				worst, pruned := checkCertificate(t, sb, name)
+				if i == 0 && worst != ps.EpsRaw {
+					t.Fatalf("%s: largest index-pair gap %v, recorded EpsRaw %v", name, worst, ps.EpsRaw)
+				}
+				if width == 16 && pruned == 0 {
+					t.Fatalf("%s: prescreen never pruned — the top-k check is vacuous", name)
+				}
+			}
+		}
 	}
-	return bundle
+}
+
+// checkCertificate checks one bundle's engine row by row: every index
+// pair within ε of its exact score, and the two-tier top-k equal to the
+// exact one at k ∈ {1, 5, row − 8}. It returns the largest gap seen and
+// how many candidates the prescreen pruned.
+func checkCertificate(t *testing.T, b *pipeline.Bundle, name string) (float64, uint64) {
+	t.Helper()
+	pre, exact := widePair(t, b, 1)
+	ix := b.Indexes[0]
+	eps, worst := pre.Model.PrescreenEps(), 0.0
+	for a, row := range ix.ByA {
+		if len(row) == 0 {
+			continue
+		}
+		pairs := make([][2]int, len(row))
+		for i, c := range row {
+			pairs[i] = [2]int{a, c.B}
+		}
+		f, err := exact.Model.ScoreBatchWorkers(ix.PA, ix.PB, pairs, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		approx := make([]float64, len(pairs))
+		if err := pre.Model.PrescreenBatchInto(ix.PA, ix.PB, pairs, 1, approx); err != nil {
+			t.Fatal(err)
+		}
+		for i := range f {
+			gap := math.Abs(f[i] - approx[i])
+			if gap > eps {
+				t.Fatalf("%s: pair %v: |f − f̃| = %v exceeds ε = %v", name, pairs[i], gap, eps)
+			}
+			worst = max(worst, gap)
+		}
+		for _, k := range []int{1, 5, len(row) - 8} {
+			if k < 1 {
+				continue
+			}
+			got, err := pre.TopK(ix.PA, a, ix.PB, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := exact.TopK(ix.PA, a, ix.PB, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: k=%d a=%d: two-tier %+v, exact %+v", name, k, a, got, want)
+			}
+		}
+	}
+	return worst, pre.PrescreenHealth().Pruned
 }
 
 // TestPrescreenlessBundleServesExactOnly is the fallback gate: a v3
@@ -255,10 +349,10 @@ func propertyBundle(t *testing.T, seed int64) *pipeline.Bundle {
 // to a prescreen-carrying engine — just without pruning.
 func TestPrescreenlessBundleServesExactOnly(t *testing.T) {
 	e := getEnv(t)
-	stripped := wideBundle(e.bundle)
+	stripped := *e.wide
 	stripped.Prescreen = nil
 	var buf bytes.Buffer
-	if err := pipeline.WriteBundle(&buf, stripped); err != nil {
+	if err := pipeline.WriteBundle(&buf, &stripped); err != nil {
 		t.Fatal(err)
 	}
 	decoded, err := pipeline.ReadBundle(buf.Bytes())
@@ -278,7 +372,7 @@ func TestPrescreenlessBundleServesExactOnly(t *testing.T) {
 	if ph := plain.PrescreenHealth(); ph != nil {
 		t.Fatalf("exact-only engine reports prescreen health %+v", ph)
 	}
-	pre, _ := widePair(t, e.bundle, 1)
+	pre, _ := widePair(t, e.wide, 1)
 	for a := 0; a < 8; a++ {
 		got, err := plain.TopK(platform.Twitter, a, platform.Facebook, 5)
 		if err != nil {
@@ -304,7 +398,7 @@ func TestPrescreenlessBundleServesExactOnly(t *testing.T) {
 // in the counts.
 func TestTwoTierSteadyStateAllocs(t *testing.T) {
 	e := getEnv(t)
-	pre, _ := widePair(t, e.bundle, 1)
+	pre, _ := widePair(t, e.wide, 1)
 	var dst []Scored
 	var err error
 	// Warm: grow every pooled buffer and the source's pair cache.
@@ -338,12 +432,12 @@ func BenchmarkServeTopKWidePrescreen(b *testing.B) {
 
 func benchWideTopK(b *testing.B, prescreen bool) {
 	e, _ := benchEnv(b)
-	eng, err := NewEngineFromBundle(wideBundle(e.bundle), 0)
+	eng, err := NewEngineFromBundle(e.wide, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
 	eng.SetPrescreenEnabled(prescreen)
-	na := len(e.bundle.Views[platform.Twitter])
+	na := len(e.wide.Views[platform.Twitter])
 	var dst []Scored
 	for a := 0; a < na; a++ { // warm pair cache + pooled buffers
 		if dst, err = eng.TopKAppend(dst[:0], platform.Twitter, a, platform.Facebook, 5); err != nil {

@@ -18,7 +18,8 @@ import (
 //     recovering replica in lockstep.
 //   - half-open: exactly one probe call is admitted (the CAS in allow
 //     wins it). Success closes the breaker; failure re-opens it with a
-//     longer window.
+//     longer window; a probe its caller abandoned hands the slot back
+//     (release).
 //
 // Races between concurrent successes/failures are benign: the worst
 // outcome is an extra probe or an open window computed from a slightly
@@ -37,20 +38,26 @@ const (
 	bkHalfOpen
 )
 
-// allow reports whether a call may proceed now. Claiming the half-open
-// probe slot is part of the answer: the caller that gets true after an
-// open window MUST report success or failure, or the breaker stays
-// half-open until another window elapses.
-func (b *breaker) allow(now int64) bool {
+// allow reports whether a call may proceed now, and whether that call
+// claimed the half-open probe slot. The caller that claims it MUST report
+// success or failure, or release the slot, or the breaker stays
+// half-open for good.
+func (b *breaker) allow(now int64) (ok, probe bool) {
 	switch b.state.Load() {
 	case bkClosed:
-		return true
+		return true, false
 	case bkOpen:
-		return now >= b.openUntil.Load() && b.state.CompareAndSwap(bkOpen, bkHalfOpen)
+		probe = now >= b.openUntil.Load() && b.state.CompareAndSwap(bkOpen, bkHalfOpen)
+		return probe, probe
 	default: // half-open: the probe slot is taken
-		return false
+		return false, false
 	}
 }
+
+// release hands back a claimed probe slot whose call proved nothing
+// about the replica: the breaker returns to open with its window
+// unchanged (already elapsed), so the next call probes at once.
+func (b *breaker) release() { b.state.CompareAndSwap(bkHalfOpen, bkOpen) }
 
 // closedNow is a read-only peek used when choosing hedge backups: a
 // half-open probe or an open replica is not a good place to send a

@@ -61,7 +61,7 @@ func (r *Router) RobustStats() RobustStats {
 	return st
 }
 
-func (r *Router) breakerAllow(si, ri int) bool {
+func (r *Router) breakerAllow(si, ri int) (ok, probe bool) {
 	return r.breakers[si][ri].allow(time.Now().UnixNano())
 }
 

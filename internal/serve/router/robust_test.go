@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -793,5 +794,75 @@ func TestHedgeLateLoserLeavesRowsUntouched(t *testing.T) {
 	}
 	if st := r.RobustStats(); st.HedgeWon == 0 || st.HedgeCancelled == 0 {
 		t.Fatalf("hedge counters: won=%d cancelled=%d, want both > 0", st.HedgeWon, st.HedgeCancelled)
+	}
+}
+
+// TestBreakerCallerCancellationIsNotAReplicaFailure: a caller whose own
+// context ends before a healthy replica answers costs that replica
+// nothing. Three top-k calls under 5 ms contexts against a replica that
+// answers in 50 ms (the default threshold is 3) leave its breaker
+// closed, fail with the context's error rather than a spent budget, and
+// count no budget exhaustion; a call with no deadline then succeeds.
+func TestBreakerCallerCancellationIsNotAReplicaFailure(t *testing.T) {
+	e := getEnv(t)
+	shards, _ := shardBackends(t, 1, 1)
+	slow := &slowBackend{name: "slow-0", inner: shards[0][0], delay: 50 * time.Millisecond}
+	r, err := New([][]Backend{{slow}}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+		_, err := r.TopK(ctx, e.pair[0], 0, e.pair[1], 5)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) || strings.Contains(err.Error(), "budget") {
+			t.Fatalf("call %d under a 5 ms context: err = %v, want the context's deadline", i, err)
+		}
+	}
+	if got := r.breakers[0][0].stateName(); got != "closed" {
+		t.Fatalf("healthy replica's breaker = %q after callers gave up, want closed", got)
+	}
+	res, err := r.TopK(context.Background(), e.pair[0], 0, e.pair[1], 5)
+	if err != nil {
+		t.Fatalf("call without a deadline: %v", err)
+	}
+	if want, _ := e.single.TopK(e.pair[0], 0, e.pair[1], 5); !reflect.DeepEqual(res.Results, want) {
+		t.Fatal("answer differs from the single engine")
+	}
+	var page bytes.Buffer
+	r.WriteMetrics(&page)
+	if !strings.Contains(page.String(), "\nhydra_retry_budget_exhausted_total 0\n") {
+		t.Fatalf("retry budget counted as exhausted:\n%s", page.String())
+	}
+}
+
+// TestBreakerCancelledProbeHandsBackSlot: a half-open probe whose caller
+// gives up proves nothing about the replica, so the slot goes back —
+// the breaker reads open, not half-open, and the very next call probes
+// and closes it.
+func TestBreakerCancelledProbeHandsBackSlot(t *testing.T) {
+	e := getEnv(t)
+	shards, _ := shardBackends(t, 1, 1)
+	slow := &slowBackend{name: "slow-0", inner: shards[0][0], delay: 50 * time.Millisecond}
+	r, err := New([][]Backend{{slow}}, Options{BreakerThreshold: 1, BreakerOpenFor: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.breakerFailure(0, 0)
+	time.Sleep(5 * time.Millisecond) // past the open window: the next call is the probe
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	_, err = r.TopK(ctx, e.pair[0], 0, e.pair[1], 5)
+	cancel()
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("probe under a 5 ms context: err = %v, want the context's deadline", err)
+	}
+	if got := r.breakers[0][0].stateName(); got != "open" {
+		t.Fatalf("breaker = %q after its probe's caller gave up, want open", got)
+	}
+	if _, err := r.TopK(context.Background(), e.pair[0], 0, e.pair[1], 5); err != nil {
+		t.Fatalf("next call: %v", err)
+	}
+	if got := r.breakers[0][0].stateName(); got != "closed" {
+		t.Fatalf("breaker = %q after the replica answered, want closed", got)
 	}
 }

@@ -288,6 +288,7 @@ type walk struct {
 	attempts    int   // replica calls fired so far, hedges included
 	pass, off   int   // position: ring pass, offset into it
 	admitted    int   // replicas the current pass let through
+	probing     bool  // the current attempt holds its replica's half-open probe slot (so it is never hedged)
 	lastErr     error // the last replica failure or breaker denial
 }
 
@@ -303,10 +304,15 @@ func (r *Router) newWalk(ctx context.Context, si int) walk {
 // breaker open, or the shard down after `rings` passes. The retry budget
 // is checked before a breaker is consulted: a half-open breaker's allow
 // claims its one probe slot, and a walk that could not then fire the
-// probe would leave the replica half-open for good.
+// probe would leave the replica half-open for good. A backoff cut short
+// by the caller's own context ends the walk with the context's error,
+// not as a spent budget.
 func (w *walk) next() (int, error) {
 	for ; w.pass < rings; w.pass, w.off, w.admitted = w.pass+1, 0, 0 {
 		if w.pass > 0 && w.off == 0 && !w.r.backoffWait(w.ctx, w.pass, w.budgetT, w.hasBudget) {
+			if err := w.ctx.Err(); err != nil && !(w.hasBudget && time.Until(w.budgetT) <= 0) {
+				return -1, fmt.Errorf("router: shard %d: %w", w.si, err)
+			}
 			return -1, w.exhausted(fmt.Errorf("router: shard %d: deadline budget exhausted during backoff (%d attempts): %w",
 				w.si, w.attempts, afterErr(w.lastErr)))
 		}
@@ -324,12 +330,14 @@ func (w *walk) next() (int, error) {
 			}
 			idx := (w.start + w.off) % len(w.reps)
 			w.off++
-			if !w.r.breakerAllow(w.si, idx) {
+			ok, probe := w.r.breakerAllow(w.si, idx)
+			if !ok {
 				w.r.robust.failFast.Add(1)
 				w.lastErr = fmt.Errorf("%s: circuit breaker open", w.reps[idx].Name())
 				continue
 			}
 			w.admitted++
+			w.probing = probe
 			return idx, nil
 		}
 		if w.admitted == 0 {
@@ -349,8 +357,10 @@ func (w *walk) exhausted(err error) error {
 // book is the one place a flight's outcome is booked: an answer makes
 // its replica the preferred one and, on a hedged call, adds a sample to
 // the shard's latency window; an answer or a query error (the replica
-// answered; see queryError) closes the replica's breaker, and anything
-// else is a breaker failure.
+// answered; see queryError) closes the replica's breaker. A failure
+// after the caller's own context ended is the caller's, not the
+// replica's: it is not booked, and a probe slot the attempt held is
+// handed back. Any other failure is a breaker failure.
 func (w *walk) book(idx int, err error, dur time.Duration, hedge bool) {
 	switch {
 	case err == nil:
@@ -361,6 +371,10 @@ func (w *walk) book(idx int, err error, dur time.Duration, hedge bool) {
 		fallthrough
 	case IsQueryError(err):
 		w.r.breakers[w.si][idx].success()
+	case w.ctx.Err() != nil:
+		if w.probing {
+			w.r.breakers[w.si][idx].release()
+		}
 	default:
 		w.r.breakerFailure(w.si, idx)
 	}

@@ -30,6 +30,9 @@ type testEnv struct {
 	trained *core.Model
 	task    *core.Task
 	bundle  *pipeline.Bundle
+	// wide is the same fit packed over the full A×B cross product
+	// (widePack), certified over every pair of it.
+	wide *pipeline.Bundle
 	// The serialized bundle, so the cold-start benchmarks pay the decode
 	// a real process start pays.
 	bundleBytes []byte
@@ -150,12 +153,17 @@ func buildEnv() (testEnv, error) {
 	if err != nil {
 		return testEnv{}, err
 	}
+	wide, err := widePack(fitted, 0)
+	if err != nil {
+		return testEnv{}, err
+	}
 	return testEnv{
 		eng:         eng,
 		beng:        beng,
 		trained:     fitted.Linker.Model(),
 		task:        blocked.Task,
 		bundle:      bundle2,
+		wide:        wide,
 		bundleBytes: bundleBytes,
 	}, nil
 }

@@ -5,10 +5,8 @@
 package temporal
 
 import (
-	"cmp"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 	"time"
 
@@ -68,25 +66,42 @@ type Timeline struct {
 // NewTimeline lays out the observation times over range r for the bucket
 // scales scalesDays (each a positive number of days, see ValidDays).
 // Observations outside r belong to no bucket.
+//
+// Each scale's grouping is a stable counting sort over bucket ids, which
+// gives the order a stable sort by bucket gives in O(observations +
+// buckets), the buckets bounded by the range's length at that scale.
 func NewTimeline(r Range, scalesDays []int, times []time.Time) Timeline {
 	tl := Timeline{scalesDays: scalesDays, at: make([]int64, len(times))}
 	inside := make([]int32, 0, len(times))
+	var last int64
 	for i, t := range times {
 		if r.Contains(t) {
 			tl.at[i] = int64(t.Sub(r.Start))
 			inside = append(inside, int32(i))
+			last = max(last, tl.at[i])
 		}
 	}
-	tl.order = make([]int32, 0, len(scalesDays)*len(inside))
-	buckets := make([]int64, len(times))
-	for _, days := range scalesDays {
+	m := len(inside)
+	tl.order = make([]int32, len(scalesDays)*m)
+	// Every scale is at least a day, so no bucket id exceeds last/Day.
+	counts := make([]int32, last/int64(Day)+2)
+	for s, days := range scalesDays {
 		scale := int64(days) * int64(Day)
+		// start[b+1] counts bucket b, then start[b] is where it begins.
+		start := counts[:last/scale+2]
+		clear(start)
 		for _, i := range inside {
-			buckets[i] = tl.at[i] / scale // = r.BucketOf(times[i], scale)
+			start[tl.at[i]/scale+1]++ // bucket = r.BucketOf(times[i], scale)
 		}
-		group := append(tl.order[len(tl.order):], inside...)
-		slices.SortStableFunc(group, func(x, y int32) int { return cmp.Compare(buckets[x], buckets[y]) })
-		tl.order = tl.order[:len(tl.order)+len(group)]
+		for b := 1; b < len(start); b++ {
+			start[b] += start[b-1]
+		}
+		group := tl.order[s*m : (s+1)*m]
+		for _, i := range inside {
+			b := tl.at[i] / scale
+			group[start[b]] = i
+			start[b]++
+		}
 	}
 	return tl
 }

@@ -518,3 +518,51 @@ func TestSigmoidProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestNewTimelineOrderMatchesStableSort holds the counting-sort layout
+// to the stable sort by bucket it replaced: over random ranges, random
+// observation times (some outside the range, some on bucket edges) and
+// every scale, each scale's grouping equals slices.SortStableFunc of
+// the inside observations by bucket id.
+func TestNewTimelineOrderMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	scales := append(append([]int(nil), DefaultScalesDays...), 3, 7, 365, 400)
+	for trial := 0; trial < 300; trial++ {
+		start := time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC).Add(time.Duration(rng.Int63n(int64(1000 * Day))))
+		r := Range{Start: start, End: start.Add(time.Duration(1 + rng.Int63n(int64(800*Day))))}
+		times := make([]time.Time, rng.Intn(200))
+		for i := range times {
+			switch rng.Intn(8) {
+			case 0: // outside, on either side
+				times[i] = r.Start.Add(-time.Duration(1 + rng.Int63n(int64(30*Day))))
+			case 1:
+				times[i] = r.End.Add(time.Duration(rng.Int63n(int64(30 * Day))))
+			case 2: // on a day boundary
+				times[i] = r.Start.Add(time.Duration(rng.Int63n(int64(r.Duration()/Day)+1)) * Day)
+			default:
+				times[i] = r.Start.Add(time.Duration(rng.Int63n(int64(r.Duration()))))
+			}
+		}
+		tl := NewTimeline(r, scales, times)
+		var inside []int32
+		for i, ts := range times {
+			if r.Contains(ts) {
+				inside = append(inside, int32(i))
+			}
+		}
+		m := len(inside)
+		if len(tl.order) != len(scales)*m {
+			t.Fatalf("trial %d: order holds %d entries, want %d", trial, len(tl.order), len(scales)*m)
+		}
+		for s, days := range scales {
+			scale := time.Duration(days) * Day
+			want := slices.Clone(inside)
+			slices.SortStableFunc(want, func(x, y int32) int {
+				return int(r.BucketOf(times[x], scale) - r.BucketOf(times[y], scale))
+			})
+			if got := tl.order[s*m : (s+1)*m]; !slices.Equal(got, want) {
+				t.Fatalf("trial %d, scale %d days: order %v, want %v", trial, days, got, want)
+			}
+		}
+	}
+}
