@@ -53,7 +53,9 @@ test:
 # suite with its live-listener HTTP drill (TestChaos*), the two-tier
 # prescreen oracles (TestPrescreen*, among them the certificate over
 # every index pair of five seeded worlds and of both shards of their
-# 2-way splits, TestPrescreenCertifiesIndexPairs) and its fanned-out
+# 2-way splits, TestPrescreenCertifiesIndexPairs, and the memoized fold
+# against the unmemoized one, cold, warm and evicting inside one batch,
+# at 1 and 4 workers, TestPrescreenBatchIntoMatchesState) and its fanned-out
 # pack-time build (TestBuildPrescreenWorkersBitIdentical), the pack-time impute table vs
 # live-path twins (TestImpute*), the cold Eqn-18 plan's partial friend
 # pairs vs the single-pair reference walk, inline and fanned out

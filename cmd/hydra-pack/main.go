@@ -1,8 +1,8 @@
 // Command hydra-pack rewrites an existing v3 serving bundle offline: it
-// splits it into shards for a scatter-gather deployment, or strips its
-// pack-time impute table. Bundles themselves come from one place, the
-// training run (hydra-link -save-bundle), which packs the fitted system
-// straight into the bundle:
+// splits it into shards for a scatter-gather deployment, or (without
+// -shards) decodes and re-encodes it whole. Bundles themselves come from
+// one place, the training run (hydra-link -save-bundle), which packs the
+// fitted system straight into the bundle:
 //
 //	go run ./cmd/hydra-link  -in world.json -save-bundle bundle.bin
 //	go run ./cmd/hydra-pack  -bundle bundle.bin -shards 4 -generation 2 -o bundle.bin
@@ -32,30 +32,21 @@ import (
 
 func main() {
 	var (
-		inBundle    = flag.String("bundle", "", "existing bundle to re-shard or strip (from hydra-link -save-bundle)")
-		out         = flag.String("o", "", "output bundle path (with -shards, the base name for name.shardK.ext files)")
-		shards      = flag.Int("shards", 1, "split the bundle into this many self-contained shards (1 = no split)")
-		seed        = flag.Uint64("hash-seed", 0, "seed of the consistent hash that assigns B-side accounts to shards")
-		generation  = flag.Uint64("generation", 1, "bundle generation stamped on each shard; hot swap requires strictly newer")
-		imputeTable = flag.String("impute-table", "on", "pack-time Eqn-18 impute table: on|off; off strips the table so serving imputes through the live friend walk (bit-identical answers, smaller bundle)")
+		inBundle   = flag.String("bundle", "", "existing bundle to re-shard or re-encode (from hydra-link -save-bundle)")
+		out        = flag.String("o", "", "output bundle path (with -shards, the base name for name.shardK.ext files)")
+		shards     = flag.Int("shards", 1, "split the bundle into this many self-contained shards (1 = no split)")
+		seed       = flag.Uint64("hash-seed", 0, "seed of the consistent hash that assigns B-side accounts to shards")
+		generation = flag.Uint64("generation", 1, "bundle generation stamped on each shard; hot swap requires strictly newer")
 	)
 	flag.Parse()
-	if *imputeTable != "on" && *imputeTable != "off" {
-		fmt.Fprintf(os.Stderr, "hydra-pack: -impute-table must be on or off, got %q\n", *imputeTable)
-		os.Exit(2)
-	}
 	if *inBundle == "" || *out == "" {
-		fmt.Fprintln(os.Stderr, "usage: hydra-pack -bundle bundle.bin [-shards N] [-generation G] [-impute-table on|off] -o bundle.bin")
+		fmt.Fprintln(os.Stderr, "usage: hydra-pack -bundle bundle.bin [-shards N] [-generation G] -o bundle.bin")
 		os.Exit(2)
 	}
 
 	b, err := pipeline.LoadBundle(*inBundle)
 	if err != nil {
 		log.Fatal(err)
-	}
-
-	if *imputeTable == "off" {
-		b.ImputeTable = nil
 	}
 
 	if *shards <= 1 {

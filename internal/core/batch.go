@@ -71,18 +71,13 @@ func (m *Model) NumSupport() int { return len(m.svAlpha) }
 type scoreScratch struct {
 	plan  imputePlan      // the batch's Eqn-18 walk
 	rows  []linalg.Vector // per-row imputed feature buffers
-	sub   []linalg.Vector // row-header views for subset rescoring
 	kdata []float64       // backing array of the kernel value matrix
 	km    linalg.Matrix   // header over kdata, reshaped per query
 
-	// The two-tier lazy-impute buffers: which leased rows are
-	// materialized, and the gather slots for the subset that is not yet
-	// (fold-memo hits skip imputation until the exact rescore needs the
-	// row — most never do).
-	rowOK  []bool
+	// PrescreenMemoInto's fold-memo misses: their batch indices, pairs
+	// and fold values.
 	miss   []int
 	mpairs [][2]int
-	mrows  []linalg.Vector
 	mpre   []float64
 
 	// Score's batch of one, held here so a warm Score allocates nothing.
@@ -172,11 +167,11 @@ func (m *Model) impute(sc *scoreScratch, rows []linalg.Vector, pa, pb platform.I
 	return m.store.imputeBatch(&sc.plan, rows, pa, pb, pairs, m.cfg.Variant, m.cfg.TopFriends, workers)
 }
 
-// foldKernel is the one exact scoring fold, shared by ScoreBatchInto (and
-// so Score) and TwoTier.ScoreSubset: all kernel values in one blocked
-// pass, km[j][i] = K(sv_j, x_i), parallel over support rows — then α and
-// the bias folded into out (len(out) = len(rows)), walking km row by row
-// so the reads are sequential. Every output slot accumulates bias then
+// foldKernel is the one exact scoring fold, behind ScoreBatchInto and
+// Score: all kernel values in one blocked pass, km[j][i] = K(sv_j, x_i),
+// parallel over support rows — then α and the bias folded into out
+// (len(out) = len(rows)), walking km row by row so the reads are
+// sequential. Every output slot accumulates bias then
 // α_j·K(sv_j, x_i) in ascending support order — the float addition
 // sequence of the full expansion Σ α_j K(x_j, x) + b, hence bit-exact —
 // and depends only on its own row.

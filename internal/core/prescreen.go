@@ -390,10 +390,9 @@ type prescreenState struct {
 	// the pack-time impute table landed showed the fold itself (one exp +
 	// full-dim SqDist per bump per candidate, every candidate, every
 	// query) as the next top-k floor; the memo collapses a warm query's
-	// tier-1 pass to one map hit per candidate, and the two-tier lease
-	// then only materializes imputed rows for candidates that actually
-	// reach the exact rescore. Its counters count BeginTwoTier lookups
-	// since the prescreen was attached.
+	// tier-1 pass to one map hit per candidate, so only the candidates
+	// that reach the exact rescore are imputed. Its counters count
+	// PrescreenMemoInto lookups since the prescreen was attached.
 	cache pairMemo[float64]
 }
 
@@ -420,7 +419,7 @@ func (ps *prescreenState) score(x linalg.Vector, bias float64) float64 {
 }
 
 // foldInto writes the prescreen fold of rows[i] to out[i] — the one
-// prescreen fold, shared by BeginTwoTier (over its memo misses) and
+// prescreen fold, shared by PrescreenMemoInto (over its memo misses) and
 // PrescreenBatchInto (over every row). Each slot is a pure function of
 // its own row, so the values are bit-identical at any worker count.
 func (ps *prescreenState) foldInto(out []float64, rows []linalg.Vector, bias float64, workers int) {
@@ -525,5 +524,56 @@ func (m *Model) PrescreenBatchInto(pa platform.ID, pb platform.ID, pairs [][2]in
 		return err
 	}
 	m.pre.foldInto(out, rows, m.bias, workers)
+	return nil
+}
+
+// PrescreenMemoInto is PrescreenBatchInto through the fold memo, the
+// serving top-k's tier-1 pass: a pair whose f̃ is memoized is answered
+// from the memo without imputing, and only the misses are imputed,
+// folded and stored. A memoized value is the bits a fresh fold produces,
+// so out equals PrescreenBatchInto's at any worker count, cap and
+// eviction order.
+func (m *Model) PrescreenMemoInto(pa platform.ID, pb platform.ID, pairs [][2]int, workers int, out []float64) error {
+	if m.pre == nil {
+		return fmt.Errorf("core: model has no prescreen attached")
+	}
+	if len(out) != len(pairs) {
+		return fmt.Errorf("core: PrescreenMemoInto got %d output slots for %d pairs", len(out), len(pairs))
+	}
+	sc := m.getScratch()
+	defer m.scratch.Put(sc)
+	fc := &m.pre.cache
+	miss, mp := sc.miss[:0], sc.mpairs[:0]
+	fc.mu.Lock()
+	for i, p := range pairs {
+		if v, hit := fc.m[pairKey{pa, pb, p[0], p[1]}]; hit {
+			out[i] = v
+		} else {
+			miss, mp = append(miss, i), append(mp, p)
+		}
+	}
+	fc.mu.Unlock()
+	sc.miss, sc.mpairs = miss, mp
+	fc.hits.Add(uint64(len(pairs) - len(miss)))
+	fc.misses.Add(uint64(len(miss)))
+	if len(miss) == 0 {
+		return nil
+	}
+	rows := sc.ensureRows(len(miss))
+	if err := m.impute(sc, rows, pa, pb, mp, workers); err != nil {
+		return err
+	}
+	mpre := grow(&sc.mpre, len(miss))
+	m.pre.foldInto(mpre, rows, m.bias, workers)
+	fc.mu.Lock()
+	if fc.m == nil {
+		fc.m = make(map[pairKey]float64, 1024)
+	}
+	fc.evictLocked(len(miss))
+	for j, i := range miss {
+		out[i] = mpre[j]
+		fc.m[pairKey{pa, pb, mp[j][0], mp[j][1]}] = mpre[j]
+	}
+	fc.mu.Unlock()
 	return nil
 }

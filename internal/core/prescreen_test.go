@@ -226,9 +226,10 @@ func TestPrescreenPartsValidate(t *testing.T) {
 
 // TestPrescreenBatchIntoMatchesState asserts the batched prescreen path
 // equals the scalar fold on the imputed vectors, at 1 and 4 workers —
-// the determinism the two-tier rescore order relies on — and that the
-// margin holds on the pairs it was certified over, not just training
-// candidates.
+// the determinism the two-tier rescore order relies on — that the
+// memoized fold returns the same bits cold, warm and with a memo so
+// small it evicts inside one batch, and that the margin holds on the
+// pairs it was certified over, not just training candidates.
 func TestPrescreenBatchIntoMatchesState(t *testing.T) {
 	sys, task, parts := trainedParts(t)
 	ps, err := BuildPrescreen(parts, PrescreenOpts{Queries: blockRows(t, sys, task, parts)})
@@ -263,6 +264,53 @@ func TestPrescreenBatchIntoMatchesState(t *testing.T) {
 		for i := range got {
 			if got[i] != want[i] {
 				t.Fatalf("workers=4: prescreen score %d differs: %v vs %v", i, got[i], want[i])
+			}
+		}
+	}
+	fc := &m.pre.cache
+	for _, workers := range []int{1, 4} {
+		// The evicting state memoizes the first half, then lowers the cap
+		// below it: the batch reads those hits, and storing its misses
+		// evicts them.
+		half := len(pairs) / 2
+		for _, state := range []struct {
+			name    string
+			reset   bool
+			prefill int
+			cap     int
+		}{
+			{"cold", true, 0, foldCacheEntries},
+			{"warm", false, 0, foldCacheEntries},
+			{"evicting", true, half, 5},
+		} {
+			if state.reset {
+				fc.m = nil
+			}
+			fc.cap = foldCacheEntries
+			if err := m.PrescreenMemoInto(b.PA, b.PB, pairs[:state.prefill], workers, make([]float64, state.prefill)); err != nil {
+				t.Fatal(err)
+			}
+			fc.cap = state.cap
+			h0, m0, _ := fc.stats()
+			got := make([]float64, len(pairs))
+			if err := m.PrescreenMemoInto(b.PA, b.PB, pairs, workers, got); err != nil {
+				t.Fatal(err)
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("workers=%d %s memo: prescreen score %d differs: %v vs %v", workers, state.name, i, got[i], want[i])
+				}
+			}
+			h1, m1, _ := fc.stats()
+			if hits, misses := h1-h0, m1-m0; hits+misses != uint64(len(pairs)) {
+				t.Fatalf("workers=%d %s memo: %d hits + %d misses for %d lookups", workers, state.name, hits, misses, len(pairs))
+			} else if state.name == "warm" && misses != 0 {
+				t.Fatalf("workers=%d warm memo missed %d of %d pairs", workers, misses, len(pairs))
+			} else if state.reset && hits != uint64(state.prefill) {
+				t.Fatalf("workers=%d %s memo hit %d of %d pairs, want %d", workers, state.name, hits, len(pairs), state.prefill)
+			}
+			if n := fc.size(); state.cap < half && n != len(pairs)-half {
+				t.Fatalf("workers=%d %s memo holds %d entries, want only the batch's %d misses", workers, state.name, n, len(pairs)-half)
 			}
 		}
 	}

@@ -84,10 +84,9 @@ type Bundle struct {
 	// ImputeTable is the optional pack-time Eqn-18 table (see
 	// core.BuildImputeTable): the precomputed friend-pair sums of every
 	// index-shard candidate with missing dimensions, keyed at the
-	// model's resolved TopFriends. nil — older bundles, HYDRA-Z models,
-	// the `-impute-table=off` pack flag — means live imputation; the
-	// served bits are identical either way, only per-candidate work
-	// varies.
+	// model's resolved TopFriends. nil — older bundles, HYDRA-Z models —
+	// means live imputation; the served bits are identical either way,
+	// only per-candidate work varies.
 	ImputeTable *core.ImputeTableParts
 
 	// Serving surface: the indexed platform pairs and the prebuilt

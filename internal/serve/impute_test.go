@@ -12,9 +12,9 @@ import (
 )
 
 // imputePair restores two engines from the same table-carrying bundle:
-// one consulting the pack-time Eqn-18 table, one with the
-// -impute-table=off escape hatch walking friends live. Everything a
-// client can see must be identical between them.
+// one consulting the pack-time Eqn-18 table, one with the table
+// switched off, walking friends live. Everything a client can see must
+// be identical between them.
 func imputePair(t *testing.T, workers int) (on, off *Engine) {
 	t.Helper()
 	e := getEnv(t)

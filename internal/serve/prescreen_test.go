@@ -390,30 +390,43 @@ func TestPrescreenlessBundleServesExactOnly(t *testing.T) {
 	}
 }
 
-// TestTwoTierSteadyStateAllocs pins the two-tier path's zero-alloc
-// steady state: a warm top-k through prescreen + chunked rescore with a
-// recycled dst allocates nothing, like the exact path it shadows. Named
-// without "Prescreen" so, like TestSteadyStateAllocs, it stays outside
-// the make race filter — the race runtime's bookkeeping would show up
-// in the counts.
+// TestTwoTierSteadyStateAllocs pins the two-tier path's steady state: a
+// warm top-k through prescreen + chunked rescore with a recycled dst
+// allocates nothing at workers 1, like the exact path it shadows. At
+// workers 4 the query (a = 1) rescores two chunks, and each fans out
+// twice — the Eqn-18 heads and CrossGramInto — at 7 allocations per
+// parallel.For (4 goroutine closures, the counter, the WaitGroup and
+// the caller's closure): the budget is those 28, so any other
+// allocation on the fanned-out path fails here. (AllocsPerRun pins
+// GOMAXPROCS to 1, so a workers-0 engine would measure as workers 1.)
+// Named without "Prescreen" so, like TestSteadyStateAllocs, it stays
+// outside the make race filter — the race runtime's bookkeeping would
+// show up in the counts.
 func TestTwoTierSteadyStateAllocs(t *testing.T) {
 	e := getEnv(t)
-	pre, _ := widePair(t, e.wide, 1)
-	var dst []Scored
-	var err error
-	// Warm: grow every pooled buffer and the source's pair cache.
-	for a := 0; a < 4; a++ {
-		if dst, err = pre.TopKAppend(dst[:0], platform.Twitter, a, platform.Facebook, 5); err != nil {
-			t.Fatal(err)
-		}
-	}
-	avg := testing.AllocsPerRun(50, func() {
-		if dst, err = pre.TopKAppend(dst[:0], platform.Twitter, 1, platform.Facebook, 5); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if avg != 0 {
-		t.Fatalf("warm prescreen top-k allocates %v times per op, want 0", avg)
+	for _, tc := range []struct {
+		workers int
+		budget  float64
+	}{{1, 0}, {4, 28}} {
+		t.Run(fmt.Sprintf("workers=%d", tc.workers), func(t *testing.T) {
+			pre, _ := widePair(t, e.wide, tc.workers)
+			var dst []Scored
+			var err error
+			// Warm: grow every pooled buffer and the source's pair cache.
+			for a := 0; a < 4; a++ {
+				if dst, err = pre.TopKAppend(dst[:0], platform.Twitter, a, platform.Facebook, 5); err != nil {
+					t.Fatal(err)
+				}
+			}
+			avg := testing.AllocsPerRun(50, func() {
+				if dst, err = pre.TopKAppend(dst[:0], platform.Twitter, 1, platform.Facebook, 5); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if avg > tc.budget {
+				t.Fatalf("warm prescreen top-k allocates %v times per op, want ≤ %v", avg, tc.budget)
+			}
+		})
 	}
 }
 

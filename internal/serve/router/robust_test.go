@@ -748,37 +748,39 @@ func TestHedgeNeverFiresForProbeOrScoreBatch(t *testing.T) {
 	}
 }
 
-// lateBackend answers top-k after a fixed delay whatever its context
-// says, with rows no engine would return, and closes done as it
+// lateBackend answers top-k only once release is closed, whatever its
+// context says, with rows no engine would return, and closes done as it
 // returns: a losing flight that finishes after its call has.
 type lateBackend struct {
 	Backend
-	delay time.Duration
-	done  chan struct{}
+	release chan struct{}
+	done    chan struct{}
 }
 
 func (l *lateBackend) TopK(ctx context.Context, pa platform.ID, a int, pb platform.ID, k int) ([]serve.Scored, uint64, error) {
 	defer close(l.done)
-	time.Sleep(l.delay)
+	<-l.release
 	return []serve.Scored{{B: -1, Score: 42}}, 1, nil
 }
 
 // TestHedgeLateLoserLeavesRowsUntouched: a hedged top-k returns the
-// backup's rows; the primary, which ignores its cancellation and
-// answers 30 ms later, must change nothing the call returned — not the
-// rows, not the preferred replica. Under make race this also proves the
-// late flight touches no memory the caller reads.
+// backup's rows; the primary, which ignores its cancellation and is
+// released to answer only after the call has returned, must change
+// nothing the call returned — not the rows, not the preferred replica.
+// Under make race this also proves the late flight touches no memory
+// the caller reads.
 func TestHedgeLateLoserLeavesRowsUntouched(t *testing.T) {
 	e := getEnv(t)
 	ctx := context.Background()
 	shards, engines := shardBackends(t, 1, 1)
-	late := &lateBackend{Backend: shards[0][0], delay: 30 * time.Millisecond, done: make(chan struct{})}
+	late := &lateBackend{Backend: shards[0][0], release: make(chan struct{}), done: make(chan struct{})}
 	fast := &Local{Src: engines[0], Label: "fast-1"}
 	r, err := New([][]Backend{{late, fast}}, Options{HedgeAfter: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := r.TopK(ctx, e.pair[0], 0, e.pair[1], 5)
+	close(late.release)
 	if err != nil || res.Degraded {
 		t.Fatalf("hedged call: err=%v res=%+v", err, res)
 	}

@@ -251,10 +251,9 @@ func (e *Engine) TopK(pa platform.ID, a int, pb platform.ID, k int) ([]Scored, e
 // list fed to the batch scorer, its score slots, the bounded selection
 // window, and a reusable sorter over it (sort.Slice's closure would
 // allocate every whole-shard query; a pooled sort.Interface does not).
-// The pre/order/rids/rscores buffers and the TwoTier lease back the
-// two-tier path: the approximate scores, the (prescreen desc, B asc)
-// candidate order, and the exact-rescore chunks fed back through the
-// batched kernel on the rows the prescreen pass already imputed.
+// The pre/order/rpairs/rscores buffers back the two-tier path: the
+// approximate scores, the (prescreen desc, B asc) candidate order, and
+// the exact-rescore chunks fed to the batch scorer.
 type topkScratch struct {
 	pairs  [][2]int
 	scores []float64
@@ -264,8 +263,7 @@ type topkScratch struct {
 	pre       []float64
 	order     []int
 	preSorter preorderSorter
-	tt        core.TwoTier
-	rids      []int
+	rpairs    [][2]int
 	rscores   []float64
 }
 
@@ -427,14 +425,9 @@ func (e *Engine) topKPrescreen(sc *topkScratch, pa platform.ID, pb platform.ID, 
 		sc.pre = make([]float64, n)
 	}
 	pre := sc.pre[:n]
-	// One impute pass for the whole query: the lease folds the prescreen
-	// over the freshly imputed rows and keeps them for the exact rescore
-	// chunks below — imputation is as costly as the kernel fold, and
-	// paying it twice per survivor used to eat the entire pruning win.
-	if err := e.Model.BeginTwoTier(&sc.tt, pa, pb, sc.pairs, e.Workers, pre); err != nil {
+	if err := e.Model.PrescreenMemoInto(pa, pb, sc.pairs, e.Workers, pre); err != nil {
 		return nil, err
 	}
-	defer sc.tt.End()
 	order := sc.order[:0]
 	for i := 0; i < n; i++ {
 		order = append(order, i)
@@ -460,26 +453,26 @@ func (e *Engine) topKPrescreen(sc *topkScratch, pa platform.ID, pb platform.ID, 
 			chunk = kk
 		}
 		j := i
-		ri := sc.rids[:0]
+		rp := sc.rpairs[:0]
 		for j < n && j-i < chunk {
 			if full && pre[order[j]] < kth-eps {
 				break
 			}
-			ri = append(ri, order[j])
+			rp = append(rp, sc.pairs[order[j]])
 			j++
 		}
-		sc.rids = ri
-		if cap(sc.rscores) < len(ri) {
-			sc.rscores = make([]float64, len(ri))
+		sc.rpairs = rp
+		if cap(sc.rscores) < len(rp) {
+			sc.rscores = make([]float64, len(rp))
 		}
-		rs := sc.rscores[:len(ri)]
-		if err := sc.tt.ScoreSubset(ri, e.Workers, rs); err != nil {
+		rs := sc.rscores[:len(rp)]
+		if err := e.Model.ScoreBatchInto(pa, pb, rp, e.Workers, rs); err != nil {
 			return nil, err
 		}
 		for t, s := range rs {
 			sel = insertScored(sel, kk, cands[order[i+t]].B, s)
 		}
-		rescored += len(ri)
+		rescored += len(rp)
 		i = j
 		if len(sel) == kk {
 			full, kth = true, sel[kk-1].Score
