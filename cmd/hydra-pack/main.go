@@ -14,7 +14,7 @@
 // Shard k lands next to -o as name.shard0.ext … name.shardN-1.ext; serve
 // each with hydra-serve and front them with hydra-router. Every output
 // file is written next to its target and renamed over it, so packing
-// over a bundle a server has mapped is safe; SIGHUP the server
+// over a bundle a server has open is safe; SIGHUP the server
 // afterwards.
 package main
 

@@ -6,12 +6,11 @@
 // hydra-link -save-bundle or hydra-pack. The bundle carries precomputed
 // account views, friend slices and candidate indexes, so there is no
 // world file, no feature rebuild, and the raw behavior data never ships
-// to the server. The file is memory-mapped, not decoded: startup reads
-// only the header, sections materialize on first touch, and resident
-// memory tracks the working set — bundles larger than RAM serve fine.
-// (Where mmap is unavailable the same reader runs over a heap copy of
-// the file.) Every answer is bit-identical to the system the bundle was
-// packed from.
+// to the server. The file is opened, not decoded: startup reads the
+// header and the model sections and locates every account entry, entries
+// are read from the file on first touch, and resident memory tracks the
+// working set — bundles larger than RAM serve fine. Every answer is
+// bit-identical to the system the bundle was packed from.
 //
 //	go run ./cmd/hydra-gen   -persons 120 -dataset english -o world.json
 //	go run ./cmd/hydra-link  -in world.json -save-bundle bundle.bin
@@ -24,9 +23,9 @@
 //     In-flight queries finish on the generation they started on; the
 //     swap is refused if the new bundle's generation is not strictly
 //     newer or its shard topology differs (see serve.Swappable). Because
-//     the served file is mapped, replace it by rename (write the new
-//     bundle next to it and mv it over — hydra-pack and hydra-link do),
-//     never by rewriting it in place.
+//     the served file stays open and is read on first touch, replace it
+//     by rename (write the new bundle next to it and mv it over —
+//     hydra-pack and hydra-link do), never by rewriting it in place.
 //   - SIGINT/SIGTERM drain gracefully: the listener closes, in-flight
 //     requests get -drain-timeout to finish, then the process exits.
 //   - /metrics exposes per-endpoint Prometheus counters and latency
@@ -55,7 +54,7 @@ import (
 
 func main() {
 	var (
-		bundle       = flag.String("bundle", "", "self-contained v3 serving bundle (from hydra-link -save-bundle or hydra-pack), memory-mapped; replace it by rename, never in place")
+		bundle       = flag.String("bundle", "", "self-contained v3 serving bundle (from hydra-link -save-bundle or hydra-pack), held open and read on first touch; replace it by rename, never in place")
 		workers      = flag.Int("workers", 0, "worker-pool size for query batches; 0 = all cores")
 		httpAddr     = flag.String("http", "", "serve HTTP on this address (e.g. :8080) instead of the stdin REPL")
 		logRequests  = flag.Bool("log-requests", false, "write one JSON log line per HTTP request to stderr")
@@ -127,11 +126,11 @@ func main() {
 		old, err := holder.Swap(next)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "swap refused: %v — keeping current generation\n", err)
-			next.Close() // release the rejected engine's mapping
+			next.Close() // release the rejected engine's file
 			return
 		}
-		// The old mapping unmaps only after its last pinned request
-		// drains.
+		// The old generation's file closes only after its last pinned
+		// request drains.
 		old.Retire()
 		_, gen := holder.Current()
 		fmt.Fprintf(os.Stderr, "swapped in generation %d from %s; in-flight queries finish on the old generation\n", gen, *bundle)
@@ -142,16 +141,15 @@ func main() {
 	}
 	cur, _ := holder.Current()
 	if err := cur.Close(); err != nil {
-		log.Fatalf("closing bundle mapping: %v", err)
+		log.Fatalf("closing bundle: %v", err)
 	}
 	fmt.Fprintln(os.Stderr, "drained; bye")
 }
 
 // loadBundleEngine opens a bundle file and builds its engine — startup
-// and every SIGHUP swap go through the same path. Account entries are
-// read from the file on first touch and the model sections are mapped;
-// where the platform cannot mmap, OpenBundleMapped reads the model
-// sections into heap instead.
+// and every SIGHUP swap go through the same path. The model sections are
+// read and decoded at open; account entries are read from the file on
+// first touch.
 func loadBundleEngine(path string, workers int) (*serve.Engine, error) {
 	mb, err := pipeline.OpenBundleMapped(path, pipeline.MapOptions{})
 	if err != nil {
@@ -166,12 +164,8 @@ func loadBundleEngine(path string, workers int) (*serve.Engine, error) {
 	if d := mb.Shard(); d != nil {
 		shard = fmt.Sprintf(", shard %d/%d gen %d", d.Index, d.Count, d.Generation)
 	}
-	mode := "mapped"
-	if !mb.Mapped() {
-		mode = "heap copy (mmap unavailable)"
-	}
 	mp := mb.ModelParts()
-	fmt.Fprintf(os.Stderr, "bundle %s (%d bytes): %s kernel, %d candidate vectors, %d platforms; indexes for %d platform pairs%s\n",
-		mode, mb.Stats().Bytes, mp.KernelKind, len(mp.Xs), len(mb.Platforms()), len(eng.Pairs()), shard)
+	fmt.Fprintf(os.Stderr, "bundle (%d bytes): %s kernel, %d candidate vectors, %d platforms; indexes for %d platform pairs%s\n",
+		mb.Stats().Bytes, mp.KernelKind, len(mp.Xs), len(mb.Platforms()), len(eng.Pairs()), shard)
 	return eng, nil
 }

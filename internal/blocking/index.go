@@ -18,8 +18,8 @@ import (
 // An Index is immutable after BuildIndex and safe for concurrent readers.
 //
 // An index comes in two backings: eager (byA holds every shard, the
-// BuildIndex / IndexFromParts form) and lazy (rows are fetched on demand
-// from a mapped bundle — see LazyIndex). Both answer Candidates
+// BuildIndex / IndexFromParts form) and lazy (rows are read on demand
+// from a bundle file — see LazyIndex). Both answer Candidates
 // identically; only where the rows live differs.
 type Index struct {
 	// PA and PB identify the platform pair (queries run A → B).

@@ -465,11 +465,11 @@ func WriteBundle(w io.Writer, b *Bundle) error {
 
 // SaveBundle writes the bundle to a file by writing a temp file next to
 // path and renaming it over the target, never by rewriting path in
-// place: a serving process may hold path memory-mapped (MAP_SHARED), and
-// an in-place rewrite would change the bytes under its old generation —
-// or SIGBUS it on a shorter file. After the rename the old mapping keeps
-// the old inode; the next open sees the new one. As before, one writer
-// per path at a time.
+// place: a serving process holds path open and reads account entries
+// from it on first touch, and an in-place rewrite would change the bytes
+// under its old generation — or fail its reads on a shorter file. After
+// the rename the old generation's open file keeps the old inode; the next
+// open sees the new one. As before, one writer per path at a time.
 func SaveBundle(path string, b *Bundle) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
@@ -493,12 +493,11 @@ func SaveBundle(path string, b *Bundle) error {
 // mismatches, bytes past the last announced section, and JSON documents
 // — a retired v1 model artifact or v2 bundle — which fail here instead
 // of serving from half-empty state. It parses with the reader
-// OpenBundleMapped serves from, run over data, and copy-decodes every
-// entry: the bundle shares no memory with data. data also stands in for
-// the mapping, so the sections decoded at open are read in place rather
-// than copied first.
+// OpenBundleMapped serves from, run over data, which reads the sections
+// it decodes at open into fresh buffers and copy-decodes every entry: the
+// bundle shares no memory with data.
 func ReadBundle(data []byte) (*Bundle, error) {
-	mb := &MappedBundle{f: bytes.NewReader(data), data: data, size: len(data), noAlias: true}
+	mb := &MappedBundle{f: bytes.NewReader(data), size: len(data)}
 	if err := mb.open(); err != nil {
 		return nil, err
 	}

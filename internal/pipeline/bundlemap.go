@@ -9,15 +9,16 @@ package pipeline
 // views, friend slices and index rows are located by a cheap skip-scan
 // at open time (offsets only — no allocation proportional to payload)
 // and materialized on first touch. Cold start is therefore
-// O(header + offsets) instead of O(bundle).
+// O(header + offsets + the sections decoded at open) instead of
+// O(bundle).
 //
-// The three account sections (views, friend slices, index rows) are
-// never mapped. The skip-scan reads them with ReadAt through one reusable
-// chunk, and a first touch reads exactly its entry's bytes into pooled
-// scratch and copy-decodes them. So their file pages stay in the page
-// cache and never count toward the process's resident set, and a read
-// that comes up short (a file rewritten in place, a closed bundle) is an
-// error, not a fault.
+// Nothing is memory-mapped. The skip-scan reads the three account
+// sections (views, friend slices, index rows) with ReadAt through one
+// reusable chunk, and a first touch reads exactly its entry's bytes into
+// pooled scratch and copy-decodes them. So their file pages stay in the
+// page cache and never count toward the process's resident set, and a
+// read that comes up short (a file rewritten in place, a closed bundle)
+// is an error, not a fault.
 //
 // What stays resident is the decoded heap, and decoded views are the
 // bulk of it (a view plus its derived state is ≈ 9 KB on the
@@ -27,14 +28,15 @@ package pipeline
 // slices and index rows are small and stay cached for the life of the
 // bundle.
 //
-// The model, prescreen and impute-table sections are decoded once at
-// open, and their vectors alias the mapping where the host byte order
-// and the payload's 8-byte alignment allow (see aliasFloat64s).
+// The header, model, prescreen and impute-table sections are read into
+// heap buffers once at open and decoded there. Each buffer is placed at
+// its section's file offset mod 8, so a vector whose payload is 8-byte
+// aligned in the file aliases its buffer instead of being copied, where
+// the host byte order allows (see aliasFloat64s).
 //
-// Lifetime: the model, prescreen and impute-table vectors may alias the
-// mapping, so it must outlive every reader. Close unmaps and closes the
-// file; callers (the serve engine) must drain in-flight queries first —
-// see serve.Engine.Retire.
+// Lifetime: Close closes the file, after which a first touch of an entry
+// fails to read; callers (the serve engine) drain in-flight queries first
+// — see serve.Engine.Retire.
 
 import (
 	"encoding/binary"
@@ -65,19 +67,13 @@ const maxResidentViews = 1024
 // skip-scan reads at a time, and so the scan's own residency.
 const scanChunk = 1 << 20
 
-// MapOptions tunes OpenBundleMapped.
-type MapOptions struct {
-	// NoMmap skips the memory map: the sections decoded at open (header,
-	// model, prescreen, impute table) are read into heap memory instead.
-	// Account entries are read from the file either way. This is also the
-	// silent fallback when the platform cannot mmap.
-	NoMmap bool
-}
+// MapOptions tunes OpenBundleMapped. It has no fields; callers pass
+// MapOptions{}.
+type MapOptions struct{}
 
-// MappedStats reports what a mapped bundle has materialized so far.
+// MappedStats reports what a lazily opened bundle has materialized so far.
 type MappedStats struct {
-	Mapped      bool // true when backed by an OS memory map (false = heap fallback)
-	Bytes       int  // file size
+	Bytes       int // file size
 	AliasedVecs uint64
 	CopiedVecs  uint64
 
@@ -90,15 +86,12 @@ type MappedStats struct {
 }
 
 // MappedBundle is a v3 bundle opened without decoding: header parsed,
-// model sections mapped, account entries read on first touch. It implements
+// model sections decoded, account entries read on first touch. It implements
 // core.LazySnapshot, so core.NewLazyStore can serve straight off it.
 type MappedBundle struct {
-	f       io.ReaderAt // the file, closed by Close; or ReadBundle's bytes
-	size    int
-	data    []byte // the mapping, or ReadBundle's bytes; nil on the heap fallback
-	unmap   func() error
-	noAlias bool // copy-decode every vector: set by ReadBundle, never served
-	closed  atomic.Bool
+	f      io.ReaderAt // the file, closed by Close; or ReadBundle's bytes
+	size   int
+	closed atomic.Bool
 
 	header bundleHeaderV3
 	plats  []platform.ID
@@ -158,11 +151,10 @@ type mappedIndex struct {
 }
 
 // OpenBundleMapped opens a v3 bundle lazily. The returned bundle holds
-// the file open, and an OS mapping of it, until Close; nothing
-// materialized from it may be used afterwards. The mapping is shared
-// with the file, so a served bundle must only ever be replaced by rename
-// (as SaveBundle does), never rewritten in place.
-func OpenBundleMapped(path string, opts MapOptions) (*MappedBundle, error) {
+// the file open until Close, and reads account entries from it on first
+// touch, so a served bundle must only ever be replaced by rename (as
+// SaveBundle does), never rewritten in place.
+func OpenBundleMapped(path string, _ MapOptions) (*MappedBundle, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -178,11 +170,6 @@ func OpenBundleMapped(path string, opts MapOptions) (*MappedBundle, error) {
 		return nil, fmt.Errorf("pipeline: bundle %s is %d bytes, more than this build can address", path, size)
 	}
 	mb := &MappedBundle{f: f, size: int(size), viewCap: maxResidentViews}
-	if !opts.NoMmap && mmapSupported && size > 0 {
-		if data, unmap, err := mmapFile(f, int(size)); err == nil {
-			mb.data, mb.unmap = data, unmap
-		}
-	}
 	if err := mb.open(); err != nil {
 		mb.Close()
 		return nil, err
@@ -192,10 +179,10 @@ func OpenBundleMapped(path string, opts MapOptions) (*MappedBundle, error) {
 
 // open parses the header, bounds-checks every section against the file
 // size, eagerly decodes the small sections (model, prescreen, impute
-// table — their vectors alias the mapping where possible) and skip-scans
-// the account sections (views, friends, indexes) into per-entry offset
-// tables. It reads only through mb.f, mb.size and, when set, mb.data, so
-// it opens a file (OpenBundleMapped) and a byte slice (ReadBundle) alike.
+// table — their vectors alias the section's buffer where possible) and
+// skip-scans the account sections (views, friends, indexes) into
+// per-entry offset tables. It reads only through mb.f and mb.size, so it
+// opens a file (OpenBundleMapped) and a byte slice (ReadBundle) alike.
 func (mb *MappedBundle) open() error {
 	head, err := mb.section(0, min(mb.size, len(bundleMagic)))
 	if err != nil {
@@ -302,13 +289,10 @@ func (mb *MappedBundle) open() error {
 	return mb.scanIndexes(&secs[2])
 }
 
-// section returns file bytes [lo, lo+n) of a section decoded at open: a
-// slice of the mapping, or on the heap fallback a copy placed at the
-// file's offset mod 8, so the same vectors alias either way.
+// section reads file bytes [lo, lo+n) of a section decoded at open into
+// a fresh buffer placed at the file offset mod 8, so a payload aligned in
+// the file is aligned in the buffer and its vector can alias it.
 func (mb *MappedBundle) section(lo, n int) ([]byte, error) {
-	if mb.data != nil {
-		return mb.data[lo : lo+n], nil
-	}
 	pad := lo % 8
 	p := make([]byte, pad+n)[pad:]
 	return p, readFull(mb.f, p, lo)
@@ -675,8 +659,9 @@ func (mb *MappedBundle) Store() (*core.LazyStore, error) {
 // bundle copy-decodes the whole bundle: the header, the sections decoded
 // at open, and every view, friend slice and index row through the entry
 // decodes the lazy accessors use (views without their cache: a Bundle
-// holds parts, not restored views). It is ReadBundle's second half;
-// opened with noAlias, the result shares no bytes with its source.
+// holds parts, not restored views). It is ReadBundle's second half. Open
+// read every section into fresh buffers, so the result shares no bytes
+// with the source.
 func (mb *MappedBundle) bundle() (*Bundle, error) {
 	h := &mb.header
 	b := &Bundle{
@@ -724,7 +709,8 @@ func (mb *MappedBundle) bundle() (*Bundle, error) {
 	return b, nil
 }
 
-// ModelParts returns the model parts (slices may alias the mapping).
+// ModelParts returns the model parts (slices may alias the model
+// section's buffer).
 func (mb *MappedBundle) ModelParts() core.ModelParts { return mb.modelParts }
 
 // Prescreen returns the packed prescreen parts, nil when absent.
@@ -739,7 +725,6 @@ func (mb *MappedBundle) Pairs() [][2]platform.ID { return mb.header.Pairs }
 // Stats snapshots what has been materialized so far.
 func (mb *MappedBundle) Stats() MappedStats {
 	return MappedStats{
-		Mapped:          mb.data != nil,
 		Bytes:           mb.size,
 		AliasedVecs:     mb.aliased.Load(),
 		CopiedVecs:      mb.copied.Load(),
@@ -752,33 +737,23 @@ func (mb *MappedBundle) Stats() MappedStats {
 	}
 }
 
-// Mapped reports whether the bundle is backed by an OS memory map.
-func (mb *MappedBundle) Mapped() bool { return mb.data != nil }
-
-// Close unmaps and closes the file. Everything materialized from the
-// bundle — views, vectors, the engine serving off it — must be out of use
-// first; the serve tier guarantees that by draining in-flight requests
-// before closing. An entry first touched afterwards fails to read.
-// Idempotent.
+// Close closes the file. An entry first touched afterwards fails to read,
+// so the engine serving off the bundle must be out of use first; the
+// serve tier guarantees that by draining in-flight requests before
+// closing. Idempotent.
 func (mb *MappedBundle) Close() error {
 	if mb.closed.Swap(true) {
 		return nil
 	}
-	var err error
-	if mb.unmap != nil {
-		err = mb.unmap()
-	}
 	if c, ok := mb.f.(io.Closer); ok {
-		if cerr := c.Close(); err == nil {
-			err = cerr
-		}
+		return c.Close()
 	}
-	return err
+	return nil
 }
 
 // mapReader reads a section decoded at open, or one account entry:
 // binSection's primitives plus alias-aware vector decoding. Aliased
-// vectors point into the mapping and share its lifetime.
+// vectors point into the section's buffer and keep it alive.
 type mapReader struct {
 	binSection
 	mb       *MappedBundle
@@ -787,7 +762,7 @@ type mapReader struct {
 
 // reader reads a section decoded at open, whose vectors may alias.
 func (mb *MappedBundle) reader(buf []byte) *mapReader {
-	return &mapReader{binSection: binSection{buf: buf}, mb: mb, copyVecs: mb.noAlias}
+	return &mapReader{binSection: binSection{buf: buf}, mb: mb}
 }
 
 // vec decodes one vector, aliasing the payload in place when the host
@@ -904,10 +879,10 @@ func (r *mapReader) finish(what string) error {
 }
 
 // sectionScan skip-scans one account section, file bytes [lo, hi),
-// through a reusable chunk filled by ReadAt, so the scan neither maps nor
-// keeps the section. The cursor is a file offset, and bounds are checked
-// against the section, not the chunk: a corrupt length fails exactly as
-// it would over the whole section, and skipping a payload reads nothing.
+// through a reusable chunk filled by ReadAt, so the scan never holds the
+// section. The cursor is a file offset, and bounds are checked against
+// the section, not the chunk: a corrupt length fails exactly as it would
+// over the whole section, and skipping a payload reads nothing.
 // Only length prefixes are read, and one that runs past the chunk starts
 // the next chunk where it starts.
 type sectionScan struct {

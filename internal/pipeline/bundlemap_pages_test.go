@@ -2,17 +2,11 @@ package pipeline
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"math/rand"
-	"os"
 	"path/filepath"
-	"runtime"
-	"strconv"
-	"strings"
 	"sync"
 	"testing"
-	"unsafe"
 
 	"hydra/internal/blocking"
 	"hydra/internal/features"
@@ -83,12 +77,22 @@ func fatTileFile(tb testing.TB, n int) (string, *Bundle) {
 	return path, decoded
 }
 
-// touchEveryView decodes every view of mb in file order, requires each
-// to equal want's bit for bit, and calls probe (when set) after every
-// 64 views.
-func touchEveryView(t *testing.T, mb *MappedBundle, want *Bundle, probe func()) {
-	t.Helper()
-	n := 0
+// TestTouchEveryEntryKeepsBytes opens a ≥ 16 MB tile and reads every
+// view, friend slice and index row of it, each of which must equal the
+// decoded bundle's bit for bit. Entries decode out of pooled scratch, so
+// none may alias: the aliased-vector count must not move while they are
+// read, or the next read would overwrite an entry already handed out.
+func TestTouchEveryEntryKeepsBytes(t *testing.T) {
+	path, want := fatTileFile(t, 1100)
+	mb, err := OpenBundleMapped(path, MapOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mb.Close()
+	if size := mb.Stats().Bytes; size < 16<<20 {
+		t.Fatalf("want a tile of ≥ 16 MB, got %d bytes", size)
+	}
+	aliasedAtOpen := mb.Stats().AliasedVecs
 	for _, id := range mb.Platforms() {
 		for local := range want.Views[id] {
 			v, err := mb.View(id, local)
@@ -96,110 +100,14 @@ func touchEveryView(t *testing.T, mb *MappedBundle, want *Bundle, probe func()) 
 				t.Fatal(err)
 			}
 			if !bytes.Equal(viewBits(v), viewBits(features.RestoreView(want.Views[id][local], id, local))) {
-				t.Fatalf("%s[%d]: mapped view differs from the decoded bundle's", id, local)
+				t.Fatalf("%s[%d]: view differs from the decoded bundle's", id, local)
 			}
-			if n++; probe != nil && n%64 == 0 {
-				probe()
-			}
-		}
-	}
-}
-
-// mappingRss reads the Rss: line of data's mapping from
-// /proc/self/smaps, in bytes.
-func mappingRss(t *testing.T, data []byte) int {
-	t.Helper()
-	raw, err := os.ReadFile("/proc/self/smaps")
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := uint64(uintptr(unsafe.Pointer(&data[0])))
-	inside := false
-	for _, line := range strings.Split(string(raw), "\n") {
-		f := strings.Fields(line)
-		if len(f) == 0 {
-			continue
-		}
-		if !strings.HasSuffix(f[0], ":") { // a mapping's header: lo-hi perms ...
-			lo, _, _ := strings.Cut(f[0], "-")
-			addr, err := strconv.ParseUint(lo, 16, 64)
-			inside = err == nil && addr == start
-			continue
-		}
-		if inside && f[0] == "Rss:" && len(f) >= 2 {
-			kb, err := strconv.Atoi(f[1])
+			fr, err := mb.Friends(id, local)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return kb << 10
-		}
-	}
-	t.Fatalf("no smaps entry starts at %#x", start)
-	return 0
-}
-
-// accountSectionBytes walks the length-prefixed blocks of the bundle at
-// path and returns how many bytes its three account sections (views,
-// friend slices, index rows — blocks 2 to 4) take, length prefixes
-// included.
-func accountSectionBytes(t *testing.T, path string) int {
-	t.Helper()
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	for i, off := 0, len(bundleMagic); off < len(raw); i++ {
-		size := 8 + int(binary.LittleEndian.Uint64(raw[off:]))
-		if i >= 2 && i <= 4 {
-			n += size
-		}
-		off += size
-	}
-	return n
-}
-
-// faultAround is linux's default fault-around window: a read fault on a
-// file mapping also maps the neighbouring pages of its 64 KB window that
-// the page cache holds, so touching the last page before the account
-// sections can map up to a window of them without reading them.
-const faultAround = 64 << 10
-
-// TestMappedAccountSectionsNeverResident opens a ≥ 16 MB tile and touches
-// every view, friend slice and index row of it. The account sections are
-// read, never mapped, so the mapping's own resident set stays within the
-// bytes of the other sections plus one fault-around window each side of
-// the account sections after open, and touching every entry adds nothing.
-func TestMappedAccountSectionsNeverResident(t *testing.T) {
-	if runtime.GOOS != "linux" {
-		t.Skip("reads the mapping's Rss from /proc/self/smaps")
-	}
-	path, want := fatTileFile(t, 1100)
-	mb, err := OpenBundleMapped(path, MapOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mb.Close()
-	if !mb.Mapped() || len(mb.data) < 16<<20 {
-		t.Fatalf("want a mapped tile of ≥ 16 MB, got mapped=%v, %d bytes", mb.Mapped(), len(mb.data))
-	}
-	other := len(mb.data) - accountSectionBytes(t, path)
-	atOpen := mappingRss(t, mb.data)
-	if limit := other + 2*faultAround; atOpen > limit {
-		t.Fatalf("after open: mapping resident %d bytes of a %d-byte file, want ≤ %d (the other sections' %d plus two fault-around windows)", atOpen, len(mb.data), limit, other)
-	}
-	check := func(when string) {
-		t.Helper()
-		if rss := mappingRss(t, mb.data); rss > atOpen {
-			t.Fatalf("%s: mapping resident %d bytes, %d after open — an entry read faulted the file in", when, rss, atOpen)
-		}
-	}
-	aliasedAtOpen := mb.Stats().AliasedVecs
-	touchEveryView(t, mb, want, func() { check("while touching views") })
-	for _, id := range mb.Platforms() {
-		for local := range want.Views[id] {
-			if _, err := mb.Friends(id, local); err != nil {
-				t.Fatal(err)
+			if !bytes.Equal(friendBits(fr), friendBits(want.Friends[id][local])) {
+				t.Fatalf("%s[%d]: friends differ from the decoded bundle's", id, local)
 			}
 		}
 	}
@@ -221,27 +129,9 @@ func TestMappedAccountSectionsNeverResident(t *testing.T) {
 			}
 		}
 	}
-	check("after touching every entry")
-	t.Logf("mapping resident %d KB of a %d KB file; other sections %d KB", mappingRss(t, mb.data)>>10, len(mb.data)>>10, other>>10)
 	if got := mb.Stats().AliasedVecs; got != aliasedAtOpen {
 		t.Fatalf("entries aliased %d vectors", got-aliasedAtOpen)
 	}
-}
-
-// TestHeapFallbackTouchKeepsBytes runs the same touch over the heap
-// fallback, which reads entries through the same path: every view still
-// decodes to the file's bits.
-func TestHeapFallbackTouchKeepsBytes(t *testing.T) {
-	path, want := fatTileFile(t, 1100)
-	mb, err := OpenBundleMapped(path, MapOptions{NoMmap: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mb.Close()
-	if mb.Mapped() {
-		t.Fatal("NoMmap bundle reports a mapping")
-	}
-	touchEveryView(t, mb, want, nil)
 }
 
 // TestMappedEntryReadsConcurrent reads views, friend slices and index

@@ -53,12 +53,10 @@ func writeBundleFile(t *testing.T, b *Bundle) (string, []byte) {
 	return path, buf.Bytes()
 }
 
-// TestOpenBundleMappedMatchesDecode diffs every accessor of the mapped
-// bundle against the reference decoder (refdecode_test.go), under both
-// backing modes: the real mapping with zero-copy aliasing, and the
-// no-mmap heap fallback. Both must produce identical values. ReadBundle's
-// copy-decode of the same parser is held to the reference by
-// TestBundleReadersAgree.
+// TestOpenBundleMappedMatchesDecode diffs every accessor of the lazily
+// opened bundle, aliased vectors included, against the reference decoder
+// (refdecode_test.go). ReadBundle's copy-decode of the same parser is
+// held to the reference by TestBundleReadersAgree.
 func TestOpenBundleMappedMatchesDecode(t *testing.T) {
 	b := fullFixtureBundle()
 	path, raw := writeBundleFile(t, b)
@@ -71,90 +69,118 @@ func TestOpenBundleMappedMatchesDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, tc := range []struct {
-		name string
-		opts MapOptions
-	}{
-		{"mapped", MapOptions{}},
-		{"heap-fallback", MapOptions{NoMmap: true}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			mb, err := OpenBundleMapped(path, tc.opts)
-			if err != nil {
-				t.Fatal(err)
+	// One case, named for the lazily opened MappedBundle it checks.
+	t.Run("mapped", func(t *testing.T) {
+		mb, err := OpenBundleMapped(path, MapOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mb.Close()
+		if got := mb.NumAccounts("orkut"); got != -1 {
+			t.Fatalf("NumAccounts(absent) = %d, want -1", got)
+		}
+		if !reflect.DeepEqual(mb.ModelParts(), want.Model) {
+			t.Fatal("ModelParts differs from the decoded bundle")
+		}
+		if !reflect.DeepEqual(mb.Prescreen(), want.Prescreen) {
+			t.Fatal("Prescreen differs from the decoded bundle")
+		}
+		if !reflect.DeepEqual(mb.Pairs(), want.Pairs) {
+			t.Fatal("Pairs differs from the decoded bundle")
+		}
+		for _, id := range mb.Platforms() {
+			parts := want.Views[id]
+			if got := mb.NumAccounts(id); got != len(parts) {
+				t.Fatalf("%s: NumAccounts = %d, want %d", id, got, len(parts))
 			}
-			defer mb.Close()
-			if wantMapped := !tc.opts.NoMmap && mmapSupported; mb.Mapped() != wantMapped {
-				t.Fatalf("Mapped() = %v, want %v", mb.Mapped(), wantMapped)
-			}
-			if got := mb.NumAccounts("orkut"); got != -1 {
-				t.Fatalf("NumAccounts(absent) = %d, want -1", got)
-			}
-			if !reflect.DeepEqual(mb.ModelParts(), want.Model) {
-				t.Fatal("ModelParts differs from the decoded bundle")
-			}
-			if !reflect.DeepEqual(mb.Prescreen(), want.Prescreen) {
-				t.Fatal("Prescreen differs from the decoded bundle")
-			}
-			if !reflect.DeepEqual(mb.Pairs(), want.Pairs) {
-				t.Fatal("Pairs differs from the decoded bundle")
-			}
-			for _, id := range mb.Platforms() {
-				parts := want.Views[id]
-				if got := mb.NumAccounts(id); got != len(parts) {
-					t.Fatalf("%s: NumAccounts = %d, want %d", id, got, len(parts))
+			for local := range parts {
+				got, err := mb.View(id, local)
+				if err != nil {
+					t.Fatal(err)
 				}
-				for local := range parts {
-					got, err := mb.View(id, local)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if wv := features.RestoreView(parts[local], id, local); !reflect.DeepEqual(got, wv) {
-						t.Fatalf("%s[%d]: mapped view differs:\n%+v\nvs\n%+v", id, local, got, wv)
-					}
-					fr, err := mb.Friends(id, local)
-					if err != nil {
-						t.Fatal(err)
-					}
-					wfr, err := wantStore.Friends(id, local, want.FriendsK)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(fr, wfr) {
-						t.Fatalf("%s[%d]: mapped friends %v, want %v", id, local, fr, wfr)
-					}
-					name, ok := mb.Username(id, local)
-					if !ok || name != want.Views[id][local].Username {
-						t.Fatalf("%s[%d]: Username = %q,%v want %q", id, local, name, ok, want.Views[id][local].Username)
-					}
+				if wv := features.RestoreView(parts[local], id, local); !reflect.DeepEqual(got, wv) {
+					t.Fatalf("%s[%d]: mapped view differs:\n%+v\nvs\n%+v", id, local, got, wv)
+				}
+				fr, err := mb.Friends(id, local)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wfr, err := wantStore.Friends(id, local, want.FriendsK)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(fr, wfr) {
+					t.Fatalf("%s[%d]: mapped friends %v, want %v", id, local, fr, wfr)
+				}
+				name, ok := mb.Username(id, local)
+				if !ok || name != want.Views[id][local].Username {
+					t.Fatalf("%s[%d]: Username = %q,%v want %q", id, local, name, ok, want.Views[id][local].Username)
 				}
 			}
+		}
 
-			// Index rows, via the lazy indexes.
-			ixs, err := mb.LazyIndexes()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(ixs) != len(want.Indexes) {
-				t.Fatalf("%d lazy indexes, want %d", len(ixs), len(want.Indexes))
-			}
-			for i, ix := range ixs {
-				for a, wrow := range want.Indexes[i].ByA {
-					got, err := ix.Candidates(a)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(got, wrow) {
-						t.Fatalf("index %d row %d: %v, want %v", i, a, got, wrow)
-					}
+		// Index rows, via the lazy indexes.
+		ixs, err := mb.LazyIndexes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ixs) != len(want.Indexes) {
+			t.Fatalf("%d lazy indexes, want %d", len(ixs), len(want.Indexes))
+		}
+		for i, ix := range ixs {
+			for a, wrow := range want.Indexes[i].ByA {
+				got, err := ix.Candidates(a)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, wrow) {
+					t.Fatalf("index %d row %d: %v, want %v", i, a, got, wrow)
 				}
 			}
+		}
 
-			st := mb.Stats()
-			if st.ResidentViews == 0 || st.ResidentRows == 0 {
-				t.Fatalf("touched sections not counted resident: %+v", st)
-			}
-		})
+		st := mb.Stats()
+		if st.ResidentViews == 0 || st.ResidentRows == 0 {
+			t.Fatalf("touched sections not counted resident: %+v", st)
+		}
+	})
+}
+
+// TestReadBundleSharesNoMemory holds ReadBundle to its promise that the
+// bundle it returns shares no memory with its input: the sections it
+// decodes at open are read into fresh buffers, and vectors alias those,
+// never data. So overwriting data must leave the bundle's encoding as it
+// was. The open is run once by hand first, to show that the fixture does
+// alias a vector, or the check would be vacuous.
+func TestReadBundleSharesNoMemory(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteBundle(&buf, fullFixtureBundle()); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	orig := bytes.Clone(data)
+
+	mb := &MappedBundle{f: bytes.NewReader(data), size: len(data)}
+	if err := mb.open(); err != nil {
+		t.Fatal(err)
+	}
+	if n := mb.aliased.Load(); hostLittleEndian && n == 0 {
+		t.Fatal("no vector aliased a section buffer: the check below would be vacuous")
+	}
+
+	b, err := ReadBundle(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range data {
+		data[i] = 0xff
+	}
+	var got bytes.Buffer
+	if err := WriteBundle(&got, b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), orig) {
+		t.Fatal("overwriting ReadBundle's input changed the bundle it returned")
 	}
 }
 
@@ -472,8 +498,8 @@ func TestBundleReadersAgree(t *testing.T) {
 }
 
 // TestSaveBundleReplacesByRename is the repack-then-SIGHUP drill at the
-// file level: a bundle saved over a path that a server still has mapped
-// must not change a byte under the old mapping — the old generation
+// file level: a bundle saved over a path that a server still has open
+// must not change a byte under the old open file — the old generation
 // keeps reading its own bits, a fresh open reads the new ones.
 func TestSaveBundleReplacesByRename(t *testing.T) {
 	oldB, newB := fullFixtureBundle(), fullFixtureBundle()
@@ -494,13 +520,13 @@ func TestSaveBundleReplacesByRename(t *testing.T) {
 		t.Fatal(err)
 	}
 	// First touch happens after the overwrite, so the view decodes from
-	// whatever the mapping holds now.
+	// whatever the open file holds now.
 	v, err := served.View(platform.Twitter, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(v.Embedding, oldEmb) {
-		t.Fatalf("old mapping reads embedding %v after the overwrite, want its own %v", v.Embedding, oldEmb)
+		t.Fatalf("old open file reads embedding %v after the overwrite, want its own %v", v.Embedding, oldEmb)
 	}
 	fresh, err := OpenBundleMapped(path, MapOptions{})
 	if err != nil {

@@ -105,8 +105,8 @@ func FuzzOpenBundleMapped(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// Materialize through the mapped accessors — the lazy decode
-		// paths the skip-scan deferred — then unmap. Decode errors are
+		// Materialize through the lazy accessors — the decode paths the
+		// skip-scan deferred — then close. Decode errors are
 		// fine; only panics and out-of-bounds reads count.
 		for _, p := range mb.Platforms() {
 			n := mb.NumAccounts(p)

@@ -22,7 +22,7 @@ import (
 //
 // This is a load-shape generator, not a linkage benchmark: scores over
 // tiled views are meaningless as accuracy numbers, but every byte and
-// branch of the serving path — decode or mmap, view materialization,
+// branch of the serving path — decode or lazy open, view materialization,
 // index walks, Eqn-18 imputation over the friend slices — is exercised
 // at the scaled size.
 func TiledBundle(base *Bundle, n, candsPerA int, seed uint64) (*Bundle, error) {

@@ -63,10 +63,13 @@ var ErrBudgetSpent = errors.New("deadline budget exhausted before the request wa
 
 // DeadlineMiddleware enforces the per-hop deadline budget on a serving
 // front-end: requests without the header pass through untouched;
-// requests carrying one get the deadline installed on their context (so
-// downstream work is cancellable) and are rejected with 504 when the
-// budget is already spent — running a query nobody is still waiting for
-// only steals capacity from requests that can still make it. Each
+// requests carrying one are rejected with 504 when the budget is already
+// spent — running a query nobody is still waiting for only steals
+// capacity from requests that can still make it — and otherwise get the
+// deadline installed on their context. Only handlers that read the
+// context honour it: on hydra-serve the engine's queries take no
+// context (pinned.ScoreBatch and pinned.TopK drop it), so there the
+// budget refuses spent requests at this hop and nothing more. Each
 // arriving budget feeds m's deadline-remaining histogram; m may be nil.
 func DeadlineMiddleware(next http.Handler, m *obs.Metrics) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

@@ -169,7 +169,7 @@ func (e *Engine) Handler() http.Handler { return FrontEnd(pinned{e}) }
 func (s *Swappable) Handler() http.Handler { return FrontEnd(pinned{s}) }
 
 // Pin resolves src's current engine and pins it for one request, so a
-// hot swap cannot unmap a mapped engine's backing file mid-query; the
+// hot swap cannot close a mapped engine's bundle file mid-query; the
 // caller Releases the engine when done. The retry loop covers the race
 // where the engine retires between the Current load and the Acquire; it
 // converges because a retired engine has already been replaced in its

@@ -1,9 +1,10 @@
 package serve
 
 // Mapped serving: NewEngineFromMapped serves off a pipeline.MappedBundle
-// — O(header) cold start, resident memory tracking the working set —
-// plus the Acquire/Release/Retire lifecycle that keeps the OS mapping
-// alive until the last in-flight request drains.
+// — a cold start of the header, the model sections and offset scans,
+// resident memory tracking the working set — plus the
+// Acquire/Release/Retire lifecycle that keeps the bundle file open until
+// the last in-flight request drains.
 
 import (
 	"time"
@@ -13,12 +14,12 @@ import (
 	"hydra/internal/platform"
 )
 
-// NewEngineFromMapped restores a serving engine over a mapped bundle:
-// the lazy store answers feature queries account-at-a-time and the
-// candidate indexes materialize rows on first touch, so startup cost is
-// the bundle header plus offset scans, not the payload. The engine owns
-// the mapping — Retire (after a swap) or Close releases it; until then
-// mb must not be closed by the caller.
+// NewEngineFromMapped restores a serving engine over a lazily opened
+// bundle: the lazy store answers feature queries account-at-a-time and
+// the candidate indexes materialize rows on first touch, so startup cost
+// is the bundle's open (header, model sections, offset scans), not the
+// account payload. The engine owns the bundle — Retire (after a swap) or
+// Close closes it; until then mb must not be closed by the caller.
 func NewEngineFromMapped(mb *pipeline.MappedBundle, workers int) (*Engine, error) {
 	store, err := mb.Store()
 	if err != nil {
@@ -38,8 +39,8 @@ func NewEngineFromMapped(mb *pipeline.MappedBundle, workers int) (*Engine, error
 
 // Acquire pins the engine for one request. It returns false when the
 // engine has been retired — the caller must re-resolve the current
-// engine (a swap just happened) instead of serving off state whose
-// backing mapping is about to unmap. In-memory engines never retire, so
+// engine (a swap just happened) instead of serving off a bundle file
+// that is about to close. In-memory engines never retire, so
 // Acquire always succeeds on them.
 func (e *Engine) Acquire() bool {
 	e.inflight.Add(1)
@@ -54,7 +55,7 @@ func (e *Engine) Acquire() bool {
 func (e *Engine) Release() { e.inflight.Add(-1) }
 
 // Retire marks a swapped-out engine as draining and releases its backing
-// resources (the bundle mapping) once the last pinned request finishes.
+// resources (the bundle file) once the last pinned request finishes.
 // Asynchronous and idempotent; a no-op for engines that own no resources,
 // which therefore stay acquirable forever. The ordering argument: Retire
 // stores retired before polling inflight, Acquire increments inflight
@@ -76,7 +77,7 @@ func (e *Engine) Retire() {
 }
 
 // Close is the synchronous Retire: it waits for in-flight requests to
-// drain, then releases the mapping. For shutdown paths and tests; a
+// drain, then closes the bundle file. For shutdown paths and tests; a
 // serving handler must never call it.
 func (e *Engine) Close() error {
 	if e.closer == nil {

@@ -14,16 +14,16 @@ import (
 	"hydra/internal/platform"
 )
 
-// mappedEngine opens the shared fixture bundle through the mapped path
-// with the given options and wraps it in an engine.
-func mappedEngine(t *testing.T, opts pipeline.MapOptions, workers int) *Engine {
+// mappedEngine opens the shared fixture bundle lazily and wraps it in an
+// engine.
+func mappedEngine(t *testing.T, workers int) *Engine {
 	t.Helper()
 	e := getEnv(t)
 	path := filepath.Join(t.TempDir(), "bundle.bin")
 	if err := os.WriteFile(path, e.bundleBytes, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	mb, err := pipeline.OpenBundleMapped(path, opts)
+	mb, err := pipeline.OpenBundleMapped(path, pipeline.MapOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func mappedEngine(t *testing.T, opts pipeline.MapOptions, workers int) *Engine {
 
 // TestMappedEngineServesIdenticalREPL byte-diffs the mapped engine's
 // REPL output — the full human-facing surface, error lines included —
-// against the heap-decoded engine, under every backing mode.
+// against the heap-decoded engine.
 func TestMappedEngineServesIdenticalREPL(t *testing.T) {
 	e := getEnv(t)
 	script := strings.Join([]string{
@@ -66,24 +66,17 @@ func TestMappedEngineServesIdenticalREPL(t *testing.T) {
 	if !strings.Contains(want.String(), `"`) {
 		t.Fatal("oracle output carries no usernames — the diff below would be vacuous")
 	}
-	for _, tc := range []struct {
-		name string
-		opts pipeline.MapOptions
-	}{
-		{"mapped", pipeline.MapOptions{}},
-		{"heap-fallback", pipeline.MapOptions{NoMmap: true}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			eng := mappedEngine(t, tc.opts, 0)
-			var got bytes.Buffer
-			if err := eng.REPL(strings.NewReader(script), &got); err != nil {
-				t.Fatal(err)
-			}
-			if got.String() != want.String() {
-				t.Fatalf("REPL output differs:\n--- mapped (%s) ---\n%s--- heap ---\n%s", tc.name, got.String(), want.String())
-			}
-		})
-	}
+	// One case, named for the lazily opened MappedBundle it checks.
+	t.Run("mapped", func(t *testing.T) {
+		eng := mappedEngine(t, 0)
+		var got bytes.Buffer
+		if err := eng.REPL(strings.NewReader(script), &got); err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != want.String() {
+			t.Fatalf("REPL output differs:\n--- mapped ---\n%s--- heap ---\n%s", got.String(), want.String())
+		}
+	})
 }
 
 // TestMappedEngineTopKEveryAccountWorkers diffs the mapped engine's
@@ -94,7 +87,7 @@ func TestMappedEngineTopKEveryAccountWorkers(t *testing.T) {
 	e := getEnv(t)
 	b := e.task.Blocks[0]
 	for _, workers := range []int{1, 4} {
-		eng := mappedEngine(t, pipeline.MapOptions{}, workers)
+		eng := mappedEngine(t, workers)
 		na := eng.NumAccounts(b.PA)
 		if na <= 0 {
 			t.Fatalf("mapped engine reports %d %s accounts", na, b.PA)
@@ -148,7 +141,7 @@ func TestMappedEngineTopKEveryAccountWorkers(t *testing.T) {
 func TestMappedEngineConcurrentQueries(t *testing.T) {
 	e := getEnv(t)
 	b := e.task.Blocks[0]
-	eng := mappedEngine(t, pipeline.MapOptions{}, 0)
+	eng := mappedEngine(t, 0)
 	na := eng.NumAccounts(b.PA)
 	want := make([][]Scored, na)
 	for a := 0; a < na; a++ {
@@ -193,7 +186,7 @@ func TestMappedEngineConcurrentQueries(t *testing.T) {
 // requires every account read to fail with an error: a view, a friend
 // slice, an index row and a top-k over them. An index row that cannot be
 // read must never pass for an empty one. Then it closes an intact bundle
-// and requires the same of it: on a mapping, both used to fault.
+// and requires the same of it.
 func TestMappedShortReadsAreErrors(t *testing.T) {
 	e := getEnv(t)
 	b := e.task.Blocks[0]
@@ -211,7 +204,7 @@ func TestMappedShortReadsAreErrors(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	mb, err := pipeline.OpenBundleMapped(path, pipeline.MapOptions{NoMmap: true})
+	mb, err := pipeline.OpenBundleMapped(path, pipeline.MapOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

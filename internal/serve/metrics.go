@@ -54,11 +54,9 @@ func (e *Engine) WriteMetrics(w io.Writer) {
 		Sample(ih.PairCacheDeclined)
 
 	if ms := e.MappedStats(); ms != nil {
-		obs.NewFamily(w, "hydra_bundle_mapped", "gauge", "Whether the serving bundle is memory-mapped (0 = heap copy fallback).").
-			Sample(ms.Mapped)
 		obs.NewFamily(w, "hydra_bundle_bytes", "gauge", "Size of the serving bundle backing the mapped engine.").
 			Sample(ms.Bytes)
-		f = obs.NewFamily(w, "hydra_bundle_vec_decodes_total", "counter", "Vector decodes from the mapped bundle by mode; aliased vectors reinterpret mapped bytes zero-copy, copied ones fall back to a heap decode.")
+		f = obs.NewFamily(w, "hydra_bundle_vec_decodes_total", "counter", "Vector decodes from the lazily opened bundle by mode; aliased vectors reinterpret an 8-byte-aligned payload of a section read at open in place, copied ones are decoded into a fresh slice.")
 		f.Sample(ms.AliasedVecs, "mode", "aliased")
 		f.Sample(ms.CopiedVecs, "mode", "copied")
 		f = obs.NewFamily(w, "hydra_bundle_resident", "gauge", "Materialized entries per lazy bundle section (the working set); total is the packed entry count.")

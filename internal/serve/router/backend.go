@@ -68,7 +68,8 @@ func IsQueryError(err error) bool {
 
 // Local is an in-process backend: the router calls the engine directly,
 // pinning it for the call exactly as the HTTP front-end does (serve.Pin),
-// so a hot swap cannot unmap a mapped engine under an in-flight query.
+// so a hot swap cannot close a mapped engine's file under an in-flight
+// query.
 // It is how the router tests its scatter-gather against real engines
 // without network plumbing. The router treats it like any other
 // backend: its top-k attempts are timed and hedged as HTTP ones are.

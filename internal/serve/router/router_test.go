@@ -672,7 +672,7 @@ func (s *retiredFirst) Current() (*serve.Engine, uint64) {
 
 // TestRouterLocalPinsEngine asserts the in-process backend pins its
 // engine the way the HTTP front-end does: handed a retired engine — a
-// mapped one, whose file unmaps as soon as nothing pins it — Local must
+// mapped one, whose file closes as soon as nothing pins it — Local must
 // re-resolve its source and answer from the live generation, never
 // query the retired one.
 func TestRouterLocalPinsEngine(t *testing.T) {
@@ -717,7 +717,7 @@ func TestRouterLocalPinsEngine(t *testing.T) {
 			mb.Close()
 			t.Fatal(err)
 		}
-		old.Retire() // nothing pins it: the mapping is on its way out
+		old.Retire() // nothing pins it: its file is on its way to closing
 		src := &retiredFirst{retired: old, live: lives[0]}
 		gen, err := query(&Local{Src: src})
 		if err != nil {

@@ -4,8 +4,9 @@
 // self-contained v3 bundle — precomputed views, friend slices and index
 // shards, no world file — bit-identical to the builder-backed system it
 // was packed from. NewEngineFromMapped serves it straight off the file
-// (pipeline.OpenBundleMapped: header-only cold start, entries
-// materialized on first touch; this is what hydra-serve runs);
+// (pipeline.OpenBundleMapped: the header and model sections read at
+// open, account entries read from the file on first touch; this is what
+// hydra-serve runs);
 // NewEngineFromBundle serves a bundle already decoded in memory (what
 // pipeline.SplitBundle hands back; the benchmark's shard replicas and
 // oracle run on it). Both are the same engine over the same
@@ -58,10 +59,11 @@ type Engine struct {
 	indexes map[[2]platform.ID]*blocking.Index
 	scratch sync.Pool
 
-	// Lifecycle. A mapped engine (NewEngineFromMapped) aliases an OS
-	// memory map that must outlive every in-flight query: handlers pin
-	// the engine with Acquire/Release, and after a hot swap the old
-	// engine's Retire closes the mapping only once the last pinned
+	// Lifecycle. A mapped engine (NewEngineFromMapped) reads account
+	// entries from a bundle file that must stay open for every in-flight
+	// query — closing it turns an in-flight first touch into an error:
+	// handlers pin the engine with Acquire/Release, and after a hot swap
+	// the old engine's Retire closes the file only once the last pinned
 	// request drains. In-memory engines have a nil closer and all of
 	// this degenerates to no-ops.
 	inflight  atomic.Int64

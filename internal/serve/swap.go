@@ -1,8 +1,9 @@
 package serve
 
 // Versioned hot bundle swap: a serving process keeps its current engine
-// behind one atomic pointer. Installing a new bundle generation is a
-// decode (3 ms for a v3 bundle) followed by one pointer swap — queries
+// behind one atomic pointer. Installing a new bundle generation is an
+// open (the header, the model sections and the account offset scan), an
+// optional prewarm, then one pointer swap — queries
 // that already loaded the old engine finish on it (the pointer load is
 // their only synchronization point, and the old engine stays alive as
 // long as any in-flight query holds it), queries arriving after the swap

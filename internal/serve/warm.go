@@ -20,7 +20,7 @@ import (
 // limit caps how many A-side accounts are warmed per platform pair
 // (spread from account 0 upward; ≤ 0 warms every account). Capping
 // matters for out-of-RAM mapped engines, where full prewarming would
-// fault in the entire working set that lazy mapping exists to avoid —
+// read in the entire working set that lazy opening exists to avoid —
 // and a mapped bundle keeps only a bounded set of decoded views, and the
 // pair cache only DefaultPairCacheEntries vectors, so prewarming more
 // accounts than those hold leaves just the last ones warm.
