@@ -11,7 +11,7 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet cross build test race chaos fuzz-smoke bench bench-smoke ab figures lines
+.PHONY: ci fmt vet cross build test race chaos fuzz-smoke bench bench-smoke ab identity figures lines
 
 ci: fmt vet cross build test chaos bench-smoke fuzz-smoke
 
@@ -155,6 +155,16 @@ PAIRS ?= 6
 ab:
 	@test -n "$(REV)" || { echo 'usage: make ab REV=<rev> [W=<workload>] [PAIRS=6]' >&2; exit 2; }
 	bash scripts/ab.sh "$(REV)" "$(W)" "$(PAIRS)"
+
+# identity checks that this working tree makes the same bytes as the
+# commit REV: both sides build hydra-gen, hydra-link, hydra-pack and
+# hydra-serve from their own copies in $$TMPDIR and make a 40-person
+# seed-3 world, its bundle, the bundle's two-shard split and one fixed
+# REPL transcript off each of the three bundles. Prints equal or differs
+# per artifact and exits 1 when any differs; see scripts/identity.sh.
+identity:
+	@test -n "$(REV)" || { echo 'usage: make identity REV=<rev>' >&2; exit 2; }
+	bash scripts/identity.sh "$(REV)"
 
 # figures regenerates every figure table (the full experiment suite).
 figures:

@@ -7,10 +7,8 @@
 package blocking
 
 import (
-	"fmt"
 	"sort"
 
-	"hydra/internal/parallel"
 	"hydra/internal/platform"
 	"hydra/internal/text"
 	"hydra/internal/vision"
@@ -59,30 +57,21 @@ func DefaultRules() Rules {
 	}
 }
 
-// Generate produces the candidate pairs between two platforms. The cost is
-// O(N_A · N_B) cheap comparisons — the quadratic pass the paper's filtering
-// makes tractable by never touching the expensive behavioral features.
+// Generate produces the candidate pairs between two platforms: BuildIndex's
+// rows, flattened and sorted by (A, B). The cost is O(N_A · N_B) cheap
+// comparisons — the quadratic pass the paper's filtering makes tractable
+// by never touching the expensive behavioral features.
 func Generate(pa, pb *platform.Platform, faces *vision.Matcher, rules Rules) ([]Candidate, error) {
-	if pa.NumAccounts() == 0 || pb.NumAccounts() == 0 {
-		return nil, fmt.Errorf("blocking: empty platform (%s: %d, %s: %d accounts)",
-			pa.ID, pa.NumAccounts(), pb.ID, pb.NumAccounts())
+	ix, err := BuildIndex(pa, pb, faces, rules)
+	if err != nil {
+		return nil, err
 	}
-	if rules.TopK <= 0 {
-		rules.TopK = 3
+	var kept []Candidate
+	for _, row := range ix.byA {
+		kept = append(kept, row...)
 	}
-	// Score A-side rows in parallel: each row scores all N_B pairs and
-	// returns its qualifying candidates (deduplicated within the row; a
-	// candidate's A id is its row, so no duplicates can span rows). The
-	// result is identical at any worker count — the scorer is
-	// deterministic per pair.
-	kept := parallel.MapChunks(rules.Workers, pa.NumAccounts(), func(lo, hi int) []Candidate {
-		var chunk []Candidate
-		scored := make([]Candidate, 0, pb.NumAccounts())
-		for ai := lo; ai < hi; ai++ {
-			chunk = appendRowCandidates(chunk, pa, pb, faces, rules, ai, scored)
-		}
-		return chunk
-	})
+	// A row holds no duplicates and its A id is the row, so (A, B) is a
+	// total order on the kept set.
 	sort.Slice(kept, func(i, j int) bool {
 		if kept[i].A != kept[j].A {
 			return kept[i].A < kept[j].A

@@ -58,8 +58,8 @@ func LazyIndex(pa, pb platform.ID, rules Rules, rowLens []int, fetch func(a int)
 // BuildIndex scans the O(N_A · N_B) pair space once and shards the kept
 // candidates by A-side account. The scan parallelizes over A rows on the
 // Rules.Workers pool; each shard is written to its own slot, so the index
-// contents are identical at any worker count. The union of all shards is
-// exactly the candidate set Generate returns under the same rules.
+// contents are identical at any worker count. Generate is this scan's
+// shards, flattened.
 func BuildIndex(pa, pb *platform.Platform, faces *vision.Matcher, rules Rules) (*Index, error) {
 	if pa.NumAccounts() == 0 || pb.NumAccounts() == 0 {
 		return nil, fmt.Errorf("blocking: empty platform (%s: %d, %s: %d accounts)",
@@ -69,9 +69,9 @@ func BuildIndex(pa, pb *platform.Platform, faces *vision.Matcher, rules Rules) (
 		rules.TopK = 3
 	}
 	ix := &Index{PA: pa.ID, PB: pb.ID, Rules: rules, byA: make([][]Candidate, pa.NumAccounts())}
-	// Chunked like Generate so the N_B-entry scoring scratch is allocated
-	// once per chunk, not once per row; each row's shard still lands in
-	// its own slot, so the index is identical at any worker count.
+	// Chunked so the N_B-entry scoring scratch is allocated once per
+	// chunk, not once per row; each row's shard still lands in its own
+	// slot, so the index is identical at any worker count.
 	parallel.MapChunks(rules.Workers, pa.NumAccounts(), func(lo, hi int) []struct{} {
 		scored := make([]Candidate, 0, pb.NumAccounts())
 		for ai := lo; ai < hi; ai++ {

@@ -30,6 +30,7 @@ import (
 	"slices"
 	"sort"
 
+	"hydra/internal/kernel"
 	"hydra/internal/linalg"
 	"hydra/internal/parallel"
 	"hydra/internal/platform"
@@ -201,23 +202,17 @@ func BuildPrescreen(p ModelParts, opts PrescreenOpts) (*PrescreenParts, error) {
 	// every sum runs over the points in ascending order on one goroutine,
 	// so the parts are bit-identical at any worker count.
 	workers := opts.Workers
-	// Exact decision values at every point, accumulated bias-first —
-	// the same float sequence as the exact fold (foldKernel), so
-	// the certification below measures the gap against the value a
-	// query will actually compare with. Minus bias they double as the
-	// regression targets.
+	// Exact decision values at every point, from the exact fold
+	// (foldKernel) itself, so the certification below measures the gap
+	// against the value a query will actually compare with. Minus bias
+	// they double as the regression targets.
+	exact := &Model{kern: kernel.NewRBF(p.KernelSigma), xs: p.Xs, alpha: p.Alpha, bias: p.Bias}
+	exact.compactSupport()
 	y := make([]float64, len(pts))
 	forPoints(workers, len(pts), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			s := p.Bias
-			for j, a := range p.Alpha {
-				if a == 0 {
-					continue
-				}
-				s += a * math.Exp(-linalg.SqDist(p.Xs[j], pts[i])/sigma2)
-			}
-			y[i] = s
-		}
+		sc := exact.getScratch()
+		exact.foldKernel(sc, pts[lo:hi], 1, y[lo:hi])
+		exact.scratch.Put(sc)
 	})
 	// Feature rows, computed once through the same SqDist/Exp the query
 	// fold runs, so the fit lives in exactly the query's float space.

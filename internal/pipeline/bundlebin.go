@@ -318,13 +318,12 @@ func sortedPlatformIDs[T any](m map[platform.ID]T) []platform.ID {
 	return out
 }
 
-// binSection is a little-endian, length-prefixed binary buffer: the
-// writer appends, and mapReader, which embeds it, consumes from off. The
-// first error sticks; readers return zero values after it so decode
-// loops stay simple and the caller checks err once at the end.
+// binSection is a little-endian, length-prefixed binary buffer the
+// writer appends to; the reader's cursor (bundlemap.go) consumes the
+// same layout. The first error sticks, and the writer checks it once at
+// the end.
 type binSection struct {
 	buf []byte
-	off int
 	err error
 }
 
@@ -423,113 +422,4 @@ func (s *binSection) putShards(byA [][]blocking.Candidate) {
 			}
 		}
 	}
-}
-
-func (s *binSection) take(n int) []byte {
-	if s.err != nil {
-		return nil
-	}
-	if s.off+n > len(s.buf) {
-		s.fail(fmt.Errorf("section truncated at byte %d (want %d more)", s.off, n))
-		return nil
-	}
-	p := s.buf[s.off : s.off+n]
-	s.off += n
-	return p
-}
-
-func (s *binSection) u8() uint8 {
-	p := s.take(1)
-	if p == nil {
-		return 0
-	}
-	return p[0]
-}
-
-func (s *binSection) u32() uint32 {
-	p := s.take(4)
-	if p == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(p)
-}
-
-func (s *binSection) u64() uint64 {
-	p := s.take(8)
-	if p == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(p)
-}
-
-func (s *binSection) i64() int64   { return int64(s.u64()) }
-func (s *binSection) f64() float64 { return math.Float64frombits(s.u64()) }
-
-// sliceLen reads a presence byte and length; ok is false for nil.
-func (s *binSection) sliceLen() (n int, ok bool) {
-	if s.u8() == 0 {
-		return 0, false
-	}
-	n = int(s.u32())
-	// Each encoded element of every slice type is at least 1 byte, so a
-	// length beyond the remaining bytes is corruption — fail now rather
-	// than letting make() balloon.
-	if s.err == nil && n > len(s.buf)-s.off {
-		s.fail(fmt.Errorf("slice of %d elements at byte %d exceeds section size %d", n, s.off, len(s.buf)))
-		return 0, false
-	}
-	return n, true
-}
-
-func (s *binSection) times() []time.Time {
-	n, ok := s.sliceLen()
-	if !ok || s.err != nil {
-		return nil
-	}
-	ts := make([]time.Time, n)
-	for i := range ts {
-		ts[i] = time.Unix(0, s.i64()).UTC()
-	}
-	return ts
-}
-
-func (s *binSection) events() []temporal.Event {
-	n, ok := s.sliceLen()
-	if !ok || s.err != nil {
-		return nil
-	}
-	es := make([]temporal.Event, n)
-	for i := range es {
-		es[i] = temporal.Event{
-			Time:    time.Unix(0, s.i64()).UTC(),
-			Lat:     s.f64(),
-			Lon:     s.f64(),
-			MediaID: s.u64(),
-		}
-	}
-	return es
-}
-
-func (s *binSection) friends() []graph.Friend {
-	n, ok := s.sliceLen()
-	if !ok || s.err != nil {
-		return nil
-	}
-	fs := make([]graph.Friend, n)
-	for i := range fs {
-		fs[i] = graph.Friend{ID: int(s.i64()), Weight: s.f64()}
-	}
-	return fs
-}
-
-func (s *binSection) i32s() []int32 {
-	n, ok := s.sliceLen()
-	if !ok || s.err != nil {
-		return nil
-	}
-	vs := make([]int32, n)
-	for i := range vs {
-		vs[i] = int32(s.u32())
-	}
-	return vs
 }

@@ -18,7 +18,8 @@ package pipeline
 // pooled scratch and copy-decodes them. So their file pages stay in the
 // page cache and never count toward the process's resident set, and a
 // read that comes up short (a file rewritten in place, a closed bundle)
-// is an error, not a fault.
+// is an error, not a fault. Every section is read through one type, the
+// cursor at the end of this file.
 //
 // What stays resident is the decoded heap, and decoded views are the
 // bulk of it (a view plus its derived state is ≈ 9 KB on the
@@ -28,11 +29,14 @@ package pipeline
 // slices and index rows are small and stay cached for the life of the
 // bundle.
 //
-// The header, model, prescreen and impute-table sections are read into
-// heap buffers once at open and decoded there. Each buffer is placed at
-// its section's file offset mod 8, so a vector whose payload is 8-byte
-// aligned in the file aliases its buffer instead of being copied, where
-// the host byte order allows (see aliasFloat64s).
+// The header, model and prescreen sections are read into heap buffers
+// once at open and decoded there. Each buffer is placed at its section's
+// file offset mod 8, so a vector whose payload is 8-byte aligned in the
+// file aliases its buffer instead of being copied, where the host byte
+// order allows (see aliasFloat64s). The impute table, by far the largest
+// of the sections decoded at open, is decoded through the scan's chunk
+// instead: its vectors are copied a window at a time, and no buffer ever
+// holds the whole section.
 //
 // Lifetime: Close closes the file, after which a first touch of an entry
 // fails to read; callers (the serve engine) drain in-flight queries first
@@ -47,6 +51,7 @@ import (
 	"os"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"hydra/internal/blocking"
 	"hydra/internal/core"
@@ -54,6 +59,7 @@ import (
 	"hydra/internal/graph"
 	"hydra/internal/linalg"
 	"hydra/internal/platform"
+	"hydra/internal/temporal"
 )
 
 // maxResidentViews caps the decoded views one bundle keeps. A
@@ -63,8 +69,8 @@ import (
 // longer keeps every view it ever decoded.
 const maxResidentViews = 1024
 
-// scanChunk is how many bytes of an account section the open-time
-// skip-scan reads at a time, and so the scan's own residency.
+// scanChunk is how many bytes of an account section or the impute table
+// the open reads at a time, and so what it holds of them.
 const scanChunk = 1 << 20
 
 // MapOptions tunes OpenBundleMapped. It has no fields; callers pass
@@ -178,14 +184,15 @@ func OpenBundleMapped(path string, _ MapOptions) (*MappedBundle, error) {
 }
 
 // open parses the header, bounds-checks every section against the file
-// size, eagerly decodes the small sections (model, prescreen, impute
-// table — their vectors alias the section's buffer where possible) and
-// skip-scans the account sections (views, friends, indexes) into
-// per-entry offset tables. It reads only through mb.f and mb.size, so it
-// opens a file (OpenBundleMapped) and a byte slice (ReadBundle) alike.
+// size, eagerly decodes the model, prescreen and impute-table sections
+// (model and prescreen vectors alias their section's buffer where
+// possible) and skip-scans the account sections (views, friends, indexes)
+// into per-entry offset tables. It reads only through mb.f and mb.size,
+// so it opens a file (OpenBundleMapped) and a byte slice (ReadBundle)
+// alike.
 func (mb *MappedBundle) open() error {
-	head, err := mb.section(0, min(mb.size, len(bundleMagic)))
-	if err != nil {
+	head := make([]byte, min(mb.size, len(bundleMagic)))
+	if err := readFull(mb.f, head, 0); err != nil {
 		return fmt.Errorf("pipeline: read bundle magic: %w", err)
 	}
 	if err := checkMagic(head); err != nil {
@@ -215,23 +222,37 @@ func (mb *MappedBundle) open() error {
 		off += n
 		return lo, n, nil
 	}
-	block := func(what string) ([]byte, error) {
+	// whole reads the next block into a fresh buffer placed at its file
+	// offset mod 8, so a payload aligned in the file is aligned in the
+	// buffer and its vector may alias it.
+	whole := func(what string) (*cursor, error) {
 		lo, n, err := frame(what)
 		if err != nil {
 			return nil, err
 		}
-		p, err := mb.section(lo, n)
-		if err != nil {
+		pad := lo % 8
+		buf := make([]byte, pad+n)[pad:]
+		if err := readFull(mb.f, buf, lo); err != nil {
 			return nil, fmt.Errorf("pipeline: read v3 %s: %w", what, err)
 		}
-		return p, nil
+		return &cursor{lo: lo, hi: lo + n, off: lo, base: lo, win: buf, mb: mb, alias: true}, nil
+	}
+	// chunked only locates the next block; its cursor reads it later
+	// through the one chunk.
+	chunk := make([]byte, 0, min(scanChunk, mb.size))
+	chunked := func(what string) (*cursor, error) {
+		lo, n, err := frame(what)
+		if err != nil {
+			return nil, err
+		}
+		return &cursor{f: mb.f, lo: lo, hi: lo + n, off: lo, base: lo, win: chunk, mb: mb}, nil
 	}
 
-	headerJSON, err := block("header")
+	header, err := whole("header")
 	if err != nil {
 		return err
 	}
-	if err := json.Unmarshal(headerJSON, &mb.header); err != nil {
+	if err := json.Unmarshal(header.win, &mb.header); err != nil {
 		return fmt.Errorf("pipeline: decode v3 header: %w", err)
 	}
 	if mb.header.Version != BundleVersion {
@@ -241,29 +262,24 @@ func (mb *MappedBundle) open() error {
 		return err
 	}
 
-	modelBuf, err := block("model section")
+	model, err := whole("model section")
 	if err != nil {
 		return err
 	}
-	// The account sections are only located here; the scans below read
-	// them through one chunk.
-	chunk := make([]byte, 0, min(scanChunk, mb.size))
-	var secs [3]sectionScan
+	var secs [3]*cursor
 	for i, what := range []string{"view section", "friend section", "index section"} {
-		lo, n, err := frame(what)
-		if err != nil {
+		if secs[i], err = chunked(what); err != nil {
 			return err
 		}
-		secs[i] = sectionScan{f: mb.f, lo: lo, hi: lo + n, off: lo, base: lo, chunk: chunk}
 	}
-	var prescreenBuf, tableBuf []byte
+	var prescreen, table *cursor
 	if mb.header.Prescreen != nil {
-		if prescreenBuf, err = block("prescreen section"); err != nil {
+		if prescreen, err = whole("prescreen section"); err != nil {
 			return err
 		}
 	}
 	if mb.header.ImputeTable != nil {
-		if tableBuf, err = block("impute-table section"); err != nil {
+		if table, err = chunked("impute-table section"); err != nil {
 			return err
 		}
 	}
@@ -271,31 +287,22 @@ func (mb *MappedBundle) open() error {
 		return fmt.Errorf("pipeline: v3 bundle has %d trailing bytes — corrupt bundle", mb.size-off)
 	}
 
-	if err := mb.decodeModel(modelBuf); err != nil {
+	if err := mb.decodeModel(model); err != nil {
 		return err
 	}
-	if err := mb.decodePrescreen(prescreenBuf); err != nil {
+	if err := mb.decodePrescreen(prescreen); err != nil {
 		return err
 	}
-	if err := mb.decodeImputeTable(tableBuf); err != nil {
+	if err := mb.decodeImputeTable(table); err != nil {
 		return err
 	}
-	if err := mb.scanViews(&secs[0]); err != nil {
+	if err := mb.scanViews(secs[0]); err != nil {
 		return err
 	}
-	if err := mb.scanFriends(&secs[1]); err != nil {
+	if err := mb.scanFriends(secs[1]); err != nil {
 		return err
 	}
-	return mb.scanIndexes(&secs[2])
-}
-
-// section reads file bytes [lo, lo+n) of a section decoded at open into
-// a fresh buffer placed at the file offset mod 8, so a payload aligned in
-// the file is aligned in the buffer and its vector can alias it.
-func (mb *MappedBundle) section(lo, n int) ([]byte, error) {
-	pad := lo % 8
-	p := make([]byte, pad+n)[pad:]
-	return p, readFull(mb.f, p, lo)
+	return mb.scanIndexes(secs[2])
 }
 
 // readFull reads exactly len(p) bytes at file offset off; coming up short
@@ -311,8 +318,7 @@ func readFull(f io.ReaderAt, p []byte, off int) error {
 	return err
 }
 
-func (mb *MappedBundle) decodeModel(buf []byte) error {
-	r := mb.reader(buf)
+func (mb *MappedBundle) decodeModel(r *cursor) error {
 	mb.modelParts = core.ModelParts{
 		Cfg:         mb.header.Model.Cfg,
 		KernelKind:  mb.header.Model.KernelKind,
@@ -325,12 +331,11 @@ func (mb *MappedBundle) decodeModel(buf []byte) error {
 	return r.finish("model section")
 }
 
-func (mb *MappedBundle) decodePrescreen(buf []byte) error {
+func (mb *MappedBundle) decodePrescreen(r *cursor) error {
 	hp := mb.header.Prescreen
 	if hp == nil {
 		return nil
 	}
-	r := mb.reader(buf)
 	w, b, c, v := r.vec(), r.vec(), r.vec(), r.vec()
 	if err := r.finish("prescreen section"); err != nil {
 		return err
@@ -340,12 +345,11 @@ func (mb *MappedBundle) decodePrescreen(buf []byte) error {
 	return err
 }
 
-func (mb *MappedBundle) decodeImputeTable(buf []byte) error {
+func (mb *MappedBundle) decodeImputeTable(r *cursor) error {
 	ht := mb.header.ImputeTable
 	if ht == nil {
 		return nil
 	}
-	r := mb.reader(buf)
 	t := &core.ImputeTableParts{K: ht.K, Dim: ht.Dim}
 	for _, pm := range ht.Pairs {
 		pp := core.ImputeTablePairParts{
@@ -366,7 +370,7 @@ func (mb *MappedBundle) decodeImputeTable(buf []byte) error {
 	return t.Validate()
 }
 
-func (mb *MappedBundle) scanViews(s *sectionScan) error {
+func (mb *MappedBundle) scanViews(s *cursor) error {
 	mb.plats = sortedPlatformIDs(mb.header.Views)
 	mb.views = make(map[platform.ID]*mappedViews, len(mb.plats))
 	nslots := 0
@@ -404,7 +408,7 @@ func (mb *MappedBundle) scanViews(s *sectionScan) error {
 	return s.finish("view section")
 }
 
-func (mb *MappedBundle) scanFriends(s *sectionScan) error {
+func (mb *MappedBundle) scanFriends(s *cursor) error {
 	mb.friends = make(map[platform.ID]*mappedFriends, len(mb.plats))
 	for _, id := range mb.plats {
 		nf := int(s.u32())
@@ -429,7 +433,7 @@ func (mb *MappedBundle) scanFriends(s *sectionScan) error {
 	return s.finish("friend section")
 }
 
-func (mb *MappedBundle) scanIndexes(s *sectionScan) error {
+func (mb *MappedBundle) scanIndexes(s *cursor) error {
 	for _, meta := range mb.header.Indexes {
 		mi := &mappedIndex{mb: mb, meta: meta}
 		nrows, ok := s.sliceLen()
@@ -454,7 +458,7 @@ func (mb *MappedBundle) scanIndexes(s *sectionScan) error {
 // the scratch goes back to the pool on return. A short read — the file
 // truncated or rewritten in place, or the bundle closed — is an error, and
 // so is an entry the decode does not consume exactly.
-func (mb *MappedBundle) readEntry(lo, hi int, decode func(r *mapReader)) error {
+func (mb *MappedBundle) readEntry(lo, hi int, decode func(r *cursor)) error {
 	p := entryScratch.Get().(*[]byte)
 	defer entryScratch.Put(p)
 	if cap(*p) < hi-lo {
@@ -464,10 +468,10 @@ func (mb *MappedBundle) readEntry(lo, hi int, decode func(r *mapReader)) error {
 	if err := readFull(mb.f, buf, lo); err != nil {
 		return err
 	}
-	r := &mapReader{binSection: binSection{buf: buf}, mb: mb, copyVecs: true}
+	r := &cursor{lo: lo, hi: hi, off: lo, base: lo, win: buf, mb: mb}
 	decode(r)
-	if r.err == nil && r.off != len(buf) {
-		return fmt.Errorf("entry has %d trailing bytes", len(buf)-r.off)
+	if r.err == nil && r.off != hi {
+		return fmt.Errorf("entry has %d trailing bytes", hi-r.off)
 	}
 	return r.err
 }
@@ -522,7 +526,7 @@ func (mb *MappedBundle) viewParts(id platform.ID, local int) (features.ViewParts
 	mv := mb.views[id]
 	meta := &mv.metas[local]
 	var parts features.ViewParts
-	err := mb.readEntry(mv.off[local], mv.off[local+1], func(r *mapReader) {
+	err := mb.readEntry(mv.off[local], mv.off[local+1], func(r *cursor) {
 		parts = features.ViewParts{
 			Username: meta.Username, Attrs: meta.Attrs, AvatarID: meta.AvatarID, Unique: meta.Unique,
 			Events: r.events(), PostTimes: r.times(),
@@ -583,7 +587,7 @@ func (mb *MappedBundle) Friends(id platform.ID, local int) ([]graph.Friend, erro
 		return *p, nil
 	}
 	var fr []graph.Friend
-	if err := mb.readEntry(mf.off[local], mf.off[local+1], func(r *mapReader) { fr = r.friends() }); err != nil {
+	if err := mb.readEntry(mf.off[local], mf.off[local+1], func(r *cursor) { fr = r.friends() }); err != nil {
 		return nil, fmt.Errorf("pipeline: decode v3 friends %s/%d: %w", id, local, err)
 	}
 	p := &fr
@@ -623,7 +627,7 @@ func (mi *mappedIndex) fetch(a int) ([]blocking.Candidate, error) {
 		return *p, nil
 	}
 	var row []blocking.Candidate
-	if err := mi.mb.readEntry(mi.rowOff[a], mi.rowOff[a+1], func(r *mapReader) { row = r.candidates() }); err != nil {
+	if err := mi.mb.readEntry(mi.rowOff[a], mi.rowOff[a+1], func(r *cursor) { row = r.candidates() }); err != nil {
 		return nil, fmt.Errorf("pipeline: decode v3 index row %s/%d: %w", mi.meta.PA, a, err)
 	}
 	p := &row
@@ -751,228 +755,130 @@ func (mb *MappedBundle) Close() error {
 	return nil
 }
 
-// mapReader reads a section decoded at open, or one account entry:
-// binSection's primitives plus alias-aware vector decoding. Aliased
-// vectors point into the section's buffer and keep it alive.
-type mapReader struct {
-	binSection
-	mb       *MappedBundle
-	copyVecs bool // copy-decode even where aliasing is legal
-}
-
-// reader reads a section decoded at open, whose vectors may alias.
-func (mb *MappedBundle) reader(buf []byte) *mapReader {
-	return &mapReader{binSection: binSection{buf: buf}, mb: mb}
-}
-
-// vec decodes one vector, aliasing the payload in place when the host
-// byte order, alignment and reader allow, copy-decoding otherwise.
-// Shadowing binSection.vec is deliberate; vecs below re-dispatches to
-// this method.
-func (r *mapReader) vec() linalg.Vector {
-	n, ok := r.sliceLen()
-	if !ok || r.err != nil {
-		return nil
-	}
-	p := r.take(8 * n)
-	if r.err != nil {
-		return nil
-	}
-	if !r.copyVecs {
-		if v, ok := aliasFloat64s(p, n); ok {
-			r.mb.aliased.Add(1)
-			return v
-		}
-	}
-	r.mb.copied.Add(1)
-	v := make(linalg.Vector, n)
-	for i := range v {
-		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))
-	}
-	return v
-}
-
-// vecs decodes a vector list. A copy-decoded list takes one allocation
-// for all its values: a first pass over the length headers sizes the
-// backing array, and each vector is a full slice expression of it, so
-// none can append into its neighbour. A list whose headers do not fit
-// the section is decoded vector by vector, which fails where it always
-// did.
-func (r *mapReader) vecs() []linalg.Vector {
-	n, ok := r.sliceLen()
-	if !ok || r.err != nil {
-		return nil
-	}
-	vs := make([]linalg.Vector, n)
-	total, fits := 0, false
-	if r.copyVecs {
-		total, fits = r.sizeVecs(n)
-	}
-	if !fits {
-		for i := range vs {
-			vs[i] = r.vec()
-		}
-		return vs
-	}
-	backing := make([]float64, total)
-	copied := 0
-	for i := range vs {
-		m, ok := r.sliceLen()
-		if !ok {
-			continue // absent stays nil
-		}
-		p := r.take(8 * m)
-		v := backing[:m:m]
-		backing = backing[m:]
-		for j := range v {
-			v[j] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*j:]))
-		}
-		vs[i] = v
-		copied++
-	}
-	r.mb.copied.Add(uint64(copied))
-	return vs
-}
-
-// sizeVecs sums the lengths of the next n vectors without consuming
-// them, reporting whether all n fit the section.
-func (r *mapReader) sizeVecs(n int) (total int, fits bool) {
-	start := r.off
-	for i := 0; i < n && r.err == nil; i++ {
-		if m, ok := r.sliceLen(); ok {
-			total += m
-			r.take(8 * m)
-		}
-	}
-	fits = r.err == nil
-	r.off, r.err = start, nil
-	return total, fits
-}
-
-func (r *mapReader) candidates() []blocking.Candidate {
-	m, ok := r.sliceLen()
-	if !ok || r.err != nil {
-		return nil
-	}
-	row := make([]blocking.Candidate, m)
-	for j := range row {
-		row[j] = blocking.Candidate{
-			A:          int(r.u32()),
-			B:          int(r.u32()),
-			Score:      r.f64(),
-			PreMatched: r.u8() == 1,
-		}
-	}
-	return row
-}
-
-// finish reports a stuck decode error or trailing bytes, in the words
-// sectionScan.finish uses for the account sections.
-func (r *mapReader) finish(what string) error {
-	if r.err != nil {
-		return fmt.Errorf("pipeline: decode v3 %s: %w", what, r.err)
-	}
-	if r.off != len(r.buf) {
-		return fmt.Errorf("pipeline: v3 %s has %d trailing bytes — corrupt bundle", what, len(r.buf)-r.off)
-	}
-	return nil
-}
-
-// sectionScan skip-scans one account section, file bytes [lo, hi),
-// through a reusable chunk filled by ReadAt, so the scan never holds the
-// section. The cursor is a file offset, and bounds are checked against
-// the section, not the chunk: a corrupt length fails exactly as it would
-// over the whole section, and skipping a payload reads nothing.
-// Only length prefixes are read, and one that runs past the chunk starts
-// the next chunk where it starts.
-type sectionScan struct {
-	f      io.ReaderAt
+// cursor reads one section, file bytes [lo, hi), through a window onto
+// the file: win holds file bytes [base, base+len(win)), and off is the
+// file offset of the next byte. Every bound is checked against the
+// section, not the window, so a corrupt length fails the same way
+// whatever the window holds, and error texts count bytes from lo.
+//
+// A whole window holds the entire section — one decoded at open, one
+// account entry, or a section of the tests' reference decode — and is
+// never refilled. A chunk window is the shared scan chunk, read from f
+// at the cursor whenever the cursor passes its end, so the section is
+// never held whole; chunk cursors share it one at a time.
+//
+// The first error sticks; readers return zero values after it, so decode
+// loops stay simple and the caller checks once, at finish.
+type cursor struct {
+	f      io.ReaderAt // refills a chunk window; nil for a whole one
 	lo, hi int
 	off    int
-	chunk  []byte // file bytes [base, base+len(chunk))
+	win    []byte
 	base   int
 	err    error
+
+	mb    *MappedBundle // counts the vectors vec and vecs decode
+	alias bool          // vectors may alias the window: a section the bundle keeps
 }
 
-func (s *sectionScan) fail(err error) {
-	if s.err == nil {
-		s.err = err
+func (c *cursor) fail(err error) {
+	if c.err == nil {
+		c.err = err
 	}
 }
 
 // fits reports whether n more bytes lie inside the section, failing the
-// scan with binSection.take's diagnostic when they do not.
-func (s *sectionScan) fits(n int) bool {
-	if s.err != nil {
+// cursor when they do not.
+func (c *cursor) fits(n int) bool {
+	if c.err != nil {
 		return false
 	}
-	if n > s.hi-s.off {
-		s.fail(fmt.Errorf("section truncated at byte %d (want %d more)", s.off-s.lo, n))
+	if n > c.hi-c.off {
+		c.fail(fmt.Errorf("section truncated at byte %d (want %d more)", c.off-c.lo, n))
 		return false
 	}
 	return true
 }
 
-func (s *sectionScan) skip(n int) {
-	if s.fits(n) {
-		s.off += n
+// fill makes the next n bytes of the section readable in the window,
+// moving a chunk window to start at the cursor when they are not all in
+// it; n must not exceed the chunk. A whole window always holds them.
+func (c *cursor) fill(n int) bool {
+	if c.off+n <= c.base+len(c.win) {
+		return true
 	}
+	c.base, c.win = c.off, c.win[:min(cap(c.win), c.hi-c.off)]
+	if err := readFull(c.f, c.win, c.base); err != nil {
+		c.fail(err)
+		return false
+	}
+	return true
 }
 
-// take returns the next n bytes of a length prefix, refilling the chunk
-// from the cursor when they are not all in it.
-func (s *sectionScan) take(n int) []byte {
-	if !s.fits(n) {
+func (c *cursor) take(n int) []byte {
+	if !c.fits(n) || !c.fill(n) {
 		return nil
 	}
-	if s.off+n > s.base+len(s.chunk) {
-		s.base, s.chunk = s.off, s.chunk[:min(cap(s.chunk), s.hi-s.off)]
-		if err := readFull(s.f, s.chunk, s.base); err != nil {
-			s.fail(err)
-			return nil
-		}
-	}
-	p := s.chunk[s.off-s.base:][:n]
-	s.off += n
+	p := c.win[c.off-c.base:][:n]
+	c.off += n
 	return p
 }
 
-func (s *sectionScan) u8() uint8 {
-	p := s.take(1)
+func (c *cursor) skip(n int) {
+	if c.fits(n) {
+		c.off += n
+	}
+}
+
+func (c *cursor) u8() uint8 {
+	p := c.take(1)
 	if p == nil {
 		return 0
 	}
 	return p[0]
 }
 
-func (s *sectionScan) u32() uint32 {
-	p := s.take(4)
+func (c *cursor) u32() uint32 {
+	p := c.take(4)
 	if p == nil {
 		return 0
 	}
 	return binary.LittleEndian.Uint32(p)
 }
 
-// sliceLen is binSection.sliceLen over the section: ok is false for nil,
-// and a length beyond the section's remaining bytes is corruption. A
-// prefix wholly inside the chunk, as nearly all are, is read in place:
-// the scan reads a prefix for every vector of every view.
-func (s *sectionScan) sliceLen() (n int, ok bool) {
-	if i := s.off - s.base; s.err == nil && i+5 <= len(s.chunk) {
-		if s.chunk[i] == 0 {
-			s.off++
-			return 0, false
-		}
-		n = int(binary.LittleEndian.Uint32(s.chunk[i+1:]))
-		s.off += 5
-	} else {
-		if s.u8() == 0 {
-			return 0, false
-		}
-		n = int(s.u32())
+func (c *cursor) u64() uint64 {
+	p := c.take(8)
+	if p == nil {
+		return 0
 	}
-	if s.err == nil && n > s.hi-s.off {
-		s.fail(fmt.Errorf("slice of %d elements at byte %d exceeds section size %d", n, s.off-s.lo, s.hi-s.lo))
+	return binary.LittleEndian.Uint64(p)
+}
+
+func (c *cursor) i64() int64   { return int64(c.u64()) }
+func (c *cursor) f64() float64 { return math.Float64frombits(c.u64()) }
+
+// sliceLen reads a presence byte and length; ok is false for nil. Each
+// encoded element of every slice type is at least 1 byte, so a length
+// beyond the section's remaining bytes is corruption, refused before any
+// make() can balloon. A prefix wholly inside the window, as nearly all
+// are, is read in place: the skip-scan reads one for every vector of
+// every view.
+func (c *cursor) sliceLen() (n int, ok bool) {
+	if i := c.off - c.base; c.err == nil && i+5 <= len(c.win) {
+		if c.win[i] == 0 {
+			c.off++
+			return 0, false
+		}
+		n = int(binary.LittleEndian.Uint32(c.win[i+1:]))
+		c.off += 5
+	} else {
+		if c.u8() == 0 {
+			return 0, false
+		}
+		n = int(c.u32())
+	}
+	if c.err == nil && n > c.hi-c.off {
+		c.fail(fmt.Errorf("slice of %d elements at byte %d exceeds section size %d", n, c.off-c.lo, c.hi-c.lo))
 		return 0, false
 	}
 	return n, true
@@ -980,32 +886,191 @@ func (s *sectionScan) sliceLen() (n int, ok bool) {
 
 // skipSlice advances past one presence-prefixed slice of fixed-width
 // elements, returning its element count.
-func (s *sectionScan) skipSlice(elemSize int) int {
-	n, ok := s.sliceLen()
-	if !ok || s.err != nil {
+func (c *cursor) skipSlice(elemSize int) int {
+	n, ok := c.sliceLen()
+	if !ok || c.err != nil {
 		return 0
 	}
-	s.skip(elemSize * n)
+	c.skip(elemSize * n)
 	return n
 }
 
-func (s *sectionScan) skipVecs() {
-	n, ok := s.sliceLen()
-	if !ok || s.err != nil {
+func (c *cursor) skipVecs() {
+	n, ok := c.sliceLen()
+	if !ok || c.err != nil {
 		return
 	}
 	for i := 0; i < n; i++ {
-		s.skipSlice(8)
+		c.skipSlice(8)
 	}
 }
 
-// finish is mapReader.finish over the section.
-func (s *sectionScan) finish(what string) error {
-	if s.err != nil {
-		return fmt.Errorf("pipeline: decode v3 %s: %w", what, s.err)
+// vec decodes one vector. On a window the bundle keeps it aliases the
+// payload in place where the host byte order and alignment allow;
+// otherwise it copies, a window at a time, so a vector longer than the
+// chunk needs no buffer of its own.
+func (c *cursor) vec() linalg.Vector {
+	n, ok := c.sliceLen()
+	if !ok || !c.fits(8*n) {
+		return nil
 	}
-	if s.off != s.hi {
-		return fmt.Errorf("pipeline: v3 %s has %d trailing bytes — corrupt bundle", what, s.hi-s.off)
+	if c.alias {
+		if v, ok := aliasFloat64s(c.win[c.off-c.base:], n); ok {
+			c.off += 8 * n
+			c.mb.aliased.Add(1)
+			return v
+		}
+	}
+	c.mb.copied.Add(1)
+	v := make(linalg.Vector, n)
+	c.floats(v)
+	return v
+}
+
+// floats copy-decodes the next len(v) floats into v, one window at a
+// time; the caller has checked that they lie in the section.
+func (c *cursor) floats(v []float64) {
+	for len(v) > 0 && c.fill(8) {
+		p := c.win[c.off-c.base:]
+		k := min(len(v), len(p)/8)
+		for j := range v[:k] {
+			v[j] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*j:]))
+		}
+		v = v[k:]
+		c.off += 8 * k
+	}
+}
+
+// vecs decodes a vector list. A copied list that lies in the window takes
+// one allocation for all its values: a first pass over the length headers
+// sizes the backing array, and each vector is a full slice expression of
+// it, so none can append into its neighbour. Any other list is decoded
+// vector by vector, which fails where it always did.
+func (c *cursor) vecs() []linalg.Vector {
+	n, ok := c.sliceLen()
+	if !ok || c.err != nil {
+		return nil
+	}
+	vs := make([]linalg.Vector, n)
+	total, inWindow := 0, false
+	if !c.alias {
+		total, inWindow = c.sizeVecs(n)
+	}
+	if !inWindow {
+		for i := range vs {
+			vs[i] = c.vec()
+		}
+		return vs
+	}
+	backing := make([]float64, total)
+	copied := 0
+	for i := range vs {
+		m, ok := c.sliceLen()
+		if !ok {
+			continue // absent stays nil
+		}
+		vs[i] = backing[:m:m]
+		backing = backing[m:]
+		c.floats(vs[i])
+		copied++
+	}
+	c.mb.copied.Add(uint64(copied))
+	return vs
+}
+
+// sizeVecs sums the lengths of the next n vectors without consuming them,
+// reporting whether all n lie in the window: a copy of the cursor whose
+// section ends where the window does walks their headers, so it never
+// refills.
+func (c *cursor) sizeVecs(n int) (total int, inWindow bool) {
+	t := *c
+	t.hi = c.base + len(c.win)
+	for i := 0; i < n && t.err == nil; i++ {
+		if m, ok := t.sliceLen(); ok {
+			total += m
+			t.skip(8 * m)
+		}
+	}
+	return total, t.err == nil
+}
+
+func (c *cursor) times() []time.Time {
+	n, ok := c.sliceLen()
+	if !ok || c.err != nil {
+		return nil
+	}
+	ts := make([]time.Time, n)
+	for i := range ts {
+		ts[i] = time.Unix(0, c.i64()).UTC()
+	}
+	return ts
+}
+
+func (c *cursor) events() []temporal.Event {
+	n, ok := c.sliceLen()
+	if !ok || c.err != nil {
+		return nil
+	}
+	es := make([]temporal.Event, n)
+	for i := range es {
+		es[i] = temporal.Event{
+			Time:    time.Unix(0, c.i64()).UTC(),
+			Lat:     c.f64(),
+			Lon:     c.f64(),
+			MediaID: c.u64(),
+		}
+	}
+	return es
+}
+
+func (c *cursor) friends() []graph.Friend {
+	n, ok := c.sliceLen()
+	if !ok || c.err != nil {
+		return nil
+	}
+	fs := make([]graph.Friend, n)
+	for i := range fs {
+		fs[i] = graph.Friend{ID: int(c.i64()), Weight: c.f64()}
+	}
+	return fs
+}
+
+func (c *cursor) i32s() []int32 {
+	n, ok := c.sliceLen()
+	if !ok || c.err != nil {
+		return nil
+	}
+	vs := make([]int32, n)
+	for i := range vs {
+		vs[i] = int32(c.u32())
+	}
+	return vs
+}
+
+func (c *cursor) candidates() []blocking.Candidate {
+	m, ok := c.sliceLen()
+	if !ok || c.err != nil {
+		return nil
+	}
+	row := make([]blocking.Candidate, m)
+	for j := range row {
+		row[j] = blocking.Candidate{
+			A:          int(c.u32()),
+			B:          int(c.u32()),
+			Score:      c.f64(),
+			PreMatched: c.u8() == 1,
+		}
+	}
+	return row
+}
+
+// finish reports a stuck decode error or trailing bytes.
+func (c *cursor) finish(what string) error {
+	if c.err != nil {
+		return fmt.Errorf("pipeline: decode v3 %s: %w", what, c.err)
+	}
+	if c.off != c.hi {
+		return fmt.Errorf("pipeline: v3 %s has %d trailing bytes — corrupt bundle", what, c.hi-c.off)
 	}
 	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -151,10 +152,14 @@ func TestOpenBundleMappedMatchesDecode(t *testing.T) {
 // decodes at open are read into fresh buffers, and vectors alias those,
 // never data. So overwriting data must leave the bundle's encoding as it
 // was. The open is run once by hand first, to show that the fixture does
-// alias a vector, or the check would be vacuous.
+// alias a vector, or the check would be vacuous; its world fingerprint is
+// one byte longer than the golden's, which shifts model and prescreen
+// payloads so that one lands on an 8-byte boundary in the file.
 func TestReadBundleSharesNoMemory(t *testing.T) {
+	b := fullFixtureBundle()
+	b.WorldFingerprint += "0"
 	var buf bytes.Buffer
-	if err := WriteBundle(&buf, fullFixtureBundle()); err != nil {
+	if err := WriteBundle(&buf, b); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -168,7 +173,7 @@ func TestReadBundleSharesNoMemory(t *testing.T) {
 		t.Fatal("no vector aliased a section buffer: the check below would be vacuous")
 	}
 
-	b, err := ReadBundle(data)
+	read, err := ReadBundle(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,11 +181,73 @@ func TestReadBundleSharesNoMemory(t *testing.T) {
 		data[i] = 0xff
 	}
 	var got bytes.Buffer
-	if err := WriteBundle(&got, b); err != nil {
+	if err := WriteBundle(&got, read); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), orig) {
 		t.Fatal("overwriting ReadBundle's input changed the bundle it returned")
+	}
+}
+
+// TestImputeTableLongerThanChunk opens a bundle whose impute table holds
+// one Sums vector eight scan chunks long. The table is read through the
+// chunk, so the vector is copied a window at a time: both readers must
+// decode it as the reference does, and the open must allocate the table
+// about once — not a second time for a buffer holding the whole section.
+// The allocation is measured against the same bundle with a one-float
+// table, so the rest of the open cancels out.
+func TestImputeTableLongerThanChunk(t *testing.T) {
+	const dim = scanChunk // floats, so 8 bytes each: eight chunks
+	withTable := func(dim int) (string, []byte) {
+		b := fixtureBundle()
+		sums := make(linalg.Vector, dim)
+		for i := range sums {
+			sums[i] = float64(i) - 0.5
+		}
+		b.ImputeTable = &core.ImputeTableParts{K: 3, Dim: dim, Pairs: []core.ImputeTablePairParts{{
+			PA: platform.Twitter, PB: platform.Facebook,
+			A: []int32{0}, B: []int32{0}, Counts: linalg.Vector{1}, Sums: sums,
+		}}}
+		return writeBundleFile(t, b)
+	}
+	path, raw := withTable(dim)
+	smallPath, _ := withTable(1)
+
+	want, err := readBundleV3(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadBundle(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("ReadBundle decodes the long table differently from the reference")
+	}
+	mb, err := OpenBundleMapped(path, MapOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mb.Close()
+	if !reflect.DeepEqual(mb.tableParts, want.ImputeTable) {
+		t.Fatal("OpenBundleMapped decodes the long table differently from the reference")
+	}
+
+	openAlloc := func(path string) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		mb, err := OpenBundleMapped(path, MapOptions{})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mb.Close()
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	extra := float64(openAlloc(path)) - float64(openAlloc(smallPath))
+	if section := float64(8 * dim); extra >= 1.2*section {
+		t.Fatalf("opening the long table allocates %.2f MB more than a one-float table, %.2f× its %.2f MB of sums",
+			extra/1e6, extra/section, section/1e6)
 	}
 }
 

@@ -3,10 +3,11 @@ package pipeline
 // The reference v3 decoder: a streaming heap reader, written apart from
 // MappedBundle so that tests can hold the product's one parser to a
 // second parse of the same bytes. It shares with the product reader only
-// binSection's scalar and slice primitives (take, sliceLen, events,
-// times, friends, i32s), checkMagic and prescreenMetaV3.parts, so its
-// refusals read the same; the framing, the section walk, the vector
-// decodes and the index rows are its own. The differential tests
+// the cursor's scalar and slice primitives (take, sliceLen, events,
+// times, friends, i32s), read over a whole-section window, and
+// checkMagic and prescreenMetaV3.parts, so its refusals read the same;
+// the framing, the section walk, the vector decodes and the index rows
+// are its own. The differential tests
 // (TestBundleReadersAgree, TestOpenBundleMappedMatchesDecode,
 // FuzzReadersAgree) hold the product reader to it.
 
@@ -77,13 +78,13 @@ func readBundleV3(r io.Reader) (*Bundle, error) {
 	if err := header.Shard.Validate(); err != nil {
 		return nil, err
 	}
-	var secs [4]binSection
+	var secs [4]refSection
 	for i, what := range []string{"model section", "view section", "friend section", "index section"} {
 		p, err := readBlock(what)
 		if err != nil {
 			return nil, err
 		}
-		secs[i] = binSection{buf: p}
+		secs[i] = newRefSection(p)
 	}
 	model, views, friends, indexes := &secs[0], &secs[1], &secs[2], &secs[3]
 
@@ -146,27 +147,27 @@ func readBundleV3(r io.Reader) (*Bundle, error) {
 			PA: meta.PA, PB: meta.PB, Rules: meta.Rules, ByA: indexes.shards(),
 		})
 	}
-	secList := []*binSection{model, views, friends, indexes}
+	secList := []*refSection{model, views, friends, indexes}
 	if hp := header.Prescreen; hp != nil {
 		p, err := readBlock("prescreen section")
 		if err != nil {
 			return nil, err
 		}
-		prescreen := &binSection{buf: p}
+		prescreen := newRefSection(p)
 		w, ph, c, v := prescreen.vec(), prescreen.vec(), prescreen.vec(), prescreen.vec()
 		if prescreen.err == nil { // a torn section is reported below, with the others
 			if b.Prescreen, err = hp.parts(w, ph, c, v); err != nil {
 				return nil, err
 			}
 		}
-		secList = append(secList, prescreen)
+		secList = append(secList, &prescreen)
 	}
 	if ht := header.ImputeTable; ht != nil {
 		p, err := readBlock("impute-table section")
 		if err != nil {
 			return nil, err
 		}
-		table := &binSection{buf: p}
+		table := newRefSection(p)
 		t := &core.ImputeTableParts{K: ht.K, Dim: ht.Dim}
 		for _, pm := range ht.Pairs {
 			pp := core.ImputeTablePairParts{
@@ -181,7 +182,7 @@ func readBundleV3(r io.Reader) (*Bundle, error) {
 			t.Pairs = append(t.Pairs, pp)
 		}
 		b.ImputeTable = t
-		secList = append(secList, table)
+		secList = append(secList, &table)
 	}
 	// The mapped reader refuses bytes past the last announced section;
 	// the two readers must agree on what a valid file is.
@@ -194,8 +195,8 @@ func readBundleV3(r io.Reader) (*Bundle, error) {
 		if sec.err != nil {
 			return nil, fmt.Errorf("pipeline: decode v3 section %d: %w", i, sec.err)
 		}
-		if sec.off != len(sec.buf) {
-			return nil, fmt.Errorf("pipeline: v3 section %d has %d trailing bytes — corrupt bundle", i, len(sec.buf)-sec.off)
+		if sec.off != sec.hi {
+			return nil, fmt.Errorf("pipeline: v3 section %d has %d trailing bytes — corrupt bundle", i, sec.hi-sec.off)
 		}
 	}
 	if b.ImputeTable != nil {
@@ -208,7 +209,15 @@ func readBundleV3(r io.Reader) (*Bundle, error) {
 	return b, nil
 }
 
-func (s *binSection) vec() linalg.Vector {
+// refSection reads one section through the product's cursor over a
+// whole-section window, with vector and index-row decodes of its own.
+type refSection struct{ cursor }
+
+func newRefSection(p []byte) refSection {
+	return refSection{cursor{hi: len(p), win: p}}
+}
+
+func (s *refSection) vec() linalg.Vector {
 	n, ok := s.sliceLen()
 	if !ok || s.err != nil {
 		return nil
@@ -220,7 +229,7 @@ func (s *binSection) vec() linalg.Vector {
 	return v
 }
 
-func (s *binSection) vecs() []linalg.Vector {
+func (s *refSection) vecs() []linalg.Vector {
 	n, ok := s.sliceLen()
 	if !ok || s.err != nil {
 		return nil
@@ -232,7 +241,7 @@ func (s *binSection) vecs() []linalg.Vector {
 	return vs
 }
 
-func (s *binSection) shards() [][]blocking.Candidate {
+func (s *refSection) shards() [][]blocking.Candidate {
 	n, ok := s.sliceLen()
 	if !ok || s.err != nil {
 		return nil
